@@ -8,9 +8,7 @@ Exit codes: 0 success, 1 bad usage or assembly/instrumentation error,
 2 runtime fault (undefined fetch, invalid access, shadow overflow,
 step budget), 3 protection violation halted under the reset policy.
 
-Output is deterministic for a given input.  The WATCHSTACK_SEED
-environment variable is reserved for future randomized modes; nothing
-reads it today.
+Output is deterministic for a given input.
 """
 
 from __future__ import annotations

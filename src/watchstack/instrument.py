@@ -138,23 +138,6 @@ def analyze_free_gprs(func: AsmFunction) -> set[int]:
     return set(range(NUM_GPRS)) - used
 
 
-def free_gpr_stats(prog: AsmProgram) -> dict:
-    """Fraction of instrumentable functions with at least two free GPRs."""
-    total = 0
-    ge2 = 0
-    for fn in prog.functions.values():
-        if fn.kind == FUNC_HAL:
-            continue
-        total += 1
-        if len(analyze_free_gprs(fn)) >= 2:
-            ge2 += 1
-    return {
-        "functions": total,
-        "ge2_free": ge2,
-        "fraction_ge2_free": ge2 / total if total else 0.0,
-    }
-
-
 def _select_scratches(func: AsmFunction, count: int,
                       handler: bool) -> tuple[list[int], list[int]]:
     """Pick scratch registers; returns (scratches, reserved-subset).

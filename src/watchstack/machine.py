@@ -4,14 +4,21 @@ The machine executes pre-decoded instructions from an address-indexed
 code map.  All data loads and stores funnel through one pair of access
 paths so a debug unit can observe every access before it commits; a
 store hook may suppress the write entirely (watchpoint semantics).
-Memory-mapped device windows live above 0xE0000000.
+Memory-mapped device windows live above 0xE0000000; devices see whole
+words, and the access path extracts or merges the byte lane of a byte
+access.
+
+``step()`` executes one instruction and is the reference semantics.
+``run()`` executes many: it steps cold code and runs hot straight-line
+blocks as compiled functions (``blocks``), with identical results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
+from . import blocks
 from . import exception_model as excm
 from .isa import LR, MASK32, NUM_GPRS, PC, SP, Instr
 
@@ -107,10 +114,6 @@ class Memory:
             for i in range(4):
                 self.write_byte(addr + i, (value >> (8 * i)) & 0xFF)
 
-    def load_bytes(self, addr: int, data: bytes) -> None:
-        for i, b in enumerate(data):
-            self.write_byte(addr + i, b)
-
     def read_region(self, lo: int, size: int) -> bytes:
         return bytes(self.read_byte(lo + i) for i in range(size))
 
@@ -165,6 +168,10 @@ class Machine:
         self.conv_extra = 0
         self.visited: set[int] | None = None
         self.min_sp: int | None = None
+        # run()'s (code, blocks by entry pc).  One attribute: more would
+        # push instances past CPython's shared-key dict size and slow
+        # every attribute access.
+        self._block_cache = None
 
     # -- register helpers -------------------------------------------------
 
@@ -200,7 +207,10 @@ class Machine:
         if addr >= 0xE0000000:
             for lo, hi, dev in self.mmio:
                 if lo <= addr < hi:
-                    return dev.mmio_read(self, addr, size)
+                    if size == 4:
+                        return dev.mmio_read(self, addr, 4)
+                    word = dev.mmio_read(self, addr & ~3, 4)
+                    return (word >> (8 * (addr & 3))) & 0xFF
         if size == 4:
             return self.mem.read_word(addr)
         return self.mem.read_byte(addr)
@@ -215,7 +225,13 @@ class Machine:
         if addr >= 0xE0000000:
             for lo, hi, dev in self.mmio:
                 if lo <= addr < hi:
-                    dev.mmio_write(self, addr, size, value)
+                    if size != 4:
+                        base = addr & ~3
+                        shift = 8 * (addr & 3)
+                        word = dev.mmio_read(self, base, 4)
+                        addr, value = base, ((word & ~(0xFF << shift))
+                                             | ((value & 0xFF) << shift))
+                    dev.mmio_write(self, addr, 4, value)
                     return
         if size == 4:
             self.mem.write_word(addr, value)
@@ -305,6 +321,57 @@ class Machine:
         if self.halted:
             return Event(EV_HALTED, at, reason=self.halt_reason)
         return Event(EV_STEPPED, at)
+
+    def run(self, limit: int) -> Event | None:
+        """Execute until ``steps == limit`` or the first non-stepped event.
+
+        Returns that event, or None when the limit was reached.  The
+        machine ends in the state the same number of ``step()`` calls
+        would leave.  Execution goes block by block (``blocks``): a
+        block entry reached fewer than ``blocks.HOT_THRESHOLD`` times is
+        stepped through; then its block is compiled, and the compiled
+        block runs whenever it fits before the limit and no exception
+        is pending.
+        """
+        cache = self._block_cache
+        if cache is None or cache[0] is not self.code:
+            cache = self._block_cache = (self.code, {})
+        code, known = cache
+        hot = blocks.HOT_THRESHOLD
+        stepped = EV_STEPPED
+        ran = set()
+        try:
+            while self.steps < limit:
+                pc = self.pc
+                blk = known.get(pc)
+                if blk is None:
+                    blk = known[pc] = blocks.Block()
+                if blk.fn is None:
+                    blk.heat += 1
+                    if blk.heat == hot:
+                        blk.compile(code, pc)
+                if (blk.fn is not None and self.steps + blk.n <= limit
+                        and not self.pending and not self.halted):
+                    ran.add(blk)
+                    ev = blk.fn(self)
+                    if ev is not None:
+                        return ev
+                    continue
+                # Step until control leaves the straight line; the pc it
+                # lands on is the next block entry.
+                while True:
+                    ev = self.step()
+                    if ev.kind != stepped:
+                        return ev
+                    if self.steps >= limit:
+                        return None
+                    d = self.pc - ev.at_pc
+                    if d != 2 and d != 4:
+                        break
+            return None
+        finally:
+            for blk in ran:
+                blk.flush(self)
 
     def _undefined_fetch(self) -> Event:
         handler = self.vector.get(excm.USAGE_FAULT)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .dwt import DWT_GROUP_STRIDE, FN_WRITE, DwtUnit
+from .dwt import DWT_GROUP_STRIDE, FN_WRITE, MODE_V7_MASK, DwtUnit
 from .exception_model import DEBUG_MONITOR
 from .instrument import ShadowStackConfig
 from .machine import ACCESS_READ, ACCESS_WRITE, HaltReason, Hit, Machine
@@ -42,16 +42,10 @@ class DemcrModel:
         self.value |= DEMCR_MON_EN
 
     def mmio_read(self, m, addr: int, size: int) -> int:
-        if size == 1:
-            return (self.value >> (8 * (addr - DEMCR_ADDR))) & 0xFF
         return self.value
 
     def mmio_write(self, m, addr: int, size: int, value: int) -> None:
-        if size == 1:
-            shift = 8 * (addr - DEMCR_ADDR)
-            self.value = (self.value & ~(0xFF << shift)) | ((value & 0xFF) << shift)
-        else:
-            self.value = value & 0xFFFFFFFF
+        self.value = value & 0xFFFFFFFF
 
 
 @dataclass
@@ -120,7 +114,7 @@ class WatchpointGuard:
 
 def attach_debug_system(m: Machine, matching_mode: str | None = None) -> None:
     """Give the machine its watchpoint unit and DEMCR register."""
-    from .dwt import DWT_WINDOW_HI, DWT_WINDOW_LO, MODE_V7_MASK
+    from .dwt import DWT_WINDOW_HI, DWT_WINDOW_LO
 
     dwt = DwtUnit(matching_mode=matching_mode or MODE_V7_MASK)
     demcr = DemcrModel()
@@ -142,7 +136,8 @@ def init_write_protection(m: Machine, config: ShadowStackConfig,
 
     Trusted boot-time call; it programs registers directly rather than
     by executing store instructions.  Idempotent: a second call is a
-    logged no-op and changes nothing.
+    logged no-op and changes nothing.  It refuses a unit in v8 range
+    mode the same way, returning False with nothing armed.
 
     ``harden_lock`` spends the otherwise-unused comparator group 3 on
     the group 2/3 register block itself.  Without it the lock has a
@@ -155,6 +150,14 @@ def init_write_protection(m: Machine, config: ShadowStackConfig,
         return False
 
     dwt: DwtUnit = m.dwt
+    if dwt.matching_mode != MODE_V7_MASK:
+        # The layout below is a v7 mask layout: in range mode COMP1 would
+        # be the region's upper bound and pair (2,3) an empty range, so
+        # nothing would trap.
+        log.warning("write protection needs %s matching, not %s; nothing armed",
+                    MODE_V7_MASK, dwt.matching_mode)
+        return False
+
     g0, g1, g2, g3 = dwt.groups
     # Shadow stack region: power-of-two block, write-trapped.
     g0.comp = config.ss_start

@@ -115,8 +115,6 @@ def build_machine(prog: AsmProgram, cfg: RunConfig) -> Machine:
 
 
 def run_machine(m: Machine, cfg: RunConfig) -> RunResult:
-    from .machine import EV_STEPPED
-
     raises = sorted(cfg.raises, key=lambda t: t[1])
     ridx = 0
     events = []
@@ -128,8 +126,11 @@ def run_machine(m: Machine, cfg: RunConfig) -> RunResult:
         while ridx < len(raises) and raises[ridx][1] <= m.steps:
             m.raise_exception(raises[ridx][0])
             ridx += 1
-        ev = m.step()
-        if ev.kind != EV_STEPPED:
+        limit = cfg.max_steps
+        if ridx < len(raises):
+            limit = min(limit, raises[ridx][1])
+        ev = m.run(limit)
+        if ev is not None:
             events.append(ev)
 
     violations = list(m.guard.records) if m.guard is not None else []

@@ -213,3 +213,44 @@ def test_cyccnt_visible_through_attached_system():
     m = machine(init=False)
     m.cycles = 77
     assert m.load(DWT_CYCCNT, 4) == 77
+
+
+def test_mmio_byte_loads_read_one_lane_of_any_device():
+    m = machine(init=False)
+    m.dwt.groups[1].comp = 0x00E01234
+    assert [m.load(DWT_COMP1 + i, 1) for i in range(4)] == [0x34, 0x12,
+                                                            0xE0, 0x00]
+    m.cycles = 0x0A0B0C0D
+    assert m.load(DWT_CYCCNT + 1, 1) == 0x0C
+
+
+def test_mmio_byte_stores_merge_into_the_word():
+    m = machine(init=False)
+    m.dwt.groups[1].comp = 0x00E01234
+    m.store(DWT_COMP1 + 1, 1, 0x56)
+    assert m.dwt.groups[1].comp == 0x00E05634
+    m.store(DWT_COMP1, 1, 0x1FF)  # only the low byte of the value lands
+    assert m.dwt.groups[1].comp == 0x00E056FF
+    m.store(DEMCR_ADDR + 2, 1, 0x01)
+    assert m.demcr.value == DEMCR_MON_EN
+
+
+def test_byte_store_to_the_shadow_pointer_keeps_its_other_lanes():
+    m = machine()
+    m.store(DWT_COMP1, 1, 0x08)  # ss_start + 8, inside the region
+    assert shadow_stack_pointer(m) == CFG.ss_start + 8
+    assert not m.halted
+
+
+def test_v8_range_mode_is_refused_and_nothing_is_armed(caplog):
+    from watchstack.dwt import MODE_V8_RANGE
+
+    m = Machine()
+    attach_debug_system(m, MODE_V8_RANGE)
+    with caplog.at_level(logging.WARNING):
+        assert not init_write_protection(m, CFG, ProtectionPolicy())
+    assert "v8" in caplog.text
+    assert m.guard is None and m.access_hook is None
+    assert not is_protection_initialized(m)
+    assert all(g.function == 0 and g.comp == 0 for g in m.dwt.groups)
+    assert m.dwt.ssp_guard is None

@@ -1,0 +1,245 @@
+"""Machine.run against the reference: one Machine.step per instruction.
+
+Every run is made twice from the same build, once by ``runner.run_machine``
+(which drives ``Machine.run``) and once by the plain step loop below, and
+every observable piece of the two machines and results must agree.  The
+programs are acceptance-09 benign call trees plus an instrumented
+SysTick handler and a debug-monitor handler, interrupted at a stride of
+positions under both violation policies.  With the hot threshold at 1
+every block is compiled, so the compiled path sees every instruction
+and every interrupt position.
+"""
+
+import random
+
+import pytest
+
+from watchstack import blocks
+from watchstack.asm import parse
+from watchstack.dwt import FN_READWRITE
+from watchstack.harness import (make_benign_program,
+                                preinit_exception_program, recursion_program,
+                                sweep_program)
+from watchstack.instrument import ShadowStackConfig, instrument_program
+from watchstack.machine import EV_STEPPED, HaltReason
+from watchstack.protect import POLICY_REPORT, POLICY_RESET
+from watchstack.runner import RunConfig, build_machine, run_machine
+
+SHADOW = ShadowStackConfig()
+SYSTICK = 15
+
+# Each handler counts its runs in a word of its own at 0x20011000 or
+# 0x20011004, past the benign programs' result slots.
+HANDLERS = """\
+.func systick_handler handler
+    push {r7, lr}
+    movw r7, #0x1000
+    movt r7, #0x2001
+    ldr r1, [r7]
+    addw r1, r1, #1
+    str r1, [r7]
+    pop {r7, pc}
+.endfunc
+.func debugmon_handler handler
+    movw r2, #0x1004
+    movt r2, #0x2001
+    ldr r3, [r2]
+    addw r3, r3, #1
+    str r3, [r2]
+    bx lr
+.endfunc
+"""
+
+
+def reference_run(m, cfg: RunConfig):
+    """The run loop before Machine.run existed: step() per instruction."""
+    raises = sorted(cfg.raises, key=lambda t: t[1])
+    ridx = 0
+    events = []
+    budget = False
+    while not m.halted:
+        if m.steps >= cfg.max_steps:
+            budget = True
+            break
+        while ridx < len(raises) and raises[ridx][1] <= m.steps:
+            m.raise_exception(raises[ridx][0])
+            ridx += 1
+        ev = m.step()
+        if ev.kind != EV_STEPPED:
+            events.append(ev)
+    return events, budget
+
+
+def observe(m, events, budget) -> dict:
+    return {
+        "regs": list(m.gpr) + [m.sp, m.lr, m.pc, m.xpsr, m.control],
+        "mode": (m.mode, m.active_exc, list(m.pending)),
+        "mem": m.mem.snapshot(),
+        "steps": m.steps,
+        "cycles": m.cycles,
+        "halt": (m.halted, m.halt_reason, budget),
+        "tagged": m.tagged_cycles,
+        "phases": m.phase_cycles,
+        "conv_extra": m.conv_extra,
+        "min_sp": m.min_sp,
+        "visited": m.visited,
+        "violations": list(m.guard.records) if m.guard else None,
+        "events": events,
+        "dwt": (m.dwt.groups, m.demcr.value),
+    }
+
+
+def _build(prog, cfg: RunConfig, arm):
+    m = build_machine(prog, cfg)
+    if arm is not None:
+        arm(m)
+    return m
+
+
+def reference(prog, cfg: RunConfig, arm=None) -> dict:
+    m = _build(prog, cfg, arm)
+    events, budget = reference_run(m, cfg)
+    return observe(m, events, budget)
+
+
+def fast(prog, cfg: RunConfig, arm=None) -> dict:
+    m = _build(prog, cfg, arm)
+    res = run_machine(m, cfg)
+    return observe(m, res.events, res.halt_reason is None)
+
+
+def check(prog, cfg: RunConfig, label: str, monkeypatch, arm=None) -> dict:
+    """The reference run, compared with run() at the default hot
+    threshold and with every block compiled on first reach."""
+    want = reference(prog, cfg, arm)
+    assert_same(want, fast(prog, cfg, arm), label)
+    with monkeypatch.context() as mp:
+        mp.setattr(blocks, "HOT_THRESHOLD", 1)
+        assert_same(want, fast(prog, cfg, arm), label + " threshold 1")
+    return want
+
+
+def assert_same(want: dict, got: dict, label: str) -> None:
+    for key in want:
+        assert got[key] == want[key], "%s: %s differs" % (label, key)
+
+
+def _cfg(policy: str, raise_at: int | None, max_steps: int) -> RunConfig:
+    return RunConfig(protected=True, policy=policy, vectored=True,
+                     shadow=SHADOW, max_steps=max_steps,
+                     raises=() if raise_at is None else ((SYSTICK, raise_at),),
+                     track_min_sp=True, track_visited=True)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_benign_programs_interrupted_at_a_stride(seed, monkeypatch):
+    rng = random.Random(seed)
+    text = make_benign_program(rng, rng.randint(4, 12)) + HANDLERS
+    prog = instrument_program(parse(text), SHADOW).program
+    plain = reference(prog, _cfg(POLICY_RESET, None, 20_000))
+    assert plain["halt"] == (True, HaltReason.NORMAL, False)
+    length = plain["steps"]
+    stride = length // 2 + seed % 5
+    for at in range(seed % 7, length + 1, stride):
+        for policy in (POLICY_RESET, POLICY_REPORT):
+            check(prog, _cfg(policy, at, 20_000),
+                  "%s raise@%d" % (policy, at), monkeypatch)
+
+
+@pytest.mark.parametrize("max_steps", [3, 97, 1000, 10_000])
+def test_step_budget_cuts_inside_a_block(max_steps, monkeypatch):
+    prog = instrument_program(parse(recursion_program(40)), SHADOW).program
+    check(prog, _cfg(POLICY_RESET, 50, max_steps), "budget %d" % max_steps,
+          monkeypatch)
+
+
+def test_report_policy_sweep_exits_blocks_on_each_hit(monkeypatch):
+    # Each trapped store pends the debug monitor, so every hit both ends
+    # a block and enters an exception.
+    lo = SHADOW.ss_start - 8
+    prog = parse(sweep_program(lo, SHADOW.ss_start + 24) + HANDLERS)
+    for at in (None, 5, 41, 70):
+        want = check(prog, _cfg(POLICY_REPORT, at, 1000),
+                     "sweep raise@%s" % at, monkeypatch)
+        assert want["halt"] == (True, HaltReason.NORMAL, False)
+        assert len(want["violations"]) == 24
+
+
+# (a, b) pairs that set every combination of N, Z, C and V in cmp.
+FLAG_PAIRS = [(0, 0), (1, 2), (2, 1), (5, 5), (0x80000000, 1),
+              (1, 0x80000000), (0x7FFFFFFF, 0xFFFFFFFF),
+              (0xFFFFFFFF, 0x7FFFFFFF), (0x80000000, 0x7FFFFFFF),
+              (0x7FFFFFFF, 0x80000000), (0xFFFFFFFF, 0), (0, 0xFFFFFFFF)]
+
+
+def test_condition_codes_on_every_flag_combination(monkeypatch):
+    """Each pair through cmp and all four conditional branches; the
+    taken set and the final flags land in memory and registers."""
+    table = "\n".join(".word 0x%08x\n.word 0x%08x\n.word 0" % p
+                      for p in FLAG_PAIRS)
+    branches = []
+    for i, (cond, bit) in enumerate((("eq", 1), ("lt", 2), ("ge", 4),
+                                     ("ne", 8))):
+        branches += ["    cmp r0, r1", "    b%s t%d" % (cond, i),
+                     "    b n%d" % i, ".label t%d" % i,
+                     "    addw r2, r2, #%d" % bit, ".label n%d" % i]
+    text = "\n".join([
+        ".org 0x08000000", ".func main hal",
+        "    movw r5, #0x0000", "    movt r5, #0x2000",
+        "    mov r6, #%d" % len(FLAG_PAIRS),
+        ".label loop",
+        "    ldr r0, [r5]", "    ldr r1, [r5, #4]", "    mov r2, #0",
+        *branches,
+        "    str r2, [r5, #8]", "    addw r5, r5, #12",
+        "    subw r6, r6, #1", "    cmp r6, #0", "    bne loop",
+        "    bkpt #0", ".endfunc", ".org 0x20000000", table, ""])
+    want = check(parse(text), _cfg(POLICY_RESET, None, 10_000), "flags",
+                 monkeypatch)
+    def signed(v):
+        return v - (1 << 32) if v >> 31 else v
+
+    for i, (a, b) in enumerate(FLAG_PAIRS):
+        lt = signed(a) < signed(b)
+        taken = (a == b) | lt << 1 | (not lt) << 2 | (a != b) << 3
+        assert want["mem"][0x20000][12 * i + 8] == taken, (a, b)
+
+
+def test_read_watch_pends_the_monitor_mid_block(monkeypatch):
+    """A load that matches a read comparator records a violation and,
+    vectored, pends the debug monitor without any event: the block must
+    stop right after that load so the exception is taken where step()
+    takes it."""
+    text = "\n".join([
+        ".org 0x08000000", ".func main hal",
+        "    movw r0, #0x%04x" % ((SHADOW.ss_start - 16) & 0xFFFF),
+        "    movt r0, #0x%04x" % ((SHADOW.ss_start - 16) >> 16),
+        "    mov r3, #12",
+        ".label loop",
+        "    ldr r1, [r0]", "    addw r0, r0, #4", "    subw r3, r3, #1",
+        "    cmp r3, #0", "    bne loop", "    bkpt #0", ".endfunc", ""])
+
+    def watch_reads(m):
+        m.dwt.groups[0].function = FN_READWRITE
+
+    prog = parse(text + HANDLERS)
+    want = check(prog, _cfg(POLICY_REPORT, None, 10_000), "read watch",
+                 monkeypatch, arm=watch_reads)
+    assert len(want["violations"]) == 8
+    assert sum(ev.kind == "exception_entered" for ev in want["events"]) == 8
+    # Under the reset policy the first read hit halts inside the block.
+    want = check(prog, _cfg(POLICY_RESET, None, 10_000), "read watch reset",
+                 monkeypatch, arm=watch_reads)
+    assert [ev.kind for ev in want["events"]] == ["halted"]
+    assert want["halt"] == (True, HaltReason.RESET, False)
+
+
+def test_interrupt_before_protection_takes_the_tagged_branch(monkeypatch):
+    """Unprotected, an instrumented handler's enable check is taken, and
+    a taken tagged branch charges its extra cycle to the tag."""
+    prog = instrument_program(parse(preinit_exception_program()),
+                              SHADOW).program
+    for at in range(0, 10, 3):
+        cfg = RunConfig(shadow=SHADOW, raises=((SYSTICK, at),) * 3,
+                        track_min_sp=True, track_visited=True)
+        want = check(prog, cfg, "preinit raise@%d" % at, monkeypatch)
+        assert want["halt"] == (True, HaltReason.NORMAL, False)
