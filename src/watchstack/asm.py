@@ -417,10 +417,9 @@ def layout(prog: AsmProgram) -> None:
     """Assign addresses, build the code map, and resolve label references."""
     labels: dict[str, int] = {}
     cursor: int | None = None
-    org_seen = False
     size = 0
 
-    def place(line: int) -> int:
+    def place() -> int:
         nonlocal cursor
         if cursor is None:
             cursor = DEFAULT_ORIGIN
@@ -431,9 +430,8 @@ def layout(prog: AsmProgram) -> None:
             if cursor is not None and item.address < cursor:
                 raise AsmError(item.line, ".org moves backwards")
             cursor = item.address
-            org_seen = True
         elif isinstance(item, AsmFunction):
-            item.entry = place(item.line)
+            item.entry = place()
             _bind(labels, item.name, item.entry, item.line)
             for extra in item.labels:
                 _bind(labels, extra, item.entry, item.line)
@@ -444,7 +442,7 @@ def layout(prog: AsmProgram) -> None:
                 cursor += ins.width
                 size += ins.width
         else:  # WordNode
-            place(item.line)
+            place()
             if cursor % 4:
                 pad = 4 - cursor % 4
                 cursor += pad

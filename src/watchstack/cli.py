@@ -14,6 +14,7 @@ Output is deterministic for a given input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -274,13 +275,10 @@ def cmd_bench(args) -> int:
     text = (_read_source(args.input) if args.input
             else microbenchmark_program())
     report = {}
+    shadow = _shadow_config(args)
     for seq in (SEQ_OPTIMAL, SEQ_NAIVE):
-        kw = {"sequence": seq}
-        if args.ss_start is not None:
-            kw["ss_start"] = args.ss_start
-        if args.ss_size_log2 is not None:
-            kw["ss_size_log2"] = args.ss_size_log2
-        report[seq] = _bench_one(text, ShadowStackConfig(**kw))
+        report[seq] = _bench_one(text,
+                                 dataclasses.replace(shadow, sequence=seq))
     lines = []
     for seq in (SEQ_OPTIMAL, SEQ_NAIVE):
         r = report[seq]

@@ -23,13 +23,15 @@ EXC_NAMES = {
     DEBUG_MONITOR: "DebugMonitor",
     SYSTICK: "SysTick",
 }
+# Lower-case names for handler binding and raise specs: each full name
+# plus the short forms ``svc`` and ``debugmon``.
 EXC_BY_NAME = {name.lower(): num for num, name in EXC_NAMES.items()}
+EXC_BY_NAME.update(svc=SVCALL, debugmon=DEBUG_MONITOR)
 
 # Return to thread mode, main stack.  The only valid sentinel here.
 EXC_RETURN_THREAD = 0xFFFFFFF9
 
 # Stacked frame layout, offsets from the post-stacking stack pointer.
-ESF_WORDS = 8
 ESF_BYTES = 32
 ESF_OFF_R0 = 0
 ESF_OFF_R1 = 4

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .asm import (FUNC_HAL, FUNC_HANDLER, FUNC_NORMAL, AsmFunction,
                   AsmProgram, format_instr, layout, print_program)
-from .dwt import (DWT_COMP_BASE, DWT_FUNCTION_OFF, DWT_GROUP_STRIDE,
-                  DWT_MASK_OFF, FN_WRITE)
+from .dwt import (DWT_COMP1, DWT_COMP_BASE, DWT_FUNCTION_OFF,
+                  DWT_GROUP_STRIDE, FN_WRITE)
 from .exception_model import (ESF_OFF_LR, ESF_OFF_R12, ESF_OFF_RETURN,
                               ESF_OFF_XPSR)
 from .isa import LR, NUM_GPRS, PC, Instr, finalize
@@ -34,7 +34,6 @@ from .isa import LR, NUM_GPRS, PC, Instr, finalize
 SEQ_OPTIMAL = "optimal"
 SEQ_NAIVE = "naive"
 
-SSP_REG_ADDR = DWT_COMP_BASE + DWT_GROUP_STRIDE  # COMP1 holds the ssp
 SSP_REG_OFF = DWT_GROUP_STRIDE                   # offset of COMP1 from COMP0
 FUNCTION0_OFF = DWT_FUNCTION_OFF
 DEMCR_ADDR = 0xE000EDFC
@@ -200,7 +199,7 @@ class _Rewriter:
         out += _load_addr(base, self.comp_base, "pro", T_OTHER, role="access")
         if naive:
             sspa = scratches[1]
-            out += _load_addr(sspa, SSP_REG_ADDR, "pro", T_ASSP, role="access")
+            out += _load_addr(sspa, DWT_COMP1, "pro", T_ASSP, role="access")
         out += [
             _i("mov_imm", rd=work, imm=0, wide=True, tag=("pro", T_AW)),
             _i("str", rd=work, rn=base, imm=FUNCTION0_OFF, wide=True,
@@ -242,7 +241,7 @@ class _Rewriter:
         out: list[Instr] = []
         if work_reserved:
             out.append(_i("push", reglist=(work,), tag=("epi", T_OTHER)))
-        out += _load_addr(LR, SSP_REG_ADDR, "epi", T_ASSP)
+        out += _load_addr(LR, DWT_COMP1, "epi", T_ASSP)
         out += [
             _i("ldr", rd=work, rn=LR, imm=0, wide=True, tag=("epi", T_ASSP)),
             _i("subw", rd=work, rn=work, imm=4, tag=("epi", T_ASSP)),

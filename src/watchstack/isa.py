@@ -31,21 +31,6 @@ REG_PARSE["r15"] = PC
 
 CONDITIONS = ("eq", "ne", "lt", "ge")
 
-# Every op the assembler accepts.  mov_imm/mov_reg and cmp_imm/cmp_reg are
-# split because their operand shapes and width rules differ.
-OPS = frozenset(
-    [
-        "movw", "movt", "mov_imm", "mov_reg",
-        "ldr", "str", "ldrb", "strb",
-        "push", "pop",
-        "add_sp", "sub_sp", "addw", "subw",
-        "cmp_imm", "cmp_reg",
-        "b", "bcond", "bl", "bx", "blx",
-        "msr", "mrs",
-        "nop", "svc", "bkpt", "udf",
-    ]
-)
-
 
 @dataclass
 class Instr:

@@ -15,6 +15,7 @@ blocks as compiled functions (``blocks``), with identical results.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,7 +38,8 @@ XPSR_N = 1 << 31
 XPSR_Z = 1 << 30
 XPSR_C = 1 << 29
 XPSR_V = 1 << 28
-XPSR_IPSR_MASK = 0x1FF
+
+_WORD = struct.Struct("<I")
 
 
 class HaltReason(Enum):
@@ -101,15 +103,15 @@ class Memory:
         page = self.pages.get(addr >> PAGE_BITS)
         off = addr & PAGE_MASK
         if page is not None and off <= PAGE_SIZE - 4:
-            return int.from_bytes(page[off:off + 4], "little")
+            return _WORD.unpack_from(page, off)[0]
         return (self.read_byte(addr) | self.read_byte(addr + 1) << 8
                 | self.read_byte(addr + 2) << 16 | self.read_byte(addr + 3) << 24)
 
     def write_word(self, addr: int, value: int) -> None:
-        page = self._page(addr)
         off = addr & PAGE_MASK
         if off <= PAGE_SIZE - 4:
-            page[off:off + 4] = (value & MASK32).to_bytes(4, "little")
+            page = self.pages.get(addr >> PAGE_BITS) or self._page(addr)
+            _WORD.pack_into(page, off, value & MASK32)
         else:
             for i in range(4):
                 self.write_byte(addr + i, (value >> (8 * i)) & 0xFF)

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 
 from .dwt import DWT_GROUP_STRIDE, FN_WRITE, MODE_V7_MASK, DwtUnit
 from .exception_model import DEBUG_MONITOR
-from .instrument import ShadowStackConfig
+from .instrument import DEMCR_ADDR, ShadowStackConfig
 from .machine import ACCESS_READ, ACCESS_WRITE, HaltReason, Hit, Machine
 
 log = logging.getLogger(__name__)
 
-DEMCR_ADDR = 0xE000EDFC
 DEMCR_MON_EN = 1 << 16
 
 POLICY_RESET = "reset"

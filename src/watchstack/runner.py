@@ -34,16 +34,6 @@ OUTCOME_HIJACK = "HijackSucceeded"
 OUTCOME_TRAPPED = "ViolationTrapped"
 OUTCOME_FAULT = "Fault"
 
-_HANDLER_ALIASES = {
-    "usagefault": 6,
-    "svc": 11,
-    "svcall": 11,
-    "debugmon": 12,
-    "debugmonitor": 12,
-    "systick": 15,
-}
-
-
 @dataclass
 class RunConfig:
     protected: bool = False
@@ -85,7 +75,7 @@ def bind_handlers(m: Machine, prog: AsmProgram) -> None:
         key = fn.name.lower()
         if key.endswith("_handler"):
             key = key[:-8]
-        exc_id = _HANDLER_ALIASES.get(key) or EXC_BY_NAME.get(key)
+        exc_id = EXC_BY_NAME.get(key)
         if exc_id is None:
             raise ValueError(
                 "handler %r does not name a known exception" % fn.name)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from watchstack.dwt import (DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0, DWT_MASK0,
-                            FN_DISABLED, FN_READ, FN_READWRITE, FN_WRITE,
-                            MODE_V8_RANGE, ComparatorGroup, DwtUnit)
+from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
+                            DWT_MASK0, FN_DISABLED, FN_READ, FN_READWRITE,
+                            FN_WRITE, MODE_V7_MASK, MODE_V8_RANGE,
+                            ComparatorGroup, DwtUnit)
 from watchstack.machine import ACCESS_READ, ACCESS_WRITE, HaltReason, Machine
 
 
@@ -208,3 +209,116 @@ def test_reprogramming_takes_effect_on_next_check_only():
     assert d.match_access(0x20000000, 4, ACCESS_WRITE) == 0
     d.groups[0].function = FN_DISABLED
     assert d.match_access(0x20000000, 4, ACCESS_WRITE) is None
+
+
+# -- slot table against the per-group reference --------------------------------
+
+
+def reference_match(d: DwtUnit, addr, size, access):
+    """The per-access matcher the slot table replaced, reading the fields."""
+    allows = {FN_READ: ACCESS_READ, FN_WRITE: ACCESS_WRITE}
+
+    def enabled(g):
+        return g.function == FN_READWRITE or allows.get(g.function) == access
+
+    if d.matching_mode == MODE_V8_RANGE:
+        for cid in (0, 2):
+            g = d.groups[cid]
+            lo, hi = g.comp, d.groups[cid + 1].comp
+            if enabled(g) and addr < hi and addr + size > lo:
+                return cid
+        return None
+    for cid, g in enumerate(d.groups):
+        span = 1 << g.mask
+        lo = g.comp & ~(span - 1) & 0xFFFFFFFF
+        if enabled(g) and addr < lo + span and addr + size > lo:
+            return cid
+    return None
+
+
+# A small pool makes groups with identical fields common.
+_COMPS = st.one_of(st.sampled_from([0x00E00000, 0x00E00004, 0x20001000,
+                                    0xE0001040, 0]),
+                   st.integers(0, 0xFFFFFFFF))
+# Every function code, with the three enabling ones drawn more often.
+_FUNCTIONS = st.one_of(st.sampled_from([FN_READ, FN_WRITE, FN_READWRITE]),
+                       st.integers(0, 15))
+_FIELD_VALUES = {"comp": _COMPS, "mask": st.integers(0, 31),
+                 "function": _FUNCTIONS}
+_MODES = st.sampled_from([MODE_V7_MASK, MODE_V8_RANGE])
+_OFFSETS = {"comp": 0, "mask": 4, "function": 8}
+_GID = st.integers(0, 3)
+_SLOT_OPS = st.one_of(
+    st.tuples(st.just("mmio"), _GID, st.sampled_from(sorted(_OFFSETS)),
+              st.integers(0, 3), st.sampled_from([1, 4])).flatmap(
+        lambda t: st.tuples(*map(st.just, t), _FIELD_VALUES[t[2]])),
+    st.sampled_from(sorted(_FIELD_VALUES)).flatmap(
+        lambda name: st.tuples(st.just("field"), _GID, st.just(name),
+                               _FIELD_VALUES[name])),
+    st.tuples(st.just("copy"), _GID, _GID),
+    st.tuples(st.just("mode"), _MODES),
+    st.tuples(st.just("groups"), st.lists(
+        st.tuples(_COMPS, st.integers(0, 31), _FUNCTIONS),
+        min_size=4, max_size=4)),
+)
+
+
+def _apply(m, d, op):
+    kind = op[0]
+    if kind == "mmio":
+        _, gid, name, lane, size, value = op
+        addr = DWT_COMP0 + 16 * gid + _OFFSETS[name]
+        if size == 1:
+            m.store(addr + lane, 1, value >> (8 * lane))
+        else:
+            m.store(addr, 4, value)
+    elif kind == "field":
+        _, gid, name, value = op
+        setattr(d.groups[gid], name, value)
+    elif kind == "copy":
+        src, dst = d.groups[op[1]], d.groups[op[2]]
+        dst.comp, dst.mask, dst.function = src.comp, src.mask, src.function
+    elif kind == "mode":
+        d.matching_mode = op[1]
+    else:
+        d.groups = [ComparatorGroup(*fields) for fields in op[1]]
+
+
+def _edges(d):
+    """Every group's region edges and comparator value, as programmed now."""
+    edges = set()
+    for g in d.groups:
+        span = 1 << g.mask
+        lo = g.comp & ~(span - 1) & 0xFFFFFFFF
+        edges.update((g.comp, lo, lo + span))
+    return edges
+
+
+def _check_at(d, edges):
+    for e in sorted(edges):
+        for addr, size in ((e - 4, 4), (e - 3, 4), (e - 1, 1), (e - 1, 4),
+                           (e, 1)):
+            if not 0 <= addr <= 0xFFFFFFFC:
+                continue
+            for access in (ACCESS_READ, ACCESS_WRITE):
+                assert (d.match_access(addr, size, access)
+                        == reference_match(d, addr, size, access)), (
+                    hex(addr), size, access, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=_MODES, ops=st.lists(_SLOT_OPS, max_size=16),
+       extra=st.lists(st.integers(0, 0xFFFFFFFC), max_size=4))
+def test_slot_table_matches_reference_after_any_writes(mode, ops, extra):
+    # After every step, probes sit on the edges of the regions the groups
+    # held before and after it, so a slot left stale by a missed or
+    # misdirected update shows at once.
+    m, d = _machine_with_unit()
+    d.matching_mode = mode
+    before = _edges(d)
+    _check_at(d, before | set(extra))
+    for op in ops:
+        _apply(m, d, op)
+        after = _edges(d)
+        _check_at(d, before | after | set(extra))
+        before = after
