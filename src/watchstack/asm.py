@@ -31,13 +31,16 @@ FUNC_NORMAL = "normal"
 FUNC_HANDLER = "handler"
 FUNC_HAL = "hal"
 
-# phase:category tag comments; categories name what the inserted code does:
-# AW = arming/disarming the write watchpoint, USS = moving return-address
-# data, ASSP = shadow-stack-pointer accesses and arithmetic, Other = scratch
-# register spills and address materialization around them.
+# Cycle attribution tags (phase, category), printed as ``;@phase:category``
+# comments with the category in lower case.  Categories name what the
+# inserted code does:
+T_AW = "AW"         # arming/disarming the write watchpoint (FUNCTION0, guard)
+T_USS = "USS"       # moving return-address data
+T_ASSP = "ASSP"     # shadow stack pointer loads, stores, arithmetic
+T_OTHER = "Other"   # scratch spills and base-address materialization
 TAG_PHASES = ("pro", "epi")
-TAG_CATEGORIES = {"aw": "AW", "uss": "USS", "assp": "ASSP", "other": "Other"}
-TAG_PRINT = {v: k for k, v in TAG_CATEGORIES.items()}
+TAG_PRINT = {cat: cat.lower() for cat in (T_AW, T_USS, T_ASSP, T_OTHER)}
+TAG_CATEGORIES = {text: cat for cat, text in TAG_PRINT.items()}
 
 
 class AsmError(Exception):
@@ -117,7 +120,21 @@ _BCOND_OPS = {"b" + c: c for c in CONDITIONS}
 
 
 def _split_operands(text: str) -> list[str]:
-    """Split on commas not nested inside {...} or [...]."""
+    """Split on commas not nested inside {...} or [...].
+
+    Empty operands are kept, except a last one (a trailing comma).
+    """
+    if "{" not in text and "[" not in text and "}" not in text \
+            and "]" not in text:
+        parts = [part.strip() for part in text.split(",")]
+        if not parts[-1]:
+            parts.pop()
+        return parts
+    return _split_nested(text)
+
+
+def _split_nested(text: str) -> list[str]:
+    """``_split_operands`` one character at a time, tracking the depth."""
     parts = []
     depth = 0
     cur = []

@@ -21,10 +21,11 @@ instruction in the bare access pattern (7 instructions, 3 GPRs versus
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
-from .asm import (FUNC_HAL, FUNC_HANDLER, FUNC_NORMAL, AsmFunction,
-                  AsmProgram, format_instr, layout, print_program)
+from .asm import (FUNC_HAL, FUNC_HANDLER, T_ASSP, T_AW, T_OTHER, T_USS,
+                  AsmFunction, AsmProgram, format_instr, layout, print_program)
 from .dwt import (DWT_COMP1, DWT_COMP_BASE, DWT_FUNCTION_OFF,
                   DWT_GROUP_STRIDE, FN_WRITE)
 from .exception_model import (ESF_OFF_LR, ESF_OFF_R12, ESF_OFF_RETURN,
@@ -41,12 +42,6 @@ DEMCR_ADDR = 0xE000EDFC
 # Shadow frame layout for exception handlers, ascending from the entry ssp.
 HANDLER_SHADOW_WORDS = 5  # xPSR, return address, lr, r12, EXC_RETURN
 HANDLER_ESF_OFFSETS = (ESF_OFF_XPSR, ESF_OFF_RETURN, ESF_OFF_LR, ESF_OFF_R12)
-
-# Cycle attribution categories (phase "pro"/"epi"):
-T_AW = "AW"         # arming/disarming the watchpoint (FUNCTION0, guard)
-T_USS = "USS"       # moving return-address data
-T_ASSP = "ASSP"     # shadow stack pointer loads, stores, arithmetic
-T_OTHER = "Other"   # scratch spills and base-address materialization
 
 # Scratch selection preference: ip-style caller scratch first, then the
 # argument registers, then the low callee registers.
@@ -106,7 +101,11 @@ class InstrumentationPlan:
 class InstrumentResult:
     program: AsmProgram
     plans: list[InstrumentationPlan]
-    text: str
+
+    @functools.cached_property
+    def text(self) -> str:
+        """Canonical rewritten source, rendered on first access."""
+        return print_program(self.program)
 
     def plan_for(self, name: str) -> InstrumentationPlan:
         for plan in self.plans:
@@ -117,28 +116,17 @@ class InstrumentResult:
 
 # -- analysis -------------------------------------------------------------
 
-def instr_gprs(ins: Instr) -> set[int]:
-    """General-purpose registers (r0-r12) this instruction mentions."""
-    regs = set()
-    for r in (ins.rd, ins.rn, ins.rm):
-        if r is not None and r < NUM_GPRS:
-            regs.add(r)
-    for r in ins.reglist:
-        if r < NUM_GPRS:
-            regs.add(r)
-    return regs
-
-
 def analyze_free_gprs(func: AsmFunction) -> set[int]:
     """GPRs that appear in no instruction of the function body."""
-    used: set[int] = set()
+    mentioned: set = set()
     for ins in func.body:
-        used |= instr_gprs(ins)
-    return set(range(NUM_GPRS)) - used
+        mentioned.update((ins.rd, ins.rn, ins.rm))
+        mentioned.update(ins.reglist)
+    return set(range(NUM_GPRS)) - mentioned
 
 
-def _select_scratches(func: AsmFunction, count: int,
-                      handler: bool) -> tuple[list[int], list[int]]:
+def _select_scratches(free: set[int], count: int, handler: bool
+                      ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Pick scratch registers; returns (scratches, reserved-subset).
 
     Free registers are used without spilling.  In handlers only the
@@ -146,7 +134,6 @@ def _select_scratches(func: AsmFunction, count: int,
     pushed and popped even if the body never touches it, because the
     interrupted thread still owns its value.
     """
-    free = analyze_free_gprs(func)
     unsaved_ok = free & _HW_RESTORED if handler else free
     picked: list[int] = []
     for r in _FREE_PREF:
@@ -160,7 +147,7 @@ def _select_scratches(func: AsmFunction, count: int,
             break
         if r not in picked:
             reserved.append(r)
-    return sorted(picked + reserved), sorted(reserved)
+    return tuple(sorted(picked + reserved)), tuple(sorted(reserved))
 
 
 # -- instruction builders ---------------------------------------------------
@@ -179,167 +166,177 @@ def _load_addr(rd: int, addr: int, phase: str, cat: str, role=None) -> list[Inst
     ]
 
 
-class _Rewriter:
-    def __init__(self, func: AsmFunction, config: ShadowStackConfig,
-                 label_seq: "_LabelSeq") -> None:
-        self.func = func
-        self.config = config
-        self.labels = label_seq
-        self.comp_base = DWT_COMP_BASE
+# -- normal function blocks ---------------------------------------------------
 
-    # -- normal function blocks -------------------------------------------
+@functools.cache
+def _prologue_template(naive: bool, scratches: tuple[int, ...],
+                       reserved: tuple[int, ...]):
+    """The normal-function prologue for one choice of scratch registers.
 
-    def prologue(self, scratches, reserved) -> list[Instr]:
-        work, base = scratches[0], scratches[-1]
-        naive = self.config.sequence == SEQ_NAIVE
-        out: list[Instr] = []
-        if reserved:
-            out.append(_i("push", reglist=tuple(reserved),
-                          tag=("pro", T_OTHER), role="access"))
-        out += _load_addr(base, self.comp_base, "pro", T_OTHER, role="access")
-        if naive:
-            sspa = scratches[1]
-            out += _load_addr(sspa, DWT_COMP1, "pro", T_ASSP, role="access")
-        out += [
-            _i("mov_imm", rd=work, imm=0, wide=True, tag=("pro", T_AW)),
-            _i("str", rd=work, rn=base, imm=FUNCTION0_OFF, wide=True,
-               tag=("pro", T_AW)),
-        ]
-        if naive:
-            out.append(_i("ldr", rd=work, rn=sspa, imm=0, wide=True,
-                          tag=("pro", T_ASSP)))
-        else:
-            out.append(_i("ldr", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
-                          tag=("pro", T_ASSP), role="access"))
-        out += [
-            _i("str", rd=LR, rn=work, imm=0, wide=True, tag=("pro", T_USS)),
-            _i("addw", rd=work, rn=work, imm=4, tag=("pro", T_ASSP)),
-        ]
-        if naive:
-            out.append(_i("str", rd=work, rn=sspa, imm=0, wide=True,
-                          tag=("pro", T_ASSP), role="access"))
-        else:
-            out.append(_i("str", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
-                          tag=("pro", T_ASSP), role="access"))
-        out += [
-            _i("mov_imm", rd=work, imm=FN_WRITE, wide=True, tag=("pro", T_AW)),
-            _i("str", rd=work, rn=base, imm=FUNCTION0_OFF, wide=True,
-               tag=("pro", T_AW)),
-        ]
-        if reserved:
-            out.append(_i("pop", reglist=tuple(reserved),
-                          tag=("pro", T_OTHER), role="access"))
-        return out
-
-    def epilogue_core(self, work: int, work_reserved: bool) -> list[Instr]:
-        """Restore lr from the shadow stack; ends ready for ``bx lr``.
-
-        lr itself doubles as the pointer-register address so only one
-        scratch is needed; the ssp writeback therefore happens before the
-        return address overwrites lr.
-        """
-        out: list[Instr] = []
-        if work_reserved:
-            out.append(_i("push", reglist=(work,), tag=("epi", T_OTHER)))
-        out += _load_addr(LR, DWT_COMP1, "epi", T_ASSP)
-        out += [
-            _i("ldr", rd=work, rn=LR, imm=0, wide=True, tag=("epi", T_ASSP)),
-            _i("subw", rd=work, rn=work, imm=4, tag=("epi", T_ASSP)),
-            _i("str", rd=work, rn=LR, imm=0, wide=True, tag=("epi", T_ASSP)),
-            _i("ldr", rd=LR, rn=work, imm=0, wide=True, tag=("epi", T_USS)),
-        ]
-        if work_reserved:
-            out.append(_i("pop", reglist=(work,), tag=("epi", T_OTHER)))
-        return out
-
-    # -- handler blocks ------------------------------------------------------
-
-    def _guard(self, val: int, skip_label: str, phase: str) -> list[Instr]:
-        # Skip the shadow traffic entirely when protection was never
-        # initialized (DEMCR monitor enable still zero).
-        return _load_addr(val, DEMCR_ADDR, phase, T_AW) + [
-            _i("ldr", rd=val, rn=val, imm=0, wide=True, tag=(phase, T_AW)),
-            _i("cmp_imm", rn=val, imm=0, tag=(phase, T_AW)),
-            _i("bcond", cond="eq", label=skip_label, tag=(phase, T_AW)),
-        ]
-
-    def handler_prologue(self, scratches, reserved) -> list[Instr]:
-        val, work, base = scratches[0], scratches[1], scratches[-1]
-        skip = self.labels.make("pro_skip", self.func.name)
-        k = 4 * len(reserved)
-        out: list[Instr] = []
-        if reserved:
-            out.append(_i("push", reglist=tuple(reserved), tag=("pro", T_OTHER)))
-        out += self._guard(val, skip, "pro")
-        out += _load_addr(base, self.comp_base, "pro", T_OTHER)
-        out += [
-            _i("mov_imm", rd=val, imm=0, wide=True, tag=("pro", T_AW)),
-            _i("str", rd=val, rn=base, imm=FUNCTION0_OFF, wide=True,
-               tag=("pro", T_AW)),
-            _i("ldr", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
-               tag=("pro", T_ASSP)),
-        ]
-        for esf_off in HANDLER_ESF_OFFSETS:
-            out += [
-                _i("ldr", rd=val, rn=13, imm=k + esf_off, wide=True,
-                   tag=("pro", T_USS)),
-                _i("str", rd=val, rn=work, imm=0, wide=True, tag=("pro", T_USS)),
-                _i("addw", rd=work, rn=work, imm=4, tag=("pro", T_ASSP)),
-            ]
-        out += [
-            _i("str", rd=LR, rn=work, imm=0, wide=True, tag=("pro", T_USS)),
-            _i("addw", rd=work, rn=work, imm=4, tag=("pro", T_ASSP)),
-            _i("str", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
-               tag=("pro", T_ASSP)),
-            _i("mov_imm", rd=val, imm=FN_WRITE, wide=True, tag=("pro", T_AW)),
-            _i("str", rd=val, rn=base, imm=FUNCTION0_OFF, wide=True,
-               tag=("pro", T_AW)),
-        ]
-        self._attach_pending = skip
-        if reserved:
-            pop = _i("pop", reglist=tuple(reserved), tag=("pro", T_OTHER))
-            pop.labels = (skip,)
-            out.append(pop)
-            self._attach_pending = None
-        return out
-
-    def handler_epilogue(self, scratches, reserved, site: int) -> list[Instr]:
-        val, work, base = scratches[0], scratches[1], scratches[-1]
-        skip = self.labels.make("epi%d_skip" % site, self.func.name)
-        k = 4 * len(reserved)
-        out: list[Instr] = []
-        if reserved:
-            out.append(_i("push", reglist=tuple(reserved), tag=("epi", T_OTHER)))
-        out += self._guard(val, skip, "epi")
-        out += _load_addr(base, self.comp_base, "epi", T_OTHER)
-        out += [
-            _i("ldr", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
-               tag=("epi", T_ASSP)),
-            _i("subw", rd=work, rn=work, imm=4, tag=("epi", T_ASSP)),
-            _i("ldr", rd=LR, rn=work, imm=0, wide=True, tag=("epi", T_USS)),
-        ]
-        for esf_off in HANDLER_ESF_OFFSETS[::-1]:
-            out += [
-                _i("subw", rd=work, rn=work, imm=4, tag=("epi", T_ASSP)),
-                _i("ldr", rd=val, rn=work, imm=0, wide=True, tag=("epi", T_USS)),
-                _i("str", rd=val, rn=13, imm=k + esf_off, wide=True,
-                   tag=("epi", T_USS)),
-            ]
+    Returns the template instructions, their canonical text and the text
+    of the access block.  Every function gets copies of the templates, so
+    no template object ever reaches a program.
+    """
+    work, base = scratches[0], scratches[-1]
+    out: list[Instr] = []
+    if reserved:
+        out.append(_i("push", reglist=reserved,
+                      tag=("pro", T_OTHER), role="access"))
+    out += _load_addr(base, DWT_COMP_BASE, "pro", T_OTHER, role="access")
+    if naive:
+        sspa = scratches[1]
+        out += _load_addr(sspa, DWT_COMP1, "pro", T_ASSP, role="access")
+    out += [
+        _i("mov_imm", rd=work, imm=0, wide=True, tag=("pro", T_AW)),
+        _i("str", rd=work, rn=base, imm=FUNCTION0_OFF, wide=True,
+           tag=("pro", T_AW)),
+    ]
+    if naive:
+        out.append(_i("ldr", rd=work, rn=sspa, imm=0, wide=True,
+                      tag=("pro", T_ASSP)))
+    else:
+        out.append(_i("ldr", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
+                      tag=("pro", T_ASSP), role="access"))
+    out += [
+        _i("str", rd=LR, rn=work, imm=0, wide=True, tag=("pro", T_USS)),
+        _i("addw", rd=work, rn=work, imm=4, tag=("pro", T_ASSP)),
+    ]
+    if naive:
+        out.append(_i("str", rd=work, rn=sspa, imm=0, wide=True,
+                      tag=("pro", T_ASSP), role="access"))
+    else:
         out.append(_i("str", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
-                      tag=("epi", T_ASSP)))
-        tail = _i("pop", reglist=tuple(reserved), tag=("epi", T_OTHER)) \
-            if reserved else _i("bx", rm=LR, tag=("epi", T_USS))
-        tail.labels = (skip,)
-        out.append(tail)
-        if reserved:
-            out.append(_i("bx", rm=LR, tag=("epi", T_USS)))
-        return out
+                      tag=("pro", T_ASSP), role="access"))
+    out += [
+        _i("mov_imm", rd=work, imm=FN_WRITE, wide=True, tag=("pro", T_AW)),
+        _i("str", rd=work, rn=base, imm=FUNCTION0_OFF, wide=True,
+           tag=("pro", T_AW)),
+    ]
+    if reserved:
+        out.append(_i("pop", reglist=reserved,
+                      tag=("pro", T_OTHER), role="access"))
+    return (tuple(out), tuple(format_instr(i) for i in out),
+            tuple(format_instr(i) for i in out if i.role == "access"))
+
+
+@functools.cache
+def _epilogue_template(work: int, work_reserved: bool):
+    """Restore lr from the shadow stack and return through it.
+
+    lr itself doubles as the pointer-register address so only one
+    scratch is needed; the ssp writeback therefore happens before the
+    return address overwrites lr.  Returns template instructions and
+    their canonical text; every return site gets copies.
+    """
+    out: list[Instr] = []
+    if work_reserved:
+        out.append(_i("push", reglist=(work,), tag=("epi", T_OTHER)))
+    out += _load_addr(LR, DWT_COMP1, "epi", T_ASSP)
+    out += [
+        _i("ldr", rd=work, rn=LR, imm=0, wide=True, tag=("epi", T_ASSP)),
+        _i("subw", rd=work, rn=work, imm=4, tag=("epi", T_ASSP)),
+        _i("str", rd=work, rn=LR, imm=0, wide=True, tag=("epi", T_ASSP)),
+        _i("ldr", rd=LR, rn=work, imm=0, wide=True, tag=("epi", T_USS)),
+    ]
+    if work_reserved:
+        out.append(_i("pop", reglist=(work,), tag=("epi", T_OTHER)))
+    out.append(_i("bx", rm=LR, tag=("epi", T_USS)))
+    return tuple(out), tuple(format_instr(i) for i in out)
+
+
+# -- handler blocks ------------------------------------------------------------
+
+def _guard(val: int, skip_label: str, phase: str) -> list[Instr]:
+    # Skip the shadow traffic entirely when protection was never
+    # initialized (DEMCR monitor enable still zero).
+    return _load_addr(val, DEMCR_ADDR, phase, T_AW) + [
+        _i("ldr", rd=val, rn=val, imm=0, wide=True, tag=(phase, T_AW)),
+        _i("cmp_imm", rn=val, imm=0, tag=(phase, T_AW)),
+        _i("bcond", cond="eq", label=skip_label, tag=(phase, T_AW)),
+    ]
+
+
+def _handler_prologue(skip: str, scratches, reserved
+                      ) -> tuple[list[Instr], str | None]:
+    """The handler prologue, and the skip label still to be bound.
+
+    With reserved registers the guard skips to their pop; otherwise the
+    label is left for the first instruction of the body.
+    """
+    val, work, base = scratches[0], scratches[1], scratches[-1]
+    k = 4 * len(reserved)
+    out: list[Instr] = []
+    if reserved:
+        out.append(_i("push", reglist=reserved, tag=("pro", T_OTHER)))
+    out += _guard(val, skip, "pro")
+    out += _load_addr(base, DWT_COMP_BASE, "pro", T_OTHER)
+    out += [
+        _i("mov_imm", rd=val, imm=0, wide=True, tag=("pro", T_AW)),
+        _i("str", rd=val, rn=base, imm=FUNCTION0_OFF, wide=True,
+           tag=("pro", T_AW)),
+        _i("ldr", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
+           tag=("pro", T_ASSP)),
+    ]
+    for esf_off in HANDLER_ESF_OFFSETS:
+        out += [
+            _i("ldr", rd=val, rn=13, imm=k + esf_off, wide=True,
+               tag=("pro", T_USS)),
+            _i("str", rd=val, rn=work, imm=0, wide=True, tag=("pro", T_USS)),
+            _i("addw", rd=work, rn=work, imm=4, tag=("pro", T_ASSP)),
+        ]
+    out += [
+        _i("str", rd=LR, rn=work, imm=0, wide=True, tag=("pro", T_USS)),
+        _i("addw", rd=work, rn=work, imm=4, tag=("pro", T_ASSP)),
+        _i("str", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
+           tag=("pro", T_ASSP)),
+        _i("mov_imm", rd=val, imm=FN_WRITE, wide=True, tag=("pro", T_AW)),
+        _i("str", rd=val, rn=base, imm=FUNCTION0_OFF, wide=True,
+           tag=("pro", T_AW)),
+    ]
+    if not reserved:
+        return out, skip
+    pop = _i("pop", reglist=reserved, tag=("pro", T_OTHER))
+    pop.labels = (skip,)
+    out.append(pop)
+    return out, None
+
+
+def _handler_epilogue(skip: str, scratches, reserved) -> list[Instr]:
+    val, work, base = scratches[0], scratches[1], scratches[-1]
+    k = 4 * len(reserved)
+    out: list[Instr] = []
+    if reserved:
+        out.append(_i("push", reglist=reserved, tag=("epi", T_OTHER)))
+    out += _guard(val, skip, "epi")
+    out += _load_addr(base, DWT_COMP_BASE, "epi", T_OTHER)
+    out += [
+        _i("ldr", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
+           tag=("epi", T_ASSP)),
+        _i("subw", rd=work, rn=work, imm=4, tag=("epi", T_ASSP)),
+        _i("ldr", rd=LR, rn=work, imm=0, wide=True, tag=("epi", T_USS)),
+    ]
+    for esf_off in HANDLER_ESF_OFFSETS[::-1]:
+        out += [
+            _i("subw", rd=work, rn=work, imm=4, tag=("epi", T_ASSP)),
+            _i("ldr", rd=val, rn=work, imm=0, wide=True, tag=("epi", T_USS)),
+            _i("str", rd=val, rn=13, imm=k + esf_off, wide=True,
+               tag=("epi", T_USS)),
+        ]
+    out.append(_i("str", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
+                  tag=("epi", T_ASSP)))
+    tail = _i("pop", reglist=reserved, tag=("epi", T_OTHER)) \
+        if reserved else _i("bx", rm=LR, tag=("epi", T_USS))
+    tail.labels = (skip,)
+    out.append(tail)
+    if reserved:
+        out.append(_i("bx", rm=LR, tag=("epi", T_USS)))
+    return out
 
 
 class _LabelSeq:
     """Generator of collision-free internal labels."""
 
-    def __init__(self, taken: set[str]) -> None:
+    def __init__(self, taken) -> None:
         self.taken = set(taken)
 
     def make(self, what: str, func: str) -> str:
@@ -357,11 +354,16 @@ class _LabelSeq:
 
 def instrument_function(func: AsmFunction, config: ShadowStackConfig,
                         label_seq: _LabelSeq) -> tuple[AsmFunction, InstrumentationPlan]:
-    """Rewrite one function.  Raises InstrumentError on unsupported shapes."""
+    """Rewrite one function.  Raises InstrumentError on unsupported shapes.
+
+    The result shares no Instr with ``func``; a hal function comes back
+    as a plain copy.
+    """
     plan = InstrumentationPlan(func.name, func.kind, config.sequence)
     if func.kind == FUNC_HAL:
         plan.skipped = True
-        return func, plan
+        return dataclasses.replace(
+            func, body=[ins.copy() for ins in func.body]), plan
 
     handler = func.kind == FUNC_HANDLER
     for ins in func.body:
@@ -370,87 +372,73 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
                 func.name, "computed return through %s is unsupported"
                 % ("r%d" % ins.rm))
 
-    if handler:
-        count = 3
-    else:
-        count = 3 if config.sequence == SEQ_NAIVE else 2
-    scratches, reserved = _select_scratches(func, count, handler)
+    count = 3 if handler or config.sequence == SEQ_NAIVE else 2
     free = analyze_free_gprs(func)
+    scratches, reserved = _select_scratches(free, count, handler)
     plan.free_gprs = tuple(sorted(free))
-    plan.scratch_gprs = tuple(scratches)
-    plan.reserved_gprs = tuple(reserved)
+    plan.scratch_gprs = scratches
+    plan.reserved_gprs = reserved
 
-    rw = _Rewriter(func, config, label_seq)
     if handler:
-        pro = rw.handler_prologue(scratches, reserved)
+        body, pending = _handler_prologue(
+            label_seq.make("pro_skip", func.name), scratches, reserved)
+        plan.inserted_prologue = tuple(format_instr(i) for i in body)
     else:
-        pro = rw.prologue(scratches, reserved)
-        plan.access_block = tuple(
-            format_instr(i) for i in pro if i.role == "access")
-    plan.inserted_prologue = tuple(format_instr(i) for i in pro)
+        templates, plan.inserted_prologue, plan.access_block = \
+            _prologue_template(config.sequence == SEQ_NAIVE, scratches,
+                               reserved)
+        body = [t.copy() for t in templates]
+        pending = None
+        work = scratches[0]
+        work_reserved = work in reserved
 
-    body: list[Instr] = list(pro)
     sites = 0
-    work = scratches[0] if not handler else None
-    work_reserved = (not handler) and scratches[0] in reserved
-    pending_attach: str | None = getattr(rw, "_attach_pending", None)
-
     for ins in func.body:
-        copy = ins.copy()
-        if pending_attach is not None:
-            copy.labels = (pending_attach,) + copy.labels
-            pending_attach = None
-        if copy.op == "pop" and PC in copy.reglist:
-            sites += 1
-            rest = tuple(r for r in copy.reglist if r != PC)
-            block: list[Instr] = []
-            if handler:
-                conv = _i("pop", reglist=rest) if rest else None
-                poplr = _i("pop", reglist=(LR,), tag=("epi", T_USS))
-                if conv is not None:
-                    conv.labels = copy.labels
-                    conv.conv_extra = copy.cycles - conv.cycles
-                    block.append(conv)
-                else:
-                    poplr.labels = copy.labels
-                    poplr.conv_extra = copy.cycles
-                block.append(poplr)
-                block += rw.handler_epilogue(scratches, reserved, sites)
-            else:
-                conv = _i("pop", reglist=rest) if rest else None
-                disc = _i("add_sp", imm=4, tag=("epi", T_OTHER))
-                if conv is not None:
-                    conv.labels = copy.labels
-                    conv.conv_extra = copy.cycles - conv.cycles
-                    block += [conv, disc]
-                else:
-                    disc.labels = copy.labels
-                    disc.conv_extra = copy.cycles
-                    block.append(disc)
-                block += rw.epilogue_core(work, work_reserved)
-                block.append(_i("bx", rm=LR, tag=("epi", T_USS)))
-            body += block
-            if sites == 1:
-                plan.inserted_epilogue = tuple(format_instr(i)
-                                               for i in block)
-        elif copy.op == "bx" and copy.rm == LR:
-            sites += 1
-            block = []
-            if handler:
-                block += rw.handler_epilogue(scratches, reserved, sites)
-            else:
-                block += rw.epilogue_core(work, work_reserved)
-                block.append(_i("bx", rm=LR, tag=("epi", T_USS)))
-            block[0].labels = copy.labels + block[0].labels
-            block[-1].conv_extra = copy.cycles
-            body += block
-            if sites == 1:
-                plan.inserted_epilogue = tuple(format_instr(i)
-                                               for i in block)
-        else:
+        labels = ins.labels
+        if pending is not None:
+            labels = (pending,) + labels
+            pending = None
+        pops_pc = ins.op == "pop" and PC in ins.reglist
+        if not pops_pc and ins.op != "bx":
+            copy = ins.copy()
+            copy.labels = labels
             body.append(copy)
+            continue
 
-    if pending_attach is not None:
+        # A return site (pop {..., pc}, or bx lr: any other bx was refused
+        # above) becomes a return through the shadow copy of lr.
+        sites += 1
+        if handler:
+            tail = _handler_epilogue(
+                label_seq.make("epi%d_skip" % sites, func.name),
+                scratches, reserved)
+            tail_text = None  # per-site labels; only site 1 is formatted
+        else:
+            templates, tail_text = _epilogue_template(work, work_reserved)
+            tail = [t.copy() for t in templates]
+        if pops_pc:
+            # Pop what the original popped below pc, then drop (or, in a
+            # handler, pop into lr) the stacked return address.  The
+            # first instruction carries what the original cost beyond it.
+            rest = tuple(r for r in ins.reglist if r != PC)
+            block = [_i("pop", reglist=rest)] if rest else []
+            block.append(_i("pop", reglist=(LR,), tag=("epi", T_USS))
+                         if handler else
+                         _i("add_sp", imm=4, tag=("epi", T_OTHER)))
+            block[0].conv_extra = ins.cycles - (block[0].cycles if rest else 0)
+            block += tail
+        else:
+            block = tail
+            block[-1].conv_extra = ins.cycles
+        block[0].labels = labels + block[0].labels
+        body += block
+        if sites == 1:
+            if tail_text is None:
+                tail_text = tuple(format_instr(i) for i in tail)
+            plan.inserted_epilogue = tuple(
+                format_instr(i) for i in block[:-len(tail)]) + tail_text
+
+    if pending is not None:
         raise InstrumentError(func.name, "handler has an empty body")
 
     plan.epilogue_sites = sites
@@ -464,26 +452,20 @@ def instrument_program(prog: AsmProgram,
                        config: ShadowStackConfig) -> InstrumentResult:
     """Rewrite every instrumentable function; atomic on failure.
 
-    The input program is not modified.  The result carries a freshly
-    laid-out program, one plan per function, and the canonical rewritten
-    source text.
+    The input program is not modified and shares no Instr with the
+    result.  The result carries a freshly laid-out program and one plan
+    per function; its canonical source text is rendered on first access.
     """
-    label_seq = _LabelSeq(set(prog.labels))
+    label_seq = _LabelSeq(prog.labels)
     plans: list[InstrumentationPlan] = []
-    replacements: dict[str, AsmFunction] = {}
-    for item in prog.items:
-        if isinstance(item, AsmFunction):
-            new_fn, plan = instrument_function(item, config, label_seq)
-            plans.append(plan)
-            replacements[item.name] = new_fn
-
     out = AsmProgram()
     for item in prog.items:
         if isinstance(item, AsmFunction):
-            fn = replacements[item.name]
-            out.items.append(fn)
-            out.functions[fn.name] = fn
+            new, plan = instrument_function(item, config, label_seq)
+            plans.append(plan)
+            out.functions[new.name] = new
         else:
-            out.items.append(dataclasses.replace(item))
+            new = dataclasses.replace(item)
+        out.items.append(new)
     layout(out)
-    return InstrumentResult(out, plans, print_program(out))
+    return InstrumentResult(out, plans)

@@ -8,7 +8,7 @@ cycle costs come from a fixed deterministic table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 MASK32 = 0xFFFFFFFF
 
@@ -65,7 +65,29 @@ class Instr:
         )
 
     def copy(self, **changes) -> "Instr":
-        return replace(self, **changes)
+        if changes:
+            return replace(self, **changes)  # TypeError on unknown fields
+        return _plain_copy(self)
+
+
+def _make_plain_copy(cls):
+    """``copy()`` without changes: every field assigned on a bare instance.
+
+    About ten times cheaper than ``dataclasses.replace``, which builds
+    keyword arguments and runs ``__init__``.  Assigning field by field
+    rather than through ``__dict__`` keeps CPython's inline attribute
+    values on both objects, so a copied instruction's fields read as
+    fast as a parsed one's.
+    """
+    lines = ["def plain_copy(self):", "    new = _new(_cls)"]
+    lines += ["    new.%s = self.%s" % (f.name, f.name) for f in fields(cls)]
+    lines.append("    return new")
+    namespace = {"_new": object.__new__, "_cls": cls}
+    exec("\n".join(lines), namespace)
+    return namespace["plain_copy"]
+
+
+_plain_copy = _make_plain_copy(Instr)
 
 
 def encoding_width(ins: Instr) -> int:

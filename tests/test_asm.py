@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from watchstack.asm import AsmError, listing, parse, print_program
+from watchstack.asm import (AsmError, _split_nested, _split_operands, listing,
+                            parse, print_program)
 
 HEADER = ".org 0x08000000\n"
 
@@ -45,6 +46,69 @@ def test_errors_carry_line_and_message(src, fragment):
 
 
 # -- layout -------------------------------------------------------------------
+
+# Malformed operand lines, each the only instruction of main (line 3), with
+# the whole message the parser gives.  Comma-splitting has a fast path for
+# operands without brackets; these pin its output, empty operands included.
+OPERAND_ERRORS = [
+    ("mov r0,", "line 3: mov takes 2 operands"),
+    ("mov r0,,#1", "line 3: mov takes 2 operands"),
+    ("mov r0, , #1", "line 3: mov takes 2 operands"),
+    ("mov r0", "line 3: mov takes 2 operands"),
+    ("mov ,", "line 3: mov takes 2 operands"),
+    ("addw r0, r1,", "line 3: addw takes 3 operands"),
+    ("cmp r0, #1, #2", "line 3: cmp takes 2 operands"),
+    ("b", "line 3: b takes 1 operands"),
+    ("b ,", "line 3: bad branch target ''"),
+    ("bl f, g", "line 3: bl takes 1 operands"),
+    ("nop ,", "line 3: nop takes 0 operands"),
+    ("svc", "line 3: svc takes 1 operands"),
+    ("push {r4, lr", "line 3: expected register list, got '{r4, lr'"),
+    ("push r4, lr}", "line 3: push takes 1 operands"),
+    ("push {r4}, {r5}", "line 3: push takes 1 operands"),
+    ("pop {,}", "line 3: empty register list"),
+    ("push {{r4}}", "line 3: bad register '{r4}'"),
+    ("ldr r0, [r1,]", "line 3: bad memory operand '[r1,]'"),
+    ("ldr r0, [r1, #4", "line 3: bad memory operand '[r1, #4'"),
+    ("ldr r0, r1]", "line 3: bad memory operand 'r1]'"),
+    ("ldr r0, [r1]]", "line 3: bad memory operand '[r1]]'"),
+    ("ldr r0, [r1, r2]", "line 3: bad memory operand '[r1, r2]'"),
+    ("str r0, [r1], #4", "line 3: str takes 2 operands"),
+    ("ldrb r0, [sp, #4],r1", "line 3: ldrb takes 2 operands"),
+    ("mov r0, [r1, #1]", "line 3: bad register '[r1, #1]'"),
+    # A stray closer nests the rest of the line one level below zero.
+    ("mov r0}, r1", "line 3: mov takes 2 operands"),
+    ("mov r0], r1", "line 3: mov takes 2 operands"),
+]
+
+
+@pytest.mark.parametrize("line,message", OPERAND_ERRORS)
+def test_malformed_operands_give_exact_messages(line, message):
+    with pytest.raises(AsmError) as err:
+        parse(wrap("    " + line))
+    assert str(err.value) == message
+
+
+# A single trailing comma is dropped, with or without brackets.
+TRAILING_COMMA = [
+    ("addw r0, r1, #1,", "addw r0, r1, #1"),
+    ("bx lr,", "bx lr"),
+    ("push {r4, lr},", "push {r4, lr}"),
+    ("ldr r0, [r1, #4],", "ldr r0, [r1, #4]"),
+]
+
+
+@pytest.mark.parametrize("line,canonical", TRAILING_COMMA)
+def test_trailing_comma_is_dropped(line, canonical):
+    assert print_program(parse(wrap("    " + line))) \
+        == print_program(parse(wrap("    " + canonical)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=" ,{}[]r0#x", max_size=14))
+def test_operand_split_matches_the_character_loop(text):
+    assert _split_operands(text) == _split_nested(text)
+
 
 def test_layout_assigns_consecutive_addresses():
     # widths derived instruction by instruction from the encoding rules

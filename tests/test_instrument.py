@@ -307,3 +307,11 @@ def test_instrumented_output_reassembles_and_is_stable():
     again = parse(res.text)
     assert again.structural_key() == res.program.structural_key()
     assert print_program(again) == res.text
+
+
+def test_text_is_rendered_on_first_access():
+    res = instrument(one_func("    push {r7, lr}\n    pop {r7, pc}"))
+    assert "text" not in vars(res)
+    text = res.text
+    assert text == print_program(res.program)
+    assert res.text is text

@@ -6,6 +6,8 @@ from the cycle model (memory ops 2, multi-transfer 1+N, pc-pop +3,
 branches 2, bl 3, svc 12, everything else 1).
 """
 
+import dataclasses
+
 import pytest
 
 from watchstack.asm import parse
@@ -139,6 +141,52 @@ def test_copy_is_independent():
     dup.rd = 5
     assert ins.rd == 1 and dup.rd == 5
     assert dup.structural_key() != ins.structural_key()
+
+
+def _every_field_set() -> Instr:
+    """An instruction whose every field differs from its default."""
+    ins = Instr("ldr", rd=1, rn=2, rm=3, imm=4, reglist=(4, 14), label="l",
+                cond="eq", wide=True, addr=0x100, target=0x200, width=4,
+                cycles=2, line=9, labels=("a", "b"), tag=("pro", "AW"),
+                role="access", conv_extra=5)
+    for f in dataclasses.fields(Instr):
+        default = (f.default_factory() if f.default is dataclasses.MISSING
+                   and f.default_factory is not dataclasses.MISSING
+                   else f.default)
+        assert getattr(ins, f.name) != default, f.name
+    return ins
+
+
+def test_plain_copy_equals_every_field_but_is_a_new_object():
+    ins = _every_field_set()
+    dup = ins.copy()
+    assert dup is not ins and type(dup) is Instr
+    for f in dataclasses.fields(Instr):
+        assert getattr(dup, f.name) == getattr(ins, f.name), f.name
+    assert dup == ins
+
+
+def test_mutating_a_plain_copy_leaves_the_original():
+    ins = _every_field_set()
+    dup = ins.copy()
+    dup.labels = ("c",)
+    dup.addr = 0
+    dup.conv_extra = 0
+    dup.tag = None
+    assert (ins.labels, ins.addr, ins.conv_extra, ins.tag) == \
+        (("a", "b"), 0x100, 5, ("pro", "AW"))
+
+
+def test_copy_with_changes_replaces_only_those():
+    ins = _every_field_set()
+    dup = ins.copy(rd=7, labels=())
+    assert (dup.rd, dup.labels) == (7, ())
+    assert dataclasses.replace(dup, rd=1, labels=("a", "b")) == ins
+
+
+def test_copy_rejects_unknown_fields():
+    with pytest.raises(TypeError):
+        _every_field_set().copy(bogus=1)
 
 
 def test_structural_key_ignores_address():
