@@ -122,7 +122,8 @@ _BCOND_OPS = {"b" + c: c for c in CONDITIONS}
 def _split_operands(text: str) -> list[str]:
     """Split on commas not nested inside {...} or [...].
 
-    Empty operands are kept, except a last one (a trailing comma).
+    Empty operands are kept, except a last one, so blank text gives none;
+    the parser rejects an instruction that ends in a comma.
     """
     if "{" not in text and "[" not in text and "}" not in text \
             and "]" not in text:
@@ -184,6 +185,10 @@ class _Parser:
             if current is None:
                 raise self.err("instruction outside of a .func block")
             ins = self._instruction(line)
+            if line.endswith(","):
+                # Checked once the operands parsed, so that a more specific
+                # fault of the line is the one reported.
+                raise self.err("trailing comma in %r" % line)
             ins.tag = tag
             ins.line = self.lineno
             if pending_labels:

@@ -20,7 +20,6 @@ from .machine import ACCESS_READ, ACCESS_WRITE, HaltReason
 # MMIO window, cycle counter, and comparator register addresses.
 DWT_WINDOW_LO = 0xE0001000
 DWT_WINDOW_HI = 0xE0001060
-DWT_CTRL = 0xE0001000
 DWT_CYCCNT = 0xE0001004
 DWT_COMP_BASE = 0xE0001020
 DWT_GROUP_STRIDE = 16
@@ -39,13 +38,10 @@ FN_READ = 0x5
 FN_WRITE = 0x6
 FN_READWRITE = 0x7
 
-MODE_V7_MASK = "v7-mask"
-MODE_V8_RANGE = "v8-range"
-
 MASK_BITS_MAX = 0x1F
 
-# Register offset from the comparator base -> (group, field, bits kept).
-_REGS = {gid * DWT_GROUP_STRIDE + off: (gid, name, bits)
+# Register address -> (group, field, bits kept).
+_REGS = {DWT_COMP_BASE + gid * DWT_GROUP_STRIDE + off: (gid, name, bits)
          for gid in range(NUM_GROUPS)
          for off, name, bits in ((DWT_COMP_OFF, "comp", MASK32),
                                  (DWT_MASK_OFF, "mask", MASK_BITS_MAX),
@@ -77,8 +73,6 @@ class ComparatorGroup:
 class DwtUnit:
     """Comparator state plus match logic and the MMIO register file."""
 
-    base_address: int = DWT_COMP_BASE
-    matching_mode: str = MODE_V7_MASK
     # A tuple, so a group is replaced only by assigning all of them.
     groups: tuple[ComparatorGroup, ...] = field(
         default_factory=lambda: tuple(ComparatorGroup()
@@ -95,7 +89,7 @@ class DwtUnit:
         if name == "groups":
             value = tuple(value)
         object.__setattr__(self, name, value)
-        if name in ("matching_mode", "groups") and self._slots is not None:
+        if name == "groups" and self._slots is not None:
             self._rebuild()
 
     def match_access(self, addr: int, size: int, access: int) -> int | None:
@@ -127,20 +121,11 @@ class DwtUnit:
             self._refresh(gid)
 
     def _refresh(self, gid: int) -> None:
-        """Recompute the slots that group ``gid``'s registers feed."""
-        groups = self.groups
-        if self.matching_mode == MODE_V8_RANGE:
-            # Range mode pairs groups (0,1) and (2,3): the even comparator
-            # is the inclusive lower bound, the odd one the exclusive upper
-            # bound, and the even group's function code governs the pair.
-            gid &= ~1
-            g = groups[gid]
-            region = (g.comp, groups[gid + 1].comp)
-        else:
-            g = groups[gid]
-            span = 1 << g.mask
-            lo = g.comp & ~(span - 1) & MASK32
-            region = (lo, lo + span)
+        """Recompute the slots of group ``gid``."""
+        g = self.groups[gid]
+        span = 1 << g.mask
+        lo = g.comp & ~(span - 1) & MASK32
+        region = (lo, lo + span)
         fn = g.function
         reads, writes = self._slots
         reads[gid] = region if fn in _READ_FNS else _NEVER
@@ -151,22 +136,22 @@ class DwtUnit:
     def mmio_read(self, m, addr: int, size: int) -> int:
         if addr == DWT_CYCCNT:
             return m.cycles & MASK32
-        reg = _REGS.get(addr - self.base_address)
+        reg = _REGS.get(addr)
         return 0 if reg is None else getattr(self.groups[reg[0]], reg[1])
 
     def mmio_write(self, m, addr: int, size: int, value: int) -> None:
-        # CYCCNT and CTRL are read-only here; stray writes fall away.
-        reg = _REGS.get(addr - self.base_address)
+        # CYCCNT is read-only here; writes outside the register file,
+        # CTRL included, fall away.
+        reg = _REGS.get(addr)
         if reg is None:
             return
         gid, name, bits = reg
         g = self.groups[gid]
         value &= bits
         # Stored past ComparatorGroup.__setattr__, so that a COMP write to
-        # a disabled mask-mode group (COMP1 as the ssp) skips the refresh.
+        # a disabled group (COMP1 as the ssp) skips the refresh.
         object.__setattr__(g, name, value)
-        if (name != "comp" or g.function in _ENABLED_FNS
-                or self.matching_mode == MODE_V8_RANGE):
+        if name != "comp" or g.function in _ENABLED_FNS:
             self._refresh(gid)
         if gid == 1 and name == "comp" and self.ssp_guard is not None:
             lo, hi = self.ssp_guard

@@ -18,14 +18,16 @@ nonzero.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .asm import AsmProgram, parse
-from .instrument import SEQ_OPTIMAL, ShadowStackConfig, instrument_program
+from .dwt import (DWT_COMP1, DWT_COMP_BASE, DWT_COMP_OFF, DWT_FUNCTION0,
+                  DWT_FUNCTION_OFF, DWT_GROUP_STRIDE, DWT_MASK_OFF)
+from .instrument import (DEMCR_ADDR, SEQ_OPTIMAL, ShadowStackConfig,
+                         instrument_program)
 from .machine import HaltReason
 from .protect import POLICY_REPORT, POLICY_RESET
-from .runner import (OUTCOME_FAULT, OUTCOME_HIJACK, OUTCOME_SAFE,
-                     OUTCOME_TRAPPED, RunConfig, RunResult, run_program)
+from .runner import RunConfig, RunResult, run_program
 
 INPUT_ADDR = 0x20000000
 PTR1_BENIGN = 0x20001000
@@ -40,18 +42,6 @@ SCRATCH_BASE = 0x20010000
 HIJACK_FILLER_WORDS = 4
 
 BENIGN_INPUT_WORD = 0x00004948  # "HI\0"
-
-
-@dataclass
-class ScenarioResult:
-    outcome: str
-    final_pc: int
-    cycle_total: int
-    cycle_breakdown: dict[str, int]
-    phase_breakdown: dict[str, dict[str, int]]
-    violations: list
-    halt_reason: HaltReason | None
-    run: RunResult
 
 
 def _halves(addr: int) -> tuple[int, int]:
@@ -129,37 +119,10 @@ def _prepare(text: str, protected: bool,
     return prog
 
 
-def _classify(run: RunResult, prog: AsmProgram) -> str:
-    """Scenario outcome with the fixed precedence: trap > hijack > fault."""
-    if run.violations:
-        return OUTCOME_TRAPPED
-    baz = prog.functions.get("baz")
-    if baz is not None and run.visited and baz.entry in run.visited:
-        return OUTCOME_HIJACK
-    if run.outcome == OUTCOME_FAULT:
-        return OUTCOME_FAULT
-    if run.outcome == OUTCOME_HIJACK:
-        return OUTCOME_HIJACK
-    return OUTCOME_SAFE
-
-
-def _scenario_result(run: RunResult, prog: AsmProgram) -> ScenarioResult:
-    return ScenarioResult(
-        outcome=_classify(run, prog),
-        final_pc=run.machine.pc,
-        cycle_total=run.cycles,
-        cycle_breakdown=dict(run.tagged_cycles),
-        phase_breakdown=run.phase_cycles,
-        violations=run.violations,
-        halt_reason=run.halt_reason,
-        run=run,
-    )
-
-
 def run_scenario_1(protected: bool, benign: bool = False,
                    filler_words: int = HIJACK_FILLER_WORDS,
                    policy: str = POLICY_RESET,
-                   shadow: ShadowStackConfig | None = None) -> ScenarioResult:
+                   shadow: ShadowStackConfig | None = None) -> RunResult:
     """Stack overflow aimed at the stacked return address."""
     shadow = shadow or ShadowStackConfig()
     text = attack_program(ptr1=PTR1_BENIGN, filler_words=filler_words,
@@ -169,13 +132,12 @@ def run_scenario_1(protected: bool, benign: bool = False,
     if baz & 0xFF == 0:
         raise AssertionError("baz landed on a zero low byte; adjust layout")
     cfg = RunConfig(protected=protected, policy=policy, shadow=shadow,
-                    track_visited=True, max_steps=100_000)
-    run = run_program(prog, cfg)
-    return _scenario_result(run, prog)
+                    max_steps=100_000)
+    return run_program(prog, cfg)
 
 
 def run_scenario_2(policy: str = POLICY_RESET, target: str = "live",
-                   shadow: ShadowStackConfig | None = None) -> ScenarioResult:
+                   shadow: ShadowStackConfig | None = None) -> RunResult:
     """Direct write through a data pointer aimed at the shadow stack.
 
     target: "live" hits the newest return-address entry, "unused" an
@@ -194,9 +156,8 @@ def run_scenario_2(policy: str = POLICY_RESET, target: str = "live",
     text = attack_program(ptr1=ptr1, benign=True)
     prog = _prepare(text, True, shadow)
     cfg = RunConfig(protected=True, policy=policy, shadow=shadow,
-                    track_visited=True, max_steps=100_000)
-    run = run_program(prog, cfg)
-    return _scenario_result(run, prog)
+                    max_steps=100_000)
+    return run_program(prog, cfg)
 
 
 # -- microbenchmark ----------------------------------------------------------
@@ -233,12 +194,11 @@ def microbenchmark_program() -> str:
 """
 
 
-def run_microbenchmark(sequence: str = SEQ_OPTIMAL) -> ScenarioResult:
+def run_microbenchmark(sequence: str = SEQ_OPTIMAL) -> RunResult:
     shadow = ShadowStackConfig(sequence=sequence)
     prog = _prepare(microbenchmark_program(), True, shadow)
     cfg = RunConfig(protected=True, shadow=shadow, max_steps=10_000)
-    run = run_program(prog, cfg)
-    return _scenario_result(run, prog)
+    return run_program(prog, cfg)
 
 
 # -- exception round trip -----------------------------------------------------
@@ -302,7 +262,7 @@ def exception_program(tamper: str | None = None) -> str:
 
 @dataclass
 class ExceptionRoundTrip:
-    result: ScenarioResult
+    run: RunResult
     z_preserved: bool
     r12_value: int
     lr_value: int
@@ -323,7 +283,7 @@ def run_exception_test(tamper: bool | str | None = None,
     run = run_program(prog, cfg)
     mem = run.machine.mem
     return ExceptionRoundTrip(
-        result=_scenario_result(run, prog),
+        run=run,
         z_preserved=mem.read_word(EXC_FLAGS) == 1,
         r12_value=mem.read_word(EXC_FLAGS + 4),
         lr_value=mem.read_word(EXC_FLAGS + 8),
@@ -515,13 +475,14 @@ def make_benign_program(rng: random.Random, n_funcs: int = 6) -> str:
 
 
 _FUZZ_TARGETS = (
-    0xE000EDFC,  # the monitor-enable word itself
-    0xE000EDFC, 0xE000EDFC,
-    0xE000EDFE, 0xE000EDF8,
-    0xE0001040, 0xE0001044, 0xE0001048,  # comparator group 2 registers
-    0xE0001050, 0xE0001054, 0xE0001058,  # comparator group 3 registers
-    0xE0001028,  # FUNCTION0 (legitimately writable)
-    0xE0001030,  # COMP1 / shadow stack pointer
+    DEMCR_ADDR,  # the monitor-enable word itself
+    DEMCR_ADDR, DEMCR_ADDR,
+    DEMCR_ADDR + 2, DEMCR_ADDR - 4,
+    # comparator group 2 and group 3 registers
+    *(DWT_COMP_BASE + gid * DWT_GROUP_STRIDE + off for gid in (2, 3)
+      for off in (DWT_COMP_OFF, DWT_MASK_OFF, DWT_FUNCTION_OFF)),
+    DWT_FUNCTION0,  # legitimately writable
+    DWT_COMP1,  # shadow stack pointer
     0x20020000, 0x20020100,
 )
 
@@ -550,7 +511,7 @@ def make_demcr_fuzz_program(rng: random.Random) -> str:
                 lines.append("    str r5, [r%d]" % base)
         elif kind < 0.8:
             # read-modify-write against the enable word
-            lo, hi = _halves(0xE000EDFC)
+            lo, hi = _halves(DEMCR_ADDR)
             lines += ["    movw r%d, #0x%04x" % (base, lo),
                       "    movt r%d, #0x%04x" % (base, hi),
                       "    ldr r6, [r%d]" % base,

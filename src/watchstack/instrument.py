@@ -39,8 +39,8 @@ SSP_REG_OFF = DWT_GROUP_STRIDE                   # offset of COMP1 from COMP0
 FUNCTION0_OFF = DWT_FUNCTION_OFF
 DEMCR_ADDR = 0xE000EDFC
 
-# Shadow frame layout for exception handlers, ascending from the entry ssp.
-HANDLER_SHADOW_WORDS = 5  # xPSR, return address, lr, r12, EXC_RETURN
+# Shadow frame layout for exception handlers, ascending from the entry ssp:
+# xPSR, return address, lr, r12, then EXC_RETURN.
 HANDLER_ESF_OFFSETS = (ESF_OFF_XPSR, ESF_OFF_RETURN, ESF_OFF_LR, ESF_OFF_R12)
 
 # Scratch selection preference: ip-style caller scratch first, then the

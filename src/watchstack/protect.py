@@ -14,7 +14,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .dwt import DWT_GROUP_STRIDE, FN_WRITE, MODE_V7_MASK, DwtUnit
+from .dwt import (DWT_COMP_BASE, DWT_GROUP_STRIDE, DWT_WINDOW_HI,
+                  DWT_WINDOW_LO, FN_WRITE, DwtUnit)
 from .exception_model import DEBUG_MONITOR
 from .instrument import DEMCR_ADDR, ShadowStackConfig
 from .machine import ACCESS_READ, ACCESS_WRITE, HaltReason, Hit, Machine
@@ -111,11 +112,9 @@ class WatchpointGuard:
         return Hit(cid, addr, ACCESS_WRITE)
 
 
-def attach_debug_system(m: Machine, matching_mode: str | None = None) -> None:
+def attach_debug_system(m: Machine) -> None:
     """Give the machine its watchpoint unit and DEMCR register."""
-    from .dwt import DWT_WINDOW_HI, DWT_WINDOW_LO
-
-    dwt = DwtUnit(matching_mode=matching_mode or MODE_V7_MASK)
+    dwt = DwtUnit()
     demcr = DemcrModel()
     m.add_mmio(DWT_WINDOW_LO, DWT_WINDOW_HI, dwt)
     m.add_mmio(DEMCR_ADDR, DEMCR_ADDR + 4, demcr)
@@ -129,34 +128,18 @@ def is_protection_initialized(m: Machine) -> bool:
 
 
 def init_write_protection(m: Machine, config: ShadowStackConfig,
-                          policy: ProtectionPolicy,
-                          harden_lock: bool = True) -> bool:
+                          policy: ProtectionPolicy) -> bool:
     """Arm the comparators, the DEMCR lock, and the monitor dispatch.
 
     Trusted boot-time call; it programs registers directly rather than
     by executing store instructions.  Idempotent: a second call is a
-    logged no-op and changes nothing.  It refuses a unit in v8 range
-    mode the same way, returning False with nothing armed.
-
-    ``harden_lock`` spends the otherwise-unused comparator group 3 on
-    the group 2/3 register block itself.  Without it the lock has a
-    hole: a store to FUNCTION2 disables the DEMCR trap, after which
-    DEMCR can be cleared freely.  Pass False to get the minimal
-    three-comparator configuration with that known weakness.
+    logged no-op and changes nothing.
     """
     if is_protection_initialized(m):
         log.warning("write protection already initialized; ignoring")
         return False
 
     dwt: DwtUnit = m.dwt
-    if dwt.matching_mode != MODE_V7_MASK:
-        # The layout below is a v7 mask layout: in range mode COMP1 would
-        # be the region's upper bound and pair (2,3) an empty range, so
-        # nothing would trap.
-        log.warning("write protection needs %s matching, not %s; nothing armed",
-                    MODE_V7_MASK, dwt.matching_mode)
-        return False
-
     g0, g1, g2, g3 = dwt.groups
     # Shadow stack region: power-of-two block, write-trapped.
     g0.comp = config.ss_start
@@ -168,14 +151,13 @@ def init_write_protection(m: Machine, config: ShadowStackConfig,
     g2.comp = DEMCR_ADDR
     g2.mask = 1
     g2.function = FN_WRITE
-    if harden_lock:
-        # The lock is only as strong as the registers that implement it:
-        # group 3 write-traps the group 2 and group 3 register block (32
-        # bytes), covering itself.  Groups 0 and 1 stay writable because
-        # instrumented code toggles FUNCTION0 and rewrites COMP1.
-        g3.comp = dwt.base_address + 2 * DWT_GROUP_STRIDE
-        g3.mask = 5
-        g3.function = FN_WRITE
+    # The lock is only as strong as the registers that implement it:
+    # group 3 write-traps the group 2 and group 3 register block (32
+    # bytes), covering itself.  Groups 0 and 1 stay writable because
+    # instrumented code toggles FUNCTION0 and rewrites COMP1.
+    g3.comp = DWT_COMP_BASE + 2 * DWT_GROUP_STRIDE
+    g3.mask = 5
+    g3.function = FN_WRITE
 
     # Any COMP1 update outside the legal span is a shadow stack overflow.
     dwt.ssp_guard = (config.ss_start, config.ss_limit)
@@ -183,31 +165,10 @@ def init_write_protection(m: Machine, config: ShadowStackConfig,
     m.demcr.set_mon_en()
     guard = WatchpointGuard(dwt, policy)
     m.guard = guard
-    m.access_hook = _chain_hook(m.access_hook, guard)
+    m.access_hook = guard
     return True
 
 
 def shadow_stack_pointer(m: Machine) -> int:
     return m.dwt.groups[1].comp
 
-
-class _ChainedHook:
-    def __init__(self, first, second) -> None:
-        self.first = first
-        self.second = second
-
-    def on_load(self, m, addr, size):
-        self.first.on_load(m, addr, size)
-        self.second.on_load(m, addr, size)
-
-    def on_store(self, m, addr, size, value):
-        hit = self.first.on_store(m, addr, size, value)
-        if hit is not None:
-            return hit
-        return self.second.on_store(m, addr, size, value)
-
-
-def _chain_hook(existing, guard):
-    if existing is None:
-        return guard
-    return _ChainedHook(existing, guard)

@@ -45,7 +45,6 @@ class RunConfig:
     initial_sp: int = DEFAULT_SP
     track_visited: bool = False
     track_min_sp: bool = False
-    extra_hook: object | None = None
 
 
 @dataclass
@@ -91,8 +90,6 @@ def build_machine(prog: AsmProgram, cfg: RunConfig) -> Machine:
     m.pc = prog.entry_address()
     bind_handlers(m, prog)
     attach_debug_system(m)
-    if cfg.extra_hook is not None:
-        m.access_hook = cfg.extra_hook
     if cfg.protected:
         init_write_protection(
             m, cfg.shadow,

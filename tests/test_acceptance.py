@@ -47,7 +47,7 @@ def test_01_return_address_hijack_is_prevented():
     dt = time.perf_counter() - t0
     ok = (unprot.outcome == OUTCOME_HIJACK
           and prot.outcome == OUTCOME_SAFE
-          and prot.run.machine.mem.read_word(SAFE_FLAG) == 1
+          and prot.machine.mem.read_word(SAFE_FLAG) == 1
           and prot.violations == []
           and dt < 1.0)
     verdict(1, "hijack-prevention", ok,
@@ -128,8 +128,8 @@ def test_05_shadow_stack_capacity():
 
 def test_06_microbenchmark_cycle_envelope():
     r = run_microbenchmark(SEQ_OPTIMAL)
-    pro = r.phase_breakdown["pro"]
-    epi = r.phase_breakdown["epi"]
+    pro = r.phase_cycles["pro"]
+    epi = r.phase_cycles["epi"]
     pro_total = sum(pro.values())
     epi_total = sum(epi.values())
     aw_share = 100.0 * pro.get("AW", 0) / pro_total

@@ -1,0 +1,42 @@
+"""The benchmark's tracer still finds and restores every patch point.
+
+``bench/tracer.py`` wraps package functions and methods by name.  A
+rename in the package would otherwise only show when the benchmark
+runs; here it fails the test suite.
+"""
+
+import types
+from pathlib import Path
+
+from watchstack.harness import run_recursion
+from watchstack.runner import OUTCOME_SAFE
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def _load_tracer_module():
+    # Compiled from source, so nothing (not even a bytecode cache) is
+    # written under bench/.
+    module = types.ModuleType("bench_tracer")
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def test_tracer_counts_a_protected_run_and_restores_every_patch():
+    tracer = _load_tracer_module().Tracer()
+    originals = [(owner, attr, owner.__dict__[attr])
+                 for owner, attr, _ in tracer._patches]
+    tracer.install()
+    try:
+        for owner, attr, original in originals:
+            assert owner.__dict__[attr] is not original, attr
+        run = run_recursion(4)
+    finally:
+        tracer.uninstall()
+    assert run.outcome == OUTCOME_SAFE
+    for layer in ("machine.access", "protect.guard", "dwt.match_access",
+                  "dwt.mmio", "runner.build_machine", "runner.run_machine"):
+        assert tracer.calls[layer] > 0, layer
+    assert tracer.counts["sim.cycles"] == run.cycles
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original, attr

@@ -31,11 +31,11 @@ def _row(run) -> dict:
 
 def cycle_table() -> dict:
     return {
-        "microbenchmark_optimal": _row(run_microbenchmark(SEQ_OPTIMAL).run),
-        "microbenchmark_naive": _row(run_microbenchmark(SEQ_NAIVE).run),
-        "scenario1_unprotected": _row(run_scenario_1(protected=False).run),
-        "scenario1_protected": _row(run_scenario_1(protected=True).run),
-        "exception_round_trip": _row(run_exception_test().result.run),
+        "microbenchmark_optimal": _row(run_microbenchmark(SEQ_OPTIMAL)),
+        "microbenchmark_naive": _row(run_microbenchmark(SEQ_NAIVE)),
+        "scenario1_unprotected": _row(run_scenario_1(protected=False)),
+        "scenario1_protected": _row(run_scenario_1(protected=True)),
+        "exception_round_trip": _row(run_exception_test().run),
         "recursion_8192": _row(run_recursion(8192)),
     }
 

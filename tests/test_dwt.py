@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
-                            DWT_MASK0, FN_DISABLED, FN_READ, FN_READWRITE,
-                            FN_WRITE, MODE_V7_MASK, MODE_V8_RANGE,
-                            ComparatorGroup, DwtUnit)
+from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_COMP_OFF, DWT_CYCCNT,
+                            DWT_FUNCTION0, DWT_FUNCTION_OFF, DWT_GROUP_STRIDE,
+                            DWT_MASK0, DWT_MASK_OFF, DWT_WINDOW_HI,
+                            DWT_WINDOW_LO, FN_DISABLED, FN_READ, FN_READWRITE,
+                            FN_WRITE, NUM_GROUPS, ComparatorGroup, DwtUnit)
 from watchstack.machine import ACCESS_READ, ACCESS_WRITE, HaltReason, Machine
 
 
@@ -22,8 +23,6 @@ def unit(**cfg) -> DwtUnit:
         d.groups[cid].comp = comp
         d.groups[cid].mask = mask
         d.groups[cid].function = fn
-    if "mode" in cfg:
-        d.matching_mode = cfg["mode"]
     return d
 
 
@@ -112,46 +111,42 @@ def test_match_is_monotone_in_mask(comp, mask, addr, size):
         assert big.match_access(addr, size, ACCESS_WRITE) == 0
 
 
-def test_v8_range_mode_pairs_comparators():
-    d = unit(mode=MODE_V8_RANGE, groups={
-        0: (0x20001000, 0, FN_WRITE),   # lower bound, inclusive
-        1: (0x20002000, 0, FN_DISABLED),  # upper bound register
-    })
-    assert d.match_access(0x20001000, 1, ACCESS_WRITE) == 0
-    assert d.match_access(0x20001FFF, 1, ACCESS_WRITE) == 0
-    assert d.match_access(0x20002000, 1, ACCESS_WRITE) is None
-    assert d.match_access(0x20000FFF, 1, ACCESS_WRITE) is None
-    assert d.match_access(0x20000FFD, 4, ACCESS_WRITE) == 0  # straddles
-    assert d.match_access(0x20001000, 1, ACCESS_READ) is None
-
-
-def test_v8_second_pair_uses_groups_two_and_three():
-    d = unit(mode=MODE_V8_RANGE, groups={
-        2: (0x20005000, 0, FN_READWRITE),
-        3: (0x20005008, 0, FN_DISABLED),
-    })
-    assert d.match_access(0x20005004, 4, ACCESS_READ) == 2
-    assert d.match_access(0x20005008, 4, ACCESS_READ) is None
-
-
 def _machine_with_unit():
     m = Machine()
     d = DwtUnit()
-    m.add_mmio(0xE0001000, 0xE0001060, d)
+    m.add_mmio(DWT_WINDOW_LO, DWT_WINDOW_HI, d)
     return m, d
 
 
+_REGISTERS = (("comp", DWT_COMP_OFF, 0x00E00000),
+              ("mask", DWT_MASK_OFF, 15),
+              ("function", DWT_FUNCTION_OFF, FN_WRITE))
+
+
 def test_mmio_register_file_roundtrip():
+    # every register of every group, each on a fresh unit
+    for gid in range(NUM_GROUPS):
+        for name, off, value in _REGISTERS:
+            m, d = _machine_with_unit()
+            addr = DWT_COMP0 + gid * DWT_GROUP_STRIDE + off
+            m.store(addr, 4, value)
+            assert getattr(d.groups[gid], name) == value, hex(addr)
+            assert m.load(addr, 4) == value, hex(addr)
+            # the write reached only its own register
+            for i, g in enumerate(d.groups):
+                for other, _, _ in _REGISTERS:
+                    if (i, other) != (gid, name):
+                        assert getattr(g, other) == 0, (hex(addr), i, other)
+
+
+@pytest.mark.parametrize("addr", [0xE000100C, 0xE000101C, 0xE000102C,
+                                  0xE000103C, 0xE000104C, 0xE000105C],
+                         ids=hex)
+def test_window_gaps_read_zero_and_drop_writes(addr):
     m, d = _machine_with_unit()
-    m.store(0xE0001020, 4, 0x00E00000)   # COMP0
-    m.store(DWT_MASK0, 4, 15)
-    m.store(DWT_FUNCTION0, 4, FN_WRITE)
-    assert d.groups[0].comp == 0x00E00000
-    assert d.groups[0].mask == 15
-    assert d.groups[0].function == FN_WRITE
-    assert m.load(0xE0001020, 4) == 0x00E00000
-    assert m.load(DWT_MASK0, 4) == 15
-    assert m.load(DWT_FUNCTION0, 4) == FN_WRITE
+    m.store(addr, 4, 0xFFFFFFFF)
+    assert m.load(addr, 4) == 0
+    assert all(g.comp == g.mask == g.function == 0 for g in d.groups)
 
 
 def test_mask_register_keeps_five_bits():
@@ -221,13 +216,6 @@ def reference_match(d: DwtUnit, addr, size, access):
     def enabled(g):
         return g.function == FN_READWRITE or allows.get(g.function) == access
 
-    if d.matching_mode == MODE_V8_RANGE:
-        for cid in (0, 2):
-            g = d.groups[cid]
-            lo, hi = g.comp, d.groups[cid + 1].comp
-            if enabled(g) and addr < hi and addr + size > lo:
-                return cid
-        return None
     for cid, g in enumerate(d.groups):
         span = 1 << g.mask
         lo = g.comp & ~(span - 1) & 0xFFFFFFFF
@@ -245,7 +233,6 @@ _FUNCTIONS = st.one_of(st.sampled_from([FN_READ, FN_WRITE, FN_READWRITE]),
                        st.integers(0, 15))
 _FIELD_VALUES = {"comp": _COMPS, "mask": st.integers(0, 31),
                  "function": _FUNCTIONS}
-_MODES = st.sampled_from([MODE_V7_MASK, MODE_V8_RANGE])
 _OFFSETS = {"comp": 0, "mask": 4, "function": 8}
 _GID = st.integers(0, 3)
 _SLOT_OPS = st.one_of(
@@ -256,7 +243,6 @@ _SLOT_OPS = st.one_of(
         lambda name: st.tuples(st.just("field"), _GID, st.just(name),
                                _FIELD_VALUES[name])),
     st.tuples(st.just("copy"), _GID, _GID),
-    st.tuples(st.just("mode"), _MODES),
     st.tuples(st.just("groups"), st.lists(
         st.tuples(_COMPS, st.integers(0, 31), _FUNCTIONS),
         min_size=4, max_size=4)),
@@ -278,8 +264,6 @@ def _apply(m, d, op):
     elif kind == "copy":
         src, dst = d.groups[op[1]], d.groups[op[2]]
         dst.comp, dst.mask, dst.function = src.comp, src.mask, src.function
-    elif kind == "mode":
-        d.matching_mode = op[1]
     else:
         d.groups = [ComparatorGroup(*fields) for fields in op[1]]
 
@@ -307,14 +291,13 @@ def _check_at(d, edges):
 
 
 @settings(max_examples=200, deadline=None)
-@given(mode=_MODES, ops=st.lists(_SLOT_OPS, max_size=16),
+@given(ops=st.lists(_SLOT_OPS, max_size=16),
        extra=st.lists(st.integers(0, 0xFFFFFFFC), max_size=4))
-def test_slot_table_matches_reference_after_any_writes(mode, ops, extra):
+def test_slot_table_matches_reference_after_any_writes(ops, extra):
     # After every step, probes sit on the edges of the regions the groups
     # held before and after it, so a slot left stale by a missed or
     # misdirected update shows at once.
     m, d = _machine_with_unit()
-    d.matching_mode = mode
     before = _edges(d)
     _check_at(d, before | set(extra))
     for op in ops:

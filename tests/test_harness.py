@@ -28,8 +28,8 @@ TINY = ShadowStackConfig(ss_size_log2=8)  # 64 entries, keeps loops short
 def test_unprotected_overflow_reaches_the_gadget():
     r = run_scenario_1(protected=False)
     assert r.outcome == OUTCOME_HIJACK
-    assert r.run.machine.mem.read_word(VIOLATION_FLAG) == 1
-    assert r.run.machine.mem.read_word(SAFE_FLAG) == 0
+    assert r.machine.mem.read_word(VIOLATION_FLAG) == 1
+    assert r.machine.mem.read_word(SAFE_FLAG) == 0
 
 
 def test_protected_overflow_returns_safely():
@@ -37,15 +37,15 @@ def test_protected_overflow_returns_safely():
     assert r.outcome == OUTCOME_SAFE
     assert r.halt_reason == HaltReason.NORMAL
     assert r.violations == []
-    assert r.run.machine.mem.read_word(SAFE_FLAG) == 1
-    assert r.run.machine.mem.read_word(VIOLATION_FLAG) == 0
+    assert r.machine.mem.read_word(SAFE_FLAG) == 1
+    assert r.machine.mem.read_word(VIOLATION_FLAG) == 0
 
 
 @pytest.mark.parametrize("protected", [False, True])
 def test_benign_input_is_harmless(protected):
     r = run_scenario_1(protected=protected, benign=True)
     assert r.outcome == OUTCOME_SAFE
-    assert r.run.machine.mem.read_word(SAFE_FLAG) == 1
+    assert r.machine.mem.read_word(SAFE_FLAG) == 1
 
 
 @pytest.mark.parametrize("filler", range(HIJACK_FILLER_WORDS + 1))
@@ -99,7 +99,7 @@ def baseline_cycles(text: str) -> int:
 
 def test_optimal_prologue_and_epilogue_cycle_split():
     r = run_microbenchmark(SEQ_OPTIMAL)
-    pro, epi = r.phase_breakdown["pro"], r.phase_breakdown["epi"]
+    pro, epi = r.phase_cycles["pro"], r.phase_cycles["epi"]
     assert sum(pro.values()) == 21
     assert pro == {"AW": 6, "ASSP": 5, "USS": 2, "Other": 8}
     assert sum(epi.values()) == 16
@@ -108,22 +108,22 @@ def test_optimal_prologue_and_epilogue_cycle_split():
 
 def test_phase_breakdown_sums_to_cycle_breakdown():
     r = run_microbenchmark(SEQ_OPTIMAL)
-    for cat, total in r.cycle_breakdown.items():
-        assert sum(ph.get(cat, 0) for ph in r.phase_breakdown.values()) == total
+    for cat, total in r.tagged_cycles.items():
+        assert sum(ph.get(cat, 0) for ph in r.phase_cycles.values()) == total
 
 
 def test_naive_sequence_costs_more():
     opt = run_microbenchmark(SEQ_OPTIMAL)
     nai = run_microbenchmark(SEQ_NAIVE)
-    assert sum(nai.phase_breakdown["pro"].values()) > 21
-    assert nai.cycle_total > opt.cycle_total
+    assert sum(nai.phase_cycles["pro"].values()) > 21
+    assert nai.cycles > opt.cycles
 
 
 @pytest.mark.parametrize("seq", [SEQ_OPTIMAL, SEQ_NAIVE])
 def test_microbenchmark_additivity(seq):
     base = baseline_cycles(microbenchmark_program())
     r = run_microbenchmark(seq)
-    assert r.cycle_total + r.run.conv_extra - sum(r.cycle_breakdown.values()) \
+    assert r.cycles + r.conv_extra - sum(r.tagged_cycles.values()) \
         == base
 
 
@@ -139,7 +139,7 @@ def test_protected_handler_survives_frame_tampering(tamper):
     assert t.z_preserved
     assert t.r12_value == 0x78563412
     assert t.lr_value == 0x08000004
-    assert t.result.outcome == OUTCOME_SAFE
+    assert t.run.outcome == OUTCOME_SAFE
 
 
 def test_unprotected_controls_show_the_tampering():
@@ -148,7 +148,7 @@ def test_unprotected_controls_show_the_tampering():
     assert run_exception_test("lr", protected=False).lr_value == 0xDEADBEEF
     ret = run_exception_test("ret", protected=False)
     assert not ret.resumed
-    assert ret.result.outcome == OUTCOME_FAULT
+    assert ret.run.outcome == OUTCOME_FAULT
 
 
 def test_tamper_argument_aliases():

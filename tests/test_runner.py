@@ -105,17 +105,3 @@ def test_visited_and_min_sp_tracking():
     # the stacked frame dipped below the initial stack pointer
     assert run.machine.min_sp == RunConfig().initial_sp - 32
 
-
-def test_extra_hook_receives_accesses():
-    stores = []
-
-    class Spy:
-        def on_load(self, m, addr, size):
-            pass
-
-        def on_store(self, m, addr, size, value):
-            stores.append(addr)
-            return None
-
-    run_source(COUNTER, RunConfig(raises=((15, 3),), extra_hook=Spy()))
-    assert len(stores) == 8  # the stacked exception frame
