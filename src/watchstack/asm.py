@@ -321,9 +321,11 @@ class _Parser:
     def _reglist(self, text: str, allow=()) -> tuple[int, ...]:
         if not (text.startswith("{") and text.endswith("}")):
             raise self.err("expected register list, got %r" % text)
-        names = [t.strip() for t in text[1:-1].split(",") if t.strip()]
-        if not names:
+        names = [t.strip() for t in text[1:-1].split(",")]
+        if not any(names):
             raise self.err("empty register list")
+        if not all(names):
+            raise self.err("empty name in register list %r" % text)
         regs = [self._reg(n, allow=allow) for n in names]
         if any(b <= a for a, b in zip(regs, regs[1:])):
             raise self.err("register list must be strictly ascending")

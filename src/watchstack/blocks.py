@@ -15,10 +15,11 @@ instructions, with the per-step bookkeeping lifted out:
 * after each such instruction the block exits if the machine halted,
   recorded a watchpoint hit or has an exception pending, so the event
   that ends a run is the one ``step()`` would have produced;
-* tag and phase cycles, the conversion extra and ``visited`` are not
-  touched per instruction: the block counts how many of its
-  instructions each execution retired, and ``Block.flush`` folds those
-  counts in when ``run`` returns;
+* ``m.retired`` and ``m.taken`` are not touched per instruction: the
+  block counts how many of its instructions each execution retired and
+  how often its final conditional branch was taken, and ``Block.fold``
+  adds those counts to the machine's when ``Machine.execution_counts``
+  reads them;
 * ``min_sp`` is checked after the first instruction and after every
   instruction that writes sp, which gives the same minimum as a check
   after every step.
@@ -28,7 +29,7 @@ through ``excm.return_from_exception``, looked up when called, so access
 hooks and anything patched onto the class or module still see each one.
 Compiled code is cached by the identity of the Instr objects it was
 made from, so those must not be mutated in place; ``Machine.run`` drops
-its blocks when ``m.code`` is replaced.
+its blocks, their counts folded in, when ``m.code`` is replaced.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ class Block:
 
     ``counts[j]`` (j >= 1) is how many executions of the compiled
     function retired exactly the first j instructions; ``counts[0]`` is
-    how often a tagged conditional branch at the end was taken (its
-    extra cycle).  ``flush`` folds them into the machine.
+    how often a conditional branch at the end was taken.  ``fold`` adds
+    them to the machine's counts.
     """
 
-    __slots__ = ("n", "heat", "fn", "counts", "addrs", "meta", "taken_tag")
+    __slots__ = ("n", "heat", "fn", "counts", "addrs")
 
     def __init__(self) -> None:
         self.n = 0  # known once compiled
@@ -76,39 +77,24 @@ class Block:
         self.n = len(instrs)
         self.counts = [0] * (self.n + 1)
         self.addrs = tuple(at for at, _ in instrs)
-        # (index, tag, cycles, conv_extra) of instructions with bookkeeping
-        self.meta = tuple((i, ins.tag, ins.cycles, ins.conv_extra)
-                          for i, (_, ins) in enumerate(instrs)
-                          if ins.tag is not None or ins.conv_extra)
-        last = instrs[-1][1]
-        self.taken_tag = last.tag if last.op == "bcond" else None
         ns = {"tail": _tail, "M": MASK32}
         exec(_byte_code(instrs), ns)
         self.fn = ns["make"](self.counts)
 
-    def flush(self, m) -> None:
-        """Fold the counts into m's tag, phase, conv_extra and visited."""
+    def fold(self, m) -> None:
+        """Add the counts to ``m.retired`` and ``m.taken``; zero them."""
         counts = self.counts
-        n = self.n
-        if self.meta or m.visited is not None:
-            # suffix[i]: executions that retired instruction i.
-            suffix = [0] * (n + 1)
-            for i in range(n - 1, -1, -1):
-                suffix[i] = suffix[i + 1] + counts[i + 1]
-            for i, tag, cost, conv in self.meta:
-                runs = suffix[i]
-                if runs and tag is not None:
-                    _add_tag(m, tag, runs * cost)
-                if runs and conv:
-                    m.conv_extra += runs * conv
-            if m.visited is not None and suffix[0]:
-                reached = n
-                while not suffix[reached - 1]:
-                    reached -= 1
-                m.visited.update(self.addrs[:reached])
+        retired = m.retired
+        runs = 0  # executions that retired instruction i
+        for i in range(self.n - 1, -1, -1):
+            runs += counts[i + 1]
+            if runs:
+                at = self.addrs[i]
+                retired[at] = retired.get(at, 0) + runs
         if counts[0]:
-            _add_tag(m, self.taken_tag, counts[0])
-        counts[:] = [0] * (n + 1)
+            at = self.addrs[-1]
+            m.taken[at] = m.taken.get(at, 0) + counts[0]
+        counts[:] = [0] * (self.n + 1)
 
 
 # Byte code of compiled blocks, by entry pc and the identity of their
@@ -128,13 +114,6 @@ def _byte_code(instrs):
         hit = _CODE_CACHE[key] = (
             instrs, compile(_source(instrs), "<block>", "exec"))
     return hit[1]
-
-
-def _add_tag(m, tag, cycles) -> None:
-    phase, cat = tag
-    m.tagged_cycles[cat] = m.tagged_cycles.get(cat, 0) + cycles
-    per = m.phase_cycles.setdefault(phase, {})
-    per[cat] = per.get(cat, 0) + cycles
 
 
 def _tail(m, at):
@@ -278,13 +257,12 @@ _COND = {
 
 
 def _bcond(ins, nxt, cost):
-    lines = ["x = m.xpsr",
-             "if %s:" % _COND[ins.cond],
-             " m.pc = %d; m.cycles = c + %d" % (ins.target, cost + 1)]
-    if ins.tag is not None:
-        lines.append(" cnt[0] += 1")
-    return lines + ["else:",
-                    " m.pc = %d; m.cycles = c + %d" % (nxt, cost)]
+    return ["x = m.xpsr",
+            "if %s:" % _COND[ins.cond],
+            " m.pc = %d; m.cycles = c + %d; cnt[0] += 1"
+            % (ins.target, cost + 1),
+            "else:",
+            " m.pc = %d; m.cycles = c + %d" % (nxt, cost)]
 
 
 _EMIT = {

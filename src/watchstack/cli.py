@@ -222,8 +222,7 @@ def cmd_run(args) -> int:
     if args.instrument:
         prog = instrument_program(prog, shadow).program
     cfg = RunConfig(protected=args.protected, policy=args.policy,
-                    shadow=shadow, raises=tuple(args.raises),
-                    track_visited=True)
+                    shadow=shadow, raises=tuple(args.raises))
     if args.max_steps is not None:
         cfg.max_steps = args.max_steps
     run = run_program(prog, cfg)

@@ -323,15 +323,16 @@ def run_preinit_exception(raise_at: int = 4) -> dict:
     shadow = ShadowStackConfig()
     prog = _prepare(preinit_exception_program(), True, shadow)
     cfg = RunConfig(protected=False, shadow=shadow, raises=((15, raise_at),),
-                    track_visited=True, max_steps=10_000)
+                    max_steps=10_000)
     run = run_program(prog, cfg)
     m = run.machine
     shadow_bytes = m.mem.read_region(shadow.ss_start, 256)
+    retired, _ = m.execution_counts()
     return {
         "run": run,
         "resumed": run.halt_reason == HaltReason.NORMAL,
-        "handler_visited": prog.functions["systick_handler"].entry
-        in (run.visited or set()),
+        "handler_ran_once":
+            retired.get(prog.functions["systick_handler"].entry, 0) == 1,
         "shadow_untouched": shadow_bytes == bytes(256),
         "ssp_unchanged": m.dwt.groups[1].comp == 0,
         "violations": run.violations,

@@ -11,6 +11,12 @@ access.
 ``step()`` executes one instruction and is the reference semantics.
 ``run()`` executes many: it steps cold code and runs hot straight-line
 blocks as compiled functions (``blocks``), with identical results.
+
+The machine records what ran and nothing derived from it: ``retired``
+counts the retirements of the instruction at each pc, ``taken`` the
+taken executions of each conditional branch.  Compiled blocks keep
+their own counts, which ``execution_counts()`` folds in when the counts
+are read; the runner derives the cycle splits from them.
 """
 
 from __future__ import annotations
@@ -164,11 +170,10 @@ class Machine:
         self.dwt = None
         self.demcr = None
         self.guard = None
+        # Execution counts by pc; read them through execution_counts().
+        self.retired: dict[int, int] = {}
+        self.taken: dict[int, int] = {}
         # Optional bookkeeping, enabled by the runner.
-        self.tagged_cycles: dict[str, int] = {}
-        self.phase_cycles: dict[str, dict[str, int]] = {}
-        self.conv_extra = 0
-        self.visited: set[int] | None = None
         self.min_sp: int | None = None
         # run()'s (code, blocks by entry pc).  One attribute: more would
         # push instances past CPython's shared-key dict size and slow
@@ -285,32 +290,23 @@ class Machine:
             self.steps += 1
             return excm.enter_exception(self, exc_id, self.pc)
 
-        ins = self.code.get(self.pc)
+        at = self.pc
+        ins = self.code.get(at)
         if ins is None:
             # No instruction at pc: undefined fetch.
             self.steps += 1
             return self._undefined_fetch()
 
-        cost = ins.cycles
-        self.cycles += cost
-        tag = ins.tag
-        if tag is not None:
-            phase, cat = tag
-            self.tagged_cycles[cat] = self.tagged_cycles.get(cat, 0) + cost
-            per = self.phase_cycles.setdefault(phase, {})
-            per[cat] = per.get(cat, 0) + cost
-        if ins.conv_extra:
-            self.conv_extra += ins.conv_extra
+        self.cycles += ins.cycles
+        retired = self.retired
+        retired[at] = retired.get(at, 0) + 1
 
         self.last_hit = None
-        at = self.pc
         self.cur_pc = at
         self.pc = at + ins.width
         _EXEC[ins.op](self, ins)
         self.steps += 1
 
-        if self.visited is not None:
-            self.visited.add(at)
         if self.min_sp is not None and self.sp < self.min_sp:
             self.min_sp = self.sp
 
@@ -333,47 +329,53 @@ class Machine:
         block entry reached fewer than ``blocks.HOT_THRESHOLD`` times is
         stepped through; then its block is compiled, and the compiled
         block runs whenever it fits before the limit and no exception
-        is pending.
+        is pending.  Blocks are dropped, their counts folded in first,
+        when ``code`` is replaced.
         """
         cache = self._block_cache
         if cache is None or cache[0] is not self.code:
+            self.execution_counts()
             cache = self._block_cache = (self.code, {})
         code, known = cache
         hot = blocks.HOT_THRESHOLD
         stepped = EV_STEPPED
-        ran = set()
-        try:
-            while self.steps < limit:
-                pc = self.pc
-                blk = known.get(pc)
-                if blk is None:
-                    blk = known[pc] = blocks.Block()
-                if blk.fn is None:
-                    blk.heat += 1
-                    if blk.heat == hot:
-                        blk.compile(code, pc)
-                if (blk.fn is not None and self.steps + blk.n <= limit
-                        and not self.pending and not self.halted):
-                    ran.add(blk)
-                    ev = blk.fn(self)
-                    if ev is not None:
-                        return ev
-                    continue
-                # Step until control leaves the straight line; the pc it
-                # lands on is the next block entry.
-                while True:
-                    ev = self.step()
-                    if ev.kind != stepped:
-                        return ev
-                    if self.steps >= limit:
-                        return None
-                    d = self.pc - ev.at_pc
-                    if d != 2 and d != 4:
-                        break
-            return None
-        finally:
-            for blk in ran:
-                blk.flush(self)
+        while self.steps < limit:
+            pc = self.pc
+            blk = known.get(pc)
+            if blk is None:
+                blk = known[pc] = blocks.Block()
+            if blk.fn is None:
+                blk.heat += 1
+                if blk.heat == hot:
+                    blk.compile(code, pc)
+            if (blk.fn is not None and self.steps + blk.n <= limit
+                    and not self.pending and not self.halted):
+                ev = blk.fn(self)
+                if ev is not None:
+                    return ev
+                continue
+            # Step until control leaves the straight line; the pc it
+            # lands on is the next block entry.
+            while True:
+                ev = self.step()
+                if ev.kind != stepped:
+                    return ev
+                if self.steps >= limit:
+                    return None
+                d = self.pc - ev.at_pc
+                if d != 2 and d != 4:
+                    break
+        return None
+
+    def execution_counts(self) -> tuple[dict[int, int], dict[int, int]]:
+        """``retired`` and ``taken``, with the counts of ``run()``'s
+        compiled blocks folded in (which zeroes those)."""
+        cache = self._block_cache
+        if cache is not None:
+            for blk in cache[1].values():
+                if blk.fn is not None:
+                    blk.fold(self)
+        return self.retired, self.taken
 
     def _undefined_fetch(self) -> Event:
         handler = self.vector.get(excm.USAGE_FAULT)
@@ -456,11 +458,8 @@ class Machine:
     def _x_bcond(self, ins):
         if self.cond_true(ins.cond):
             self.cycles += 1  # taken penalty on top of the base cost
-            tag = ins.tag
-            if tag is not None:
-                phase, cat = tag
-                self.tagged_cycles[cat] = self.tagged_cycles.get(cat, 0) + 1
-                self.phase_cycles[phase][cat] += 1
+            taken = self.taken
+            taken[self.cur_pc] = taken.get(self.cur_pc, 0) + 1
             self.pc = ins.target
 
     def _x_bl(self, ins):

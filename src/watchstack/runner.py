@@ -43,7 +43,6 @@ class RunConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     raises: tuple[tuple[int, int], ...] = ()  # (exc_id, step index)
     initial_sp: int = DEFAULT_SP
-    track_visited: bool = False
     track_min_sp: bool = False
 
 
@@ -60,7 +59,6 @@ class RunResult:
     tagged_cycles: dict[str, int]
     phase_cycles: dict[str, dict[str, int]]
     conv_extra: int
-    visited: set[int] | None = None
 
     @property
     def tagged_total(self) -> int:
@@ -94,8 +92,6 @@ def build_machine(prog: AsmProgram, cfg: RunConfig) -> Machine:
         init_write_protection(
             m, cfg.shadow,
             ProtectionPolicy(on_violation=cfg.policy, vectored=cfg.vectored))
-    if cfg.track_visited:
-        m.visited = set()
     if cfg.track_min_sp:
         m.min_sp = m.sp
     return m
@@ -131,6 +127,7 @@ def run_machine(m: Machine, cfg: RunConfig) -> RunResult:
     else:
         outcome = OUTCOME_SAFE
 
+    tagged, phases, conv_extra = attribute(m)
     return RunResult(
         machine=m,
         program=None,
@@ -140,11 +137,32 @@ def run_machine(m: Machine, cfg: RunConfig) -> RunResult:
         halt_reason=m.halt_reason if not hit_step_budget else None,
         outcome=outcome,
         violations=violations,
-        tagged_cycles=dict(m.tagged_cycles),
-        phase_cycles={k: dict(v) for k, v in m.phase_cycles.items()},
-        conv_extra=m.conv_extra,
-        visited=m.visited,
+        tagged_cycles=tagged,
+        phase_cycles=phases,
+        conv_extra=conv_extra,
     )
+
+
+def attribute(m: Machine) -> tuple[dict, dict, int]:
+    """Tag cycles, phase cycles and conversion extra of what m ran.
+
+    Each retirement of a tagged instruction charges its cycles to its
+    (phase, category) tag, and each taken tagged conditional branch
+    charges its extra cycle there too.  The conversion extra sums, per
+    retirement, what a rewritten return cost above its replacement.
+    """
+    retired, taken = m.execution_counts()
+    tagged, phases, conv_extra = {}, {}, 0
+    for at, runs in retired.items():
+        ins = m.code[at]
+        conv_extra += runs * ins.conv_extra
+        if ins.tag is not None:
+            phase, cat = ins.tag
+            cost = runs * ins.cycles + taken.get(at, 0)
+            tagged[cat] = tagged.get(cat, 0) + cost
+            per = phases.setdefault(phase, {})
+            per[cat] = per.get(cat, 0) + cost
+    return tagged, phases, conv_extra
 
 
 def run_program(prog: AsmProgram, cfg: RunConfig | None = None) -> RunResult:

@@ -67,6 +67,9 @@ OPERAND_ERRORS = [
     ("push r4, lr}", "line 3: push takes 1 operands"),
     ("push {r4}, {r5}", "line 3: push takes 1 operands"),
     ("pop {,}", "line 3: empty register list"),
+    ("push {r4,}", "line 3: empty name in register list '{r4,}'"),
+    ("push {,r4}", "line 3: empty name in register list '{,r4}'"),
+    ("push {r4,,lr}", "line 3: empty name in register list '{r4,,lr}'"),
     ("push {{r4}}", "line 3: bad register '{r4}'"),
     ("ldr r0, [r1,]", "line 3: bad memory operand '[r1,]'"),
     ("ldr r0, [r1, #4", "line 3: bad memory operand '[r1, #4'"),

@@ -160,7 +160,7 @@ def test_tamper_argument_aliases():
 def test_handler_before_init_is_inert():
     out = run_preinit_exception()
     assert out["resumed"]
-    assert out["handler_visited"]
+    assert out["handler_ran_once"]
     assert out["shadow_untouched"]
     assert out["ssp_unchanged"]
     assert out["violations"] == []

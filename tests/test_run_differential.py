@@ -23,7 +23,8 @@ from watchstack.harness import (make_benign_program,
 from watchstack.instrument import ShadowStackConfig, instrument_program
 from watchstack.machine import EV_STEPPED, HaltReason
 from watchstack.protect import POLICY_REPORT, POLICY_RESET
-from watchstack.runner import RunConfig, build_machine, run_machine
+from watchstack.runner import (RunConfig, attribute, build_machine,
+                               run_machine)
 
 SHADOW = ShadowStackConfig()
 SYSTICK = 15
@@ -71,6 +72,7 @@ def reference_run(m, cfg: RunConfig):
 
 
 def observe(m, events, budget) -> dict:
+    retired, taken = m.execution_counts()
     return {
         "regs": list(m.gpr) + [m.sp, m.lr, m.pc, m.xpsr, m.control],
         "mode": (m.mode, m.active_exc, list(m.pending)),
@@ -78,11 +80,10 @@ def observe(m, events, budget) -> dict:
         "steps": m.steps,
         "cycles": m.cycles,
         "halt": (m.halted, m.halt_reason, budget),
-        "tagged": m.tagged_cycles,
-        "phases": m.phase_cycles,
-        "conv_extra": m.conv_extra,
+        "retired": dict(retired),
+        "taken": dict(taken),
+        "attribution": attribute(m),
         "min_sp": m.min_sp,
-        "visited": m.visited,
         "violations": list(m.guard.records) if m.guard else None,
         "events": events,
         "dwt": (m.dwt.groups, m.demcr.value),
@@ -128,7 +129,7 @@ def _cfg(policy: str, raise_at: int | None, max_steps: int) -> RunConfig:
     return RunConfig(protected=True, policy=policy, vectored=True,
                      shadow=SHADOW, max_steps=max_steps,
                      raises=() if raise_at is None else ((SYSTICK, raise_at),),
-                     track_min_sp=True, track_visited=True)
+                     track_min_sp=True)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -163,6 +164,24 @@ def test_report_policy_sweep_exits_blocks_on_each_hit(monkeypatch):
                      "sweep raise@%s" % at, monkeypatch)
         assert want["halt"] == (True, HaltReason.NORMAL, False)
         assert len(want["violations"]) == 24
+
+
+def test_code_replaced_between_runs(monkeypatch):
+    """Replacing ``m.code`` drops run()'s compiled blocks; their counts
+    must be folded in first.  Each slice of the run starts on a fresh
+    copy of the code map."""
+    prog = instrument_program(parse(recursion_program(40)), SHADOW).program
+    cfg = _cfg(POLICY_RESET, None, 10_000)
+    want = reference(prog, cfg)
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    m = build_machine(prog, cfg)
+    events = []
+    while not m.halted and m.steps < cfg.max_steps:
+        m.code = dict(m.code)
+        ev = m.run(min(m.steps + 50, cfg.max_steps))
+        if ev is not None:
+            events.append(ev)
+    assert_same(want, observe(m, events, not m.halted), "code swaps")
 
 
 # (a, b) pairs that set every combination of N, Z, C and V in cmp.
@@ -240,6 +259,6 @@ def test_interrupt_before_protection_takes_the_tagged_branch(monkeypatch):
                               SHADOW).program
     for at in range(0, 10, 3):
         cfg = RunConfig(shadow=SHADOW, raises=((SYSTICK, at),) * 3,
-                        track_min_sp=True, track_visited=True)
+                        track_min_sp=True)
         want = check(prog, cfg, "preinit raise@%d" % at, monkeypatch)
         assert want["halt"] == (True, HaltReason.NORMAL, False)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from watchstack import blocks
 from watchstack.machine import EV_EXC_ENTERED, HaltReason, Machine
 from watchstack.runner import (OUTCOME_FAULT, OUTCOME_HIJACK, OUTCOME_SAFE,
                                RunConfig, bind_handlers, build_machine,
@@ -97,11 +98,39 @@ def test_nonzero_bkpt_classifies_as_hijack():
     assert run.halt_reason == HaltReason.REPORT
 
 
-def test_visited_and_min_sp_tracking():
-    run = run_source(COUNTER, RunConfig(track_visited=True, track_min_sp=True,
-                                        raises=((15, 3),)))
+def _counter_addresses(prog):
+    body = prog.functions["main"].body
+    return body[1].addr, body[3].addr  # the loop entry and its bne
+
+
+@pytest.mark.parametrize("hot", [1, blocks.HOT_THRESHOLD])
+def test_execution_counts_and_min_sp(hot, monkeypatch):
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", hot)
+    run = run_source(COUNTER, RunConfig(track_min_sp=True,
+                                        raises=((15, 3), (15, 10))))
     prog = run.program
-    assert prog.functions["systick_handler"].entry in run.visited
+    spin, bne = _counter_addresses(prog)
+    retired, taken = run.machine.execution_counts()
+    assert retired[prog.functions["systick_handler"].entry] == 2
+    assert retired[spin] == retired[bne] == 5
+    assert taken == {bne: 4}
+    before = (dict(retired), dict(taken))
+    assert run.machine.execution_counts() == before
     # the stacked frame dipped below the initial stack pointer
     assert run.machine.min_sp == RunConfig().initial_sp - 32
 
+
+def test_execution_counts_survive_a_code_swap(monkeypatch):
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    prog = parse(COUNTER)
+    ref = build_machine(prog, RunConfig())
+    while not ref.halted:
+        ref.step()
+    m = build_machine(prog, RunConfig())
+    m.run(8)
+    m.code = dict(m.code)  # run() drops the blocks compiled so far
+    m.run(1000)
+    assert m.halted and m.steps == ref.steps
+    assert m.execution_counts() == ref.execution_counts()
+    spin, bne = _counter_addresses(prog)
+    assert m.retired[spin] == 5 and m.taken == {bne: 4}
