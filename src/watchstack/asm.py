@@ -117,6 +117,8 @@ _MEM_RE = re.compile(r"^\[\s*([a-z0-9]+)\s*(?:,\s*(#-?[0-9a-fx]+)\s*)?\]$",
                      re.IGNORECASE)
 
 _BCOND_OPS = {"b" + c: c for c in CONDITIONS}
+# Mnemonics with a narrow and a wide encoding, where ``.w`` picks wide.
+_WIDE_OPS = frozenset(("mov", "ldr", "str", "ldrb", "strb"))
 
 
 def _split_operands(text: str) -> list[str]:
@@ -350,6 +352,8 @@ class _Parser:
         if mnemonic.endswith(".w"):
             wide = True
             mnemonic = mnemonic[:-2]
+            if mnemonic not in _WIDE_OPS:
+                raise self.err("%s has no .w form" % mnemonic)
         ops = _split_operands(rest)
 
         def need(n):

@@ -12,9 +12,10 @@ instructions, with the per-step bookkeeping lifted out:
   date only before an instruction that can observe them (a load, store,
   push or pop) and at the exit, with the values ``step()`` would have
   left there;
-* after each such instruction the block exits if the machine halted,
-  recorded a watchpoint hit or has an exception pending, so the event
-  that ends a run is the one ``step()`` would have produced;
+* after each such instruction the block exits if the machine halted or
+  has an exception pending (a vectored watchpoint hit pends the debug
+  monitor), and an exit that ``step()`` could end with an event returns
+  what ``Machine._end``, the one end-of-instruction rule, returns;
 * ``m.retired`` and ``m.taken`` are not touched per instruction: the
   block counts how many of its instructions each execution retired and
   how often its final conditional branch was taken, and ``Block.fold``
@@ -24,9 +25,10 @@ instructions, with the per-step bookkeeping lifted out:
   instruction that writes sp, which gives the same minimum as a check
   after every step.
 
-Data accesses go through ``m.load``/``m.store`` and exception returns
-through ``excm.return_from_exception``, looked up when called, so access
-hooks and anything patched onto the class or module still see each one.
+Data accesses go through ``m.load``/``m.store``, and exception returns
+through ``m._end``, which looks up
+``exception_model.return_from_exception`` when called, so access hooks
+and anything patched onto the class or module still see each one.
 Compiled code is cached by the identity of the Instr objects it was
 made from, so those must not be mutated in place; ``Machine.run`` drops
 its blocks, their counts folded in, when ``m.code`` is replaced.
@@ -34,14 +36,11 @@ its blocks, their counts folded in, when ``m.code`` is replaced.
 
 from __future__ import annotations
 
-from . import exception_model as excm
 from . import machine as mach
 from .isa import LR, MASK32, NUM_GPRS, PC, SP
 
 HOT_THRESHOLD = 32
 MAX_BLOCK_LEN = 64
-
-EXC_RETURN_MIN = 0xF0000000
 
 # Never inside a block: step() runs them (exception entry, halt).
 _STEP_ONLY = frozenset(("svc", "bkpt", "udf"))
@@ -77,7 +76,7 @@ class Block:
         self.n = len(instrs)
         self.counts = [0] * (self.n + 1)
         self.addrs = tuple(at for at, _ in instrs)
-        ns = {"tail": _tail, "M": MASK32}
+        ns = {"M": MASK32}
         exec(_byte_code(instrs), ns)
         self.fn = ns["make"](self.counts)
 
@@ -114,20 +113,6 @@ def _byte_code(instrs):
         hit = _CODE_CACHE[key] = (
             instrs, compile(_source(instrs), "<block>", "exec"))
     return hit[1]
-
-
-def _tail(m, at):
-    """The end of Machine.step after the instruction at ``at``: the event
-    it would return, or None where it would return a stepped event."""
-    if m.pc >= EXC_RETURN_MIN and not m.halted:
-        return excm.return_from_exception(m, m.pc)
-    h = m.last_hit
-    if h is not None:
-        return mach.Event(mach.EV_WATCHPOINT, at, comparator_id=h.comparator_id,
-                          address=h.address, access=h.access)
-    if m.halted:
-        return mach.Event(mach.EV_HALTED, at, reason=m.halt_reason)
-    return None
 
 
 # -- code generation ---------------------------------------------------------------
@@ -169,8 +154,7 @@ def _source(instrs) -> str:
            " def block(m):",
            "  g = m.gpr",
            "  s = m.steps",
-           "  c = m.cycles",
-           "  m.last_hit = None"]
+           "  c = m.cycles"]
     n = len(instrs)
     cost = 0
     for i, (at, ins) in enumerate(instrs):
@@ -186,12 +170,12 @@ def _source(instrs) -> str:
             out.append("  if m.min_sp is not None and m.sp < m.min_sp: "
                        "m.min_sp = m.sp")
         if ins.op in _MEMORY:
-            check = "m.halted or m.last_hit is not None or m.pending"
+            check = "m.halted or m.pending"
             if last and _ends_block(ins):
-                check += " or m.pc >= %d" % EXC_RETURN_MIN
+                check += " or m.pc >= %d" % mach.EXC_RETURN_MIN
             out += ["  if %s:" % check,
                     "   m.steps = s + %d; cnt[%d] += 1" % (i + 1, i + 1),
-                    "   return tail(m, %d)" % at]
+                    "   return m._end(%d)" % at]
     at, ins = instrs[-1]
     if ins.op != "bcond":  # a conditional branch sets cycles itself
         out.append("  m.cycles = c + %d" % cost)
@@ -201,8 +185,8 @@ def _source(instrs) -> str:
                % (n, at, n))
     if (_ends_block(ins) and ins.op not in _MEMORY
             and ins.op not in ("b", "bcond", "bl")):
-        out.append("  if m.pc >= %d: return tail(m, %d)"
-                   % (EXC_RETURN_MIN, at))
+        out.append("  if m.pc >= %d: return m._end(%d)"
+                   % (mach.EXC_RETURN_MIN, at))
     out.append(" return block")
     return "\n".join(out) + "\n"
 

@@ -25,7 +25,7 @@ from .instrument import (InstrumentError, SEQ_NAIVE, SEQ_OPTIMAL,
                          ShadowStackConfig, instrument_program)
 from .machine import HaltReason
 from .protect import POLICY_REPORT, POLICY_RESET
-from .runner import RunConfig, RunResult, run_program
+from .runner import RunConfig, RunResult, build_machine, run_machine
 from . import __version__
 
 EXIT_OK = 0
@@ -66,7 +66,18 @@ def _shadow_config(args) -> ShadowStackConfig:
         kw["ss_start"] = args.ss_start
     if args.ss_size_log2 is not None:
         kw["ss_size_log2"] = args.ss_size_log2
-    return ShadowStackConfig(**kw)
+    try:
+        return ShadowStackConfig(**kw)
+    except ValueError as exc:  # a region the comparator cannot express
+        raise CliError(str(exc)) from None
+
+
+def _run(prog, cfg: RunConfig) -> RunResult:
+    try:
+        m = build_machine(prog, cfg)
+    except ValueError as exc:  # a handler named after no known exception
+        raise CliError(str(exc)) from None
+    return run_machine(m, cfg)
 
 
 def _read_source(path: str) -> str:
@@ -89,6 +100,8 @@ def _parse_raise(spec: str) -> tuple[int, int]:
     try:
         name, at = spec.split("@", 1)
         step = int(at, 0)
+        if step < 0:
+            raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
             "expected NAME@STEP or NUM@STEP, got %r" % spec)
@@ -225,7 +238,7 @@ def cmd_run(args) -> int:
                     shadow=shadow, raises=tuple(args.raises))
     if args.max_steps is not None:
         cfg.max_steps = args.max_steps
-    run = run_program(prog, cfg)
+    run = _run(prog, cfg)
     code = _exit_code(run)
     print("\n".join(_run_lines(run)))
     if args.report:
@@ -242,9 +255,9 @@ def _code_bytes(prog) -> int:
 
 def _bench_one(text: str, shadow: ShadowStackConfig) -> dict:
     base_prog = parse(text)
-    base = run_program(base_prog, RunConfig(protected=False, shadow=shadow))
+    base = _run(base_prog, RunConfig(protected=False, shadow=shadow))
     inst_prog = instrument_program(base_prog, shadow).program
-    prot = run_program(inst_prog, RunConfig(protected=True, shadow=shadow))
+    prot = _run(inst_prog, RunConfig(protected=True, shadow=shadow))
     if base.halt_reason != HaltReason.NORMAL:
         raise CliError("baseline run did not halt normally (%s)"
                        % _halt_name(base.halt_reason))
@@ -315,10 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_bench(args)
-    except (AsmError, InstrumentError, CliError) as exc:
-        print("watchstack: error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (AsmError, InstrumentError, CliError, OSError) as exc:
         print("watchstack: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from .asm import (FUNC_HAL, FUNC_HANDLER, T_ASSP, T_AW, T_OTHER, T_USS,
                   AsmFunction, AsmProgram, format_instr, layout, print_program)
 from .dwt import (DWT_COMP1, DWT_COMP_BASE, DWT_FUNCTION_OFF,
-                  DWT_GROUP_STRIDE, FN_WRITE)
+                  DWT_GROUP_STRIDE, FN_WRITE, MASK_BITS_MAX)
 from .exception_model import (ESF_OFF_LR, ESF_OFF_R12, ESF_OFF_RETURN,
                               ESF_OFF_XPSR)
-from .isa import LR, NUM_GPRS, PC, Instr, finalize
+from .isa import LR, MASK32, NUM_GPRS, PC, Instr, finalize
 
 SEQ_OPTIMAL = "optimal"
 SEQ_NAIVE = "naive"
@@ -64,6 +64,16 @@ class ShadowStackConfig:
     ss_start: int = 0x00E00000
     ss_size_log2: int = 15
     sequence: str = SEQ_OPTIMAL
+
+    def __post_init__(self) -> None:
+        # Comparator 0 traps one naturally aligned power-of-two block.
+        if not 2 <= self.ss_size_log2 <= MASK_BITS_MAX:
+            raise ValueError("ss_size_log2 must be in 2..%d, got %d"
+                             % (MASK_BITS_MAX, self.ss_size_log2))
+        if self.ss_start % self.ss_size or not 0 <= self.ss_start <= MASK32:
+            raise ValueError("ss_start %#x is not a 32-bit multiple of "
+                             "the shadow region size %#x"
+                             % (self.ss_start, self.ss_size))
 
     @property
     def ss_size(self) -> int:

@@ -3,14 +3,18 @@
 The machine executes pre-decoded instructions from an address-indexed
 code map.  All data loads and stores funnel through one pair of access
 paths so a debug unit can observe every access before it commits; a
-store hook may suppress the write entirely (watchpoint semantics).
+store hook that returns True suppresses the write (watchpoint
+semantics) and keeps its own record of it.
 Memory-mapped device windows live above 0xE0000000; devices see whole
 words, and the access path extracts or merges the byte lane of a byte
 access.
 
 ``step()`` executes one instruction and is the reference semantics.
-``run()`` executes many: it steps cold code and runs hot straight-line
-blocks as compiled functions (``blocks``), with identical results.
+It returns None for a plain step, or the event only the machine sees:
+exception entry, exception return or halt.  ``_end`` is the one rule
+for which event ends an instruction.  ``run()`` executes many: it steps
+cold code and runs hot straight-line blocks as compiled functions
+(``blocks``), with identical results.
 
 The machine records what ran and nothing derived from it: ``retired``
 counts the retirements of the instruction at each pc, ``taken`` the
@@ -56,9 +60,10 @@ class HaltReason(Enum):
     STACK_OVERFLOW = "stack_overflow"  # shadow stack pointer left its window
 
 
+# A branch to pc at or above this is an exception return.
+EXC_RETURN_MIN = 0xF0000000
+
 # Event kinds produced by step().
-EV_STEPPED = "stepped"
-EV_WATCHPOINT = "watchpoint_hit"
 EV_EXC_ENTERED = "exception_entered"
 EV_EXC_RETURNED = "exception_returned"
 EV_HALTED = "halted"
@@ -69,19 +74,7 @@ class Event:
     kind: str
     at_pc: int
     exc_id: int | None = None
-    comparator_id: int | None = None
-    address: int | None = None
-    access: int | None = None
     reason: HaltReason | None = None
-
-
-@dataclass
-class Hit:
-    """Returned by a store hook to report a suppressed (trapped) write."""
-
-    comparator_id: int
-    address: int
-    access: int
 
 
 class Memory:
@@ -164,7 +157,6 @@ class Machine:
         self.halted = False
         self.halt_reason: HaltReason | None = None
         self.access_hook = None
-        self.last_hit: Hit | None = None
         self.cur_pc = 0  # pc of the instruction currently executing
         # Debug hardware, attached by protect.attach_debug_system.
         self.dwt = None
@@ -224,11 +216,8 @@ class Machine:
 
     def store(self, addr: int, size: int, value: int) -> None:
         hook = self.access_hook
-        if hook is not None:
-            hit = hook.on_store(self, addr, size, value)
-            if hit is not None:
-                self.last_hit = hit
-                return
+        if hook is not None and hook.on_store(self, addr, size, value):
+            return  # suppressed
         if addr >= 0xE0000000:
             for lo, hi, dev in self.mmio:
                 if lo <= addr < hi:
@@ -282,7 +271,7 @@ class Machine:
         """Queue an exception; it is taken at the next thread-mode step."""
         self.pending.append(exc_id)
 
-    def step(self) -> Event:
+    def step(self) -> Event | None:
         if self.halted:
             return Event(EV_HALTED, self.pc, reason=self.halt_reason)
         if self.pending and self.mode == MODE_THREAD:
@@ -301,7 +290,6 @@ class Machine:
         retired = self.retired
         retired[at] = retired.get(at, 0) + 1
 
-        self.last_hit = None
         self.cur_pc = at
         self.pc = at + ins.width
         _EXEC[ins.op](self, ins)
@@ -310,18 +298,19 @@ class Machine:
         if self.min_sp is not None and self.sp < self.min_sp:
             self.min_sp = self.sp
 
-        if self.pc >= 0xF0000000 and not self.halted:
+        return self._end(at)
+
+    def _end(self, at: int) -> Event | None:
+        """What ends the instruction at ``at``: the exception return a
+        branch to EXC_RETURN starts, the halt, or None."""
+        if self.pc >= EXC_RETURN_MIN and not self.halted:
             return excm.return_from_exception(self, self.pc)
-        if self.last_hit is not None:
-            h = self.last_hit
-            return Event(EV_WATCHPOINT, at, comparator_id=h.comparator_id,
-                         address=h.address, access=h.access)
         if self.halted:
             return Event(EV_HALTED, at, reason=self.halt_reason)
-        return Event(EV_STEPPED, at)
+        return None
 
     def run(self, limit: int) -> Event | None:
-        """Execute until ``steps == limit`` or the first non-stepped event.
+        """Execute until ``steps == limit`` or the first event.
 
         Returns that event, or None when the limit was reached.  The
         machine ends in the state the same number of ``step()`` calls
@@ -338,7 +327,6 @@ class Machine:
             cache = self._block_cache = (self.code, {})
         code, known = cache
         hot = blocks.HOT_THRESHOLD
-        stepped = EV_STEPPED
         while self.steps < limit:
             pc = self.pc
             blk = known.get(pc)
@@ -357,12 +345,13 @@ class Machine:
             # Step until control leaves the straight line; the pc it
             # lands on is the next block entry.
             while True:
+                at = self.pc
                 ev = self.step()
-                if ev.kind != stepped:
+                if ev is not None:
                     return ev
                 if self.steps >= limit:
                     return None
-                d = self.pc - ev.at_pc
+                d = self.pc - at
                 if d != 2 and d != 4:
                     break
         return None

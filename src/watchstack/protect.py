@@ -18,7 +18,7 @@ from .dwt import (DWT_COMP_BASE, DWT_GROUP_STRIDE, DWT_WINDOW_HI,
                   DWT_WINDOW_LO, FN_WRITE, DwtUnit)
 from .exception_model import DEBUG_MONITOR
 from .instrument import DEMCR_ADDR, ShadowStackConfig
-from .machine import ACCESS_READ, ACCESS_WRITE, HaltReason, Hit, Machine
+from .machine import ACCESS_READ, ACCESS_WRITE, HaltReason, Machine
 
 log = logging.getLogger(__name__)
 
@@ -103,13 +103,14 @@ class WatchpointGuard:
         self._dispatch(m, ViolationRecord(m.steps, m.cur_pc, addr, cid,
                                           0, size, ACCESS_READ))
 
-    def on_store(self, m: Machine, addr: int, size: int, value: int):
+    def on_store(self, m: Machine, addr: int, size: int, value: int) -> bool:
+        """True when the store hits a comparator: the write is suppressed."""
         cid = self.dwt.match_access(addr, size, ACCESS_WRITE)
         if cid is None:
-            return None
+            return False
         self._dispatch(m, ViolationRecord(m.steps, m.cur_pc, addr, cid,
                                           value, size, ACCESS_WRITE))
-        return Hit(cid, addr, ACCESS_WRITE)
+        return True
 
 
 def attach_debug_system(m: Machine) -> None:

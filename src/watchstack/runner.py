@@ -50,7 +50,7 @@ class RunConfig:
 class RunResult:
     machine: Machine
     program: AsmProgram
-    events: list  # all non-stepped events, in order
+    events: list  # exception entries and returns and the halt, in order
     steps: int
     cycles: int
     halt_reason: HaltReason | None

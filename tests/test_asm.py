@@ -87,6 +87,12 @@ OPERAND_ERRORS = [
     ("bx lr,", "line 3: trailing comma in 'bx lr,'"),
     ("push {r4, lr},", "line 3: trailing comma in 'push {r4, lr},'"),
     ("ldr r0, [r1, #4],", "line 3: trailing comma in 'ldr r0, [r1, #4],'"),
+    # Only mov, ldr, str, ldrb and strb have a .w form.
+    ("push.w {r4, lr}", "line 3: push has no .w form"),
+    ("b.w main", "line 3: b has no .w form"),
+    ("cmp.w r0, #1", "line 3: cmp has no .w form"),
+    ("addw.w r0, r1, #1", "line 3: addw has no .w form"),
+    ("bkpt.w #0", "line 3: bkpt has no .w form"),
 ]
 
 

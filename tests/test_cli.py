@@ -149,12 +149,30 @@ def test_run_raise_accepts_numeric_ids(tmp_path):
     assert json.loads(report.read_text())["registers"]["r0"] == 26
 
 
-@pytest.mark.parametrize("spec", ["systick", "nosuch@3", "15"])
+@pytest.mark.parametrize("spec", ["systick", "nosuch@3", "15", "systick@-5"])
 def test_bad_raise_spec_exits_1(spec, capsys):
     with pytest.raises(SystemExit) as e:
         main(["run", DEMO, "--raise", spec])
     assert e.value.code == 1
     capsys.readouterr()
+
+
+def test_unknown_handler_name_exits_1(tmp_path, capsys):
+    src = tmp_path / "nmi.ws"
+    src.write_text(SPIN + ".func nmi_handler handler\n    bx lr\n.endfunc\n")
+    assert main(["run", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("watchstack: error: handler 'nmi_handler' does not name "
+                   "a known exception\n")
+
+
+@pytest.mark.parametrize("flags", [["--ss-start", "0x00E00100"],
+                                   ["--ss-size-log2", "40"],
+                                   ["--ss-size-log2", "1"]])
+def test_inexpressible_shadow_region_exits_1(flags, capsys):
+    assert main(["run", DEMO, "--instrument", "--protected"] + flags) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("watchstack: error: ")
 
 
 def test_usage_error_exits_1(capsys):

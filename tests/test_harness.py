@@ -15,7 +15,7 @@ from watchstack.harness import (BENIGN_INPUT_WORD, EXC_FLAGS,
                                 run_write_sweep)
 from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, ShadowStackConfig,
                                    instrument_program)
-from watchstack.machine import HaltReason
+from watchstack.machine import EV_HALTED, HaltReason
 from watchstack.protect import POLICY_REPORT
 from watchstack.runner import (OUTCOME_FAULT, OUTCOME_HIJACK, OUTCOME_SAFE,
                                OUTCOME_TRAPPED, RunConfig, run_program)
@@ -195,6 +195,15 @@ def test_sweep_traps_exactly_the_interior():
     for a in range(TINY.ss_limit, TINY.ss_limit + margin):
         assert mem.read_byte(a) == 0x5A
     assert mem.read_region(TINY.ss_start, TINY.ss_size) == bytes(TINY.ss_size)
+
+
+def test_report_sweep_records_each_hit_once():
+    """A suppressed store lives only in the guard's violation records:
+    the full sweep keeps all 32,768 and its only event is the halt."""
+    run = run_write_sweep(margin=16)
+    assert len(run.violations) == ShadowStackConfig().ss_size == 32768
+    assert [(ev.kind, ev.reason) for ev in run.events] == [
+        (EV_HALTED, HaltReason.NORMAL)]
 
 
 # -- generators --------------------------------------------------------------------

@@ -234,6 +234,22 @@ def test_config_variants_change_the_emitted_addresses():
     assert run_ok
 
 
+@pytest.mark.parametrize("kw", [{"ss_start": 0x00E00100},
+                                {"ss_start": 0x00E04000},
+                                {"ss_start": -0x8000},
+                                {"ss_start": 1 << 32},
+                                {"ss_size_log2": 1},
+                                {"ss_size_log2": 32},
+                                {"ss_size_log2": 40}])
+def test_shadow_region_must_be_one_comparator_block(kw):
+    # Comparator 0 traps an aligned 2**MASK block, MASK at most 31; any
+    # other region would leave part of the shadow stack writable.
+    with pytest.raises(ValueError):
+        ShadowStackConfig(**kw)
+    ShadowStackConfig(ss_size_log2=2)
+    ShadowStackConfig(ss_start=0x80000000, ss_size_log2=31)
+
+
 # -- handlers ------------------------------------------------------------------
 
 HANDLER_SRC = (HEADER + ".func main hal\n    udf #0\n    bkpt #0\n.endfunc\n"

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from watchstack.asm import parse
-from watchstack.machine import (EV_EXC_ENTERED, EV_HALTED, EV_STEPPED,
-                                HaltReason, Machine, MODE_HANDLER,
-                                MODE_THREAD)
+from watchstack.machine import (EV_EXC_ENTERED, EV_HALTED, HaltReason,
+                                Machine, MODE_HANDLER, MODE_THREAD)
 
 SP0 = 0x20040000
 
@@ -224,8 +223,7 @@ def test_bl_links_to_following_instruction():
 .endfunc
 """
     m, prog = make_machine(src)
-    ev = m.step()
-    assert ev.kind == EV_STEPPED
+    assert m.step() is None  # a plain step has no event
     assert m.pc == prog.functions["helper"].entry
     assert m.lr == 0x08000004  # bl is 4 bytes
 
@@ -251,16 +249,20 @@ def test_msr_control_privilege_drop_is_one_way_in_thread_mode():
 
 
 class _CountingHook:
-    def __init__(self):
+    """Sees every access; returns True (suppress) for stores to
+    ``suppress`` and None, which commits the write, for the rest."""
+
+    def __init__(self, suppress=()):
         self.stores = []
         self.loads = 0
+        self.suppress = suppress
 
     def on_load(self, m, addr, size):
         self.loads += 1
 
     def on_store(self, m, addr, size, value):
         self.stores.append((addr, size, value))
-        return None
+        return True if addr in self.suppress else None
 
 
 def test_every_store_flows_through_the_access_hook():
@@ -281,13 +283,18 @@ def test_every_store_flows_through_the_access_hook():
     bx lr
 .endfunc
 """
-    m, _ = make_machine(src)
-    hook = _CountingHook()
-    m.access_hook = hook
-    run(m)
-    assert m.halt_reason == HaltReason.NORMAL
-    # push 2 + str 1 + strb 1 + exception stacking 8
-    assert len(hook.stores) == 12
+    for suppress in ((), (0x20010000,)):
+        m, _ = make_machine(src)
+        hook = _CountingHook(suppress)
+        m.access_hook = hook
+        run(m)
+        assert m.halt_reason == HaltReason.NORMAL
+        # push 2 + str 1 + strb 1 + exception stacking 8
+        assert len(hook.stores) == 12
+        # The suppressed str leaves memory as it was and ends nothing.
+        assert m.mem.read_word(0x20010000) == (0 if suppress else 1)
+        assert m.mem.read_byte(0x20010008) == 2
+        assert m.mem.read_word(SP0 - 8) == 1
 
 
 def test_pending_exception_waits_for_thread_mode():

@@ -21,7 +21,7 @@ from watchstack.harness import (make_benign_program,
                                 preinit_exception_program, recursion_program,
                                 sweep_program)
 from watchstack.instrument import ShadowStackConfig, instrument_program
-from watchstack.machine import EV_STEPPED, HaltReason
+from watchstack.machine import HaltReason
 from watchstack.protect import POLICY_REPORT, POLICY_RESET
 from watchstack.runner import (RunConfig, attribute, build_machine,
                                run_machine)
@@ -66,7 +66,7 @@ def reference_run(m, cfg: RunConfig):
             m.raise_exception(raises[ridx][0])
             ridx += 1
         ev = m.step()
-        if ev.kind != EV_STEPPED:
+        if ev is not None:
             events.append(ev)
     return events, budget
 

@@ -3,10 +3,11 @@
 import pytest
 
 from watchstack import blocks
-from watchstack.machine import EV_EXC_ENTERED, HaltReason, Machine
+from watchstack.harness import sweep_program
+from watchstack.machine import EV_EXC_ENTERED, EV_HALTED, HaltReason, Machine
 from watchstack.runner import (OUTCOME_FAULT, OUTCOME_HIJACK, OUTCOME_SAFE,
-                               RunConfig, bind_handlers, build_machine,
-                               run_source)
+                               OUTCOME_TRAPPED, RunConfig, bind_handlers,
+                               build_machine, run_source)
 from watchstack.asm import parse
 
 COUNTER = """\
@@ -96,6 +97,23 @@ def test_nonzero_bkpt_classifies_as_hijack():
 """)
     assert run.outcome == OUTCOME_HIJACK
     assert run.halt_reason == HaltReason.REPORT
+
+
+@pytest.mark.parametrize("hot", [1, blocks.HOT_THRESHOLD])
+def test_reset_policy_store_hit_ends_in_the_reset_halt(hot, monkeypatch):
+    """A trapped store under the reset policy halts the machine: the halt
+    is the run's only event, the hit its only violation record.  The
+    sweep loop is compiled before it reaches the shadow region."""
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", hot)
+    cfg = RunConfig(protected=True)
+    start = cfg.shadow.ss_start
+    run = run_source(sweep_program(start - 64, start + 64), cfg)
+    assert [(ev.kind, ev.reason) for ev in run.events] == [
+        (EV_HALTED, HaltReason.RESET)]
+    assert [v.data_address for v in run.violations] == [start]
+    assert run.outcome == OUTCOME_TRAPPED
+    assert run.steps == 5 + 4 * 64 + 1  # setup, the margin, the hit
+    assert run.machine.mem.read_byte(start) == 0
 
 
 def _counter_addresses(prog):
