@@ -14,8 +14,9 @@ instructions, with the per-step bookkeeping lifted out:
   left there;
 * after each such instruction the block exits if the machine halted or
   has an exception pending (a vectored watchpoint hit pends the debug
-  monitor), and an exit that ``step()`` could end with an event returns
-  what ``Machine._end``, the one end-of-instruction rule, returns;
+  monitor), and an exit where ``step()`` could halt or start an
+  exception return ends through ``Machine._end``, the one
+  end-of-instruction rule, which does that return and logs the halt;
 * ``m.retired`` and ``m.taken`` are not touched per instruction: the
   block counts how many of its instructions each execution retired and
   how often its final conditional branch was taken, and ``Block.fold``

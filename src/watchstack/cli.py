@@ -50,6 +50,14 @@ def _int_arg(text: str) -> int:
     return int(text, 0)
 
 
+def _steps_arg(text: str) -> int:
+    steps = int(text, 0)
+    if steps < 0:
+        raise argparse.ArgumentTypeError(
+            "expected a step count >= 0, got %r" % text)
+    return steps
+
+
 def _add_shadow_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ss-start", type=_int_arg, default=None,
                    metavar="ADDR", help="shadow stack base address")
@@ -99,9 +107,7 @@ def _parse_raise(spec: str) -> tuple[int, int]:
     # "systick@120" or "15@120"
     try:
         name, at = spec.split("@", 1)
-        step = int(at, 0)
-        if step < 0:
-            raise ValueError
+        step = _steps_arg(at)
     except ValueError:
         raise argparse.ArgumentTypeError(
             "expected NAME@STEP or NUM@STEP, got %r" % spec)
@@ -142,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arm write protection at reset")
     p_run.add_argument("--policy", choices=(POLICY_RESET, POLICY_REPORT),
                        default=POLICY_RESET)
-    p_run.add_argument("--max-steps", type=_int_arg, default=None)
+    p_run.add_argument("--max-steps", type=_steps_arg, default=None,
+                       metavar="N")
     p_run.add_argument("--raise", dest="raises", action="append",
                        type=_parse_raise, default=[], metavar="EXC@STEP",
                        help="inject an exception at a step count")

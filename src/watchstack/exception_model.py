@@ -3,13 +3,41 @@
 On entry the core pushes an eight-word frame onto the current stack and
 branches to the handler with the magic EXC_RETURN value in lr.  A later
 branch to that value unwinds the frame.  Nesting is not modeled: pending
-exceptions wait until the core is back in thread mode.
+exceptions wait until the core is back in thread mode, and ``svc``,
+``udf`` or an undefined fetch in handler mode faults.
+``enter_exception`` is the one rule for whether an exception is taken.
 
-Stacking stores go through the machine's hooked store path, so a frame
-that lands inside a watchpoint-protected region traps like any write.
+Each entry and return appends its event to ``m.events``, the machine's
+event log; a fault only halts the machine, and ``Machine._end`` logs
+the halt.  Stacking stores go through the machine's hooked store path,
+so a frame that lands inside a watchpoint-protected region traps like
+any write.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .machine import HaltReason
+
+MODE_THREAD = "thread"
+MODE_HANDLER = "handler"
+
+# Event kinds in Machine.events.
+EV_EXC_ENTERED = "exception_entered"
+EV_EXC_RETURNED = "exception_returned"
+EV_HALTED = "halted"
+
+
+@dataclass
+class Event:
+    kind: str
+    at_pc: int
+    exc_id: int | None = None
+    reason: HaltReason | None = None
+
 
 # Exception numbers (subset of the v7-M system exception map).
 USAGE_FAULT = 6
@@ -46,18 +74,17 @@ ENTRY_CYCLES = 12
 RETURN_CYCLES = 12
 
 
-def enter_exception(m, exc_id: int, return_address: int, charge_cycles: bool = True):
-    """Stack the frame and branch to the vectored handler.
+def enter_exception(m, exc_id: int, return_address: int,
+                    charge_cycles: bool = True) -> None:
+    """Stack the frame, branch to the vectored handler and log the entry.
 
-    Caller guarantees thread mode (no nesting).  Returns the entry event,
-    or a fault halt event if no handler is registered.
+    Faults instead if no handler is bound or the core is already in
+    handler mode (no nesting).
     """
-    from .machine import EV_EXC_ENTERED, EV_HALTED, MODE_HANDLER, Event
-
     handler = m.vector.get(exc_id)
-    if handler is None:
+    if handler is None or m.mode != MODE_THREAD:
         m.fault()
-        return Event(EV_HALTED, m.pc, reason=m.halt_reason)
+        return
 
     sp = (m.sp - ESF_BYTES) & 0xFFFFFFFF
     m.sp = sp
@@ -72,17 +99,15 @@ def enter_exception(m, exc_id: int, return_address: int, charge_cycles: bool = T
     m.pc = handler
     if charge_cycles:
         m.cycles += ENTRY_CYCLES
-    return Event(EV_EXC_ENTERED, handler, exc_id=exc_id)
+    m.events.append(Event(EV_EXC_ENTERED, handler, exc_id=exc_id))
 
 
-def return_from_exception(m, value: int):
-    """Unwind a stacked frame after a branch to an EXC_RETURN value."""
-    from .machine import (EV_EXC_RETURNED, EV_HALTED, MODE_HANDLER,
-                          MODE_THREAD, Event)
-
+def return_from_exception(m, value: int) -> None:
+    """Unwind a stacked frame after a branch to an EXC_RETURN value and
+    log the return; fault on any other value or outside handler mode."""
     if value != EXC_RETURN_THREAD or m.mode != MODE_HANDLER:
         m.fault()
-        return Event(EV_HALTED, m.pc, reason=m.halt_reason)
+        return
 
     left = m.active_exc
     sp = m.sp
@@ -99,4 +124,4 @@ def return_from_exception(m, value: int):
     m.active_exc = None
     m.pc = ret
     m.cycles += RETURN_CYCLES
-    return Event(EV_EXC_RETURNED, ret, exc_id=left)
+    m.events.append(Event(EV_EXC_RETURNED, ret, exc_id=left))

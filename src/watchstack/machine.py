@@ -10,11 +10,13 @@ words, and the access path extracts or merges the byte lane of a byte
 access.
 
 ``step()`` executes one instruction and is the reference semantics.
-It returns None for a plain step, or the event only the machine sees:
-exception entry, exception return or halt.  ``_end`` is the one rule
-for which event ends an instruction.  ``run()`` executes many: it steps
-cold code and runs hot straight-line blocks as compiled functions
-(``blocks``), with identical results.
+``run()`` executes many: it steps cold code and runs hot straight-line
+blocks as compiled functions (``blocks``), with identical results.
+Neither returns anything.  The machine logs what only it sees in
+``events``, where it happens: ``exception_model`` appends each
+exception entry and return, and ``_end``, the one end-of-instruction
+rule, starts the exception return a branch to EXC_RETURN asks for and
+appends the halt.
 
 The machine records what ran and nothing derived from it: ``retired``
 counts the retirements of the instruction at each pc, ``taken`` the
@@ -26,11 +28,12 @@ are read; the runner derives the cycle splits from them.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
 
 from . import blocks
 from . import exception_model as excm
+from .exception_model import (EV_EXC_ENTERED, EV_EXC_RETURNED, EV_HALTED,
+                              MODE_HANDLER, MODE_THREAD, Event)
 from .isa import LR, MASK32, NUM_GPRS, PC, SP, Instr
 
 PAGE_BITS = 12
@@ -39,9 +42,6 @@ PAGE_MASK = PAGE_SIZE - 1
 
 ACCESS_READ = 0
 ACCESS_WRITE = 1
-
-MODE_THREAD = "thread"
-MODE_HANDLER = "handler"
 
 # xPSR layout: condition flags in the top nibble, exception number low.
 XPSR_N = 1 << 31
@@ -62,19 +62,6 @@ class HaltReason(Enum):
 
 # A branch to pc at or above this is an exception return.
 EXC_RETURN_MIN = 0xF0000000
-
-# Event kinds produced by step().
-EV_EXC_ENTERED = "exception_entered"
-EV_EXC_RETURNED = "exception_returned"
-EV_HALTED = "halted"
-
-
-@dataclass
-class Event:
-    kind: str
-    at_pc: int
-    exc_id: int | None = None
-    reason: HaltReason | None = None
 
 
 class Memory:
@@ -156,6 +143,8 @@ class Machine:
         self.steps = 0
         self.halted = False
         self.halt_reason: HaltReason | None = None
+        # Exception entries and returns and the halt, in order.
+        self.events: list[Event] = []
         self.access_hook = None
         self.cur_pc = 0  # pc of the instruction currently executing
         # Debug hardware, attached by protect.attach_debug_system.
@@ -271,50 +260,45 @@ class Machine:
         """Queue an exception; it is taken at the next thread-mode step."""
         self.pending.append(exc_id)
 
-    def step(self) -> Event | None:
+    def step(self) -> None:
         if self.halted:
-            return Event(EV_HALTED, self.pc, reason=self.halt_reason)
-        if self.pending and self.mode == MODE_THREAD:
-            exc_id = self.pending.pop(0)
-            self.steps += 1
-            return excm.enter_exception(self, exc_id, self.pc)
-
+            return
         at = self.pc
         ins = self.code.get(at)
-        if ins is None:
+        if self.pending and self.mode == MODE_THREAD:
+            self.steps += 1
+            excm.enter_exception(self, self.pending.pop(0), at)
+        elif ins is None:
             # No instruction at pc: undefined fetch.
             self.steps += 1
-            return self._undefined_fetch()
+            excm.enter_exception(self, excm.USAGE_FAULT, at + 2)
+        else:
+            self.cycles += ins.cycles
+            retired = self.retired
+            retired[at] = retired.get(at, 0) + 1
 
-        self.cycles += ins.cycles
-        retired = self.retired
-        retired[at] = retired.get(at, 0) + 1
+            self.cur_pc = at
+            self.pc = at + ins.width
+            _EXEC[ins.op](self, ins)
+            self.steps += 1
 
-        self.cur_pc = at
-        self.pc = at + ins.width
-        _EXEC[ins.op](self, ins)
-        self.steps += 1
+            if self.min_sp is not None and self.sp < self.min_sp:
+                self.min_sp = self.sp
+        self._end(at)
 
-        if self.min_sp is not None and self.sp < self.min_sp:
-            self.min_sp = self.sp
-
-        return self._end(at)
-
-    def _end(self, at: int) -> Event | None:
-        """What ends the instruction at ``at``: the exception return a
-        branch to EXC_RETURN starts, the halt, or None."""
+    def _end(self, at: int) -> None:
+        """End the instruction at ``at``: start the exception return a
+        branch to EXC_RETURN asks for, then log the halt if it halted."""
         if self.pc >= EXC_RETURN_MIN and not self.halted:
-            return excm.return_from_exception(self, self.pc)
+            excm.return_from_exception(self, self.pc)
         if self.halted:
-            return Event(EV_HALTED, at, reason=self.halt_reason)
-        return None
+            self.events.append(Event(EV_HALTED, at, reason=self.halt_reason))
 
-    def run(self, limit: int) -> Event | None:
-        """Execute until ``steps == limit`` or the first event.
+    def run(self, limit: int) -> None:
+        """Execute until ``steps == limit`` or a halt.
 
-        Returns that event, or None when the limit was reached.  The
-        machine ends in the state the same number of ``step()`` calls
-        would leave.  Execution goes block by block (``blocks``): a
+        The machine ends in the state the same number of ``step()``
+        calls would leave.  Execution goes block by block (``blocks``): a
         block entry reached fewer than ``blocks.HOT_THRESHOLD`` times is
         stepped through; then its block is compiled, and the compiled
         block runs whenever it fits before the limit and no exception
@@ -327,7 +311,7 @@ class Machine:
             cache = self._block_cache = (self.code, {})
         code, known = cache
         hot = blocks.HOT_THRESHOLD
-        while self.steps < limit:
+        while self.steps < limit and not self.halted:
             pc = self.pc
             blk = known.get(pc)
             if blk is None:
@@ -337,24 +321,19 @@ class Machine:
                 if blk.heat == hot:
                     blk.compile(code, pc)
             if (blk.fn is not None and self.steps + blk.n <= limit
-                    and not self.pending and not self.halted):
-                ev = blk.fn(self)
-                if ev is not None:
-                    return ev
+                    and not self.pending):
+                blk.fn(self)
                 continue
             # Step until control leaves the straight line; the pc it
             # lands on is the next block entry.
             while True:
                 at = self.pc
-                ev = self.step()
-                if ev is not None:
-                    return ev
-                if self.steps >= limit:
-                    return None
+                self.step()
+                if self.halted or self.steps >= limit:
+                    return
                 d = self.pc - at
                 if d != 2 and d != 4:
                     break
-        return None
 
     def execution_counts(self) -> tuple[dict[int, int], dict[int, int]]:
         """``retired`` and ``taken``, with the counts of ``run()``'s
@@ -365,13 +344,6 @@ class Machine:
                 if blk.fn is not None:
                     blk.fold(self)
         return self.retired, self.taken
-
-    def _undefined_fetch(self) -> Event:
-        handler = self.vector.get(excm.USAGE_FAULT)
-        if handler is not None and self.mode == MODE_THREAD:
-            return excm.enter_exception(self, excm.USAGE_FAULT, self.pc + 2)
-        self.fault()
-        return Event(EV_HALTED, self.pc, reason=self.halt_reason)
 
     # -- executors -----------------------------------------------------------
 
@@ -475,10 +447,6 @@ class Machine:
         pass
 
     def _x_svc(self, ins):
-        handler = self.vector.get(excm.SVCALL)
-        if handler is None or self.mode == MODE_HANDLER:
-            self.fault()
-            return
         # svc's table cost already covers stacking; do not double-charge.
         excm.enter_exception(self, excm.SVCALL, self.pc, charge_cycles=False)
 
@@ -486,10 +454,6 @@ class Machine:
         self.halt(HaltReason.NORMAL if ins.imm == 0 else HaltReason.REPORT)
 
     def _x_udf(self, ins):
-        handler = self.vector.get(excm.USAGE_FAULT)
-        if handler is None or self.mode == MODE_HANDLER:
-            self.fault()
-            return
         excm.enter_exception(self, excm.USAGE_FAULT, self.pc)
 
 

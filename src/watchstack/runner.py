@@ -50,7 +50,7 @@ class RunConfig:
 class RunResult:
     machine: Machine
     program: AsmProgram
-    events: list  # exception entries and returns and the halt, in order
+    events: list  # the machine's event log, m.events
     steps: int
     cycles: int
     halt_reason: HaltReason | None
@@ -100,7 +100,6 @@ def build_machine(prog: AsmProgram, cfg: RunConfig) -> Machine:
 def run_machine(m: Machine, cfg: RunConfig) -> RunResult:
     raises = sorted(cfg.raises, key=lambda t: t[1])
     ridx = 0
-    events = []
     hit_step_budget = False
     while not m.halted:
         if m.steps >= cfg.max_steps:
@@ -112,9 +111,7 @@ def run_machine(m: Machine, cfg: RunConfig) -> RunResult:
         limit = cfg.max_steps
         if ridx < len(raises):
             limit = min(limit, raises[ridx][1])
-        ev = m.run(limit)
-        if ev is not None:
-            events.append(ev)
+        m.run(limit)
 
     violations = list(m.guard.records) if m.guard is not None else []
     if violations:
@@ -131,7 +128,7 @@ def run_machine(m: Machine, cfg: RunConfig) -> RunResult:
     return RunResult(
         machine=m,
         program=None,
-        events=events,
+        events=m.events,
         steps=m.steps,
         cycles=m.cycles,
         halt_reason=m.halt_reason if not hit_step_budget else None,

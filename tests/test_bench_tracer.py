@@ -9,7 +9,8 @@ import types
 from pathlib import Path
 
 from watchstack.harness import run_recursion
-from watchstack.runner import OUTCOME_SAFE
+from watchstack.machine import EV_EXC_ENTERED, EV_EXC_RETURNED
+from watchstack.runner import OUTCOME_SAFE, RunConfig, run_source
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -40,3 +41,40 @@ def test_tracer_counts_a_protected_run_and_restores_every_patch():
     assert tracer.counts["sim.cycles"] == run.cycles
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, attr
+
+
+UDF_SVC_SYSTICK = """\
+.org 0x08000000
+.func main hal
+    udf #0
+    svc #1
+    bkpt #0
+.endfunc
+.func usagefault_handler handler
+    bx lr
+.endfunc
+.func svcall_handler handler
+    bx lr
+.endfunc
+.func systick_handler handler
+    bx lr
+.endfunc
+"""
+
+
+def test_every_traced_exception_entry_and_return_is_logged():
+    """The tracer counts calls of the exception model; the run's event
+    log must hold one entry or return for each of them."""
+    tracer = _load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        run = run_source(UDF_SVC_SYSTICK, RunConfig(raises=((15, 2),)))
+    finally:
+        tracer.uninstall()
+    assert run.outcome == OUTCOME_SAFE
+    kinds = [ev.kind for ev in run.events]
+    assert tracer.calls["exception_model.enter"] == kinds.count(EV_EXC_ENTERED)
+    assert tracer.calls["exception_model.return"] == kinds.count(
+        EV_EXC_RETURNED)
+    assert [ev.exc_id for ev in run.events if ev.kind == EV_EXC_ENTERED] == [
+        6, 15, 11]

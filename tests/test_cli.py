@@ -157,6 +157,14 @@ def test_bad_raise_spec_exits_1(spec, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("steps", ["-5", "-0x10", "many"])
+def test_bad_max_steps_exits_1(steps, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["run", DEMO, "--max-steps", steps])
+    assert e.value.code == 1
+    assert "--max-steps" in capsys.readouterr().err
+
+
 def test_unknown_handler_name_exits_1(tmp_path, capsys):
     src = tmp_path / "nmi.ws"
     src.write_text(SPIN + ".func nmi_handler handler\n    bx lr\n.endfunc\n")

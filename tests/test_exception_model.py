@@ -3,11 +3,13 @@
 from watchstack.exception_model import (ENTRY_CYCLES, ESF_BYTES, ESF_OFF_LR,
                                         ESF_OFF_R0, ESF_OFF_R1, ESF_OFF_R2,
                                         ESF_OFF_R3, ESF_OFF_R12, ESF_OFF_RETURN,
-                                        ESF_OFF_XPSR, EXC_RETURN_THREAD,
+                                        ESF_OFF_XPSR, EV_EXC_ENTERED,
+                                        EV_EXC_RETURNED, EXC_RETURN_THREAD,
+                                        MODE_HANDLER, MODE_THREAD,
                                         RETURN_CYCLES, SYSTICK, USAGE_FAULT,
-                                        enter_exception, return_from_exception)
-from watchstack.machine import (EV_EXC_ENTERED, EV_EXC_RETURNED, HaltReason,
-                                Machine, MODE_HANDLER, MODE_THREAD)
+                                        Event, enter_exception,
+                                        return_from_exception)
+from watchstack.machine import HaltReason, Machine
 
 SP0 = 0x20040000
 HANDLER = 0x08001000
@@ -27,8 +29,8 @@ def primed_machine() -> Machine:
 
 def test_stacked_frame_layout_is_the_eight_word_contract():
     m = primed_machine()
-    ev = enter_exception(m, SYSTICK, 0x08000122)
-    assert ev.kind == EV_EXC_ENTERED and ev.exc_id == SYSTICK
+    enter_exception(m, SYSTICK, 0x08000122)
+    assert m.events == [Event(EV_EXC_ENTERED, HANDLER, exc_id=SYSTICK)]
     assert m.sp == SP0 - ESF_BYTES
     frame = {off: m.mem.read_word(m.sp + off) for off in
              (ESF_OFF_R0, ESF_OFF_R1, ESF_OFF_R2, ESF_OFF_R3,
@@ -62,6 +64,16 @@ def test_entry_without_vector_faults():
     del m.vector[SYSTICK]
     enter_exception(m, SYSTICK, 0x08000100)
     assert m.halted and m.halt_reason == HaltReason.FAULT
+    assert m.events == []  # Machine._end logs the halt
+
+
+def test_entry_in_handler_mode_faults():
+    m = primed_machine()
+    enter_exception(m, SYSTICK, 0x08000100)
+    enter_exception(m, USAGE_FAULT, HANDLER)
+    assert m.halted and m.halt_reason == HaltReason.FAULT
+    assert m.pc == HANDLER and m.active_exc == SYSTICK
+    assert [ev.exc_id for ev in m.events] == [SYSTICK]
 
 
 def test_charge_cycles_false_adds_nothing():
@@ -78,8 +90,8 @@ def test_round_trip_restores_thread_state():
         m.gpr[i] = 0xDEAD0000 + i
     m.gpr[12] = 0xDEAD000C
     m.xpsr = (m.xpsr & ~0xF0000000) | 0x80000000
-    ev = return_from_exception(m, EXC_RETURN_THREAD)
-    assert ev.kind == EV_EXC_RETURNED and ev.exc_id == SYSTICK
+    return_from_exception(m, EXC_RETURN_THREAD)
+    assert m.events[-1] == Event(EV_EXC_RETURNED, 0x08000208, exc_id=SYSTICK)
     assert m.mode == MODE_THREAD and m.active_exc is None
     assert m.pc == 0x08000208
     assert m.sp == SP0
@@ -103,6 +115,7 @@ def test_bad_sentinel_faults():
     enter_exception(m, SYSTICK, 0x08000100)
     return_from_exception(m, 0xFFFFFFF1)
     assert m.halted and m.halt_reason == HaltReason.FAULT
+    assert [ev.kind for ev in m.events] == [EV_EXC_ENTERED]
 
 
 def test_return_from_thread_mode_faults():

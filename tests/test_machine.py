@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from watchstack.asm import parse
-from watchstack.machine import (EV_EXC_ENTERED, EV_HALTED, HaltReason,
+from watchstack.machine import (EV_EXC_ENTERED, EV_HALTED, Event, HaltReason,
                                 Machine, MODE_HANDLER, MODE_THREAD)
 
 SP0 = 0x20040000
@@ -91,8 +91,8 @@ def test_bkpt_zero_halts_normal_nonzero_reports():
 def test_undefined_fetch_without_handler_faults():
     m, _ = make_machine(wrap("    nop"))
     m.pc = 0x0BAD0000  # no code there
-    ev = m.step()
-    assert ev.kind == EV_HALTED
+    m.step()
+    assert m.events == [Event(EV_HALTED, 0x0BAD0000, reason=HaltReason.FAULT)]
     assert m.halt_reason == HaltReason.FAULT
 
 
@@ -109,7 +109,8 @@ def test_undefined_fetch_with_handler_enters_usage_fault():
 """
     m, prog = make_machine(src)
     m.pc = 0x0BAD0000
-    ev = m.step()
+    m.step()
+    ev = m.events[-1]
     assert ev.kind == EV_EXC_ENTERED and ev.exc_id == 6
     assert m.mode == MODE_HANDLER
     assert m.pc == prog.functions["usagefault_handler"].entry
@@ -158,6 +159,30 @@ def test_svc_costs_twelve_total_and_needs_vector():
     m2, _ = make_machine(wrap("    svc #1"))
     run(m2)
     assert m2.halt_reason == HaltReason.FAULT
+
+
+def test_svc_inside_a_handler_faults_at_the_svc():
+    src = """\
+.org 0x08000000
+.func main hal
+    udf #0
+    bkpt #0
+.endfunc
+.func usagefault_handler handler
+    svc #1
+    bx lr
+.endfunc
+.func svc_handler handler
+    bx lr
+.endfunc
+"""
+    m, prog = make_machine(src)
+    m.vector[11] = prog.functions["svc_handler"].entry
+    run(m)
+    svc_at = prog.functions["usagefault_handler"].entry
+    assert m.halt_reason == HaltReason.FAULT and m.pc == svc_at + 2
+    assert m.events == [Event(EV_EXC_ENTERED, svc_at, exc_id=6),
+                        Event(EV_HALTED, svc_at, reason=HaltReason.FAULT)]
 
 
 def test_cmp_conditions_signed():
@@ -321,16 +346,19 @@ def test_pending_exception_waits_for_thread_mode():
     m.step()  # second nop
     m.step()  # bx lr -> return to thread
     assert m.mode == MODE_THREAD
-    ev = m.step()  # pending systick drains before the next instruction
+    m.step()  # pending systick drains before the next instruction
+    ev = m.events[-1]
     assert ev.kind == EV_EXC_ENTERED and ev.exc_id == 15
 
 
 def test_step_after_halt_is_inert():
     m, _ = make_machine(".org 0x08000000\n.func main hal\n    bkpt #0\n.endfunc\n")
     run(m)
-    steps = m.steps
-    ev = m.step()
-    assert ev.kind == EV_HALTED and m.steps == steps
+    before = _snapshot(m)
+    assert m.events == [Event(EV_HALTED, 0x08000000, reason=HaltReason.NORMAL)]
+    m.step()
+    assert _snapshot(m) == before
+    assert len(m.events) == 1
 
 
 def _snapshot(m: Machine):

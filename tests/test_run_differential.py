@@ -52,26 +52,22 @@ HANDLERS = """\
 """
 
 
-def reference_run(m, cfg: RunConfig):
-    """The run loop before Machine.run existed: step() per instruction."""
+def reference_run(m, cfg: RunConfig) -> bool:
+    """The run loop before Machine.run existed: step() per instruction.
+    Returns whether the step budget ran out."""
     raises = sorted(cfg.raises, key=lambda t: t[1])
     ridx = 0
-    events = []
-    budget = False
     while not m.halted:
         if m.steps >= cfg.max_steps:
-            budget = True
-            break
+            return True
         while ridx < len(raises) and raises[ridx][1] <= m.steps:
             m.raise_exception(raises[ridx][0])
             ridx += 1
-        ev = m.step()
-        if ev is not None:
-            events.append(ev)
-    return events, budget
+        m.step()
+    return False
 
 
-def observe(m, events, budget) -> dict:
+def observe(m, budget) -> dict:
     retired, taken = m.execution_counts()
     return {
         "regs": list(m.gpr) + [m.sp, m.lr, m.pc, m.xpsr, m.control],
@@ -85,7 +81,7 @@ def observe(m, events, budget) -> dict:
         "attribution": attribute(m),
         "min_sp": m.min_sp,
         "violations": list(m.guard.records) if m.guard else None,
-        "events": events,
+        "events": m.events,
         "dwt": (m.dwt.groups, m.demcr.value),
     }
 
@@ -99,14 +95,14 @@ def _build(prog, cfg: RunConfig, arm):
 
 def reference(prog, cfg: RunConfig, arm=None) -> dict:
     m = _build(prog, cfg, arm)
-    events, budget = reference_run(m, cfg)
-    return observe(m, events, budget)
+    return observe(m, reference_run(m, cfg))
 
 
 def fast(prog, cfg: RunConfig, arm=None) -> dict:
     m = _build(prog, cfg, arm)
     res = run_machine(m, cfg)
-    return observe(m, res.events, res.halt_reason is None)
+    assert res.events is m.events
+    return observe(m, res.halt_reason is None)
 
 
 def check(prog, cfg: RunConfig, label: str, monkeypatch, arm=None) -> dict:
@@ -175,13 +171,38 @@ def test_code_replaced_between_runs(monkeypatch):
     want = reference(prog, cfg)
     monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
     m = build_machine(prog, cfg)
-    events = []
     while not m.halted and m.steps < cfg.max_steps:
         m.code = dict(m.code)
-        ev = m.run(min(m.steps + 50, cfg.max_steps))
-        if ev is not None:
-            events.append(ev)
-    assert_same(want, observe(m, events, not m.halted), "code swaps")
+        m.run(min(m.steps + 50, cfg.max_steps))
+    assert_same(want, observe(m, not m.halted), "code swaps")
+
+
+def test_svc_and_udf_in_a_hot_loop(monkeypatch):
+    """Each pass enters and leaves two exceptions from thread code; the
+    loop and both handlers run as compiled blocks once hot, and a raised
+    SysTick lands between them.  Every entry and return is logged."""
+    loops = blocks.HOT_THRESHOLD + 8
+    text = "\n".join([
+        ".org 0x08000000", ".func main hal",
+        "    mov r5, #%d" % loops,
+        ".label loop",
+        "    udf #0", "    svc #1", "    subw r5, r5, #1",
+        "    cmp r5, #0", "    bne loop", "    bkpt #0", ".endfunc",
+        ".func usagefault_handler handler", "    addw r6, r6, #1",
+        "    bx lr", ".endfunc",
+        ".func svcall_handler handler", "    addw r7, r7, #1",
+        "    bx lr", ".endfunc", HANDLERS])
+    prog = parse(text)
+    for at in (None, 3, 150, 151, 152):
+        want = check(prog, _cfg(POLICY_RESET, at, 10_000),
+                     "svc/udf raise@%s" % at, monkeypatch)
+        assert want["halt"] == (True, HaltReason.NORMAL, False)
+        assert want["regs"][6:8] == [loops, loops]
+        kinds = [(ev.kind, ev.exc_id) for ev in want["events"]]
+        assert kinds.count(("exception_entered", 6)) == loops
+        assert kinds.count(("exception_returned", 11)) == loops
+        assert kinds.count(("exception_entered", SYSTICK)) == (at is not None)
+        assert kinds[-1] == ("halted", None)
 
 
 # (a, b) pairs that set every combination of N, Z, C and V in cmp.

@@ -4,7 +4,8 @@ import pytest
 
 from watchstack import blocks
 from watchstack.harness import sweep_program
-from watchstack.machine import EV_EXC_ENTERED, EV_HALTED, HaltReason, Machine
+from watchstack.machine import (EV_EXC_ENTERED, EV_EXC_RETURNED, EV_HALTED,
+                                Event, HaltReason, Machine)
 from watchstack.runner import (OUTCOME_FAULT, OUTCOME_HIJACK, OUTCOME_SAFE,
                                OUTCOME_TRAPPED, RunConfig, bind_handlers,
                                build_machine, run_source)
@@ -74,6 +75,67 @@ def test_injected_exception_runs_the_handler():
     assert run.machine.read_reg(4) == 1
     entered = [e for e in run.events if e.kind == EV_EXC_ENTERED]
     assert len(entered) == 1 and entered[0].exc_id == 15
+
+
+UDF_SVC = """\
+.org 0x08000000
+.func main hal
+    udf #0
+    svc #1
+    bkpt #0
+.endfunc
+.func usagefault_handler handler
+    bx lr
+.endfunc
+.func svcall_handler handler
+    bx lr
+.endfunc
+"""
+
+
+def test_svc_and_udf_entries_are_logged():
+    run = run_source(UDF_SVC)
+    main = run.program.functions["main"].entry
+    usage = run.program.functions["usagefault_handler"].entry
+    svc = run.program.functions["svcall_handler"].entry
+    assert run.events == [
+        Event(EV_EXC_ENTERED, usage, exc_id=6),
+        Event(EV_EXC_RETURNED, main + 2, exc_id=6),
+        Event(EV_EXC_ENTERED, svc, exc_id=11),
+        Event(EV_EXC_RETURNED, main + 4, exc_id=11),
+        Event(EV_HALTED, main + 4, reason=HaltReason.NORMAL)]
+    assert run.events is run.machine.events
+
+
+def test_stacking_hit_halt_is_logged_after_the_entry():
+    """SysTick stacks its frame into the armed shadow region: the reset
+    halt follows the entry, at the pc the exception was taken at."""
+    cfg = RunConfig(protected=True, raises=((15, 2),))
+    cfg.initial_sp = cfg.shadow.ss_start + 16
+    run = run_source(COUNTER, cfg)
+    handler = run.program.functions["systick_handler"].entry
+    third = sorted(run.program.code)[2]  # cmp, after two steps
+    assert [(ev.kind, ev.at_pc, ev.reason) for ev in run.events] == [
+        (EV_EXC_ENTERED, handler, None), (EV_HALTED, third, HaltReason.RESET)]
+
+
+def test_bad_exc_return_halts_at_the_branch():
+    run = run_source("""\
+.org 0x08000000
+.func main hal
+    udf #0
+    bkpt #0
+.endfunc
+.func usagefault_handler handler
+    movw r0, #0xfff1
+    movt r0, #0xffff
+    bx r0
+.endfunc
+""")
+    handler = run.program.functions["usagefault_handler"].entry
+    assert [(ev.kind, ev.at_pc) for ev in run.events] == [
+        (EV_EXC_ENTERED, handler), (EV_HALTED, handler + 8)]
+    assert run.halt_reason == HaltReason.FAULT
 
 
 def test_multiple_injections_fire_in_step_order():
