@@ -12,8 +12,7 @@ from .instrument import (InstrumentError, InstrumentResult,
                          SEQ_NAIVE, SEQ_OPTIMAL, ShadowStackConfig,
                          instrument_program)
 from .machine import HaltReason, Machine
-from .protect import (POLICY_REPORT, POLICY_RESET, ProtectionPolicy,
-                      init_write_protection)
+from .protect import POLICY_REPORT, POLICY_RESET, init_write_protection
 from .runner import (OUTCOME_FAULT, OUTCOME_HIJACK, OUTCOME_SAFE,
                      OUTCOME_TRAPPED, RunConfig, RunResult, run_program,
                      run_source)
@@ -25,8 +24,7 @@ __all__ = [
     "InstrumentError", "InstrumentResult", "SEQ_NAIVE", "SEQ_OPTIMAL",
     "ShadowStackConfig", "instrument_program",
     "HaltReason", "Machine",
-    "POLICY_REPORT", "POLICY_RESET", "ProtectionPolicy",
-    "init_write_protection",
+    "POLICY_REPORT", "POLICY_RESET", "init_write_protection",
     "OUTCOME_FAULT", "OUTCOME_HIJACK", "OUTCOME_SAFE", "OUTCOME_TRAPPED",
     "RunConfig", "RunResult", "run_program", "run_source",
     "__version__",

@@ -346,7 +346,7 @@ class _Parser:
     # -- instructions ------------------------------------------------------
 
     def _instruction(self, line: str) -> Instr:
-        mnemonic, _, rest = line.partition(" ")
+        mnemonic, *rest = line.split(None, 1)
         mnemonic = mnemonic.lower()
         wide = False
         if mnemonic.endswith(".w"):
@@ -354,7 +354,7 @@ class _Parser:
             mnemonic = mnemonic[:-2]
             if mnemonic not in _WIDE_OPS:
                 raise self.err("%s has no .w form" % mnemonic)
-        ops = _split_operands(rest)
+        ops = _split_operands(rest[0] if rest else "")
 
         def need(n):
             if len(ops) != n:

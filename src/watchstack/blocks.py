@@ -12,9 +12,9 @@ instructions, with the per-step bookkeeping lifted out:
   date only before an instruction that can observe them (a load, store,
   push or pop) and at the exit, with the values ``step()`` would have
   left there;
-* after each such instruction the block exits if the machine halted or
-  has an exception pending (a vectored watchpoint hit pends the debug
-  monitor), and an exit where ``step()`` could halt or start an
+* after each such instruction the block exits if the machine halted
+  (no access pends an exception: only the runner raises them, between
+  ``run()`` calls), and an exit where ``step()`` could halt or start an
   exception return ends through ``Machine._end``, the one
   end-of-instruction rule, which does that return and logs the halt;
 * ``m.retired`` and ``m.taken`` are not touched per instruction: the
@@ -171,7 +171,7 @@ def _source(instrs) -> str:
             out.append("  if m.min_sp is not None and m.sp < m.min_sp: "
                        "m.min_sp = m.sp")
         if ins.op in _MEMORY:
-            check = "m.halted or m.pending"
+            check = "m.halted"
             if last and _ends_block(ins):
                 check += " or m.pc >= %d" % mach.EXC_RETURN_MIN
             out += ["  if %s:" % check,

@@ -24,7 +24,7 @@ from .harness import microbenchmark_program
 from .instrument import (InstrumentError, SEQ_NAIVE, SEQ_OPTIMAL,
                          ShadowStackConfig, instrument_program)
 from .machine import HaltReason
-from .protect import POLICY_REPORT, POLICY_RESET
+from .protect import POLICIES, POLICY_RESET
 from .runner import RunConfig, RunResult, build_machine, run_machine
 from . import __version__
 
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instrument before running")
     p_run.add_argument("--protected", action="store_true",
                        help="arm write protection at reset")
-    p_run.add_argument("--policy", choices=(POLICY_RESET, POLICY_REPORT),
+    p_run.add_argument("--policy", choices=POLICIES,
                        default=POLICY_RESET)
     p_run.add_argument("--max-steps", type=_steps_arg, default=None,
                        metavar="N")

@@ -6,8 +6,10 @@ access kinds match.  COMP1 is special in this design: the runtime keeps
 the shadow stack pointer in it, which both hides the pointer from the
 program's address space and lets the unit sanity-check it on update.
 
+Register writes (``DwtUnit.mmio_write``) are the only way a comparator
+field changes, on the chip and here: ``ComparatorGroup`` is frozen.
 Matching runs on every data access, so it reads a slot table of regions
-that register writes keep up to date (see the README's register map).
+that those writes keep up to date (see the README's register map).
 """
 
 from __future__ import annotations
@@ -52,45 +54,32 @@ _WRITE_FNS = frozenset((FN_WRITE, FN_READWRITE))
 _ENABLED_FNS = _READ_FNS | _WRITE_FNS
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComparatorGroup:
+    """One group's fields; only ``DwtUnit.mmio_write`` changes them."""
+
     comp: int = 0
     mask: int = 0
     function: int = FN_DISABLED
-    # Set by the owning unit; class defaults, as a ``__dict__`` probe
-    # would slow every later field read.
-    _unit = None
-    _index = 0
-
-    def __setattr__(self, name: str, value) -> None:
-        # A direct field write refreshes the owning unit's slots too.
-        object.__setattr__(self, name, value)
-        if self._unit is not None:
-            self._unit._refresh(self._index)
 
 
 @dataclass
 class DwtUnit:
     """Comparator state plus match logic and the MMIO register file."""
 
-    # A tuple, so a group is replaced only by assigning all of them.
+    # Disabled at reset, like the chip's; not a constructor argument, so
+    # the register file is the one way in.
     groups: tuple[ComparatorGroup, ...] = field(
-        default_factory=lambda: tuple(ComparatorGroup()
-                                      for _ in range(NUM_GROUPS)))
+        init=False, default_factory=lambda: tuple(ComparatorGroup()
+                                                  for _ in range(NUM_GROUPS)))
     # Legal [lo, hi] span for COMP1 writes once protection owns it; a write
     # outside the span halts the machine with a shadow stack overflow.
     ssp_guard: tuple[int, int] | None = None
-    _slots = None  # per access kind, one (lo, hi) region per group
 
     def __post_init__(self) -> None:
-        self._rebuild()
-
-    def __setattr__(self, name: str, value) -> None:
-        if name == "groups":
-            value = tuple(value)
-        object.__setattr__(self, name, value)
-        if name == "groups" and self._slots is not None:
-            self._rebuild()
+        # Per access kind, one (lo, hi) region per group: none while
+        # every group is disabled.
+        self._slots = ([_NEVER] * NUM_GROUPS, [_NEVER] * NUM_GROUPS)
 
     def match_access(self, addr: int, size: int, access: int) -> int | None:
         """Lowest matching enabled comparator id for this access, else None.
@@ -111,14 +100,6 @@ class DwtUnit:
         if addr < s3[1] and end > s3[0]:
             return 3
         return None
-
-    def _rebuild(self) -> None:
-        """Attach the groups and recompute every slot."""
-        self._slots = ([_NEVER] * NUM_GROUPS, [_NEVER] * NUM_GROUPS)
-        for gid, g in enumerate(self.groups):
-            object.__setattr__(g, "_unit", self)
-            object.__setattr__(g, "_index", gid)
-            self._refresh(gid)
 
     def _refresh(self, gid: int) -> None:
         """Recompute the slots of group ``gid``."""
@@ -148,8 +129,8 @@ class DwtUnit:
         gid, name, bits = reg
         g = self.groups[gid]
         value &= bits
-        # Stored past ComparatorGroup.__setattr__, so that a COMP write to
-        # a disabled group (COMP1 as the ssp) skips the refresh.
+        # The one store to a comparator field.  A COMP write to a
+        # disabled group (COMP1 as the ssp) leaves its slots as they are.
         object.__setattr__(g, name, value)
         if name != "comp" or g.function in _ENABLED_FNS:
             self._refresh(gid)

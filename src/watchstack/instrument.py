@@ -162,17 +162,16 @@ def _select_scratches(free: set[int], count: int, handler: bool
 
 # -- instruction builders ---------------------------------------------------
 
-def _i(op: str, *, tag=None, role=None, **kw) -> Instr:
+def _i(op: str, *, tag=None, **kw) -> Instr:
     ins = Instr(op, **kw)
     ins.tag = tag
-    ins.role = role
     return finalize(ins)
 
 
-def _load_addr(rd: int, addr: int, phase: str, cat: str, role=None) -> list[Instr]:
+def _load_addr(rd: int, addr: int, phase: str, cat: str) -> list[Instr]:
     return [
-        _i("movw", rd=rd, imm=addr & 0xFFFF, tag=(phase, cat), role=role),
-        _i("movt", rd=rd, imm=(addr >> 16) & 0xFFFF, tag=(phase, cat), role=role),
+        _i("movw", rd=rd, imm=addr & 0xFFFF, tag=(phase, cat)),
+        _i("movt", rd=rd, imm=(addr >> 16) & 0xFFFF, tag=(phase, cat)),
     ]
 
 
@@ -189,44 +188,41 @@ def _prologue_template(naive: bool, scratches: tuple[int, ...],
     """
     work, base = scratches[0], scratches[-1]
     out: list[Instr] = []
+    access: list[Instr] = []  # the access block, in program order
+
+    def emit(*instrs: Instr, in_access: bool = False) -> None:
+        out.extend(instrs)
+        if in_access:
+            access.extend(instrs)
+
     if reserved:
-        out.append(_i("push", reglist=reserved,
-                      tag=("pro", T_OTHER), role="access"))
-    out += _load_addr(base, DWT_COMP_BASE, "pro", T_OTHER, role="access")
+        emit(_i("push", reglist=reserved, tag=("pro", T_OTHER)),
+             in_access=True)
+    emit(*_load_addr(base, DWT_COMP_BASE, "pro", T_OTHER), in_access=True)
+    # The shadow stack pointer register: COMP1 through its own address
+    # register (naive) or at an offset from the base (optimal).
     if naive:
-        sspa = scratches[1]
-        out += _load_addr(sspa, DWT_COMP1, "pro", T_ASSP, role="access")
-    out += [
-        _i("mov_imm", rd=work, imm=0, wide=True, tag=("pro", T_AW)),
-        _i("str", rd=work, rn=base, imm=FUNCTION0_OFF, wide=True,
-           tag=("pro", T_AW)),
-    ]
-    if naive:
-        out.append(_i("ldr", rd=work, rn=sspa, imm=0, wide=True,
-                      tag=("pro", T_ASSP)))
+        ssp, ssp_off = scratches[1], 0
+        emit(*_load_addr(ssp, DWT_COMP1, "pro", T_ASSP), in_access=True)
     else:
-        out.append(_i("ldr", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
-                      tag=("pro", T_ASSP), role="access"))
-    out += [
-        _i("str", rd=LR, rn=work, imm=0, wide=True, tag=("pro", T_USS)),
-        _i("addw", rd=work, rn=work, imm=4, tag=("pro", T_ASSP)),
-    ]
-    if naive:
-        out.append(_i("str", rd=work, rn=sspa, imm=0, wide=True,
-                      tag=("pro", T_ASSP), role="access"))
-    else:
-        out.append(_i("str", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
-                      tag=("pro", T_ASSP), role="access"))
-    out += [
-        _i("mov_imm", rd=work, imm=FN_WRITE, wide=True, tag=("pro", T_AW)),
-        _i("str", rd=work, rn=base, imm=FUNCTION0_OFF, wide=True,
-           tag=("pro", T_AW)),
-    ]
+        ssp, ssp_off = base, SSP_REG_OFF
+    emit(_i("mov_imm", rd=work, imm=0, wide=True, tag=("pro", T_AW)),
+         _i("str", rd=work, rn=base, imm=FUNCTION0_OFF, wide=True,
+            tag=("pro", T_AW)))
+    emit(_i("ldr", rd=work, rn=ssp, imm=ssp_off, wide=True,
+            tag=("pro", T_ASSP)), in_access=not naive)
+    emit(_i("str", rd=LR, rn=work, imm=0, wide=True, tag=("pro", T_USS)),
+         _i("addw", rd=work, rn=work, imm=4, tag=("pro", T_ASSP)))
+    emit(_i("str", rd=work, rn=ssp, imm=ssp_off, wide=True,
+            tag=("pro", T_ASSP)), in_access=True)
+    emit(_i("mov_imm", rd=work, imm=FN_WRITE, wide=True, tag=("pro", T_AW)),
+         _i("str", rd=work, rn=base, imm=FUNCTION0_OFF, wide=True,
+            tag=("pro", T_AW)))
     if reserved:
-        out.append(_i("pop", reglist=reserved,
-                      tag=("pro", T_OTHER), role="access"))
+        emit(_i("pop", reglist=reserved, tag=("pro", T_OTHER)),
+             in_access=True)
     return (tuple(out), tuple(format_instr(i) for i in out),
-            tuple(format_instr(i) for i in out if i.role == "access"))
+            tuple(format_instr(i) for i in access))
 
 
 @functools.cache

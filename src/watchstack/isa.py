@@ -54,7 +54,6 @@ class Instr:
     line: int = 0
     labels: tuple[str, ...] = ()  # labels bound to this instruction's address
     tag: tuple[str, str] | None = None  # (phase, category) cycle attribution
-    role: str | None = None  # instrumentation bookkeeping ("access"/"payload")
     conv_extra: int = 0  # cycles the original return cost above this replacement
 
     def structural_key(self):

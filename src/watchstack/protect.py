@@ -1,22 +1,21 @@
 """Write-protection runtime: comparator setup, violation policy, DEMCR.
 
-One call configures the watchpoint unit so that any program store into
-the shadow stack region, or onto the DEMCR debug-enable word, is caught
-before it commits.  The debug monitor dispatch here plays the role of
-the monitor exception: it suppresses the offending write, records it,
-and then either halts the machine (reset policy) or lets execution
-continue (report policy).  A handler function can optionally be
-vectored for observability; the write stays suppressed either way.
+One call configures the watchpoint unit, through its register file as
+boot code does, so that any program store into the shadow stack region,
+or onto the DEMCR debug-enable word, is caught before it commits.  The
+guard here plays the role of the debug monitor exception: it suppresses
+the offending write, records it, and then either halts the machine
+(reset policy) or lets execution continue (report policy).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dwt import (DWT_COMP_BASE, DWT_GROUP_STRIDE, DWT_WINDOW_HI,
+from .dwt import (DWT_COMP_BASE, DWT_COMP_OFF, DWT_FUNCTION_OFF,
+                  DWT_GROUP_STRIDE, DWT_MASK_OFF, DWT_WINDOW_HI,
                   DWT_WINDOW_LO, FN_WRITE, DwtUnit)
-from .exception_model import DEBUG_MONITOR
 from .instrument import DEMCR_ADDR, ShadowStackConfig
 from .machine import ACCESS_READ, ACCESS_WRITE, HaltReason, Machine
 
@@ -26,6 +25,7 @@ DEMCR_MON_EN = 1 << 16
 
 POLICY_RESET = "reset"
 POLICY_REPORT = "report"
+POLICIES = (POLICY_RESET, POLICY_REPORT)
 
 
 @dataclass
@@ -46,12 +46,6 @@ class DemcrModel:
 
     def mmio_write(self, m, addr: int, size: int, value: int) -> None:
         self.value = value & 0xFFFFFFFF
-
-
-@dataclass
-class ProtectionPolicy:
-    on_violation: str = POLICY_RESET
-    vectored: bool = False  # also raise the debug monitor exception
 
 
 @dataclass
@@ -84,17 +78,15 @@ class WatchpointGuard:
     a read match is recorded and the policy applied, but data flows.
     """
 
-    def __init__(self, dwt: DwtUnit, policy: ProtectionPolicy) -> None:
+    def __init__(self, dwt: DwtUnit, reset: bool) -> None:
         self.dwt = dwt
-        self.policy = policy
+        self.reset = reset  # halt on a hit (reset policy), else report
         self.records: list[ViolationRecord] = []
 
     def _dispatch(self, m: Machine, rec: ViolationRecord) -> None:
         self.records.append(rec)
-        if self.policy.on_violation == POLICY_RESET:
+        if self.reset:
             m.halt(HaltReason.RESET)
-        elif self.policy.vectored and DEBUG_MONITOR in m.vector:
-            m.raise_exception(DEBUG_MONITOR)
 
     def on_load(self, m: Machine, addr: int, size: int) -> None:
         cid = self.dwt.match_access(addr, size, ACCESS_READ)
@@ -129,42 +121,48 @@ def is_protection_initialized(m: Machine) -> bool:
 
 
 def init_write_protection(m: Machine, config: ShadowStackConfig,
-                          policy: ProtectionPolicy) -> bool:
+                          policy: str = POLICY_RESET) -> bool:
     """Arm the comparators, the DEMCR lock, and the monitor dispatch.
 
-    Trusted boot-time call; it programs registers directly rather than
-    by executing store instructions.  Idempotent: a second call is a
-    logged no-op and changes nothing.
+    Trusted boot-time call: it writes the watchpoint registers through
+    the unit's register file, but not by executing store instructions,
+    so no guard sees them.  Idempotent: a second call is a logged no-op
+    and changes nothing.  ``policy`` is ``reset`` or ``report``; any
+    other value is a ValueError.
     """
+    if policy not in POLICIES:
+        raise ValueError("unknown violation policy %r" % (policy,))
     if is_protection_initialized(m):
         log.warning("write protection already initialized; ignoring")
         return False
 
     dwt: DwtUnit = m.dwt
-    g0, g1, g2, g3 = dwt.groups
+
+    def program(gid: int, comp: int, mask: int = 0,
+                function: int | None = None) -> None:
+        base = DWT_COMP_BASE + gid * DWT_GROUP_STRIDE
+        dwt.mmio_write(m, base + DWT_COMP_OFF, 4, comp)
+        if function is not None:
+            dwt.mmio_write(m, base + DWT_MASK_OFF, 4, mask)
+            dwt.mmio_write(m, base + DWT_FUNCTION_OFF, 4, function)
+
     # Shadow stack region: power-of-two block, write-trapped.
-    g0.comp = config.ss_start
-    g0.mask = config.ss_size_log2
-    g0.function = FN_WRITE
+    program(0, config.ss_start, config.ss_size_log2, FN_WRITE)
     # COMP1 is repurposed as the shadow stack pointer register.
-    g1.comp = config.ss_start
+    program(1, config.ss_start)
     # DEMCR lock: writes onto the monitor-enable word trap too.
-    g2.comp = DEMCR_ADDR
-    g2.mask = 1
-    g2.function = FN_WRITE
+    program(2, DEMCR_ADDR, 1, FN_WRITE)
     # The lock is only as strong as the registers that implement it:
     # group 3 write-traps the group 2 and group 3 register block (32
     # bytes), covering itself.  Groups 0 and 1 stay writable because
     # instrumented code toggles FUNCTION0 and rewrites COMP1.
-    g3.comp = DWT_COMP_BASE + 2 * DWT_GROUP_STRIDE
-    g3.mask = 5
-    g3.function = FN_WRITE
+    program(3, DWT_COMP_BASE + 2 * DWT_GROUP_STRIDE, 5, FN_WRITE)
 
     # Any COMP1 update outside the legal span is a shadow stack overflow.
     dwt.ssp_guard = (config.ss_start, config.ss_limit)
 
     m.demcr.set_mon_en()
-    guard = WatchpointGuard(dwt, policy)
+    guard = WatchpointGuard(dwt, policy == POLICY_RESET)
     m.guard = guard
     m.access_hook = guard
     return True

@@ -23,8 +23,7 @@ from .asm import AsmProgram, parse
 from .exception_model import EXC_BY_NAME
 from .instrument import ShadowStackConfig
 from .machine import HaltReason, Machine
-from .protect import (POLICY_RESET, ProtectionPolicy, attach_debug_system,
-                      init_write_protection)
+from .protect import POLICY_RESET, attach_debug_system, init_write_protection
 
 DEFAULT_SP = 0x20040000
 DEFAULT_MAX_STEPS = 2_000_000
@@ -38,7 +37,6 @@ OUTCOME_FAULT = "Fault"
 class RunConfig:
     protected: bool = False
     policy: str = POLICY_RESET
-    vectored: bool = False
     shadow: ShadowStackConfig = field(default_factory=ShadowStackConfig)
     max_steps: int = DEFAULT_MAX_STEPS
     raises: tuple[tuple[int, int], ...] = ()  # (exc_id, step index)
@@ -89,9 +87,7 @@ def build_machine(prog: AsmProgram, cfg: RunConfig) -> Machine:
     bind_handlers(m, prog)
     attach_debug_system(m)
     if cfg.protected:
-        init_write_protection(
-            m, cfg.shadow,
-            ProtectionPolicy(on_violation=cfg.policy, vectored=cfg.vectored))
+        init_write_protection(m, cfg.shadow, cfg.policy)
     if cfg.track_min_sp:
         m.min_sp = m.sp
     return m

@@ -13,7 +13,8 @@ import numpy as np
 
 from watchstack.asm import parse
 from watchstack.cli import main as cli_main
-from watchstack.dwt import FN_READ, FN_READWRITE, FN_WRITE, DwtUnit
+from watchstack.dwt import (DWT_COMP0, DWT_FUNCTION0, DWT_MASK0, FN_READ,
+                            FN_READWRITE, FN_WRITE, DwtUnit)
 from watchstack.harness import (SAFE_FLAG, make_benign_program,
                                 make_demcr_fuzz_program,
                                 microbenchmark_program, run_exception_test,
@@ -23,7 +24,7 @@ from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, ShadowStackConfig,
                                    analyze_free_gprs, instrument_program)
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, HaltReason,
                                 Machine)
-from watchstack.protect import (DEMCR_ADDR, POLICY_REPORT, ProtectionPolicy,
+from watchstack.protect import (DEMCR_ADDR, POLICY_REPORT,
                                 attach_debug_system, init_write_protection)
 from watchstack.runner import (OUTCOME_HIJACK, OUTCOME_SAFE, RunConfig,
                                run_program)
@@ -84,7 +85,7 @@ def test_03_debug_lock_survives_fuzzing():
     m = Machine()
     m.sp = 0x20040000
     attach_debug_system(m)
-    init_write_protection(m, SHADOW, ProtectionPolicy())
+    init_write_protection(m, SHADOW)
     m.store(DEMCR_ADDR, 4, 0)
     direct_ok = (m.halted and m.halt_reason == HaltReason.RESET
                  and m.demcr.mon_en and len(m.guard.records) == 1)
@@ -171,9 +172,9 @@ def test_08_comparator_matching_oracle():
         mask = int(rng.integers(0, 22))
         fn = int(rng.integers(0, 16))
         d = DwtUnit()
-        d.groups[0].comp = comp
-        d.groups[0].mask = mask
-        d.groups[0].function = fn
+        d.mmio_write(None, DWT_COMP0, 4, comp)
+        d.mmio_write(None, DWT_MASK0, 4, mask)
+        d.mmio_write(None, DWT_FUNCTION0, 4, fn)
 
         addrs = base + rng.integers(0, window, size=probes_per_cfg)
         sizes = rng.choice([1, 4], size=probes_per_cfg)

@@ -103,6 +103,25 @@ def test_malformed_operands_give_exact_messages(line, message):
     assert str(err.value) == message
 
 
+# Lines with tabs around the mnemonic, each with the space-separated line
+# it must assemble like: the mnemonic ends at the first run of whitespace.
+WHITESPACE_FORMS = [
+    ("\tbx\tlr", "bx lr"),
+    ("\tmov\tr0, #1", "mov r0, #1"),
+    ("mov.w \t r0,\t#1", "mov.w r0, #1"),
+    ("push\t{r4, lr}", "push {r4, lr}"),
+]
+
+
+@pytest.mark.parametrize("line,spaced", WHITESPACE_FORMS)
+def test_mnemonic_ends_at_any_whitespace(line, spaced):
+    def body(text):
+        fn = parse(wrap(text)).functions["main"]
+        return [ins.structural_key() for ins in fn.body]
+
+    assert body(line) == body("    " + spaced)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.text(alphabet=" ,{}[]r0#x", max_size=14))
 def test_operand_split_matches_the_character_loop(text):

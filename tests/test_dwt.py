@@ -5,6 +5,8 @@ ORs the byte lanes of an access together, which shares no code with
 the interval-overlap arithmetic in the unit under test.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,16 +15,23 @@ from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_COMP_OFF, DWT_CYCCNT,
                             DWT_FUNCTION0, DWT_FUNCTION_OFF, DWT_GROUP_STRIDE,
                             DWT_MASK0, DWT_MASK_OFF, DWT_WINDOW_HI,
                             DWT_WINDOW_LO, FN_DISABLED, FN_READ, FN_READWRITE,
-                            FN_WRITE, NUM_GROUPS, ComparatorGroup, DwtUnit)
+                            FN_WRITE, NUM_GROUPS, DwtUnit)
 from watchstack.machine import ACCESS_READ, ACCESS_WRITE, HaltReason, Machine
+
+
+def program(d: DwtUnit, gid: int, comp=None, mask=None, fn=None) -> None:
+    """Write the given fields of group ``gid`` through the register file."""
+    base = DWT_COMP0 + gid * DWT_GROUP_STRIDE
+    for off, value in ((DWT_COMP_OFF, comp), (DWT_MASK_OFF, mask),
+                       (DWT_FUNCTION_OFF, fn)):
+        if value is not None:
+            d.mmio_write(None, base + off, 4, value)
 
 
 def unit(**cfg) -> DwtUnit:
     d = DwtUnit()
     for cid, (comp, mask, fn) in cfg.get("groups", {}).items():
-        d.groups[cid].comp = comp
-        d.groups[cid].mask = mask
-        d.groups[cid].function = fn
+        program(d, cid, comp, mask, fn)
     return d
 
 
@@ -94,9 +103,7 @@ def test_lowest_comparator_id_wins():
         3: (0x20000000, 4, FN_WRITE),
     })
     assert d.match_access(0x20000004, 4, ACCESS_WRITE) == 1
-    d.groups[0].comp = 0x20000000
-    d.groups[0].mask = 4
-    d.groups[0].function = FN_WRITE
+    program(d, 0, 0x20000000, 4, FN_WRITE)
     assert d.match_access(0x20000004, 4, ACCESS_WRITE) == 0
 
 
@@ -159,8 +166,7 @@ def test_function_register_stores_full_value_but_stays_disabled():
     m, d = _machine_with_unit()
     m.store(DWT_FUNCTION0, 4, 0x16)
     assert d.groups[0].function == 0x16
-    d.groups[0].comp = 0x20000000
-    d.groups[0].mask = 31
+    program(d, 0, comp=0x20000000, mask=31)
     assert d.match_access(0x20000000, 4, ACCESS_WRITE) is None
 
 
@@ -202,8 +208,16 @@ def test_comp1_unguarded_accepts_anything():
 def test_reprogramming_takes_effect_on_next_check_only():
     d = unit(groups={0: (0x20000000, 2, FN_WRITE)})
     assert d.match_access(0x20000000, 4, ACCESS_WRITE) == 0
-    d.groups[0].function = FN_DISABLED
+    program(d, 0, fn=FN_DISABLED)
     assert d.match_access(0x20000000, 4, ACCESS_WRITE) is None
+
+
+def test_a_field_changes_only_through_the_register_file():
+    d = unit(groups={0: (0x20000000, 2, FN_WRITE)})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.groups[0].comp = 0x30000000
+    assert d.groups[0].comp == 0x20000000
+    assert d.match_access(0x20000000, 4, ACCESS_WRITE) == 0
 
 
 # -- slot table against the per-group reference --------------------------------
@@ -235,37 +249,19 @@ _FIELD_VALUES = {"comp": _COMPS, "mask": st.integers(0, 31),
                  "function": _FUNCTIONS}
 _OFFSETS = {"comp": 0, "mask": 4, "function": 8}
 _GID = st.integers(0, 3)
-_SLOT_OPS = st.one_of(
-    st.tuples(st.just("mmio"), _GID, st.sampled_from(sorted(_OFFSETS)),
-              st.integers(0, 3), st.sampled_from([1, 4])).flatmap(
-        lambda t: st.tuples(*map(st.just, t), _FIELD_VALUES[t[2]])),
-    st.sampled_from(sorted(_FIELD_VALUES)).flatmap(
-        lambda name: st.tuples(st.just("field"), _GID, st.just(name),
-                               _FIELD_VALUES[name])),
-    st.tuples(st.just("copy"), _GID, _GID),
-    st.tuples(st.just("groups"), st.lists(
-        st.tuples(_COMPS, st.integers(0, 31), _FUNCTIONS),
-        min_size=4, max_size=4)),
-)
+# A word or byte store to one register: (gid, field, byte lane, size, value).
+_SLOT_OPS = st.tuples(_GID, st.sampled_from(sorted(_OFFSETS)),
+                      st.integers(0, 3), st.sampled_from([1, 4])).flatmap(
+    lambda t: st.tuples(*map(st.just, t), _FIELD_VALUES[t[1]]))
 
 
-def _apply(m, d, op):
-    kind = op[0]
-    if kind == "mmio":
-        _, gid, name, lane, size, value = op
-        addr = DWT_COMP0 + 16 * gid + _OFFSETS[name]
-        if size == 1:
-            m.store(addr + lane, 1, value >> (8 * lane))
-        else:
-            m.store(addr, 4, value)
-    elif kind == "field":
-        _, gid, name, value = op
-        setattr(d.groups[gid], name, value)
-    elif kind == "copy":
-        src, dst = d.groups[op[1]], d.groups[op[2]]
-        dst.comp, dst.mask, dst.function = src.comp, src.mask, src.function
+def _apply(m, op):
+    gid, name, lane, size, value = op
+    addr = DWT_COMP0 + 16 * gid + _OFFSETS[name]
+    if size == 1:
+        m.store(addr + lane, 1, value >> (8 * lane))
     else:
-        d.groups = [ComparatorGroup(*fields) for fields in op[1]]
+        m.store(addr, 4, value)
 
 
 def _edges(d):
@@ -301,7 +297,7 @@ def test_slot_table_matches_reference_after_any_writes(ops, extra):
     before = _edges(d)
     _check_at(d, before | set(extra))
     for op in ops:
-        _apply(m, d, op)
+        _apply(m, op)
         after = _edges(d)
         _check_at(d, before | after | set(extra))
         before = after

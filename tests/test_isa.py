@@ -148,7 +148,7 @@ def _every_field_set() -> Instr:
     ins = Instr("ldr", rd=1, rn=2, rm=3, imm=4, reglist=(4, 14), label="l",
                 cond="eq", wide=True, addr=0x100, target=0x200, width=4,
                 cycles=2, line=9, labels=("a", "b"), tag=("pro", "AW"),
-                role="access", conv_extra=5)
+                conv_extra=5)
     for f in dataclasses.fields(Instr):
         default = (f.default_factory() if f.default is dataclasses.MISSING
                    and f.default_factory is not dataclasses.MISSING

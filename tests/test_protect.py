@@ -4,26 +4,26 @@ import logging
 
 import pytest
 
-from watchstack.dwt import DWT_COMP1, DWT_CYCCNT, FN_READ, FN_WRITE
+from watchstack.dwt import (DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0, FN_READ,
+                            FN_WRITE)
 from watchstack.instrument import ShadowStackConfig
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, HaltReason,
                                 Machine)
 from watchstack.protect import (DEMCR_ADDR, DEMCR_MON_EN, POLICY_REPORT,
-                                POLICY_RESET, ProtectionPolicy,
-                                attach_debug_system, init_write_protection,
+                                POLICY_RESET, attach_debug_system,
+                                init_write_protection,
                                 is_protection_initialized,
                                 shadow_stack_pointer)
 
 CFG = ShadowStackConfig()
 
 
-def machine(policy=POLICY_RESET, vectored=False, init=True) -> Machine:
+def machine(policy=POLICY_RESET, init=True) -> Machine:
     m = Machine()
     m.sp = 0x20040000
     attach_debug_system(m)
     if init:
-        assert init_write_protection(
-            m, CFG, ProtectionPolicy(on_violation=policy, vectored=vectored))
+        assert init_write_protection(m, CFG, policy)
     return m
 
 
@@ -42,9 +42,10 @@ def test_init_programs_the_comparator_table():
 
 def test_init_is_idempotent(caplog):
     m = machine()
-    m.dwt.groups[1].comp = CFG.ss_start + 64  # simulate live ssp movement
+    # simulate live ssp movement
+    m.dwt.mmio_write(m, DWT_COMP1, 4, CFG.ss_start + 64)
     with caplog.at_level(logging.WARNING):
-        assert init_write_protection(m, CFG, ProtectionPolicy()) is False
+        assert init_write_protection(m, CFG) is False
     assert "already initialized" in caplog.text
     assert m.dwt.groups[1].comp == CFG.ss_start + 64  # untouched
 
@@ -92,7 +93,8 @@ def test_shadow_reads_flow_comparator_is_write_only():
 
 def test_read_watchpoint_records_but_data_flows():
     m = machine(policy=POLICY_REPORT)
-    m.dwt.groups[0].function = FN_READ  # repurpose group 0 for a read watch
+    # repurpose group 0 for a read watch
+    m.dwt.mmio_write(m, DWT_FUNCTION0, 4, FN_READ)
     m.mem.write_word(CFG.ss_start, 42)
     assert m.load(CFG.ss_start, 4) == 42
     assert len(m.guard.records) == 1
@@ -153,19 +155,13 @@ def test_before_init_nothing_traps():
     assert not is_protection_initialized(m)
 
 
-def test_vectored_policy_pends_the_debug_monitor():
-    m = machine(policy=POLICY_REPORT, vectored=True)
-    m.vector[12] = 0x08002000
-    m.store(CFG.ss_start, 4, 7)
-    assert m.pending == [12]
-    assert not m.halted
-
-
-def test_vectored_without_handler_degrades_to_report():
-    m = machine(policy=POLICY_REPORT, vectored=True)
-    m.store(CFG.ss_start, 4, 7)
-    assert m.pending == []
-    assert len(m.guard.records) == 1
+def test_unknown_policy_is_refused_before_anything_is_armed():
+    m = machine(init=False)
+    with pytest.raises(ValueError, match="unknown violation policy 'Reset'"):
+        init_write_protection(m, CFG, "Reset")
+    assert not is_protection_initialized(m)
+    assert m.guard is None
+    assert m.dwt.groups[0].function == 0
 
 
 def test_demcr_mmio_byte_access():
@@ -183,7 +179,7 @@ def test_cyccnt_visible_through_attached_system():
 
 def test_mmio_byte_loads_read_one_lane_of_any_device():
     m = machine(init=False)
-    m.dwt.groups[1].comp = 0x00E01234
+    m.dwt.mmio_write(m, DWT_COMP1, 4, 0x00E01234)
     assert [m.load(DWT_COMP1 + i, 1) for i in range(4)] == [0x34, 0x12,
                                                             0xE0, 0x00]
     m.cycles = 0x0A0B0C0D
@@ -192,7 +188,7 @@ def test_mmio_byte_loads_read_one_lane_of_any_device():
 
 def test_mmio_byte_stores_merge_into_the_word():
     m = machine(init=False)
-    m.dwt.groups[1].comp = 0x00E01234
+    m.dwt.mmio_write(m, DWT_COMP1, 4, 0x00E01234)
     m.store(DWT_COMP1 + 1, 1, 0x56)
     assert m.dwt.groups[1].comp == 0x00E05634
     m.store(DWT_COMP1, 1, 0x1FF)  # only the low byte of the value lands

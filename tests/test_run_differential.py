@@ -4,10 +4,10 @@ Every run is made twice from the same build, once by ``runner.run_machine``
 (which drives ``Machine.run``) and once by the plain step loop below, and
 every observable piece of the two machines and results must agree.  The
 programs are acceptance-09 benign call trees plus an instrumented
-SysTick handler and a debug-monitor handler, interrupted at a stride of
-positions under both violation policies.  With the hot threshold at 1
-every block is compiled, so the compiled path sees every instruction
-and every interrupt position.
+SysTick handler, interrupted at a stride of positions under both
+violation policies.  With the hot threshold at 1 every block is
+compiled, so the compiled path sees every instruction and every
+interrupt position.
 """
 
 import random
@@ -16,7 +16,7 @@ import pytest
 
 from watchstack import blocks
 from watchstack.asm import parse
-from watchstack.dwt import FN_READWRITE
+from watchstack.dwt import DWT_FUNCTION0, FN_READWRITE
 from watchstack.harness import (make_benign_program,
                                 preinit_exception_program, recursion_program,
                                 sweep_program)
@@ -29,8 +29,8 @@ from watchstack.runner import (RunConfig, attribute, build_machine,
 SHADOW = ShadowStackConfig()
 SYSTICK = 15
 
-# Each handler counts its runs in a word of its own at 0x20011000 or
-# 0x20011004, past the benign programs' result slots.
+# The handler counts its runs in a word at 0x20011000, past the benign
+# programs' result slots.
 HANDLERS = """\
 .func systick_handler handler
     push {r7, lr}
@@ -40,14 +40,6 @@ HANDLERS = """\
     addw r1, r1, #1
     str r1, [r7]
     pop {r7, pc}
-.endfunc
-.func debugmon_handler handler
-    movw r2, #0x1004
-    movt r2, #0x2001
-    ldr r3, [r2]
-    addw r3, r3, #1
-    str r3, [r2]
-    bx lr
 .endfunc
 """
 
@@ -122,8 +114,8 @@ def assert_same(want: dict, got: dict, label: str) -> None:
 
 
 def _cfg(policy: str, raise_at: int | None, max_steps: int) -> RunConfig:
-    return RunConfig(protected=True, policy=policy, vectored=True,
-                     shadow=SHADOW, max_steps=max_steps,
+    return RunConfig(protected=True, policy=policy, shadow=SHADOW,
+                     max_steps=max_steps,
                      raises=() if raise_at is None else ((SYSTICK, raise_at),),
                      track_min_sp=True)
 
@@ -151,8 +143,8 @@ def test_step_budget_cuts_inside_a_block(max_steps, monkeypatch):
 
 
 def test_report_policy_sweep_exits_blocks_on_each_hit(monkeypatch):
-    # Each trapped store pends the debug monitor, so every hit both ends
-    # a block and enters an exception.
+    # Every store into the region is suppressed and recorded, and the
+    # run goes on past each hit, inside a compiled block or not.
     lo = SHADOW.ss_start - 8
     prog = parse(sweep_program(lo, SHADOW.ss_start + 24) + HANDLERS)
     for at in (None, 5, 41, 70):
@@ -244,11 +236,10 @@ def test_condition_codes_on_every_flag_combination(monkeypatch):
         assert want["mem"][0x20000][12 * i + 8] == taken, (a, b)
 
 
-def test_read_watch_pends_the_monitor_mid_block(monkeypatch):
-    """A load that matches a read comparator records a violation and,
-    vectored, pends the debug monitor without any event: the block must
-    stop right after that load so the exception is taken where step()
-    takes it."""
+def test_read_watch_hits_inside_a_block(monkeypatch):
+    """A load that matches a read comparator records a violation; under
+    the report policy the run goes on, inside the compiled block, with
+    no event until the halt."""
     text = "\n".join([
         ".org 0x08000000", ".func main hal",
         "    movw r0, #0x%04x" % ((SHADOW.ss_start - 16) & 0xFFFF),
@@ -259,13 +250,13 @@ def test_read_watch_pends_the_monitor_mid_block(monkeypatch):
         "    cmp r3, #0", "    bne loop", "    bkpt #0", ".endfunc", ""])
 
     def watch_reads(m):
-        m.dwt.groups[0].function = FN_READWRITE
+        m.dwt.mmio_write(m, DWT_FUNCTION0, 4, FN_READWRITE)
 
     prog = parse(text + HANDLERS)
     want = check(prog, _cfg(POLICY_REPORT, None, 10_000), "read watch",
                  monkeypatch, arm=watch_reads)
     assert len(want["violations"]) == 8
-    assert sum(ev.kind == "exception_entered" for ev in want["events"]) == 8
+    assert [ev.kind for ev in want["events"]] == ["halted"]
     # Under the reset policy the first read hit halts inside the block.
     want = check(prog, _cfg(POLICY_RESET, None, 10_000), "read watch reset",
                  monkeypatch, arm=watch_reads)

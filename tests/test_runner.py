@@ -178,6 +178,13 @@ def test_reset_policy_store_hit_ends_in_the_reset_halt(hot, monkeypatch):
     assert run.machine.mem.read_byte(start) == 0
 
 
+def test_a_misspelt_policy_is_refused_not_run_as_report():
+    cfg = RunConfig(protected=True, policy="Reset")
+    start = cfg.shadow.ss_start
+    with pytest.raises(ValueError, match="unknown violation policy"):
+        run_source(sweep_program(start - 4, start + 4), cfg)
+
+
 def _counter_addresses(prog):
     body = prog.functions["main"].body
     return body[1].addr, body[3].addr  # the loop entry and its bne
