@@ -22,8 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .isa import (CONDITIONS, LR, NUM_GPRS, PC, REG_PARSE, SP, Instr,
-                  cycle_cost, finalize, format_instr, reg_name)
+from .isa import (CONDITIONS, LR, MASK32, NUM_GPRS, PC, REG_PARSE, SP,
+                  Instr, cycle_cost, finalize, format_instr, reg_name)
 
 DEFAULT_ORIGIN = 0x08000000
 
@@ -272,10 +272,12 @@ class _Parser:
             if len(args) != 1:
                 raise self.err(".word takes one value or label")
             node = WordNode(line=self.lineno)
-            if _LABEL_RE.match(args[0]) and not args[0][0].isdigit():
+            if _LABEL_RE.match(args[0]):
                 node.label_ref = args[0]
             else:
-                node.value = self._number(args[0]) & 0xFFFFFFFF
+                node.value = self._number(args[0])
+                if node.value > MASK32:
+                    raise self.err(".word value out of range: %s" % args[0])
             if pending_labels:
                 node.labels = tuple(pending_labels)
                 pending_labels.clear()
@@ -460,11 +462,13 @@ def layout(prog: AsmProgram) -> None:
             cursor = item.address
         elif isinstance(item, AsmFunction):
             item.entry = place()
+            _addressable(item.entry, item)
             _bind(labels, item.name, item.entry, item.line)
             for extra in item.labels:
                 _bind(labels, extra, item.entry, item.line)
             for ins in item.body:
                 ins.addr = cursor
+                _addressable(cursor + ins.width - 1, ins)
                 for lab in ins.labels:
                     _bind(labels, lab, cursor, ins.line)
                 cursor += ins.width
@@ -476,6 +480,7 @@ def layout(prog: AsmProgram) -> None:
                 cursor += pad
                 size += pad
             item.addr = cursor
+            _addressable(cursor + 3, item)
             for lab in item.labels:
                 _bind(labels, lab, cursor, item.line)
             cursor += 4
@@ -508,6 +513,11 @@ def layout(prog: AsmProgram) -> None:
                 item.value = value
             data.append((item.addr, item.value))
     prog.data = data
+
+
+def _addressable(last: int, item) -> None:
+    if last > MASK32:
+        raise AsmError(item.line, "address 0x%x is past 32 bits" % last)
 
 
 def _bind(labels: dict[str, int], name: str, addr: int, line: int) -> None:

@@ -28,7 +28,7 @@ instructions, with the per-step bookkeeping lifted out:
 
 Data accesses go through ``m.load``/``m.store``, and exception returns
 through ``m._end``, which looks up
-``exception_model.return_from_exception`` when called, so access hooks
+``exception_model.return_from_exception`` when called, so the guard
 and anything patched onto the class or module still see each one.
 Compiled code is cached by the identity of the Instr objects it was
 made from, so those must not be mutated in place; ``Machine.run`` drops

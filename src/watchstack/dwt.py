@@ -65,7 +65,7 @@ class ComparatorGroup:
 
 @dataclass
 class DwtUnit:
-    """Comparator state plus match logic and the MMIO register file."""
+    """Comparator state, match logic, and the word-wide register file."""
 
     # Disabled at reset, like the chip's; not a constructor argument, so
     # the register file is the one way in.
@@ -114,13 +114,13 @@ class DwtUnit:
 
     # -- register file ------------------------------------------------------
 
-    def mmio_read(self, m, addr: int, size: int) -> int:
+    def mmio_read(self, m, addr: int) -> int:
         if addr == DWT_CYCCNT:
             return m.cycles & MASK32
         reg = _REGS.get(addr)
         return 0 if reg is None else getattr(self.groups[reg[0]], reg[1])
 
-    def mmio_write(self, m, addr: int, size: int, value: int) -> None:
+    def mmio_write(self, m, addr: int, value: int) -> None:
         # CYCCNT is read-only here; writes outside the register file,
         # CTRL included, fall away.
         reg = _REGS.get(addr)

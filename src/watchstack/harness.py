@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from .asm import AsmProgram, parse
 from .dwt import (DWT_COMP1, DWT_COMP_BASE, DWT_COMP_OFF, DWT_FUNCTION0,
                   DWT_FUNCTION_OFF, DWT_GROUP_STRIDE, DWT_MASK_OFF)
+from .exception_model import (ESF_OFF_LR, ESF_OFF_R12, ESF_OFF_RETURN,
+                              ESF_OFF_XPSR, SYSTICK)
 from .instrument import (DEMCR_ADDR, SEQ_OPTIMAL, ShadowStackConfig,
                          instrument_program)
 from .machine import HaltReason
@@ -120,31 +122,28 @@ def _prepare(text: str, protected: bool,
 
 
 def run_scenario_1(protected: bool, benign: bool = False,
-                   filler_words: int = HIJACK_FILLER_WORDS,
-                   policy: str = POLICY_RESET,
-                   shadow: ShadowStackConfig | None = None) -> RunResult:
+                   filler_words: int = HIJACK_FILLER_WORDS) -> RunResult:
     """Stack overflow aimed at the stacked return address."""
-    shadow = shadow or ShadowStackConfig()
+    shadow = ShadowStackConfig()
     text = attack_program(ptr1=PTR1_BENIGN, filler_words=filler_words,
                           benign=benign)
     prog = _prepare(text, protected, shadow)
     baz = prog.functions["baz"].entry
     if baz & 0xFF == 0:
         raise AssertionError("baz landed on a zero low byte; adjust layout")
-    cfg = RunConfig(protected=protected, policy=policy, shadow=shadow,
-                    max_steps=100_000)
+    cfg = RunConfig(protected=protected, shadow=shadow, max_steps=100_000)
     return run_program(prog, cfg)
 
 
-def run_scenario_2(policy: str = POLICY_RESET, target: str = "live",
-                   shadow: ShadowStackConfig | None = None) -> RunResult:
+def run_scenario_2(policy: str = POLICY_RESET,
+                   target: str = "live") -> RunResult:
     """Direct write through a data pointer aimed at the shadow stack.
 
     target: "live" hits the newest return-address entry, "unused" an
     empty slot in the middle of the region, "outside" a RAM word past
     the region (a benign write that must not trap).
     """
-    shadow = shadow or ShadowStackConfig()
+    shadow = ShadowStackConfig()
     if target == "live":
         ptr1 = shadow.ss_start + 4  # bar's own entry; foo's sits at +0
     elif target == "unused":
@@ -203,7 +202,8 @@ def run_microbenchmark(sequence: str = SEQ_OPTIMAL) -> RunResult:
 
 # -- exception round trip -----------------------------------------------------
 
-_TAMPER_OFFSETS = {"r12": 24, "lr": 28, "ret": 32, "xpsr": 36}
+_TAMPER_OFFSETS = {"r12": 8 + ESF_OFF_R12, "lr": 8 + ESF_OFF_LR,
+                   "ret": 8 + ESF_OFF_RETURN, "xpsr": 8 + ESF_OFF_XPSR}
 
 
 def exception_program(tamper: str | None = None) -> str:
@@ -269,17 +269,12 @@ class ExceptionRoundTrip:
     resumed: bool  # reached the post-fault flag stores and finished
 
 
-def run_exception_test(tamper: bool | str | None = None,
-                       protected: bool = True,
-                       max_steps: int = 50_000) -> ExceptionRoundTrip:
-    """tamper may name one frame word (r12/lr/ret/xpsr); True means ret."""
-    if tamper is True:
-        tamper = "ret"
-    elif tamper is False:
-        tamper = None
+def run_exception_test(tamper: str | None = None,
+                       protected: bool = True) -> ExceptionRoundTrip:
+    """Instrumented round trip; tamper names a frame word (r12/lr/ret/xpsr)."""
     shadow = ShadowStackConfig()
     prog = _prepare(exception_program(tamper), True, shadow)
-    cfg = RunConfig(protected=protected, shadow=shadow, max_steps=max_steps)
+    cfg = RunConfig(protected=protected, shadow=shadow, max_steps=50_000)
     run = run_program(prog, cfg)
     mem = run.machine.mem
     return ExceptionRoundTrip(
@@ -314,15 +309,15 @@ def preinit_exception_program() -> str:
 """
 
 
-def run_preinit_exception(raise_at: int = 4) -> dict:
-    """Fire SysTick before anyone armed the protection.
+def run_preinit_exception() -> dict:
+    """Fire SysTick at step 4, before anyone armed the protection.
 
     The handler's enable check reads a zero DEMCR and skips the frame
     copy, so the shadow region stays untouched and nothing traps.
     """
     shadow = ShadowStackConfig()
     prog = _prepare(preinit_exception_program(), True, shadow)
-    cfg = RunConfig(protected=False, shadow=shadow, raises=((15, raise_at),),
+    cfg = RunConfig(protected=False, shadow=shadow, raises=((SYSTICK, 4),),
                     max_steps=10_000)
     run = run_program(prog, cfg)
     m = run.machine
@@ -362,11 +357,11 @@ def recursion_program(depth: int) -> str:
 """ % depth
 
 
-def run_recursion(depth: int, shadow: ShadowStackConfig | None = None,
-                  max_steps: int = 2_000_000) -> RunResult:
+def run_recursion(depth: int,
+                  shadow: ShadowStackConfig | None = None) -> RunResult:
     shadow = shadow or ShadowStackConfig()
     prog = _prepare(recursion_program(depth), True, shadow)
-    cfg = RunConfig(protected=True, shadow=shadow, max_steps=max_steps)
+    cfg = RunConfig(protected=True, shadow=shadow)
     return run_program(prog, cfg)
 
 

@@ -8,7 +8,7 @@ cycle costs come from a fixed deterministic table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 MASK32 = 0xFFFFFFFF
 
@@ -63,14 +63,12 @@ class Instr:
             self.label, self.cond, self.wide, self.labels, self.tag,
         )
 
-    def copy(self, **changes) -> "Instr":
-        if changes:
-            return replace(self, **changes)  # TypeError on unknown fields
+    def copy(self) -> "Instr":
         return _plain_copy(self)
 
 
 def _make_plain_copy(cls):
-    """``copy()`` without changes: every field assigned on a bare instance.
+    """``copy()``: every field assigned on a bare instance.
 
     About ten times cheaper than ``dataclasses.replace``, which builds
     keyword arguments and runs ``__init__``.  Assigning field by field

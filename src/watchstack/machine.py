@@ -1,13 +1,12 @@
 """Deterministic single-core machine with hooked data accesses.
 
 The machine executes pre-decoded instructions from an address-indexed
-code map.  All data loads and stores funnel through one pair of access
-paths so a debug unit can observe every access before it commits; a
-store hook that returns True suppresses the write (watchpoint
-semantics) and keeps its own record of it.
-Memory-mapped device windows live above 0xE0000000; devices see whole
-words, and the access path extracts or merges the byte lane of a byte
-access.
+code map.  Every data access goes through ``load``/``store``, which show
+it to ``guard``, the one access observer, before it commits; a store the
+guard answers True for is suppressed (watchpoint semantics) and recorded
+by the guard.  Device windows (``mmio``) live above 0xE0000000; a device
+is a word device, ``mmio_read(m, addr)`` and ``mmio_write(m, addr,
+value)``, and the access path handles the byte lane of a byte access.
 
 ``step()`` executes one instruction and is the reference semantics.
 ``run()`` executes many: it steps cold code and runs hot straight-line
@@ -145,9 +144,8 @@ class Machine:
         self.halt_reason: HaltReason | None = None
         # Exception entries and returns and the halt, in order.
         self.events: list[Event] = []
-        self.access_hook = None
         self.cur_pc = 0  # pc of the instruction currently executing
-        # Debug hardware, attached by protect.attach_debug_system.
+        # Debug hardware and the access observer, set up by protect.
         self.dwt = None
         self.demcr = None
         self.guard = None
@@ -185,27 +183,24 @@ class Machine:
 
     # -- hooked data access ----------------------------------------------
 
-    def add_mmio(self, lo: int, hi: int, device) -> None:
-        self.mmio.append((lo, hi, device))
-
     def load(self, addr: int, size: int) -> int:
-        hook = self.access_hook
-        if hook is not None:
-            hook.on_load(self, addr, size)
+        guard = self.guard
+        if guard is not None:
+            guard.on_load(self, addr, size)
         if addr >= 0xE0000000:
             for lo, hi, dev in self.mmio:
                 if lo <= addr < hi:
                     if size == 4:
-                        return dev.mmio_read(self, addr, 4)
-                    word = dev.mmio_read(self, addr & ~3, 4)
+                        return dev.mmio_read(self, addr)
+                    word = dev.mmio_read(self, addr & ~3)
                     return (word >> (8 * (addr & 3))) & 0xFF
         if size == 4:
             return self.mem.read_word(addr)
         return self.mem.read_byte(addr)
 
     def store(self, addr: int, size: int, value: int) -> None:
-        hook = self.access_hook
-        if hook is not None and hook.on_store(self, addr, size, value):
+        guard = self.guard
+        if guard is not None and guard.on_store(self, addr, size, value):
             return  # suppressed
         if addr >= 0xE0000000:
             for lo, hi, dev in self.mmio:
@@ -213,10 +208,10 @@ class Machine:
                     if size != 4:
                         base = addr & ~3
                         shift = 8 * (addr & 3)
-                        word = dev.mmio_read(self, base, 4)
+                        word = dev.mmio_read(self, base)
                         addr, value = base, ((word & ~(0xFF << shift))
                                              | ((value & 0xFF) << shift))
-                    dev.mmio_write(self, addr, 4, value)
+                    dev.mmio_write(self, addr, value)
                     return
         if size == 4:
             self.mem.write_word(addr, value)

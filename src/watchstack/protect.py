@@ -2,10 +2,11 @@
 
 One call configures the watchpoint unit, through its register file as
 boot code does, so that any program store into the shadow stack region,
-or onto the DEMCR debug-enable word, is caught before it commits.  The
-guard here plays the role of the debug monitor exception: it suppresses
-the offending write, records it, and then either halts the machine
-(reset policy) or lets execution continue (report policy).
+or onto the DEMCR debug-enable word, is caught before it commits, and
+sets ``m.demcr.mon_en``.  The guard, ``m.guard``, the machine's one
+access observer, plays the role of the debug monitor exception: it
+suppresses the offending write, records it, and then either halts the
+machine (reset policy) or lets execution continue (report policy).
 """
 
 from __future__ import annotations
@@ -38,13 +39,10 @@ class DemcrModel:
     def mon_en(self) -> bool:
         return bool(self.value & DEMCR_MON_EN)
 
-    def set_mon_en(self) -> None:
-        self.value |= DEMCR_MON_EN
-
-    def mmio_read(self, m, addr: int, size: int) -> int:
+    def mmio_read(self, m, addr: int) -> int:
         return self.value
 
-    def mmio_write(self, m, addr: int, size: int, value: int) -> None:
+    def mmio_write(self, m, addr: int, value: int) -> None:
         self.value = value & 0xFFFFFFFF
 
 
@@ -71,7 +69,7 @@ class ViolationRecord:
 
 
 class WatchpointGuard:
-    """Access hook: checks every data access against the comparators.
+    """Access observer: checks every data access against the comparators.
 
     The check runs before the store commits, so a trapped write never
     reaches memory or a device register.  Reads cannot be suppressed;
@@ -107,17 +105,10 @@ class WatchpointGuard:
 
 def attach_debug_system(m: Machine) -> None:
     """Give the machine its watchpoint unit and DEMCR register."""
-    dwt = DwtUnit()
-    demcr = DemcrModel()
-    m.add_mmio(DWT_WINDOW_LO, DWT_WINDOW_HI, dwt)
-    m.add_mmio(DEMCR_ADDR, DEMCR_ADDR + 4, demcr)
-    m.dwt = dwt
-    m.demcr = demcr
-    m.guard = None
-
-
-def is_protection_initialized(m: Machine) -> bool:
-    return m.demcr.mon_en
+    m.dwt = DwtUnit()
+    m.demcr = DemcrModel()
+    m.mmio += [(DWT_WINDOW_LO, DWT_WINDOW_HI, m.dwt),
+               (DEMCR_ADDR, DEMCR_ADDR + 4, m.demcr)]
 
 
 def init_write_protection(m: Machine, config: ShadowStackConfig,
@@ -132,7 +123,7 @@ def init_write_protection(m: Machine, config: ShadowStackConfig,
     """
     if policy not in POLICIES:
         raise ValueError("unknown violation policy %r" % (policy,))
-    if is_protection_initialized(m):
+    if m.demcr.mon_en:
         log.warning("write protection already initialized; ignoring")
         return False
 
@@ -141,10 +132,10 @@ def init_write_protection(m: Machine, config: ShadowStackConfig,
     def program(gid: int, comp: int, mask: int = 0,
                 function: int | None = None) -> None:
         base = DWT_COMP_BASE + gid * DWT_GROUP_STRIDE
-        dwt.mmio_write(m, base + DWT_COMP_OFF, 4, comp)
+        dwt.mmio_write(m, base + DWT_COMP_OFF, comp)
         if function is not None:
-            dwt.mmio_write(m, base + DWT_MASK_OFF, 4, mask)
-            dwt.mmio_write(m, base + DWT_FUNCTION_OFF, 4, function)
+            dwt.mmio_write(m, base + DWT_MASK_OFF, mask)
+            dwt.mmio_write(m, base + DWT_FUNCTION_OFF, function)
 
     # Shadow stack region: power-of-two block, write-trapped.
     program(0, config.ss_start, config.ss_size_log2, FN_WRITE)
@@ -161,13 +152,7 @@ def init_write_protection(m: Machine, config: ShadowStackConfig,
     # Any COMP1 update outside the legal span is a shadow stack overflow.
     dwt.ssp_guard = (config.ss_start, config.ss_limit)
 
-    m.demcr.set_mon_en()
-    guard = WatchpointGuard(dwt, policy == POLICY_RESET)
-    m.guard = guard
-    m.access_hook = guard
+    m.demcr.value |= DEMCR_MON_EN
+    m.guard = WatchpointGuard(dwt, policy == POLICY_RESET)
     return True
-
-
-def shadow_stack_pointer(m: Machine) -> int:
-    return m.dwt.groups[1].comp
 

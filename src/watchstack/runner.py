@@ -53,7 +53,7 @@ class RunResult:
     cycles: int
     halt_reason: HaltReason | None
     outcome: str
-    violations: list
+    violations: list  # the guard's records, m.guard.records
     tagged_cycles: dict[str, int]
     phase_cycles: dict[str, dict[str, int]]
     conv_extra: int
@@ -109,7 +109,7 @@ def run_machine(m: Machine, cfg: RunConfig) -> RunResult:
             limit = min(limit, raises[ridx][1])
         m.run(limit)
 
-    violations = list(m.guard.records) if m.guard is not None else []
+    violations = m.guard.records if m.guard is not None else []
     if violations:
         outcome = OUTCOME_TRAPPED
     elif hit_step_budget or m.halt_reason in (HaltReason.FAULT,

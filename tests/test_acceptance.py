@@ -172,9 +172,9 @@ def test_08_comparator_matching_oracle():
         mask = int(rng.integers(0, 22))
         fn = int(rng.integers(0, 16))
         d = DwtUnit()
-        d.mmio_write(None, DWT_COMP0, 4, comp)
-        d.mmio_write(None, DWT_MASK0, 4, mask)
-        d.mmio_write(None, DWT_FUNCTION0, 4, fn)
+        d.mmio_write(None, DWT_COMP0, comp)
+        d.mmio_write(None, DWT_MASK0, mask)
+        d.mmio_write(None, DWT_FUNCTION0, fn)
 
         addrs = base + rng.integers(0, window, size=probes_per_cfg)
         sizes = rng.choice([1, 4], size=probes_per_cfg)

@@ -188,6 +188,42 @@ def test_org_switches_regions():
     assert (0x20000000, 9) in prog.data
 
 
+# Values and placements past the 32-bit address space, each with the
+# whole message: the line is the offending item's.
+RANGE_ERRORS = [
+    (".org 0x20000000\n.word 0x1ffffffff\n",
+     "line 2: .word value out of range: 0x1ffffffff"),
+    (".org 0x20000000\n.word 99999999999999999999\n",
+     "line 2: .word value out of range: 99999999999999999999"),
+    (".org 0x1ffffffff\n.func main hal\n    bkpt #0\n.endfunc\n",
+     "line 2: address 0x1ffffffff is past 32 bits"),
+    (".org 0xfffffffe\n.func main hal\n    movw r0, #1\n    bkpt #0\n"
+     ".endfunc\n", "line 3: address 0x100000001 is past 32 bits"),
+    # The word aligns up to 0x100000000.
+    (".org 0xfffffffd\n.word 1\n",
+     "line 2: address 0x100000003 is past 32 bits"),
+    # An empty function would take its entry from the next free address.
+    (".org 0xfffffffc\n.word 1\n.func f\n.endfunc\n",
+     "line 3: address 0x100000000 is past 32 bits"),
+]
+
+
+@pytest.mark.parametrize("src,message", RANGE_ERRORS)
+def test_nothing_is_placed_or_stored_past_32_bits(src, message):
+    with pytest.raises(AsmError) as err:
+        parse(src)
+    assert str(err.value) == message
+
+
+def test_layout_fills_the_address_space_to_its_last_byte_and_no_further():
+    top = ".org 0xfffffffc\n.func main hal\n    nop\n    bkpt #0\n.endfunc\n"
+    assert parse(top).functions["main"].body[1].addr == 0xfffffffe
+    assert parse(".org 0xfffffffc\n.word 0xffffffff\n").data == [
+        (0xfffffffc, 0xffffffff)]
+    with pytest.raises(AsmError, match="line 5: address 0x100000001 is past"):
+        parse(top.replace("bkpt #0", "bkpt #0\n    nop"))
+
+
 def test_entry_address_prefers_main():
     src = (".org 0x08000000\n.func helper\n    bx lr\n.endfunc\n"
            ".func main hal\n    bkpt #0\n.endfunc\n")

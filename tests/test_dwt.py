@@ -25,7 +25,7 @@ def program(d: DwtUnit, gid: int, comp=None, mask=None, fn=None) -> None:
     for off, value in ((DWT_COMP_OFF, comp), (DWT_MASK_OFF, mask),
                        (DWT_FUNCTION_OFF, fn)):
         if value is not None:
-            d.mmio_write(None, base + off, 4, value)
+            d.mmio_write(None, base + off, value)
 
 
 def unit(**cfg) -> DwtUnit:
@@ -121,7 +121,7 @@ def test_match_is_monotone_in_mask(comp, mask, addr, size):
 def _machine_with_unit():
     m = Machine()
     d = DwtUnit()
-    m.add_mmio(DWT_WINDOW_LO, DWT_WINDOW_HI, d)
+    m.mmio.append((DWT_WINDOW_LO, DWT_WINDOW_HI, d))
     return m, d
 
 

@@ -136,7 +136,7 @@ def test_stacking_flows_through_the_access_hook():
             return None
 
     m = primed_machine()
-    m.access_hook = Hook()
+    m.guard = Hook()
     enter_exception(m, SYSTICK, 0x08000100)
     assert len(stores) == 8
     assert all(size == 4 for _, size in stores)

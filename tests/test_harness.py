@@ -1,6 +1,7 @@
 """Scenario, microbenchmark, and generator coverage."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,13 @@ def test_protected_overflow_returns_safely():
     assert r.violations == []
     assert r.machine.mem.read_word(SAFE_FLAG) == 1
     assert r.machine.mem.read_word(VIOLATION_FLAG) == 0
+
+
+def test_bundled_scenario1_is_the_hijack_program():
+    """The README's quick start runs programs/scenario1.ws as scenario 1."""
+    bundled = Path(__file__).parent.parent / "programs" / "scenario1.ws"
+    assert bundled.read_text() == attack_program(
+        filler_words=HIJACK_FILLER_WORDS, benign=False)
 
 
 @pytest.mark.parametrize("protected", [False, True])
@@ -149,12 +157,6 @@ def test_unprotected_controls_show_the_tampering():
     ret = run_exception_test("ret", protected=False)
     assert not ret.resumed
     assert ret.run.outcome == OUTCOME_FAULT
-
-
-def test_tamper_argument_aliases():
-    # True means the return address slot, False means leave the frame alone
-    assert run_exception_test(True, protected=False).resumed is False
-    assert run_exception_test(False, protected=False).resumed is True
 
 
 def test_handler_before_init_is_inert():

@@ -177,13 +177,6 @@ def test_mutating_a_plain_copy_leaves_the_original():
         (("a", "b"), 0x100, 5, ("pro", "AW"))
 
 
-def test_copy_with_changes_replaces_only_those():
-    ins = _every_field_set()
-    dup = ins.copy(rd=7, labels=())
-    assert (dup.rd, dup.labels) == (7, ())
-    assert dataclasses.replace(dup, rd=1, labels=("a", "b")) == ins
-
-
 def test_copy_rejects_unknown_fields():
     with pytest.raises(TypeError):
         _every_field_set().copy(bogus=1)

@@ -311,7 +311,7 @@ def test_every_store_flows_through_the_access_hook():
     for suppress in ((), (0x20010000,)):
         m, _ = make_machine(src)
         hook = _CountingHook(suppress)
-        m.access_hook = hook
+        m.guard = hook
         run(m)
         assert m.halt_reason == HaltReason.NORMAL
         # push 2 + str 1 + strb 1 + exception stacking 8

@@ -11,9 +11,7 @@ from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, HaltReason,
                                 Machine)
 from watchstack.protect import (DEMCR_ADDR, DEMCR_MON_EN, POLICY_REPORT,
                                 POLICY_RESET, attach_debug_system,
-                                init_write_protection,
-                                is_protection_initialized,
-                                shadow_stack_pointer)
+                                init_write_protection)
 
 CFG = ShadowStackConfig()
 
@@ -36,14 +34,12 @@ def test_init_programs_the_comparator_table():
     assert (g[3].comp, g[3].mask, g[3].function) == (0xE0001040, 5, FN_WRITE)
     assert m.dwt.ssp_guard == (CFG.ss_start, CFG.ss_limit)
     assert m.demcr.mon_en
-    assert is_protection_initialized(m)
-    assert shadow_stack_pointer(m) == CFG.ss_start
 
 
 def test_init_is_idempotent(caplog):
     m = machine()
     # simulate live ssp movement
-    m.dwt.mmio_write(m, DWT_COMP1, 4, CFG.ss_start + 64)
+    m.dwt.mmio_write(m, DWT_COMP1, CFG.ss_start + 64)
     with caplog.at_level(logging.WARNING):
         assert init_write_protection(m, CFG) is False
     assert "already initialized" in caplog.text
@@ -94,7 +90,7 @@ def test_shadow_reads_flow_comparator_is_write_only():
 def test_read_watchpoint_records_but_data_flows():
     m = machine(policy=POLICY_REPORT)
     # repurpose group 0 for a read watch
-    m.dwt.mmio_write(m, DWT_FUNCTION0, 4, FN_READ)
+    m.dwt.mmio_write(m, DWT_FUNCTION0, FN_READ)
     m.mem.write_word(CFG.ss_start, 42)
     assert m.load(CFG.ss_start, 4) == 42
     assert len(m.guard.records) == 1
@@ -152,21 +148,21 @@ def test_before_init_nothing_traps():
     m.store(DEMCR_ADDR, 4, 0)
     assert not m.halted
     assert m.mem.read_word(CFG.ss_start) == 123
-    assert not is_protection_initialized(m)
+    assert not m.demcr.mon_en
 
 
 def test_unknown_policy_is_refused_before_anything_is_armed():
     m = machine(init=False)
     with pytest.raises(ValueError, match="unknown violation policy 'Reset'"):
         init_write_protection(m, CFG, "Reset")
-    assert not is_protection_initialized(m)
+    assert not m.demcr.mon_en
     assert m.guard is None
     assert m.dwt.groups[0].function == 0
 
 
 def test_demcr_mmio_byte_access():
     m = machine(init=False)
-    m.demcr.set_mon_en()
+    m.demcr.value |= DEMCR_MON_EN
     assert m.load(DEMCR_ADDR + 2, 1) == 0x01  # bit 16 sits in byte 2
     assert m.load(DEMCR_ADDR, 4) == DEMCR_MON_EN
 
@@ -179,7 +175,7 @@ def test_cyccnt_visible_through_attached_system():
 
 def test_mmio_byte_loads_read_one_lane_of_any_device():
     m = machine(init=False)
-    m.dwt.mmio_write(m, DWT_COMP1, 4, 0x00E01234)
+    m.dwt.mmio_write(m, DWT_COMP1, 0x00E01234)
     assert [m.load(DWT_COMP1 + i, 1) for i in range(4)] == [0x34, 0x12,
                                                             0xE0, 0x00]
     m.cycles = 0x0A0B0C0D
@@ -188,7 +184,7 @@ def test_mmio_byte_loads_read_one_lane_of_any_device():
 
 def test_mmio_byte_stores_merge_into_the_word():
     m = machine(init=False)
-    m.dwt.mmio_write(m, DWT_COMP1, 4, 0x00E01234)
+    m.dwt.mmio_write(m, DWT_COMP1, 0x00E01234)
     m.store(DWT_COMP1 + 1, 1, 0x56)
     assert m.dwt.groups[1].comp == 0x00E05634
     m.store(DWT_COMP1, 1, 0x1FF)  # only the low byte of the value lands
@@ -200,6 +196,6 @@ def test_mmio_byte_stores_merge_into_the_word():
 def test_byte_store_to_the_shadow_pointer_keeps_its_other_lanes():
     m = machine()
     m.store(DWT_COMP1, 1, 0x08)  # ss_start + 8, inside the region
-    assert shadow_stack_pointer(m) == CFG.ss_start + 8
+    assert m.dwt.groups[1].comp == CFG.ss_start + 8
     assert not m.halted
 

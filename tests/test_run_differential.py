@@ -142,7 +142,7 @@ def test_step_budget_cuts_inside_a_block(max_steps, monkeypatch):
           monkeypatch)
 
 
-def test_report_policy_sweep_exits_blocks_on_each_hit(monkeypatch):
+def test_report_policy_sweep_records_each_hit(monkeypatch):
     # Every store into the region is suppressed and recorded, and the
     # run goes on past each hit, inside a compiled block or not.
     lo = SHADOW.ss_start - 8
@@ -250,7 +250,7 @@ def test_read_watch_hits_inside_a_block(monkeypatch):
         "    cmp r3, #0", "    bne loop", "    bkpt #0", ".endfunc", ""])
 
     def watch_reads(m):
-        m.dwt.mmio_write(m, DWT_FUNCTION0, 4, FN_READWRITE)
+        m.dwt.mmio_write(m, DWT_FUNCTION0, FN_READWRITE)
 
     prog = parse(text + HANDLERS)
     want = check(prog, _cfg(POLICY_REPORT, None, 10_000), "read watch",

@@ -6,6 +6,7 @@ from watchstack import blocks
 from watchstack.harness import sweep_program
 from watchstack.machine import (EV_EXC_ENTERED, EV_EXC_RETURNED, EV_HALTED,
                                 Event, HaltReason, Machine)
+from watchstack.protect import POLICY_REPORT
 from watchstack.runner import (OUTCOME_FAULT, OUTCOME_HIJACK, OUTCOME_SAFE,
                                OUTCOME_TRAPPED, RunConfig, bind_handlers,
                                build_machine, run_source)
@@ -176,6 +177,17 @@ def test_reset_policy_store_hit_ends_in_the_reset_halt(hot, monkeypatch):
     assert run.outcome == OUTCOME_TRAPPED
     assert run.steps == 5 + 4 * 64 + 1  # setup, the margin, the hit
     assert run.machine.mem.read_byte(start) == 0
+
+
+def test_violations_are_the_guards_own_records():
+    """Like ``events``, ``violations`` is the list the run kept, not a
+    copy of it."""
+    cfg = RunConfig(protected=True, policy=POLICY_REPORT)
+    start = cfg.shadow.ss_start
+    run = run_source(sweep_program(start - 4, start + 4), cfg)
+    assert run.violations is run.machine.guard.records
+    assert [v.data_address for v in run.violations] == [
+        start, start + 1, start + 2, start + 3]
 
 
 def test_a_misspelt_policy_is_refused_not_run_as_report():
