@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 
 from .isa import (CONDITIONS, LR, MASK32, NUM_GPRS, PC, REG_PARSE, SP,
-                  Instr, cycle_cost, finalize, format_instr, reg_name)
+                  Instr, cycle_cost, finalize, format_instr)
 
 DEFAULT_ORIGIN = 0x08000000
 

@@ -20,8 +20,7 @@ instructions, with the per-step bookkeeping lifted out:
 * ``m.retired`` and ``m.taken`` are not touched per instruction: the
   block counts how many of its instructions each execution retired and
   how often its final conditional branch was taken, and ``Block.fold``
-  adds those counts to the machine's when ``Machine.execution_counts``
-  reads them;
+  adds those counts to the machine's before ``Machine.run`` returns;
 * ``min_sp`` is checked after the first instruction and after every
   instruction that writes sp, which gives the same minimum as a check
   after every step.
@@ -32,7 +31,8 @@ through ``m._end``, which looks up
 and anything patched onto the class or module still see each one.
 Compiled code is cached by the identity of the Instr objects it was
 made from, so those must not be mutated in place; ``Machine.run`` drops
-its blocks, their counts folded in, when ``m.code`` is replaced.
+its blocks, whose counts it folded in when it last returned, when
+``m.code`` is replaced.
 """
 
 from __future__ import annotations

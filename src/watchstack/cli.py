@@ -25,7 +25,8 @@ from .instrument import (InstrumentError, SEQ_NAIVE, SEQ_OPTIMAL,
                          ShadowStackConfig, instrument_program)
 from .machine import HaltReason
 from .protect import POLICIES, POLICY_RESET
-from .runner import RunConfig, RunResult, build_machine, run_machine
+from .runner import (FAULT_HALTS, RunConfig, RunResult, build_machine,
+                     run_machine)
 from . import __version__
 
 EXIT_OK = 0
@@ -83,7 +84,7 @@ def _shadow_config(args) -> ShadowStackConfig:
 def _run(prog, cfg: RunConfig) -> RunResult:
     try:
         m = build_machine(prog, cfg)
-    except ValueError as exc:  # a handler named after no known exception
+    except ValueError as exc:  # a handler naming no exception, or a taken one
         raise CliError(str(exc)) from None
     return run_machine(m, cfg)
 
@@ -188,11 +189,9 @@ def _halt_name(reason: HaltReason | None) -> str:
 
 
 def _exit_code(run: RunResult) -> int:
-    if run.halt_reason == HaltReason.RESET and run.violations:
+    if run.halt_reason == HaltReason.RESET:  # only the guard resets
         return EXIT_VIOLATION
-    if run.halt_reason in (HaltReason.FAULT, HaltReason.STACK_OVERFLOW):
-        return EXIT_FAULT
-    if run.halt_reason is None:  # step budget exhausted
+    if run.halt_reason in FAULT_HALTS:
         return EXIT_FAULT
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .isa import MASK32
-from .machine import ACCESS_READ, ACCESS_WRITE, HaltReason
+from .machine import HaltReason
 
 # MMIO window, cycle counter, and comparator register addresses.
 DWT_WINDOW_LO = 0xE0001000

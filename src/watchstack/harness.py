@@ -322,12 +322,11 @@ def run_preinit_exception() -> dict:
     run = run_program(prog, cfg)
     m = run.machine
     shadow_bytes = m.mem.read_region(shadow.ss_start, 256)
-    retired, _ = m.execution_counts()
     return {
         "run": run,
         "resumed": run.halt_reason == HaltReason.NORMAL,
         "handler_ran_once":
-            retired.get(prog.functions["systick_handler"].entry, 0) == 1,
+            m.retired.get(prog.functions["systick_handler"].entry, 0) == 1,
         "shadow_untouched": shadow_bytes == bytes(256),
         "ssp_unchanged": m.dwt.groups[1].comp == 0,
         "violations": run.violations,

@@ -66,6 +66,9 @@ class ShadowStackConfig:
     sequence: str = SEQ_OPTIMAL
 
     def __post_init__(self) -> None:
+        if self.sequence not in (SEQ_OPTIMAL, SEQ_NAIVE):
+            raise ValueError("unknown instrumentation sequence %r"
+                             % (self.sequence,))
         # Comparator 0 traps one naturally aligned power-of-two block.
         if not 2 <= self.ss_size_log2 <= MASK_BITS_MAX:
             raise ValueError("ss_size_log2 must be in 2..%d, got %d"

@@ -19,9 +19,9 @@ appends the halt.
 
 The machine records what ran and nothing derived from it: ``retired``
 counts the retirements of the instruction at each pc, ``taken`` the
-taken executions of each conditional branch.  Compiled blocks keep
-their own counts, which ``execution_counts()`` folds in when the counts
-are read; the runner derives the cycle splits from them.
+taken executions of each conditional branch.  Both are complete once
+``step()`` or ``run()`` returns; the runner derives the cycle splits
+from them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import blocks
 from . import exception_model as excm
 from .exception_model import (EV_EXC_ENTERED, EV_EXC_RETURNED, EV_HALTED,
                               MODE_HANDLER, MODE_THREAD, Event)
-from .isa import LR, MASK32, NUM_GPRS, PC, SP, Instr
+from .isa import LR, MASK32, NUM_GPRS, SP, Instr
 
 PAGE_BITS = 12
 PAGE_SIZE = 1 << PAGE_BITS
@@ -149,7 +149,7 @@ class Machine:
         self.dwt = None
         self.demcr = None
         self.guard = None
-        # Execution counts by pc; read them through execution_counts().
+        # Execution counts by pc, complete once step() or run() returns.
         self.retired: dict[int, int] = {}
         self.taken: dict[int, int] = {}
         # Optional bookkeeping, enabled by the runner.
@@ -297,48 +297,43 @@ class Machine:
         block entry reached fewer than ``blocks.HOT_THRESHOLD`` times is
         stepped through; then its block is compiled, and the compiled
         block runs whenever it fits before the limit and no exception
-        is pending.  Blocks are dropped, their counts folded in first,
-        when ``code`` is replaced.
+        is pending.  The blocks' own counts are folded into ``retired``
+        and ``taken`` before ``run()`` returns, so the blocks can be
+        dropped whenever ``code`` is replaced.
         """
         cache = self._block_cache
         if cache is None or cache[0] is not self.code:
-            self.execution_counts()
             cache = self._block_cache = (self.code, {})
         code, known = cache
         hot = blocks.HOT_THRESHOLD
-        while self.steps < limit and not self.halted:
-            pc = self.pc
-            blk = known.get(pc)
-            if blk is None:
-                blk = known[pc] = blocks.Block()
-            if blk.fn is None:
-                blk.heat += 1
-                if blk.heat == hot:
-                    blk.compile(code, pc)
-            if (blk.fn is not None and self.steps + blk.n <= limit
-                    and not self.pending):
-                blk.fn(self)
-                continue
-            # Step until control leaves the straight line; the pc it
-            # lands on is the next block entry.
-            while True:
-                at = self.pc
-                self.step()
-                if self.halted or self.steps >= limit:
-                    return
-                d = self.pc - at
-                if d != 2 and d != 4:
-                    break
-
-    def execution_counts(self) -> tuple[dict[int, int], dict[int, int]]:
-        """``retired`` and ``taken``, with the counts of ``run()``'s
-        compiled blocks folded in (which zeroes those)."""
-        cache = self._block_cache
-        if cache is not None:
-            for blk in cache[1].values():
+        try:
+            while self.steps < limit and not self.halted:
+                pc = self.pc
+                blk = known.get(pc)
+                if blk is None:
+                    blk = known[pc] = blocks.Block()
+                if blk.fn is None:
+                    blk.heat += 1
+                    if blk.heat == hot:
+                        blk.compile(code, pc)
+                if (blk.fn is not None and self.steps + blk.n <= limit
+                        and not self.pending):
+                    blk.fn(self)
+                    continue
+                # Step until control leaves the straight line; the pc it
+                # lands on is the next block entry.
+                while True:
+                    at = self.pc
+                    self.step()
+                    if self.halted or self.steps >= limit:
+                        return
+                    d = self.pc - at
+                    if d != 2 and d != 4:
+                        break
+        finally:
+            for blk in known.values():
                 if blk.fn is not None:
                     blk.fold(self)
-        return self.retired, self.taken
 
     # -- executors -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .asm import AsmProgram, parse
-from .exception_model import EXC_BY_NAME
+from .exception_model import EXC_BY_NAME, EXC_NAMES
 from .instrument import ShadowStackConfig
 from .machine import HaltReason, Machine
 from .protect import POLICY_RESET, attach_debug_system, init_write_protection
@@ -32,6 +32,10 @@ OUTCOME_SAFE = "SafeReturn"
 OUTCOME_HIJACK = "HijackSucceeded"
 OUTCOME_TRAPPED = "ViolationTrapped"
 OUTCOME_FAULT = "Fault"
+
+# Halts that end a run as a fault; None (no halt) is the step budget.
+FAULT_HALTS = frozenset((HaltReason.FAULT, HaltReason.STACK_OVERFLOW, None))
+
 
 @dataclass
 class RunConfig:
@@ -64,6 +68,7 @@ class RunResult:
 
 
 def bind_handlers(m: Machine, prog: AsmProgram) -> None:
+    bound: dict[int, str] = {}
     for fn in prog.functions.values():
         if fn.kind != "handler":
             continue
@@ -74,6 +79,11 @@ def bind_handlers(m: Machine, prog: AsmProgram) -> None:
         if exc_id is None:
             raise ValueError(
                 "handler %r does not name a known exception" % fn.name)
+        if exc_id in bound:
+            raise ValueError("handlers %r and %r both name exception %d (%s)"
+                             % (bound[exc_id], fn.name, exc_id,
+                                EXC_NAMES[exc_id]))
+        bound[exc_id] = fn.name
         m.vector[exc_id] = fn.entry
 
 
@@ -94,26 +104,19 @@ def build_machine(prog: AsmProgram, cfg: RunConfig) -> Machine:
 
 
 def run_machine(m: Machine, cfg: RunConfig) -> RunResult:
-    raises = sorted(cfg.raises, key=lambda t: t[1])
-    ridx = 0
-    hit_step_budget = False
-    while not m.halted:
-        if m.steps >= cfg.max_steps:
-            hit_step_budget = True
+    for exc_id, at in sorted(cfg.raises, key=lambda t: t[1]):
+        if at >= cfg.max_steps:
             break
-        while ridx < len(raises) and raises[ridx][1] <= m.steps:
-            m.raise_exception(raises[ridx][0])
-            ridx += 1
-        limit = cfg.max_steps
-        if ridx < len(raises):
-            limit = min(limit, raises[ridx][1])
-        m.run(limit)
+        m.run(at)
+        if m.halted:
+            break
+        m.raise_exception(exc_id)
+    m.run(cfg.max_steps)  # a machine that has not halted ran out of steps
 
     violations = m.guard.records if m.guard is not None else []
     if violations:
         outcome = OUTCOME_TRAPPED
-    elif hit_step_budget or m.halt_reason in (HaltReason.FAULT,
-                                              HaltReason.STACK_OVERFLOW):
+    elif m.halt_reason in FAULT_HALTS:
         outcome = OUTCOME_FAULT
     elif m.halt_reason == HaltReason.REPORT:
         outcome = OUTCOME_HIJACK
@@ -127,7 +130,7 @@ def run_machine(m: Machine, cfg: RunConfig) -> RunResult:
         events=m.events,
         steps=m.steps,
         cycles=m.cycles,
-        halt_reason=m.halt_reason if not hit_step_budget else None,
+        halt_reason=m.halt_reason,
         outcome=outcome,
         violations=violations,
         tagged_cycles=tagged,
@@ -144,9 +147,9 @@ def attribute(m: Machine) -> tuple[dict, dict, int]:
     charges its extra cycle there too.  The conversion extra sums, per
     retirement, what a rewritten return cost above its replacement.
     """
-    retired, taken = m.execution_counts()
+    taken = m.taken
     tagged, phases, conv_extra = {}, {}, 0
-    for at, runs in retired.items():
+    for at, runs in m.retired.items():
         ins = m.code[at]
         conv_extra += runs * ins.conv_extra
         if ins.tag is not None:

@@ -174,6 +174,18 @@ def test_unknown_handler_name_exits_1(tmp_path, capsys):
                    "a known exception\n")
 
 
+def test_two_handlers_for_one_exception_exit_1(tmp_path, capsys):
+    src = tmp_path / "svc.ws"
+    src.write_text(SPIN + ".func svc_handler handler\n    bkpt #1\n.endfunc\n"
+                   ".func svcall_handler handler\n    bx lr\n.endfunc\n")
+    assert main(["run", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("watchstack: error: handlers 'svc_handler' and "
+                            "'svcall_handler' both name exception 11 "
+                            "(SVCall)\n")
+
+
 @pytest.mark.parametrize("flags", [["--ss-start", "0x00E00100"],
                                    ["--ss-size-log2", "40"],
                                    ["--ss-size-log2", "1"]])

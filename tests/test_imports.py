@@ -1,0 +1,37 @@
+"""Every name imported into a package module is read in that module.
+
+``__init__.py`` is exempt: its ``__all__`` is the export list.  So are
+the re-exports that other modules import from ``machine``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "watchstack"
+RE_EXPORTS = {"machine.py": {"EV_EXC_ENTERED", "EV_EXC_RETURNED"}}
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return names
+
+
+def _read(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_read(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    unused = _imported(tree) - _read(tree) - RE_EXPORTS.get(name, set())
+    assert not unused, "%s imports %s and never reads them" % (
+        name, ", ".join(sorted(unused)))

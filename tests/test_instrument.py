@@ -250,6 +250,12 @@ def test_shadow_region_must_be_one_comparator_block(kw):
     ShadowStackConfig(ss_start=0x80000000, ss_size_log2=31)
 
 
+@pytest.mark.parametrize("sequence", ["Naive", "OPTIMAL", "fast", ""])
+def test_a_misspelt_sequence_is_refused_not_built_as_optimal(sequence):
+    with pytest.raises(ValueError, match="unknown instrumentation sequence"):
+        ShadowStackConfig(sequence=sequence)
+
+
 # -- handlers ------------------------------------------------------------------
 
 HANDLER_SRC = (HEADER + ".func main hal\n    udf #0\n    bkpt #0\n.endfunc\n"

@@ -5,9 +5,9 @@ Every run is made twice from the same build, once by ``runner.run_machine``
 every observable piece of the two machines and results must agree.  The
 programs are acceptance-09 benign call trees plus an instrumented
 SysTick handler, interrupted at a stride of positions under both
-violation policies.  With the hot threshold at 1 every block is
-compiled, so the compiled path sees every instruction and every
-interrupt position.
+violation policies and by raise schedules that reach the runner's edge
+cases.  With the hot threshold at 1 every block is compiled, so the
+compiled path sees every instruction and every interrupt position.
 """
 
 import random
@@ -60,7 +60,6 @@ def reference_run(m, cfg: RunConfig) -> bool:
 
 
 def observe(m, budget) -> dict:
-    retired, taken = m.execution_counts()
     return {
         "regs": list(m.gpr) + [m.sp, m.lr, m.pc, m.xpsr, m.control],
         "mode": (m.mode, m.active_exc, list(m.pending)),
@@ -68,8 +67,8 @@ def observe(m, budget) -> dict:
         "steps": m.steps,
         "cycles": m.cycles,
         "halt": (m.halted, m.halt_reason, budget),
-        "retired": dict(retired),
-        "taken": dict(taken),
+        "retired": dict(m.retired),
+        "taken": dict(m.taken),
         "attribution": attribute(m),
         "min_sp": m.min_sp,
         "violations": list(m.guard.records) if m.guard else None,
@@ -152,6 +151,45 @@ def test_report_policy_sweep_records_each_hit(monkeypatch):
                      "sweep raise@%s" % at, monkeypatch)
         assert want["halt"] == (True, HaltReason.NORMAL, False)
         assert len(want["violations"]) == 24
+
+
+# Raise schedules, from the length n of the uninterrupted run and the
+# step budget b.  Exception 99 has no handler: taking it faults.
+SCHEDULES = {
+    "two at one step": lambda n, b: ((SYSTICK, n // 3), (SYSTICK, n // 3)),
+    "at step 0": lambda n, b: ((SYSTICK, n // 2), (SYSTICK, 0)),
+    "at and past the budget": lambda n, b: ((SYSTICK, b + 1), (SYSTICK, b)),
+    "after the halt": lambda n, b: ((SYSTICK, 5), (SYSTICK, n + 500)),
+    "unbound": lambda n, b: ((99, n // 4), (SYSTICK, n // 4 + 1)),
+}
+
+
+@pytest.mark.parametrize("budget", [0, 1, 7, 40, 20_000])
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+def test_raise_schedules(schedule, budget, monkeypatch):
+    """run_machine walks the schedule as the reference does: raises in
+    step order, none at or past the budget, none after a halt."""
+    rng = random.Random(7)
+    text = make_benign_program(rng, 6) + HANDLERS
+    prog = instrument_program(parse(text), SHADOW).program
+    n = reference(prog, _cfg(POLICY_RESET, None, 20_000))["steps"]
+    raises = SCHEDULES[schedule](n, budget)
+    for policy in (POLICY_RESET, POLICY_REPORT):
+        cfg = RunConfig(protected=True, policy=policy, shadow=SHADOW,
+                        max_steps=budget, raises=raises, track_min_sp=True)
+        want = check(prog, cfg, "%s %s budget %d" % (schedule, policy,
+                                                     budget), monkeypatch)
+        entries = [ev.exc_id for ev in want["events"]
+                   if ev.kind == "exception_entered"]
+        if budget == 0:
+            assert want["steps"] == 0 and want["halt"] == (False, None, True)
+        elif budget > n + 500:
+            taken = {"two at one step": 2, "at step 0": 2,
+                     "at and past the budget": 0, "after the halt": 1,
+                     "unbound": 0}[schedule]
+            assert entries == [SYSTICK] * taken
+            if schedule == "unbound":
+                assert want["halt"] == (True, HaltReason.FAULT, False)
 
 
 def test_code_replaced_between_runs(monkeypatch):

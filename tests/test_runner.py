@@ -69,6 +69,28 @@ def test_unknown_handler_name_is_rejected():
         bind_handlers(Machine(), prog)
 
 
+SVC_TWICE = """\
+.org 0x08000000
+.func main hal
+    svc #0
+    bkpt #0
+.endfunc
+.func svc_handler handler
+    bkpt #1
+.endfunc
+.func svcall_handler handler
+    bx lr
+.endfunc
+"""
+
+
+def test_two_handlers_for_one_exception_are_rejected():
+    # Before, the later function won and svc_handler never ran.
+    with pytest.raises(ValueError, match="'svc_handler' and 'svcall_handler' "
+                       "both name exception 11"):
+        run_source(SVC_TWICE)
+
+
 def test_injected_exception_runs_the_handler():
     run = run_source(COUNTER, RunConfig(raises=((15, 3),)))
     assert run.outcome == OUTCOME_SAFE
@@ -209,12 +231,14 @@ def test_execution_counts_and_min_sp(hot, monkeypatch):
                                         raises=((15, 3), (15, 10))))
     prog = run.program
     spin, bne = _counter_addresses(prog)
-    retired, taken = run.machine.execution_counts()
+    m = run.machine
+    retired, taken = m.retired, m.taken
     assert retired[prog.functions["systick_handler"].entry] == 2
     assert retired[spin] == retired[bne] == 5
     assert taken == {bne: 4}
     before = (dict(retired), dict(taken))
-    assert run.machine.execution_counts() == before
+    m.run(m.steps + 100)  # halted: runs nothing, folds nothing twice
+    assert (m.retired, m.taken) == before
     # the stacked frame dipped below the initial stack pointer
     assert run.machine.min_sp == RunConfig().initial_sp - 32
 
@@ -230,6 +254,6 @@ def test_execution_counts_survive_a_code_swap(monkeypatch):
     m.code = dict(m.code)  # run() drops the blocks compiled so far
     m.run(1000)
     assert m.halted and m.steps == ref.steps
-    assert m.execution_counts() == ref.execution_counts()
+    assert (m.retired, m.taken) == (ref.retired, ref.taken)
     spin, bne = _counter_addresses(prog)
     assert m.retired[spin] == 5 and m.taken == {bne: 4}
