@@ -1,10 +1,18 @@
 """Parser, layout, canonical printing, and their round trip."""
 
+import functools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from watchstack.asm import (AsmError, _split_nested, _split_operands, listing,
-                            parse, print_program)
+from watchstack.asm import (LINE_CACHE_SIZE, AsmError, _line_template,
+                            _Parser, _split_nested, _split_operands, layout,
+                            listing, parse, print_program)
+from watchstack.harness import make_benign_program
+from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, ShadowStackConfig,
+                                   instrument_program)
+from watchstack.isa import finalize
 
 HEADER = ".org 0x08000000\n"
 
@@ -335,3 +343,100 @@ def test_print_parse_round_trip_random(ops, with_branch, second_func):
     again = parse(print_program(prog))
     assert again.structural_key() == prog.structural_key()
     assert again.code.keys() == prog.code.keys()
+
+
+# -- the line cache -----------------------------------------------------------
+
+class _Uncached(_Parser):
+    """The parse loop with every line assembled afresh: the reference."""
+
+    def _assemble(self, line):
+        return finalize(self._instruction(line))
+
+
+def _parse_uncached(text):
+    prog = _Uncached(text).parse()
+    layout(prog)
+    return prog
+
+
+def _outcome(parse_text, text):
+    """What a parse gives: the error, or the program and its layout."""
+    try:
+        prog = parse_text(text)
+    except AsmError as err:
+        return ("error", err.line, err.message)
+    return ("ok", prog.structural_key(), prog.code_size, [
+        (ins.addr, ins.width, ins.cycles, ins.line, ins.tag, ins.labels,
+         ins.target) for ins in prog.code.values()])
+
+
+@functools.cache
+def _corpus_texts():
+    """Generated call trees, plain and instrumented (tagged) by both
+    sequences."""
+    texts = []
+    for seed in range(4):
+        text = make_benign_program(random.Random(seed), n_funcs=3 + seed)
+        texts.append(text)
+        for seq in (SEQ_OPTIMAL, SEQ_NAIVE):
+            out = instrument_program(parse(text),
+                                     ShadowStackConfig(sequence=seq))
+            texts.append(print_program(out.program))
+    return texts
+
+
+_MUTATIONS = st.lists(st.tuples(
+    st.integers(0, 10**6), st.integers(0, 10**6),
+    st.sampled_from(["replace", "insert", "delete", "upper", "comma",
+                     "duplicate"]),
+    st.sampled_from(list(" ,#[]{}r0147x.wlpcsbq;@:-"))), max_size=4)
+
+
+def _mutate(text, mutations):
+    lines = text.splitlines()
+    for where, at, kind, ch in mutations:
+        i = where % len(lines)
+        line = lines[i]
+        j = at % (len(line) + 1)
+        if kind == "replace":
+            line = line[:j] + ch + line[j + 1:]
+        elif kind == "insert":
+            line = line[:j] + ch + line[j:]
+        elif kind == "delete":
+            line = line[:j] + line[j + 1:]
+        elif kind == "upper":
+            line = line.upper()
+        elif kind == "comma":
+            line += ","
+        else:
+            lines.insert(i, line)
+        lines[i] = line
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 11), _MUTATIONS)
+def test_cached_parse_matches_the_uncached_reference(which, mutations):
+    text = _mutate(_corpus_texts()[which], mutations)
+    want = _outcome(_parse_uncached, text)
+    # The second parse meets every line of the first in the cache.
+    assert _outcome(parse, text) == want
+    assert _outcome(parse, text) == want
+
+
+def test_a_bad_line_carries_the_line_of_each_parse():
+    for before in (0, 3, 1):
+        src = wrap("    nop\n" * before + "    mov r0, #x")
+        with pytest.raises(AsmError) as err:
+            parse(src)
+        assert str(err.value) == "line %d: bad number 'x'" % (3 + before)
+
+
+def test_line_cache_stays_within_its_bound():
+    count = LINE_CACHE_SIZE + 64
+    prog = parse(wrap("\n".join("    movw r0, #%d" % i for i in range(count))))
+    assert len(prog.code) == count
+    info = _line_template.cache_info()
+    assert info.maxsize == LINE_CACHE_SIZE
+    assert info.currsize == LINE_CACHE_SIZE

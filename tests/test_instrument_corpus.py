@@ -189,6 +189,11 @@ def _instr_ids(prog) -> set[int]:
             for ins in item.body}
 
 
+def _instr_state(prog) -> list:
+    return [(ins.structural_key(), ins.addr, ins.target, ins.width,
+             ins.cycles) for ins in prog.code.values()]
+
+
 def test_no_instr_object_is_shared_between_programs():
     """Input, output and a second output of the same or another input
     never hold the same Instr object, so mutating one program's
@@ -199,14 +204,25 @@ def test_no_instr_object_is_shared_between_programs():
         keep = []  # every program stays alive, so no id() is reused
         for seed in (0, 1, 2, 3):
             prog = parse(corpus_source(seed))
+            reparsed = parse(corpus_source(seed))
             first = instrument_program(prog, config)
             second = instrument_program(prog, config)
-            for p in (prog, first.program, second.program):
+            for p in (prog, reparsed, first.program, second.program):
                 ids = _instr_ids(p)
                 assert not ids & seen, (seed, seq)
                 seen |= ids
                 keep.append(p)
             assert print_program(first.program) == print_program(second.program)
+            # Two parses of one text share no state: changing every
+            # instruction of one leaves the other, and a third, as parsed.
+            want = _instr_state(reparsed)
+            for item in prog.items:
+                if isinstance(item, AsmFunction):
+                    for ins in item.body:
+                        ins.imm, ins.label, ins.tag = 4095, "x", None
+                        ins.addr = ins.target = ins.width = ins.cycles = 0
+            assert _instr_state(reparsed) == want
+            assert _instr_state(parse(corpus_source(seed))) == want
 
 
 if __name__ == "__main__":

@@ -225,7 +225,7 @@ def _counter_addresses(prog):
 
 
 @pytest.mark.parametrize("hot", [1, blocks.HOT_THRESHOLD])
-def test_execution_counts_and_min_sp(hot, monkeypatch):
+def test_counts_and_min_sp(hot, monkeypatch):
     monkeypatch.setattr(blocks, "HOT_THRESHOLD", hot)
     run = run_source(COUNTER, RunConfig(track_min_sp=True,
                                         raises=((15, 3), (15, 10))))
@@ -243,7 +243,7 @@ def test_execution_counts_and_min_sp(hot, monkeypatch):
     assert run.machine.min_sp == RunConfig().initial_sp - 32
 
 
-def test_execution_counts_survive_a_code_swap(monkeypatch):
+def test_counts_survive_a_code_swap(monkeypatch):
     monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
     prog = parse(COUNTER)
     ref = build_machine(prog, RunConfig())
