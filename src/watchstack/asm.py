@@ -18,10 +18,12 @@ mnemonics and registers, labels case-sensitive)::
 
 Each distinct instruction line is assembled once per process: a bounded
 cache (``LINE_CACHE_SIZE`` entries, least recently used out) maps the
-line's comment-free text to a finalised template, and each parse takes a
-copy of it, so no two parsed programs, and no program and the cache, share
-an ``Instr``.  Errors are never cached: a bad line is assembled again each
-time, and its error carries the line number of the parse that met it.
+line's text to a finalised template, and each parse takes a copy of it, so
+no two parsed programs, and no program and the cache, share an ``Instr``.
+``assemble`` does the same for one line with its tag comment; the
+instrumentation pass builds every instruction it inserts through it.
+Errors are never cached: a bad line is assembled again each time, and its
+error carries the line number of the parse that met it.
 """
 
 from __future__ import annotations
@@ -477,13 +479,24 @@ _SYNTAX = {
 
 @functools.lru_cache(maxsize=LINE_CACHE_SIZE)
 def _line_template(line: str) -> Instr:
-    """The finalised instruction of one stripped, comment-free line.
+    """The finalised instruction of one stripped line, tagged by its tag
+    comment if it has one (``parse`` passes lines without comments).
 
-    Every parse that meets the line gets this same object, so callers take
+    Every caller that meets the line gets this same object, so callers take
     a copy.  A bad line raises its ``AsmError`` with line 0, and nothing is
     cached for it.
     """
-    return finalize(_Parser("")._instruction(line))
+    parser = _Parser("")
+    text, tag = parser._strip_comment(line)
+    ins = finalize(parser._instruction(text))
+    ins.tag = tag
+    return ins
+
+
+def assemble(line: str) -> Instr:
+    """A fresh instruction from one line and its optional tag comment, as
+    ``parse`` builds it; a bad line raises its ``AsmError`` with line 0."""
+    return _line_template(line).copy()
 
 
 def parse(text: str) -> AsmProgram:

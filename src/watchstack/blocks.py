@@ -29,13 +29,16 @@ Data accesses go through ``m.load``/``m.store``, and exception returns
 through ``m._end``, which looks up
 ``exception_model.return_from_exception`` when called, so the guard
 and anything patched onto the class or module still see each one.
-Compiled code is cached by the identity of the Instr objects it was
-made from, so those must not be mutated in place; ``Machine.run`` drops
-its blocks, whose counts it folded in when it last returned, when
-``m.code`` is replaced.
+Compiled code is cached by its generated source, which spells out the
+entry pc and every operand, so machines built from equal code share it
+and a changed instruction compiles anew.  ``Machine.run`` drops its
+blocks, whose counts it folded in when it last returned, when ``m.code``
+is replaced.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import machine as mach
 from .isa import LR, MASK32, NUM_GPRS, PC, SP
@@ -78,7 +81,7 @@ class Block:
         self.counts = [0] * (self.n + 1)
         self.addrs = tuple(at for at, _ in instrs)
         ns = {"M": MASK32}
-        exec(_byte_code(instrs), ns)
+        exec(_byte_code(_source(instrs)), ns)
         self.fn = ns["make"](self.counts)
 
     def fold(self, m) -> None:
@@ -97,23 +100,14 @@ class Block:
         counts[:] = [0] * (self.n + 1)
 
 
-# Byte code of compiled blocks, by entry pc and the identity of their
-# Instr objects, which each entry keeps alive.  compile() costs about a
-# millisecond a block, and every machine built from one program would
-# otherwise pay it again.  Oldest entries go first.
-_CODE_CACHE: dict[tuple, tuple] = {}
+# compile() costs about a millisecond a block, and every machine built
+# from equal code would otherwise pay it again.
 CODE_CACHE_SIZE = 256
 
 
-def _byte_code(instrs):
-    key = (instrs[0][0],) + tuple(id(ins) for _, ins in instrs)
-    hit = _CODE_CACHE.get(key)
-    if hit is None:
-        if len(_CODE_CACHE) >= CODE_CACHE_SIZE:
-            del _CODE_CACHE[next(iter(_CODE_CACHE))]
-        hit = _CODE_CACHE[key] = (
-            instrs, compile(_source(instrs), "<block>", "exec"))
-    return hit[1]
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _byte_code(source: str):
+    return compile(source, "<block>", "exec")
 
 
 # -- code generation ---------------------------------------------------------------

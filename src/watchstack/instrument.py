@@ -16,6 +16,11 @@ and immediate offsets; the naive sequence materializes both register
 addresses separately, costing one more scratch register and one more
 instruction in the bare access pattern (7 instructions, 3 GPRs versus
 6 instructions, 2 GPRs).
+
+Every inserted block is written as tagged assembly lines, and
+``asm.assemble`` builds each inserted instruction from its line; a plan's
+text is the same lines without their tags.  No code here decides an op
+name, an encoding width or a cycle cost.
 """
 
 from __future__ import annotations
@@ -24,13 +29,14 @@ import dataclasses
 import functools
 from dataclasses import dataclass
 
-from .asm import (FUNC_HAL, FUNC_HANDLER, T_ASSP, T_AW, T_OTHER, T_USS,
-                  AsmFunction, AsmProgram, format_instr, layout, print_program)
+from .asm import (FUNC_HAL, FUNC_HANDLER, T_ASSP, T_USS, AsmFunction,
+                  AsmProgram, assemble, layout, print_program)
 from .dwt import (DWT_COMP1, DWT_COMP_BASE, DWT_FUNCTION_OFF,
                   DWT_GROUP_STRIDE, FN_WRITE, MASK_BITS_MAX)
 from .exception_model import (ESF_OFF_LR, ESF_OFF_R12, ESF_OFF_RETURN,
                               ESF_OFF_XPSR)
-from .isa import LR, MASK32, NUM_GPRS, PC, Instr, finalize
+from .isa import (LR, MASK32, NUM_GPRS, PC, SP, _imm_str, _mem_str,
+                  _reglist_str, reg_name)
 
 SEQ_OPTIMAL = "optimal"
 SEQ_NAIVE = "naive"
@@ -163,19 +169,40 @@ def _select_scratches(free: set[int], count: int, handler: bool
     return tuple(sorted(picked + reserved)), tuple(sorted(reserved))
 
 
-# -- instruction builders ---------------------------------------------------
+# -- inserted blocks ----------------------------------------------------------
+#
+# A block is a list of lines in the assembler's canonical form, tags
+# included; ``.label NAME`` binds NAME to the next instruction.
 
-def _i(op: str, *, tag=None, **kw) -> Instr:
-    ins = Instr(op, **kw)
-    ins.tag = tag
-    return finalize(ins)
+def _assembled(lines):
+    """The instructions of a block, and the labels its end leaves for the
+    instruction that follows it."""
+    out = []
+    labels: tuple[str, ...] = ()
+    for line in lines:
+        if line.startswith(".label "):
+            labels += (line[len(".label "):],)
+            continue
+        ins = assemble(line)
+        ins.labels, labels = labels, ()
+        out.append(ins)
+    return out, labels
 
 
-def _load_addr(rd: int, addr: int, phase: str, cat: str) -> list[Instr]:
-    return [
-        _i("movw", rd=rd, imm=addr & 0xFFFF, tag=(phase, cat)),
-        _i("movt", rd=rd, imm=(addr >> 16) & 0xFFFF, tag=(phase, cat)),
-    ]
+def _untagged(lines) -> tuple[str, ...]:
+    """A plan's text: the instruction lines without their tags."""
+    return tuple(line.partition(" ;@")[0] for line in lines
+                 if not line.startswith("."))
+
+
+def _load_addr(rd: str, addr: int, tag: str) -> list[str]:
+    return ["movw %s, %s %s" % (rd, _imm_str(addr & 0xFFFF), tag),
+            "movt %s, %s %s" % (rd, _imm_str(addr >> 16), tag)]
+
+
+def _spill(op: str, regs: tuple[int, ...], tag: str) -> list[str]:
+    """The push or pop of reserved registers; none if there are none."""
+    return ["%s %s %s" % (op, _reglist_str(regs), tag)] if regs else []
 
 
 # -- normal function blocks ---------------------------------------------------
@@ -185,47 +212,37 @@ def _prologue_template(naive: bool, scratches: tuple[int, ...],
                        reserved: tuple[int, ...]):
     """The normal-function prologue for one choice of scratch registers.
 
-    Returns the template instructions, their canonical text and the text
-    of the access block.  Every function gets copies of the templates, so
-    no template object ever reaches a program.
+    Returns the template instructions, their text and the text of the
+    access block.  Every function gets copies of the templates, so no
+    template object ever reaches a program.
     """
-    work, base = scratches[0], scratches[-1]
-    out: list[Instr] = []
-    access: list[Instr] = []  # the access block, in program order
-
-    def emit(*instrs: Instr, in_access: bool = False) -> None:
-        out.extend(instrs)
-        if in_access:
-            access.extend(instrs)
-
-    if reserved:
-        emit(_i("push", reglist=reserved, tag=("pro", T_OTHER)),
-             in_access=True)
-    emit(*_load_addr(base, DWT_COMP_BASE, "pro", T_OTHER), in_access=True)
+    work = reg_name(scratches[0])
+    fn0 = _mem_str(scratches[-1], FUNCTION0_OFF)
     # The shadow stack pointer register: COMP1 through its own address
     # register (naive) or at an offset from the base (optimal).
     if naive:
-        ssp, ssp_off = scratches[1], 0
-        emit(*_load_addr(ssp, DWT_COMP1, "pro", T_ASSP), in_access=True)
+        ssp_addr = _load_addr(reg_name(scratches[1]), DWT_COMP1, ";@pro:assp")
+        ssp = _mem_str(scratches[1], 0)
     else:
-        ssp, ssp_off = base, SSP_REG_OFF
-    emit(_i("mov_imm", rd=work, imm=0, wide=True, tag=("pro", T_AW)),
-         _i("str", rd=work, rn=base, imm=FUNCTION0_OFF, wide=True,
-            tag=("pro", T_AW)))
-    emit(_i("ldr", rd=work, rn=ssp, imm=ssp_off, wide=True,
-            tag=("pro", T_ASSP)), in_access=not naive)
-    emit(_i("str", rd=LR, rn=work, imm=0, wide=True, tag=("pro", T_USS)),
-         _i("addw", rd=work, rn=work, imm=4, tag=("pro", T_ASSP)))
-    emit(_i("str", rd=work, rn=ssp, imm=ssp_off, wide=True,
-            tag=("pro", T_ASSP)), in_access=True)
-    emit(_i("mov_imm", rd=work, imm=FN_WRITE, wide=True, tag=("pro", T_AW)),
-         _i("str", rd=work, rn=base, imm=FUNCTION0_OFF, wide=True,
-            tag=("pro", T_AW)))
-    if reserved:
-        emit(_i("pop", reglist=reserved, tag=("pro", T_OTHER)),
-             in_access=True)
-    return (tuple(out), tuple(format_instr(i) for i in out),
-            tuple(format_instr(i) for i in access))
+        ssp_addr, ssp = [], _mem_str(scratches[-1], SSP_REG_OFF)
+    spill = _spill("push", reserved, ";@pro:other")
+    fill = _spill("pop", reserved, ";@pro:other")
+    base = _load_addr(reg_name(scratches[-1]), DWT_COMP_BASE, ";@pro:other")
+    load_ssp = ["ldr.w %s, %s ;@pro:assp" % (work, ssp)]
+    store_ssp = ["str.w %s, %s ;@pro:assp" % (work, ssp)]
+    lines = (spill + base + ssp_addr
+             + ["mov.w %s, #0 ;@pro:aw" % work,
+                "str.w %s, %s ;@pro:aw" % (work, fn0)]
+             + load_ssp
+             + ["str.w lr, [%s] ;@pro:uss" % work,
+                "addw %s, %s, #4 ;@pro:assp" % (work, work)]
+             + store_ssp
+             + ["mov.w %s, %s ;@pro:aw" % (work, _imm_str(FN_WRITE)),
+                "str.w %s, %s ;@pro:aw" % (work, fn0)]
+             + fill)
+    access = (spill + base + ssp_addr + ([] if naive else load_ssp)
+              + store_ssp + fill)
+    return tuple(_assembled(lines)[0]), _untagged(lines), _untagged(access)
 
 
 @functools.cache
@@ -234,112 +251,83 @@ def _epilogue_template(work: int, work_reserved: bool):
 
     lr itself doubles as the pointer-register address so only one
     scratch is needed; the ssp writeback therefore happens before the
-    return address overwrites lr.  Returns template instructions and
-    their canonical text; every return site gets copies.
+    return address overwrites lr.  Returns the template instructions and
+    their lines; every return site gets copies.
     """
-    out: list[Instr] = []
-    if work_reserved:
-        out.append(_i("push", reglist=(work,), tag=("epi", T_OTHER)))
-    out += _load_addr(LR, DWT_COMP1, "epi", T_ASSP)
-    out += [
-        _i("ldr", rd=work, rn=LR, imm=0, wide=True, tag=("epi", T_ASSP)),
-        _i("subw", rd=work, rn=work, imm=4, tag=("epi", T_ASSP)),
-        _i("str", rd=work, rn=LR, imm=0, wide=True, tag=("epi", T_ASSP)),
-        _i("ldr", rd=LR, rn=work, imm=0, wide=True, tag=("epi", T_USS)),
-    ]
-    if work_reserved:
-        out.append(_i("pop", reglist=(work,), tag=("epi", T_OTHER)))
-    out.append(_i("bx", rm=LR, tag=("epi", T_USS)))
-    return tuple(out), tuple(format_instr(i) for i in out)
+    saved = (work,) if work_reserved else ()
+    w = reg_name(work)
+    lines = (_spill("push", saved, ";@epi:other")
+             + _load_addr("lr", DWT_COMP1, ";@epi:assp")
+             + ["ldr.w %s, [lr] ;@epi:assp" % w,
+                "subw %s, %s, #4 ;@epi:assp" % (w, w),
+                "str.w %s, [lr] ;@epi:assp" % w,
+                "ldr.w lr, [%s] ;@epi:uss" % w]
+             + _spill("pop", saved, ";@epi:other")
+             + ["bx lr ;@epi:uss"])
+    return tuple(_assembled(lines)[0]), tuple(lines)
 
 
 # -- handler blocks ------------------------------------------------------------
 
-def _guard(val: int, skip_label: str, phase: str) -> list[Instr]:
+def _guard(val: str, skip_label: str, phase: str) -> list[str]:
     # Skip the shadow traffic entirely when protection was never
     # initialized (DEMCR monitor enable still zero).
-    return _load_addr(val, DEMCR_ADDR, phase, T_AW) + [
-        _i("ldr", rd=val, rn=val, imm=0, wide=True, tag=(phase, T_AW)),
-        _i("cmp_imm", rn=val, imm=0, tag=(phase, T_AW)),
-        _i("bcond", cond="eq", label=skip_label, tag=(phase, T_AW)),
+    tag = ";@%s:aw" % phase
+    return _load_addr(val, DEMCR_ADDR, tag) + [
+        "ldr.w %s, [%s] %s" % (val, val, tag),
+        "cmp %s, #0 %s" % (val, tag),
+        "beq %s %s" % (skip_label, tag),
     ]
 
 
-def _handler_prologue(skip: str, scratches, reserved
-                      ) -> tuple[list[Instr], str | None]:
-    """The handler prologue, and the skip label still to be bound.
+def _handler_prologue(skip: str, scratches, reserved) -> list[str]:
+    """The handler prologue.
 
-    With reserved registers the guard skips to their pop; otherwise the
-    label is left for the first instruction of the body.
+    The guard skips to the pop of the reserved registers, if any, or
+    else to the first instruction of the body.
     """
-    val, work, base = scratches[0], scratches[1], scratches[-1]
+    val, work, base = (reg_name(scratches[i]) for i in (0, 1, -1))
     k = 4 * len(reserved)
-    out: list[Instr] = []
-    if reserved:
-        out.append(_i("push", reglist=reserved, tag=("pro", T_OTHER)))
-    out += _guard(val, skip, "pro")
-    out += _load_addr(base, DWT_COMP_BASE, "pro", T_OTHER)
-    out += [
-        _i("mov_imm", rd=val, imm=0, wide=True, tag=("pro", T_AW)),
-        _i("str", rd=val, rn=base, imm=FUNCTION0_OFF, wide=True,
-           tag=("pro", T_AW)),
-        _i("ldr", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
-           tag=("pro", T_ASSP)),
-    ]
+    fn0 = _mem_str(scratches[-1], FUNCTION0_OFF)
+    ssp = _mem_str(scratches[-1], SSP_REG_OFF)
+    lines = (_spill("push", reserved, ";@pro:other")
+             + _guard(val, skip, "pro")
+             + _load_addr(base, DWT_COMP_BASE, ";@pro:other")
+             + ["mov.w %s, #0 ;@pro:aw" % val,
+                "str.w %s, %s ;@pro:aw" % (val, fn0),
+                "ldr.w %s, %s ;@pro:assp" % (work, ssp)])
     for esf_off in HANDLER_ESF_OFFSETS:
-        out += [
-            _i("ldr", rd=val, rn=13, imm=k + esf_off, wide=True,
-               tag=("pro", T_USS)),
-            _i("str", rd=val, rn=work, imm=0, wide=True, tag=("pro", T_USS)),
-            _i("addw", rd=work, rn=work, imm=4, tag=("pro", T_ASSP)),
-        ]
-    out += [
-        _i("str", rd=LR, rn=work, imm=0, wide=True, tag=("pro", T_USS)),
-        _i("addw", rd=work, rn=work, imm=4, tag=("pro", T_ASSP)),
-        _i("str", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
-           tag=("pro", T_ASSP)),
-        _i("mov_imm", rd=val, imm=FN_WRITE, wide=True, tag=("pro", T_AW)),
-        _i("str", rd=val, rn=base, imm=FUNCTION0_OFF, wide=True,
-           tag=("pro", T_AW)),
-    ]
-    if not reserved:
-        return out, skip
-    pop = _i("pop", reglist=reserved, tag=("pro", T_OTHER))
-    pop.labels = (skip,)
-    out.append(pop)
-    return out, None
+        lines += ["ldr.w %s, %s ;@pro:uss" % (val, _mem_str(SP, k + esf_off)),
+                  "str.w %s, [%s] ;@pro:uss" % (val, work),
+                  "addw %s, %s, #4 ;@pro:assp" % (work, work)]
+    return lines + [
+        "str.w lr, [%s] ;@pro:uss" % work,
+        "addw %s, %s, #4 ;@pro:assp" % (work, work),
+        "str.w %s, %s ;@pro:assp" % (work, ssp),
+        "mov.w %s, %s ;@pro:aw" % (val, _imm_str(FN_WRITE)),
+        "str.w %s, %s ;@pro:aw" % (val, fn0),
+        ".label " + skip,
+    ] + _spill("pop", reserved, ";@pro:other")
 
 
-def _handler_epilogue(skip: str, scratches, reserved) -> list[Instr]:
-    val, work, base = scratches[0], scratches[1], scratches[-1]
+def _handler_epilogue(skip: str, scratches, reserved) -> list[str]:
+    val, work, base = (reg_name(scratches[i]) for i in (0, 1, -1))
     k = 4 * len(reserved)
-    out: list[Instr] = []
-    if reserved:
-        out.append(_i("push", reglist=reserved, tag=("epi", T_OTHER)))
-    out += _guard(val, skip, "epi")
-    out += _load_addr(base, DWT_COMP_BASE, "epi", T_OTHER)
-    out += [
-        _i("ldr", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
-           tag=("epi", T_ASSP)),
-        _i("subw", rd=work, rn=work, imm=4, tag=("epi", T_ASSP)),
-        _i("ldr", rd=LR, rn=work, imm=0, wide=True, tag=("epi", T_USS)),
-    ]
+    ssp = _mem_str(scratches[-1], SSP_REG_OFF)
+    lines = (_spill("push", reserved, ";@epi:other")
+             + _guard(val, skip, "epi")
+             + _load_addr(base, DWT_COMP_BASE, ";@epi:other")
+             + ["ldr.w %s, %s ;@epi:assp" % (work, ssp),
+                "subw %s, %s, #4 ;@epi:assp" % (work, work),
+                "ldr.w lr, [%s] ;@epi:uss" % work])
     for esf_off in HANDLER_ESF_OFFSETS[::-1]:
-        out += [
-            _i("subw", rd=work, rn=work, imm=4, tag=("epi", T_ASSP)),
-            _i("ldr", rd=val, rn=work, imm=0, wide=True, tag=("epi", T_USS)),
-            _i("str", rd=val, rn=13, imm=k + esf_off, wide=True,
-               tag=("epi", T_USS)),
-        ]
-    out.append(_i("str", rd=work, rn=base, imm=SSP_REG_OFF, wide=True,
-                  tag=("epi", T_ASSP)))
-    tail = _i("pop", reglist=reserved, tag=("epi", T_OTHER)) \
-        if reserved else _i("bx", rm=LR, tag=("epi", T_USS))
-    tail.labels = (skip,)
-    out.append(tail)
-    if reserved:
-        out.append(_i("bx", rm=LR, tag=("epi", T_USS)))
-    return out
+        lines += ["subw %s, %s, #4 ;@epi:assp" % (work, work),
+                  "ldr.w %s, [%s] ;@epi:uss" % (val, work),
+                  "str.w %s, %s ;@epi:uss" % (val, _mem_str(SP, k + esf_off))]
+    return lines + [
+        "str.w %s, %s ;@epi:assp" % (work, ssp),
+        ".label " + skip,
+    ] + _spill("pop", reserved, ";@epi:other") + ["bx lr ;@epi:uss"]
 
 
 class _LabelSeq:
@@ -374,6 +362,12 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
         return dataclasses.replace(
             func, body=[ins.copy() for ins in func.body]), plan
 
+    if not func.body:
+        # Its prologue would run on into the next function and push a
+        # shadow slot that no epilogue of its own pops.
+        raise InstrumentError(func.name,
+                              "%s function has an empty body" % func.kind)
+
     handler = func.kind == FUNC_HANDLER
     for ins in func.body:
         if ins.op == "bx" and ins.rm != LR:
@@ -389,24 +383,21 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
     plan.reserved_gprs = reserved
 
     if handler:
-        body, pending = _handler_prologue(
-            label_seq.make("pro_skip", func.name), scratches, reserved)
-        plan.inserted_prologue = tuple(format_instr(i) for i in body)
+        lines = _handler_prologue(label_seq.make("pro_skip", func.name),
+                                  scratches, reserved)
+        body, pending = _assembled(lines)
+        plan.inserted_prologue = _untagged(lines)
     else:
         templates, plan.inserted_prologue, plan.access_block = \
             _prologue_template(config.sequence == SEQ_NAIVE, scratches,
                                reserved)
         body = [t.copy() for t in templates]
-        pending = None
-        work = scratches[0]
-        work_reserved = work in reserved
+        pending = ()
 
     sites = 0
     for ins in func.body:
-        labels = ins.labels
-        if pending is not None:
-            labels = (pending,) + labels
-            pending = None
+        labels = pending + ins.labels
+        pending = ()
         pops_pc = ins.op == "pop" and PC in ins.reglist
         if not pops_pc and ins.op != "bx":
             copy = ins.copy()
@@ -418,37 +409,32 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
         # above) becomes a return through the shadow copy of lr.
         sites += 1
         if handler:
-            tail = _handler_epilogue(
+            lines = _handler_epilogue(
                 label_seq.make("epi%d_skip" % sites, func.name),
                 scratches, reserved)
-            tail_text = None  # per-site labels; only site 1 is formatted
+            tail = _assembled(lines)[0]
         else:
-            templates, tail_text = _epilogue_template(work, work_reserved)
+            templates, lines = _epilogue_template(
+                scratches[0], scratches[0] in reserved)
             tail = [t.copy() for t in templates]
         if pops_pc:
             # Pop what the original popped below pc, then drop (or, in a
             # handler, pop into lr) the stacked return address.  The
             # first instruction carries what the original cost beyond it.
             rest = tuple(r for r in ins.reglist if r != PC)
-            block = [_i("pop", reglist=rest)] if rest else []
-            block.append(_i("pop", reglist=(LR,), tag=("epi", T_USS))
-                         if handler else
-                         _i("add_sp", imm=4, tag=("epi", T_OTHER)))
+            head = ["pop " + _reglist_str(rest)] if rest else []
+            head.append("pop {lr} ;@epi:uss" if handler
+                        else "add sp, #4 ;@epi:other")
+            block = [assemble(line) for line in head]
             block[0].conv_extra = ins.cycles - (block[0].cycles if rest else 0)
             block += tail
         else:
-            block = tail
+            head, block = [], tail
             block[-1].conv_extra = ins.cycles
         block[0].labels = labels + block[0].labels
         body += block
         if sites == 1:
-            if tail_text is None:
-                tail_text = tuple(format_instr(i) for i in tail)
-            plan.inserted_epilogue = tuple(
-                format_instr(i) for i in block[:-len(tail)]) + tail_text
-
-    if pending is not None:
-        raise InstrumentError(func.name, "handler has an empty body")
+            plan.inserted_epilogue = _untagged(head) + _untagged(lines)
 
     plan.epilogue_sites = sites
     new = AsmFunction(func.name, func.kind, body, labels=func.labels,

@@ -159,6 +159,15 @@ def _imm_str(v: int) -> str:
     return "#0x%x" % v if v >= 256 else "#%d" % v
 
 
+def _mem_str(rn: int, imm: int) -> str:
+    base = reg_name(rn)
+    return "[%s, %s]" % (base, _imm_str(imm)) if imm else "[%s]" % base
+
+
+def _reglist_str(regs) -> str:
+    return "{%s}" % ", ".join(reg_name(r) for r in regs)
+
+
 def format_instr(ins: Instr) -> str:
     """Canonical printable form (lowercase, one space after mnemonic)."""
     op = ins.op
@@ -170,13 +179,10 @@ def format_instr(ins: Instr) -> str:
     if op == "mov_reg":
         return "mov%s %s, %s" % (w, reg_name(ins.rd), reg_name(ins.rm))
     if op in ("ldr", "str", "ldrb", "strb"):
-        if ins.imm:
-            mem = "[%s, %s]" % (reg_name(ins.rn), _imm_str(ins.imm))
-        else:
-            mem = "[%s]" % reg_name(ins.rn)
-        return "%s%s %s, %s" % (op, w, reg_name(ins.rd), mem)
+        return "%s%s %s, %s" % (op, w, reg_name(ins.rd),
+                                _mem_str(ins.rn, ins.imm))
     if op in ("push", "pop"):
-        return "%s {%s}" % (op, ", ".join(reg_name(r) for r in ins.reglist))
+        return "%s %s" % (op, _reglist_str(ins.reglist))
     if op == "add_sp":
         return "add sp, %s" % _imm_str(ins.imm)
     if op == "sub_sp":

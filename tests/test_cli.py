@@ -174,6 +174,21 @@ def test_unknown_handler_name_exits_1(tmp_path, capsys):
                    "a known exception\n")
 
 
+@pytest.mark.parametrize("command", [["instrument"],
+                                     ["run", "--instrument", "--protected"]])
+def test_an_empty_function_exits_1(command, tmp_path, capsys):
+    # f aliases g: instrumented and run, it used to exit 0 with
+    # SafeReturn and one shadow slot never popped.
+    src = tmp_path / "empty.ws"
+    src.write_text(".func main hal\n    bl f\n    bkpt #0\n.endfunc\n"
+                   ".func f\n.endfunc\n.func g\n    bx lr\n.endfunc\n")
+    assert main(command[:1] + [str(src)] + command[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("watchstack: error: function 'f': normal "
+                            "function has an empty body\n")
+
+
 def test_two_handlers_for_one_exception_exit_1(tmp_path, capsys):
     src = tmp_path / "svc.ws"
     src.write_text(SPIN + ".func svc_handler handler\n    bkpt #1\n.endfunc\n"

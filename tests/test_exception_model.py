@@ -124,7 +124,7 @@ def test_return_from_thread_mode_faults():
     assert m.halted and m.halt_reason == HaltReason.FAULT
 
 
-def test_stacking_flows_through_the_access_hook():
+def test_stacking_flows_through_the_guard():
     stores = []
 
     class Hook:

@@ -5,12 +5,17 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from watchstack.asm import parse, print_program
-from watchstack.instrument import (InstrumentError, ShadowStackConfig,
-                                   analyze_free_gprs, instrument_program)
+from watchstack.asm import format_instr, format_tagged, parse, print_program
+from watchstack.harness import make_benign_program
+from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, InstrumentError,
+                                   ShadowStackConfig, analyze_free_gprs,
+                                   instrument_program)
+from watchstack.isa import PC
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 HEADER = ".org 0x08000000\n"
 
 
@@ -124,6 +129,27 @@ def test_hal_functions_are_skipped():
     orig = parse(src)
     assert (res.program.functions["f"].structural_key()
             == orig.functions["f"].structural_key())
+
+
+EMPTY = (HEADER + ".func main hal\n    bl f\n    bkpt #0\n.endfunc\n"
+         ".func f%s\n.endfunc\n.func g\n    bx lr\n.endfunc\n")
+
+
+@pytest.mark.parametrize("kind", ["", " handler"])
+def test_an_empty_function_is_refused(kind):
+    # An empty normal f aliases g: f's prologue runs on into g's, and the
+    # one epilogue left pops one of the two shadow slots they push.
+    with pytest.raises(InstrumentError) as err:
+        instrument(EMPTY % kind)
+    assert err.value.function == "f"
+    assert err.value.message == "%s function has an empty body" % (
+        kind.strip() or "normal")
+
+
+def test_an_empty_hal_function_is_copied():
+    res = instrument(EMPTY % " hal")
+    assert res.plan_for("f").skipped
+    assert res.program.functions["f"].body == []
 
 
 def test_size_delta_matches_layout_growth():
@@ -337,3 +363,79 @@ def test_text_is_rendered_on_first_access():
     text = res.text
     assert text == print_program(res.program)
     assert res.text is text
+
+
+# -- plan text is the inserted code --------------------------------------------
+
+def _two_returns(name: str, kind: str, used, ret: str) -> str:
+    """A function that touches ``used`` and r0 and returns twice by
+    ``ret``, the second time behind a label."""
+    lines = [".func %s %s" % (name, kind)]
+    if ret != "bx lr":
+        lines.append("    push {%slr}" % ("r7, " if "r7" in ret else ""))
+    lines += ["    mov r%d, #%d" % (r, r + 1) for r in sorted(used)]
+    lines += ["    cmp r0, #1", "    beq %s_alt" % name, "    " + ret,
+              "    .label %s_alt" % name, "    " + ret, ".endfunc"]
+    return "\n".join(lines) + "\n"
+
+
+def _first_inserted_blocks(orig, new):
+    """The prologue and the first return site's block, as inserted."""
+    pro = 0
+    while new.body[pro].tag is not None and new.body[pro].tag[0] == "pro":
+        pro += 1
+    site = next(i for i, ins in enumerate(orig.body)
+                if ins.op == "bx" or (ins.op == "pop" and PC in ins.reglist))
+    start = end = pro + site
+    while new.body[end].op != "bx":
+        end += 1
+    return new.body[:pro], new.body[start:end + 1]
+
+
+_RETURNS = st.sampled_from(["bx lr", "pop {pc}", "pop {r7, pc}"])
+
+
+@pytest.mark.parametrize("sequence", [SEQ_OPTIMAL, SEQ_NAIVE])
+@pytest.mark.parametrize("reserve", [False, True])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), n_funcs=st.integers(1, 6),
+       busy=st.sets(st.integers(1, 12)), busy_ret=_RETURNS,
+       hw=st.sets(st.sampled_from([1, 2, 3, 12])),
+       others=st.sets(st.integers(4, 11)), handler_ret=_RETURNS)
+def test_plan_text_is_the_inserted_code(sequence, reserve, seed, n_funcs,
+                                        busy, busy_ret, hw, others,
+                                        handler_ret):
+    """Each plan's text is ``format_instr`` of the instructions the pass
+    inserted, so the lines it writes its blocks in are canonical.  The
+    handler reserves registers when the body leaves fewer than three of
+    the hardware-restored ones free (r0 is always used)."""
+    hw = set(sorted(hw)[:1]) if not reserve else hw | {1, 2}
+    text = (make_benign_program(random.Random(seed), n_funcs)
+            + _two_returns("busy", "", busy, busy_ret)
+            + _two_returns("systick_handler", "handler", hw | others,
+                           handler_ret))
+    prog = parse(text)
+    res = instrument_program(prog, ShadowStackConfig(sequence=sequence))
+    assert bool(res.plan_for("systick_handler").reserved_gprs) == reserve
+    for plan in res.plans:
+        if plan.skipped:
+            continue
+        pro, epi = _first_inserted_blocks(prog.functions[plan.function],
+                                          res.program.functions[plan.function])
+        assert tuple(map(format_instr, pro)) == plan.inserted_prologue
+        assert tuple(map(format_instr, epi)) == plan.inserted_epilogue
+        rest = iter(plan.inserted_prologue)
+        assert all(line in rest for line in plan.access_block)
+
+
+# -- the README's instrumented function --------------------------------------
+
+def test_readme_shows_the_blocks_the_pass_writes():
+    """README "Instrumentation" prints ``f`` (body ``bx lr``) as the
+    optimal sequence rewrites it: scratches r0 and r12, tags included."""
+    section = README.read_text().split("\n## Instrumentation\n")[1]
+    shown = section.split("```asm\n.func f\n")[1].split("\n.endfunc")[0]
+    res = instrument(HEADER + ".func f\n    bx lr\n.endfunc\n")
+    assert res.plan_for("f").scratch_gprs == (0, 12)
+    body = res.program.functions["f"].body
+    assert shown.splitlines() == ["    " + format_tagged(i) for i in body]

@@ -290,7 +290,7 @@ class _CountingHook:
         return True if addr in self.suppress else None
 
 
-def test_every_store_flows_through_the_access_hook():
+def test_every_store_flows_through_the_guard():
     src = """\
 .org 0x08000000
 .func main hal

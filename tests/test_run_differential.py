@@ -207,6 +207,65 @@ def test_code_replaced_between_runs(monkeypatch):
     assert_same(want, observe(m, not m.halted), "code swaps")
 
 
+# 40 passes, so the loop block gets hot; its addw immediate makes a
+# block source that no other test compiles.
+LOOP = """\
+.org 0x08000000
+.func main hal
+    mov r5, #40
+.label loop
+    addw r6, r6, #%d
+    subw r5, r5, #1
+    cmp r5, #0
+    bne loop
+    bkpt #0
+.endfunc
+"""
+
+
+def _count_compiles(monkeypatch) -> list:
+    """The generated sources ``blocks`` compiles from now on."""
+    sources = []
+
+    def counting(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(blocks, "compile", counting, raising=False)
+    return sources
+
+
+def _run_loop(prog, step: int) -> None:
+    m = build_machine(prog, RunConfig())
+    run_machine(m, RunConfig())
+    assert m.halt_reason == HaltReason.NORMAL
+    assert m.gpr[6] == 40 * step
+
+
+def test_equal_code_compiles_its_hot_block_once(monkeypatch):
+    """Two parses of one text share no Instr, yet the second machine
+    reuses the loop block the first one compiled."""
+    sources = _count_compiles(monkeypatch)
+    text = LOOP % 0x7A1
+    _run_loop(parse(text), 0x7A1)
+    assert len(sources) == 1
+    _run_loop(parse(text), 0x7A1)
+    assert len(sources) == 1
+
+
+def test_a_changed_instruction_compiles_anew(monkeypatch):
+    """The loop's addw at the same address, changed by a new parse and
+    then in place, gives new block code each time."""
+    sources = _count_compiles(monkeypatch)
+    _run_loop(parse(LOOP % 0x7A2), 0x7A2)
+    prog = parse(LOOP % 0x7A3)
+    _run_loop(prog, 0x7A3)
+    addw = next(ins for ins in prog.code.values() if ins.op == "addw")
+    addw.imm = 0x7A4
+    _run_loop(prog, 0x7A4)
+    assert len(sources) == 3
+
+
 def test_svc_and_udf_in_a_hot_loop(monkeypatch):
     """Each pass enters and leaves two exceptions from thread code; the
     loop and both handlers run as compiled blocks once hot, and a raised
