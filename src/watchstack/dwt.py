@@ -8,8 +8,12 @@ program's address space and lets the unit sanity-check it on update.
 
 Register writes (``DwtUnit.mmio_write``) are the only way a comparator
 field changes, on the chip and here: ``ComparatorGroup`` is frozen.
-Matching runs on every data access, so it reads a slot table of regions
-that those writes keep up to date (see the README's register map).
+Those writes keep ``DwtUnit.slots``, a table of the regions each access
+kind can match, up to date in place.  The machine tests every data
+access against that table inline (``Machine.watch`` is the same
+object), as the chip's comparators do in hardware, and calls the guard
+only on a hit; ``match_access`` reads the same table, and is the
+reference matcher the guard uses to name the comparator.
 """
 
 from __future__ import annotations
@@ -52,6 +56,9 @@ _NEVER = (0, 0)  # the slot of a group that cannot match: no addr < 0
 _READ_FNS = frozenset((FN_READ, FN_READWRITE))
 _WRITE_FNS = frozenset((FN_WRITE, FN_READWRITE))
 _ENABLED_FNS = _READ_FNS | _WRITE_FNS
+# Writes a field of a frozen ComparatorGroup; bound once, as the
+# instrumented code writes FUNCTION0 and COMP1 several times per call.
+_set_field = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -77,9 +84,11 @@ class DwtUnit:
     ssp_guard: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        # Per access kind, one (lo, hi) region per group: none while
-        # every group is disabled.
-        self._slots = ([_NEVER] * NUM_GROUPS, [_NEVER] * NUM_GROUPS)
+        # Indexed by access kind (ACCESS_READ, ACCESS_WRITE): one (lo, hi)
+        # region per group, _NEVER while the group's FUNCTION excludes
+        # that kind.  Only mmio_write changes it, and always in place, so
+        # whoever holds it (Machine.watch) sees every register write.
+        self.slots = ([_NEVER] * NUM_GROUPS, [_NEVER] * NUM_GROUPS)
 
     def match_access(self, addr: int, size: int, access: int) -> int | None:
         """Lowest matching enabled comparator id for this access, else None.
@@ -89,7 +98,8 @@ class DwtUnit:
         store that reprograms a comparator only affects later accesses.
         """
         # Unrolled over the NUM_GROUPS slots: a loop costs twice as much.
-        s0, s1, s2, s3 = self._slots[access]
+        # Machine.load/store run the same test inline.
+        s0, s1, s2, s3 = self.slots[access]
         end = addr + size
         if addr < s0[1] and end > s0[0]:
             return 0
@@ -100,17 +110,6 @@ class DwtUnit:
         if addr < s3[1] and end > s3[0]:
             return 3
         return None
-
-    def _refresh(self, gid: int) -> None:
-        """Recompute the slots of group ``gid``."""
-        g = self.groups[gid]
-        span = 1 << g.mask
-        lo = g.comp & ~(span - 1) & MASK32
-        region = (lo, lo + span)
-        fn = g.function
-        reads, writes = self._slots
-        reads[gid] = region if fn in _READ_FNS else _NEVER
-        writes[gid] = region if fn in _WRITE_FNS else _NEVER
 
     # -- register file ------------------------------------------------------
 
@@ -129,12 +128,21 @@ class DwtUnit:
         gid, name, bits = reg
         g = self.groups[gid]
         value &= bits
-        # The one store to a comparator field.  A COMP write to a
-        # disabled group (COMP1 as the ssp) leaves its slots as they are.
-        object.__setattr__(g, name, value)
-        if name != "comp" or g.function in _ENABLED_FNS:
-            self._refresh(gid)
-        if gid == 1 and name == "comp" and self.ssp_guard is not None:
-            lo, hi = self.ssp_guard
-            if not lo <= value <= hi:
-                m.halt(HaltReason.STACK_OVERFLOW)
+        # The one store to a comparator field.
+        _set_field(g, name, value)
+        if name == "comp":
+            if gid == 1 and self.ssp_guard is not None:
+                lo, hi = self.ssp_guard
+                if not lo <= value <= hi:
+                    m.halt(HaltReason.STACK_OVERFLOW)
+            # A disabled group (COMP1 as the ssp) keeps its slots.
+            if g.function not in _ENABLED_FNS:
+                return
+        # Recompute this group's slots, in place.
+        span = 1 << g.mask
+        base = g.comp & ~(span - 1) & MASK32
+        region = (base, base + span)
+        fn = g.function
+        reads, writes = self.slots
+        reads[gid] = region if fn in _READ_FNS else _NEVER
+        writes[gid] = region if fn in _WRITE_FNS else _NEVER

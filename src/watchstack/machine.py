@@ -1,12 +1,17 @@
 """Deterministic single-core machine with hooked data accesses.
 
 The machine executes pre-decoded instructions from an address-indexed
-code map.  Every data access goes through ``load``/``store``, which show
-it to ``guard``, the one access observer, before it commits; a store the
-guard answers True for is suppressed (watchpoint semantics) and recorded
-by the guard.  Device windows (``mmio``) live above 0xE0000000; a device
-is a word device, ``mmio_read(m, addr)`` and ``mmio_write(m, addr,
-value)``, and the access path handles the byte lane of a byte access.
+code map.  Every data access goes through ``load``/``store``.  Before it
+commits, they test it against ``watch``, per access kind four (lo, hi)
+regions, and show it to ``guard``, the one access observer, only when
+it falls in one; a store the guard answers True for is suppressed
+(watchpoint semantics) and recorded by the guard.  Protection points
+``watch`` at the watchpoint unit's live slot table, so the guard runs
+only on comparator hits; by default every region covers the whole
+address space, so a guard set on its own sees every access.  Device
+windows (``mmio``) live above 0xE0000000; a device is a word device,
+``mmio_read(m, addr)`` and ``mmio_write(m, addr, value)``, and the
+access path handles the byte lane of a byte access.
 
 ``step()`` executes one instruction and is the reference semantics.
 ``run()`` executes many: it steps cold code and runs hot straight-line
@@ -49,6 +54,10 @@ XPSR_C = 1 << 29
 XPSR_V = 1 << 28
 
 _WORD = struct.Struct("<I")
+
+# Machine.watch's default: per access kind, regions that cover every
+# address, so the guard is shown every access.
+WATCH_ALL = (((0, 1 << 32),) * 4, ((0, 1 << 32),) * 4)
 
 
 class HaltReason(Enum):
@@ -145,18 +154,20 @@ class Machine:
         # Exception entries and returns and the halt, in order.
         self.events: list[Event] = []
         self.cur_pc = 0  # pc of the instruction currently executing
-        # Debug hardware and the access observer, set up by protect.
+        # Debug hardware, the access observer and the regions it is
+        # shown, set up by protect.
         self.dwt = None
         self.demcr = None
         self.guard = None
+        self.watch = WATCH_ALL
         # Execution counts by pc, complete once step() or run() returns.
         self.retired: dict[int, int] = {}
         self.taken: dict[int, int] = {}
         # Optional bookkeeping, enabled by the runner.
         self.min_sp: int | None = None
-        # run()'s (code, blocks by entry pc).  One attribute: more would
-        # push instances past CPython's shared-key dict size and slow
-        # every attribute access.
+        # run()'s (code, blocks by entry pc), in one attribute: past
+        # CPython's shared-key dict size (29 keys on 3.11; 27 here, see
+        # tests/test_machine.py) every attribute access slows down.
         self._block_cache = None
 
     # -- register helpers -------------------------------------------------
@@ -184,9 +195,15 @@ class Machine:
     # -- hooked data access ----------------------------------------------
 
     def load(self, addr: int, size: int) -> int:
-        guard = self.guard
-        if guard is not None:
-            guard.on_load(self, addr, size)
+        # DwtUnit.match_access's test, unrolled over the four regions.
+        s0, s1, s2, s3 = self.watch[ACCESS_READ]
+        end = addr + size
+        if ((addr < s0[1] and end > s0[0]) or (addr < s1[1] and end > s1[0])
+                or (addr < s2[1] and end > s2[0])
+                or (addr < s3[1] and end > s3[0])):
+            guard = self.guard
+            if guard is not None:
+                guard.on_load(self, addr, size)
         if addr >= 0xE0000000:
             for lo, hi, dev in self.mmio:
                 if lo <= addr < hi:
@@ -194,14 +211,25 @@ class Machine:
                         return dev.mmio_read(self, addr)
                     word = dev.mmio_read(self, addr & ~3)
                     return (word >> (8 * (addr & 3))) & 0xFF
+        mem = self.mem
         if size == 4:
-            return self.mem.read_word(addr)
-        return self.mem.read_byte(addr)
+            off = addr & PAGE_MASK
+            if off > PAGE_SIZE - 4:
+                return mem.read_word(addr)  # straddles two pages
+            page = mem.pages.get(addr >> PAGE_BITS)
+            return _WORD.unpack_from(page, off)[0] if page is not None else 0
+        return mem.read_byte(addr)
 
     def store(self, addr: int, size: int, value: int) -> None:
-        guard = self.guard
-        if guard is not None and guard.on_store(self, addr, size, value):
-            return  # suppressed
+        # As in load; a store the guard answers True for is suppressed.
+        s0, s1, s2, s3 = self.watch[ACCESS_WRITE]
+        end = addr + size
+        if ((addr < s0[1] and end > s0[0]) or (addr < s1[1] and end > s1[0])
+                or (addr < s2[1] and end > s2[0])
+                or (addr < s3[1] and end > s3[0])):
+            guard = self.guard
+            if guard is not None and guard.on_store(self, addr, size, value):
+                return  # suppressed
         if addr >= 0xE0000000:
             for lo, hi, dev in self.mmio:
                 if lo <= addr < hi:
@@ -213,10 +241,16 @@ class Machine:
                                              | ((value & 0xFF) << shift))
                     dev.mmio_write(self, addr, value)
                     return
+        mem = self.mem
         if size == 4:
-            self.mem.write_word(addr, value)
+            off = addr & PAGE_MASK
+            if off > PAGE_SIZE - 4:
+                mem.write_word(addr, value)  # straddles two pages
+                return
+            page = mem.pages.get(addr >> PAGE_BITS) or mem._page(addr)
+            _WORD.pack_into(page, off, value & MASK32)
         else:
-            self.mem.write_byte(addr, value)
+            mem.write_byte(addr, value)
 
     # -- faults and flags ---------------------------------------------------
 

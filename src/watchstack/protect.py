@@ -3,10 +3,13 @@
 One call configures the watchpoint unit, through its register file as
 boot code does, so that any program store into the shadow stack region,
 or onto the DEMCR debug-enable word, is caught before it commits, and
-sets ``m.demcr.mon_en``.  The guard, ``m.guard``, the machine's one
-access observer, plays the role of the debug monitor exception: it
-suppresses the offending write, records it, and then either halts the
-machine (reset policy) or lets execution continue (report policy).
+sets ``m.demcr.mon_en``.  It points ``m.watch`` at the unit's slot
+table, so the machine tests every access against the comparator
+regions itself and calls the guard, ``m.guard``, only on a hit.  The
+guard, the machine's one access observer, plays the role of the debug
+monitor exception: it suppresses the offending write, records it, and
+then either halts the machine (reset policy) or lets execution continue
+(report policy).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class DemcrModel:
         self.value = value & 0xFFFFFFFF
 
 
-@dataclass
+@dataclass(slots=True)
 class ViolationRecord:
     step_index: int
     pc: int
@@ -69,11 +72,15 @@ class ViolationRecord:
 
 
 class WatchpointGuard:
-    """Access observer: checks every data access against the comparators.
+    """Access observer: the debug monitor handler of a comparator hit.
 
-    The check runs before the store commits, so a trapped write never
-    reaches memory or a device register.  Reads cannot be suppressed;
-    a read match is recorded and the policy applied, but data flows.
+    The machine calls it before the access commits, so a trapped write
+    never reaches memory or a device register, and only for an access
+    inside a region of ``m.watch``; it matches the access again
+    (``DwtUnit.match_access``) to name the lowest comparator.  Shown an
+    access that hits nothing, it does nothing, so it gives the same
+    records when shown every access.  Reads cannot be suppressed; a
+    read match is recorded and the policy applied, but data flows.
     """
 
     def __init__(self, dwt: DwtUnit, reset: bool) -> None:
@@ -81,25 +88,27 @@ class WatchpointGuard:
         self.reset = reset  # halt on a hit (reset policy), else report
         self.records: list[ViolationRecord] = []
 
-    def _dispatch(self, m: Machine, rec: ViolationRecord) -> None:
-        self.records.append(rec)
-        if self.reset:
-            m.halt(HaltReason.RESET)
+    # Both handlers record the hit, then apply the policy; each does it
+    # inline, as a sweep under the report policy makes one hit per store.
 
     def on_load(self, m: Machine, addr: int, size: int) -> None:
         cid = self.dwt.match_access(addr, size, ACCESS_READ)
         if cid is None:
             return
-        self._dispatch(m, ViolationRecord(m.steps, m.cur_pc, addr, cid,
-                                          0, size, ACCESS_READ))
+        self.records.append(ViolationRecord(m.steps, m.cur_pc, addr, cid,
+                                            0, size, ACCESS_READ))
+        if self.reset:
+            m.halt(HaltReason.RESET)
 
     def on_store(self, m: Machine, addr: int, size: int, value: int) -> bool:
         """True when the store hits a comparator: the write is suppressed."""
         cid = self.dwt.match_access(addr, size, ACCESS_WRITE)
         if cid is None:
             return False
-        self._dispatch(m, ViolationRecord(m.steps, m.cur_pc, addr, cid,
-                                          value, size, ACCESS_WRITE))
+        self.records.append(ViolationRecord(m.steps, m.cur_pc, addr, cid,
+                                            value, size, ACCESS_WRITE))
+        if self.reset:
+            m.halt(HaltReason.RESET)
         return True
 
 
@@ -154,5 +163,8 @@ def init_write_protection(m: Machine, config: ShadowStackConfig,
 
     m.demcr.value |= DEMCR_MON_EN
     m.guard = WatchpointGuard(dwt, policy == POLICY_RESET)
+    # The machine now shows the guard only the accesses that fall in a
+    # comparator region; the unit's register writes update the table.
+    m.watch = dwt.slots
     return True
 

@@ -8,9 +8,12 @@ runs; here it fails the test suite.
 import types
 from pathlib import Path
 
-from watchstack.harness import run_recursion
+from watchstack.asm import parse
+from watchstack.harness import run_recursion, sweep_program
+from watchstack.instrument import ShadowStackConfig
 from watchstack.machine import EV_EXC_ENTERED, EV_EXC_RETURNED
-from watchstack.runner import OUTCOME_SAFE, RunConfig, run_source
+from watchstack.protect import POLICY_REPORT
+from watchstack.runner import OUTCOME_SAFE, RunConfig, run_program, run_source
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -23,22 +26,48 @@ def _load_tracer_module():
     return module
 
 
+def _accesses(run) -> int:
+    """Data accesses of a run without exceptions, from what it retired:
+    one per load or store, one per register a push or pop lists."""
+    assert not [ev for ev in run.events if ev.kind != "halted"]
+    code = run.machine.code
+    total = 0
+    for at, n in run.machine.retired.items():
+        ins = code[at]
+        if ins.op in ("push", "pop"):
+            total += n * len(ins.reglist)
+        elif ins.op in ("ldr", "str", "ldrb", "strb"):
+            total += n
+    return total
+
+
 def test_tracer_counts_a_protected_run_and_restores_every_patch():
     tracer = _load_tracer_module().Tracer()
     originals = [(owner, attr, owner.__dict__[attr])
                  for owner, attr, _ in tracer._patches]
+    shadow = ShadowStackConfig()
     tracer.install()
     try:
         for owner, attr, original in originals:
             assert owner.__dict__[attr] is not original, attr
         run = run_recursion(4)
+        # The guard runs only on comparator hits, and the recursion has
+        # none: four byte stores across the shadow region's low edge
+        # give it two.
+        sweep = run_program(
+            parse(sweep_program(shadow.ss_start - 2, shadow.ss_start + 2)),
+            RunConfig(protected=True, policy=POLICY_REPORT, shadow=shadow))
     finally:
         tracer.uninstall()
     assert run.outcome == OUTCOME_SAFE
+    assert len(sweep.violations) == 2
     for layer in ("machine.access", "protect.guard", "dwt.match_access",
                   "dwt.mmio", "runner.build_machine", "runner.run_machine"):
         assert tracer.calls[layer] > 0, layer
-    assert tracer.counts["sim.cycles"] == run.cycles
+    assert tracer.calls["machine.access"] == _accesses(run) + _accesses(sweep)
+    assert tracer.calls["protect.guard"] == len(sweep.violations)
+    assert tracer.calls["dwt.match_access"] == len(sweep.violations)
+    assert tracer.counts["sim.cycles"] == run.cycles + sweep.cycles
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, attr
 

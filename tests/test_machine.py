@@ -1,11 +1,15 @@
 """Core interpreter semantics: stores, stacks, flags, faults, events."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from watchstack.asm import parse
+from watchstack.harness import recursion_program
 from watchstack.machine import (EV_EXC_ENTERED, EV_HALTED, Event, HaltReason,
                                 Machine, MODE_HANDLER, MODE_THREAD)
+from watchstack.runner import RunConfig, build_machine, run_machine
 
 SP0 = 0x20040000
 
@@ -379,3 +383,44 @@ def test_determinism_identical_runs(body):
     m2, _ = make_machine(src)
     run(m1), run(m2)
     assert _snapshot(m1) == _snapshot(m2)
+
+
+# Addresses near the ends of two adjacent pages and of an untouched one.
+_ACCESS_ADDRS = st.sampled_from(
+    [0x20000000 + d for d in (0, 1, 2, 3, 4)]
+    + [0x20000FFC + d for d in range(8)]
+    + [0x20003FFD, 0x20003FFE, 0x20003FFF])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), _ACCESS_ADDRS, st.sampled_from((1, 4)),
+                          st.integers(0, 0xFFFFFFFF)), max_size=24))
+def test_loads_and_stores_agree_with_memory(ops):
+    """The machine's inline word access, in a page or straddling two,
+    reads and writes what ``Memory``'s own accessors do, creating the
+    same pages."""
+    m = Machine()
+    ref = Machine().mem
+    for is_store, addr, size, value in ops:
+        if is_store:
+            m.store(addr, size, value)
+            if size == 4:
+                ref.write_word(addr, value)
+            else:
+                ref.write_byte(addr, value)
+        else:
+            want = ref.read_word(addr) if size == 4 else ref.read_byte(addr)
+            assert m.load(addr, size) == want, (hex(addr), size)
+        assert m.mem.snapshot() == ref.snapshot()
+
+
+def test_a_protected_machine_keeps_a_shared_key_dict():
+    """CPython shares one key table among instances that set the same
+    attributes in the same order, up to a size limit (29 keys on 3.11).
+    Past it each instance gets a dict of its own, and every attribute
+    access, on the hot path too, slows down."""
+    m = build_machine(parse(recursion_program(3)),
+                      RunConfig(protected=True, track_min_sp=True))
+    run_machine(m, RunConfig(protected=True))
+    attrs = vars(m)
+    assert sys.getsizeof(attrs) < sys.getsizeof(dict(attrs)), len(attrs)

@@ -13,15 +13,16 @@ compiled path sees every instruction and every interrupt position.
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from watchstack import blocks
 from watchstack.asm import parse
 from watchstack.dwt import DWT_FUNCTION0, FN_READWRITE
-from watchstack.harness import (make_benign_program,
+from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
                                 preinit_exception_program, recursion_program,
                                 sweep_program)
 from watchstack.instrument import ShadowStackConfig, instrument_program
-from watchstack.machine import HaltReason
+from watchstack.machine import WATCH_ALL, HaltReason
 from watchstack.protect import POLICY_REPORT, POLICY_RESET
 from watchstack.runner import (RunConfig, attribute, build_machine,
                                run_machine)
@@ -371,3 +372,111 @@ def test_interrupt_before_protection_takes_the_tagged_branch(monkeypatch):
                         track_min_sp=True)
         want = check(prog, cfg, "preinit raise@%d" % at, monkeypatch)
         assert want["halt"] == (True, HaltReason.NORMAL, False)
+
+
+# -- the watched access path against a guard that sees every access --------
+
+def _see_everything(m):
+    """Put back Machine.watch's default: the guard is shown every access
+    and decides each through DwtUnit.match_access."""
+    assert m.watch is m.dwt.slots
+    m.watch = WATCH_ALL
+
+
+def check_watch(prog, cfg: RunConfig, label: str, monkeypatch) -> dict:
+    """The shipped run, where the machine tests the comparator regions
+    inline, against the run whose guard checks every access; each
+    stepped and in compiled blocks."""
+    want = check(prog, cfg, label + " see-everything", monkeypatch,
+                 arm=_see_everything)
+    assert_same(want, check(prog, cfg, label, monkeypatch), label)
+    return want
+
+
+# Hypothesis runs many examples in one test call; each check() patches
+# blocks.HOT_THRESHOLD only inside its own context.
+_WATCH_SETTINGS = settings(
+    max_examples=25, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_WATCH_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1),
+       policy=st.sampled_from((POLICY_RESET, POLICY_REPORT)))
+def test_watch_matches_the_guard_on_demcr_fuzz(seed, policy, monkeypatch):
+    prog = parse(make_demcr_fuzz_program(random.Random(seed)) + HANDLERS)
+    check_watch(prog, _cfg(policy, seed % 60, 2_000), "fuzz %d" % seed,
+                monkeypatch)
+
+
+@_WATCH_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), at=st.integers(0, 400),
+       policy=st.sampled_from((POLICY_RESET, POLICY_REPORT)))
+def test_watch_matches_the_guard_on_benign_programs(seed, at, policy,
+                                                    monkeypatch):
+    rng = random.Random(seed)
+    text = make_benign_program(rng, rng.randint(2, 8)) + HANDLERS
+    prog = instrument_program(parse(text), SHADOW).program
+    check_watch(prog, _cfg(policy, at, 20_000), "benign %d@%d" % (seed, at),
+                monkeypatch)
+
+
+@_WATCH_SETTINGS
+@given(edge=st.sampled_from((SHADOW.ss_start, SHADOW.ss_limit)),
+       below=st.integers(0, 9), above=st.integers(1, 9),
+       at=st.none() | st.integers(0, 60),
+       policy=st.sampled_from((POLICY_RESET, POLICY_REPORT)))
+def test_watch_matches_the_guard_on_edge_sweeps(edge, below, above, at,
+                                                policy, monkeypatch):
+    prog = parse(sweep_program(edge - below, edge + above) + HANDLERS)
+    check_watch(prog, _cfg(policy, at, 1_000), "sweep 0x%x-%d+%d" % (
+        edge, below, above), monkeypatch)
+
+
+# Each pass disarms comparator 0 (FUNCTION0 = 0), writes one shadow
+# slot, arms it again (FUNCTION0 = 6) and writes the next slot.
+TOGGLE = """\
+.org 0x08000000
+.func main hal
+    mov r5, #%d
+    movw r0, #0x1028
+    movt r0, #0xe000
+    movw r1, #0x%04x
+    movt r1, #0x%04x
+.label loop
+    mov r2, #0
+    str r2, [r0]
+    str r5, [r1]
+    mov r2, #6
+    str r2, [r0]
+    str r5, [r1, #4]
+    subw r5, r5, #1
+    cmp r5, #0
+    bne loop
+    bkpt #0
+.endfunc
+""" % (blocks.HOT_THRESHOLD + 8, SHADOW.ss_start & 0xFFFF,
+       SHADOW.ss_start >> 16)
+
+
+def test_a_function0_store_disarms_and_arms_at_once(monkeypatch):
+    """The disarmed write commits and the armed one is suppressed and
+    recorded, on every pass: the first passes stepped, the rest inside
+    the loop's compiled block."""
+    passes = blocks.HOT_THRESHOLD + 8
+    prog = parse(TOGGLE)
+    want = check_watch(prog, _cfg(POLICY_REPORT, None, 10_000), "toggle",
+                       monkeypatch)
+    assert want["halt"] == (True, HaltReason.NORMAL, False)
+    assert [(r.data_address, r.comparator_id, r.suppressed_value)
+            for r in want["violations"]] == [
+        (SHADOW.ss_start + 4, 0, n) for n in range(passes, 0, -1)]
+    page = want["mem"][SHADOW.ss_start >> 12]
+    off = SHADOW.ss_start & 0xFFF
+    assert page[off:off + 8] == bytes([1, 0, 0, 0, 0, 0, 0, 0])
+    # Under the reset policy the first armed write halts the run.
+    want = check_watch(prog, _cfg(POLICY_RESET, None, 10_000),
+                       "toggle reset", monkeypatch)
+    assert want["halt"] == (True, HaltReason.RESET, False)
+    assert [r.suppressed_value for r in want["violations"]] == [passes]
+    assert want["mem"][SHADOW.ss_start >> 12][off] == passes
