@@ -6,7 +6,10 @@ the first branch or pc write, ending early before ``svc``, ``bkpt``,
 ``Machine.run`` steps through a block until it has reached the block's
 entry pc HOT_THRESHOLD times; then the block is compiled to one
 generated function that does what ``step()`` would do for each of its
-instructions, with the per-step bookkeeping lifted out:
+instructions, with the per-step bookkeeping lifted out.  ``Machine.run``
+calls compiled blocks back to back, looking up the next one at the pc
+each leaves, for as long as it is compiled and fits the step budget.
+In the generated function:
 
 * ``m.steps``, ``m.cycles``, ``m.cur_pc`` and ``m.pc`` are brought up to
   date only before an instruction that can observe them (a load, store,

@@ -6,11 +6,16 @@ access kinds match.  COMP1 is special in this design: the runtime keeps
 the shadow stack pointer in it, which both hides the pointer from the
 program's address space and lets the unit sanity-check it on update.
 
-Register writes (``DwtUnit.mmio_write``) are the only way a comparator
-field changes, on the chip and here: ``ComparatorGroup`` is frozen.
-Those writes keep ``DwtUnit.slots``, a table of the regions each access
-kind can match, up to date in place.  The machine tests every data
-access against that table inline (``Machine.watch`` is the same
+The twelve register words live in one flat list, ``DwtUnit.regs``, and
+register writes (``DwtUnit.mmio_write``) are the only way one changes,
+on the chip and here: ``DwtUnit.groups`` returns frozen
+``ComparatorGroup`` snapshots built from the words.  Those writes keep
+``DwtUnit.slots``, a table of the regions each access kind can match,
+up to date in place.  Each group's ``[lo, hi)`` region is cached, and
+only a COMP or MASK write to the group drops it; a FUNCTION write, which
+the instrumented code makes twice per call, only chooses per access
+kind between the cached region and ``_NEVER``.  The machine tests every
+data access against that table inline (``Machine.watch`` is the same
 object), as the chip's comparators do in hardware, and calls the guard
 only on a hit; ``match_access`` reads the same table, and is the
 reference matcher the guard uses to name the comparator.
@@ -46,24 +51,25 @@ FN_READWRITE = 0x7
 
 MASK_BITS_MAX = 0x1F
 
-# Register address -> (group, field, bits kept).
-_REGS = {DWT_COMP_BASE + gid * DWT_GROUP_STRIDE + off: (gid, name, bits)
+# A group's registers, in ComparatorGroup's field order: group g's
+# register k is DwtUnit.regs[3 * g + k].
+_COMP, _MASK, _FUNCTION = range(3)
+# Register address -> (index in regs, group, register, bits kept).
+_REGS = {DWT_COMP_BASE + gid * DWT_GROUP_STRIDE + off: (3 * gid + k, gid, k,
+                                                        bits)
          for gid in range(NUM_GROUPS)
-         for off, name, bits in ((DWT_COMP_OFF, "comp", MASK32),
-                                 (DWT_MASK_OFF, "mask", MASK_BITS_MAX),
-                                 (DWT_FUNCTION_OFF, "function", MASK32))}
+         for k, (off, bits) in enumerate(((DWT_COMP_OFF, MASK32),
+                                          (DWT_MASK_OFF, MASK_BITS_MAX),
+                                          (DWT_FUNCTION_OFF, MASK32)))}
 _NEVER = (0, 0)  # the slot of a group that cannot match: no addr < 0
 _READ_FNS = frozenset((FN_READ, FN_READWRITE))
 _WRITE_FNS = frozenset((FN_WRITE, FN_READWRITE))
 _ENABLED_FNS = _READ_FNS | _WRITE_FNS
-# Writes a field of a frozen ComparatorGroup; bound once, as the
-# instrumented code writes FUNCTION0 and COMP1 several times per call.
-_set_field = object.__setattr__
 
 
 @dataclass(frozen=True)
 class ComparatorGroup:
-    """One group's fields; only ``DwtUnit.mmio_write`` changes them."""
+    """A snapshot of one group's registers (``DwtUnit.groups``)."""
 
     comp: int = 0
     mask: int = 0
@@ -72,16 +78,16 @@ class ComparatorGroup:
 
 @dataclass
 class DwtUnit:
-    """Comparator state, match logic, and the word-wide register file."""
+    """Comparator registers, match logic, and the word-wide register file."""
 
-    # Disabled at reset, like the chip's; not a constructor argument, so
-    # the register file is the one way in.
-    groups: tuple[ComparatorGroup, ...] = field(
-        init=False, default_factory=lambda: tuple(ComparatorGroup()
-                                                  for _ in range(NUM_GROUPS)))
     # Legal [lo, hi] span for COMP1 writes once protection owns it; a write
     # outside the span halts the machine with a shadow stack overflow.
     ssp_guard: tuple[int, int] | None = None
+    # COMP, MASK and FUNCTION of each group in turn, zero (disabled) at
+    # reset like the chip's; not a constructor argument, so the register
+    # file is the one way in.
+    regs: list[int] = field(init=False,
+                            default_factory=lambda: [0] * (3 * NUM_GROUPS))
 
     def __post_init__(self) -> None:
         # Indexed by access kind (ACCESS_READ, ACCESS_WRITE): one (lo, hi)
@@ -89,6 +95,16 @@ class DwtUnit:
         # that kind.  Only mmio_write changes it, and always in place, so
         # whoever holds it (Machine.watch) sees every register write.
         self.slots = ([_NEVER] * NUM_GROUPS, [_NEVER] * NUM_GROUPS)
+        # Each group's region from its COMP and MASK, or None until
+        # needed again after one of them changed.
+        self._regions: list[tuple[int, int] | None] = [None] * NUM_GROUPS
+
+    @property
+    def groups(self) -> tuple[ComparatorGroup, ...]:
+        """Every group's registers as they are now, as frozen snapshots."""
+        r = self.regs
+        return tuple(ComparatorGroup(*r[i:i + 3])
+                     for i in range(0, 3 * NUM_GROUPS, 3))
 
     def match_access(self, addr: int, size: int, access: int) -> int | None:
         """Lowest matching enabled comparator id for this access, else None.
@@ -117,7 +133,7 @@ class DwtUnit:
         if addr == DWT_CYCCNT:
             return m.cycles & MASK32
         reg = _REGS.get(addr)
-        return 0 if reg is None else getattr(self.groups[reg[0]], reg[1])
+        return 0 if reg is None else self.regs[reg[0]]
 
     def mmio_write(self, m, addr: int, value: int) -> None:
         # CYCCNT is read-only here; writes outside the register file,
@@ -125,24 +141,33 @@ class DwtUnit:
         reg = _REGS.get(addr)
         if reg is None:
             return
-        gid, name, bits = reg
-        g = self.groups[gid]
+        i, gid, kind, bits = reg
         value &= bits
-        # The one store to a comparator field.
-        _set_field(g, name, value)
-        if name == "comp":
-            if gid == 1 and self.ssp_guard is not None:
+        regs = self.regs
+        # The one store to a comparator register.
+        regs[i] = value
+        if kind == _FUNCTION:
+            fn = value
+        else:
+            if kind == _COMP and gid == 1 and self.ssp_guard is not None:
                 lo, hi = self.ssp_guard
                 if not lo <= value <= hi:
                     m.halt(HaltReason.STACK_OVERFLOW)
-            # A disabled group (COMP1 as the ssp) keeps its slots.
-            if g.function not in _ENABLED_FNS:
+            self._regions[gid] = None
+            fn = regs[3 * gid + _FUNCTION]
+            # A disabled group (COMP1 as the ssp) keeps its _NEVER slots.
+            if fn not in _ENABLED_FNS:
                 return
-        # Recompute this group's slots, in place.
-        span = 1 << g.mask
-        base = g.comp & ~(span - 1) & MASK32
-        region = (base, base + span)
-        fn = g.function
+        region = self._regions[gid] or self._region(gid)
+        # Choose this group's slots, in place.
         reads, writes = self.slots
         reads[gid] = region if fn in _READ_FNS else _NEVER
         writes[gid] = region if fn in _WRITE_FNS else _NEVER
+
+    def _region(self, gid: int) -> tuple[int, int]:
+        """Group ``gid``'s [lo, hi) region from its COMP and MASK; cached."""
+        comp, mask = self.regs[3 * gid:3 * gid + 2]
+        span = 1 << mask
+        base = comp & ~(span - 1) & MASK32
+        region = self._regions[gid] = (base, base + span)
+        return region

@@ -331,7 +331,10 @@ class Machine:
         block entry reached fewer than ``blocks.HOT_THRESHOLD`` times is
         stepped through; then its block is compiled, and the compiled
         block runs whenever it fits before the limit and no exception
-        is pending.  The blocks' own counts are folded into ``retired``
+        is pending.  Compiled blocks run back to back: the loop returns
+        to counting heat and stepping only on a halt, an entry not yet
+        compiled, or a block that does not fit, which it steps up to
+        the limit.  The blocks' own counts are folded into ``retired``
         and ``taken`` before ``run()`` returns, so the blocks can be
         dropped whenever ``code`` is replaced.
         """
@@ -352,7 +355,17 @@ class Machine:
                         blk.compile(code, pc)
                 if (blk.fn is not None and self.steps + blk.n <= limit
                         and not self.pending):
-                    blk.fn(self)
+                    # Run compiled blocks back to back while the next
+                    # one is compiled and fits; only the runner raises
+                    # exceptions, between run() calls, so none pends.
+                    while True:
+                        blk.fn(self)
+                        if self.halted:
+                            return
+                        blk = known.get(self.pc)
+                        if (blk is None or blk.fn is None
+                                or self.steps + blk.n > limit):
+                            break
                     continue
                 # Step until control leaves the straight line; the pc it
                 # lands on is the next block entry.

@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_COMP_OFF, DWT_CYCCNT,
                             DWT_FUNCTION0, DWT_FUNCTION_OFF, DWT_GROUP_STRIDE,
@@ -286,18 +286,59 @@ def _check_at(d, edges):
                     hex(addr), size, access, d)
 
 
+def _enabled(d, gid):
+    return d.groups[gid].function in (FN_READ, FN_WRITE, FN_READWRITE)
+
+
+# The span protection gives COMP1, the shadow stack pointer.
+_SSP_SPAN = (0x00E00000, 0x00E08000)
+
+
 @settings(max_examples=200, deadline=None)
 @given(ops=st.lists(_SLOT_OPS, max_size=16),
-       extra=st.lists(st.integers(0, 0xFFFFFFFC), max_size=4))
-def test_slot_table_matches_reference_after_any_writes(ops, extra):
+       extra=st.lists(st.integers(0, 0xFFFFFFFC), max_size=4),
+       guarded=st.booleans())
+# COMP, then MASK, written while the group is disabled, after its region
+# was last worked out: enabling it again must use the new region.
+@example(ops=[(0, "function", 0, 4, FN_WRITE), (0, "function", 0, 4, 0),
+              (0, "comp", 0, 4, 0x20001000), (0, "function", 0, 4, FN_WRITE)],
+         extra=[0x20001000], guarded=False)
+@example(ops=[(0, "function", 0, 4, FN_READWRITE), (0, "function", 0, 4, 0),
+              (0, "mask", 0, 4, 12), (0, "function", 0, 4, FN_READWRITE)],
+         extra=[0xFFC], guarded=False)
+# COMP1 moved inside and then outside the span the guard allows.
+@example(ops=[(1, "comp", 0, 4, 0x00E00010), (1, "comp", 0, 4, 0x20001000)],
+         extra=[0x20001000], guarded=True)
+def test_slot_table_matches_reference_after_any_writes(ops, extra, guarded):
     # After every step, probes sit on the edges of the regions the groups
     # held before and after it, so a slot left stale by a missed or
-    # misdirected update shows at once.
+    # misdirected update shows at once.  A write to a group that is
+    # disabled before and after it, such as COMP1 as the shadow stack
+    # pointer, halted or not by the guard, leaves the table as it was.
     m, d = _machine_with_unit()
+    if guarded:
+        d.ssp_guard = _SSP_SPAN
     before = _edges(d)
     _check_at(d, before | set(extra))
     for op in ops:
+        gid = op[0]
+        was_enabled = _enabled(d, gid)
+        slots = [list(s) for s in d.slots]
         _apply(m, op)
+        if not was_enabled and not _enabled(d, gid):
+            assert [list(s) for s in d.slots] == slots, op
         after = _edges(d)
         _check_at(d, before | after | set(extra))
         before = after
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(_SLOT_OPS, max_size=16))
+def test_group_snapshots_read_back_through_the_register_file(ops):
+    m, d = _machine_with_unit()
+    for op in ops:
+        _apply(m, op)
+    for gid, g in enumerate(d.groups):
+        for name, off in _OFFSETS.items():
+            addr = DWT_COMP0 + DWT_GROUP_STRIDE * gid + off
+            assert getattr(g, name) == m.load(addr, 4), (gid, name)

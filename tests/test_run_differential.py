@@ -142,6 +142,55 @@ def test_step_budget_cuts_inside_a_block(max_steps, monkeypatch):
           monkeypatch)
 
 
+# Three blocks in a loop, laid out so that no branch lands on the next
+# instruction: main (2 instructions), then per pass a (3), bb (4) and cc
+# (3), 10 steps, 40 passes.
+CHAIN = """\
+.org 0x08000000
+.func main hal
+    mov r5, #40
+    b a
+.label cc
+    subw r5, r5, #1
+    cmp r5, #0
+    bne a
+    bkpt #0
+.label bb
+    addw r7, r7, #1
+    addw r7, r7, #1
+    addw r7, r7, #1
+    b cc
+.label a
+    addw r6, r6, #1
+    addw r6, r6, #2
+    b bb
+.endfunc
+"""
+
+
+@pytest.mark.parametrize("hot", [1, None], ids=["threshold 1", "default"])
+def test_step_budget_cuts_inside_a_hot_chain(hot, monkeypatch):
+    """Budgets that end inside the 2nd and 3rd block of a chain of
+    compiled blocks, and one step before each of them would fit.
+
+    All three loop blocks become hot in pass ``hot - 1``: a, then bb,
+    then cc are compiled and run on reaching their heat, and from the
+    cc that ends that pass on, run() calls the compiled blocks back to
+    back.  That chain's 2nd block (a) runs steps [c0 + 3, c0 + 6) and
+    its 3rd (bb) [c0 + 6, c0 + 10)."""
+    prog = parse(CHAIN)
+    labels = {name: addr for addr, ins in prog.code.items()
+              for name in ins.labels}
+    assert [len(blocks._block_at(prog.code, labels[name]))
+            for name in ("a", "bb", "cc")] == [3, 4, 3]
+    hot = hot or blocks.HOT_THRESHOLD
+    c0 = 2 + 10 * (hot - 1) + 7
+    for budget in range(c0 + 1, c0 + 11):
+        want = check(prog, _cfg(POLICY_RESET, None, budget),
+                     "chain budget %d" % budget, monkeypatch)
+        assert want["steps"] == budget and want["halt"][2]
+
+
 def test_report_policy_sweep_records_each_hit(monkeypatch):
     # Every store into the region is suppressed and recorded, and the
     # run goes on past each hit, inside a compiled block or not.
