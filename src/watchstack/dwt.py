@@ -1,4 +1,7 @@
-"""Data watchpoint unit: four comparator groups behind an MMIO window.
+"""Data watchpoint unit: four comparator groups behind the DWT window.
+
+The window is declared in ``machine``'s fixed PPB map; this module lays
+the registers out from its base.
 
 Each group is three registers, 16 bytes apart per group: an address
 comparator, a power-of-two mask, and a function code selecting which
@@ -15,24 +18,22 @@ up to date in place.  Each group's ``[lo, hi)`` region is cached, and
 only a COMP or MASK write to the group drops it; a FUNCTION write, which
 the instrumented code makes twice per call, only chooses per access
 kind between the cached region and ``_NEVER``.  The machine tests every
-data access against that table inline (``Machine.watch`` is the same
-object), as the chip's comparators do in hardware, and calls the guard
-only on a hit; ``match_access`` reads the same table, and is the
-reference matcher the guard uses to name the comparator.
+data access against that table inline (``protect`` makes it
+``Machine.watch``), as the chip's comparators do in hardware, and calls
+the guard only on a hit; ``match_access`` reads the same table, and is
+the reference matcher the guard uses to name the comparator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .isa import MASK32
-from .machine import HaltReason
+from .machine import DWT_WINDOW_LO, HaltReason
 
-# MMIO window, cycle counter, and comparator register addresses.
-DWT_WINDOW_LO = 0xE0001000
-DWT_WINDOW_HI = 0xE0001060
-DWT_CYCCNT = 0xE0001004
-DWT_COMP_BASE = 0xE0001020
+# Cycle counter and comparator register addresses.
+DWT_CYCCNT = DWT_WINDOW_LO + 0x4
+DWT_COMP_BASE = DWT_WINDOW_LO + 0x20
 DWT_GROUP_STRIDE = 16
 DWT_COMP_OFF = 0
 DWT_MASK_OFF = 4
@@ -76,20 +77,16 @@ class ComparatorGroup:
     function: int = FN_DISABLED
 
 
-@dataclass
 class DwtUnit:
     """Comparator registers, match logic, and the word-wide register file."""
 
-    # Legal [lo, hi] span for COMP1 writes once protection owns it; a write
-    # outside the span halts the machine with a shadow stack overflow.
-    ssp_guard: tuple[int, int] | None = None
-    # COMP, MASK and FUNCTION of each group in turn, zero (disabled) at
-    # reset like the chip's; not a constructor argument, so the register
-    # file is the one way in.
-    regs: list[int] = field(init=False,
-                            default_factory=lambda: [0] * (3 * NUM_GROUPS))
-
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
+        # Legal [lo, hi] span for COMP1 writes once protect owns it; a
+        # write outside the span halts with a shadow stack overflow.
+        self.ssp_guard: tuple[int, int] | None = None
+        # COMP, MASK and FUNCTION of each group in turn, zero (disabled)
+        # at reset like the chip's.
+        self.regs = [0] * (3 * NUM_GROUPS)
         # Indexed by access kind (ACCESS_READ, ACCESS_WRITE): one (lo, hi)
         # region per group, _NEVER while the group's FUNCTION excludes
         # that kind.  Only mmio_write changes it, and always in place, so

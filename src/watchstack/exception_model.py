@@ -94,7 +94,6 @@ def enter_exception(m, exc_id: int, return_address: int,
         m.store(sp + 4 * i, 4, word)
     m.lr = EXC_RETURN_THREAD
     m.mode = MODE_HANDLER
-    m.active_exc = exc_id
     m.xpsr = (m.xpsr & ~0x1FF) | exc_id
     m.pc = handler
     if charge_cycles:
@@ -109,7 +108,7 @@ def return_from_exception(m, value: int) -> None:
         m.fault()
         return
 
-    left = m.active_exc
+    left = m.xpsr & 0x1FF  # IPSR, before the frame's xPSR replaces it
     sp = m.sp
     m.gpr[0] = m.load(sp + ESF_OFF_R0, 4)
     m.gpr[1] = m.load(sp + ESF_OFF_R1, 4)
@@ -121,7 +120,6 @@ def return_from_exception(m, value: int) -> None:
     m.xpsr = m.load(sp + ESF_OFF_XPSR, 4)
     m.sp = sp + ESF_BYTES
     m.mode = MODE_THREAD
-    m.active_exc = None
     m.pc = ret
     m.cycles += RETURN_CYCLES
     m.events.append(Event(EV_EXC_RETURNED, ret, exc_id=left))

@@ -25,9 +25,8 @@ from .dwt import (DWT_COMP1, DWT_COMP_BASE, DWT_COMP_OFF, DWT_FUNCTION0,
                   DWT_FUNCTION_OFF, DWT_GROUP_STRIDE, DWT_MASK_OFF)
 from .exception_model import (ESF_OFF_LR, ESF_OFF_R12, ESF_OFF_RETURN,
                               ESF_OFF_XPSR, SYSTICK)
-from .instrument import (DEMCR_ADDR, SEQ_OPTIMAL, ShadowStackConfig,
-                         instrument_program)
-from .machine import HaltReason
+from .instrument import SEQ_OPTIMAL, ShadowStackConfig, instrument_program
+from .machine import DEMCR_ADDR, HaltReason
 from .protect import POLICY_REPORT, POLICY_RESET
 from .runner import RunConfig, RunResult, run_program
 

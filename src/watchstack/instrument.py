@@ -37,13 +37,13 @@ from .exception_model import (ESF_OFF_LR, ESF_OFF_R12, ESF_OFF_RETURN,
                               ESF_OFF_XPSR)
 from .isa import (LR, MASK32, NUM_GPRS, PC, SP, _imm_str, _mem_str,
                   _reglist_str, reg_name)
+from .machine import DEMCR_ADDR
 
 SEQ_OPTIMAL = "optimal"
 SEQ_NAIVE = "naive"
 
 SSP_REG_OFF = DWT_GROUP_STRIDE                   # offset of COMP1 from COMP0
 FUNCTION0_OFF = DWT_FUNCTION_OFF
-DEMCR_ADDR = 0xE000EDFC
 
 # Shadow frame layout for exception handlers, ascending from the entry ssp:
 # xPSR, return address, lr, r12, then EXC_RETURN.

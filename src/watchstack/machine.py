@@ -5,13 +5,14 @@ code map.  Every data access goes through ``load``/``store``.  Before it
 commits, they test it against ``watch``, per access kind four (lo, hi)
 regions, and show it to ``guard``, the one access observer, only when
 it falls in one; a store the guard answers True for is suppressed
-(watchpoint semantics) and recorded by the guard.  Protection points
-``watch`` at the watchpoint unit's live slot table, so the guard runs
-only on comparator hits; by default every region covers the whole
-address space, so a guard set on its own sees every access.  Device
-windows (``mmio``) live above 0xE0000000; a device is a word device,
-``mmio_read(m, addr)`` and ``mmio_write(m, addr, value)``, and the
-access path handles the byte lane of a byte access.
+(watchpoint semantics) and recorded by the guard.  The default
+``watch`` holds no region; ``protect`` sets ``watch`` and ``guard``
+together, ``watch`` being the watchpoint unit's live slot table, so
+the guard runs only on comparator hits.  The fixed PPB map is declared
+here, beside its one decode: an access that starts in the DWT window
+or on the DEMCR word reaches ``dwt`` or ``demcr`` when attached; all
+else is RAM.  A device is a word device, ``mmio_read(m, addr)`` and
+``mmio_write(m, addr, value)``; the access path handles byte lanes.
 
 ``step()`` executes one instruction and is the reference semantics.
 ``run()`` executes many: it steps cold code and runs hot straight-line
@@ -20,7 +21,8 @@ Neither returns anything.  The machine logs what only it sees in
 ``events``, where it happens: ``exception_model`` appends each
 exception entry and return, and ``_end``, the one end-of-instruction
 rule, starts the exception return a branch to EXC_RETURN asks for and
-appends the halt.
+appends the halt.  The active exception's number is the IPSR field of
+``xpsr``.
 
 The machine records what ran and nothing derived from it: ``retired``
 counts the retirements of the instruction at each pc, ``taken`` the
@@ -55,9 +57,14 @@ XPSR_V = 1 << 28
 
 _WORD = struct.Struct("<I")
 
-# Machine.watch's default: per access kind, regions that cover every
-# address, so the guard is shown every access.
-WATCH_ALL = (((0, 1 << 32),) * 4, ((0, 1 << 32),) * 4)
+# The fixed PPB map (Arm DDI 0403): only above PPB_BASE sit devices.
+PPB_BASE = 0xE0000000
+DWT_WINDOW_LO = 0xE0001000
+DWT_WINDOW_HI = 0xE0001060
+DEMCR_ADDR = 0xE000EDFC
+
+# Machine.watch's default: no region, so the guard is shown no access.
+_WATCH_NONE = (((0, 0),) * 4, ((0, 0),) * 4)
 
 
 class HaltReason(Enum):
@@ -143,10 +150,8 @@ class Machine:
         self.mode = MODE_THREAD
         self.mem = Memory()
         self.code: dict[int, Instr] = {}
-        self.mmio: list[tuple[int, int, object]] = []
         self.vector: dict[int, int] = {}
         self.pending: list[int] = []
-        self.active_exc: int | None = None
         self.cycles = 0
         self.steps = 0
         self.halted = False
@@ -155,18 +160,18 @@ class Machine:
         self.events: list[Event] = []
         self.cur_pc = 0  # pc of the instruction currently executing
         # Debug hardware, the access observer and the regions it is
-        # shown, set up by protect.
+        # shown, set up by protect; watch and guard are set together.
         self.dwt = None
         self.demcr = None
         self.guard = None
-        self.watch = WATCH_ALL
+        self.watch = _WATCH_NONE
         # Execution counts by pc, complete once step() or run() returns.
         self.retired: dict[int, int] = {}
         self.taken: dict[int, int] = {}
         # Optional bookkeeping, enabled by the runner.
         self.min_sp: int | None = None
         # run()'s (code, blocks by entry pc), in one attribute: past
-        # CPython's shared-key dict size (29 keys on 3.11; 27 here, see
+        # CPython's shared-key dict size (29 keys on 3.11; 25 here, see
         # tests/test_machine.py) every attribute access slows down.
         self._block_cache = None
 
@@ -201,16 +206,15 @@ class Machine:
         if ((addr < s0[1] and end > s0[0]) or (addr < s1[1] and end > s1[0])
                 or (addr < s2[1] and end > s2[0])
                 or (addr < s3[1] and end > s3[0])):
-            guard = self.guard
-            if guard is not None:
-                guard.on_load(self, addr, size)
-        if addr >= 0xE0000000:
-            for lo, hi, dev in self.mmio:
-                if lo <= addr < hi:
-                    if size == 4:
-                        return dev.mmio_read(self, addr)
-                    word = dev.mmio_read(self, addr & ~3)
-                    return (word >> (8 * (addr & 3))) & 0xFF
+            self.guard.on_load(self, addr, size)
+        if addr >= PPB_BASE:
+            dev = (self.dwt if DWT_WINDOW_LO <= addr < DWT_WINDOW_HI else
+                   self.demcr if DEMCR_ADDR <= addr < DEMCR_ADDR + 4 else None)
+            if dev is not None:
+                if size == 4:
+                    return dev.mmio_read(self, addr)
+                word = dev.mmio_read(self, addr & ~3)
+                return (word >> (8 * (addr & 3))) & 0xFF
         mem = self.mem
         if size == 4:
             off = addr & PAGE_MASK
@@ -227,20 +231,20 @@ class Machine:
         if ((addr < s0[1] and end > s0[0]) or (addr < s1[1] and end > s1[0])
                 or (addr < s2[1] and end > s2[0])
                 or (addr < s3[1] and end > s3[0])):
-            guard = self.guard
-            if guard is not None and guard.on_store(self, addr, size, value):
+            if self.guard.on_store(self, addr, size, value):
                 return  # suppressed
-        if addr >= 0xE0000000:
-            for lo, hi, dev in self.mmio:
-                if lo <= addr < hi:
-                    if size != 4:
-                        base = addr & ~3
-                        shift = 8 * (addr & 3)
-                        word = dev.mmio_read(self, base)
-                        addr, value = base, ((word & ~(0xFF << shift))
-                                             | ((value & 0xFF) << shift))
-                    dev.mmio_write(self, addr, value)
-                    return
+        if addr >= PPB_BASE:
+            dev = (self.dwt if DWT_WINDOW_LO <= addr < DWT_WINDOW_HI else
+                   self.demcr if DEMCR_ADDR <= addr < DEMCR_ADDR + 4 else None)
+            if dev is not None:
+                if size != 4:
+                    base = addr & ~3
+                    shift = 8 * (addr & 3)
+                    word = dev.mmio_read(self, base)
+                    addr, value = base, ((word & ~(0xFF << shift))
+                                         | ((value & 0xFF) << shift))
+                dev.mmio_write(self, addr, value)
+                return
         mem = self.mem
         if size == 4:
             off = addr & PAGE_MASK

@@ -3,9 +3,10 @@
 One call configures the watchpoint unit, through its register file as
 boot code does, so that any program store into the shadow stack region,
 or onto the DEMCR debug-enable word, is caught before it commits, and
-sets ``m.demcr.mon_en``.  It points ``m.watch`` at the unit's slot
-table, so the machine tests every access against the comparator
-regions itself and calls the guard, ``m.guard``, only on a hit.  The
+sets ``m.demcr.mon_en``.  It sets the guard, ``m.guard``, and the
+regions the machine shows it, ``m.watch``, together: ``m.watch`` is the
+unit's slot table, so the machine tests every access against the
+comparator regions itself and calls the guard only on a hit.  The
 guard, the machine's one access observer, plays the role of the debug
 monitor exception: it suppresses the offending write, records it, and
 then either halts the machine (reset policy) or lets execution continue
@@ -18,10 +19,10 @@ import logging
 from dataclasses import dataclass
 
 from .dwt import (DWT_COMP_BASE, DWT_COMP_OFF, DWT_FUNCTION_OFF,
-                  DWT_GROUP_STRIDE, DWT_MASK_OFF, DWT_WINDOW_HI,
-                  DWT_WINDOW_LO, FN_WRITE, DwtUnit)
-from .instrument import DEMCR_ADDR, ShadowStackConfig
-from .machine import ACCESS_READ, ACCESS_WRITE, HaltReason, Machine
+                  DWT_GROUP_STRIDE, DWT_MASK_OFF, FN_WRITE, DwtUnit)
+from .instrument import ShadowStackConfig
+from .machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR, HaltReason,
+                      Machine)
 
 log = logging.getLogger(__name__)
 
@@ -34,7 +35,7 @@ POLICIES = (POLICY_RESET, POLICY_REPORT)
 
 @dataclass
 class DemcrModel:
-    """Debug exception and monitor control word at 0xE000EDFC."""
+    """Debug exception and monitor control word at ``DEMCR_ADDR``."""
 
     value: int = 0
 
@@ -116,8 +117,6 @@ def attach_debug_system(m: Machine) -> None:
     """Give the machine its watchpoint unit and DEMCR register."""
     m.dwt = DwtUnit()
     m.demcr = DemcrModel()
-    m.mmio += [(DWT_WINDOW_LO, DWT_WINDOW_HI, m.dwt),
-               (DEMCR_ADDR, DEMCR_ADDR + 4, m.demcr)]
 
 
 def init_write_protection(m: Machine, config: ShadowStackConfig,
@@ -162,9 +161,9 @@ def init_write_protection(m: Machine, config: ShadowStackConfig,
     dwt.ssp_guard = (config.ss_start, config.ss_limit)
 
     m.demcr.value |= DEMCR_MON_EN
+    # Set together: the machine shows the guard only the accesses in a
+    # comparator region, and the unit's register writes update the table.
     m.guard = WatchpointGuard(dwt, policy == POLICY_RESET)
-    # The machine now shows the guard only the accesses that fall in a
-    # comparator region; the unit's register writes update the table.
     m.watch = dwt.slots
     return True
 

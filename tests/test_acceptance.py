@@ -22,10 +22,10 @@ from watchstack.harness import (SAFE_FLAG, make_benign_program,
                                 run_scenario_1, run_write_sweep)
 from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, ShadowStackConfig,
                                    analyze_free_gprs, instrument_program)
-from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, HaltReason,
-                                Machine)
-from watchstack.protect import (DEMCR_ADDR, POLICY_REPORT,
-                                attach_debug_system, init_write_protection)
+from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
+                                HaltReason, Machine)
+from watchstack.protect import (POLICY_REPORT, attach_debug_system,
+                                init_write_protection)
 from watchstack.runner import (OUTCOME_HIJACK, OUTCOME_SAFE, RunConfig,
                                run_program)
 

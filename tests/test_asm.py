@@ -53,6 +53,38 @@ def test_errors_carry_line_and_message(src, fragment):
     assert err.value.line > 0
 
 
+# Directive, operand and tag faults that ERROR_CASES does not reach, each
+# with the whole message and the line it is reported on.
+FAULT_LINES = [
+    (wrap(".org 0x08000100\n    nop"), "line 3: .org inside a function"),
+    (HEADER + ".func\n", "line 2: .func takes a name and an optional kind"),
+    (HEADER + ".func f hal x\n",
+     "line 2: .func takes a name and an optional kind"),
+    (".org 0x20000000\n.word\n", "line 2: .word takes one value or label"),
+    (".org 0x20000000\n.word 1 2\n",
+     "line 2: .word takes one value or label"),
+    (wrap(".label a b\n    nop"), "line 3: .label takes one identifier"),
+    (HEADER + ".endfunc\n", "line 2: .endfunc without .func"),
+    (wrap("    movw r0, 1"), "line 3: expected immediate, got '1'"),
+    (wrap("    addw r0, sp, #4"), "line 3: register sp not allowed here"),
+    (wrap("    add r0, #4"), "line 3: add supports only the sp form"),
+    (wrap("    sub r1, #4"), "line 3: sub supports only the sp form"),
+    (wrap("    msr primask, r0"), "line 3: msr supports only control"),
+    (wrap("    mrs r0, basepri"), "line 3: mrs supports only control"),
+    (wrap("    nop\n    ;@pro:aw"),
+     "line 4: tag comment without an instruction"),
+    (wrap("    bkpt #0") + ".label tail\n",
+     "line 5: label 'tail' is not bound to anything"),
+]
+
+
+@pytest.mark.parametrize("src,message", FAULT_LINES)
+def test_faults_give_exact_messages_and_lines(src, message):
+    with pytest.raises(AsmError) as err:
+        parse(src)
+    assert str(err.value) == message
+
+
 # -- layout -------------------------------------------------------------------
 
 # Malformed operand lines, each the only instruction of main (line 3), with

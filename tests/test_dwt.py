@@ -13,9 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_COMP_OFF, DWT_CYCCNT,
                             DWT_FUNCTION0, DWT_FUNCTION_OFF, DWT_GROUP_STRIDE,
-                            DWT_MASK0, DWT_MASK_OFF, DWT_WINDOW_HI,
-                            DWT_WINDOW_LO, FN_DISABLED, FN_READ, FN_READWRITE,
-                            FN_WRITE, NUM_GROUPS, DwtUnit)
+                            DWT_MASK0, DWT_MASK_OFF, FN_DISABLED, FN_READ,
+                            FN_READWRITE, FN_WRITE, NUM_GROUPS, DwtUnit)
 from watchstack.machine import ACCESS_READ, ACCESS_WRITE, HaltReason, Machine
 
 
@@ -120,8 +119,7 @@ def test_match_is_monotone_in_mask(comp, mask, addr, size):
 
 def _machine_with_unit():
     m = Machine()
-    d = DwtUnit()
-    m.mmio.append((DWT_WINDOW_LO, DWT_WINDOW_HI, d))
+    d = m.dwt = DwtUnit()
     return m, d
 
 

@@ -13,6 +13,9 @@ from watchstack.machine import HaltReason, Machine
 
 SP0 = 0x20040000
 HANDLER = 0x08001000
+# Per access kind, four regions that cover every address: a guard
+# installed with it is shown every access.
+WATCH_ALL = (((0, 1 << 32),) * 4, ((0, 1 << 32),) * 4)
 
 
 def primed_machine() -> Machine:
@@ -54,7 +57,6 @@ def test_entry_sets_handler_state():
     assert m.mode == MODE_HANDLER
     assert m.lr == EXC_RETURN_THREAD
     assert m.pc == HANDLER
-    assert m.active_exc == SYSTICK
     assert m.xpsr & 0x1FF == SYSTICK  # IPSR field
     assert m.cycles == ENTRY_CYCLES
 
@@ -72,7 +74,7 @@ def test_entry_in_handler_mode_faults():
     enter_exception(m, SYSTICK, 0x08000100)
     enter_exception(m, USAGE_FAULT, HANDLER)
     assert m.halted and m.halt_reason == HaltReason.FAULT
-    assert m.pc == HANDLER and m.active_exc == SYSTICK
+    assert m.pc == HANDLER and m.xpsr & 0x1FF == SYSTICK
     assert [ev.exc_id for ev in m.events] == [SYSTICK]
 
 
@@ -92,7 +94,7 @@ def test_round_trip_restores_thread_state():
     m.xpsr = (m.xpsr & ~0xF0000000) | 0x80000000
     return_from_exception(m, EXC_RETURN_THREAD)
     assert m.events[-1] == Event(EV_EXC_RETURNED, 0x08000208, exc_id=SYSTICK)
-    assert m.mode == MODE_THREAD and m.active_exc is None
+    assert m.mode == MODE_THREAD and m.xpsr & 0x1FF == 0
     assert m.pc == 0x08000208
     assert m.sp == SP0
     assert [m.gpr[i] for i in range(4)] == [0x1000, 0x1001, 0x1002, 0x1003]
@@ -137,6 +139,7 @@ def test_stacking_flows_through_the_guard():
 
     m = primed_machine()
     m.guard = Hook()
+    m.watch = WATCH_ALL
     enter_exception(m, SYSTICK, 0x08000100)
     assert len(stores) == 8
     assert all(size == 4 for _, size in stores)

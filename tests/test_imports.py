@@ -1,8 +1,12 @@
-"""Every name imported into a package module is read in that module.
+"""Rules on the package's source, checked on each module's syntax tree.
 
+Every name imported into a package module is read in that module.
 ``__init__.py`` is exempt: its ``__all__`` is the export list.  So are
 the re-exports that other modules import from ``machine``, and the tag
 categories that ``bench/workloads.py`` reads from ``instrument``.
+
+The fixed PPB addresses are spelled in ``machine`` alone, as numbers or
+inside text; every other module imports them from there.
 """
 
 import ast
@@ -37,3 +41,21 @@ def test_every_import_is_read(name):
     unused = _imported(tree) - _read(tree) - RE_EXPORTS.get(name, set())
     assert not unused, "%s imports %s and never reads them" % (
         name, ", ".join(sorted(unused)))
+
+
+PPB_ADDRESSES = {0xE0000000, 0xE0001000, 0xE0001060, 0xE000EDFC}
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "machine.py"])
+def test_only_machine_spells_a_ppb_address(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    spelled = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, int) and node.value in PPB_ADDRESSES:
+                spelled.add(node.value)
+            elif isinstance(node.value, str):
+                spelled.update(a for a in PPB_ADDRESSES
+                               if "%x" % a in node.value.lower())
+    assert not spelled, "%s spells %s" % (
+        name, ", ".join("%#x" % a for a in sorted(spelled)))

@@ -317,6 +317,19 @@ def test_handler_skip_labels_are_unique_and_resolved():
     parse(text)  # must reassemble cleanly
 
 
+def test_a_user_label_keeps_the_name_the_pass_would_take():
+    """A user label named like the handler's skip label keeps its name and
+    place; the pass's label steps aside to the ``_1`` name."""
+    taken = "__ws_usagefault_handler_pro_skip"
+    res = instrument(HANDLER_SRC.replace("    nop\n",
+                                         ".label %s\n    nop\n" % taken))
+    pro = res.plan_for("usagefault_handler").inserted_prologue
+    assert "beq %s_1" % taken in pro
+    prog = res.program
+    assert prog.code[prog.labels[taken]].op == "nop"
+    assert prog.code[prog.labels[taken + "_1"]].op == "push"
+
+
 def test_handler_scratches_stay_in_caller_saved_set():
     res = instrument(HANDLER_SRC)
     plan = res.plan_for("usagefault_handler")

@@ -12,6 +12,9 @@ from watchstack.machine import (EV_EXC_ENTERED, EV_HALTED, Event, HaltReason,
 from watchstack.runner import RunConfig, build_machine, run_machine
 
 SP0 = 0x20040000
+# Per access kind, four regions that cover every address: a guard
+# installed with it is shown every access.
+WATCH_ALL = (((0, 1 << 32),) * 4, ((0, 1 << 32),) * 4)
 
 
 def make_machine(src: str, sp: int = SP0):
@@ -316,6 +319,7 @@ def test_every_store_flows_through_the_guard():
         m, _ = make_machine(src)
         hook = _CountingHook(suppress)
         m.guard = hook
+        m.watch = WATCH_ALL
         run(m)
         assert m.halt_reason == HaltReason.NORMAL
         # push 2 + str 1 + strb 1 + exception stacking 8
@@ -324,6 +328,26 @@ def test_every_store_flows_through_the_guard():
         assert m.mem.read_word(0x20010000) == (0 if suppress else 1)
         assert m.mem.read_byte(0x20010008) == 2
         assert m.mem.read_word(SP0 - 8) == 1
+
+
+def test_a_guard_installed_without_watch_sees_no_access():
+    """``watch`` starts with no region: the guard is shown only the
+    accesses that the regions set with it cover."""
+    m, _ = make_machine(wrap("""\
+    mov r0, #1
+    push {r0}
+    pop {r1}
+    movw r2, #0x0000
+    movt r2, #0x2001
+    str r0, [r2]
+    strb r1, [r2, #8]
+    ldr r3, [r2]"""))
+    hook = _CountingHook((0x20010000,))
+    m.guard = hook
+    run(m)
+    assert m.halt_reason == HaltReason.NORMAL
+    assert hook.stores == [] and hook.loads == 0
+    assert m.gpr[3] == 1  # the store the hook would suppress committed
 
 
 def test_pending_exception_waits_for_thread_mode():

@@ -7,11 +7,11 @@ import pytest
 from watchstack.dwt import (DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0, FN_READ,
                             FN_WRITE)
 from watchstack.instrument import ShadowStackConfig
-from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, HaltReason,
-                                Machine)
-from watchstack.protect import (DEMCR_ADDR, DEMCR_MON_EN, POLICY_REPORT,
-                                POLICY_RESET, attach_debug_system,
-                                init_write_protection)
+from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
+                                DWT_WINDOW_HI, DWT_WINDOW_LO, PPB_BASE,
+                                HaltReason, Machine)
+from watchstack.protect import (DEMCR_MON_EN, POLICY_REPORT, POLICY_RESET,
+                                attach_debug_system, init_write_protection)
 
 CFG = ShadowStackConfig()
 
@@ -191,6 +191,39 @@ def test_mmio_byte_stores_merge_into_the_word():
     assert m.dwt.groups[1].comp == 0x00E056FF
     m.store(DEMCR_ADDR + 2, 1, 0x01)
     assert m.demcr.value == DEMCR_MON_EN
+
+
+# (addr, size, reaches a device): the decode tests where an access starts
+# against each device's window, so an access that starts outside one and
+# runs into it is RAM, and one that starts inside and runs out reaches
+# the device.
+DECODE = [
+    (PPB_BASE, 4, False),
+    (DWT_WINDOW_LO - 1, 1, False),
+    (DWT_WINDOW_LO - 2, 4, False),
+    (DWT_WINDOW_LO, 4, True),  # CTRL: reads 0, drops writes
+    (DWT_WINDOW_HI - 1, 1, True),
+    (DWT_WINDOW_HI - 2, 4, True),
+    (DWT_WINDOW_HI, 4, False),
+    (DEMCR_ADDR - 1, 1, False),
+    (DEMCR_ADDR - 2, 4, False),
+    (DEMCR_ADDR + 3, 1, True),
+    (DEMCR_ADDR + 2, 4, True),
+    (DEMCR_ADDR + 4, 1, False),
+]
+
+
+@pytest.mark.parametrize("addr,size,device", DECODE,
+                         ids=["%#x/%d" % row[:2] for row in DECODE])
+def test_an_access_reaches_a_device_by_where_it_starts(addr, size, device):
+    m = machine(init=False)
+    value = 0x5A5A5A5A >> (32 - 8 * size)
+    m.store(addr, size, value)
+    assert (m.mem.pages == {}) is device  # RAM took the write or not
+    # Without its devices attached, the machine has RAM there.
+    bare = Machine()
+    bare.store(addr, size, value)
+    assert bare.load(addr, size) == value
 
 
 def test_byte_store_to_the_shadow_pointer_keeps_its_other_lanes():

@@ -22,7 +22,7 @@ from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
                                 preinit_exception_program, recursion_program,
                                 sweep_program)
 from watchstack.instrument import ShadowStackConfig, instrument_program
-from watchstack.machine import WATCH_ALL, HaltReason
+from watchstack.machine import HaltReason
 from watchstack.protect import POLICY_REPORT, POLICY_RESET
 from watchstack.runner import (RunConfig, attribute, build_machine,
                                run_machine)
@@ -63,7 +63,7 @@ def reference_run(m, cfg: RunConfig) -> bool:
 def observe(m, budget) -> dict:
     return {
         "regs": list(m.gpr) + [m.sp, m.lr, m.pc, m.xpsr, m.control],
-        "mode": (m.mode, m.active_exc, list(m.pending)),
+        "mode": (m.mode, list(m.pending)),
         "mem": m.mem.snapshot(),
         "steps": m.steps,
         "cycles": m.cycles,
@@ -425,9 +425,13 @@ def test_interrupt_before_protection_takes_the_tagged_branch(monkeypatch):
 
 # -- the watched access path against a guard that sees every access --------
 
+# Per access kind, four regions that cover every address.
+WATCH_ALL = (((0, 1 << 32),) * 4, ((0, 1 << 32),) * 4)
+
+
 def _see_everything(m):
-    """Put back Machine.watch's default: the guard is shown every access
-    and decides each through DwtUnit.match_access."""
+    """Show the guard every access, so it decides each through
+    DwtUnit.match_access."""
     assert m.watch is m.dwt.slots
     m.watch = WATCH_ALL
 
@@ -529,3 +533,56 @@ def test_a_function0_store_disarms_and_arms_at_once(monkeypatch):
     assert want["halt"] == (True, HaltReason.RESET, False)
     assert [r.suppressed_value for r in want["violations"]] == [passes]
     assert want["mem"][SHADOW.ss_start >> 12][off] == passes
+
+
+# -- instructions no other program here executes -----------------------------
+
+BLX = """\
+.org 0x08000000
+.func main hal
+    movw r4, #0x0100
+    movt r4, #0x0800
+    blx r4
+    mov r2, #9
+    bkpt #0
+.endfunc
+.org 0x08000100
+.func f hal
+    mov r1, lr
+    mov r0, #7
+    bx lr
+.endfunc
+"""
+
+
+def test_blx_links_branches_and_returns(monkeypatch):
+    """The target runs with lr on the instruction after the blx, and its
+    bx lr returns there."""
+    prog = parse(BLX)
+    after = prog.functions["main"].body[3].addr
+    want = check(prog, RunConfig(), "blx", monkeypatch)
+    assert want["halt"] == (True, HaltReason.NORMAL, False)
+    regs = want["regs"]
+    assert (regs[0], regs[1], regs[2], regs[14]) == (7, after, 9, after)
+    assert want["steps"] == 8
+
+
+MISALIGNED_STR = """\
+.org 0x08000000
+.func main hal
+    movw r0, #0x0002
+    movt r0, #0x2000
+    mov r1, #7
+    str r1, [r0]
+    mov r2, #1
+    bkpt #0
+.endfunc
+"""
+
+
+def test_a_misaligned_word_store_faults_without_writing(monkeypatch):
+    want = check(parse(MISALIGNED_STR), RunConfig(), "misaligned str",
+                 monkeypatch)
+    assert want["halt"] == (True, HaltReason.FAULT, False)
+    assert want["steps"] == 4 and want["regs"][2] == 0
+    assert not any(want["mem"].get(0x20000000 >> 12, b""))
