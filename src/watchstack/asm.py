@@ -32,8 +32,8 @@ import functools
 import re
 from dataclasses import dataclass, field
 
-from .isa import (CONDITIONS, LR, MASK32, NUM_GPRS, PC, REG_PARSE, SP,
-                  Instr, cycle_cost, finalize, format_instr)
+from .isa import (CONDITIONS, LR, MASK32, NUM_GPRS, OPS, PC, REG_PARSE, SP,
+                  Instr, finalize, format_instr)
 
 DEFAULT_ORIGIN = 0x08000000
 
@@ -132,8 +132,10 @@ _MEM_RE = re.compile(r"^\[\s*([a-z0-9]+)\s*(?:,\s*(#-?[0-9a-fx]+)\s*)?\]$",
                      re.IGNORECASE)
 
 _BCOND_OPS = {"b" + c: c for c in CONDITIONS}
-# Mnemonics with a narrow and a wide encoding, where ``.w`` picks wide.
-_WIDE_OPS = frozenset(("mov", "ldr", "str", "ldrb", "strb"))
+# Mnemonics with a narrow and a wide encoding, where ``.w`` picks wide:
+# those whose printed form carries the suffix.
+_WIDE_OPS = frozenset(row.form.split()[0].replace("{w}", "")
+                      for row in OPS.values() if "{w}" in row.form)
 
 
 def _split_operands(text: str) -> list[str]:
@@ -640,7 +642,7 @@ def listing(prog: AsmProgram) -> str:
                 for lab in ins.labels:
                     out.append("%08x %s:" % (ins.addr, lab))
                 out.append("%08x  %db %2dc  %s" % (
-                    ins.addr, ins.width, cycle_cost(ins),
+                    ins.addr, ins.width, ins.cycles,
                     format_tagged(ins)))
         elif isinstance(item, WordNode):
             for lab in item.labels:

@@ -1,8 +1,11 @@
 """Hot straight-line blocks compiled to Python functions for Machine.run.
 
 A block is the run of instructions from an entry pc up to and including
-the first branch or pc write, ending early before ``svc``, ``bkpt``,
-``udf`` or a missing instruction, and at most MAX_BLOCK_LEN long.
+the first branch or pc write, ending early before a TRAP op (``svc``,
+``bkpt``, ``udf``) or a missing instruction, and at most MAX_BLOCK_LEN
+long.  What an op is (a branch, a data access, a trap) and which
+registers it writes are read from its row in ``isa.OPS``; only the
+per-op source of ``_EMIT`` is spelled here.
 ``Machine.run`` steps through a block until it has reached the block's
 entry pc HOT_THRESHOLD times; then the block is compiled to one
 generated function that does what ``step()`` would do for each of its
@@ -44,18 +47,10 @@ from __future__ import annotations
 import functools
 
 from . import machine as mach
-from .isa import LR, MASK32, NUM_GPRS, PC, SP
+from .isa import BRANCH, LR, MASK32, MEMORY, NUM_GPRS, OPS, PC, SP, TRAP
 
 HOT_THRESHOLD = 32
 MAX_BLOCK_LEN = 64
-
-# Never inside a block: step() runs them (exception entry, halt).
-_STEP_ONLY = frozenset(("svc", "bkpt", "udf"))
-_BRANCHES = frozenset(("b", "bcond", "bl", "bx", "blx"))
-_MEMORY = frozenset(("ldr", "str", "ldrb", "strb", "push", "pop"))
-# Ops whose rd is written through write_reg (and so masked to 32 bits).
-_WRITES_RD = frozenset(("movw", "movt", "mov_imm", "mov_reg", "ldr", "ldrb",
-                        "addw", "subw", "mrs"))
 
 
 class Block:
@@ -116,18 +111,15 @@ def _byte_code(source: str):
 # -- code generation ---------------------------------------------------------------
 
 def _ends_block(ins) -> bool:
-    if ins.op in _BRANCHES:
-        return True
-    if ins.op == "pop":
-        return PC in ins.reglist
-    return ins.op in _WRITES_RD and ins.rd == PC
+    """A branch, or any other write of pc (only a pop can list pc)."""
+    row = OPS[ins.op]
+    return (row.kind == BRANCH or PC in ins.reglist
+            or (row.writes_rd and ins.rd == PC))
 
 
 def _writes_sp(ins) -> bool:
-    op = ins.op
-    if op in ("push", "pop", "add_sp", "sub_sp"):
-        return True
-    return op in _WRITES_RD and ins.rd == SP
+    row = OPS[ins.op]
+    return row.writes_sp or (row.writes_rd and ins.rd == SP)
 
 
 def _block_at(code, pc: int) -> list:
@@ -136,7 +128,7 @@ def _block_at(code, pc: int) -> list:
     addr = pc
     while len(instrs) < MAX_BLOCK_LEN:
         ins = code.get(addr)
-        if ins is None or ins.op in _STEP_ONLY:
+        if ins is None or OPS[ins.op].kind == TRAP:
             break
         instrs.append((addr, ins))
         if _ends_block(ins):
@@ -159,15 +151,16 @@ def _source(instrs) -> str:
         cost += ins.cycles
         nxt = at + ins.width
         last = i == n - 1
+        memory = OPS[ins.op].kind == MEMORY
         out.append("  # 0x%08x %s" % (at, ins.op))
-        if ins.op in _MEMORY:
+        if memory:
             out.append("  m.steps = s + %d; m.cycles = c + %d; "
                        "m.cur_pc = %d; m.pc = %d" % (i, cost, at, nxt))
         out += ["  " + line for line in _EMIT[ins.op](ins, nxt, cost)]
         if i == 0 or _writes_sp(ins):
             out.append("  if m.min_sp is not None and m.sp < m.min_sp: "
                        "m.min_sp = m.sp")
-        if ins.op in _MEMORY:
+        if memory:
             check = "m.halted"
             if last and _ends_block(ins):
                 check += " or m.pc >= %d" % mach.EXC_RETURN_MIN
@@ -181,8 +174,10 @@ def _source(instrs) -> str:
         out.append("  m.pc = %d" % (at + ins.width))
     out.append("  m.steps = s + %d; m.cur_pc = %d; cnt[%d] += 1"
                % (n, at, n))
-    if (_ends_block(ins) and ins.op not in _MEMORY
-            and ins.op not in ("b", "bcond", "bl")):
+    row = OPS[ins.op]
+    if (_ends_block(ins) and row.kind != MEMORY
+            and "{label}" not in row.form):
+        # A pc taken from a register may be EXC_RETURN.
         out.append("  if m.pc >= %d: return m._end(%d)"
                    % (mach.EXC_RETURN_MIN, at))
     out.append(" return block")

@@ -475,7 +475,9 @@ _FUZZ_TARGETS = (
     # comparator group 2 and group 3 registers
     *(DWT_COMP_BASE + gid * DWT_GROUP_STRIDE + off for gid in (2, 3)
       for off in (DWT_COMP_OFF, DWT_MASK_OFF, DWT_FUNCTION_OFF)),
-    DWT_FUNCTION0,  # legitimately writable
+    # Program-writable by design: one store of 0 disarms the
+    # shadow-region trap (ROADMAP item 6).
+    DWT_FUNCTION0,
     DWT_COMP1,  # shadow stack pointer
     0x20020000, 0x20020100,
 )

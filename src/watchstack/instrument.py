@@ -35,8 +35,8 @@ from .dwt import (DWT_COMP1, DWT_COMP_BASE, DWT_FUNCTION_OFF,
                   DWT_GROUP_STRIDE, FN_WRITE, MASK_BITS_MAX)
 from .exception_model import (ESF_OFF_LR, ESF_OFF_R12, ESF_OFF_RETURN,
                               ESF_OFF_XPSR)
-from .isa import (LR, MASK32, NUM_GPRS, PC, SP, _imm_str, _mem_str,
-                  _reglist_str, reg_name)
+from .isa import (LR, MASK32, NUM_GPRS, PC, SP, imm_str, mem_str,
+                  reg_name, reglist_str)
 from .machine import DEMCR_ADDR
 
 SEQ_OPTIMAL = "optimal"
@@ -196,13 +196,13 @@ def _untagged(lines) -> tuple[str, ...]:
 
 
 def _load_addr(rd: str, addr: int, tag: str) -> list[str]:
-    return ["movw %s, %s %s" % (rd, _imm_str(addr & 0xFFFF), tag),
-            "movt %s, %s %s" % (rd, _imm_str(addr >> 16), tag)]
+    return ["movw %s, %s %s" % (rd, imm_str(addr & 0xFFFF), tag),
+            "movt %s, %s %s" % (rd, imm_str(addr >> 16), tag)]
 
 
 def _spill(op: str, regs: tuple[int, ...], tag: str) -> list[str]:
     """The push or pop of reserved registers; none if there are none."""
-    return ["%s %s %s" % (op, _reglist_str(regs), tag)] if regs else []
+    return ["%s %s %s" % (op, reglist_str(regs), tag)] if regs else []
 
 
 # -- normal function blocks ---------------------------------------------------
@@ -217,14 +217,14 @@ def _prologue_template(naive: bool, scratches: tuple[int, ...],
     template object ever reaches a program.
     """
     work = reg_name(scratches[0])
-    fn0 = _mem_str(scratches[-1], FUNCTION0_OFF)
+    fn0 = mem_str(scratches[-1], FUNCTION0_OFF)
     # The shadow stack pointer register: COMP1 through its own address
     # register (naive) or at an offset from the base (optimal).
     if naive:
         ssp_addr = _load_addr(reg_name(scratches[1]), DWT_COMP1, ";@pro:assp")
-        ssp = _mem_str(scratches[1], 0)
+        ssp = mem_str(scratches[1], 0)
     else:
-        ssp_addr, ssp = [], _mem_str(scratches[-1], SSP_REG_OFF)
+        ssp_addr, ssp = [], mem_str(scratches[-1], SSP_REG_OFF)
     spill = _spill("push", reserved, ";@pro:other")
     fill = _spill("pop", reserved, ";@pro:other")
     base = _load_addr(reg_name(scratches[-1]), DWT_COMP_BASE, ";@pro:other")
@@ -237,7 +237,7 @@ def _prologue_template(naive: bool, scratches: tuple[int, ...],
              + ["str.w lr, [%s] ;@pro:uss" % work,
                 "addw %s, %s, #4 ;@pro:assp" % (work, work)]
              + store_ssp
-             + ["mov.w %s, %s ;@pro:aw" % (work, _imm_str(FN_WRITE)),
+             + ["mov.w %s, %s ;@pro:aw" % (work, imm_str(FN_WRITE)),
                 "str.w %s, %s ;@pro:aw" % (work, fn0)]
              + fill)
     access = (spill + base + ssp_addr + ([] if naive else load_ssp)
@@ -288,8 +288,8 @@ def _handler_prologue(skip: str, scratches, reserved) -> list[str]:
     """
     val, work, base = (reg_name(scratches[i]) for i in (0, 1, -1))
     k = 4 * len(reserved)
-    fn0 = _mem_str(scratches[-1], FUNCTION0_OFF)
-    ssp = _mem_str(scratches[-1], SSP_REG_OFF)
+    fn0 = mem_str(scratches[-1], FUNCTION0_OFF)
+    ssp = mem_str(scratches[-1], SSP_REG_OFF)
     lines = (_spill("push", reserved, ";@pro:other")
              + _guard(val, skip, "pro")
              + _load_addr(base, DWT_COMP_BASE, ";@pro:other")
@@ -297,14 +297,14 @@ def _handler_prologue(skip: str, scratches, reserved) -> list[str]:
                 "str.w %s, %s ;@pro:aw" % (val, fn0),
                 "ldr.w %s, %s ;@pro:assp" % (work, ssp)])
     for esf_off in HANDLER_ESF_OFFSETS:
-        lines += ["ldr.w %s, %s ;@pro:uss" % (val, _mem_str(SP, k + esf_off)),
+        lines += ["ldr.w %s, %s ;@pro:uss" % (val, mem_str(SP, k + esf_off)),
                   "str.w %s, [%s] ;@pro:uss" % (val, work),
                   "addw %s, %s, #4 ;@pro:assp" % (work, work)]
     return lines + [
         "str.w lr, [%s] ;@pro:uss" % work,
         "addw %s, %s, #4 ;@pro:assp" % (work, work),
         "str.w %s, %s ;@pro:assp" % (work, ssp),
-        "mov.w %s, %s ;@pro:aw" % (val, _imm_str(FN_WRITE)),
+        "mov.w %s, %s ;@pro:aw" % (val, imm_str(FN_WRITE)),
         "str.w %s, %s ;@pro:aw" % (val, fn0),
         ".label " + skip,
     ] + _spill("pop", reserved, ";@pro:other")
@@ -313,7 +313,7 @@ def _handler_prologue(skip: str, scratches, reserved) -> list[str]:
 def _handler_epilogue(skip: str, scratches, reserved) -> list[str]:
     val, work, base = (reg_name(scratches[i]) for i in (0, 1, -1))
     k = 4 * len(reserved)
-    ssp = _mem_str(scratches[-1], SSP_REG_OFF)
+    ssp = mem_str(scratches[-1], SSP_REG_OFF)
     lines = (_spill("push", reserved, ";@epi:other")
              + _guard(val, skip, "epi")
              + _load_addr(base, DWT_COMP_BASE, ";@epi:other")
@@ -323,7 +323,7 @@ def _handler_epilogue(skip: str, scratches, reserved) -> list[str]:
     for esf_off in HANDLER_ESF_OFFSETS[::-1]:
         lines += ["subw %s, %s, #4 ;@epi:assp" % (work, work),
                   "ldr.w %s, [%s] ;@epi:uss" % (val, work),
-                  "str.w %s, %s ;@epi:uss" % (val, _mem_str(SP, k + esf_off))]
+                  "str.w %s, %s ;@epi:uss" % (val, mem_str(SP, k + esf_off))]
     return lines + [
         "str.w %s, %s ;@epi:assp" % (work, ssp),
         ".label " + skip,
@@ -422,7 +422,7 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
             # handler, pop into lr) the stacked return address.  The
             # first instruction carries what the original cost beyond it.
             rest = tuple(r for r in ins.reglist if r != PC)
-            head = ["pop " + _reglist_str(rest)] if rest else []
+            head = ["pop " + reglist_str(rest)] if rest else []
             head.append("pop {lr} ;@epi:uss" if handler
                         else "add sp, #4 ;@epi:other")
             block = [assemble(line) for line in head]

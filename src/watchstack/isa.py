@@ -1,14 +1,20 @@
 """Instruction model for the mini Thumb-2-style ISA.
 
 Instructions are kept symbolic: register indices, immediates, and label
-names instead of binary encodings.  Encoding widths (2 or 4 bytes) exist
-only so the assembler can lay out addresses and account for code size;
-cycle costs come from a fixed deterministic table.
+names instead of binary encodings.  ``OPS`` is the one table of what
+each op is: its printed form, its kind (ALU, MEMORY, BRANCH or TRAP),
+its encoding width, its base cycle cost, and the registers it writes.
+Encoding widths (2 or 4 bytes) exist only so the assembler can lay out
+addresses and account for code size; cycle costs are deterministic.
+``finalize`` fills both in, and ``format_instr`` prints the canonical
+text, from the op's row.  The compiled blocks read the rows' kinds and
+written registers, and the machine has one executor per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 MASK32 = 0xFFFFFFFF
 
@@ -87,61 +93,98 @@ def _make_plain_copy(cls):
 _plain_copy = _make_plain_copy(Instr)
 
 
+# Op kinds.  A TRAP op is run by ``step()`` alone (exception entry or
+# halt); compiled blocks run every other kind.
+ALU, MEMORY, BRANCH, TRAP = "alu", "memory", "branch", "trap"
+
+
+class Op(NamedTuple):
+    """One op's fixed facts: ``form`` prints it (``{w}`` is the ``.w``
+    written, ``{mem}`` a memory operand); a ``width`` of 0 leaves 2 or 4
+    bytes to ``_narrow``; ``cycles`` is the base cost; ``writes_rd``
+    says ``rd`` is written through ``write_reg``, ``writes_sp`` that sp
+    is, whatever ``rd`` names."""
+
+    form: str
+    kind: str
+    width: int
+    cycles: int = 1
+    writes_rd: bool = False
+    writes_sp: bool = False
+
+
+OPS = {
+    "movw": Op("movw {rd}, {imm}", ALU, 4, writes_rd=True),
+    "movt": Op("movt {rd}, {imm}", ALU, 4, writes_rd=True),
+    "mov_imm": Op("mov{w} {rd}, {imm}", ALU, 0, writes_rd=True),
+    "mov_reg": Op("mov{w} {rd}, {rm}", ALU, 0, writes_rd=True),
+    "ldr": Op("ldr{w} {rd}, {mem}", MEMORY, 0, 2, writes_rd=True),
+    "str": Op("str{w} {rd}, {mem}", MEMORY, 0, 2),
+    "ldrb": Op("ldrb{w} {rd}, {mem}", MEMORY, 0, 2, writes_rd=True),
+    "strb": Op("strb{w} {rd}, {mem}", MEMORY, 0, 2),
+    "push": Op("push {reglist}", MEMORY, 0, writes_sp=True),
+    "pop": Op("pop {reglist}", MEMORY, 0, writes_sp=True),
+    "add_sp": Op("add sp, {imm}", ALU, 2, writes_sp=True),
+    "sub_sp": Op("sub sp, {imm}", ALU, 2, writes_sp=True),
+    "addw": Op("addw {rd}, {rn}, {imm}", ALU, 4, writes_rd=True),
+    "subw": Op("subw {rd}, {rn}, {imm}", ALU, 4, writes_rd=True),
+    "cmp_imm": Op("cmp {rn}, {imm}", ALU, 0),
+    "cmp_reg": Op("cmp {rn}, {rm}", ALU, 2),
+    "b": Op("b {label}", BRANCH, 2, 2),
+    "bcond": Op("b{cond} {label}", BRANCH, 2),  # the machine adds 1 if taken
+    "bl": Op("bl {label}", BRANCH, 4, 3),
+    "bx": Op("bx {rm}", BRANCH, 2, 2),
+    "blx": Op("blx {rm}", BRANCH, 2, 2),
+    "msr": Op("msr control, {rn}", ALU, 4),
+    "mrs": Op("mrs {rd}, control", ALU, 4, writes_rd=True),
+    "nop": Op("nop", ALU, 2),
+    "svc": Op("svc {imm}", TRAP, 2, 12),  # includes hardware stacking
+    "bkpt": Op("bkpt {imm}", TRAP, 2),
+    "udf": Op("udf {imm}", TRAP, 2),
+}
+
+
+def _row(ins: Instr) -> Op:
+    row = OPS.get(ins.op)
+    if row is None:
+        raise ValueError("unknown op %r" % ins.op)
+    return row
+
+
+def _narrow(ins: Instr) -> bool:
+    """Whether a width-0 op fits its 16-bit encoding: low registers (a
+    push may also list lr, a pop pc), a short immediate, and no ``.w``."""
+    op, imm = ins.op, ins.imm
+    if op == "push" or op == "pop":
+        link = LR if op == "push" else PC
+        return all(r < 8 or r == link for r in ins.reglist)
+    if op == "cmp_imm":
+        return ins.rn < 8 and imm <= 255
+    if ins.wide:
+        return False
+    if op == "mov_reg":
+        return True
+    if op == "mov_imm":
+        return ins.rd < 8 and imm <= 255
+    if ins.rd > 7 or ins.rn > 7:
+        return False
+    if op == "ldrb" or op == "strb":
+        return imm <= 31
+    return imm <= 124 and not imm % 4  # ldr, str
+
+
 def encoding_width(ins: Instr) -> int:
     """Byte width under the narrow/wide rules of the 16/32-bit encodings."""
-    op = ins.op
-    if op in ("movw", "movt", "addw", "subw", "bl", "msr", "mrs"):
-        return 4
-    if op in ("b", "bcond", "bx", "blx", "nop", "svc", "bkpt", "udf",
-              "add_sp", "sub_sp", "cmp_reg"):
-        return 2
-    if op == "mov_imm":
-        if ins.wide or ins.rd > 7 or ins.imm > 255:
-            return 4
-        return 2
-    if op == "mov_reg":
-        return 4 if ins.wide else 2
-    if op in ("ldr", "str"):
-        if ins.wide or ins.rd > 7 or ins.rn > 7 or ins.imm % 4 or ins.imm > 124:
-            return 4
-        return 2
-    if op in ("ldrb", "strb"):
-        if ins.wide or ins.rd > 7 or ins.rn > 7 or ins.imm > 31:
-            return 4
-        return 2
-    if op == "push":
-        return 2 if all(r < 8 or r == LR for r in ins.reglist) else 4
-    if op == "pop":
-        return 2 if all(r < 8 or r == PC for r in ins.reglist) else 4
-    if op == "cmp_imm":
-        return 2 if ins.rn < 8 and ins.imm <= 255 else 4
-    raise ValueError("unknown op %r" % op)
+    return _row(ins).width or (2 if _narrow(ins) else 4)
 
 
 def cycle_cost(ins: Instr) -> int:
-    """Deterministic cycle cost.
-
-    Conditional branches are costed not-taken here; the machine charges one
-    extra cycle when the branch is taken.  SVC includes hardware stacking.
-    Exception returns charge their 12 unstacking cycles at return time, on
-    top of the cost of the branch instruction that triggered them.
-    """
-    op = ins.op
-    if op in ("ldr", "str", "ldrb", "strb"):
-        return 2
-    if op == "push":
-        return 1 + len(ins.reglist)
-    if op == "pop":
-        n = 1 + len(ins.reglist)
-        return n + 3 if PC in ins.reglist else n
-    if op in ("b", "bx", "blx"):
-        return 2
-    if op == "bl":
-        return 3
-    if op == "svc":
-        return 12
-    # mov/movw/movt/addw/subw/add_sp/sub_sp/cmp/nop/msr/mrs/bkpt/udf/bcond
-    return 1
+    """Deterministic cycle cost: the op's base cost, plus one per listed
+    register, plus 3 to refill the pipeline after ``pop {..., pc}``.
+    Exception returns charge their 12 unstacking cycles at return time,
+    on top of the cost of the branch instruction that triggered them."""
+    n = _row(ins).cycles + len(ins.reglist)
+    return n + 3 if PC in ins.reglist else n
 
 
 def finalize(ins: Instr) -> Instr:
@@ -155,59 +198,40 @@ def reg_name(r: int) -> str:
     return REG_NAMES[r]
 
 
-def _imm_str(v: int) -> str:
+def imm_str(v: int) -> str:
     return "#0x%x" % v if v >= 256 else "#%d" % v
 
 
-def _mem_str(rn: int, imm: int) -> str:
+def mem_str(rn: int, imm: int) -> str:
     base = reg_name(rn)
-    return "[%s, %s]" % (base, _imm_str(imm)) if imm else "[%s]" % base
+    return "[%s, %s]" % (base, imm_str(imm)) if imm else "[%s]" % base
 
 
-def _reglist_str(regs) -> str:
+def reglist_str(regs) -> str:
     return "{%s}" % ", ".join(reg_name(r) for r in regs)
+
+
+class _Operands(dict):
+    """One instruction's form fields, each printed when the form names it."""
+
+    def __init__(self, ins: Instr) -> None:
+        self.ins = ins
+
+    def __missing__(self, field: str) -> str:
+        ins = self.ins
+        if field in ("rd", "rn", "rm"):
+            return reg_name(getattr(ins, field))
+        if field == "w":
+            return ".w" if ins.wide else ""
+        if field == "imm":
+            return imm_str(ins.imm)
+        if field == "mem":
+            return mem_str(ins.rn, ins.imm)
+        if field == "reglist":
+            return reglist_str(ins.reglist)
+        return getattr(ins, field)  # label, cond
 
 
 def format_instr(ins: Instr) -> str:
     """Canonical printable form (lowercase, one space after mnemonic)."""
-    op = ins.op
-    w = ".w" if ins.wide else ""
-    if op == "movw" or op == "movt":
-        return "%s %s, %s" % (op, reg_name(ins.rd), _imm_str(ins.imm))
-    if op == "mov_imm":
-        return "mov%s %s, %s" % (w, reg_name(ins.rd), _imm_str(ins.imm))
-    if op == "mov_reg":
-        return "mov%s %s, %s" % (w, reg_name(ins.rd), reg_name(ins.rm))
-    if op in ("ldr", "str", "ldrb", "strb"):
-        return "%s%s %s, %s" % (op, w, reg_name(ins.rd),
-                                _mem_str(ins.rn, ins.imm))
-    if op in ("push", "pop"):
-        return "%s %s" % (op, _reglist_str(ins.reglist))
-    if op == "add_sp":
-        return "add sp, %s" % _imm_str(ins.imm)
-    if op == "sub_sp":
-        return "sub sp, %s" % _imm_str(ins.imm)
-    if op in ("addw", "subw"):
-        return "%s %s, %s, %s" % (op, reg_name(ins.rd), reg_name(ins.rn),
-                                  _imm_str(ins.imm))
-    if op == "cmp_imm":
-        return "cmp %s, %s" % (reg_name(ins.rn), _imm_str(ins.imm))
-    if op == "cmp_reg":
-        return "cmp %s, %s" % (reg_name(ins.rn), reg_name(ins.rm))
-    if op == "b":
-        return "b %s" % ins.label
-    if op == "bcond":
-        return "b%s %s" % (ins.cond, ins.label)
-    if op == "bl":
-        return "bl %s" % ins.label
-    if op in ("bx", "blx"):
-        return "%s %s" % (op, reg_name(ins.rm))
-    if op == "msr":
-        return "msr control, %s" % reg_name(ins.rn)
-    if op == "mrs":
-        return "mrs %s, control" % reg_name(ins.rd)
-    if op == "nop":
-        return "nop"
-    if op in ("svc", "bkpt", "udf"):
-        return "%s %s" % (op, _imm_str(ins.imm))
-    raise ValueError("unknown op %r" % op)
+    return _row(ins).form.format_map(_Operands(ins))

@@ -40,7 +40,7 @@ from . import blocks
 from . import exception_model as excm
 from .exception_model import (EV_EXC_ENTERED, EV_EXC_RETURNED, EV_HALTED,
                               MODE_HANDLER, MODE_THREAD, Event)
-from .isa import LR, MASK32, NUM_GPRS, SP, Instr
+from .isa import LR, MASK32, NUM_GPRS, OPS, SP, Instr
 
 PAGE_BITS = 12
 PAGE_SIZE = 1 << PAGE_BITS
@@ -498,32 +498,5 @@ class Machine:
         excm.enter_exception(self, excm.USAGE_FAULT, self.pc)
 
 
-_EXEC = {
-    "movw": Machine._x_movw,
-    "movt": Machine._x_movt,
-    "mov_imm": Machine._x_mov_imm,
-    "mov_reg": Machine._x_mov_reg,
-    "ldr": Machine._x_ldr,
-    "str": Machine._x_str,
-    "ldrb": Machine._x_ldrb,
-    "strb": Machine._x_strb,
-    "push": Machine._x_push,
-    "pop": Machine._x_pop,
-    "add_sp": Machine._x_add_sp,
-    "sub_sp": Machine._x_sub_sp,
-    "addw": Machine._x_addw,
-    "subw": Machine._x_subw,
-    "cmp_imm": Machine._x_cmp_imm,
-    "cmp_reg": Machine._x_cmp_reg,
-    "b": Machine._x_b,
-    "bcond": Machine._x_bcond,
-    "bl": Machine._x_bl,
-    "bx": Machine._x_bx,
-    "blx": Machine._x_blx,
-    "msr": Machine._x_msr,
-    "mrs": Machine._x_mrs,
-    "nop": Machine._x_nop,
-    "svc": Machine._x_svc,
-    "bkpt": Machine._x_bkpt,
-    "udf": Machine._x_udf,
-}
+# One executor per op of isa.OPS; a missing one fails here, at import.
+_EXEC = {op: getattr(Machine, "_x_" + op) for op in OPS}

@@ -7,6 +7,9 @@ categories that ``bench/workloads.py`` reads from ``instrument``.
 
 The fixed PPB addresses are spelled in ``machine`` alone, as numbers or
 inside text; every other module imports them from there.
+
+No module imports another module's ``_``-prefixed name, nor reads one
+through a module it imported: what two modules share is public.
 """
 
 import ast
@@ -59,3 +62,25 @@ def test_only_machine_spells_a_ppb_address(name):
                                if "%x" % a in node.value.lower())
     assert not spelled, "%s spells %s" % (
         name, ", ".join("%#x" % a for a in sorted(spelled)))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_reaches_for_another_modules_private_name(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    # Names bound to a package module: ``from . import x [as y]``.
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module is None
+               for a in node.names}
+    private = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            private.update(a.name for a in node.names if _private(a.name))
+        elif (isinstance(node, ast.Attribute) and _private(node.attr)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            private.add("%s.%s" % (node.value.id, node.attr))
+    assert not private, "%s reaches for %s" % (name, ", ".join(sorted(private)))
