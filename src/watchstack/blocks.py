@@ -5,7 +5,7 @@ the first branch or pc write, ending early before a TRAP op (``svc``,
 ``bkpt``, ``udf``) or a missing instruction, and at most MAX_BLOCK_LEN
 long.  What an op is (a branch, a data access, a trap) and which
 registers it writes are read from its row in ``isa.OPS``; only the
-per-op source of ``_EMIT`` is spelled here.
+per-op source of ``_EMIT``, ``_FOLD`` and ``_BIND`` is spelled here.
 ``Machine.run`` steps through a block until it has reached the block's
 entry pc HOT_THRESHOLD times; then the block is compiled to one
 generated function that does what ``step()`` would do for each of its
@@ -17,7 +17,8 @@ In the generated function:
 * ``m.steps``, ``m.cycles``, ``m.cur_pc`` and ``m.pc`` are brought up to
   date only before an instruction that can observe them (a load, store,
   push or pop) and at the exit, with the values ``step()`` would have
-  left there;
+  left there; a store bound to a device (below) observes nothing, so
+  it brings them up to date only on the guard's path and on a halt;
 * after each such instruction the block exits if the machine halted
   (no access pends an exception: only the runner raises them, between
   ``run()`` calls), and an exit where ``step()`` could halt or start an
@@ -31,10 +32,20 @@ In the generated function:
   instruction that writes sp, which gives the same minimum as a check
   after every step.
 
-Data accesses go through ``m.load``/``m.store``, and exception returns
+The block folds constants: it knows the value a ``movw``, ``mov_imm``
+or ``movt`` put in a register until another write of it (read from
+``isa.OPS``), and uses it only to bind addresses.  A word ``ldr``/
+``str`` whose address is known, aligned and, by ``machine.ppb_device``
+at compile time, on a device is bound to it: the comparator-region
+test stays per access, inline against ``m.watch``; a hit, or a machine
+without that device, takes ``m.load``/``m.store``, and else the access
+calls the device's ``mmio_read``/``mmio_write`` directly.  Every other
+data access goes through ``m.load``/``m.store``, and exception returns
 through ``m._end``, which looks up
 ``exception_model.return_from_exception`` when called, so the guard
 and anything patched onto the class or module still see each one.
+Code at or above ``EXC_RETURN_MIN`` is not run in line, and a block
+whose next pc can be there ends through ``m._end``.
 Compiled code is cached by its generated source, which spells out the
 entry pc and every operand, so machines built from equal code share it
 and a changed instruction compiles anew.  ``Machine.run`` drops its
@@ -110,23 +121,29 @@ def _byte_code(source: str):
 
 # -- code generation ---------------------------------------------------------------
 
+def _written(ins) -> set:
+    """The registers ``ins`` writes, from its row in ``isa.OPS``."""
+    row = OPS[ins.op]
+    regs = set(ins.reglist) if row.writes_reglist else set()
+    if row.writes_rd:
+        regs.add(ins.rd)
+    if row.writes_sp:
+        regs.add(SP)
+    return regs
+
+
 def _ends_block(ins) -> bool:
-    """A branch, or any other write of pc (only a pop can list pc)."""
-    row = OPS[ins.op]
-    return (row.kind == BRANCH or PC in ins.reglist
-            or (row.writes_rd and ins.rd == PC))
-
-
-def _writes_sp(ins) -> bool:
-    row = OPS[ins.op]
-    return row.writes_sp or (row.writes_rd and ins.rd == SP)
+    """A branch, or any other write of pc."""
+    return OPS[ins.op].kind == BRANCH or PC in _written(ins)
 
 
 def _block_at(code, pc: int) -> list:
-    """(address, Instr) pairs of the block entered at pc; may be empty."""
+    """(address, Instr) pairs of the block entered at pc; may be empty.
+    Code at or above EXC_RETURN_MIN is never run in line: reaching it is
+    an exception return."""
     instrs = []
     addr = pc
-    while len(instrs) < MAX_BLOCK_LEN:
+    while len(instrs) < MAX_BLOCK_LEN and addr < mach.EXC_RETURN_MIN:
         ins = code.get(addr)
         if ins is None or OPS[ins.op].kind == TRAP:
             break
@@ -135,6 +152,28 @@ def _block_at(code, pc: int) -> list:
             break
         addr += ins.width
     return instrs
+
+
+def _fold(ins, known: dict) -> None:
+    """Bring ``known``, register -> the value this block put there, past
+    ``ins``: ``_FOLD`` gives a value its op sets, and any other write
+    forgets the register."""
+    fold = _FOLD.get(ins.op)
+    value = None if fold is None else fold(ins, known)
+    for r in _written(ins):
+        known.pop(r, None)
+    if value is not None:
+        known[ins.rd] = value & MASK32
+
+
+def _device_word(ins, known: dict):
+    """(address, device attribute) of a word access that ``_BIND`` can
+    bind: its address is known, aligned and on a device; else None."""
+    if ins.op not in _BIND or ins.rn not in known or _ends_block(ins):
+        return None
+    addr = (known[ins.rn] + ins.imm) & MASK32
+    dev = mach.ppb_device(addr)
+    return None if addr & 3 or dev is None else (addr, dev)
 
 
 def _source(instrs) -> str:
@@ -147,37 +186,54 @@ def _source(instrs) -> str:
            "  c = m.cycles"]
     n = len(instrs)
     cost = 0
+    known: dict = {}
     for i, (at, ins) in enumerate(instrs):
         cost += ins.cycles
         nxt = at + ins.width
         last = i == n - 1
         memory = OPS[ins.op].kind == MEMORY
+        state = "m.cycles = c + %d; m.cur_pc = %d; m.pc = %d" % (cost, at,
+                                                                nxt)
+        sync = "m.steps = s + %d; %s" % (i, state)
+        bound = _device_word(ins, known)
+        _fold(ins, known)
         out.append("  # 0x%08x %s" % (at, ins.op))
-        if memory:
-            out.append("  m.steps = s + %d; m.cycles = c + %d; "
-                       "m.cur_pc = %d; m.pc = %d" % (i, cost, at, nxt))
-        out += ["  " + line for line in _EMIT[ins.op](ins, nxt, cost)]
-        if i == 0 or _writes_sp(ins):
+        if bound is not None:
+            lines = _BIND[ins.op](ins, nxt, *bound, sync)
+        else:
+            if memory:
+                out.append("  " + sync)
+            lines = _EMIT[ins.op](ins, nxt, cost)
+        out += ["  " + line for line in lines]
+        if i == 0 or SP in _written(ins):
             out.append("  if m.min_sp is not None and m.sp < m.min_sp: "
                        "m.min_sp = m.sp")
         if memory:
             check = "m.halted"
             if last and _ends_block(ins):
                 check += " or m.pc >= %d" % mach.EXC_RETURN_MIN
+            # A bound store skips the state writes; its exit makes them.
             out += ["  if %s:" % check,
-                    "   m.steps = s + %d; cnt[%d] += 1" % (i + 1, i + 1),
+                    "   m.steps = s + %d; %scnt[%d] += 1"
+                    % (i + 1, "" if bound is None else state + "; ", i + 1),
                     "   return m._end(%d)" % at]
     at, ins = instrs[-1]
+    nxt = at + ins.width
     if ins.op != "bcond":  # a conditional branch sets cycles itself
         out.append("  m.cycles = c + %d" % cost)
     if not _ends_block(ins):
-        out.append("  m.pc = %d" % (at + ins.width))
+        out.append("  m.pc = %d" % nxt)
     out.append("  m.steps = s + %d; m.cur_pc = %d; cnt[%d] += 1"
                % (n, at, n))
     row = OPS[ins.op]
-    if (_ends_block(ins) and row.kind != MEMORY
-            and "{label}" not in row.form):
-        # A pc taken from a register may be EXC_RETURN.
+    if _ends_block(ins) and "{label}" not in row.form:
+        # A pc taken from a register may be EXC_RETURN; a memory op's
+        # exit above tests the pc it loaded.
+        returns = row.kind != MEMORY
+    else:
+        # The next pc is the target or the fall-through.
+        returns = max(ins.target, nxt) >= mach.EXC_RETURN_MIN
+    if returns:
         out.append("  if m.pc >= %d: return m._end(%d)"
                    % (mach.EXC_RETURN_MIN, at))
     out.append(" return block")
@@ -290,3 +346,48 @@ _EMIT = {
     "mrs": lambda ins, nxt, cost: [_set(ins.rd, "m.control")],
     "nop": lambda ins, nxt, cost: [],
 }
+
+
+# The values a block knows it put in a register, by op; ``_fold`` keeps
+# them in step with the block's other register writes.
+_FOLD = {
+    "movw": lambda ins, known: ins.imm,
+    "mov_imm": lambda ins, known: ins.imm,
+    "movt": lambda ins, known: (
+        None if ins.rd not in known
+        else (known[ins.rd] & 0xFFFF) | ins.imm << 16),
+}
+
+
+# -- word accesses bound to a device at compile time -------------------------------
+
+def _watched(addr: int, kind: int) -> list[str]:
+    """Machine.load/store's region test, for a word at a known address;
+    a machine without the device, ``d``, takes the same branch."""
+    hit = " or ".join("%d < s%d[1] and %d > s%d[0]" % (addr, k, addr + 4, k)
+                      for k in range(4))
+    return ["s0, s1, s2, s3 = m.watch[%d]" % kind,
+            "if d is None or %s:" % hit]
+
+
+def _bound_ldr(ins, nxt, addr, dev, sync):
+    # The state writes stay: CYCCNT reads m.cycles.
+    return [sync, "d = m." + dev, *_watched(addr, mach.ACCESS_READ),
+            " " + _set(ins.rd, "m.load(%d, 4)" % addr),
+            "else: " + _set(ins.rd, "d.mmio_read(m, %d)" % addr)]
+
+
+def _bound_str(ins, nxt, addr, dev, sync):
+    # A device write reads no machine state: only the guard's path syncs.
+    value = _reg(ins.rd, nxt)
+    return ["d = m." + dev, *_watched(addr, mach.ACCESS_WRITE),
+            " " + sync,
+            " m.store(%d, 4, %s)" % (addr, value),
+            "else: d.mmio_write(m, %d, %s)" % (addr, value)]
+
+
+# A word access whose aligned address the block knows and ``ppb_device``
+# puts on a device runs the region test inline; on a hit, or with no
+# device attached, it takes m.load/m.store, and else the device's own
+# mmio_read/mmio_write.
+_BIND = {"ldr": _bound_ldr, "str": _bound_str}

@@ -103,7 +103,8 @@ class Op(NamedTuple):
     written, ``{mem}`` a memory operand); a ``width`` of 0 leaves 2 or 4
     bytes to ``_narrow``; ``cycles`` is the base cost; ``writes_rd``
     says ``rd`` is written through ``write_reg``, ``writes_sp`` that sp
-    is, whatever ``rd`` names."""
+    is, whatever ``rd`` names, and ``writes_reglist`` that every listed
+    register is."""
 
     form: str
     kind: str
@@ -111,6 +112,7 @@ class Op(NamedTuple):
     cycles: int = 1
     writes_rd: bool = False
     writes_sp: bool = False
+    writes_reglist: bool = False
 
 
 OPS = {
@@ -123,7 +125,8 @@ OPS = {
     "ldrb": Op("ldrb{w} {rd}, {mem}", MEMORY, 0, 2, writes_rd=True),
     "strb": Op("strb{w} {rd}, {mem}", MEMORY, 0, 2),
     "push": Op("push {reglist}", MEMORY, 0, writes_sp=True),
-    "pop": Op("pop {reglist}", MEMORY, 0, writes_sp=True),
+    "pop": Op("pop {reglist}", MEMORY, 0, writes_sp=True,
+              writes_reglist=True),
     "add_sp": Op("add sp, {imm}", ALU, 2, writes_sp=True),
     "sub_sp": Op("sub sp, {imm}", ALU, 2, writes_sp=True),
     "addw": Op("addw {rd}, {rn}, {imm}", ALU, 4, writes_rd=True),

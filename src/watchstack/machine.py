@@ -9,10 +9,13 @@ it falls in one; a store the guard answers True for is suppressed
 ``watch`` holds no region; ``protect`` sets ``watch`` and ``guard``
 together, ``watch`` being the watchpoint unit's live slot table, so
 the guard runs only on comparator hits.  The fixed PPB map is declared
-here, beside its one decode: an access that starts in the DWT window
-or on the DEMCR word reaches ``dwt`` or ``demcr`` when attached; all
-else is RAM.  A device is a word device, ``mmio_read(m, addr)`` and
-``mmio_write(m, addr, value)``; the access path handles byte lanes.
+here, beside its one decode, ``ppb_device``: an access that starts in
+the DWT window or on the DEMCR word reaches ``dwt`` or ``demcr`` when
+attached; all else is RAM.  ``load``/``store`` decode an address above
+PPB_BASE at run time, and ``blocks`` decodes a constant word address at
+compile time through the same function.  A device is a word device,
+``mmio_read(m, addr)`` and ``mmio_write(m, addr, value)``; the access
+path handles byte lanes.
 
 ``step()`` executes one instruction and is the reference semantics.
 ``run()`` executes many: it steps cold code and runs hot straight-line
@@ -62,6 +65,21 @@ PPB_BASE = 0xE0000000
 DWT_WINDOW_LO = 0xE0001000
 DWT_WINDOW_HI = 0xE0001060
 DEMCR_ADDR = 0xE000EDFC
+
+
+def ppb_device(addr: int) -> str | None:
+    """The PPB map's one decode: the ``Machine`` attribute holding the
+    device that an access starting at ``addr`` reaches, or None for RAM.
+
+    ``Machine.load``/``store`` ask it above PPB_BASE; ``blocks`` asks it
+    at compile time for a word access whose address it knows.
+    """
+    if DWT_WINDOW_LO <= addr < DWT_WINDOW_HI:
+        return "dwt"
+    if DEMCR_ADDR <= addr < DEMCR_ADDR + 4:
+        return "demcr"
+    return None
+
 
 # Machine.watch's default: no region, so the guard is shown no access.
 _WATCH_NONE = (((0, 0),) * 4, ((0, 0),) * 4)
@@ -208,8 +226,8 @@ class Machine:
                 or (addr < s3[1] and end > s3[0])):
             self.guard.on_load(self, addr, size)
         if addr >= PPB_BASE:
-            dev = (self.dwt if DWT_WINDOW_LO <= addr < DWT_WINDOW_HI else
-                   self.demcr if DEMCR_ADDR <= addr < DEMCR_ADDR + 4 else None)
+            name = ppb_device(addr)
+            dev = None if name is None else getattr(self, name)
             if dev is not None:
                 if size == 4:
                     return dev.mmio_read(self, addr)
@@ -234,8 +252,8 @@ class Machine:
             if self.guard.on_store(self, addr, size, value):
                 return  # suppressed
         if addr >= PPB_BASE:
-            dev = (self.dwt if DWT_WINDOW_LO <= addr < DWT_WINDOW_HI else
-                   self.demcr if DEMCR_ADDR <= addr < DEMCR_ADDR + 4 else None)
+            name = ppb_device(addr)
+            dev = None if name is None else getattr(self, name)
             if dev is not None:
                 if size != 4:
                     base = addr & ~3

@@ -74,8 +74,9 @@ def test_the_printed_form_parses_back_to_the_op(op):
 @pytest.mark.parametrize("op", sorted(op for op, row in OPS.items()
                                       if row.kind != TRAP))
 def test_the_written_registers_are_what_step_writes(op):
-    """``writes_rd`` and ``writes_sp`` against the reference semantics:
-    every register starts at a value no sample leaves in it."""
+    """``writes_rd``, ``writes_sp`` and ``writes_reglist`` against the
+    reference semantics: every register starts at a value no sample
+    leaves in it."""
     ins = finalize(SAMPLES[op].copy())
     ins.target = 0x08000100
     m = machine.Machine()
@@ -89,6 +90,9 @@ def test_the_written_registers_are_what_step_writes(op):
     if ins.rd is not None:
         assert (ins.rd in written) == row.writes_rd
     assert (SP in written) == row.writes_sp
+    if ins.reglist:
+        listed = set(ins.reglist) - {PC}
+        assert (listed <= written) == row.writes_reglist
 
 
 @pytest.mark.parametrize("fn", [encoding_width, cycle_cost, format_instr])

@@ -4,12 +4,14 @@ import logging
 
 import pytest
 
+from watchstack import blocks
 from watchstack.dwt import (DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0, FN_READ,
                             FN_WRITE)
 from watchstack.instrument import ShadowStackConfig
+from watchstack.isa import Instr
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
                                 DWT_WINDOW_HI, DWT_WINDOW_LO, PPB_BASE,
-                                HaltReason, Machine)
+                                HaltReason, Machine, ppb_device)
 from watchstack.protect import (DEMCR_MON_EN, POLICY_REPORT, POLICY_RESET,
                                 attach_debug_system, init_write_protection)
 
@@ -224,6 +226,39 @@ def test_an_access_reaches_a_device_by_where_it_starts(addr, size, device):
     bare = Machine()
     bare.store(addr, size, value)
     assert bare.load(addr, size) == value
+
+
+class Spy:
+    """A device that logs which attribute of the machine it was."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def mmio_read(self, m, addr):
+        self.log.append(self.name)
+        return 0
+
+    def mmio_write(self, m, addr, value):
+        self.log.append(self.name)
+
+
+@pytest.mark.parametrize("addr,size,device", DECODE,
+                         ids=["%#x/%d" % row[:2] for row in DECODE])
+def test_the_compile_time_decode_agrees_with_the_access_path(addr, size,
+                                                              device):
+    """``ppb_device`` names the device ``Machine.load``/``store`` reach,
+    and a block binds a word access there exactly when it is aligned."""
+    log = []
+    m = Machine()
+    m.dwt, m.demcr = Spy("dwt", log), Spy("demcr", log)
+    m.store(addr, size, 0)
+    m.load(addr, size)
+    name = ppb_device(addr)
+    assert (name is not None) is device
+    assert set(log) == ({name} if device else set())
+    ins = Instr("str", rd=1, rn=0, imm=0)
+    bound = blocks._device_word(ins, {0: addr})
+    assert bound == ((addr, name) if device and not addr & 3 else None)
 
 
 def test_byte_store_to_the_shadow_pointer_keeps_its_other_lanes():

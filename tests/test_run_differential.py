@@ -17,15 +17,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from watchstack import blocks
 from watchstack.asm import parse
-from watchstack.dwt import DWT_FUNCTION0, FN_READWRITE
+from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
+                            FN_READWRITE)
 from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
                                 preinit_exception_program, recursion_program,
                                 sweep_program)
 from watchstack.instrument import ShadowStackConfig, instrument_program
-from watchstack.machine import HaltReason
+from watchstack.machine import DEMCR_ADDR, EXC_RETURN_MIN, HaltReason, Machine
 from watchstack.protect import POLICY_REPORT, POLICY_RESET
-from watchstack.runner import (RunConfig, attribute, build_machine,
-                               run_machine)
+from watchstack.runner import (OUTCOME_SAFE, RunConfig, attribute,
+                               build_machine, run_machine, run_program)
 
 SHADOW = ShadowStackConfig()
 SYSTICK = 15
@@ -74,7 +75,7 @@ def observe(m, budget) -> dict:
         "min_sp": m.min_sp,
         "violations": list(m.guard.records) if m.guard else None,
         "events": m.events,
-        "dwt": (m.dwt.groups, m.demcr.value),
+        "dwt": (m.dwt.groups, m.demcr.value) if m.dwt else None,
     }
 
 
@@ -586,3 +587,192 @@ def test_a_misaligned_word_store_faults_without_writing(monkeypatch):
     assert want["halt"] == (True, HaltReason.FAULT, False)
     assert want["steps"] == 4 and want["regs"][2] == 0
     assert not any(want["mem"].get(0x20000000 >> 12, b""))
+
+
+# -- code at and above EXC_RETURN_MIN ----------------------------------------------
+
+# main counts to 40, then branches to code at EXC_RETURN_MIN: a branch
+# there is an exception return, which faults in thread mode.
+FAR_BRANCH = """\
+.org 0x08000000
+.func main hal
+    mov r5, #0
+.label loop
+    addw r5, r5, #1
+    cmp r5, #40
+    bge far
+    b loop
+.endfunc
+.org 0x%08x
+.func far hal
+    bkpt #0
+.endfunc
+""" % EXC_RETURN_MIN
+
+# A straight line whose next instruction sits at EXC_RETURN_MIN.
+FAR_FALL_THROUGH = """\
+.org 0x%08x
+.func main hal
+    mov r5, #1
+    addw r6, r6, #1
+    nop
+    bkpt #0
+.endfunc
+""" % (EXC_RETURN_MIN - 6)
+
+
+@pytest.mark.parametrize("text,steps", [(FAR_BRANCH, 160),
+                                        (FAR_FALL_THROUGH, 2)],
+                         ids=["bge", "fall-through"])
+def test_reaching_exc_return_min_is_an_exception_return(text, steps,
+                                                        monkeypatch):
+    want = check(parse(text), RunConfig(), "far", monkeypatch)
+    assert want["halt"] == (True, HaltReason.FAULT, False)
+    assert want["steps"] == steps
+
+
+# -- word accesses bound to a device at compile time -------------------------------
+
+PASSES = blocks.HOT_THRESHOLD + 8
+
+
+def _main(*body: str) -> str:
+    """main at 0x08000000: r7 points at a RAM word holding its own
+    address, r5 counts PASSES down, and the loop runs ``body``."""
+    return "\n".join([
+        ".org 0x08000000", ".func main hal",
+        "    movw r7, #0x0100", "    movt r7, #0x2000", "    str r7, [r7]",
+        "    mov r5, #%d" % PASSES,
+        ".label loop", *("    " + line for line in body),
+        "    subw r5, r5, #1", "    cmp r5, #0", "    bne loop",
+        "    bkpt #0", ".endfunc", ""])
+
+
+def _const(r: str, addr: int) -> list[str]:
+    return ["movw %s, #0x%04x" % (r, addr & 0xFFFF),
+            "movt %s, #0x%04x" % (r, addr >> 16)]
+
+
+# Each replaces the DWT address in r0 with a RAM address (mrs: 0) before
+# the store, which must then land in RAM; bound to COMP0 + 4 it would
+# rewrite MASK0 instead.
+OVERWRITES = {
+    "ldr": ["ldr r0, [r7]"],
+    "pop": ["push {r7}", "pop {r0}"],
+    "mov_reg": ["mov r0, r7"],
+    "addw": ["addw r0, r7, #0"],
+    "mrs": ["mrs r0, control"],
+}
+
+
+@pytest.mark.parametrize("op", sorted(OVERWRITES))
+def test_an_overwritten_base_is_not_bound(op, monkeypatch):
+    prog = parse(_main(*_const("r0", DWT_COMP0), *OVERWRITES[op],
+                       "str r5, [r0, #4]"))
+    for policy in (POLICY_RESET, POLICY_REPORT):
+        want = check_watch(prog, _cfg(policy, None, 10_000),
+                           "%s %s" % (op, policy), monkeypatch)
+        assert want["halt"] == (True, HaltReason.NORMAL, False)
+        assert want["dwt"][0][0].mask == SHADOW.ss_size_log2
+        page, off = (0, 4) if op == "mrs" else (0x20000, 0x104)
+        assert want["mem"][page][off] == 1  # the last pass's r5
+
+
+# Stores onto the lock: COMP2 and FUNCTION3 (group 3's region) and the
+# DEMCR word (group 2's).
+LOCK = _main(*_const("r0", DWT_COMP0 + 0x20), *_const("r2", DEMCR_ADDR),
+             "str r5, [r0]", "str r5, [r0, #0x18]", "str r5, [r2]")
+
+
+def test_bound_stores_onto_the_lock_are_recorded(monkeypatch):
+    prog = parse(LOCK)
+    stores = [ins.addr for ins in prog.functions["main"].body[8:11]]
+    want = check_watch(prog, _cfg(POLICY_REPORT, None, 10_000), "lock",
+                       monkeypatch)
+    assert want["halt"] == (True, HaltReason.NORMAL, False)
+    got = [(r.pc, r.data_address, r.comparator_id, r.suppressed_value)
+           for r in want["violations"]]
+    assert got == [(pc, addr, cid, n) for n in range(PASSES, 0, -1)
+                   for pc, addr, cid in zip(stores, (
+                       DWT_COMP0 + 0x20, DWT_COMP0 + 0x38, DEMCR_ADDR),
+                       (3, 3, 2))]
+    # Each record's step index is its store's step: 4 before the loop,
+    # 10 per pass, and the stores at 4, 5 and 6 into it.
+    assert [r.step_index for r in want["violations"][:4]] == [8, 9, 10, 18]
+    assert want["dwt"][1] == 1 << 16  # DEMCR as init left it
+    want = check_watch(prog, _cfg(POLICY_RESET, None, 10_000), "lock reset",
+                       monkeypatch)
+    assert want["halt"] == (True, HaltReason.RESET, False)
+    assert len(want["violations"]) == 1
+
+
+# COMP1 steps up by 256 each pass, past the shadow region in pass 129;
+# the instructions after the store must not run then.
+OVERFLOW = "\n".join([
+    ".org 0x08000000", ".func main hal",
+    "    movw r7, #0x0100", "    movt r7, #0x2000",
+    ".label loop", *("    " + line for line in _const("r0", DWT_COMP1)),
+    "    ldr r1, [r0]", "    addw r1, r1, #256", "    str r1, [r0]",
+    "    addw r6, r6, #1", "    str r6, [r7]", "    b loop",
+    ".endfunc", ""])
+
+
+def test_a_bound_comp1_store_halts_on_overflow(monkeypatch):
+    want = check_watch(parse(OVERFLOW), _cfg(POLICY_RESET, None, 10_000),
+                       "overflow", monkeypatch)
+    assert want["halt"] == (True, HaltReason.STACK_OVERFLOW, False)
+    passes = SHADOW.ss_size // 256 + 1
+    assert want["steps"] == 2 + 8 * (passes - 1) + 5
+    assert want["regs"][6] == passes - 1
+    assert want["events"][-1].at_pc == parse(OVERFLOW).functions[
+        "main"].body[6].addr
+
+
+CYCCNT = _main(*_const("r0", DWT_CYCCNT), "ldr r1, [r0]", "str r1, [r7]",
+               "addw r7, r7, #4")
+
+
+def test_a_bound_cyccnt_load_reads_the_cycle_count(monkeypatch):
+    want = check_watch(parse(CYCCNT), _cfg(POLICY_RESET, None, 10_000),
+                       "cyccnt", monkeypatch)
+    page = want["mem"][0x20000]
+    counts = [int.from_bytes(page[0x100 + 4 * i:0x104 + 4 * i], "little")
+              for i in range(PASSES)]
+    # The first ldr retires at cycle 9, and a pass costs 11.
+    assert counts == [9 + 11 * i for i in range(PASSES)]
+
+
+def _no_devices(m):
+    m.dwt = m.demcr = None
+
+
+@pytest.mark.parametrize("text", [LOCK, CYCCNT, OVERFLOW],
+                         ids=["lock", "cyccnt", "overflow"])
+def test_bound_accesses_on_a_machine_without_devices(text, monkeypatch):
+    """Without its devices the machine has RAM at their addresses."""
+    want = check(parse(text), RunConfig(max_steps=2_000), "no devices",
+                 monkeypatch, arm=_no_devices)
+    assert want["dwt"] is None and want["steps"] > 2 * blocks.HOT_THRESHOLD
+
+
+def test_the_recursion_makes_five_generic_accesses_a_call(monkeypatch):
+    """Compiled, the instrumented recursion's six watchpoint-register
+    accesses a call reach the unit directly; the pushes, the pop and
+    the two shadow accesses of lr go through Machine.load/store."""
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    calls = [0]
+
+    def counted(method):
+        def wrapper(*args):
+            calls[0] += 1
+            return method(*args)
+        return wrapper
+
+    for name in ("load", "store"):
+        monkeypatch.setattr(Machine, name, counted(getattr(Machine, name)))
+    depth = 64
+    prog = instrument_program(parse(recursion_program(depth)),
+                              SHADOW).program
+    run = run_program(prog, RunConfig(protected=True, shadow=SHADOW))
+    assert run.outcome == OUTCOME_SAFE and run.steps == 24 * depth + 1
+    assert calls[0] == 5 * depth
