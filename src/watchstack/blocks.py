@@ -8,40 +8,51 @@ registers it writes are read from its row in ``isa.OPS``; only the
 per-op source of ``_EMIT``, ``_FOLD`` and ``_BIND`` is spelled here.
 ``Machine.run`` steps through a block until it has reached the block's
 entry pc HOT_THRESHOLD times; then the block is compiled to one
-generated function that does what ``step()`` would do for each of its
-instructions, with the per-step bookkeeping lifted out.  ``Machine.run``
-calls compiled blocks back to back, looking up the next one at the pc
-each leaves, for as long as it is compiled and fits the step budget.
-In the generated function:
+generated function, ``block(m, limit)``, that does what ``step()``
+would do for each of its instructions, with the per-step bookkeeping
+lifted out.  ``Machine.run`` calls compiled blocks back to back,
+looking up the next one at the pc each leaves, for as long as it is
+compiled and fits the step budget ``limit``.  A block whose last
+instruction is a ``b`` or ``bcond`` to its own entry is a loop: its
+function runs the block again while the branch is taken and another
+pass fits in ``limit``, and else returns at the entry, so a hot loop
+does not go back to the dispatcher each pass.  In the generated
+function:
 
-* ``m.steps``, ``m.cycles``, ``m.cur_pc`` and ``m.pc`` are brought up to
-  date only before an instruction that can observe them (a load, store,
-  push or pop) and at the exit, with the values ``step()`` would have
-  left there; a store bound to a device (below) observes nothing, so
-  it brings them up to date only on the guard's path and on a halt;
-* after each such instruction the block exits if the machine halted
-  (no access pends an exception: only the runner raises them, between
+* steps and cycles are kept in locals; ``m.steps``, ``m.cycles``,
+  ``m.cur_pc`` and ``m.pc`` are written only before something can read
+  them (the guard, a load, a push or pop) and at each exit, with the
+  values ``step()`` would have left there;
+* after each data access the block exits if the machine halted (no
+  access pends an exception: only the runner raises them, between
   ``run()`` calls), and an exit where ``step()`` could halt or start an
   exception return ends through ``Machine._end``, the one
   end-of-instruction rule, which does that return and logs the halt;
 * ``m.retired`` and ``m.taken`` are not touched per instruction: the
-  block counts how many of its instructions each execution retired and
+  block counts how many of its instructions each pass retired and
   how often its final conditional branch was taken, and ``Block.fold``
   adds those counts to the machine's before ``Machine.run`` returns;
-* ``min_sp`` is checked after the first instruction and after every
+* ``min_sp`` is checked once on entry when no instruction of the block
+  writes sp, and else after the first instruction and after every
   instruction that writes sp, which gives the same minimum as a check
   after every step.
 
-The block folds constants: it knows the value a ``movw``, ``mov_imm``
-or ``movt`` put in a register until another write of it (read from
-``isa.OPS``), and uses it only to bind addresses.  A word ``ldr``/
-``str`` whose address is known, aligned and, by ``machine.ppb_device``
-at compile time, on a device is bound to it: the comparator-region
-test stays per access, inline against ``m.watch``; a hit, or a machine
-without that device, takes ``m.load``/``m.store``, and else the access
-calls the device's ``mmio_read``/``mmio_write`` directly.  Every other
-data access goes through ``m.load``/``m.store``, and exception returns
-through ``m._end``, which looks up
+A store tests the comparator regions inline, once, against
+``m.watch``, as ``Machine.store`` does: on a hit it writes the state,
+shows the guard the store and, unless the guard suppresses it, commits
+it through ``Machine.commit``; on a miss it commits with no state
+writes, for no write reads them.  The block folds constants: it knows
+the value a ``movw``, ``mov_imm`` or ``movt`` put in a register until
+another write of it (read from ``isa.OPS``), and uses it only to bind
+addresses.  A word ``ldr``/``str`` whose address is known, aligned
+and, by ``machine.ppb_device`` at compile time, on a device is bound to
+it: the region test stays per access; a load that hits, or finds no
+device attached, takes ``m.load``, and else the device's
+``mmio_read``; a store that misses goes to the device's
+``mmio_write``, or through ``m.commit`` to RAM on a machine without
+that device.  Loads,
+pushes and pops go through ``m.load``/``m.store``, and exception
+returns through ``m._end``, which looks up
 ``exception_model.return_from_exception`` when called, so the guard
 and anything patched onto the class or module still see each one.
 Code at or above ``EXC_RETURN_MIN`` is not run in line, and a block
@@ -68,10 +79,11 @@ class Block:
     """The block entered at one pc: its length, how often run() has
     reached it, and once hot its compiled function.
 
-    ``counts[j]`` (j >= 1) is how many executions of the compiled
-    function retired exactly the first j instructions; ``counts[0]`` is
-    how often a conditional branch at the end was taken.  ``fold`` adds
-    them to the machine's counts.
+    ``counts[j]`` (j >= 1) is how many passes of the compiled function
+    through the block retired exactly the first j instructions (a loop
+    makes several passes a call); ``counts[0]`` is how often a
+    conditional branch at the end was taken.  ``fold`` adds them to the
+    machine's counts.
     """
 
     __slots__ = ("n", "heat", "fn", "counts", "addrs")
@@ -97,7 +109,7 @@ class Block:
         """Add the counts to ``m.retired`` and ``m.taken``; zero them."""
         counts = self.counts
         retired = m.retired
-        runs = 0  # executions that retired instruction i
+        runs = 0  # passes that retired instruction i
         for i in range(self.n - 1, -1, -1):
             runs += counts[i + 1]
             if runs:
@@ -176,49 +188,71 @@ def _device_word(ins, known: dict):
     return None if addr & 3 or dev is None else (addr, dev)
 
 
+def _loops(instrs) -> bool:
+    """Whether the block ends in a ``b`` or ``bcond`` to its own entry."""
+    ins = instrs[-1][1]
+    return ins.op in ("b", "bcond") and ins.target == instrs[0][0]
+
+
+_MIN_SP = "if m.min_sp is not None and m.sp < m.min_sp: m.min_sp = m.sp"
+
+
 def _source(instrs) -> str:
-    """``make(cnt)`` returning ``block(m)``: the block's instructions as
-    Machine.step would run them, in sequence."""
+    """``make(cnt)`` returning ``block(m, limit)``: the block's
+    instructions as Machine.step would run them, in sequence.  A block
+    that branches back to its own entry runs them again for as long as
+    the branch is taken and another pass fits before ``limit`` steps."""
     out = ["def make(cnt):",
-           " def block(m):",
+           " def block(m, limit):",
            "  g = m.gpr",
            "  s = m.steps",
            "  c = m.cycles"]
     n = len(instrs)
+    loops = _loops(instrs)
+    moves_sp = any(SP in _written(ins) for _, ins in instrs)
+    if not moves_sp:
+        out.append("  " + _MIN_SP)  # sp holds its entry value throughout
+    body = []
     cost = 0
     known: dict = {}
-    for i, (at, ins) in enumerate(instrs):
+    for i, (at, ins) in enumerate(instrs[:-1] if loops else instrs):
         cost += ins.cycles
         nxt = at + ins.width
         last = i == n - 1
-        memory = OPS[ins.op].kind == MEMORY
-        state = "m.cycles = c + %d; m.cur_pc = %d; m.pc = %d" % (cost, at,
-                                                                nxt)
-        sync = "m.steps = s + %d; %s" % (i, state)
+        state = "m.cycles = c + %d; m.cur_pc = %d" % (cost, at)
+        pc = "; m.pc = %d" % nxt
+        sync = "m.steps = s + %d; %s%s" % (i, state, pc)
         bound = _device_word(ins, known)
         _fold(ins, known)
-        out.append("  # 0x%08x %s" % (at, ins.op))
+        body.append("# 0x%08x %s" % (at, ins.op))
         if bound is not None:
-            lines = _BIND[ins.op](ins, nxt, *bound, sync)
+            body += _BIND[ins.op](ins, nxt, cost, sync, *bound)
         else:
-            if memory:
-                out.append("  " + sync)
-            lines = _EMIT[ins.op](ins, nxt, cost)
-        out += ["  " + line for line in lines]
-        if i == 0 or SP in _written(ins):
-            out.append("  if m.min_sp is not None and m.sp < m.min_sp: "
-                       "m.min_sp = m.sp")
-        if memory:
+            body += _EMIT[ins.op](ins, nxt, cost, sync)
+        if moves_sp and (i == 0 or SP in _written(ins)):
+            body.append(_MIN_SP)
+        if OPS[ins.op].kind == MEMORY:
             check = "m.halted"
             if last and _ends_block(ins):
                 check += " or m.pc >= %d" % mach.EXC_RETURN_MIN
-            # A bound store skips the state writes; its exit makes them.
-            out += ["  if %s:" % check,
-                    "   m.steps = s + %d; %scnt[%d] += 1"
-                    % (i + 1, "" if bound is None else state + "; ", i + 1),
-                    "   return m._end(%d)" % at]
+            # The state after the instruction, which a store wrote only
+            # on the guard's path; pc unless the instruction wrote it.
+            body += ["if %s:" % check,
+                     " m.steps = s + %d; %s%s; cnt[%d] += 1"
+                     % (i + 1, state, "" if _ends_block(ins) else pc, i + 1),
+                     " return m._end(%d)" % at]
     at, ins = instrs[-1]
     nxt = at + ins.width
+    if loops:
+        cost += ins.cycles
+        out.append("  while True:")
+        out += ["   " + line
+                for line in body + _loop_tail(ins, at, nxt, cost, n)]
+        if ins.op == "b":  # it leaves only through the budget test
+            out.append(" return block")
+            return "\n".join(out) + "\n"
+    else:
+        out += ["  " + line for line in body]
     if ins.op != "bcond":  # a conditional branch sets cycles itself
         out.append("  m.cycles = c + %d" % cost)
     if not _ends_block(ins):
@@ -238,6 +272,25 @@ def _source(instrs) -> str:
                    % (mach.EXC_RETURN_MIN, at))
     out.append(" return block")
     return "\n".join(out) + "\n"
+
+
+def _loop_tail(ins, at: int, nxt: int, cost: int, n: int) -> list[str]:
+    """A looping block's final branch: a ``bcond`` not taken leaves the
+    loop as ``_bcond`` would; a taken branch counts the pass and starts
+    the next one if it fits before ``limit``, else returns at the entry."""
+    lines = ["# 0x%08x %s" % (at, ins.op)]
+    count = "cnt[%d] += 1" % n
+    if ins.op == "bcond":
+        lines += ["x = m.xpsr",
+                  "if not (%s): m.pc = %d; m.cycles = c + %d; break"
+                  % (_COND[ins.cond], nxt, cost)]
+        cost += 1
+        count = "cnt[0] += 1; " + count
+    return lines + [
+        "s += %d; c += %d; %s" % (n, cost, count),
+        "if s + %d > limit:" % n,
+        " m.steps = s; m.cycles = c; m.cur_pc = %d; m.pc = %d; return"
+        % (at, ins.target)]
 
 
 # -- per-op source, mirroring Machine._x_* ----------------------------------------
@@ -289,7 +342,7 @@ _COND = {
 }
 
 
-def _bcond(ins, nxt, cost):
+def _bcond(ins, nxt, cost, sync):
     return ["x = m.xpsr",
             "if %s:" % _COND[ins.cond],
             " m.pc = %d; m.cycles = c + %d; cnt[0] += 1"
@@ -298,53 +351,87 @@ def _bcond(ins, nxt, cost):
             " m.pc = %d; m.cycles = c + %d" % (nxt, cost)]
 
 
+def _hit(kind: int, a: str, end: str) -> tuple[str, str]:
+    """Machine.load/store's comparator-region test of the access that
+    covers [a, end): the line that reads the regions, and the test."""
+    return ("s0, s1, s2, s3 = m.watch[%d]" % kind,
+            " or ".join("%s < s%d[1] and %s > s%d[0]" % (a, k, end, k)
+                        for k in range(4)))
+
+
+def _store(a: str, size: int, value: str, sync: str) -> list[str]:
+    """Machine.store of ``value`` at ``a`` up to its miss path: a store
+    in a comparator region brings the state up to date for the guard
+    and commits unless the guard suppresses it."""
+    regions, hit = _hit(mach.ACCESS_WRITE, a, "%s + %d" % (a, size))
+    return ["v = " + value, regions,
+            "if %s:" % hit,
+            " " + sync,
+            " if not m.guard.on_store(m, %s, %d, v): m.commit(%s, %d, v)"
+            % (a, size, a, size)]
+
+
+# A load, push or pop syncs the state first: the guard and CYCCNT read
+# it.  A store's miss commits with no sync, as no write reads the state
+# (a byte store into the DWT window reads its word back, but CYCCNT, the
+# one word that reads m.cycles, drops writes).
 _EMIT = {
-    "movw": lambda ins, nxt, cost: [_set(ins.rd, "%d" % ins.imm)],
-    "movt": lambda ins, nxt, cost: [
+    "movw": lambda ins, nxt, cost, sync: [_set(ins.rd, "%d" % ins.imm)],
+    "movt": lambda ins, nxt, cost, sync: [
         _set(ins.rd, "(%s & 0xFFFF) | %d" % (_reg(ins.rd, nxt),
                                              ins.imm << 16))],
-    "mov_imm": lambda ins, nxt, cost: [_set(ins.rd, "%d" % ins.imm)],
-    "mov_reg": lambda ins, nxt, cost: [_set(ins.rd, _reg(ins.rm, nxt))],
-    "ldr": lambda ins, nxt, cost: [
+    "mov_imm": lambda ins, nxt, cost, sync: [_set(ins.rd, "%d" % ins.imm)],
+    "mov_reg": lambda ins, nxt, cost, sync: [
+        _set(ins.rd, _reg(ins.rm, nxt))],
+    "ldr": lambda ins, nxt, cost, sync: [
+        sync,
         "a = " + _addr(ins, nxt),
         "if a & 3: m.fault()",
         "else: " + _set(ins.rd, "m.load(a, 4)")],
-    "str": lambda ins, nxt, cost: [
+    "str": lambda ins, nxt, cost, sync: [
         "a = " + _addr(ins, nxt),
         "if a & 3: m.fault()",
-        "else: m.store(a, 4, %s)" % _reg(ins.rd, nxt)],
-    "ldrb": lambda ins, nxt, cost: [
-        _set(ins.rd, "m.load(%s, 1)" % _addr(ins, nxt))],
-    "strb": lambda ins, nxt, cost: [
-        "m.store(%s, 1, %s & 0xFF)" % (_addr(ins, nxt), _reg(ins.rd, nxt))],
-    "push": lambda ins, nxt, cost: (
-        ["sp = m.sp - %d" % (4 * len(ins.reglist)), "m.sp = sp"]
+        "else:",
+        *(" " + line for line in _store("a", 4, _reg(ins.rd, nxt), sync)),
+        " else: m.commit(a, 4, v)"],
+    "ldrb": lambda ins, nxt, cost, sync: [
+        sync, _set(ins.rd, "m.load(%s, 1)" % _addr(ins, nxt))],
+    "strb": lambda ins, nxt, cost, sync: [
+        "a = " + _addr(ins, nxt),
+        *_store("a", 1, "%s & 0xFF" % _reg(ins.rd, nxt), sync),
+        "else: m.commit(a, 1, v)"],
+    "push": lambda ins, nxt, cost, sync: (
+        [sync, "sp = m.sp - %d" % (4 * len(ins.reglist)), "m.sp = sp"]
         + ["m.store(sp + %d, 4, %s)" % (4 * i, _reg(r, nxt))
            for i, r in enumerate(ins.reglist)]),
-    "pop": lambda ins, nxt, cost: (
-        ["sp = m.sp", "m.sp = sp + %d" % (4 * len(ins.reglist))]
+    "pop": lambda ins, nxt, cost, sync: (
+        [sync, "sp = m.sp", "m.sp = sp + %d" % (4 * len(ins.reglist))]
         + [_set(r, "m.load(sp + %d, 4)" % (4 * i))
            for i, r in enumerate(ins.reglist)]),
-    "add_sp": lambda ins, nxt, cost: ["m.sp = (m.sp + %d) & M" % ins.imm],
-    "sub_sp": lambda ins, nxt, cost: ["m.sp = (m.sp - %d) & M" % ins.imm],
-    "addw": lambda ins, nxt, cost: [
+    "add_sp": lambda ins, nxt, cost, sync: [
+        "m.sp = (m.sp + %d) & M" % ins.imm],
+    "sub_sp": lambda ins, nxt, cost, sync: [
+        "m.sp = (m.sp - %d) & M" % ins.imm],
+    "addw": lambda ins, nxt, cost, sync: [
         _set(ins.rd, "%s + %d" % (_reg(ins.rn, nxt), ins.imm))],
-    "subw": lambda ins, nxt, cost: [
+    "subw": lambda ins, nxt, cost, sync: [
         _set(ins.rd, "%s - %d" % (_reg(ins.rn, nxt), ins.imm))],
-    "cmp_imm": lambda ins, nxt, cost: _cmp(_reg(ins.rn, nxt), "%d" % ins.imm),
-    "cmp_reg": lambda ins, nxt, cost: _cmp(_reg(ins.rn, nxt),
-                                           _reg(ins.rm, nxt)),
-    "b": lambda ins, nxt, cost: ["m.pc = %d" % ins.target],
+    "cmp_imm": lambda ins, nxt, cost, sync: _cmp(_reg(ins.rn, nxt),
+                                                 "%d" % ins.imm),
+    "cmp_reg": lambda ins, nxt, cost, sync: _cmp(_reg(ins.rn, nxt),
+                                                 _reg(ins.rm, nxt)),
+    "b": lambda ins, nxt, cost, sync: ["m.pc = %d" % ins.target],
     "bcond": _bcond,
-    "bl": lambda ins, nxt, cost: ["m.lr = %d; m.pc = %d" % (nxt, ins.target)],
-    "bx": lambda ins, nxt, cost: ["m.pc = %s" % _reg(ins.rm, nxt)],
-    "blx": lambda ins, nxt, cost: [
+    "bl": lambda ins, nxt, cost, sync: [
+        "m.lr = %d; m.pc = %d" % (nxt, ins.target)],
+    "bx": lambda ins, nxt, cost, sync: ["m.pc = %s" % _reg(ins.rm, nxt)],
+    "blx": lambda ins, nxt, cost, sync: [
         "t = %s; m.lr = %d; m.pc = t" % (_reg(ins.rm, nxt), nxt)],
-    "msr": lambda ins, nxt, cost: [
+    "msr": lambda ins, nxt, cost, sync: [
         "if m.mode == %r or not m.control & 1: m.control = %s & 1"
         % (mach.MODE_HANDLER, _reg(ins.rn, nxt))],
-    "mrs": lambda ins, nxt, cost: [_set(ins.rd, "m.control")],
-    "nop": lambda ins, nxt, cost: [],
+    "mrs": lambda ins, nxt, cost, sync: [_set(ins.rd, "m.control")],
+    "nop": lambda ins, nxt, cost, sync: [],
 }
 
 
@@ -361,33 +448,26 @@ _FOLD = {
 
 # -- word accesses bound to a device at compile time -------------------------------
 
-def _watched(addr: int, kind: int) -> list[str]:
-    """Machine.load/store's region test, for a word at a known address;
-    a machine without the device, ``d``, takes the same branch."""
-    hit = " or ".join("%d < s%d[1] and %d > s%d[0]" % (addr, k, addr + 4, k)
-                      for k in range(4))
-    return ["s0, s1, s2, s3 = m.watch[%d]" % kind,
-            "if d is None or %s:" % hit]
-
-
-def _bound_ldr(ins, nxt, addr, dev, sync):
+def _bound_ldr(ins, nxt, cost, sync, addr, dev):
     # The state writes stay: CYCCNT reads m.cycles.
-    return [sync, "d = m." + dev, *_watched(addr, mach.ACCESS_READ),
+    regions, hit = _hit(mach.ACCESS_READ, "%d" % addr, "%d" % (addr + 4))
+    return [sync, "d = m." + dev, regions,
+            "if d is None or %s:" % hit,
             " " + _set(ins.rd, "m.load(%d, 4)" % addr),
             "else: " + _set(ins.rd, "d.mmio_read(m, %d)" % addr)]
 
 
-def _bound_str(ins, nxt, addr, dev, sync):
-    # A device write reads no machine state: only the guard's path syncs.
-    value = _reg(ins.rd, nxt)
-    return ["d = m." + dev, *_watched(addr, mach.ACCESS_WRITE),
-            " " + sync,
-            " m.store(%d, 4, %s)" % (addr, value),
-            "else: d.mmio_write(m, %d, %s)" % (addr, value)]
+def _bound_str(ins, nxt, cost, sync, addr, dev):
+    # A machine without the device has RAM at its address.
+    return ["d = m." + dev,
+            *_store("%d" % addr, 4, _reg(ins.rd, nxt), sync),
+            "elif d is None: m.commit(%d, 4, v)" % addr,
+            "else: d.mmio_write(m, %d, v)" % addr]
 
 
 # A word access whose aligned address the block knows and ``ppb_device``
-# puts on a device runs the region test inline; on a hit, or with no
-# device attached, it takes m.load/m.store, and else the device's own
-# mmio_read/mmio_write.
+# puts on a device runs the region test inline: a store that hits takes
+# the guard's path of every compiled store, and a load m.load; one that
+# misses goes to the device's own mmio_write/mmio_read, or to RAM on a
+# machine without the device.
 _BIND = {"ldr": _bound_ldr, "str": _bound_str}

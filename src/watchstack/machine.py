@@ -1,19 +1,21 @@
 """Deterministic single-core machine with hooked data accesses.
 
 The machine executes pre-decoded instructions from an address-indexed
-code map.  Every data access goes through ``load``/``store``.  Before it
+code map.  Every data access goes through ``load``/``store``, except a
+compiled block's store, which runs the same test inline.  Before it
 commits, they test it against ``watch``, per access kind four (lo, hi)
 regions, and show it to ``guard``, the one access observer, only when
 it falls in one; a store the guard answers True for is suppressed
-(watchpoint semantics) and recorded by the guard.  The default
-``watch`` holds no region; ``protect`` sets ``watch`` and ``guard``
-together, ``watch`` being the watchpoint unit's live slot table, so
-the guard runs only on comparator hits.  The fixed PPB map is declared
-here, beside its one decode, ``ppb_device``: an access that starts in
-the DWT window or on the DEMCR word reaches ``dwt`` or ``demcr`` when
-attached; all else is RAM.  ``load``/``store`` decode an address above
-PPB_BASE at run time, and ``blocks`` decodes a constant word address at
-compile time through the same function.  A device is a word device,
+(watchpoint semantics) and recorded by the guard, and any other store
+is written by ``commit``.  The default ``watch`` holds no region;
+``protect`` sets ``watch`` and ``guard`` together, ``watch`` being the
+watchpoint unit's live slot table, so the guard runs only on
+comparator hits.  The fixed PPB map is declared here, beside its one
+decode, ``ppb_device``: an access that starts in the DWT window or on
+the DEMCR word reaches ``dwt`` or ``demcr`` when attached; all else is
+RAM.  ``load``/``commit`` decode an address above PPB_BASE at run
+time, and ``blocks`` decodes a constant word address at compile time
+through the same function.  A device is a word device,
 ``mmio_read(m, addr)`` and ``mmio_write(m, addr, value)``; the access
 path handles byte lanes.
 
@@ -71,8 +73,8 @@ def ppb_device(addr: int) -> str | None:
     """The PPB map's one decode: the ``Machine`` attribute holding the
     device that an access starting at ``addr`` reaches, or None for RAM.
 
-    ``Machine.load``/``store`` ask it above PPB_BASE; ``blocks`` asks it
-    at compile time for a word access whose address it knows.
+    ``Machine.load``/``commit`` ask it above PPB_BASE; ``blocks`` asks
+    it at compile time for a word access whose address it knows.
     """
     if DWT_WINDOW_LO <= addr < DWT_WINDOW_HI:
         return "dwt"
@@ -251,6 +253,11 @@ class Machine:
                 or (addr < s3[1] and end > s3[0])):
             if self.guard.on_store(self, addr, size, value):
                 return  # suppressed
+        self.commit(addr, size, value)
+
+    def commit(self, addr: int, size: int, value: int) -> None:
+        """The write of a store that the comparator test let through:
+        to the device the PPB map puts at ``addr``, else to RAM."""
         if addr >= PPB_BASE:
             name = ppb_device(addr)
             dev = None if name is None else getattr(self, name)
@@ -353,12 +360,15 @@ class Machine:
         block entry reached fewer than ``blocks.HOT_THRESHOLD`` times is
         stepped through; then its block is compiled, and the compiled
         block runs whenever it fits before the limit and no exception
-        is pending.  Compiled blocks run back to back: the loop returns
-        to counting heat and stepping only on a halt, an entry not yet
-        compiled, or a block that does not fit, which it steps up to
-        the limit.  The blocks' own counts are folded into ``retired``
-        and ``taken`` before ``run()`` returns, so the blocks can be
-        dropped whenever ``code`` is replaced.
+        is pending.  Each compiled block is passed ``limit``: one that
+        branches back to its own entry runs pass after pass while the
+        branch is taken and the next pass fits, and returns at its
+        entry when it would not.  Compiled blocks run back to back: the
+        loop returns to counting heat and stepping only on a halt, an
+        entry not yet compiled, or a block that does not fit, which it
+        steps up to the limit.  The blocks' own counts are folded into
+        ``retired`` and ``taken`` before ``run()`` returns, so the
+        blocks can be dropped whenever ``code`` is replaced.
         """
         cache = self._block_cache
         if cache is None or cache[0] is not self.code:
@@ -381,7 +391,7 @@ class Machine:
                     # one is compiled and fits; only the runner raises
                     # exceptions, between run() calls, so none pends.
                     while True:
-                        blk.fn(self)
+                        blk.fn(self, limit)
                         if self.halted:
                             return
                         blk = known.get(self.pc)

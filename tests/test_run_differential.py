@@ -24,7 +24,7 @@ from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
                                 sweep_program)
 from watchstack.instrument import ShadowStackConfig, instrument_program
 from watchstack.machine import DEMCR_ADDR, EXC_RETURN_MIN, HaltReason, Machine
-from watchstack.protect import POLICY_REPORT, POLICY_RESET
+from watchstack.protect import POLICY_REPORT, POLICY_RESET, WatchpointGuard
 from watchstack.runner import (OUTCOME_SAFE, RunConfig, attribute,
                                build_machine, run_machine, run_program)
 
@@ -755,24 +755,152 @@ def test_bound_accesses_on_a_machine_without_devices(text, monkeypatch):
     assert want["dwt"] is None and want["steps"] > 2 * blocks.HOT_THRESHOLD
 
 
-def test_the_recursion_makes_five_generic_accesses_a_call(monkeypatch):
-    """Compiled, the instrumented recursion's six watchpoint-register
-    accesses a call reach the unit directly; the pushes, the pop and
-    the two shadow accesses of lr go through Machine.load/store."""
-    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+# -- blocks that branch back to their own entry ------------------------------------
+
+# main's mov, then the loop block's 4 instructions per pass: pass p runs
+# steps [1 + 4 (p - 1), 1 + 4 p).  run() first reaches the loop entry
+# in pass 2, so the block is compiled, and loops, from pass hot + 1.
+SELF_LOOP = LOOP % 3
+
+
+@pytest.mark.parametrize("hot", [1, None], ids=["threshold 1", "default"])
+def test_a_self_loop_stops_at_every_budget(hot, monkeypatch):
+    """Budgets from the start of the last pass stepped before the block
+    is compiled through the end of its second compiled pass: the loop
+    must stop at each, mid-pass or between passes."""
+    prog = parse(SELF_LOOP)
+    hot = hot or blocks.HOT_THRESHOLD
+    first = 1 + 4 * hot  # the first compiled pass's first step
+    for budget in range(first - 4, first + 9):
+        want = check(prog, _cfg(POLICY_RESET, None, budget),
+                     "self-loop budget %d" % budget, monkeypatch)
+        assert want["steps"] == budget and want["halt"][2]
+
+
+def test_a_reset_sweep_halts_at_its_first_hit_inside_the_loop(monkeypatch):
+    """The sweep's first store into the region comes in pass 41, after
+    its loop block is compiled; it halts the run inside the loop."""
+    prog = parse(sweep_program(SHADOW.ss_start - 40, SHADOW.ss_start + 8))
+    strb = prog.functions["main"].body[5].addr
+    want = check_watch(prog, _cfg(POLICY_RESET, None, 1_000), "reset sweep",
+                       monkeypatch)
+    assert want["halt"] == (True, HaltReason.RESET, False)
+    assert want["steps"] == 5 + 4 * 40 + 1
+    assert [(r.step_index, r.pc, r.data_address)
+            for r in want["violations"]] == [(5 + 4 * 40, strb,
+                                              SHADOW.ss_start)]
+    assert want["events"][-1].at_pc == strb
+
+
+# Each pass moves sp down by 8, with a push after an instruction that
+# leaves it alone; the final add puts it back above its minimum.
+SP_LOOP = """\
+.org 0x08000000
+.func main hal
+    mov r5, #40
+.label loop
+    addw r6, r6, #1
+    sub sp, #4
+    push {r6}
+    subw r5, r5, #1
+    cmp r5, #0
+    bne loop
+    add sp, #320
+    bkpt #0
+.endfunc
+"""
+
+
+def test_a_loop_that_moves_sp_tracks_its_minimum(monkeypatch):
+    want = check(parse(SP_LOOP), _cfg(POLICY_RESET, None, 10_000),
+                 "sp loop", monkeypatch)
+    assert want["halt"] == (True, HaltReason.NORMAL, False)
+    sp = want["regs"][13]
+    assert want["min_sp"] == sp - 320
+
+
+# An endless loop of a byte store and an add, closed by a plain b.
+B_LOOP = """\
+.org 0x08000000
+.func main hal
+    movw r7, #0x0100
+    movt r7, #0x2000
+.label loop
+    strb r5, [r7]
+    addw r5, r5, #1
+    b loop
+.endfunc
+"""
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 97, 98, 99, 100, 101, 1_000])
+def test_a_b_self_loop_runs_to_the_budget(budget, monkeypatch):
+    want = check_watch(parse(B_LOOP), _cfg(POLICY_REPORT, None, budget),
+                       "b loop budget %d" % budget, monkeypatch)
+    assert want["steps"] == budget and want["halt"] == (False, None, True)
+    assert want["regs"][5] == (budget - 1) // 3  # addw runs 4th, 7th, ...
+
+
+def test_a_loop_commits_what_the_see_everything_guard_lets_through(
+        monkeypatch):
+    """Shown every store, the guard answers False for each: the loop's
+    compiled stores commit them through Machine.commit."""
+    prog = parse(_main("str r5, [r7]", "strb r5, [r7, #4]",
+                       "addw r7, r7, #8"))
+    want = check(prog, _cfg(POLICY_RESET, None, 10_000), "see-everything",
+                 monkeypatch, arm=_see_everything)
+    assert want["halt"] == (True, HaltReason.NORMAL, False)
+    assert want["violations"] == []
+    page = want["mem"][0x20000]
+    assert [page[0x100 + 8 * i] for i in range(PASSES)] == [
+        PASSES - i for i in range(PASSES)]
+    assert [page[0x104 + 8 * i] for i in range(PASSES)] == [
+        PASSES - i for i in range(PASSES)]
+
+
+# -- what reaches the generic access path ------------------------------------------
+
+def _counted(monkeypatch, owner, *names) -> list:
+    """One counter, in a list, of the calls of the named methods of
+    ``owner`` from now on."""
     calls = [0]
 
-    def counted(method):
+    def counting(method):
         def wrapper(*args):
             calls[0] += 1
             return method(*args)
         return wrapper
 
-    for name in ("load", "store"):
-        monkeypatch.setattr(Machine, name, counted(getattr(Machine, name)))
+    for name in names:
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
+    return calls
+
+
+def test_the_recursion_makes_four_generic_accesses_a_call(monkeypatch):
+    """Compiled, the instrumented recursion's six watchpoint-register
+    accesses a call reach the unit directly, and its shadow store of lr
+    tests the comparators inline and commits; the two pushed words, the
+    pop and the shadow load of lr go through Machine.load/store."""
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    calls = _counted(monkeypatch, Machine, "load", "store")
     depth = 64
     prog = instrument_program(parse(recursion_program(depth)),
                               SHADOW).program
     run = run_program(prog, RunConfig(protected=True, shadow=SHADOW))
     assert run.outcome == OUTCOME_SAFE and run.steps == 24 * depth + 1
-    assert calls[0] == 5 * depth
+    assert calls[0] == 4 * depth
+
+
+def test_a_compiled_sweep_shows_the_guard_each_hit_once(monkeypatch):
+    """Compiled, a report-policy sweep's byte stores test the comparators
+    inline: none goes through Machine.store, and each hit reaches the
+    guard once."""
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    stores = _counted(monkeypatch, Machine, "store")
+    shown = _counted(monkeypatch, WatchpointGuard, "on_store")
+    prog = parse(sweep_program(SHADOW.ss_start - 64, SHADOW.ss_start + 256))
+    run = run_program(prog, RunConfig(protected=True, policy=POLICY_REPORT,
+                                      shadow=SHADOW))
+    assert run.halt_reason == HaltReason.NORMAL
+    assert run.steps == 5 + 4 * 320 + 1 and len(run.violations) == 256
+    assert stores[0] == 0 and shown[0] == 256
