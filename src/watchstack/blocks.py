@@ -21,8 +21,8 @@ function:
 
 * steps and cycles are kept in locals; ``m.steps``, ``m.cycles``,
   ``m.cur_pc`` and ``m.pc`` are written only before something can read
-  them (the guard, a load, a push or pop) and at each exit, with the
-  values ``step()`` would have left there;
+  them (the guard, and ``m.load``, as CYCCNT reads the cycle count) and
+  at each exit, with the values ``step()`` would have left there;
 * after each data access the block exits if the machine halted (no
   access pends an exception: only the runner raises them, between
   ``run()`` calls), and an exit where ``step()`` could halt or start an
@@ -37,31 +37,37 @@ function:
   instruction that writes sp, which gives the same minimum as a check
   after every step.
 
-A store tests the comparator regions inline, once, against
-``m.watch``, as ``Machine.store`` does: on a hit it writes the state,
-shows the guard the store and, unless the guard suppresses it, commits
-it through ``Machine.commit``; on a miss it commits with no state
-writes, for no write reads them.  The block folds constants: it knows
-the value a ``movw``, ``mov_imm`` or ``movt`` put in a register until
-another write of it (read from ``isa.OPS``), and uses it only to bind
-addresses.  A word ``ldr``/``str`` whose address is known, aligned
-and, by ``machine.ppb_device`` at compile time, on a device is bound to
-it: the region test stays per access; a load that hits, or finds no
-device attached, takes ``m.load``, and else the device's
-``mmio_read``; a store that misses goes to the device's
-``mmio_write``, or through ``m.commit`` to RAM on a machine without
-that device.  Loads,
-pushes and pops go through ``m.load``/``m.store``, and exception
-returns through ``m._end``, which looks up
-``exception_model.return_from_exception`` when called, so the guard
-and anything patched onto the class or module still see each one.
-Code at or above ``EXC_RETURN_MIN`` is not run in line, and a block
-whose next pc can be there ends through ``m._end``.
-Compiled code is cached by its generated source, which spells out the
-entry pc and every operand, so machines built from equal code share it
-and a changed instruction compiles anew.  ``Machine.run`` drops its
-blocks, whose counts it folded in when it last returned, when ``m.code``
-is replaced.
+A data access tests the comparator regions inline against ``m.watch``,
+as ``Machine.load``/``store`` do, once per access and per pushed or
+popped word.  A miss into RAM, below ``machine.PPB_BASE`` and, for a
+word, on one page, reads or writes ``m.mem``'s page in line, with no
+call and no state writes (``_ram``, QEMU's softmmu fast path); a page
+nothing wrote reads 0.  The slow cases keep the generic path: on a hit
+the block writes the state and shows the guard the access, then
+commits a store through ``Machine.commit`` unless the guard suppresses
+it, or reads a load through ``m.load``; any other miss, above PPB_BASE
+or across two pages, goes to ``m.load`` after the state writes, or to
+``m.commit``, which also creates a page a store finds missing.  A push
+or pop handles all its words, as ``step()`` does, even when the guard
+halts the machine on an earlier one.
+
+The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
+``movt`` put in a register until another write of it (read from
+``isa.OPS``), and uses it only to bind addresses.  A word
+``ldr``/``str`` whose address is known, aligned and, by
+``machine.ppb_device`` at compile time, on a device is bound to it: the
+region test stays per access; a load that hits, or finds no device
+attached, takes ``m.load``, and else the device's ``mmio_read``; a store
+that misses goes to the device's ``mmio_write``, or through ``m.commit``
+to RAM on a machine without that device.  Exception returns go through
+``m._end``, which looks up ``exception_model.return_from_exception``
+when called, so anything patched onto the class or module still sees
+each one.  Code at or above ``EXC_RETURN_MIN`` is not run in line, and a
+block whose next pc can be there ends through ``m._end``.  Compiled code
+is cached by its generated source, which spells out the entry pc and
+every operand, so machines built from equal code share it and a changed
+instruction compiles anew.  ``Machine.run`` drops its blocks, whose
+counts it folded in when it last returned, when ``m.code`` is replaced.
 """
 
 from __future__ import annotations
@@ -101,7 +107,8 @@ class Block:
         self.n = len(instrs)
         self.counts = [0] * (self.n + 1)
         self.addrs = tuple(at for at, _ in instrs)
-        ns = {"M": MASK32}
+        ns = {"M": MASK32, "U": mach.WORD.unpack_from,
+              "K": mach.WORD.pack_into}
         exec(_byte_code(_source(instrs)), ns)
         self.fn = ns["make"](self.counts)
 
@@ -212,6 +219,8 @@ def _source(instrs) -> str:
     moves_sp = any(SP in _written(ins) for _, ins in instrs)
     if not moves_sp:
         out.append("  " + _MIN_SP)  # sp holds its entry value throughout
+    if any(OPS[ins.op].kind == MEMORY for _, ins in instrs):
+        out.append("  P = m.mem.pages")  # for _ram
     body = []
     cost = 0
     known: dict = {}
@@ -306,16 +315,18 @@ def _reg(r: int, nxt: int) -> str:
     return "%d" % nxt
 
 
+def _dest(r: int) -> str:
+    """Where write_reg(r, ...) stores."""
+    if r < NUM_GPRS:
+        return "g[%d]" % r
+    return "m.%s" % {SP: "sp", LR: "lr"}.get(r, "pc")
+
+
 def _set(r: int, expr: str) -> str:
     """write_reg(r, expr): the value is masked to 32 bits."""
     if expr.isdigit():
-        expr = "%d" % (int(expr) & MASK32)
-        mask = ""
-    else:
-        expr, mask = "(%s)" % expr, " & M"
-    if r < NUM_GPRS:
-        return "g[%d] = %s%s" % (r, expr, mask)
-    return "m.%s = %s%s" % ({SP: "sp", LR: "lr"}.get(r, "pc"), expr, mask)
+        return "%s = %d" % (_dest(r), int(expr) & MASK32)
+    return "%s = (%s) & M" % (_dest(r), expr)
 
 
 def _addr(ins, nxt: int) -> str:
@@ -359,7 +370,7 @@ def _hit(kind: int, a: str, end: str) -> tuple[str, str]:
                         for k in range(4)))
 
 
-def _store(a: str, size: int, value: str, sync: str) -> list[str]:
+def _guarded(a: str, size: int, value: str, sync: str) -> list[str]:
     """Machine.store of ``value`` at ``a`` up to its miss path: a store
     in a comparator region brings the state up to date for the guard
     and commits unless the guard suppresses it."""
@@ -371,10 +382,64 @@ def _store(a: str, size: int, value: str, sync: str) -> list[str]:
             % (a, size, a, size)]
 
 
-# A load, push or pop syncs the state first: the guard and CYCCNT read
-# it.  A store's miss commits with no sync, as no write reads the state
-# (a byte store into the DWT window reads its word back, but CYCCNT, the
-# one word that reads m.cycles, drops writes).
+def _ram(a: str, size: int, rd: int | None = None) -> tuple[str, str]:
+    """Machine.load/commit's RAM path, inline, for an access of ``size``
+    bytes at ``a`` that missed the comparators: the test that ``a`` is
+    RAM, below PPB_BASE, and a word there does not cross a page; and the
+    statement that reads it into ``rd`` (a missing page reads 0) or,
+    without ``rd``, writes ``v`` there.  A store's test also asks for the
+    page, which only ``Machine.commit`` creates.  This is the one place
+    compiled code decodes a RAM address: a memory map that grows more
+    banks changes this test beside ``Machine.load``/``commit``."""
+    test = "%s < %d" % (a, mach.PPB_BASE)
+    if size == 4:
+        test += " and (o := %s & %d) <= %d" % (a, mach.PAGE_MASK,
+                                               mach.PAGE_SIZE - 4)
+        off = "o"
+    else:
+        off = "%s & %d" % (a, mach.PAGE_MASK)
+    page = "(p := P.get(%s >> %d))" % (a, mach.PAGE_BITS)
+    if rd is None:
+        return (test + " and %s is not None" % page,
+                ("K(p, %s, v)" if size == 4 else "p[%s] = v") % off)
+    word = ("U(p, %s)[0]" if size == 4 else "p[%s]") % off
+    return test, "%s = %s if %s is not None else 0" % (_dest(rd), word, page)
+
+
+def _load(rd: int, a: str, size: int, sync: str) -> list[str]:
+    """Machine.load of ``size`` bytes at ``a`` into ``rd``: RAM that
+    misses the comparators is read inline, and anything else brings the
+    state up to date, for the guard and CYCCNT, and takes m.load."""
+    regions, hit = _hit(mach.ACCESS_READ, a, "%s + %d" % (a, size))
+    test, read = _ram(a, size, rd)
+    return [regions,
+            "if %s and not (%s): %s" % (test, hit, read),
+            "else: %s; %s" % (sync, _set(rd, "m.load(%s, %d)" % (a, size)))]
+
+
+def _store(a: str, size: int, value: str, sync: str) -> list[str]:
+    """Machine.store of ``value`` at ``a``: a miss into RAM is written
+    inline, and any other miss goes through m.commit."""
+    test, write = _ram(a, size)
+    return _guarded(a, size, value, sync) + [
+        "elif %s: %s" % (test, write),
+        "else: m.commit(%s, %d, v)" % (a, size)]
+
+
+def _each_word(ins, access) -> list[str]:
+    """A push or pop's words, lowest register at the lowest address: per
+    register ``r``, ``a`` set to its word's address from ``sp``, then the
+    lines of ``access(r)``."""
+    lines = []
+    for i, r in enumerate(ins.reglist):
+        lines += ["a = sp + %d" % (4 * i) if i else "a = sp", *access(r)]
+    return lines
+
+
+# The state is written only on an access's slow path, before the guard or
+# m.load (CYCCNT reads m.cycles); m.commit needs none, as no write reads
+# it (a byte store into the DWT window reads its word back, but CYCCNT,
+# the one word that reads m.cycles, drops writes).
 _EMIT = {
     "movw": lambda ins, nxt, cost, sync: [_set(ins.rd, "%d" % ins.imm)],
     "movt": lambda ins, nxt, cost, sync: [
@@ -384,30 +449,26 @@ _EMIT = {
     "mov_reg": lambda ins, nxt, cost, sync: [
         _set(ins.rd, _reg(ins.rm, nxt))],
     "ldr": lambda ins, nxt, cost, sync: [
-        sync,
         "a = " + _addr(ins, nxt),
         "if a & 3: m.fault()",
-        "else: " + _set(ins.rd, "m.load(a, 4)")],
+        "else:",
+        *(" " + line for line in _load(ins.rd, "a", 4, sync))],
     "str": lambda ins, nxt, cost, sync: [
         "a = " + _addr(ins, nxt),
         "if a & 3: m.fault()",
         "else:",
-        *(" " + line for line in _store("a", 4, _reg(ins.rd, nxt), sync)),
-        " else: m.commit(a, 4, v)"],
+        *(" " + line for line in _store("a", 4, _reg(ins.rd, nxt), sync))],
     "ldrb": lambda ins, nxt, cost, sync: [
-        sync, _set(ins.rd, "m.load(%s, 1)" % _addr(ins, nxt))],
+        "a = " + _addr(ins, nxt), *_load(ins.rd, "a", 1, sync)],
     "strb": lambda ins, nxt, cost, sync: [
         "a = " + _addr(ins, nxt),
-        *_store("a", 1, "%s & 0xFF" % _reg(ins.rd, nxt), sync),
-        "else: m.commit(a, 1, v)"],
-    "push": lambda ins, nxt, cost, sync: (
-        [sync, "sp = m.sp - %d" % (4 * len(ins.reglist)), "m.sp = sp"]
-        + ["m.store(sp + %d, 4, %s)" % (4 * i, _reg(r, nxt))
-           for i, r in enumerate(ins.reglist)]),
-    "pop": lambda ins, nxt, cost, sync: (
-        [sync, "sp = m.sp", "m.sp = sp + %d" % (4 * len(ins.reglist))]
-        + [_set(r, "m.load(sp + %d, 4)" % (4 * i))
-           for i, r in enumerate(ins.reglist)]),
+        *_store("a", 1, "%s & 0xFF" % _reg(ins.rd, nxt), sync)],
+    "push": lambda ins, nxt, cost, sync: [
+        "sp = m.sp - %d" % (4 * len(ins.reglist)), "m.sp = sp",
+        *_each_word(ins, lambda r: _store("a", 4, _reg(r, nxt), sync))],
+    "pop": lambda ins, nxt, cost, sync: [
+        "sp = m.sp", "m.sp = sp + %d" % (4 * len(ins.reglist)),
+        *_each_word(ins, lambda r: _load(r, "a", 4, sync))],
     "add_sp": lambda ins, nxt, cost, sync: [
         "m.sp = (m.sp + %d) & M" % ins.imm],
     "sub_sp": lambda ins, nxt, cost, sync: [
@@ -460,7 +521,7 @@ def _bound_ldr(ins, nxt, cost, sync, addr, dev):
 def _bound_str(ins, nxt, cost, sync, addr, dev):
     # A machine without the device has RAM at its address.
     return ["d = m." + dev,
-            *_store("%d" % addr, 4, _reg(ins.rd, nxt), sync),
+            *_guarded("%d" % addr, 4, _reg(ins.rd, nxt), sync),
             "elif d is None: m.commit(%d, 4, v)" % addr,
             "else: d.mmio_write(m, %d, v)" % addr]
 

@@ -2,20 +2,25 @@
 
 The machine executes pre-decoded instructions from an address-indexed
 code map.  Every data access goes through ``load``/``store``, except a
-compiled block's store, which runs the same test inline.  Before it
-commits, they test it against ``watch``, per access kind four (lo, hi)
-regions, and show it to ``guard``, the one access observer, only when
-it falls in one; a store the guard answers True for is suppressed
-(watchpoint semantics) and recorded by the guard, and any other store
-is written by ``commit``.  The default ``watch`` holds no region;
-``protect`` sets ``watch`` and ``guard`` together, ``watch`` being the
-watchpoint unit's live slot table, so the guard runs only on
+compiled block's, which runs the same test inline and, on a miss into
+RAM that stays on one page, reads or writes the page itself; its slow
+cases (a hit, an address above PPB_BASE, a word across two pages, a
+store to a missing page) still take ``load`` or ``commit``.  Before an
+access commits, they test it against ``watch``, per access kind four
+(lo, hi) regions, and show it to ``guard``, the one access observer,
+only when it falls in one; a store the guard answers True for is
+suppressed (watchpoint semantics) and recorded by the guard, and any
+other store is written by ``commit``.  The default ``watch`` holds no
+region; ``protect`` sets ``watch`` and ``guard`` together, ``watch``
+being the watchpoint unit's live slot table, so the guard runs only on
 comparator hits.  The fixed PPB map is declared here, beside its one
 decode, ``ppb_device``: an access that starts in the DWT window or on
 the DEMCR word reaches ``dwt`` or ``demcr`` when attached; all else is
-RAM.  ``load``/``commit`` decode an address above PPB_BASE at run
-time, and ``blocks`` decodes a constant word address at compile time
-through the same function.  A device is a word device,
+RAM.  ``load``/``commit`` decode an address above PPB_BASE at run time,
+and ``blocks`` decodes a constant word address at compile time through
+the same function.  The RAM layout, 4 KiB pages of little-endian
+``WORD``s in ``Memory.pages``, is declared here too, and ``blocks``
+reads it from here for its inline RAM path.  A device is a word device,
 ``mmio_read(m, addr)`` and ``mmio_write(m, addr, value)``; the access
 path handles byte lanes.
 
@@ -60,7 +65,9 @@ XPSR_Z = 1 << 30
 XPSR_C = 1 << 29
 XPSR_V = 1 << 28
 
-_WORD = struct.Struct("<I")
+# A RAM word: little-endian, read and written whole when it does not
+# cross a page (``blocks`` inlines that case).
+WORD = struct.Struct("<I")
 
 # The fixed PPB map (Arm DDI 0403): only above PPB_BASE sit devices.
 PPB_BASE = 0xE0000000
@@ -124,7 +131,7 @@ class Memory:
         page = self.pages.get(addr >> PAGE_BITS)
         off = addr & PAGE_MASK
         if page is not None and off <= PAGE_SIZE - 4:
-            return _WORD.unpack_from(page, off)[0]
+            return WORD.unpack_from(page, off)[0]
         return (self.read_byte(addr) | self.read_byte(addr + 1) << 8
                 | self.read_byte(addr + 2) << 16 | self.read_byte(addr + 3) << 24)
 
@@ -132,7 +139,7 @@ class Memory:
         off = addr & PAGE_MASK
         if off <= PAGE_SIZE - 4:
             page = self.pages.get(addr >> PAGE_BITS) or self._page(addr)
-            _WORD.pack_into(page, off, value & MASK32)
+            WORD.pack_into(page, off, value & MASK32)
         else:
             for i in range(4):
                 self.write_byte(addr + i, (value >> (8 * i)) & 0xFF)
@@ -241,7 +248,7 @@ class Machine:
             if off > PAGE_SIZE - 4:
                 return mem.read_word(addr)  # straddles two pages
             page = mem.pages.get(addr >> PAGE_BITS)
-            return _WORD.unpack_from(page, off)[0] if page is not None else 0
+            return WORD.unpack_from(page, off)[0] if page is not None else 0
         return mem.read_byte(addr)
 
     def store(self, addr: int, size: int, value: int) -> None:
@@ -277,7 +284,7 @@ class Machine:
                 mem.write_word(addr, value)  # straddles two pages
                 return
             page = mem.pages.get(addr >> PAGE_BITS) or mem._page(addr)
-            _WORD.pack_into(page, off, value & MASK32)
+            WORD.pack_into(page, off, value & MASK32)
         else:
             mem.write_byte(addr, value)
 

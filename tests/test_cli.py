@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,18 @@ def test_asm_matches_golden(capsys):
     assert main(["asm", SCENARIO1]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / "scenario1.ws").read_text()
+
+
+def test_python_m_runs_the_cli(capsys):
+    """``python -m watchstack`` works from a checkout, with only src on
+    the path and no installed script."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "watchstack", "asm", DEMO],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert main(["asm", DEMO]) == 0
+    assert done.stdout == capsys.readouterr().out != ""
 
 
 def test_asm_listing_shows_addresses(capsys):

@@ -18,12 +18,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from watchstack import blocks
 from watchstack.asm import parse
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
-                            FN_READWRITE)
+                            FN_READ, FN_READWRITE)
 from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
                                 preinit_exception_program, recursion_program,
                                 sweep_program)
 from watchstack.instrument import ShadowStackConfig, instrument_program
-from watchstack.machine import DEMCR_ADDR, EXC_RETURN_MIN, HaltReason, Machine
+from watchstack.machine import (ACCESS_READ, DEMCR_ADDR, EXC_RETURN_MIN,
+                                HaltReason, Machine, PAGE_SIZE, PPB_BASE)
 from watchstack.protect import POLICY_REPORT, POLICY_RESET, WatchpointGuard
 from watchstack.runner import (OUTCOME_SAFE, RunConfig, attribute,
                                build_machine, run_machine, run_program)
@@ -114,11 +115,12 @@ def assert_same(want: dict, got: dict, label: str) -> None:
         assert got[key] == want[key], "%s: %s differs" % (label, key)
 
 
-def _cfg(policy: str, raise_at: int | None, max_steps: int) -> RunConfig:
+def _cfg(policy: str, raise_at: int | None, max_steps: int,
+         **kw) -> RunConfig:
     return RunConfig(protected=True, policy=policy, shadow=SHADOW,
                      max_steps=max_steps,
                      raises=() if raise_at is None else ((SYSTICK, raise_at),),
-                     track_min_sp=True)
+                     track_min_sp=True, **kw)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -437,13 +439,19 @@ def _see_everything(m):
     m.watch = WATCH_ALL
 
 
-def check_watch(prog, cfg: RunConfig, label: str, monkeypatch) -> dict:
+def check_watch(prog, cfg: RunConfig, label: str, monkeypatch,
+                arm=None) -> dict:
     """The shipped run, where the machine tests the comparator regions
     inline, against the run whose guard checks every access; each
-    stepped and in compiled blocks."""
+    stepped and in compiled blocks, and each armed by ``arm`` first."""
+    def arm_all(m):
+        if arm is not None:
+            arm(m)
+        _see_everything(m)
+
     want = check(prog, cfg, label + " see-everything", monkeypatch,
-                 arm=_see_everything)
-    assert_same(want, check(prog, cfg, label, monkeypatch), label)
+                 arm=arm_all)
+    assert_same(want, check(prog, cfg, label, monkeypatch, arm=arm), label)
     return want
 
 
@@ -858,6 +866,154 @@ def test_a_loop_commits_what_the_see_everything_guard_lets_through(
         PASSES - i for i in range(PASSES)]
 
 
+# -- RAM accesses compiled inline ------------------------------------------------
+
+
+def _loop(*body: str, head: tuple = ()) -> str:
+    """main at 0x08000000: ``head``, then r5 counts PASSES down while the
+    loop runs ``body``."""
+    return "\n".join([
+        ".org 0x08000000", ".func main hal",
+        *("    " + line for line in head), "    mov r5, #%d" % PASSES,
+        ".label loop", *("    " + line for line in body),
+        "    subw r5, r5, #1", "    cmp r5, #0", "    bne loop",
+        "    bkpt #0", ".endfunc", ""])
+
+
+FRESH = 0x20100000
+NEXT_PAGE = ["addw r6, r6, #2048", "addw r6, r6, #2048"]
+
+# Each pass reads a word and a byte from a page nothing wrote, then
+# writes a byte to the next page and a word to the last word of the
+# page after, each fresh, and reads both back.
+FRESH_PAGES = _loop(
+    "ldr r1, [r6]", "ldrb r2, [r6, #4095]", *NEXT_PAGE,
+    "strb r5, [r6, #1]", "ldrb r3, [r6, #1]", *NEXT_PAGE,
+    "str r5, [r6, #4092]", "ldr r4, [r6, #4092]", *NEXT_PAGE,
+    head=_const("r6", FRESH))
+
+
+def test_unwritten_pages_read_zero_and_stores_create_theirs(monkeypatch):
+    for policy in (POLICY_RESET, POLICY_REPORT):
+        want = check_watch(parse(FRESH_PAGES), _cfg(policy, None, 10_000),
+                           "fresh pages " + policy, monkeypatch)
+        assert want["halt"] == (True, HaltReason.NORMAL, False)
+        assert want["regs"][1:5] == [0, 0, 1, 1]
+        assert sorted(want["mem"]) == sorted(
+            (FRESH >> 12) + 3 * i + k for i in range(PASSES) for k in (1, 2))
+        page = want["mem"][(FRESH >> 12) + 2]
+        assert page[-4:] == bytes([PASSES, 0, 0, 0])
+
+
+# Each pass pushes r5 and r6 and pops them into r1 and r2; r6 counts up
+# by 3 through the stack.
+PUSH_POP = _loop("push {r5, r6}", "pop {r1, r2}", "addw r6, r2, #3")
+
+
+@pytest.mark.parametrize("sp", [
+    0x20001008, 0x20001004, 0x20001006, 0x20001005, 0x20001007, 0x20001002,
+    PPB_BASE + 8, PPB_BASE + 4, PPB_BASE + 2, PPB_BASE + 12],
+    ids=lambda sp: "%#x" % sp)
+def test_push_and_pop_on_page_and_ppb_edges(sp, monkeypatch):
+    """The pushed words at sp - 8 and sp - 4: both on one page, the last
+    word of a page and the first of the next, or one across two pages;
+    and below, at and across PPB_BASE."""
+    for policy in (POLICY_RESET, POLICY_REPORT):
+        want = check_watch(parse(PUSH_POP),
+                           _cfg(policy, None, 10_000, initial_sp=sp),
+                           "push/pop sp %#x %s" % (sp, policy), monkeypatch)
+        assert want["halt"] == (True, HaltReason.NORMAL, False)
+        assert want["regs"][1:3] == [1, 3 * (PASSES - 1)]
+        assert want["regs"][6] == 3 * PASSES and want["regs"][13] == sp
+
+
+def test_a_pop_and_push_on_watchpoint_registers(monkeypatch):
+    """sp at COMP0: each pass pops COMP0 and MASK0 from the unit and
+    pushes them back, through its register file and not RAM."""
+    prog = parse(_loop("pop {r1, r2}", "push {r1, r2}", "addw r6, r2, #0"))
+    for policy in (POLICY_RESET, POLICY_REPORT):
+        want = check_watch(prog, _cfg(policy, None, 10_000,
+                                      initial_sp=DWT_COMP0),
+                           "COMP0 " + policy, monkeypatch)
+        assert want["halt"] == (True, HaltReason.NORMAL, False)
+        assert want["regs"][1:3] == [SHADOW.ss_start, SHADOW.ss_size_log2]
+        assert want["mem"] == {} and want["violations"] == []
+
+
+# Passes that reach the region read-watched by comparator 0 come after
+# the loop block is compiled: the ldr reads from the region in the last
+# 2 passes, and the pop's second word in the last 2 passes, its first
+# word in the last one.
+READS = {
+    "ldr": (_loop("addw r6, r6, #1", "ldr r1, [r7]", "addw r7, r7, #4",
+                  head=_const("r7", SHADOW.ss_start - 4 * (PASSES - 2))),
+            {}, 2),
+    "pop": (_loop("addw r6, r6, #1", "pop {r1, r2}", "sub sp, #4"),
+            {"initial_sp": SHADOW.ss_start - 4 * PASSES + 4}, 3),
+}
+
+
+@pytest.mark.parametrize("op", sorted(READS))
+def test_read_watch_hits_late_in_a_compiled_loop(op, monkeypatch):
+    text, kw, hits = READS[op]
+
+    def watch_reads(m):
+        m.dwt.mmio_write(m, DWT_FUNCTION0, FN_READ)
+
+    for policy, records in ((POLICY_REPORT, hits), (POLICY_RESET, 1)):
+        want = check_watch(parse(text), _cfg(policy, None, 10_000, **kw),
+                           "%s read watch %s" % (op, policy), monkeypatch,
+                           arm=watch_reads)
+        assert want["halt"][:2] == (True, HaltReason.NORMAL
+                                    if policy == POLICY_REPORT
+                                    else HaltReason.RESET)
+        assert len(want["violations"]) == records
+        assert {r.access for r in want["violations"]} == {ACCESS_READ}
+        assert want["violations"][0].step_index > 4 * blocks.HOT_THRESHOLD
+
+
+def test_a_reset_push_commits_the_word_after_a_hit(monkeypatch):
+    """The last pass pushes r5 onto the last word of the shadow region,
+    which comparator 0 suppresses, and r6 just above it, which commits
+    though the guard halted the run on the first word."""
+    sp = SHADOW.ss_limit - 4 + 8 * PASSES
+    prog = parse(_loop("push {r5, r6}", "addw r6, r6, #1"))
+    for policy in (POLICY_RESET, POLICY_REPORT):
+        want = check_watch(prog, _cfg(policy, None, 10_000, initial_sp=sp),
+                           "push hit " + policy, monkeypatch)
+        assert [(r.data_address, r.suppressed_value)
+                for r in want["violations"]] == [(SHADOW.ss_limit - 4, 1)]
+        page = want["mem"][SHADOW.ss_limit >> 12]
+        assert page[:4] == bytes([PASSES - 1, 0, 0, 0])
+        assert want["halt"][1] == (HaltReason.RESET if policy == POLICY_RESET
+                                   else HaltReason.NORMAL)
+
+
+# r0 holds CYCCNT's address, loaded from RAM so that the block cannot
+# bind it; each pass reads the counter after inline accesses, through
+# r0 and through a constant, and stores both readings.
+CYCCNT_LATE = _loop(
+    "ldr r0, [r7]", "push {r5, r6}", "pop {r1, r2}", "ldr r3, [r0]",
+    "ldrb r4, [r0, #1]", "str r3, [r6]", "strb r4, [r6, #4]",
+    *_const("r2", DWT_CYCCNT), "ldr r4, [r2]", "str r4, [r6, #8]",
+    "addw r6, r6, #12",
+    head=(*_const("r7", 0x20000100), *_const("r0", DWT_CYCCNT),
+          "str r0, [r7]", *_const("r6", 0x20000200)))
+
+
+def test_cyccnt_reads_after_inline_accesses(monkeypatch):
+    want = check_watch(parse(CYCCNT_LATE), _cfg(POLICY_RESET, None, 10_000),
+                       "cyccnt late", monkeypatch)
+    assert want["halt"] == (True, HaltReason.NORMAL, False)
+    page = want["mem"][0x20000]
+    first = int.from_bytes(page[0x200:0x204], "little")
+    counts = [int.from_bytes(page[0x200 + 12 * i:0x204 + 12 * i], "little")
+              for i in range(PASSES)]
+    cost = counts[1] - first
+    assert counts == [first + cost * i for i in range(PASSES)]
+    assert page[0x204] == (first >> 8) & 0xFF
+
+
 # -- what reaches the generic access path ------------------------------------------
 
 def _counted(monkeypatch, owner, *names) -> list:
@@ -876,19 +1032,25 @@ def _counted(monkeypatch, owner, *names) -> list:
     return calls
 
 
-def test_the_recursion_makes_four_generic_accesses_a_call(monkeypatch):
+def test_the_recursion_makes_no_generic_access_a_call(monkeypatch):
     """Compiled, the instrumented recursion's six watchpoint-register
-    accesses a call reach the unit directly, and its shadow store of lr
-    tests the comparators inline and commits; the two pushed words, the
-    pop and the shadow load of lr go through Machine.load/store."""
+    accesses a call reach the unit directly, and its RAM accesses (the
+    two pushed words, the pop, and the shadow store and load of lr) miss
+    the comparators and touch their pages inline.  The only generic
+    calls are the two commits that create the stack's and the shadow
+    stack's page."""
     monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
-    calls = _counted(monkeypatch, Machine, "load", "store")
+    accesses = _counted(monkeypatch, Machine, "load", "store")
+    commits = _counted(monkeypatch, Machine, "commit")
     depth = 64
     prog = instrument_program(parse(recursion_program(depth)),
                               SHADOW).program
-    run = run_program(prog, RunConfig(protected=True, shadow=SHADOW))
+    cfg = RunConfig(protected=True, shadow=SHADOW)
+    m = build_machine(prog, cfg)
+    run = run_machine(m, cfg)
     assert run.outcome == OUTCOME_SAFE and run.steps == 24 * depth + 1
-    assert calls[0] == 4 * depth
+    assert accesses[0] == 0
+    assert commits[0] == len(m.mem.pages) == 2
 
 
 def test_a_compiled_sweep_shows_the_guard_each_hit_once(monkeypatch):
