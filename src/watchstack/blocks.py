@@ -57,7 +57,9 @@ The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``ldr``/``str`` whose address is known, aligned and, by
 ``machine.ppb_device`` at compile time, on a device is bound to it: the
 region test stays per access; a load that hits, or finds no device
-attached, takes ``m.load``, and else the device's ``mmio_read``; a store
+attached, takes ``m.load`` after the state writes, and else the
+device's ``mmio_read``, after them only at ``machine.DWT_CYCCNT``, the
+one device word that reads the state; a store
 that misses goes to the device's ``mmio_write``, or through ``m.commit``
 to RAM on a machine without that device.  Exception returns go through
 ``m._end``, which looks up ``exception_model.return_from_exception``
@@ -510,12 +512,16 @@ _FOLD = {
 # -- word accesses bound to a device at compile time -------------------------------
 
 def _bound_ldr(ins, nxt, cost, sync, addr, dev):
-    # The state writes stay: CYCCNT reads m.cycles.
+    # The state is written for the guard's record on a hit, and on a
+    # miss only where the device reads it: CYCCNT reads m.cycles.
     regions, hit = _hit(mach.ACCESS_READ, "%d" % addr, "%d" % (addr + 4))
-    return [sync, "d = m." + dev, regions,
+    read = _set(ins.rd, "d.mmio_read(m, %d)" % addr)
+    if addr == mach.DWT_CYCCNT:
+        read = sync + "; " + read
+    return ["d = m." + dev, regions,
             "if d is None or %s:" % hit,
-            " " + _set(ins.rd, "m.load(%d, 4)" % addr),
-            "else: " + _set(ins.rd, "d.mmio_read(m, %d)" % addr)]
+            " %s; %s" % (sync, _set(ins.rd, "m.load(%d, 4)" % addr)),
+            "else: " + read]
 
 
 def _bound_str(ins, nxt, cost, sync, addr, dev):

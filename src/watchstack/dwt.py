@@ -29,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .isa import MASK32
-from .machine import DWT_WINDOW_LO, HaltReason
+from .machine import DWT_CYCCNT, DWT_WINDOW_LO, HaltReason
 
-# Cycle counter and comparator register addresses.
-DWT_CYCCNT = DWT_WINDOW_LO + 0x4
+# Comparator register addresses; the cycle counter's is machine's.
 DWT_COMP_BASE = DWT_WINDOW_LO + 0x20
 DWT_GROUP_STRIDE = 16
 DWT_COMP_OFF = 0

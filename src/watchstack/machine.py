@@ -73,6 +73,9 @@ WORD = struct.Struct("<I")
 PPB_BASE = 0xE0000000
 DWT_WINDOW_LO = 0xE0001000
 DWT_WINDOW_HI = 0xE0001060
+# The cycle counter: the one device word whose read depends on machine
+# state (m.cycles), which ``blocks`` must write before it.
+DWT_CYCCNT = DWT_WINDOW_LO + 0x4
 DEMCR_ADDR = 0xE000EDFC
 
 

@@ -11,12 +11,20 @@ guard, the machine's one access observer, plays the role of the debug
 monitor exception: it suppresses the offending write, records it, and
 then either halts the machine (reset policy) or lets execution continue
 (report policy).
+
+The records live in one ``ViolationLog``, which packs each hit into a
+fixed-width row of integers and builds a ``ViolationRecord`` only when
+one is read, so a report-policy run that makes a hit every few steps
+keeps 23 bytes a hit and no Python object.
 """
 
 from __future__ import annotations
 
 import logging
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import starmap
 
 from .dwt import (DWT_COMP_BASE, DWT_COMP_OFF, DWT_FUNCTION_OFF,
                   DWT_GROUP_STRIDE, DWT_MASK_OFF, FN_WRITE, DwtUnit)
@@ -72,6 +80,64 @@ class ViolationRecord:
         }
 
 
+# A ViolationLog row: the fields of a ViolationRecord in order, as
+# unsigned little-endian integers with no padding, 23 bytes.
+_ROW = struct.Struct("<QIIBIBB")
+
+
+class ViolationLog(Sequence):
+    """The guard's violation records, packed: a read-only sequence of
+    ``ViolationRecord`` that ``append`` alone extends.
+
+    Each hit is one fixed-width row in one ``bytearray``: 64 bits for
+    the step index, 32 each for the pc, data address and suppressed
+    value, and 8 each for the comparator id, size and access kind.  A
+    record is built from its row each time it is read, so ``log[0] is
+    log[0]`` is False while ``log[0] == log[0]``.  Indices and slices
+    behave as a list's, a slice being a list of records; iteration reads
+    the rows the log held when it began.  A log equals another log or a
+    list that holds equal records in the same order.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self) -> None:
+        self._rows = bytearray()
+
+    def append(self, step_index: int, pc: int, data_address: int,
+               comparator_id: int, suppressed_value: int, size: int,
+               access: int) -> None:
+        """Add one record, its fields in ``ViolationRecord``'s order; a
+        field too wide for its row is a ``struct.error``."""
+        self._rows += _ROW.pack(step_index, pc, data_address, comparator_id,
+                                suppressed_value, size, access)
+
+    def __len__(self) -> int:
+        return len(self._rows) // _ROW.size
+
+    def __getitem__(self, i):
+        # The rows' byte offsets take the index or slice as a list would.
+        at = range(0, len(self._rows), _ROW.size)[i]
+        if isinstance(at, range):
+            return [ViolationRecord(*_ROW.unpack_from(self._rows, off))
+                    for off in at]
+        return ViolationRecord(*_ROW.unpack_from(self._rows, at))
+
+    def __iter__(self):
+        # A copy: an open iteration must not stop the log from growing.
+        return starmap(ViolationRecord, _ROW.iter_unpack(bytes(self._rows)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ViolationLog):
+            return self._rows == other._rows
+        if isinstance(other, list):
+            return len(other) == len(self) and list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return "ViolationLog(%r)" % list(self)
+
+
 class WatchpointGuard:
     """Access observer: the debug monitor handler of a comparator hit.
 
@@ -87,7 +153,7 @@ class WatchpointGuard:
     def __init__(self, dwt: DwtUnit, reset: bool) -> None:
         self.dwt = dwt
         self.reset = reset  # halt on a hit (reset policy), else report
-        self.records: list[ViolationRecord] = []
+        self.records = ViolationLog()
 
     # Both handlers record the hit, then apply the policy; each does it
     # inline, as a sweep under the report policy makes one hit per store.
@@ -96,8 +162,8 @@ class WatchpointGuard:
         cid = self.dwt.match_access(addr, size, ACCESS_READ)
         if cid is None:
             return
-        self.records.append(ViolationRecord(m.steps, m.cur_pc, addr, cid,
-                                            0, size, ACCESS_READ))
+        self.records.append(m.steps, m.cur_pc, addr, cid, 0, size,
+                            ACCESS_READ)
         if self.reset:
             m.halt(HaltReason.RESET)
 
@@ -106,8 +172,8 @@ class WatchpointGuard:
         cid = self.dwt.match_access(addr, size, ACCESS_WRITE)
         if cid is None:
             return False
-        self.records.append(ViolationRecord(m.steps, m.cur_pc, addr, cid,
-                                            value, size, ACCESS_WRITE))
+        self.records.append(m.steps, m.cur_pc, addr, cid, value, size,
+                            ACCESS_WRITE)
         if self.reset:
             m.halt(HaltReason.RESET)
         return True

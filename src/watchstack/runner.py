@@ -23,7 +23,8 @@ from .asm import AsmProgram, parse
 from .exception_model import EXC_BY_NAME, EXC_NAMES
 from .instrument import ShadowStackConfig
 from .machine import HaltReason, Machine
-from .protect import POLICY_RESET, attach_debug_system, init_write_protection
+from .protect import (POLICY_RESET, ViolationLog, attach_debug_system,
+                      init_write_protection)
 
 DEFAULT_SP = 0x20040000
 DEFAULT_MAX_STEPS = 2_000_000
@@ -57,7 +58,10 @@ class RunResult:
     cycles: int
     halt_reason: HaltReason | None
     outcome: str
-    violations: list  # the guard's records, m.guard.records
+    # The guard's own log, m.guard.records, not a copy (empty without a
+    # guard).  It builds each record on read: `violations[0] is
+    # violations[0]` is False.
+    violations: ViolationLog
     tagged_cycles: dict[str, int]
     phase_cycles: dict[str, dict[str, int]]
     conv_extra: int
@@ -113,7 +117,7 @@ def run_machine(m: Machine, cfg: RunConfig) -> RunResult:
         m.raise_exception(exc_id)
     m.run(cfg.max_steps)  # a machine that has not halted ran out of steps
 
-    violations = m.guard.records if m.guard is not None else []
+    violations = m.guard.records if m.guard is not None else ViolationLog()
     if violations:
         outcome = OUTCOME_TRAPPED
     elif m.halt_reason in FAULT_HALTS:

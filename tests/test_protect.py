@@ -1,10 +1,14 @@
 """Protection runtime: comparator programming, policies, the DEMCR lock."""
 
+import dataclasses
 import logging
+import struct
+import tracemalloc
 
 import pytest
 
 from watchstack import blocks
+from watchstack.asm import parse
 from watchstack.dwt import (DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0, FN_READ,
                             FN_WRITE)
 from watchstack.instrument import ShadowStackConfig
@@ -12,8 +16,11 @@ from watchstack.isa import Instr
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
                                 DWT_WINDOW_HI, DWT_WINDOW_LO, PPB_BASE,
                                 HaltReason, Machine, ppb_device)
+from watchstack.harness import sweep_program
 from watchstack.protect import (DEMCR_MON_EN, POLICY_REPORT, POLICY_RESET,
+                                ViolationLog, ViolationRecord,
                                 attach_debug_system, init_write_protection)
+from watchstack.runner import RunConfig, build_machine, run_machine
 
 CFG = ShadowStackConfig()
 
@@ -267,3 +274,89 @@ def test_byte_store_to_the_shadow_pointer_keeps_its_other_lanes():
     assert m.dwt.groups[1].comp == CFG.ss_start + 8
     assert not m.halted
 
+
+
+# -- the packed violation log -------------------------------------------------------
+
+# Each field at the edge of its width: a step index past 32 bits, the
+# largest pc, address and value, every comparator, both sizes and both
+# access kinds.
+EDGE_RECORDS = [
+    ViolationRecord(2 ** 40, 0xFFFFFFFF, 0xFFFFFFFF, 3, 0xFFFFFFFF, 4,
+                    ACCESS_WRITE),
+    ViolationRecord(0, 0, 0, 0, 0, 1, ACCESS_READ),
+    ViolationRecord(2 ** 40 + 1, 0x08000002, DEMCR_ADDR + 3, 2, 0xFF, 1,
+                    ACCESS_WRITE),
+    ViolationRecord(7, 0x08000004, DWT_COMP1, 1, 0, 4, ACCESS_READ),
+]
+
+
+def _log(records) -> ViolationLog:
+    log = ViolationLog()
+    for rec in records:
+        log.append(*dataclasses.astuple(rec))
+    return log
+
+
+def test_the_log_reads_back_each_record_at_its_edges():
+    log = _log(EDGE_RECORDS)
+    assert len(log) == len(EDGE_RECORDS) and log
+    for i, rec in enumerate(EDGE_RECORDS):
+        assert log[i] == rec
+        assert log[i - len(EDGE_RECORDS)] == rec
+    assert log[-1] == EDGE_RECORDS[-1]
+    assert log[:8] == EDGE_RECORDS and log[1:3] == EDGE_RECORDS[1:3]
+    assert log[::-1] == EDGE_RECORDS[::-1]
+    assert list(log) == EDGE_RECORDS
+    assert log == EDGE_RECORDS and EDGE_RECORDS == log
+    assert log != EDGE_RECORDS[:-1] and log != EDGE_RECORDS[::-1]
+    assert log == _log(EDGE_RECORDS) and log != _log(EDGE_RECORDS[1:])
+    assert [r.to_dict() for r in log] == [r.to_dict() for r in EDGE_RECORDS]
+    # Built on read: equal records, not one object.
+    assert log[0] is not log[0]
+    with pytest.raises(IndexError):
+        log[len(EDGE_RECORDS)]
+    with pytest.raises(IndexError):
+        log[-len(EDGE_RECORDS) - 1]
+    # A field wider than its place in the row is refused, not cut.
+    with pytest.raises(struct.error):
+        log.append(0, 1 << 32, 0, 0, 0, 4, ACCESS_WRITE)
+    assert log == EDGE_RECORDS
+
+
+def test_an_open_iteration_does_not_stop_the_log_growing():
+    """An iteration reads the rows the log held when it began."""
+    log = _log(EDGE_RECORDS)
+    rows = iter(log)
+    log.append(*dataclasses.astuple(EDGE_RECORDS[0]))
+    assert list(rows) == EDGE_RECORDS
+    assert log == EDGE_RECORDS + EDGE_RECORDS[:1]
+
+
+def test_an_empty_log_is_false_and_equals_no_records():
+    log = ViolationLog()
+    assert not log and len(log) == 0
+    assert log == [] and [] == log and log == ViolationLog()
+    assert log[:8] == [] and list(log) == []
+    with pytest.raises(IndexError):
+        log[0]
+    with pytest.raises(IndexError):
+        log[-1]
+
+
+def test_a_report_sweep_keeps_under_48_bytes_a_record():
+    """The 32,768 hits of a report-policy sweep over the whole shadow
+    region, each kept as a record: what the run retains, per record."""
+    lo, hi = CFG.ss_start - 1024, CFG.ss_limit + 1024
+    cfg = RunConfig(protected=True, policy=POLICY_REPORT, shadow=CFG,
+                    max_steps=6 * (hi - lo) + 1000)
+    m = build_machine(parse(sweep_program(lo, hi)), cfg)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run = run_machine(m, cfg)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(run.violations) == CFG.ss_size == 32768
+    assert retained / len(run.violations) <= 48

@@ -18,14 +18,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from watchstack import blocks
 from watchstack.asm import parse
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
-                            FN_READ, FN_READWRITE)
+                            DWT_MASK0, FN_READ, FN_READWRITE)
 from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
                                 preinit_exception_program, recursion_program,
                                 sweep_program)
 from watchstack.instrument import ShadowStackConfig, instrument_program
-from watchstack.machine import (ACCESS_READ, DEMCR_ADDR, EXC_RETURN_MIN,
-                                HaltReason, Machine, PAGE_SIZE, PPB_BASE)
-from watchstack.protect import POLICY_REPORT, POLICY_RESET, WatchpointGuard
+from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
+                                EXC_RETURN_MIN, HaltReason, Machine,
+                                PAGE_SIZE, PPB_BASE)
+from watchstack.protect import (POLICY_REPORT, POLICY_RESET, ViolationRecord,
+                                WatchpointGuard)
 from watchstack.runner import (OUTCOME_SAFE, RunConfig, attribute,
                                build_machine, run_machine, run_program)
 
@@ -750,6 +752,36 @@ def test_a_bound_cyccnt_load_reads_the_cycle_count(monkeypatch):
     assert counts == [9 + 11 * i for i in range(PASSES)]
 
 
+# Group 0 read-watches COMP1's own word, which the loop reads through a
+# bound load.
+COMP1_READ = _main(*_const("r0", DWT_COMP1), "ldr r1, [r0]",
+                   "str r1, [r7, #4]")
+
+
+def _watch_comp1_reads(m):
+    m.dwt.mmio_write(m, DWT_COMP0, DWT_COMP1)
+    m.dwt.mmio_write(m, DWT_MASK0, 2)
+    m.dwt.mmio_write(m, DWT_FUNCTION0, FN_READ)
+
+
+def test_a_bound_load_that_hits_records_its_step_and_pc(monkeypatch):
+    """The guard's record of a bound load's hit reads the step index and
+    pc that step() would have left, though a bound load that misses
+    writes neither."""
+    prog = parse(COMP1_READ)
+    ldr = prog.functions["main"].body[6]
+    assert ldr.op == "ldr"
+    for policy, records in ((POLICY_REPORT, PASSES), (POLICY_RESET, 1)):
+        want = check_watch(prog, _cfg(policy, None, 10_000),
+                           "comp1 read " + policy, monkeypatch,
+                           arm=_watch_comp1_reads)
+        # 4 steps before the loop, 7 a pass, the ldr 3rd in each.
+        assert [(r.step_index, r.pc, r.data_address, r.comparator_id,
+                 r.access) for r in want["violations"]] == [
+            (6 + 7 * i, ldr.addr, DWT_COMP1, 0, ACCESS_READ)
+            for i in range(records)]
+
+
 def _no_devices(m):
     m.dwt = m.demcr = None
 
@@ -1066,3 +1098,74 @@ def test_a_compiled_sweep_shows_the_guard_each_hit_once(monkeypatch):
     assert run.halt_reason == HaltReason.NORMAL
     assert run.steps == 5 + 4 * 320 + 1 and len(run.violations) == 256
     assert stores[0] == 0 and shown[0] == 256
+
+
+# -- the packed violation log against a plain list ---------------------------------
+
+class ListGuard(WatchpointGuard):
+    """The guard, also keeping each hit it records as a ViolationRecord
+    in a plain list, made from the machine state it sees."""
+
+    def __init__(self, dwt, reset):
+        super().__init__(dwt, reset)
+        self.plain = []
+
+    def on_load(self, m, addr, size):
+        self._keep(m, addr, size, 0, ACCESS_READ)
+        super().on_load(m, addr, size)
+
+    def on_store(self, m, addr, size, value):
+        self._keep(m, addr, size, value, ACCESS_WRITE)
+        return super().on_store(m, addr, size, value)
+
+    def _keep(self, m, addr, size, value, access):
+        cid = self.dwt.match_access(addr, size, access)
+        if cid is not None:
+            self.plain.append(ViolationRecord(m.steps, m.cur_pc, addr, cid,
+                                              value, size, access))
+
+
+def _watch_reads(m):
+    m.dwt.mmio_write(m, DWT_FUNCTION0, FN_READ)
+
+
+# Name -> (program, arm, hits under the report policy): the report
+# sweep, a read-watched ldr and a bound one, and stores onto the DEMCR
+# lock (comparator 2) and group 3's registers.
+LOGGED = {
+    "sweep": (sweep_program(SHADOW.ss_start - 64, SHADOW.ss_start + 256),
+              None, 256),
+    "read": (READS["ldr"][0], _watch_reads, 2),
+    "bound read": (COMP1_READ, _watch_comp1_reads, PASSES),
+    "lock": (LOCK, None, 3 * PASSES),
+}
+
+
+@pytest.mark.parametrize("policy", [POLICY_REPORT, POLICY_RESET])
+@pytest.mark.parametrize("name", sorted(LOGGED))
+def test_the_log_equals_a_plain_list_of_the_same_hits(name, policy,
+                                                      monkeypatch):
+    text, arm, hits = LOGGED[name]
+    prog = parse(text)
+    cfg = _cfg(policy, None, 10_000)
+
+    def logged(run):
+        m = build_machine(prog, cfg)
+        if arm is not None:
+            arm(m)
+        m.guard = ListGuard(m.dwt, m.guard.reset)
+        run(m)
+        return m.guard
+
+    guards = [logged(lambda m: reference_run(m, cfg)),
+              logged(lambda m: run_machine(m, cfg))]
+    with monkeypatch.context() as mp:
+        mp.setattr(blocks, "HOT_THRESHOLD", 1)
+        guards.append(logged(lambda m: run_machine(m, cfg)))
+    for guard in guards:
+        assert len(guard.plain) == (hits if policy == POLICY_REPORT else 1)
+        assert guard.records == guard.plain and guard.plain == guard.records
+        assert list(guard.records) == guard.plain
+        n = len(guard.plain)
+        assert [guard.records[i - n] for i in range(n)] == guard.plain
+        assert guard.plain == guards[0].plain

@@ -202,7 +202,7 @@ def test_reset_policy_store_hit_ends_in_the_reset_halt(hot, monkeypatch):
 
 
 def test_violations_are_the_guards_own_records():
-    """Like ``events``, ``violations`` is the list the run kept, not a
+    """Like ``events``, ``violations`` is the log the run kept, not a
     copy of it."""
     cfg = RunConfig(protected=True, policy=POLICY_REPORT)
     start = cfg.shadow.ss_start
