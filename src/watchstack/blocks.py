@@ -5,7 +5,7 @@ the first branch or pc write, ending early before a TRAP op (``svc``,
 ``bkpt``, ``udf``) or a missing instruction, and at most MAX_BLOCK_LEN
 long.  What an op is (a branch, a data access, a trap) and which
 registers it writes are read from its row in ``isa.OPS``; only the
-per-op source of ``_EMIT``, ``_FOLD`` and ``_BIND`` is spelled here.
+per-op source of ``_EMIT`` and ``_FOLD`` is spelled here.
 ``Machine.run`` steps through a block until it has reached the block's
 entry pc HOT_THRESHOLD times; then the block is compiled to one
 generated function, ``block(m, limit)``, that does what ``step()``
@@ -41,7 +41,7 @@ A data access tests the comparator regions inline against ``m.watch``,
 as ``Machine.load``/``store`` do, once per access and per pushed or
 popped word.  A miss into RAM, below ``machine.PPB_BASE`` and, for a
 word, on one page, reads or writes ``m.mem``'s page in line, with no
-call and no state writes (``_ram``, QEMU's softmmu fast path); a page
+call and no state writes (``_decode``, QEMU's softmmu fast path); a page
 nothing wrote reads 0.  The slow cases keep the generic path: on a hit
 the block writes the state and shows the guard the access, then
 commits a store through ``Machine.commit`` unless the guard suppresses
@@ -53,15 +53,13 @@ halts the machine on an earlier one.
 
 The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``movt`` put in a register until another write of it (read from
-``isa.OPS``), and uses it only to bind addresses.  A word
+``isa.OPS``), and uses it only to decode addresses.  A word
 ``ldr``/``str`` whose address is known, aligned and, by
-``machine.ppb_device`` at compile time, on a device is bound to it: the
-region test stays per access; a load that hits, or finds no device
-attached, takes ``m.load`` after the state writes, and else the
-device's ``mmio_read``, after them only at ``machine.DWT_CYCCNT``, the
-one device word that reads the state; a store
-that misses goes to the device's ``mmio_write``, or through ``m.commit``
-to RAM on a machine without that device.  Exception returns go through
+``machine.ppb_device`` at compile time, on a device (``_device_word``)
+takes the same ``_load``/``_store`` with its address as a literal and
+no alignment test; ``_decode``, the one compiled decode of a miss,
+sends it to that device, or to ``m.load``/``m.commit`` on a machine
+without it.  Exception returns go through
 ``m._end``, which looks up ``exception_model.return_from_exception``
 when called, so anything patched onto the class or module still sees
 each one.  Code at or above ``EXC_RETURN_MIN`` is not run in line, and a
@@ -188,9 +186,9 @@ def _fold(ins, known: dict) -> None:
 
 
 def _device_word(ins, known: dict):
-    """(address, device attribute) of a word access that ``_BIND`` can
-    bind: its address is known, aligned and on a device; else None."""
-    if ins.op not in _BIND or ins.rn not in known or _ends_block(ins):
+    """(address, device attribute) of a word ``ldr``/``str`` whose
+    address is known, aligned and on a device; else None."""
+    if ins.op not in ("ldr", "str") or ins.rn not in known or _ends_block(ins):
         return None
     addr = (known[ins.rn] + ins.imm) & MASK32
     dev = mach.ppb_device(addr)
@@ -222,7 +220,7 @@ def _source(instrs) -> str:
     if not moves_sp:
         out.append("  " + _MIN_SP)  # sp holds its entry value throughout
     if any(OPS[ins.op].kind == MEMORY for _, ins in instrs):
-        out.append("  P = m.mem.pages")  # for _ram
+        out.append("  P = m.mem.pages")  # for _decode
     body = []
     cost = 0
     known: dict = {}
@@ -236,10 +234,12 @@ def _source(instrs) -> str:
         bound = _device_word(ins, known)
         _fold(ins, known)
         body.append("# 0x%08x %s" % (at, ins.op))
-        if bound is not None:
-            body += _BIND[ins.op](ins, nxt, cost, sync, *bound)
-        else:
+        if bound is None:
             body += _EMIT[ins.op](ins, nxt, cost, sync)
+        else:  # aligned by construction: no alignment test
+            addr, dev = "%d" % bound[0], bound[1]
+            body += (_load(ins.rd, addr, 4, sync, dev) if ins.op == "ldr"
+                     else _store(addr, 4, _reg(ins.rd, nxt), sync, dev))
         if moves_sp and (i == 0 or SP in _written(ins)):
             body.append(_MIN_SP)
         if OPS[ins.op].kind == MEMORY:
@@ -372,27 +372,25 @@ def _hit(kind: int, a: str, end: str) -> tuple[str, str]:
                         for k in range(4)))
 
 
-def _guarded(a: str, size: int, value: str, sync: str) -> list[str]:
-    """Machine.store of ``value`` at ``a`` up to its miss path: a store
-    in a comparator region brings the state up to date for the guard
-    and commits unless the guard suppresses it."""
-    regions, hit = _hit(mach.ACCESS_WRITE, a, "%s + %d" % (a, size))
-    return ["v = " + value, regions,
-            "if %s:" % hit,
-            " " + sync,
-            " if not m.guard.on_store(m, %s, %d, v): m.commit(%s, %d, v)"
-            % (a, size, a, size)]
-
-
-def _ram(a: str, size: int, rd: int | None = None) -> tuple[str, str]:
-    """Machine.load/commit's RAM path, inline, for an access of ``size``
-    bytes at ``a`` that missed the comparators: the test that ``a`` is
-    RAM, below PPB_BASE, and a word there does not cross a page; and the
-    statement that reads it into ``rd`` (a missing page reads 0) or,
-    without ``rd``, writes ``v`` there.  A store's test also asks for the
-    page, which only ``Machine.commit`` creates.  This is the one place
-    compiled code decodes a RAM address: a memory map that grows more
-    banks changes this test beside ``Machine.load``/``commit``."""
+def _decode(a: str, size: int, sync: str, dev, rd=None) -> tuple[str, str]:
+    """The one compiled decode of an access of ``size`` bytes at ``a``
+    that missed the comparators: the test for its inline case, and the
+    statement that reads it into ``rd`` or, without ``rd``, writes ``v``;
+    else the access takes ``m.load`` or ``m.commit``.  On ``dev``, where
+    ``_device_word`` put a word, the machine must have that device, whose
+    ``mmio_read`` (after ``sync`` only at ``machine.DWT_CYCCNT``, the one
+    device word that reads the state) or ``mmio_write`` it calls.  Else
+    ``a`` must be RAM, below PPB_BASE, and a word must not cross a page;
+    a missing page reads 0, and a store also asks for the page, which
+    only ``Machine.commit`` creates.  A memory map that grows more banks
+    changes this beside ``Machine.load``/``commit``."""
+    if dev is not None:
+        test = "(d := m.%s) is not None" % dev
+        if rd is None:
+            return test, "d.mmio_write(m, %s, v)" % a
+        read = _set(rd, "d.mmio_read(m, %s)" % a)
+        return test, (sync + "; " + read if a == "%d" % mach.DWT_CYCCNT
+                      else read)
     test = "%s < %d" % (a, mach.PPB_BASE)
     if size == 4:
         test += " and (o := %s & %d) <= %d" % (a, mach.PAGE_MASK,
@@ -408,24 +406,31 @@ def _ram(a: str, size: int, rd: int | None = None) -> tuple[str, str]:
     return test, "%s = %s if %s is not None else 0" % (_dest(rd), word, page)
 
 
-def _load(rd: int, a: str, size: int, sync: str) -> list[str]:
-    """Machine.load of ``size`` bytes at ``a`` into ``rd``: RAM that
-    misses the comparators is read inline, and anything else brings the
+def _load(rd: int, a: str, size: int, sync: str, dev=None) -> list[str]:
+    """Machine.load of ``size`` bytes at ``a`` into ``rd``: a miss that
+    ``_decode`` can read inline is read so, and anything else brings the
     state up to date, for the guard and CYCCNT, and takes m.load."""
     regions, hit = _hit(mach.ACCESS_READ, a, "%s + %d" % (a, size))
-    test, read = _ram(a, size, rd)
+    test, read = _decode(a, size, sync, dev, rd)
     return [regions,
             "if %s and not (%s): %s" % (test, hit, read),
             "else: %s; %s" % (sync, _set(rd, "m.load(%s, %d)" % (a, size)))]
 
 
-def _store(a: str, size: int, value: str, sync: str) -> list[str]:
-    """Machine.store of ``value`` at ``a``: a miss into RAM is written
-    inline, and any other miss goes through m.commit."""
-    test, write = _ram(a, size)
-    return _guarded(a, size, value, sync) + [
-        "elif %s: %s" % (test, write),
-        "else: m.commit(%s, %d, v)" % (a, size)]
+def _store(a: str, size: int, value: str, sync: str, dev=None) -> list[str]:
+    """Machine.store of ``value`` at ``a``: a store in a comparator
+    region brings the state up to date for the guard and commits unless
+    the guard suppresses it; a miss that ``_decode`` can write inline is
+    written so, and any other goes through m.commit."""
+    regions, hit = _hit(mach.ACCESS_WRITE, a, "%s + %d" % (a, size))
+    test, write = _decode(a, size, sync, dev)
+    return ["v = " + value, regions,
+            "if %s:" % hit,
+            " " + sync,
+            " if not m.guard.on_store(m, %s, %d, v): m.commit(%s, %d, v)"
+            % (a, size, a, size),
+            "elif %s: %s" % (test, write),
+            "else: m.commit(%s, %d, v)" % (a, size)]
 
 
 def _each_word(ins, access) -> list[str]:
@@ -438,10 +443,10 @@ def _each_word(ins, access) -> list[str]:
     return lines
 
 
-# The state is written only on an access's slow path, before the guard or
-# m.load (CYCCNT reads m.cycles); m.commit needs none, as no write reads
-# it (a byte store into the DWT window reads its word back, but CYCCNT,
-# the one word that reads m.cycles, drops writes).
+# The state is written only on an access's slow path, before the guard,
+# m.load or ``_decode``'s inline CYCCNT read (CYCCNT reads m.cycles);
+# m.commit needs none, as no write reads it (a byte store into the DWT
+# window reads its word back, but CYCCNT drops writes).
 _EMIT = {
     "movw": lambda ins, nxt, cost, sync: [_set(ins.rd, "%d" % ins.imm)],
     "movt": lambda ins, nxt, cost, sync: [
@@ -507,34 +512,3 @@ _FOLD = {
         None if ins.rd not in known
         else (known[ins.rd] & 0xFFFF) | ins.imm << 16),
 }
-
-
-# -- word accesses bound to a device at compile time -------------------------------
-
-def _bound_ldr(ins, nxt, cost, sync, addr, dev):
-    # The state is written for the guard's record on a hit, and on a
-    # miss only where the device reads it: CYCCNT reads m.cycles.
-    regions, hit = _hit(mach.ACCESS_READ, "%d" % addr, "%d" % (addr + 4))
-    read = _set(ins.rd, "d.mmio_read(m, %d)" % addr)
-    if addr == mach.DWT_CYCCNT:
-        read = sync + "; " + read
-    return ["d = m." + dev, regions,
-            "if d is None or %s:" % hit,
-            " %s; %s" % (sync, _set(ins.rd, "m.load(%d, 4)" % addr)),
-            "else: " + read]
-
-
-def _bound_str(ins, nxt, cost, sync, addr, dev):
-    # A machine without the device has RAM at its address.
-    return ["d = m." + dev,
-            *_guarded("%d" % addr, 4, _reg(ins.rd, nxt), sync),
-            "elif d is None: m.commit(%d, 4, v)" % addr,
-            "else: d.mmio_write(m, %d, v)" % addr]
-
-
-# A word access whose aligned address the block knows and ``ppb_device``
-# puts on a device runs the region test inline: a store that hits takes
-# the guard's path of every compiled store, and a load m.load; one that
-# misses goes to the device's own mmio_write/mmio_read, or to RAM on a
-# machine without the device.
-_BIND = {"ldr": _bound_ldr, "str": _bound_str}

@@ -15,9 +15,10 @@ region; ``protect`` sets ``watch`` and ``guard`` together, ``watch``
 being the watchpoint unit's live slot table, so the guard runs only on
 comparator hits.  The fixed PPB map is declared here, beside its one
 decode, ``ppb_device``: an access that starts in the DWT window or on
-the DEMCR word reaches ``dwt`` or ``demcr`` when attached; all else is
-RAM.  ``load``/``commit`` decode an address above PPB_BASE at run time,
-and ``blocks`` decodes a constant word address at compile time through
+the DEMCR word reaches ``dwt`` or ``demcr`` when attached (a misaligned
+word there is a bad access and faults); all else is RAM.
+``load``/``commit`` decode an address above PPB_BASE at run time, and
+``blocks`` decodes a constant word address at compile time through
 the same function.  The RAM layout, 4 KiB pages of little-endian
 ``WORD``s in ``Memory.pages``, is declared here too, and ``blocks``
 reads it from here for its inline RAM path.  A device is a word device,
@@ -241,10 +242,13 @@ class Machine:
             name = ppb_device(addr)
             dev = None if name is None else getattr(self, name)
             if dev is not None:
-                if size == 4:
-                    return dev.mmio_read(self, addr)
-                word = dev.mmio_read(self, addr & ~3)
-                return (word >> (8 * (addr & 3))) & 0xFF
+                if size != 4:
+                    word = dev.mmio_read(self, addr & ~3)
+                    return (word >> (8 * (addr & 3))) & 0xFF
+                if addr & 3:  # a misaligned device word: a bad access
+                    self.fault()
+                    return 0
+                return dev.mmio_read(self, addr)
         mem = self.mem
         if size == 4:
             off = addr & PAGE_MASK
@@ -278,6 +282,9 @@ class Machine:
                     word = dev.mmio_read(self, base)
                     addr, value = base, ((word & ~(0xFF << shift))
                                          | ((value & 0xFF) << shift))
+                elif addr & 3:  # as in load
+                    self.fault()
+                    return
                 dev.mmio_write(self, addr, value)
                 return
         mem = self.mem

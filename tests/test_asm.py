@@ -75,6 +75,8 @@ FAULT_LINES = [
      "line 4: tag comment without an instruction"),
     (wrap("    bkpt #0") + ".label tail\n",
      "line 5: label 'tail' is not bound to anything"),
+    (".word nowhere\n", "line 1: unresolved label 'nowhere'"),
+    (".org 1 2\n", "line 1: .org takes one address"),
 ]
 
 
@@ -319,6 +321,21 @@ def test_print_parse_round_trip_fixed(src):
     assert again.structural_key() == prog.structural_key()
     # printing is idempotent once canonical
     assert print_program(again) == text
+
+
+def test_a_label_before_func_binds_the_function_entry():
+    src = (HEADER + ".label start\n.func main hal\n    bl f\n    bkpt #0\n"
+           ".endfunc\n.label entry\n.func f\n    bx lr\n.endfunc\n"
+           ".org 0x20000000\n.word start\n.word entry\n")
+    prog = parse(src)
+    assert prog.functions["f"].labels == ("entry",)
+    main, f = (prog.functions[name].entry for name in ("main", "f"))
+    assert (prog.labels["start"], prog.labels["entry"]) == (main, f)
+    assert prog.data == [(0x20000000, main), (0x20000004, f)]
+    text = print_program(prog)
+    assert ".label start\n.func main hal\n" in text
+    assert ".label entry\n.func f\n" in text
+    assert parse(text).data == prog.data
 
 
 def test_tag_comments_survive_round_trip():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from watchstack.cli import main
+from watchstack.harness import recursion_program
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO1 = str(ROOT / "programs" / "scenario1.ws")
@@ -253,6 +254,30 @@ def test_bench_rejects_programs_that_fault(tmp_path, capsys):
     src.write_text(SPIN.replace("b again", "udf #0"))
     assert main(["bench", str(src)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_run_without_code_exits_1(tmp_path, capsys):
+    src = tmp_path / "data.ws"
+    src.write_text(".org 0x20000000\n.word 5\n")
+    assert main(["run", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("watchstack: error: program has no executable "
+                            "code\n")
+
+
+def test_bench_refuses_a_shadow_stack_too_small_for_the_program(tmp_path,
+                                                               capsys):
+    # Eight nested calls overflow a shadow stack of 2^3 bytes (two slots).
+    src = tmp_path / "rec8.ws"
+    src.write_text(recursion_program(8))
+    assert main(["bench", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["bench", str(src), "--ss-size-log2", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("watchstack: error: protected run did not halt "
+                            "normally (stack_overflow)\n")
 
 
 def test_version_flag(capsys):

@@ -10,6 +10,10 @@ inside text; every other module imports them from there.
 
 No module imports another module's ``_``-prefixed name, nor reads one
 through a module it imported: what two modules share is public.
+
+Compiled code decodes an address in one place: every string in
+``blocks`` that spells a device call or the page table lies in one
+function.
 """
 
 import ast
@@ -84,3 +88,26 @@ def test_no_module_reaches_for_another_modules_private_name(name):
               and node.value.id in modules):
             private.add("%s.%s" % (node.value.id, node.attr))
     assert not private, "%s reaches for %s" % (name, ", ".join(sorted(private)))
+
+
+DECODED = ("mmio_read", "mmio_write", "P.get")
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+            and ast.get_docstring(node, clean=False) is not None}
+
+
+def test_blocks_decodes_an_address_in_one_function():
+    tree = ast.parse((SRC / "blocks.py").read_text(encoding="utf-8"))
+    docs = _docstrings(tree)
+    owners = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docs
+                    and any(name in node.value for name in DECODED)):
+                owners.add(owner)
+    assert len(owners) == 1, "blocks decodes in %s" % ", ".join(sorted(owners))

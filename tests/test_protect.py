@@ -204,20 +204,20 @@ def test_mmio_byte_stores_merge_into_the_word():
 
 # (addr, size, reaches a device): the decode tests where an access starts
 # against each device's window, so an access that starts outside one and
-# runs into it is RAM, and one that starts inside and runs out reaches
-# the device.
+# runs into it is RAM.  A misaligned word that starts inside one (None)
+# reaches neither: it is a bad access, and the machine faults.
 DECODE = [
     (PPB_BASE, 4, False),
     (DWT_WINDOW_LO - 1, 1, False),
     (DWT_WINDOW_LO - 2, 4, False),
     (DWT_WINDOW_LO, 4, True),  # CTRL: reads 0, drops writes
     (DWT_WINDOW_HI - 1, 1, True),
-    (DWT_WINDOW_HI - 2, 4, True),
+    (DWT_WINDOW_HI - 2, 4, None),
     (DWT_WINDOW_HI, 4, False),
     (DEMCR_ADDR - 1, 1, False),
     (DEMCR_ADDR - 2, 4, False),
     (DEMCR_ADDR + 3, 1, True),
-    (DEMCR_ADDR + 2, 4, True),
+    (DEMCR_ADDR + 2, 4, None),
     (DEMCR_ADDR + 4, 1, False),
 ]
 
@@ -226,9 +226,15 @@ DECODE = [
                          ids=["%#x/%d" % row[:2] for row in DECODE])
 def test_an_access_reaches_a_device_by_where_it_starts(addr, size, device):
     m = machine(init=False)
+    m.demcr.value |= DEMCR_MON_EN
+    before = (m.dwt.regs[:], m.demcr.value)
     value = 0x5A5A5A5A >> (32 - 8 * size)
     m.store(addr, size, value)
-    assert (m.mem.pages == {}) is device  # RAM took the write or not
+    assert (m.mem.pages == {}) is (device is not False)  # RAM took it or not
+    assert m.halted is (device is None)
+    if device is None:  # the device is unchanged, and a load reads 0
+        assert (m.dwt.regs, m.demcr.value) == before
+        assert m.load(addr, size) == 0
     # Without its devices attached, the machine has RAM there.
     bare = Machine()
     bare.store(addr, size, value)
@@ -254,15 +260,17 @@ class Spy:
 def test_the_compile_time_decode_agrees_with_the_access_path(addr, size,
                                                               device):
     """``ppb_device`` names the device ``Machine.load``/``store`` reach,
-    and a block binds a word access there exactly when it is aligned."""
+    where a misaligned word faults instead, and a block binds a word
+    access there exactly when it is aligned."""
     log = []
     m = Machine()
     m.dwt, m.demcr = Spy("dwt", log), Spy("demcr", log)
     m.store(addr, size, 0)
     m.load(addr, size)
     name = ppb_device(addr)
-    assert (name is not None) is device
+    assert (name is not None) is (device is not False)
     assert set(log) == ({name} if device else set())
+    assert m.halted is (device is None)
     ins = Instr("str", rd=1, rn=0, imm=0)
     bound = blocks._device_word(ins, {0: addr})
     assert bound == ((addr, name) if device and not addr & 3 else None)

@@ -972,6 +972,36 @@ def test_a_pop_and_push_on_watchpoint_registers(monkeypatch):
         assert want["mem"] == {} and want["violations"] == []
 
 
+PUSH_ONTO_DEMCR = "\n".join([
+    ".org 0x08000000", ".func main hal", "    movw r0, #0xabcd",
+    "    mov r1, #7", "    push {r0, r1}", "    bkpt #0", ".endfunc", ""])
+
+
+def test_a_misaligned_push_word_on_demcr_faults(monkeypatch):
+    """sp at DEMCR + 6: the second pushed word starts inside the control
+    word, misaligned, so it is a bad access: the run faults there and
+    DEMCR keeps its value.  The first, at DEMCR - 2, starts below it:
+    unprotected, RAM takes it; protected, it hits the lock's comparator."""
+    prog = parse(PUSH_ONTO_DEMCR)
+    off = (DEMCR_ADDR - 2) & 0xFFF
+    for policy in (None, POLICY_RESET, POLICY_REPORT):
+        if policy is None:
+            cfg = RunConfig(initial_sp=DEMCR_ADDR + 6)
+            want = check(prog, cfg, "push onto DEMCR", monkeypatch)
+            assert want["mem"][DEMCR_ADDR >> 12][off:off + 4] == bytes(
+                [0xCD, 0xAB, 0, 0])
+        else:
+            cfg = _cfg(policy, None, 100, initial_sp=DEMCR_ADDR + 6)
+            want = check_watch(prog, cfg, "push onto DEMCR " + policy,
+                               monkeypatch)
+            assert want["mem"] == {}
+            assert [(r.data_address, r.comparator_id)
+                    for r in want["violations"]] == [(DEMCR_ADDR - 2, 2)]
+        assert want["halt"] == (True, HaltReason.FAULT, False)
+        assert want["steps"] == 3
+        assert want["dwt"][1] == build_machine(prog, cfg).demcr.value
+
+
 # Passes that reach the region read-watched by comparator 0 come after
 # the loop block is compiled: the ldr reads from the region in the last
 # 2 passes, and the pop's second word in the last 2 passes, its first
