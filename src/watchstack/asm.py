@@ -16,14 +16,17 @@ mnemonics and registers, labels case-sensitive)::
     .label NAME           bind NAME to the next instruction/word/function
     <instruction>         only inside .func blocks
 
-Each distinct instruction line is assembled once per process: a bounded
-cache (``LINE_CACHE_SIZE`` entries, least recently used out) maps the
-line's text to a finalised template, and each parse takes a copy of it, so
-no two parsed programs, and no program and the cache, share an ``Instr``.
-``assemble`` does the same for one line with its tag comment; the
-instrumentation pass builds every instruction it inserts through it.
-Errors are never cached: a bad line is assembled again each time, and its
-error carries the line number of the parse that met it.
+Each instruction shape is assembled once per process: a bounded cache
+(``LINE_CACHE_SIZE`` entries, least recently used out) maps a line to a
+finalised template, and each parse takes a copy of it, so no two parsed
+programs, and no program and the cache, share an ``Instr``.  ``parse``
+looks up a line's shape, its plain decimal or ``0x`` immediate written
+``#0``, and gives the copy the line's value and width if the op's rules
+admit it; any other line it looks up, or parses, as it stands.
+``assemble`` looks up one exact line with its tag comment, for the
+instrumentation pass.  Errors are never cached: a bad line is assembled
+again each time, and its error carries the line number of the parse
+that met it.
 """
 
 from __future__ import annotations
@@ -33,13 +36,13 @@ import re
 from dataclasses import dataclass, field
 
 from .isa import (CONDITIONS, LR, MASK32, NUM_GPRS, OPS, PC, REG_PARSE, SP,
-                  Instr, finalize, format_instr)
+                  Instr, encoding_width, finalize, format_instr)
 
 DEFAULT_ORIGIN = 0x08000000
 
-# Distinct instruction lines kept assembled across parses.  An entry holds
-# about 330 bytes; at this bound the bench corpus, which repeats 95% of its
-# lines, finds 72% of them cached and peaks under 1 MB higher.
+# Instruction shapes kept assembled across parses.  The bench corpus at
+# seed 0 has 8,135 distinct instruction lines but 144 shapes, so every
+# shape stays cached well within this bound.
 LINE_CACHE_SIZE = 2048
 
 FUNC_NORMAL = "normal"
@@ -128,10 +131,19 @@ class AsmProgram:
 # -- parsing ----------------------------------------------------------------
 
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# A plain decimal or 0x hex immediate, and the "]" of its memory operand.
+_PLAIN_IMM = re.compile(r"(0|[1-9][0-9]*|0x[0-9a-fA-F]+)(\]?)")
 _MEM_RE = re.compile(r"^\[\s*([a-z0-9]+)\s*(?:,\s*(#-?[0-9a-fx]+)\s*)?\]$",
                      re.IGNORECASE)
 
 _BCOND_OPS = {"b" + c: c for c in CONDITIONS}
+# Each op's largest immediate, read by its builder and by a shape's
+# cached template; an sp adjustment is also a multiple of 4.
+_IMM_LIMIT = dict.fromkeys(("ldr", "str", "ldrb", "strb", "add_sp", "sub_sp",
+                            "addw", "subw", "cmp_imm"), 4095)
+_IMM_LIMIT.update(movw=0xFFFF, movt=0xFFFF, mov_imm=MASK32, svc=255,
+                  bkpt=255, udf=255)
+_SP_ADJUST = frozenset(("add_sp", "sub_sp"))
 # Mnemonics with a narrow and a wide encoding, where ``.w`` picks wide:
 # those whose printed form carries the suffix.
 _WIDE_OPS = frozenset(row.form.split()[0].replace("{w}", "")
@@ -188,28 +200,52 @@ class _Parser:
         pending_labels: list[str] = []
         seen_names: set[str] = set()
 
-        for raw in self.text.splitlines():
-            self.lineno += 1
-            line, tag = self._strip_comment(raw)
+        for lineno, raw in enumerate(self.text.splitlines(), 1):
+            if ";" in raw:
+                self.lineno = lineno
+                line, tag = self._strip_comment(raw)
+            else:
+                line, tag = raw.strip(), None
             if not line:
                 if tag is not None:
                     raise self.err("tag comment without an instruction")
                 continue
 
-            if line.startswith("."):
+            if line[0] == ".":
+                self.lineno = lineno
                 current = self._directive(line, prog, current,
                                           pending_labels, seen_names)
                 continue
 
             if current is None:
-                raise self.err("instruction outside of a .func block")
-            ins = self._assemble(line)
-            if line.endswith(","):
+                raise AsmError(lineno, "instruction outside of a .func block")
+            head, hashed, num = line.partition("#")
+            mo = hashed and _PLAIN_IMM.fullmatch(num)
+            if mo:  # the line's shape: its immediate as #0
+                key, value = head + "#0" + mo[2], int(mo[1], 0)
+            else:
+                key, value = line, 0
+            try:
+                ins = _line_template(key).copy()
+            except AsmError:
+                ins = None
+            if value and ins is not None:
+                op = ins.op
+                if value > _IMM_LIMIT[op] or value & 3 and op in _SP_ADJUST:
+                    ins = None
+                else:
+                    ins.imm = value
+                    if not OPS[op].width:
+                        ins.width = encoding_width(ins)
+            if ins is None:  # the exact line's parse meets its fault
+                self.lineno = lineno
+                ins = finalize(self._instruction(line))
+            if line[-1] == ",":
                 # Checked once the operands parsed, so that a more specific
                 # fault of the line is the one reported.
-                raise self.err("trailing comma in %r" % line)
+                raise AsmError(lineno, "trailing comma in %r" % line)
             ins.tag = tag
-            ins.line = self.lineno
+            ins.line = lineno
             if pending_labels:
                 ins.labels = tuple(pending_labels)
                 pending_labels.clear()
@@ -218,15 +254,9 @@ class _Parser:
         if current is not None:
             raise AsmError(current.line, "missing .endfunc for %r" % current.name)
         if pending_labels:
-            raise self.err("label %r is not bound to anything" % pending_labels[0])
+            raise AsmError(lineno, "label %r is not bound to anything"
+                           % pending_labels[0])
         return prog
-
-    def _assemble(self, line: str) -> Instr:
-        """A finalised instruction of this program's own, from the line cache."""
-        try:
-            return _line_template(line).copy()
-        except AsmError as exc:
-            raise self.err(exc.message) from None
 
     def _strip_comment(self, raw: str):
         tag = None
@@ -330,12 +360,14 @@ class _Parser:
             raise self.err("negative value %r" % text)
         return value
 
-    def _imm(self, text: str, limit: int, what: str) -> int:
+    def _imm(self, text: str, op: str, what: str) -> int:
         if not text.startswith("#"):
             raise self.err("expected immediate, got %r" % text)
         value = self._number(text[1:])
-        if value > limit:
+        if value > _IMM_LIMIT[op]:
             raise self.err("%s immediate out of range: %d" % (what, value))
+        if value % 4 and op in _SP_ADJUST:
+            raise self.err("sp adjustment must be a multiple of 4")
         return value
 
     def _reg(self, text: str, allow=()) -> int:
@@ -359,14 +391,14 @@ class _Parser:
             raise self.err("register list must be strictly ascending")
         return tuple(regs)
 
-    def _memref(self, text: str):
+    def _memref(self, text: str, op: str):
         mo = _MEM_RE.match(text)
         if not mo:
             raise self.err("bad memory operand %r" % text)
         rn = self._reg(mo.group(1), allow=(SP, LR))
         imm = 0
         if mo.group(2):
-            imm = self._imm(mo.group(2), 4095, "offset")
+            imm = self._imm(mo.group(2), op, "offset")
         return rn, imm
 
     # -- instructions ------------------------------------------------------
@@ -394,19 +426,19 @@ class _Parser:
 
     def _move_half(self, mnemonic, ops, wide):
         return Instr(mnemonic, rd=self._reg(ops[0], allow=(LR,)),
-                     imm=self._imm(ops[1], 0xFFFF, mnemonic))
+                     imm=self._imm(ops[1], mnemonic, mnemonic))
 
     def _move(self, mnemonic, ops, wide):
         rd = self._reg(ops[0], allow=(LR,))
         if ops[1].startswith("#"):
             return Instr("mov_imm", rd=rd, wide=wide,
-                         imm=self._imm(ops[1], 0xFFFFFFFF, "mov"))
+                         imm=self._imm(ops[1], "mov_imm", "mov"))
         return Instr("mov_reg", rd=rd, wide=wide,
                      rm=self._reg(ops[1], allow=(SP, LR)))
 
     def _load_store(self, mnemonic, ops, wide):
         rd = self._reg(ops[0], allow=(LR,) if mnemonic in ("ldr", "str") else ())
-        rn, imm = self._memref(ops[1])
+        rn, imm = self._memref(ops[1], mnemonic)
         return Instr(mnemonic, rd=rd, rn=rn, imm=imm, wide=wide)
 
     def _push_pop(self, mnemonic, ops, wide):
@@ -416,19 +448,18 @@ class _Parser:
     def _adjust_sp(self, mnemonic, ops, wide):
         if ops[0].lower() not in ("sp", "r13"):
             raise self.err("%s supports only the sp form" % mnemonic)
-        imm = self._imm(ops[1], 4095, mnemonic)
-        if imm % 4:
-            raise self.err("sp adjustment must be a multiple of 4")
-        return Instr("add_sp" if mnemonic == "add" else "sub_sp", imm=imm)
+        op = mnemonic + "_sp"
+        return Instr(op, imm=self._imm(ops[1], op, mnemonic))
 
     def _add_sub_wide(self, mnemonic, ops, wide):
         return Instr(mnemonic, rd=self._reg(ops[0]), rn=self._reg(ops[1]),
-                     imm=self._imm(ops[2], 4095, mnemonic))
+                     imm=self._imm(ops[2], mnemonic, mnemonic))
 
     def _compare(self, mnemonic, ops, wide):
         rn = self._reg(ops[0])
         if ops[1].startswith("#"):
-            return Instr("cmp_imm", rn=rn, imm=self._imm(ops[1], 4095, "cmp"))
+            return Instr("cmp_imm", rn=rn,
+                         imm=self._imm(ops[1], "cmp_imm", "cmp"))
         return Instr("cmp_reg", rn=rn, rm=self._reg(ops[1]))
 
     def _branch(self, mnemonic, ops, wide):
@@ -456,7 +487,7 @@ class _Parser:
         return Instr("nop")
 
     def _imm8(self, mnemonic, ops, wide):
-        return Instr(mnemonic, imm=self._imm(ops[0], 255, mnemonic))
+        return Instr(mnemonic, imm=self._imm(ops[0], mnemonic, mnemonic))
 
 
 # mnemonic -> (operand count, builder)
@@ -482,7 +513,8 @@ _SYNTAX = {
 @functools.lru_cache(maxsize=LINE_CACHE_SIZE)
 def _line_template(line: str) -> Instr:
     """The finalised instruction of one stripped line, tagged by its tag
-    comment if it has one (``parse`` passes lines without comments).
+    comment if it has one (``parse`` passes shapes and other lines
+    without comments).
 
     Every caller that meets the line gets this same object, so callers take
     a copy.  A bad line raises its ``AsmError`` with line 0, and nothing is
@@ -535,11 +567,13 @@ def layout(prog: AsmProgram) -> None:
                 _bind(labels, extra, item.entry, item.line)
             for ins in item.body:
                 ins.addr = cursor
-                _addressable(cursor + ins.width - 1, ins)
-                for lab in ins.labels:
-                    _bind(labels, lab, cursor, ins.line)
                 cursor += ins.width
-                size += ins.width
+                if cursor - 1 > MASK32:
+                    _addressable(cursor - 1, ins)
+                if ins.labels:
+                    for lab in ins.labels:
+                        _bind(labels, lab, ins.addr, ins.line)
+            size += cursor - item.entry
         else:  # WordNode
             place()
             if cursor % 4:

@@ -252,7 +252,7 @@ def _epilogue_template(work: int, work_reserved: bool):
     lr itself doubles as the pointer-register address so only one
     scratch is needed; the ssp writeback therefore happens before the
     return address overwrites lr.  Returns the template instructions and
-    their lines; every return site gets copies.
+    their text; every return site gets copies.
     """
     saved = (work,) if work_reserved else ()
     w = reg_name(work)
@@ -264,7 +264,7 @@ def _epilogue_template(work: int, work_reserved: bool):
                 "ldr.w lr, [%s] ;@epi:uss" % w]
              + _spill("pop", saved, ";@epi:other")
              + ["bx lr ;@epi:uss"])
-    return tuple(_assembled(lines)[0]), tuple(lines)
+    return tuple(_assembled(lines)[0]), _untagged(lines)
 
 
 # -- handler blocks ------------------------------------------------------------
@@ -330,6 +330,34 @@ def _handler_epilogue(skip: str, scratches, reserved) -> list[str]:
     ] + _spill("pop", reserved, ";@epi:other") + ["bx lr ;@epi:uss"]
 
 
+_SKIP = "__ws_skip"  # the skip label of a handler block's template
+
+
+@functools.lru_cache(maxsize=256)
+def _handler_template(make, scratches, reserved):
+    """The handler prologue or epilogue that ``make`` writes for one
+    choice of scratch registers: its instructions, whether its skip
+    label falls past its end, and its plan text."""
+    lines = make(_SKIP, scratches, reserved)
+    instrs, pending = _assembled(lines)
+    return tuple(instrs), bool(pending), _untagged(lines)
+
+
+def _handler_block(make, skip: str, scratches, reserved):
+    """A copy of the template whose guard skips to ``skip``: its
+    instructions, the labels it leaves for the instruction after it, and
+    its plan text."""
+    templates, skip_after, text = _handler_template(make, scratches, reserved)
+    body = [t.copy() for t in templates]
+    for ins in body:
+        if ins.label == _SKIP:
+            ins.label = skip
+        if ins.labels:
+            ins.labels = (skip,)
+    text = tuple(line.replace(_SKIP, skip) for line in text)
+    return body, (skip,) if skip_after else (), text
+
+
 class _LabelSeq:
     """Generator of collision-free internal labels."""
 
@@ -383,10 +411,9 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
     plan.reserved_gprs = reserved
 
     if handler:
-        lines = _handler_prologue(label_seq.make("pro_skip", func.name),
-                                  scratches, reserved)
-        body, pending = _assembled(lines)
-        plan.inserted_prologue = _untagged(lines)
+        body, pending, plan.inserted_prologue = _handler_block(
+            _handler_prologue, label_seq.make("pro_skip", func.name),
+            scratches, reserved)
     else:
         templates, plan.inserted_prologue, plan.access_block = \
             _prologue_template(config.sequence == SEQ_NAIVE, scratches,
@@ -409,12 +436,11 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
         # above) becomes a return through the shadow copy of lr.
         sites += 1
         if handler:
-            lines = _handler_epilogue(
-                label_seq.make("epi%d_skip" % sites, func.name),
-                scratches, reserved)
-            tail = _assembled(lines)[0]
+            skip = label_seq.make("epi%d_skip" % sites, func.name)
+            tail, _, text = _handler_block(_handler_epilogue, skip,
+                                           scratches, reserved)
         else:
-            templates, lines = _epilogue_template(
+            templates, text = _epilogue_template(
                 scratches[0], scratches[0] in reserved)
             tail = [t.copy() for t in templates]
         if pops_pc:
@@ -434,7 +460,7 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
         block[0].labels = labels + block[0].labels
         body += block
         if sites == 1:
-            plan.inserted_epilogue = _untagged(head) + _untagged(lines)
+            plan.inserted_epilogue = _untagged(head) + text
 
     plan.epilogue_sites = sites
     new = AsmFunction(func.name, func.kind, body, labels=func.labels,

@@ -69,12 +69,9 @@ class Instr:
             self.label, self.cond, self.wide, self.labels, self.tag,
         )
 
-    def copy(self) -> "Instr":
-        return _plain_copy(self)
-
 
 def _make_plain_copy(cls):
-    """``copy()``: every field assigned on a bare instance.
+    """``Instr.copy()``: every field assigned on a bare instance.
 
     About ten times cheaper than ``dataclasses.replace``, which builds
     keyword arguments and runs ``__init__``.  Assigning field by field
@@ -90,7 +87,7 @@ def _make_plain_copy(cls):
     return namespace["plain_copy"]
 
 
-_plain_copy = _make_plain_copy(Instr)
+Instr.copy = _make_plain_copy(Instr)
 
 
 # Op kinds.  A TRAP op is run by ``step()`` alone (exception entry or

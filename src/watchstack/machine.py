@@ -26,14 +26,14 @@ reads it from here for its inline RAM path.  A device is a word device,
 path handles byte lanes.
 
 ``step()`` executes one instruction and is the reference semantics.
-``run()`` executes many: it steps cold code and runs hot straight-line
-blocks as compiled functions (``blocks``), with identical results.
-Neither returns anything.  The machine logs what only it sees in
-``events``, where it happens: ``exception_model`` appends each
-exception entry and return, and ``_end``, the one end-of-instruction
-rule, starts the exception return a branch to EXC_RETURN asks for and
-appends the halt.  The active exception's number is the IPSR field of
-``xpsr``.
+``run()`` executes many: it steps cold code itself, through the same
+executors, and runs hot straight-line blocks as compiled functions
+(``blocks``), with identical results.  Neither returns anything.  The
+machine logs what only it sees in ``events``, where it happens:
+``exception_model`` appends each exception entry and return, and
+``_end``, the one end-of-instruction rule, starts the exception return
+a branch to EXC_RETURN asks for and appends the halt.  The active
+exception's number is the IPSR field of ``xpsr``.
 
 The machine records what ran and nothing derived from it: ``retired``
 counts the retirements of the instruction at each pc, ``taken`` the
@@ -391,6 +391,7 @@ class Machine:
         if cache is None or cache[0] is not self.code:
             cache = self._block_cache = (self.code, {})
         code, known = cache
+        retired = self.retired
         hot = blocks.HOT_THRESHOLD
         try:
             while self.steps < limit and not self.halted:
@@ -417,10 +418,25 @@ class Machine:
                             break
                     continue
                 # Step until control leaves the straight line; the pc it
-                # lands on is the next block entry.
+                # lands on is the next block entry.  This is step() in
+                # line, but for an exception taken or an undefined fetch.
                 while True:
                     at = self.pc
-                    self.step()
+                    ins = code.get(at)
+                    if ins is None or (self.pending
+                                       and self.mode == MODE_THREAD):
+                        self.step()
+                    else:
+                        self.cycles += ins.cycles
+                        retired[at] = retired.get(at, 0) + 1
+                        self.cur_pc = at
+                        self.pc = at + ins.width
+                        _EXEC[ins.op](self, ins)
+                        self.steps += 1
+                        if self.min_sp is not None and self.sp < self.min_sp:
+                            self.min_sp = self.sp
+                        if self.pc >= EXC_RETURN_MIN or self.halted:
+                            self._end(at)
                     if self.halted or self.steps >= limit:
                         return
                     d = self.pc - at
@@ -433,15 +449,21 @@ class Machine:
 
     # -- executors -----------------------------------------------------------
 
-    def _x_movw(self, ins):
-        self.write_reg(ins.rd, ins.imm)
+    def _x_movw(self, ins):  # also mov_imm; a GPR is written directly
+        if ins.rd < NUM_GPRS:
+            self.gpr[ins.rd] = ins.imm
+        else:
+            self.write_reg(ins.rd, ins.imm)
 
     def _x_movt(self, ins):
-        low = self.read_reg(ins.rd) & 0xFFFF
-        self.write_reg(ins.rd, low | (ins.imm << 16))
+        rd = ins.rd
+        if rd < NUM_GPRS:
+            gpr = self.gpr
+            gpr[rd] = gpr[rd] & 0xFFFF | ins.imm << 16
+        else:
+            self.write_reg(rd, self.read_reg(rd) & 0xFFFF | ins.imm << 16)
 
-    def _x_mov_imm(self, ins):
-        self.write_reg(ins.rd, ins.imm)
+    _x_mov_imm = _x_movw
 
     def _x_mov_reg(self, ins):
         self.write_reg(ins.rd, self.read_reg(ins.rm))

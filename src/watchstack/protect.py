@@ -215,8 +215,8 @@ def init_write_protection(m: Machine, config: ShadowStackConfig,
     program(0, config.ss_start, config.ss_size_log2, FN_WRITE)
     # COMP1 is repurposed as the shadow stack pointer register.
     program(1, config.ss_start)
-    # DEMCR lock: writes onto the monitor-enable word trap too.
-    program(2, DEMCR_ADDR, 1, FN_WRITE)
+    # DEMCR lock: writes onto any byte of the word, MON_EN's too, trap.
+    program(2, DEMCR_ADDR, 2, FN_WRITE)
     # The lock is only as strong as the registers that implement it:
     # group 3 write-traps the group 2 and group 3 register block (32
     # bytes), covering itself.  Groups 0 and 1 stay writable because

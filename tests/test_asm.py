@@ -6,13 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from watchstack import asm
 from watchstack.asm import (LINE_CACHE_SIZE, AsmError, _line_template,
                             _Parser, _split_nested, _split_operands, layout,
                             listing, parse, print_program)
 from watchstack.harness import make_benign_program
 from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, ShadowStackConfig,
                                    instrument_program)
-from watchstack.isa import finalize
 
 HEADER = ".org 0x08000000\n"
 
@@ -396,15 +396,20 @@ def test_print_parse_round_trip_random(ops, with_branch, second_func):
 
 # -- the line cache -----------------------------------------------------------
 
-class _Uncached(_Parser):
-    """The parse loop with every line assembled afresh: the reference."""
-
-    def _assemble(self, line):
-        return finalize(self._instruction(line))
+def _no_template(line):
+    raise AsmError(0, "no template")
 
 
 def _parse_uncached(text):
-    prog = _Uncached(text).parse()
+    """The parse with every line assembled afresh, the reference: each
+    template lookup fails, so every instruction line takes the parse of
+    its exact text."""
+    cached = asm._line_template
+    asm._line_template = _no_template
+    try:
+        prog = _Parser(text).parse()
+    finally:
+        asm._line_template = cached
     layout(prog)
     return prog
 
@@ -475,16 +480,67 @@ def test_cached_parse_matches_the_uncached_reference(which, mutations):
 
 
 def test_a_bad_line_carries_the_line_of_each_parse():
-    for before in (0, 3, 1):
-        src = wrap("    nop\n" * before + "    mov r0, #x")
-        with pytest.raises(AsmError) as err:
-            parse(src)
-        assert str(err.value) == "line %d: bad number 'x'" % (3 + before)
+    parse(wrap("    movw r0, #0"))  # the second line's shape is cached
+    for line, message in (("mov r0, #x", "bad number 'x'"),
+                          ("movw r0, #65536",
+                           "movw immediate out of range: 65536")):
+        for before in (0, 3, 1):
+            src = wrap("    nop\n" * before + "    " + line)
+            with pytest.raises(AsmError) as err:
+                parse(src)
+            assert str(err.value) == "line %d: %s" % (3 + before, message)
+
+
+# Lines of shapes the cache holds: each op's immediate at its limit and
+# one past it, values across a narrow/wide boundary of one shape, and
+# numbers spelled other than plain decimal or 0x hex, which take the
+# parse of the exact line.
+SHAPE_LINES = [
+    "movw r0, #65535", "movw r0, #65536", "movt r0, #0xffff",
+    "movt r0, #0x10000", "mov r0, #0xffffffff", "mov r0, #0x100000000",
+    "mov.w r0, #4294967295", "mov.w r0, #4294967296",
+    "ldr r0, [r1, #4095]", "ldr r0, [r1, #4096]", "str r0, [sp, #4095]",
+    "str r0, [sp, #4096]", "ldrb r0, [r1, #4095]", "ldrb r0, [r1, #4096]",
+    "strb.w r0, [r1, #4095]", "strb.w r0, [r1, #4096]",
+    "add sp, #4092", "add sp, #4094", "add sp, #4096", "sub sp, #8",
+    "sub sp, #6", "sub sp, #4096",
+    "addw r0, r1, #4095", "addw r0, r1, #4096", "subw r0, r1, #4095",
+    "subw r0, r1, #4096", "cmp r1, #4095", "cmp r1, #4096",
+    "svc #255", "svc #256", "bkpt #255", "bkpt #256", "udf #255", "udf #256",
+    "mov r1, #255", "mov r1, #256", "cmp r1, #255", "cmp r1, #256",
+    "ldr r0, [r1, #124]", "ldr r0, [r1, #126]", "ldr r0, [r1, #128]",
+    "ldrb r0, [r1, #31]", "ldrb r0, [r1, #32]",
+    "add sp, #-4", "movw r0, #0X1F", "movw r0, #1_0", "movw r0, #010",
+    "movw r0, # 4", "movw r0, #00", "movw r0, #0x", "movw r0, #0x1F",
+    "ldr r0, [r1, #0x7c]", "ldr r0, [r1, #4 ]", "ldr r0, [r1, #1_2]",
+]
+
+
+@pytest.mark.parametrize("line", SHAPE_LINES)
+def test_a_cached_shape_parses_as_its_exact_line(line):
+    head, _, tail = line.partition("#")
+    shape = head + ("#0]" if tail.endswith("]") else "#0")
+    text = wrap("    %s\n    %s" % (shape, line))
+    want = _outcome(_parse_uncached, text)
+    assert _outcome(parse, text) == want
+    assert _outcome(parse, text) == want
+
+
+def test_lines_that_differ_only_in_immediates_share_their_entries():
+    parse(wrap("    movw r0, #1\n    ldr r1, [r0, #4]\n    add sp, #8\n"
+               "    bkpt #0"))
+    misses = _line_template.cache_info().misses
+    prog = parse(wrap("    movw r0, #0x1234\n    ldr r1, [r0, #128]\n"
+                      "    add sp, #4092\n    bkpt #1"))
+    assert _line_template.cache_info().misses == misses
+    assert [(ins.imm, ins.width) for ins in prog.code.values()] == [
+        (0x1234, 4), (128, 4), (4092, 2), (1, 2)]
 
 
 def test_line_cache_stays_within_its_bound():
     count = LINE_CACHE_SIZE + 64
-    prog = parse(wrap("\n".join("    movw r0, #%d" % i for i in range(count))))
+    prog = parse(wrap("\n".join(".label l%d\n    b l%d" % (i, i)
+                                for i in range(count))))
     assert len(prog.code) == count
     info = _line_template.cache_info()
     assert info.maxsize == LINE_CACHE_SIZE

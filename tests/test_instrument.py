@@ -330,6 +330,28 @@ def test_a_user_label_keeps_the_name_the_pass_would_take():
     assert prog.code[prog.labels[taken + "_1"]].op == "push"
 
 
+def test_handler_blocks_are_copies_with_their_own_skip_labels():
+    """Two handlers with one choice of scratch registers get copies of one
+    template: no two programs share an Instr, and each guard skips to its
+    own label, in the code and in the plan text."""
+    src = HANDLER_SRC + HANDLER_SRC.split(".endfunc\n")[1].replace(
+        "usagefault", "systick") + ".endfunc\n"
+    first, second = instrument(src), instrument(src)
+    objs = [id(ins) for res in (first, second)
+            for ins in res.program.code.values()]
+    assert len(set(objs)) == len(objs)
+    prog = first.program
+    for name in ("usagefault_handler", "systick_handler"):
+        plan = first.plan_for(name)
+        assert plan.scratch_gprs == (0, 1, 12)
+        for skip, text in (("pro_skip", plan.inserted_prologue),
+                           ("epi1_skip", plan.inserted_epilogue)):
+            label = "__ws_%s_%s" % (name, skip)
+            assert "beq " + label in text
+            beqs = [ins for ins in prog.code.values() if ins.label == label]
+            assert [ins.target for ins in beqs] == [prog.labels[label]]
+
+
 def test_handler_scratches_stay_in_caller_saved_set():
     res = instrument(HANDLER_SRC)
     plan = res.plan_for("usagefault_handler")

@@ -20,7 +20,8 @@ from watchstack.harness import sweep_program
 from watchstack.protect import (DEMCR_MON_EN, POLICY_REPORT, POLICY_RESET,
                                 ViolationLog, ViolationRecord,
                                 attach_debug_system, init_write_protection)
-from watchstack.runner import RunConfig, build_machine, run_machine
+from watchstack.runner import (OUTCOME_TRAPPED, RunConfig, build_machine,
+                               run_machine)
 
 CFG = ShadowStackConfig()
 
@@ -39,9 +40,33 @@ def test_init_programs_the_comparator_table():
     g = m.dwt.groups
     assert (g[0].comp, g[0].mask, g[0].function) == (CFG.ss_start, 15, FN_WRITE)
     assert g[1].comp == CFG.ss_start  # the shadow stack pointer home
-    assert (g[2].comp, g[2].mask, g[2].function) == (DEMCR_ADDR, 1, FN_WRITE)
+    assert (g[2].comp, g[2].mask, g[2].function) == (DEMCR_ADDR, 2, FN_WRITE)
     assert (g[3].comp, g[3].mask, g[3].function) == (0xE0001040, 5, FN_WRITE)
     assert m.dwt.ssp_guard == (CFG.ss_start, CFG.ss_limit)
+    assert m.demcr.mon_en
+
+
+# Clears MON_EN, bit 16 of DEMCR, with one byte store to the word's byte 2.
+STRB_ONTO_MON_EN = """\
+.org 0x08000000
+.func main hal
+    movw r0, #%d
+    movt r0, #%d
+    mov r1, #0
+    strb r1, [r0, #2]
+    bkpt #0
+.endfunc
+""" % (DEMCR_ADDR & 0xFFFF, DEMCR_ADDR >> 16)
+
+
+@pytest.mark.parametrize("policy", [POLICY_RESET, POLICY_REPORT])
+def test_the_demcr_lock_covers_the_byte_of_mon_en(policy):
+    cfg = RunConfig(protected=True, policy=policy, shadow=CFG)
+    m = build_machine(parse(STRB_ONTO_MON_EN), cfg)
+    res = run_machine(m, cfg)
+    assert res.outcome == OUTCOME_TRAPPED
+    assert [(r.data_address, r.size, r.comparator_id)
+            for r in res.violations] == [(DEMCR_ADDR + 2, 1, 2)]
     assert m.demcr.mon_en
 
 

@@ -7,7 +7,8 @@ programs are acceptance-09 benign call trees plus an instrumented
 SysTick handler, interrupted at a stride of positions under both
 violation policies and by raise schedules that reach the runner's edge
 cases.  With the hot threshold at 1 every block is compiled, so the
-compiled path sees every instruction and every interrupt position.
+compiled path sees every instruction and every interrupt position; with
+it at 10**9 none is, so run()'s own stepping loop sees them all.
 """
 
 import random
@@ -103,12 +104,15 @@ def fast(prog, cfg: RunConfig, arm=None) -> dict:
 
 def check(prog, cfg: RunConfig, label: str, monkeypatch, arm=None) -> dict:
     """The reference run, compared with run() at the default hot
-    threshold and with every block compiled on first reach."""
+    threshold, with every block compiled on first reach, and with none
+    compiled, so that run() steps every instruction itself."""
     want = reference(prog, cfg, arm)
     assert_same(want, fast(prog, cfg, arm), label)
-    with monkeypatch.context() as mp:
-        mp.setattr(blocks, "HOT_THRESHOLD", 1)
-        assert_same(want, fast(prog, cfg, arm), label + " threshold 1")
+    for hot in (1, 10**9):
+        with monkeypatch.context() as mp:
+            mp.setattr(blocks, "HOT_THRESHOLD", hot)
+            assert_same(want, fast(prog, cfg, arm),
+                        "%s threshold %d" % (label, hot))
     return want
 
 
@@ -979,9 +983,11 @@ PUSH_ONTO_DEMCR = "\n".join([
 
 def test_a_misaligned_push_word_on_demcr_faults(monkeypatch):
     """sp at DEMCR + 6: the second pushed word starts inside the control
-    word, misaligned, so it is a bad access: the run faults there and
-    DEMCR keeps its value.  The first, at DEMCR - 2, starts below it:
-    unprotected, RAM takes it; protected, it hits the lock's comparator."""
+    word, misaligned.  Unprotected it is a bad access: the run faults
+    there, and RAM takes the first word, at DEMCR - 2.  Protected, both
+    words hit the lock's comparator, which covers the whole control
+    word, and are suppressed; the reset policy halts at the push, and
+    the report policy runs on to the bkpt.  DEMCR keeps its value."""
     prog = parse(PUSH_ONTO_DEMCR)
     off = (DEMCR_ADDR - 2) & 0xFFF
     for policy in (None, POLICY_RESET, POLICY_REPORT):
@@ -990,15 +996,20 @@ def test_a_misaligned_push_word_on_demcr_faults(monkeypatch):
             want = check(prog, cfg, "push onto DEMCR", monkeypatch)
             assert want["mem"][DEMCR_ADDR >> 12][off:off + 4] == bytes(
                 [0xCD, 0xAB, 0, 0])
+            assert want["halt"] == (True, HaltReason.FAULT, False)
+            assert want["steps"] == 3
         else:
             cfg = _cfg(policy, None, 100, initial_sp=DEMCR_ADDR + 6)
             want = check_watch(prog, cfg, "push onto DEMCR " + policy,
                                monkeypatch)
             assert want["mem"] == {}
             assert [(r.data_address, r.comparator_id)
-                    for r in want["violations"]] == [(DEMCR_ADDR - 2, 2)]
-        assert want["halt"] == (True, HaltReason.FAULT, False)
-        assert want["steps"] == 3
+                    for r in want["violations"]] == [(DEMCR_ADDR - 2, 2),
+                                                     (DEMCR_ADDR + 2, 2)]
+            assert want["halt"] == (
+                (True, HaltReason.RESET, False) if policy == POLICY_RESET
+                else (True, HaltReason.NORMAL, False))
+            assert want["steps"] == (3 if policy == POLICY_RESET else 4)
         assert want["dwt"][1] == build_machine(prog, cfg).demcr.value
 
 
