@@ -16,6 +16,10 @@ mnemonics and registers, labels case-sensitive)::
     .label NAME           bind NAME to the next instruction/word/function
     <instruction>         only inside .func blocks
 
+An instruction is read by its op's printed form in ``isa.OPS``, the one
+``format_instr`` prints; the assembler adds only the high registers each
+register field admits and each immediate's limit.
+
 Each instruction shape is assembled once per process: a bounded cache
 (``LINE_CACHE_SIZE`` entries, least recently used out) maps a line to a
 finalised template, and each parse takes a copy of it, so no two parsed
@@ -136,18 +140,52 @@ _PLAIN_IMM = re.compile(r"(0|[1-9][0-9]*|0x[0-9a-fA-F]+)(\]?)")
 _MEM_RE = re.compile(r"^\[\s*([a-z0-9]+)\s*(?:,\s*(#-?[0-9a-fx]+)\s*)?\]$",
                      re.IGNORECASE)
 
-_BCOND_OPS = {"b" + c: c for c in CONDITIONS}
-# Each op's largest immediate, read by its builder and by a shape's
-# cached template; an sp adjustment is also a multiple of 4.
+# Each op's largest immediate; an sp adjustment is also a multiple of 4.
 _IMM_LIMIT = dict.fromkeys(("ldr", "str", "ldrb", "strb", "add_sp", "sub_sp",
                             "addw", "subw", "cmp_imm"), 4095)
 _IMM_LIMIT.update(movw=0xFFFF, movt=0xFFFF, mov_imm=MASK32, svc=255,
                   bkpt=255, udf=255)
 _SP_ADJUST = frozenset(("add_sp", "sub_sp"))
+# The high registers that an op's register field admits, by (op, field).
+# Every register field admits r0-r12, and one not named here nothing else.
+_HIGH_REGS = {
+    **dict.fromkeys((("movw", "rd"), ("movt", "rd"), ("mov_imm", "rd"),
+                     ("mov_reg", "rd"), ("ldr", "rd"), ("str", "rd"),
+                     ("push", "reglist"), ("bx", "rm"), ("blx", "rm")), (LR,)),
+    **dict.fromkeys((("mov_reg", "rm"), ("ldr", "mem"), ("str", "mem"),
+                     ("ldrb", "mem"), ("strb", "mem")), (SP, LR)),
+    ("pop", "reglist"): (LR, PC),
+}
 # Mnemonics with a narrow and a wide encoding, where ``.w`` picks wide:
 # those whose printed form carries the suffix.
 _WIDE_OPS = frozenset(row.form.split()[0].replace("{w}", "")
                       for row in OPS.values() if "{w}" in row.form)
+
+
+def _mnemonic_forms() -> dict[str, list]:
+    """Each mnemonic's forms, ``(op, cond, operands)``, read off the
+    printed forms of ``OPS``: ``{w}`` dropped, ``{cond}`` spelled out,
+    and the operands each a ``{field}`` or a literal such as ``sp``."""
+    forms: dict[str, list] = {}
+    for op, row in OPS.items():
+        head, _, operands = row.form.replace("{w}", "").partition(" ")
+        for cond in CONDITIONS if "{cond}" in head else (None,):
+            forms.setdefault(head.format(cond=cond), []).append(
+                (op, cond, operands.split(", ") if operands else []))
+    return forms
+
+
+_FORMS = _mnemonic_forms()
+
+
+def _imm_fault(op: str, value: int, what: str = "") -> str:
+    """Why ``value`` is no immediate of ``op`` (written after ``what``),
+    or "" when the op admits it."""
+    if value > _IMM_LIMIT[op]:
+        return "%s immediate out of range: %d" % (what, value)
+    if value & 3 and op in _SP_ADJUST:
+        return "sp adjustment must be a multiple of 4"
+    return ""
 
 
 def _split_operands(text: str) -> list[str]:
@@ -156,17 +194,6 @@ def _split_operands(text: str) -> list[str]:
     Empty operands are kept, except a last one, so blank text gives none;
     the parser rejects an instruction that ends in a comma.
     """
-    if "{" not in text and "[" not in text and "}" not in text \
-            and "]" not in text:
-        parts = [part.strip() for part in text.split(",")]
-        if not parts[-1]:
-            parts.pop()
-        return parts
-    return _split_nested(text)
-
-
-def _split_nested(text: str) -> list[str]:
-    """``_split_operands`` one character at a time, tracking the depth."""
     parts = []
     depth = 0
     cur = []
@@ -230,12 +257,11 @@ class _Parser:
             except AsmError:
                 ins = None
             if value and ins is not None:
-                op = ins.op
-                if value > _IMM_LIMIT[op] or value & 3 and op in _SP_ADJUST:
+                if _imm_fault(ins.op, value):
                     ins = None
                 else:
                     ins.imm = value
-                    if not OPS[op].width:
+                    if not OPS[ins.op].width:
                         ins.width = encoding_width(ins)
             if ins is None:  # the exact line's parse meets its fault
                 self.lineno = lineno
@@ -259,14 +285,10 @@ class _Parser:
         return prog
 
     def _strip_comment(self, raw: str):
-        tag = None
-        idx = raw.find(";")
-        if idx >= 0:
-            comment = raw[idx + 1:].strip()
-            if comment.startswith("@"):
-                tag = self._parse_tag(comment[1:])
-            raw = raw[:idx]
-        return raw.strip(), tag
+        text, _, comment = raw.partition(";")
+        comment = comment.strip()
+        tag = self._parse_tag(comment[1:]) if comment.startswith("@") else None
+        return text.strip(), tag
 
     def _parse_tag(self, body: str):
         phase, sep, cat = body.partition(":")
@@ -364,13 +386,12 @@ class _Parser:
         if not text.startswith("#"):
             raise self.err("expected immediate, got %r" % text)
         value = self._number(text[1:])
-        if value > _IMM_LIMIT[op]:
-            raise self.err("%s immediate out of range: %d" % (what, value))
-        if value % 4 and op in _SP_ADJUST:
-            raise self.err("sp adjustment must be a multiple of 4")
+        fault = _imm_fault(op, value, what)
+        if fault:
+            raise self.err(fault)
         return value
 
-    def _reg(self, text: str, allow=()) -> int:
+    def _reg(self, text: str, allow) -> int:
         r = REG_PARSE.get(text.lower())
         if r is None:
             raise self.err("bad register %r" % text)
@@ -378,7 +399,7 @@ class _Parser:
             raise self.err("register %s not allowed here" % text)
         return r
 
-    def _reglist(self, text: str, allow=()) -> tuple[int, ...]:
+    def _reglist(self, text: str, allow) -> tuple[int, ...]:
         if not (text.startswith("{") and text.endswith("}")):
             raise self.err("expected register list, got %r" % text)
         names = [t.strip() for t in text[1:-1].split(",")]
@@ -386,128 +407,63 @@ class _Parser:
             raise self.err("empty register list")
         if not all(names):
             raise self.err("empty name in register list %r" % text)
-        regs = [self._reg(n, allow=allow) for n in names]
+        regs = [self._reg(n, allow) for n in names]
         if any(b <= a for a, b in zip(regs, regs[1:])):
             raise self.err("register list must be strictly ascending")
         return tuple(regs)
 
-    def _memref(self, text: str, op: str):
+    def _memref(self, text: str, op: str, allow) -> tuple[int, int]:
         mo = _MEM_RE.match(text)
         if not mo:
             raise self.err("bad memory operand %r" % text)
-        rn = self._reg(mo.group(1), allow=(SP, LR))
-        imm = 0
-        if mo.group(2):
-            imm = self._imm(mo.group(2), op, "offset")
-        return rn, imm
+        rn = self._reg(mo.group(1), allow)
+        offset = mo.group(2)
+        return rn, self._imm(offset, op, "offset") if offset else 0
 
     # -- instructions ------------------------------------------------------
 
     def _instruction(self, line: str) -> Instr:
         mnemonic, *rest = line.split(None, 1)
         mnemonic = mnemonic.lower()
-        wide = False
-        if mnemonic.endswith(".w"):
-            wide = True
+        wide = mnemonic.endswith(".w")
+        if wide:
             mnemonic = mnemonic[:-2]
             if mnemonic not in _WIDE_OPS:
                 raise self.err("%s has no .w form" % mnemonic)
-        syntax = _SYNTAX.get(mnemonic)
-        if syntax is None:
+        forms = _FORMS.get(mnemonic)
+        if forms is None:
             raise self.err("unknown mnemonic %r" % mnemonic)
-        count, build = syntax
-        ops = _split_operands(rest[0] if rest else "")
-        if len(ops) != count:
+        texts = _split_operands(rest[0] if rest else "")
+        count = len(forms[0][2])
+        if len(texts) != count:
             raise self.err("%s takes %d operands" % (mnemonic, count))
-        return build(self, mnemonic, ops, wide)
-
-    # One builder per operand syntax, each given its operand count's worth
-    # of operands; ``_SYNTAX`` maps every mnemonic to its builder.
-
-    def _move_half(self, mnemonic, ops, wide):
-        return Instr(mnemonic, rd=self._reg(ops[0], allow=(LR,)),
-                     imm=self._imm(ops[1], mnemonic, mnemonic))
-
-    def _move(self, mnemonic, ops, wide):
-        rd = self._reg(ops[0], allow=(LR,))
-        if ops[1].startswith("#"):
-            return Instr("mov_imm", rd=rd, wide=wide,
-                         imm=self._imm(ops[1], "mov_imm", "mov"))
-        return Instr("mov_reg", rd=rd, wide=wide,
-                     rm=self._reg(ops[1], allow=(SP, LR)))
-
-    def _load_store(self, mnemonic, ops, wide):
-        rd = self._reg(ops[0], allow=(LR,) if mnemonic in ("ldr", "str") else ())
-        rn, imm = self._memref(ops[1], mnemonic)
-        return Instr(mnemonic, rd=rd, rn=rn, imm=imm, wide=wide)
-
-    def _push_pop(self, mnemonic, ops, wide):
-        allow = (LR,) if mnemonic == "push" else (LR, PC)
-        return Instr(mnemonic, reglist=self._reglist(ops[0], allow=allow))
-
-    def _adjust_sp(self, mnemonic, ops, wide):
-        if ops[0].lower() not in ("sp", "r13"):
-            raise self.err("%s supports only the sp form" % mnemonic)
-        op = mnemonic + "_sp"
-        return Instr(op, imm=self._imm(ops[1], op, mnemonic))
-
-    def _add_sub_wide(self, mnemonic, ops, wide):
-        return Instr(mnemonic, rd=self._reg(ops[0]), rn=self._reg(ops[1]),
-                     imm=self._imm(ops[2], mnemonic, mnemonic))
-
-    def _compare(self, mnemonic, ops, wide):
-        rn = self._reg(ops[0])
-        if ops[1].startswith("#"):
-            return Instr("cmp_imm", rn=rn,
-                         imm=self._imm(ops[1], "cmp_imm", "cmp"))
-        return Instr("cmp_reg", rn=rn, rm=self._reg(ops[1]))
-
-    def _branch(self, mnemonic, ops, wide):
-        if not _LABEL_RE.match(ops[0]):
-            raise self.err("bad branch target %r" % ops[0])
-        cond = _BCOND_OPS.get(mnemonic)
-        if cond is None:  # b, bl
-            return Instr(mnemonic, label=ops[0])
-        return Instr("bcond", cond=cond, label=ops[0])
-
-    def _branch_reg(self, mnemonic, ops, wide):
-        return Instr(mnemonic, rm=self._reg(ops[0], allow=(LR,)))
-
-    def _msr(self, mnemonic, ops, wide):
-        if ops[0].lower() != "control":
-            raise self.err("msr supports only control")
-        return Instr("msr", rn=self._reg(ops[1]))
-
-    def _mrs(self, mnemonic, ops, wide):
-        if ops[1].lower() != "control":
-            raise self.err("mrs supports only control")
-        return Instr("mrs", rd=self._reg(ops[0]))
-
-    def _nop(self, mnemonic, ops, wide):
-        return Instr("nop")
-
-    def _imm8(self, mnemonic, ops, wide):
-        return Instr(mnemonic, imm=self._imm(ops[0], mnemonic, mnemonic))
-
-
-# mnemonic -> (operand count, builder)
-_SYNTAX = {
-    "movw": (2, _Parser._move_half), "movt": (2, _Parser._move_half),
-    "mov": (2, _Parser._move),
-    "ldr": (2, _Parser._load_store), "str": (2, _Parser._load_store),
-    "ldrb": (2, _Parser._load_store), "strb": (2, _Parser._load_store),
-    "push": (1, _Parser._push_pop), "pop": (1, _Parser._push_pop),
-    "add": (2, _Parser._adjust_sp), "sub": (2, _Parser._adjust_sp),
-    "addw": (3, _Parser._add_sub_wide), "subw": (3, _Parser._add_sub_wide),
-    "cmp": (2, _Parser._compare),
-    "b": (1, _Parser._branch), "bl": (1, _Parser._branch),
-    **{mnemonic: (1, _Parser._branch) for mnemonic in _BCOND_OPS},
-    "bx": (1, _Parser._branch_reg), "blx": (1, _Parser._branch_reg),
-    "msr": (2, _Parser._msr), "mrs": (2, _Parser._mrs),
-    "nop": (0, _Parser._nop),
-    "svc": (1, _Parser._imm8), "bkpt": (1, _Parser._imm8),
-    "udf": (1, _Parser._imm8),
-}
+        # The first form whose immediates are all written with "#"; a
+        # mnemonic's last form is the one left when none is.
+        for op, cond, operands in forms:
+            if all(operand != "{imm}" or text.startswith("#")
+                   for operand, text in zip(operands, texts)):
+                break
+        for operand, text in zip(operands, texts):  # literals are checked first
+            if operand == "sp" and REG_PARSE.get(text.lower()) != SP:
+                raise self.err("%s supports only the sp form" % mnemonic)
+            if operand == "control" and text.lower() != "control":
+                raise self.err("%s supports only control" % mnemonic)
+        ins = Instr(op, cond=cond, wide=wide)
+        for operand, text in zip(operands, texts):
+            allow = _HIGH_REGS.get((op, operand[1:-1]), ())
+            if operand == "{imm}":
+                ins.imm = self._imm(text, op, mnemonic)
+            elif operand == "{mem}":
+                ins.rn, ins.imm = self._memref(text, op, allow)
+            elif operand == "{reglist}":
+                ins.reglist = self._reglist(text, allow)
+            elif operand == "{label}":
+                if not _LABEL_RE.match(text):
+                    raise self.err("bad branch target %r" % text)
+                ins.label = text
+            elif operand[0] == "{":  # rd, rn or rm
+                setattr(ins, operand[1:-1], self._reg(text, allow))
+        return ins
 
 
 @functools.lru_cache(maxsize=LINE_CACHE_SIZE)

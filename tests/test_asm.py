@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from watchstack import asm
-from watchstack.asm import (LINE_CACHE_SIZE, AsmError, _line_template,
-                            _Parser, _split_nested, _split_operands, layout,
-                            listing, parse, print_program)
+from watchstack.asm import (LINE_CACHE_SIZE, _IMM_LIMIT, AsmError,
+                            _line_template, _Parser, layout, listing, parse,
+                            print_program)
 from watchstack.harness import make_benign_program
 from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, ShadowStackConfig,
                                    instrument_program)
+from watchstack.isa import CONDITIONS, OPS, REG_PARSE, Instr, format_instr
 
 HEADER = ".org 0x08000000\n"
 
@@ -90,8 +91,8 @@ def test_faults_give_exact_messages_and_lines(src, message):
 # -- layout -------------------------------------------------------------------
 
 # Malformed operand lines, each the only instruction of main (line 3), with
-# the whole message the parser gives.  Comma-splitting has a fast path for
-# operands without brackets; these pin its output, empty operands included.
+# the whole message the parser gives.  These pin how commas split the
+# operands, brackets, stray closers and empty operands included.
 OPERAND_ERRORS = [
     ("mov r0,", "line 3: mov takes 2 operands"),
     ("mov r0,,#1", "line 3: mov takes 2 operands"),
@@ -164,10 +165,98 @@ def test_mnemonic_ends_at_any_whitespace(line, spaced):
     assert body(line) == body("    " + spaced)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.text(alphabet=" ,{}[]r0#x", max_size=14))
-def test_operand_split_matches_the_character_loop(text):
-    assert _split_operands(text) == _split_nested(text)
+# -- register admission -------------------------------------------------------
+
+# The high registers that each register field of each op admits, with or
+# without ``.w``.  Every field admits r0-r12; any other high register there
+# is refused with "register X not allowed here".
+HIGH_REGISTERS = {
+    ("movw", "rd"): "lr", ("movt", "rd"): "lr",
+    ("mov_imm", "rd"): "lr",
+    ("mov_reg", "rd"): "lr", ("mov_reg", "rm"): "sp lr",
+    ("ldr", "rd"): "lr", ("ldr", "mem"): "sp lr",
+    ("str", "rd"): "lr", ("str", "mem"): "sp lr",
+    ("ldrb", "rd"): "", ("ldrb", "mem"): "sp lr",
+    ("strb", "rd"): "", ("strb", "mem"): "sp lr",
+    ("push", "reglist"): "lr", ("pop", "reglist"): "lr pc",
+    ("addw", "rd"): "", ("addw", "rn"): "",
+    ("subw", "rd"): "", ("subw", "rn"): "",
+    ("cmp_imm", "rn"): "", ("cmp_reg", "rn"): "", ("cmp_reg", "rm"): "",
+    ("bx", "rm"): "lr", ("blx", "rm"): "lr",
+    ("msr", "rn"): "", ("mrs", "rd"): "",
+}
+
+
+def _register_fields(op):
+    return [f for f in ("rd", "rn", "rm", "mem", "reglist")
+            if "{%s}" % f in OPS[op].form]
+
+
+def test_the_admission_table_names_every_register_field():
+    assert set(HIGH_REGISTERS) == {(op, f) for op in OPS
+                                   for f in _register_fields(op)}
+
+
+ADMISSION_CASES = [
+    (op, f, name, wide) for op, f in HIGH_REGISTERS
+    for name in ("sp", "lr", "pc")
+    for wide in ((False, True) if "{w}" in OPS[op].form else (False,))]
+
+
+@pytest.mark.parametrize("op,field_name,name,wide", ADMISSION_CASES)
+def test_each_register_field_admits_its_high_registers(op, field_name, name,
+                                                         wide):
+    ins = Instr(op, rd=1, rn=2, rm=3, imm=0, reglist=(4,), label="main",
+                cond="eq", wide=wide)
+    reg = REG_PARSE[name]
+    if field_name == "reglist":
+        ins.reglist = (reg,)
+    else:
+        setattr(ins, "rn" if field_name == "mem" else field_name, reg)
+    line = format_instr(ins)
+    src = wrap("    " + line)
+    if name in HIGH_REGISTERS[op, field_name].split():
+        assert format_instr(parse(src).functions["main"].body[0]) == line
+    else:
+        with pytest.raises(AsmError) as err:
+            parse(src)
+        assert str(err.value) == "line 3: register %s not allowed here" % name
+
+
+def _admitted(op, field_name):
+    return list(range(13)) + [REG_PARSE[name] for name
+                              in HIGH_REGISTERS[op, field_name].split()]
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_op_round_trips_through_its_printed_form(op, data):
+    """An op drawn with admitted registers and its immediate at 0 or at
+    its limit prints and parses back; one past the limit is refused."""
+    form = OPS[op].form
+    ins = Instr(op, label="main" if "{label}" in form else None)
+    for f in _register_fields(op):
+        regs = st.sampled_from(_admitted(op, f))
+        if f == "reglist":
+            ins.reglist = tuple(sorted(data.draw(
+                st.lists(regs, min_size=1, max_size=4, unique=True))))
+        else:
+            setattr(ins, "rn" if f == "mem" else f, data.draw(regs))
+    if "{cond}" in form:
+        ins.cond = data.draw(st.sampled_from(CONDITIONS))
+    if "{w}" in form:
+        ins.wide = data.draw(st.booleans())
+    limit = _IMM_LIMIT.get(op)
+    if limit is not None:
+        top = limit & ~3 if op in ("add_sp", "sub_sp") else limit
+        ins.imm = data.draw(st.sampled_from([0, top]))
+    again = parse(wrap("    " + format_instr(ins))).functions["main"].body[0]
+    assert again.structural_key() == ins.structural_key()
+    if limit is not None:
+        ins.imm = limit + 1
+        with pytest.raises(AsmError, match="out of range"):
+            parse(wrap("    " + format_instr(ins)))
 
 
 def test_layout_assigns_consecutive_addresses():

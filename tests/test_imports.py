@@ -9,7 +9,10 @@ The fixed PPB addresses are spelled in ``machine`` alone, as numbers or
 inside text; every other module imports them from there.
 
 No module imports another module's ``_``-prefixed name, nor reads one
-through a module it imported: what two modules share is public.
+through a module it imported: what two modules share is public.  And
+every ``_``-prefixed name a module binds at its top level is read in it,
+but for ``dwt``'s ``_MASK``, which names the middle one of the three
+registers that ``_COMP, _MASK, _FUNCTION = range(3)`` numbers in order.
 
 Compiled code decodes an address in one place: every string in
 ``blocks`` that spells a device call or the page table lies in one
@@ -24,6 +27,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "watchstack"
 RE_EXPORTS = {"machine.py": {"EV_EXC_ENTERED", "EV_EXC_RETURNED"},
               "instrument.py": {"T_ASSP", "T_USS"}}
+UNREAD = {"dwt.py": {"_MASK"}}
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -88,6 +92,28 @@ def test_no_module_reaches_for_another_modules_private_name(name):
               and node.value.id in modules):
             private.add("%s.%s" % (node.value.id, node.attr))
     assert not private, "%s reaches for %s" % (name, ", ".join(sorted(private)))
+
+
+def _bound_at_top(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_private_top_level_name_is_read(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    unread = ({n for n in _bound_at_top(tree) if _private(n)} - _read(tree)
+              - UNREAD.get(name, set()))
+    assert not unread, "%s binds %s and never reads them" % (
+        name, ", ".join(sorted(unread)))
 
 
 DECODED = ("mmio_read", "mmio_write", "P.get")
