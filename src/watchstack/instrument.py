@@ -17,10 +17,11 @@ addresses separately, costing one more scratch register and one more
 instruction in the bare access pattern (7 instructions, 3 GPRs versus
 6 instructions, 2 GPRs).
 
-Every inserted block is written as tagged assembly lines, and
-``asm.assemble`` builds each inserted instruction from its line; a plan's
-text is the same lines without their tags.  No code here decides an op
-name, an encoding width or a cycle cost.
+Every inserted block is written as tagged assembly lines by one of four
+makers.  One bounded cache assembles each block once per choice of
+registers, sequence and replaced return, and every function gets copies;
+a plan's text is the same lines without their tags.  No code here
+decides an op name, an encoding width or a cycle cost.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .asm import (FUNC_HAL, FUNC_HANDLER, T_ASSP, T_USS, AsmFunction,
                   AsmProgram, assemble, layout, print_program)
@@ -154,39 +156,25 @@ def _select_scratches(free: set[int], count: int, handler: bool
     interrupted thread still owns its value.
     """
     unsaved_ok = free & _HW_RESTORED if handler else free
-    picked: list[int] = []
-    for r in _FREE_PREF:
-        if len(picked) == count:
-            break
-        if r in unsaved_ok:
-            picked.append(r)
-    reserved: list[int] = []
-    for r in _RESERVE_PREF:
-        if len(picked) + len(reserved) == count:
-            break
-        if r not in picked:
-            reserved.append(r)
+    picked = [r for r in _FREE_PREF if r in unsaved_ok][:count]
+    reserved = [r for r in _RESERVE_PREF if r not in picked
+                ][:count - len(picked)]
     return tuple(sorted(picked + reserved)), tuple(sorted(reserved))
 
 
 # -- inserted blocks ----------------------------------------------------------
 #
-# A block is a list of lines in the assembler's canonical form, tags
-# included; ``.label NAME`` binds NAME to the next instruction.
+# A block maker takes (scratches, reserved, naive, ret) and returns the
+# block's lines in the assembler's canonical form, tags included, and the
+# lines of its access block; ``.label NAME`` binds NAME to the next
+# instruction.  ``ret`` is None for a prologue; for an epilogue it is the
+# return replaced: the registers a ``pop {..., pc}`` pops below pc (None
+# for ``bx lr``) and the return's cycles.  A handler block's guard skips
+# to ``_SKIP``, which each copy renames.
 
-def _assembled(lines):
-    """The instructions of a block, and the labels its end leaves for the
-    instruction that follows it."""
-    out = []
-    labels: tuple[str, ...] = ()
-    for line in lines:
-        if line.startswith(".label "):
-            labels += (line[len(".label "):],)
-            continue
-        ins = assemble(line)
-        ins.labels, labels = labels, ()
-        out.append(ins)
-    return out, labels
+# Assembled blocks kept; 1,000 corpus programs use 80 (optimal) or 287.
+TEMPLATE_CACHE_SIZE = 1024
+_SKIP = "__ws_skip"
 
 
 def _untagged(lines) -> tuple[str, ...]:
@@ -205,17 +193,68 @@ def _spill(op: str, regs: tuple[int, ...], tag: str) -> list[str]:
     return ["%s %s %s" % (op, reglist_str(regs), tag)] if regs else []
 
 
+def _return_site(ret, drop: str, tail: list[str]) -> list[str]:
+    """The lines that replace a return: for ``pop {..., pc}``, pop what it
+    popped below pc, then ``drop`` the stacked return address; then
+    ``tail``, which returns through the shadow copy of lr."""
+    rest = ret[0]
+    if rest is None:
+        return tail
+    return (["pop " + reglist_str(rest)] if rest else []) + [drop] + tail
+
+
+class _Template(NamedTuple):
+    instrs: tuple        # never reaches a program: ``_block`` copies it
+    skip_after: bool     # the skip label binds past the block's end
+    size: int            # bytes
+    text: tuple          # the plan text
+    access: tuple        # the access block's plan text
+
+
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _template(make, scratches, reserved, naive: bool, ret) -> _Template:
+    """The block ``make`` writes, assembled.  A replaced return's cost
+    beyond its untagged pop below pc, or its whole cost, rides as
+    ``conv_extra`` on that pop, the drop of a bare ``pop {pc}`` or the
+    closing ``bx lr``."""
+    lines, access = make(scratches, reserved, naive, ret)
+    instrs, labels = [], ()
+    for line in lines:
+        if line.startswith(".label "):
+            labels += (line[len(".label "):],)
+        else:
+            ins = assemble(line)
+            ins.labels, labels = labels, ()
+            instrs.append(ins)
+    if ret is not None:
+        rest, cycles = ret
+        stand = instrs[-1] if rest is None else instrs[0]
+        stand.conv_extra = cycles - (stand.cycles if rest else 0)
+    return _Template(tuple(instrs), bool(labels),
+                     sum(ins.width for ins in instrs), _untagged(lines),
+                     _untagged(access))
+
+
+def _block(template: _Template, skip: str | None):
+    """A copy of ``template`` whose guard, if any, skips to ``skip``: its
+    instructions, the labels it leaves for the instruction after it, and
+    its plan text."""
+    body = [t.copy() for t in template.instrs]
+    if skip is None:
+        return body, (), template.text
+    for ins in body:
+        if ins.label == _SKIP:
+            ins.label = skip
+        if ins.labels:
+            ins.labels = (skip,)
+    return (body, (skip,) if template.skip_after else (),
+            tuple(line.replace(_SKIP, skip) for line in template.text))
+
+
 # -- normal function blocks ---------------------------------------------------
 
-@functools.cache
-def _prologue_template(naive: bool, scratches: tuple[int, ...],
-                       reserved: tuple[int, ...]):
-    """The normal-function prologue for one choice of scratch registers.
-
-    Returns the template instructions, their text and the text of the
-    access block.  Every function gets copies of the templates, so no
-    template object ever reaches a program.
-    """
+def _prologue(scratches, reserved, naive: bool, ret):
+    """The normal-function prologue, and its access block."""
     work = reg_name(scratches[0])
     fn0 = mem_str(scratches[-1], FUNCTION0_OFF)
     # The shadow stack pointer register: COMP1 through its own address
@@ -242,45 +281,44 @@ def _prologue_template(naive: bool, scratches: tuple[int, ...],
              + fill)
     access = (spill + base + ssp_addr + ([] if naive else load_ssp)
               + store_ssp + fill)
-    return tuple(_assembled(lines)[0]), _untagged(lines), _untagged(access)
+    return lines, access
 
 
-@functools.cache
-def _epilogue_template(work: int, work_reserved: bool):
+def _epilogue(scratches, reserved, naive: bool, ret):
     """Restore lr from the shadow stack and return through it.
 
     lr itself doubles as the pointer-register address so only one
     scratch is needed; the ssp writeback therefore happens before the
-    return address overwrites lr.  Returns the template instructions and
-    their text; every return site gets copies.
+    return address overwrites lr.
     """
-    saved = (work,) if work_reserved else ()
+    work = scratches[0]
+    saved = (work,) if work in reserved else ()
     w = reg_name(work)
-    lines = (_spill("push", saved, ";@epi:other")
-             + _load_addr("lr", DWT_COMP1, ";@epi:assp")
-             + ["ldr.w %s, [lr] ;@epi:assp" % w,
-                "subw %s, %s, #4 ;@epi:assp" % (w, w),
-                "str.w %s, [lr] ;@epi:assp" % w,
-                "ldr.w lr, [%s] ;@epi:uss" % w]
-             + _spill("pop", saved, ";@epi:other")
-             + ["bx lr ;@epi:uss"])
-    return tuple(_assembled(lines)[0]), _untagged(lines)
+    tail = (_spill("push", saved, ";@epi:other")
+            + _load_addr("lr", DWT_COMP1, ";@epi:assp")
+            + ["ldr.w %s, [lr] ;@epi:assp" % w,
+               "subw %s, %s, #4 ;@epi:assp" % (w, w),
+               "str.w %s, [lr] ;@epi:assp" % w,
+               "ldr.w lr, [%s] ;@epi:uss" % w]
+            + _spill("pop", saved, ";@epi:other")
+            + ["bx lr ;@epi:uss"])
+    return _return_site(ret, "add sp, #4 ;@epi:other", tail), ()
 
 
 # -- handler blocks ------------------------------------------------------------
 
-def _guard(val: str, skip_label: str, phase: str) -> list[str]:
+def _guard(val: str, phase: str) -> list[str]:
     # Skip the shadow traffic entirely when protection was never
     # initialized (DEMCR monitor enable still zero).
     tag = ";@%s:aw" % phase
     return _load_addr(val, DEMCR_ADDR, tag) + [
         "ldr.w %s, [%s] %s" % (val, val, tag),
         "cmp %s, #0 %s" % (val, tag),
-        "beq %s %s" % (skip_label, tag),
+        "beq %s %s" % (_SKIP, tag),
     ]
 
 
-def _handler_prologue(skip: str, scratches, reserved) -> list[str]:
+def _handler_prologue(scratches, reserved, naive: bool, ret):
     """The handler prologue.
 
     The guard skips to the pop of the reserved registers, if any, or
@@ -291,7 +329,7 @@ def _handler_prologue(skip: str, scratches, reserved) -> list[str]:
     fn0 = mem_str(scratches[-1], FUNCTION0_OFF)
     ssp = mem_str(scratches[-1], SSP_REG_OFF)
     lines = (_spill("push", reserved, ";@pro:other")
-             + _guard(val, skip, "pro")
+             + _guard(val, "pro")
              + _load_addr(base, DWT_COMP_BASE, ";@pro:other")
              + ["mov.w %s, #0 ;@pro:aw" % val,
                 "str.w %s, %s ;@pro:aw" % (val, fn0),
@@ -306,16 +344,18 @@ def _handler_prologue(skip: str, scratches, reserved) -> list[str]:
         "str.w %s, %s ;@pro:assp" % (work, ssp),
         "mov.w %s, %s ;@pro:aw" % (val, imm_str(FN_WRITE)),
         "str.w %s, %s ;@pro:aw" % (val, fn0),
-        ".label " + skip,
-    ] + _spill("pop", reserved, ";@pro:other")
+        ".label " + _SKIP,
+    ] + _spill("pop", reserved, ";@pro:other"), ()
 
 
-def _handler_epilogue(skip: str, scratches, reserved) -> list[str]:
+def _handler_epilogue(scratches, reserved, naive: bool, ret):
+    """Copy the stacked frame back from the shadow stack and return; a
+    ``pop {..., pc}`` first pops the stacked return address into lr."""
     val, work, base = (reg_name(scratches[i]) for i in (0, 1, -1))
     k = 4 * len(reserved)
     ssp = mem_str(scratches[-1], SSP_REG_OFF)
     lines = (_spill("push", reserved, ";@epi:other")
-             + _guard(val, skip, "epi")
+             + _guard(val, "epi")
              + _load_addr(base, DWT_COMP_BASE, ";@epi:other")
              + ["ldr.w %s, %s ;@epi:assp" % (work, ssp),
                 "subw %s, %s, #4 ;@epi:assp" % (work, work),
@@ -324,38 +364,11 @@ def _handler_epilogue(skip: str, scratches, reserved) -> list[str]:
         lines += ["subw %s, %s, #4 ;@epi:assp" % (work, work),
                   "ldr.w %s, [%s] ;@epi:uss" % (val, work),
                   "str.w %s, %s ;@epi:uss" % (val, mem_str(SP, k + esf_off))]
-    return lines + [
+    tail = lines + [
         "str.w %s, %s ;@epi:assp" % (work, ssp),
-        ".label " + skip,
+        ".label " + _SKIP,
     ] + _spill("pop", reserved, ";@epi:other") + ["bx lr ;@epi:uss"]
-
-
-_SKIP = "__ws_skip"  # the skip label of a handler block's template
-
-
-@functools.lru_cache(maxsize=256)
-def _handler_template(make, scratches, reserved):
-    """The handler prologue or epilogue that ``make`` writes for one
-    choice of scratch registers: its instructions, whether its skip
-    label falls past its end, and its plan text."""
-    lines = make(_SKIP, scratches, reserved)
-    instrs, pending = _assembled(lines)
-    return tuple(instrs), bool(pending), _untagged(lines)
-
-
-def _handler_block(make, skip: str, scratches, reserved):
-    """A copy of the template whose guard skips to ``skip``: its
-    instructions, the labels it leaves for the instruction after it, and
-    its plan text."""
-    templates, skip_after, text = _handler_template(make, scratches, reserved)
-    body = [t.copy() for t in templates]
-    for ins in body:
-        if ins.label == _SKIP:
-            ins.label = skip
-        if ins.labels:
-            ins.labels = (skip,)
-    text = tuple(line.replace(_SKIP, skip) for line in text)
-    return body, (skip,) if skip_after else (), text
+    return _return_site(ret, "pop {lr} ;@epi:uss", tail), ()
 
 
 class _LabelSeq:
@@ -403,70 +416,51 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
                 func.name, "computed return through %s is unsupported"
                 % ("r%d" % ins.rm))
 
-    count = 3 if handler or config.sequence == SEQ_NAIVE else 2
+    naive = config.sequence == SEQ_NAIVE
+    count = 3 if handler or naive else 2
     free = analyze_free_gprs(func)
     scratches, reserved = _select_scratches(free, count, handler)
     plan.free_gprs = tuple(sorted(free))
     plan.scratch_gprs = scratches
     plan.reserved_gprs = reserved
 
-    if handler:
-        body, pending, plan.inserted_prologue = _handler_block(
-            _handler_prologue, label_seq.make("pro_skip", func.name),
-            scratches, reserved)
-    else:
-        templates, plan.inserted_prologue, plan.access_block = \
-            _prologue_template(config.sequence == SEQ_NAIVE, scratches,
-                               reserved)
-        body = [t.copy() for t in templates]
-        pending = ()
+    pro_make, epi_make = ((_handler_prologue, _handler_epilogue) if handler
+                          else (_prologue, _epilogue))
+    pro = _template(pro_make, scratches, reserved, naive, None)
+    body, pending, plan.inserted_prologue = _block(
+        pro, label_seq.make("pro_skip", func.name) if handler else None)
+    plan.access_block = pro.access
+    delta = pro.size
 
     sites = 0
     for ins in func.body:
         labels = pending + ins.labels
         pending = ()
-        pops_pc = ins.op == "pop" and PC in ins.reglist
-        if not pops_pc and ins.op != "bx":
+        # A return site (pop {..., pc}, or bx lr: any other bx was refused
+        # above) becomes a return through the shadow copy of lr.
+        if ins.op == "pop" and PC in ins.reglist:
+            ret = (tuple(r for r in ins.reglist if r != PC), ins.cycles)
+        elif ins.op == "bx":
+            ret = (None, ins.cycles)
+        else:
             copy = ins.copy()
             copy.labels = labels
             body.append(copy)
             continue
-
-        # A return site (pop {..., pc}, or bx lr: any other bx was refused
-        # above) becomes a return through the shadow copy of lr.
         sites += 1
-        if handler:
-            skip = label_seq.make("epi%d_skip" % sites, func.name)
-            tail, _, text = _handler_block(_handler_epilogue, skip,
-                                           scratches, reserved)
-        else:
-            templates, text = _epilogue_template(
-                scratches[0], scratches[0] in reserved)
-            tail = [t.copy() for t in templates]
-        if pops_pc:
-            # Pop what the original popped below pc, then drop (or, in a
-            # handler, pop into lr) the stacked return address.  The
-            # first instruction carries what the original cost beyond it.
-            rest = tuple(r for r in ins.reglist if r != PC)
-            head = ["pop " + reglist_str(rest)] if rest else []
-            head.append("pop {lr} ;@epi:uss" if handler
-                        else "add sp, #4 ;@epi:other")
-            block = [assemble(line) for line in head]
-            block[0].conv_extra = ins.cycles - (block[0].cycles if rest else 0)
-            block += tail
-        else:
-            head, block = [], tail
-            block[-1].conv_extra = ins.cycles
+        epi = _template(epi_make, scratches, reserved, naive, ret)
+        block, pending, text = _block(epi, label_seq.make(
+            "epi%d_skip" % sites, func.name) if handler else None)
         block[0].labels = labels + block[0].labels
         body += block
+        delta += epi.size - ins.width
         if sites == 1:
-            plan.inserted_epilogue = _untagged(head) + text
+            plan.inserted_epilogue = text
 
     plan.epilogue_sites = sites
-    new = AsmFunction(func.name, func.kind, body, labels=func.labels,
-                      line=func.line)
-    plan.size_delta_bytes = new.size_bytes() - func.size_bytes()
-    return new, plan
+    plan.size_delta_bytes = delta
+    return AsmFunction(func.name, func.kind, body, labels=func.labels,
+                       line=func.line), plan
 
 
 def instrument_program(prog: AsmProgram,

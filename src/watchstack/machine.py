@@ -301,12 +301,13 @@ class Machine:
     # -- faults and flags ---------------------------------------------------
 
     def fault(self) -> None:
-        self.halted = True
-        self.halt_reason = HaltReason.FAULT
+        self.halt(HaltReason.FAULT)
 
     def halt(self, reason: HaltReason) -> None:
-        self.halted = True
-        self.halt_reason = reason
+        """Halt for ``reason``; the first halt of a run stands."""
+        if not self.halted:
+            self.halted = True
+            self.halt_reason = reason
 
     def set_cmp_flags(self, a: int, b: int) -> None:
         r = (a - b) & MASK32

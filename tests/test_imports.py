@@ -17,6 +17,10 @@ registers that ``_COMP, _MASK, _FUNCTION = range(3)`` numbers in order.
 Compiled code decodes an address in one place: every string in
 ``blocks`` that spells a device call or the page table lies in one
 function.
+
+Every ``functools.cache``/``lru_cache`` decorator names a ``maxsize``
+that is not None, so no module-level cache grows without bound over a
+long session; ``cached_property`` lives and dies with its object.
 """
 
 import ast
@@ -137,3 +141,27 @@ def test_blocks_decodes_an_address_in_one_function():
                     and any(name in node.value for name in DECODED)):
                 owners.add(owner)
     assert len(owners) == 1, "blocks decodes in %s" % ", ".join(sorted(owners))
+
+
+CACHES = ("cache", "lru_cache")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_function_cache_is_bounded(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    unbounded = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            if getattr(func, "attr", getattr(func, "id", None)) not in CACHES:
+                continue
+            sizes = ([kw.value for kw in call.keywords if kw.arg == "maxsize"]
+                     + call.args[:1]) if call else []
+            if not sizes or (isinstance(sizes[0], ast.Constant)
+                             and sizes[0].value is None):
+                unbounded.append(node.name)
+    assert not unbounded, "%s caches %s without bound" % (
+        name, ", ".join(unbounded))

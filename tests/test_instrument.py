@@ -14,6 +14,8 @@ from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, InstrumentError,
                                    instrument_program)
 from watchstack.isa import PC
 
+from test_instrument_corpus import SEEDS, corpus_source
+
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
 HEADER = ".org 0x08000000\n"
@@ -152,13 +154,39 @@ def test_an_empty_hal_function_is_copied():
     assert res.program.functions["f"].body == []
 
 
+def _span(func) -> int:
+    """The bytes a laid-out function spans, first to last instruction."""
+    last = func.body[-1]
+    return last.addr + last.width - func.body[0].addr
+
+
+def _return_shape(ins) -> str | None:
+    if ins.op == "bx":
+        return "bx lr"
+    if ins.op == "pop" and PC in ins.reglist:
+        return "pop {pc}" if ins.reglist == (PC,) else "pop {rN, pc}"
+    return None
+
+
 def test_size_delta_matches_layout_growth():
-    src = one_func("    push {r7, lr}\n    mov r0, #3\n    pop {r7, pc}")
-    res = instrument(src)
-    plan = res.plan_for("f")
-    grown = res.program.functions["f"].size_bytes()
-    orig = parse(src).functions["f"].size_bytes()
-    assert plan.size_delta_bytes == grown - orig > 0
+    """Every plan of the frozen corpus under both sequences: the plan's
+    size delta is the function's laid-out growth.  The corpus has every
+    return shape, functions with several return sites, handlers and
+    reserved spills."""
+    seen = set()
+    for seed in SEEDS:
+        prog = parse(corpus_source(seed))
+        for seq in (SEQ_OPTIMAL, SEQ_NAIVE):
+            res = instrument_program(prog, ShadowStackConfig(sequence=seq))
+            for plan in res.plans:
+                old = prog.functions[plan.function]
+                grown = _span(res.program.functions[plan.function]) - _span(old)
+                assert plan.size_delta_bytes == grown, (seed, seq, plan)
+                seen.update(_return_shape(ins) for ins in old.body)
+                seen.update((plan.kind, plan.epilogue_sites > 1,
+                             bool(plan.reserved_gprs)))
+    assert seen >= {"bx lr", "pop {pc}", "pop {rN, pc}", "handler", "normal",
+                    True, False}
 
 
 # -- rewriting shape -----------------------------------------------------------
@@ -330,12 +358,24 @@ def test_a_user_label_keeps_the_name_the_pass_would_take():
     assert prog.code[prog.labels[taken + "_1"]].op == "push"
 
 
+def _output(res) -> tuple:
+    return (res.text, [p.to_dict() for p in res.plans],
+            [(ins.structural_key(), ins.label, ins.conv_extra, ins.addr,
+              ins.target, ins.width, ins.cycles)
+             for ins in res.program.code.values()])
+
+
 def test_handler_blocks_are_copies_with_their_own_skip_labels():
-    """Two handlers with one choice of scratch registers get copies of one
-    template: no two programs share an Instr, and each guard skips to its
-    own label, in the code and in the plan text."""
-    src = HANDLER_SRC + HANDLER_SRC.split(".endfunc\n")[1].replace(
+    """Blocks are copies of shared templates: two handlers with one choice
+    of scratch registers, and normal functions with ``pop {r4, r7, pc}``
+    and ``bx lr`` sites.  No two programs share an Instr, changing one
+    result's instructions leaves a later result as it was, and each guard
+    skips to its own label, in the code and in the plan text."""
+    src = (HANDLER_SRC + HANDLER_SRC.split(".endfunc\n")[1].replace(
         "usagefault", "systick") + ".endfunc\n"
+        + ".func f\n    push {r4, r7, lr}\n    cmp r0, #0\n    beq f_out\n"
+        "    pop {r4, r7, pc}\n    .label f_out\n    pop {r4, r7, pc}\n"
+        ".endfunc\n.func g\n    mov r0, #1\n    bx lr\n.endfunc\n")
     first, second = instrument(src), instrument(src)
     objs = [id(ins) for res in (first, second)
             for ins in res.program.code.values()]
@@ -350,6 +390,12 @@ def test_handler_blocks_are_copies_with_their_own_skip_labels():
             assert "beq " + label in text
             beqs = [ins for ins in prog.code.values() if ins.label == label]
             assert [ins.target for ins in beqs] == [prog.labels[label]]
+    want = _output(second)
+    for ins in first.program.code.values():
+        ins.conv_extra += 7
+        ins.labels += ("changed",)
+        ins.label = "changed"
+    assert _output(instrument(src)) == want
 
 
 def test_handler_scratches_stay_in_caller_saved_set():

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from watchstack import blocks
 from watchstack.asm import parse
+from watchstack.cli import EXIT_FAULT, EXIT_VIOLATION, _exit_code
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
                             DWT_MASK0, FN_READ, FN_READWRITE)
 from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
@@ -25,8 +26,8 @@ from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
                                 sweep_program)
 from watchstack.instrument import ShadowStackConfig, instrument_program
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
-                                EXC_RETURN_MIN, HaltReason, Machine,
-                                PAGE_SIZE, PPB_BASE)
+                                DWT_WINDOW_LO, EXC_RETURN_MIN, HaltReason,
+                                Machine, PAGE_SIZE, PPB_BASE)
 from watchstack.protect import (POLICY_REPORT, POLICY_RESET, ViolationRecord,
                                 WatchpointGuard)
 from watchstack.runner import (OUTCOME_SAFE, RunConfig, attribute,
@@ -1011,6 +1012,31 @@ def test_a_misaligned_push_word_on_demcr_faults(monkeypatch):
                 else (True, HaltReason.NORMAL, False))
             assert want["steps"] == (3 if policy == POLICY_RESET else 4)
         assert want["dwt"][1] == build_machine(prog, cfg).demcr.value
+
+
+def test_the_first_halt_of_an_instruction_stands(monkeypatch):
+    """A shadow region that ends where the DWT window starts, and sp 6
+    bytes into the window: the push's first word, 2 bytes below the
+    window, hits comparator 0 and is suppressed; its second starts
+    misaligned inside the window, a bad access.  Under the reset policy
+    the guard halts first, and that halt stands: the run ends RESET and
+    the CLI exits 3.  Under the report policy the fault ends the run."""
+    prog = parse(PUSH_ONTO_DEMCR)
+    shadow = ShadowStackConfig(ss_start=DWT_WINDOW_LO - 0x100, ss_size_log2=8)
+    for policy, reason, code in ((POLICY_RESET, HaltReason.RESET,
+                                  EXIT_VIOLATION),
+                                 (POLICY_REPORT, HaltReason.FAULT,
+                                  EXIT_FAULT)):
+        cfg = RunConfig(protected=True, policy=policy, shadow=shadow,
+                        max_steps=100, initial_sp=DWT_WINDOW_LO + 6)
+        want = check(prog, cfg, "push across the DWT window " + policy,
+                     monkeypatch)
+        assert want["halt"] == (True, reason, False)
+        assert [(r.data_address, r.comparator_id)
+                for r in want["violations"]] == [(DWT_WINDOW_LO - 2, 0)]
+        assert [e.reason for e in want["events"]] == [reason]
+        assert want["steps"] == 3
+        assert _exit_code(run_machine(build_machine(prog, cfg), cfg)) == code
 
 
 # Passes that reach the region read-watched by comparator 0 come after
