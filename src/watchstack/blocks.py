@@ -53,21 +53,23 @@ halts the machine on an earlier one.
 
 The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``movt`` put in a register until another write of it (read from
-``isa.OPS``), and uses it only to decode addresses.  A word
+``isa.OPS``), and emits such an instruction as that constant.  A word
 ``ldr``/``str`` whose address is known, aligned and, by
-``machine.ppb_device`` at compile time, on a device (``_device_word``)
-takes the same ``_load``/``_store`` with its address as a literal and
-no alignment test; ``_decode``, the one compiled decode of a miss,
-sends it to that device, or to ``m.load``/``m.commit`` on a machine
-without it.  Exception returns go through
-``m._end``, which looks up ``exception_model.return_from_exception``
-when called, so anything patched onto the class or module still sees
-each one.  Code at or above ``EXC_RETURN_MIN`` is not run in line, and a
-block whose next pc can be there ends through ``m._end``.  Compiled code
-is cached by its generated source, which spells out the entry pc and
-every operand, so machines built from equal code share it and a changed
-instruction compiles anew.  ``Machine.run`` drops its blocks, whose
-counts it folded in when it last returned, when ``m.code`` is replaced.
+``machine.ppb_device``, on a device (``_device_word``) takes the same
+``_load``/``_store`` with its address as a literal and no alignment
+test; on a miss ``_decode`` calls the word's port, which
+``Block.compile`` binds, with the device, as arguments of ``make``: the
+device's ``port(addr)`` read or write, or ``_RAM``'s on a machine
+without it.  So the source does not depend on the machine, and compiled
+code is cached by it: it spells out the entry pc and every operand, so
+machines built from equal code share it and a changed instruction
+compiles anew.  Exception returns go through ``m._end``, which looks up
+``exception_model.return_from_exception`` when called, so anything
+patched onto the class or module still sees each one.  Code at or above
+``EXC_RETURN_MIN`` is not run in line, and a block whose next pc can be
+there ends through ``m._end``.  ``Machine.run`` drops its blocks, whose
+counts it folded in when it last returned, when ``m.code``, ``m.dwt``
+or ``m.demcr`` is replaced.
 """
 
 from __future__ import annotations
@@ -99,9 +101,10 @@ class Block:
         self.heat = 0
         self.fn = None
 
-    def compile(self, code, pc: int) -> None:
-        """Compile the block; one of no instructions stays uncompiled."""
-        instrs = _block_at(code, pc)
+    def compile(self, m, pc: int) -> None:
+        """Compile the block of ``m.code`` at pc, binding each device word
+        to ``m``'s port; one of no instructions stays uncompiled."""
+        instrs = _block_at(m.code, pc)
         if not instrs:
             return
         self.n = len(instrs)
@@ -109,8 +112,14 @@ class Block:
         self.addrs = tuple(at for at, _ in instrs)
         ns = {"M": MASK32, "U": mach.WORD.unpack_from,
               "K": mach.WORD.pack_into}
-        exec(_byte_code(_source(instrs)), ns)
-        self.fn = ns["make"](self.counts)
+        source, words = _source(instrs)
+        exec(_byte_code(source), ns)
+        ports = []
+        for addr, name, kind in words:
+            dev = getattr(m, name)
+            ports += ((addr, _RAM[kind]) if dev is None
+                      else (dev, dev.port(addr)[kind]))
+        self.fn = ns["make"](self.counts, *ports)
 
     def fold(self, m) -> None:
         """Add the counts to ``m.retired`` and ``m.taken``; zero them."""
@@ -127,6 +136,10 @@ class Block:
             m.taken[at] = m.taken.get(at, 0) + counts[0]
         counts[:] = [0] * (self.n + 1)
 
+
+# A device word's port on a machine without the device, bound to the
+# word's address: RAM, through the generic path.
+_RAM = (lambda a, m: m.load(a, 4), lambda a, m, v: m.commit(a, 4, v))
 
 # compile() costs about a millisecond a block, and every machine built
 # from equal code would otherwise pay it again.
@@ -204,11 +217,14 @@ def _loops(instrs) -> bool:
 _MIN_SP = "if m.min_sp is not None and m.sp < m.min_sp: m.min_sp = m.sp"
 
 
-def _source(instrs) -> str:
-    """``make(cnt)`` returning ``block(m, limit)``: the block's
-    instructions as Machine.step would run them, in sequence.  A block
-    that branches back to its own entry runs them again for as long as
-    the branch is taken and another pass fits before ``limit`` steps."""
+def _source(instrs) -> tuple[str, list]:
+    """``make(cnt, d0, f0, ...)`` returning ``block(m, limit)``: the
+    block's instructions as Machine.step would run them, in sequence.  A
+    block that branches back to its own entry runs them again for as
+    long as the branch is taken and another pass fits before ``limit``
+    steps.  Also ``(address, device, access kind)`` of each device word
+    k, for its device ``d<k>`` and port read or write ``f<k>``."""
+    words: list = []
     out = ["def make(cnt):",
            " def block(m, limit):",
            "  g = m.gpr",
@@ -234,12 +250,16 @@ def _source(instrs) -> str:
         bound = _device_word(ins, known)
         _fold(ins, known)
         body.append("# 0x%08x %s" % (at, ins.op))
-        if bound is None:
+        if bound is not None:  # aligned by construction: no alignment test
+            load, k, addr = ins.op == "ldr", len(words), "%d" % bound[0]
+            words.append(bound + (mach.ACCESS_READ if load
+                                  else mach.ACCESS_WRITE,))
+            body += (_load(ins.rd, addr, 4, sync, k) if load
+                     else _store(addr, 4, _reg(ins.rd, nxt), sync, k))
+        elif ins.op == "movt" and ins.rd in known:  # folded, as movw is
+            body.append(_set(ins.rd, "%d" % known[ins.rd]))
+        else:
             body += _EMIT[ins.op](ins, nxt, cost, sync)
-        else:  # aligned by construction: no alignment test
-            addr, dev = "%d" % bound[0], bound[1]
-            body += (_load(ins.rd, addr, 4, sync, dev) if ins.op == "ldr"
-                     else _store(addr, 4, _reg(ins.rd, nxt), sync, dev))
         if moves_sp and (i == 0 or SP in _written(ins)):
             body.append(_MIN_SP)
         if OPS[ins.op].kind == MEMORY:
@@ -252,6 +272,8 @@ def _source(instrs) -> str:
                      " m.steps = s + %d; %s%s; cnt[%d] += 1"
                      % (i + 1, state, "" if _ends_block(ins) else pc, i + 1),
                      " return m._end(%d)" % at]
+    out[0] = "def make(cnt%s):" % "".join(", d%d, f%d" % (k, k)
+                                          for k in range(len(words)))
     at, ins = instrs[-1]
     nxt = at + ins.width
     if loops:
@@ -261,7 +283,7 @@ def _source(instrs) -> str:
                 for line in body + _loop_tail(ins, at, nxt, cost, n)]
         if ins.op == "b":  # it leaves only through the budget test
             out.append(" return block")
-            return "\n".join(out) + "\n"
+            return "\n".join(out) + "\n", words
     else:
         out += ["  " + line for line in body]
     if ins.op != "bcond":  # a conditional branch sets cycles itself
@@ -282,7 +304,7 @@ def _source(instrs) -> str:
         out.append("  if m.pc >= %d: return m._end(%d)"
                    % (mach.EXC_RETURN_MIN, at))
     out.append(" return block")
-    return "\n".join(out) + "\n"
+    return "\n".join(out) + "\n", words
 
 
 def _loop_tail(ins, at: int, nxt: int, cost: int, n: int) -> list[str]:
@@ -376,21 +398,21 @@ def _decode(a: str, size: int, sync: str, dev, rd=None) -> tuple[str, str]:
     """The one compiled decode of an access of ``size`` bytes at ``a``
     that missed the comparators: the test for its inline case, and the
     statement that reads it into ``rd`` or, without ``rd``, writes ``v``;
-    else the access takes ``m.load`` or ``m.commit``.  On ``dev``, where
-    ``_device_word`` put a word, the machine must have that device, whose
-    ``mmio_read`` (after ``sync`` only at ``machine.DWT_CYCCNT``, the one
-    device word that reads the state) or ``mmio_write`` it calls.  Else
-    ``a`` must be RAM, below PPB_BASE, and a word must not cross a page;
-    a missing page reads 0, and a store also asks for the page, which
-    only ``Machine.commit`` creates.  A memory map that grows more banks
-    changes this beside ``Machine.load``/``commit``."""
+    else the access takes ``m.load`` or ``m.commit``.  A device word,
+    the ``dev``-th that ``_device_word`` found in the block, has no test:
+    it calls the port ``Block.compile`` bound, after ``sync`` only at
+    ``machine.DWT_CYCCNT``, the one device word whose read reads the
+    state.  Else ``a`` must be RAM, below PPB_BASE, and a word must not
+    cross a page; a missing page reads 0, and a store also asks for the
+    page, which only ``Machine.commit`` creates.  A memory map that grows
+    more banks changes this beside ``Machine.load``/``commit``."""
     if dev is not None:
-        test = "(d := m.%s) is not None" % dev
+        call = "f%d(d%d, m" % (dev, dev)
         if rd is None:
-            return test, "d.mmio_write(m, %s, v)" % a
-        read = _set(rd, "d.mmio_read(m, %s)" % a)
-        return test, (sync + "; " + read if a == "%d" % mach.DWT_CYCCNT
-                      else read)
+            return "", call + ", v)"
+        read = "%s = %s)" % (_dest(rd), call)  # a port reads 32 bits
+        return "", (sync + "; " + read if a == "%d" % mach.DWT_CYCCNT
+                    else read)
     test = "%s < %d" % (a, mach.PPB_BASE)
     if size == 4:
         test += " and (o := %s & %d) <= %d" % (a, mach.PAGE_MASK,
@@ -413,7 +435,7 @@ def _load(rd: int, a: str, size: int, sync: str, dev=None) -> list[str]:
     regions, hit = _hit(mach.ACCESS_READ, a, "%s + %d" % (a, size))
     test, read = _decode(a, size, sync, dev, rd)
     return [regions,
-            "if %s and not (%s): %s" % (test, hit, read),
+            "if %snot (%s): %s" % (test and test + " and ", hit, read),
             "else: %s; %s" % (sync, _set(rd, "m.load(%s, %d)" % (a, size)))]
 
 
@@ -429,8 +451,9 @@ def _store(a: str, size: int, value: str, sync: str, dev=None) -> list[str]:
             " " + sync,
             " if not m.guard.on_store(m, %s, %d, v): m.commit(%s, %d, v)"
             % (a, size, a, size),
-            "elif %s: %s" % (test, write),
-            "else: m.commit(%s, %d, v)" % (a, size)]
+            *(["elif %s: %s" % (test, write),
+               "else: m.commit(%s, %d, v)" % (a, size)] if test
+              else ["else: " + write])]
 
 
 def _each_word(ins, access) -> list[str]:

@@ -10,9 +10,11 @@ the shadow stack pointer in it, which both hides the pointer from the
 program's address space and lets the unit sanity-check it on update.
 
 The twelve register words live in one flat list, ``DwtUnit.regs``, and
-register writes (``DwtUnit.mmio_write``) are the only way one changes,
-on the chip and here: ``DwtUnit.groups`` returns frozen
-``ComparatorGroup`` snapshots built from the words.  Those writes keep
+register writes are the only way one changes, on the chip and here:
+``DwtUnit.groups`` returns frozen ``ComparatorGroup`` snapshots built
+from the words.  Each word has one port, its ``(read, write)`` pair for
+its register kind, built at import: ``mmio_read``/``mmio_write`` look it
+up, and compiled blocks bind it (``DwtUnit.port``).  The writes keep
 ``DwtUnit.slots``, a table of the regions each access kind can match,
 up to date in place.  Each group's ``[lo, hi)`` region is cached, and
 only a COMP or MASK write to the group drops it; a FUNCTION write, which
@@ -54,17 +56,63 @@ MASK_BITS_MAX = 0x1F
 # A group's registers, in ComparatorGroup's field order: group g's
 # register k is DwtUnit.regs[3 * g + k].
 _COMP, _MASK, _FUNCTION = range(3)
-# Register address -> (index in regs, group, register, bits kept).
-_REGS = {DWT_COMP_BASE + gid * DWT_GROUP_STRIDE + off: (3 * gid + k, gid, k,
-                                                        bits)
-         for gid in range(NUM_GROUPS)
-         for k, (off, bits) in enumerate(((DWT_COMP_OFF, MASK32),
-                                          (DWT_MASK_OFF, MASK_BITS_MAX),
-                                          (DWT_FUNCTION_OFF, MASK32)))}
 _NEVER = (0, 0)  # the slot of a group that cannot match: no addr < 0
 _READ_FNS = frozenset((FN_READ, FN_READWRITE))
 _WRITE_FNS = frozenset((FN_WRITE, FN_READWRITE))
 _ENABLED_FNS = _READ_FNS | _WRITE_FNS
+
+
+def _group_ports(gid: int) -> dict:
+    """Group ``gid``'s register ports by address.  A FUNCTION write only
+    chooses the group's slots, from the cached region; a COMP or MASK
+    write drops that region and, if the group is enabled, chooses anew."""
+    comp, mask, fn = (3 * gid + k for k in (_COMP, _MASK, _FUNCTION))
+
+    def choose(d, m, value):
+        value &= MASK32
+        regs = d.regs
+        regs[fn] = value
+        region = d._regions[gid]
+        if region is None:
+            span = 1 << regs[mask]
+            base = regs[comp] & ~(span - 1) & MASK32
+            region = d._regions[gid] = (base, base + span)
+        reads, writes = d.slots
+        reads[gid] = region if value in _READ_FNS else _NEVER
+        writes[gid] = region if value in _WRITE_FNS else _NEVER
+
+    def place(i, bits):
+        ssp = gid == 1 and i == comp  # COMP1, whose span protect sets
+
+        def write(d, m, value):
+            value &= bits
+            regs = d.regs
+            regs[i] = value
+            if ssp and d.ssp_guard is not None:
+                lo, hi = d.ssp_guard
+                if not lo <= value <= hi:
+                    m.halt(HaltReason.STACK_OVERFLOW)
+            d._regions[gid] = None
+            # A disabled group (COMP1 as the ssp) keeps its _NEVER slots.
+            if regs[fn] in _ENABLED_FNS:
+                choose(d, m, regs[fn])
+        return write
+
+    base = DWT_COMP_BASE + gid * DWT_GROUP_STRIDE
+    return {base + off: ((lambda d, m, i=i: d.regs[i]), write)
+            for off, i, write in ((DWT_COMP_OFF, comp, place(comp, MASK32)),
+                                  (DWT_MASK_OFF, mask,
+                                   place(mask, MASK_BITS_MAX)),
+                                  (DWT_FUNCTION_OFF, fn, choose))}
+
+
+# Address -> port, (read(d, m), write(d, m, value)) of unit d on machine
+# m, built once at import.  CYCCNT is read-only here, and every word
+# outside the register file, CTRL included, reads 0 and drops writes.
+_UNMAPPED = (lambda d, m: 0, lambda d, m, value: None)
+_PORTS = {addr: port for gid in range(NUM_GROUPS)
+          for addr, port in _group_ports(gid).items()}
+_PORTS[DWT_CYCCNT] = (lambda d, m: m.cycles & MASK32, _UNMAPPED[1])
 
 
 @dataclass(frozen=True)
@@ -88,8 +136,8 @@ class DwtUnit:
         self.regs = [0] * (3 * NUM_GROUPS)
         # Indexed by access kind (ACCESS_READ, ACCESS_WRITE): one (lo, hi)
         # region per group, _NEVER while the group's FUNCTION excludes
-        # that kind.  Only mmio_write changes it, and always in place, so
-        # whoever holds it (Machine.watch) sees every register write.
+        # that kind.  Only register writes change it, and always in place,
+        # so whoever holds it (Machine.watch) sees every one.
         self.slots = ([_NEVER] * NUM_GROUPS, [_NEVER] * NUM_GROUPS)
         # Each group's region from its COMP and MASK, or None until
         # needed again after one of them changed.
@@ -125,45 +173,12 @@ class DwtUnit:
 
     # -- register file ------------------------------------------------------
 
+    def port(self, addr: int):
+        """The word's ``(read(d, m), write(d, m, value))``, ``d`` this unit."""
+        return _PORTS.get(addr, _UNMAPPED)
+
     def mmio_read(self, m, addr: int) -> int:
-        if addr == DWT_CYCCNT:
-            return m.cycles & MASK32
-        reg = _REGS.get(addr)
-        return 0 if reg is None else self.regs[reg[0]]
+        return _PORTS.get(addr, _UNMAPPED)[0](self, m)
 
     def mmio_write(self, m, addr: int, value: int) -> None:
-        # CYCCNT is read-only here; writes outside the register file,
-        # CTRL included, fall away.
-        reg = _REGS.get(addr)
-        if reg is None:
-            return
-        i, gid, kind, bits = reg
-        value &= bits
-        regs = self.regs
-        # The one store to a comparator register.
-        regs[i] = value
-        if kind == _FUNCTION:
-            fn = value
-        else:
-            if kind == _COMP and gid == 1 and self.ssp_guard is not None:
-                lo, hi = self.ssp_guard
-                if not lo <= value <= hi:
-                    m.halt(HaltReason.STACK_OVERFLOW)
-            self._regions[gid] = None
-            fn = regs[3 * gid + _FUNCTION]
-            # A disabled group (COMP1 as the ssp) keeps its _NEVER slots.
-            if fn not in _ENABLED_FNS:
-                return
-        region = self._regions[gid] or self._region(gid)
-        # Choose this group's slots, in place.
-        reads, writes = self.slots
-        reads[gid] = region if fn in _READ_FNS else _NEVER
-        writes[gid] = region if fn in _WRITE_FNS else _NEVER
-
-    def _region(self, gid: int) -> tuple[int, int]:
-        """Group ``gid``'s [lo, hi) region from its COMP and MASK; cached."""
-        comp, mask = self.regs[3 * gid:3 * gid + 2]
-        span = 1 << mask
-        base = comp & ~(span - 1) & MASK32
-        region = self._regions[gid] = (base, base + span)
-        return region
+        _PORTS.get(addr, _UNMAPPED)[1](self, m, value)

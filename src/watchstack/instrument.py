@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .asm import (FUNC_HAL, FUNC_HANDLER, T_ASSP, T_USS, AsmFunction,
-                  AsmProgram, assemble, layout, print_program)
+                  AsmProgram, assemble, format_tagged, layout,
+                  print_program)
 from .dwt import (DWT_COMP1, DWT_COMP_BASE, DWT_FUNCTION_OFF,
                   DWT_GROUP_STRIDE, FN_WRITE, MASK_BITS_MAX)
 from .exception_model import (ESF_OFF_LR, ESF_OFF_R12, ESF_OFF_RETURN,
@@ -415,6 +416,9 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
             raise InstrumentError(
                 func.name, "computed return through %s is unsupported"
                 % ("r%d" % ins.rm))
+        if ins.tag is not None:  # the pass's own output: refuse it
+            raise InstrumentError(func.name, "already instrumented: %s"
+                                  % format_tagged(ins))
 
     naive = config.sequence == SEQ_NAIVE
     count = 3 if handler or naive else 2

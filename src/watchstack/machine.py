@@ -21,9 +21,10 @@ word there is a bad access and faults); all else is RAM.
 ``blocks`` decodes a constant word address at compile time through
 the same function.  The RAM layout, 4 KiB pages of little-endian
 ``WORD``s in ``Memory.pages``, is declared here too, and ``blocks``
-reads it from here for its inline RAM path.  A device is a word device,
-``mmio_read(m, addr)`` and ``mmio_write(m, addr, value)``; the access
-path handles byte lanes.
+reads it from here for its inline RAM path.  A device is a word device:
+``mmio_read(m, addr)`` and ``mmio_write(m, addr, value)`` call the port,
+``port(addr)``'s ``(read(d, m), write(d, m, value))``, that ``blocks``
+binds at compile time; the access path handles byte lanes.
 
 ``step()`` executes one instruction and is the reference semantics.
 ``run()`` executes many: it steps cold code itself, through the same
@@ -201,9 +202,9 @@ class Machine:
         self.taken: dict[int, int] = {}
         # Optional bookkeeping, enabled by the runner.
         self.min_sp: int | None = None
-        # run()'s (code, blocks by entry pc), in one attribute: past
-        # CPython's shared-key dict size (29 keys on 3.11; 25 here, see
-        # tests/test_machine.py) every attribute access slows down.
+        # run()'s (code, dwt, demcr, blocks by entry pc) in one attribute:
+        # past CPython's shared-key dict size (29 keys on 3.11; 25 here,
+        # see tests/test_machine.py) every attribute access slows down.
         self._block_cache = None
 
     # -- register helpers -------------------------------------------------
@@ -386,12 +387,14 @@ class Machine:
         entry not yet compiled, or a block that does not fit, which it
         steps up to the limit.  The blocks' own counts are folded into
         ``retired`` and ``taken`` before ``run()`` returns, so the
-        blocks can be dropped whenever ``code`` is replaced.
+        blocks can be dropped whenever ``code`` is replaced, or ``dwt``
+        or ``demcr``, whose ports a compiled block binds.
         """
         cache = self._block_cache
-        if cache is None or cache[0] is not self.code:
-            cache = self._block_cache = (self.code, {})
-        code, known = cache
+        if (cache is None or cache[0] is not self.code
+                or cache[1] is not self.dwt or cache[2] is not self.demcr):
+            cache = self._block_cache = (self.code, self.dwt, self.demcr, {})
+        code, _, _, known = cache
         retired = self.retired
         hot = blocks.HOT_THRESHOLD
         try:
@@ -403,7 +406,7 @@ class Machine:
                 if blk.fn is None:
                     blk.heat += 1
                     if blk.heat == hot:
-                        blk.compile(code, pc)
+                        blk.compile(self, pc)
                 if (blk.fn is not None and self.steps + blk.n <= limit
                         and not self.pending):
                     # Run compiled blocks back to back while the next

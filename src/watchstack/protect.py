@@ -51,11 +51,21 @@ class DemcrModel:
     def mon_en(self) -> bool:
         return bool(self.value & DEMCR_MON_EN)
 
+    def port(self, addr: int):
+        """The word's ``(read(d, m), write(d, m, value))``, ``d`` this."""
+        return DemcrModel.read, DemcrModel.write
+
+    def read(self, m) -> int:
+        return self.value
+
+    def write(self, m, value: int) -> None:
+        self.value = value & 0xFFFFFFFF
+
     def mmio_read(self, m, addr: int) -> int:
         return self.value
 
     def mmio_write(self, m, addr: int, value: int) -> None:
-        self.value = value & 0xFFFFFFFF
+        self.write(m, value)
 
 
 @dataclass(slots=True)

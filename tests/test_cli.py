@@ -205,6 +205,18 @@ def test_an_empty_function_exits_1(command, tmp_path, capsys):
                             "function has an empty body\n")
 
 
+def test_instrumenting_instrumented_output_exits_1(tmp_path, capsys):
+    assert main(["instrument", DEMO]) == 0
+    once = tmp_path / "demo_instrumented.ws"
+    once.write_text(capsys.readouterr().out)
+    assert main(["instrument", str(once)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("watchstack: error: function "
+                            "'quintuple_plus_one': already instrumented: "
+                            "movw r12, #0x1020 ;@pro:other\n")
+
+
 def test_two_handlers_for_one_exception_exit_1(tmp_path, capsys):
     src = tmp_path / "svc.ws"
     src.write_text(SPIN + ".func svc_handler handler\n    bkpt #1\n.endfunc\n"

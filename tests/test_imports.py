@@ -10,13 +10,11 @@ inside text; every other module imports them from there.
 
 No module imports another module's ``_``-prefixed name, nor reads one
 through a module it imported: what two modules share is public.  And
-every ``_``-prefixed name a module binds at its top level is read in it,
-but for ``dwt``'s ``_MASK``, which names the middle one of the three
-registers that ``_COMP, _MASK, _FUNCTION = range(3)`` numbers in order.
+every ``_``-prefixed name a module binds at its top level is read in it.
 
 Compiled code decodes an address in one place: every string in
-``blocks`` that spells a device call or the page table lies in one
-function.
+``blocks`` that spells a device call, the call of a port bound at
+compile time, or the page table lies in one function.
 
 Every ``functools.cache``/``lru_cache`` decorator names a ``maxsize``
 that is not None, so no module-level cache grows without bound over a
@@ -31,7 +29,6 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "watchstack"
 RE_EXPORTS = {"machine.py": {"EV_EXC_ENTERED", "EV_EXC_RETURNED"},
               "instrument.py": {"T_ASSP", "T_USS"}}
-UNREAD = {"dwt.py": {"_MASK"}}
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -114,13 +111,13 @@ def _bound_at_top(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("name", MODULES)
 def test_every_private_top_level_name_is_read(name):
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
-    unread = ({n for n in _bound_at_top(tree) if _private(n)} - _read(tree)
-              - UNREAD.get(name, set()))
+    unread = {n for n in _bound_at_top(tree) if _private(n)} - _read(tree)
     assert not unread, "%s binds %s and never reads them" % (
         name, ", ".join(sorted(unread)))
 
 
-DECODED = ("mmio_read", "mmio_write", "P.get")
+# A device call, a bound port's call (``f<k>(d<k>, m``), the page table.
+DECODED = ("mmio_read", "mmio_write", "(d%d, m", "P.get")
 
 
 def _docstrings(tree: ast.Module) -> set[int]:

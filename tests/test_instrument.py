@@ -18,6 +18,7 @@ from test_instrument_corpus import SEEDS, corpus_source
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
+DEMO = README.parent / "programs" / "demo.ws"
 HEADER = ".org 0x08000000\n"
 
 
@@ -146,6 +147,17 @@ def test_an_empty_function_is_refused(kind):
     assert err.value.function == "f"
     assert err.value.message == "%s function has an empty body" % (
         kind.strip() or "normal")
+
+
+def test_the_pass_refuses_its_own_output():
+    """Instrumented twice, every call would push two shadow slots: a body
+    that already holds a tagged instruction is refused."""
+    once = print_program(instrument(DEMO.read_text()).program)
+    with pytest.raises(InstrumentError) as err:
+        instrument(once)
+    assert err.value.function == "quintuple_plus_one"
+    assert err.value.message == ("already instrumented: "
+                                 "movw r12, #0x1020 ;@pro:other")
 
 
 def test_an_empty_hal_function_is_copied():

@@ -20,16 +20,16 @@ from watchstack import blocks
 from watchstack.asm import parse
 from watchstack.cli import EXIT_FAULT, EXIT_VIOLATION, _exit_code
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
-                            DWT_MASK0, FN_READ, FN_READWRITE)
+                            DWT_MASK0, FN_READ, FN_READWRITE, DwtUnit)
 from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
                                 preinit_exception_program, recursion_program,
                                 sweep_program)
 from watchstack.instrument import ShadowStackConfig, instrument_program
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
-                                DWT_WINDOW_LO, EXC_RETURN_MIN, HaltReason,
-                                Machine, PAGE_SIZE, PPB_BASE)
-from watchstack.protect import (POLICY_REPORT, POLICY_RESET, ViolationRecord,
-                                WatchpointGuard)
+                                DWT_WINDOW_HI, DWT_WINDOW_LO, EXC_RETURN_MIN,
+                                HaltReason, Machine, PAGE_SIZE, PPB_BASE)
+from watchstack.protect import (POLICY_REPORT, POLICY_RESET, DemcrModel,
+                                ViolationRecord, WatchpointGuard)
 from watchstack.runner import (OUTCOME_SAFE, RunConfig, attribute,
                                build_machine, run_machine, run_program)
 
@@ -583,6 +583,28 @@ def test_blx_links_branches_and_returns(monkeypatch):
     assert want["steps"] == 8
 
 
+# lr is 0x08000011 when the blx reads it, and the bkpt's address after.
+BLX_LR = """\
+.org 0x08000000
+.func main hal
+    movw lr, #0x0011
+    movt lr, #0x0800
+    blx lr
+    bkpt #1
+.endfunc
+"""
+
+
+def test_blx_lr_reads_its_target_before_it_links(monkeypatch):
+    """BLX (register) reads R[m] before it writes LR: ``blx lr`` goes to
+    the odd 0x08000011, an undefined fetch that faults, and not to its
+    own return address, whose bkpt #1 would end the run as reported."""
+    want = check(parse(BLX_LR), RunConfig(), "blx lr", monkeypatch)
+    assert want["halt"] == (True, HaltReason.FAULT, False)
+    assert want["events"][-1].at_pc == 0x08000011
+    assert want["regs"][14] == 0x0800000A and want["steps"] == 4
+
+
 MISALIGNED_STR = """\
 .org 0x08000000
 .func main hal
@@ -785,6 +807,118 @@ def test_a_bound_load_that_hits_records_its_step_and_pc(monkeypatch):
                  r.access) for r in want["violations"]] == [
             (6 + 7 * i, ldr.addr, DWT_COMP1, 0, ACCESS_READ)
             for i in range(records)]
+
+
+def _window_words():
+    return [*range(DWT_WINDOW_LO, DWT_WINDOW_HI, 4), DEMCR_ADDR]
+
+
+def _register_bits(addr: int) -> int | None:
+    """The bits a register word at ``addr`` keeps; None for CYCCNT and
+    for the words that read 0 and drop writes."""
+    off = addr - DWT_COMP0
+    if addr == DEMCR_ADDR or (off >= 0 and off % 16 in (0, 8)):
+        return 0xFFFFFFFF
+    return 0x1F if off >= 0 and off % 16 == 4 else None
+
+
+@pytest.mark.parametrize("addr", _window_words(), ids=hex)
+def test_every_device_word_through_a_bound_load_and_store(addr,
+                                                          monkeypatch):
+    """Each pass reads the word into RAM and writes back what it read
+    plus 4: unprotected, where the block calls the word's bound port and
+    no mmio_* call at all, and armed under the report policy, where the
+    lock's words and DEMCR trap and the shadow region moves."""
+    prog = parse(_main(*_const("r0", addr), "ldr r1, [r0]", "str r1, [r7]",
+                       "addw r7, r7, #4", "addw r1, r1, #4",
+                       "str r1, [r0]"))
+    want = check(prog, RunConfig(max_steps=10_000), "%#x" % addr,
+                 monkeypatch)
+    assert want["halt"] == (True, HaltReason.NORMAL, False)
+    page = want["mem"][0x20000]
+    reads = [int.from_bytes(page[0x100 + 4 * i:0x104 + 4 * i], "little")
+             for i in range(PASSES)]
+    bits = _register_bits(addr)
+    if addr == DWT_CYCCNT:
+        assert reads == [reads[0] + 14 * i for i in range(PASSES)]
+    elif bits is None:
+        assert reads == [0] * PASSES
+    else:  # each pass reads what the one before wrote
+        assert all(b == (a + 4) & bits for a, b in zip(reads, reads[1:]))
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    mmio = _counted(monkeypatch, DwtUnit, "mmio_read", "mmio_write")
+    demcr = _counted(monkeypatch, DemcrModel, "mmio_read", "mmio_write")
+    assert fast(prog, RunConfig(max_steps=10_000)) == want
+    assert mmio[0] == demcr[0] == 0
+    want = check_watch(prog, _cfg(POLICY_REPORT, None, 10_000),
+                       "%#x armed" % addr, monkeypatch)
+    assert want["halt"] == (True, HaltReason.NORMAL, False)
+
+
+def test_the_comp1_overflow_halts_through_the_bound_port(monkeypatch):
+    """Compiled, the overflowing COMP1 store of ``OVERFLOW`` calls the
+    unit's COMP1 port, not mmio_write, which halts the block there as
+    step() halts (``test_a_bound_comp1_store_halts_on_overflow``)."""
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    cfg = _cfg(POLICY_RESET, None, 10_000)
+    m = build_machine(parse(OVERFLOW), cfg)
+    mmio = _counted(monkeypatch, DwtUnit, "mmio_read", "mmio_write")
+    run_machine(m, cfg)
+    assert m.halt_reason == HaltReason.STACK_OVERFLOW and mmio[0] == 0
+    assert m.steps == 2 + 8 * (SHADOW.ss_size // 256) + 5
+
+
+@pytest.mark.parametrize("name", ["dwt", "demcr"])
+def test_a_device_replaced_between_runs_is_bound_anew(name, monkeypatch):
+    """A block binds its device words' ports when compiled, so run()
+    must drop its blocks when a device is replaced, as when the code is:
+    the passes after the swap read and write the new device."""
+    addr = DWT_COMP1 if name == "dwt" else DEMCR_ADDR
+    # Each pass reads the word into RAM and writes its pass count there.
+    prog = parse(_main(*_const("r0", addr), "ldr r1, [r0]", "str r1, [r7]",
+                       "addw r7, r7, #4", "str r5, [r0]"))
+    cut = 4 + 9 * (PASSES - 3) + 1  # the movw of a compiled pass
+
+    def swapped(run) -> dict:
+        m = build_machine(prog, RunConfig())
+        run(m, cut)
+        dev = DwtUnit() if name == "dwt" else DemcrModel()
+        dev.mmio_write(None, addr, 0x5A5A)
+        setattr(m, name, dev)
+        run(m, 10_000)
+        return observe(m, False)
+
+    def stepped(m, limit):
+        while m.steps < limit and not m.halted:
+            m.step()
+
+    want = swapped(stepped)
+    assert want["halt"][:2] == (True, HaltReason.NORMAL)
+    page = want["mem"][0x20000]
+    reads = [int.from_bytes(page[0x100 + 4 * i:0x104 + 4 * i], "little")
+             for i in range(PASSES)]
+    assert reads[PASSES - 3:] == [0x5A5A, 3, 2]
+    for hot in (1, blocks.HOT_THRESHOLD):
+        with monkeypatch.context() as mp:
+            mp.setattr(blocks, "HOT_THRESHOLD", hot)
+            assert_same(want, swapped(Machine.run), "%s hot %d" % (name, hot))
+
+
+@pytest.mark.parametrize("op", sorted(OVERWRITES))
+def test_a_movt_after_an_overwrite_is_not_folded(op, monkeypatch):
+    """movw, an overwrite of its register, then movt: the movt keeps the
+    overwritten low half, which the block does not know, while a movt
+    right after its movw is compiled to the constant the two make."""
+    tail = ["movt r0, #0x2001", "str r5, [r0]", "str r0, [r7, #4]"]
+    prog = parse(_main("movw r0, #0x0200", *OVERWRITES[op], *tail))
+    want = check(prog, RunConfig(max_steps=10_000), op, monkeypatch)
+    assert want["regs"][0] == 0x20010000 | (0 if op == "mrs" else 0x100)
+    plain = parse(_main("movw r0, #0x0200", *tail))
+    folded = "g[0] = %d" % 0x20010200
+    for p, fold in ((prog, False), (plain, True)):
+        loop = p.functions["main"].body[4].addr  # the loop's entry
+        source, _ = blocks._source(blocks._block_at(p.code, loop))
+        assert (folded in source) is fold
 
 
 def _no_devices(m):
@@ -1146,9 +1280,10 @@ def test_the_recursion_makes_no_generic_access_a_call(monkeypatch):
                               SHADOW).program
     cfg = RunConfig(protected=True, shadow=SHADOW)
     m = build_machine(prog, cfg)
+    mmio = _counted(monkeypatch, DwtUnit, "mmio_read", "mmio_write")
     run = run_machine(m, cfg)
     assert run.outcome == OUTCOME_SAFE and run.steps == 24 * depth + 1
-    assert accesses[0] == 0
+    assert accesses[0] == mmio[0] == 0
     assert commits[0] == len(m.mem.pages) == 2
 
 
