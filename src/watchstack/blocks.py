@@ -462,7 +462,7 @@ def _each_word(ins, access) -> list[str]:
     lines of ``access(r)``."""
     lines = []
     for i, r in enumerate(ins.reglist):
-        lines += ["a = sp + %d" % (4 * i) if i else "a = sp", *access(r)]
+        lines += ["a = (sp + %d) & M" % (4 * i) if i else "a = sp", *access(r)]
     return lines
 
 
@@ -494,10 +494,10 @@ _EMIT = {
         "a = " + _addr(ins, nxt),
         *_store("a", 1, "%s & 0xFF" % _reg(ins.rd, nxt), sync)],
     "push": lambda ins, nxt, cost, sync: [
-        "sp = m.sp - %d" % (4 * len(ins.reglist)), "m.sp = sp",
+        "sp = (m.sp - %d) & M" % (4 * len(ins.reglist)), "m.sp = sp",
         *_each_word(ins, lambda r: _store("a", 4, _reg(r, nxt), sync))],
     "pop": lambda ins, nxt, cost, sync: [
-        "sp = m.sp", "m.sp = sp + %d" % (4 * len(ins.reglist)),
+        "sp = m.sp", "m.sp = (sp + %d) & M" % (4 * len(ins.reglist)),
         *_each_word(ins, lambda r: _load(r, "a", 4, sync))],
     "add_sp": lambda ins, nxt, cost, sync: [
         "m.sp = (m.sp + %d) & M" % ins.imm],

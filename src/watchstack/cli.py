@@ -90,10 +90,13 @@ def _run(prog, cfg: RunConfig) -> RunResult:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CliError("%s is not UTF-8 text: %s" % (path, exc)) from None
 
 
 def _write_out(path: str | None, text: str) -> None:

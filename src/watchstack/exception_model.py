@@ -91,7 +91,7 @@ def enter_exception(m, exc_id: int, return_address: int,
     frame = (m.gpr[0], m.gpr[1], m.gpr[2], m.gpr[3], m.gpr[12],
              m.lr, return_address, m.xpsr)
     for i, word in enumerate(frame):
-        m.store(sp + 4 * i, 4, word)
+        m.store((sp + 4 * i) & 0xFFFFFFFF, 4, word)
     m.lr = EXC_RETURN_THREAD
     m.mode = MODE_HANDLER
     m.xpsr = (m.xpsr & ~0x1FF) | exc_id
@@ -110,15 +110,9 @@ def return_from_exception(m, value: int) -> None:
 
     left = m.xpsr & 0x1FF  # IPSR, before the frame's xPSR replaces it
     sp = m.sp
-    m.gpr[0] = m.load(sp + ESF_OFF_R0, 4)
-    m.gpr[1] = m.load(sp + ESF_OFF_R1, 4)
-    m.gpr[2] = m.load(sp + ESF_OFF_R2, 4)
-    m.gpr[3] = m.load(sp + ESF_OFF_R3, 4)
-    m.gpr[12] = m.load(sp + ESF_OFF_R12, 4)
-    m.lr = m.load(sp + ESF_OFF_LR, 4)
-    ret = m.load(sp + ESF_OFF_RETURN, 4)
-    m.xpsr = m.load(sp + ESF_OFF_XPSR, 4)
-    m.sp = sp + ESF_BYTES
+    (m.gpr[0], m.gpr[1], m.gpr[2], m.gpr[3], m.gpr[12], m.lr, ret,
+     m.xpsr) = (m.load((sp + 4 * i) & 0xFFFFFFFF, 4) for i in range(8))
+    m.sp = (sp + ESF_BYTES) & 0xFFFFFFFF
     m.mode = MODE_THREAD
     m.pc = ret
     m.cycles += RETURN_CYCLES

@@ -90,8 +90,8 @@ def _make_plain_copy(cls):
 Instr.copy = _make_plain_copy(Instr)
 
 
-# Op kinds.  A TRAP op is run by ``step()`` alone (exception entry or
-# halt); compiled blocks run every other kind.
+# Op kinds.  A TRAP op (exception entry or halt) is only ever stepped;
+# compiled blocks run every other kind.
 ALU, MEMORY, BRANCH, TRAP = "alu", "memory", "branch", "trap"
 
 

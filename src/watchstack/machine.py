@@ -26,11 +26,13 @@ reads it from here for its inline RAM path.  A device is a word device:
 ``port(addr)``'s ``(read(d, m), write(d, m, value))``, that ``blocks``
 binds at compile time; the access path handles byte lanes.
 
-``step()`` executes one instruction and is the reference semantics.
-``run()`` executes many: it steps cold code itself, through the same
-executors, and runs hot straight-line blocks as compiled functions
-(``blocks``), with identical results.  Neither returns anything.  The
-machine logs what only it sees in ``events``, where it happens:
+``step()`` executes one instruction and ``run()`` many; both step
+through ``_line``, the one retire body, and ``run()`` also runs hot
+straight-line blocks as compiled functions (``blocks``), with
+identical results.  ``tests/reference_isa.py``, an independent
+interpreter, is the reference semantics the tests hold them to.
+Neither returns anything.  The machine logs what only it sees in
+``events``, where it happens:
 ``exception_model`` appends each exception entry and return, and
 ``_end``, the one end-of-instruction rule, starts the exception return
 a branch to EXC_RETURN asks for and appends the halt.  The active
@@ -133,10 +135,10 @@ class Memory:
         self._page(addr)[addr & PAGE_MASK] = value & 0xFF
 
     def read_word(self, addr: int) -> int:
-        page = self.pages.get(addr >> PAGE_BITS)
         off = addr & PAGE_MASK
-        if page is not None and off <= PAGE_SIZE - 4:
-            return WORD.unpack_from(page, off)[0]
+        if off <= PAGE_SIZE - 4:
+            page = self.pages.get(addr >> PAGE_BITS)
+            return 0 if page is None else WORD.unpack_from(page, off)[0]
         return (self.read_byte(addr) | self.read_byte(addr + 1) << 8
                 | self.read_byte(addr + 2) << 16 | self.read_byte(addr + 3) << 24)
 
@@ -250,14 +252,9 @@ class Machine:
                     self.fault()
                     return 0
                 return dev.mmio_read(self, addr)
-        mem = self.mem
         if size == 4:
-            off = addr & PAGE_MASK
-            if off > PAGE_SIZE - 4:
-                return mem.read_word(addr)  # straddles two pages
-            page = mem.pages.get(addr >> PAGE_BITS)
-            return WORD.unpack_from(page, off)[0] if page is not None else 0
-        return mem.read_byte(addr)
+            return self.mem.read_word(addr)
+        return self.mem.read_byte(addr)
 
     def store(self, addr: int, size: int, value: int) -> None:
         # As in load; a store the guard answers True for is suppressed.
@@ -288,16 +285,10 @@ class Machine:
                     return
                 dev.mmio_write(self, addr, value)
                 return
-        mem = self.mem
         if size == 4:
-            off = addr & PAGE_MASK
-            if off > PAGE_SIZE - 4:
-                mem.write_word(addr, value)  # straddles two pages
-                return
-            page = mem.pages.get(addr >> PAGE_BITS) or mem._page(addr)
-            WORD.pack_into(page, off, value & MASK32)
+            self.mem.write_word(addr, value)
         else:
-            mem.write_byte(addr, value)
+            self.mem.write_byte(addr, value)
 
     # -- faults and flags ---------------------------------------------------
 
@@ -338,30 +329,41 @@ class Machine:
         self.pending.append(exc_id)
 
     def step(self) -> None:
-        if self.halted:
-            return
-        at = self.pc
-        ins = self.code.get(at)
-        if self.pending and self.mode == MODE_THREAD:
-            self.steps += 1
-            excm.enter_exception(self, self.pending.pop(0), at)
-        elif ins is None:
-            # No instruction at pc: undefined fetch.
-            self.steps += 1
-            excm.enter_exception(self, excm.USAGE_FAULT, at + 2)
-        else:
-            self.cycles += ins.cycles
-            retired = self.retired
-            retired[at] = retired.get(at, 0) + 1
+        if not self.halted:
+            self._line(self.steps + 1)
 
-            self.cur_pc = at
-            self.pc = at + ins.width
-            _EXEC[ins.op](self, ins)
-            self.steps += 1
-
-            if self.min_sp is not None and self.sp < self.min_sp:
-                self.min_sp = self.sp
-        self._end(at)
+    def _line(self, limit: int) -> None:
+        """Step until control leaves the straight line, ``steps`` reaches
+        ``limit`` or the machine halts: the one retire body.  A step takes
+        a pending exception in thread mode, or the UsageFault of an
+        undefined fetch, instead of retiring an instruction."""
+        code = self.code
+        retired = self.retired
+        while True:
+            at = self.pc
+            ins = code.get(at)
+            if self.pending and self.mode == MODE_THREAD:
+                self.steps += 1
+                excm.enter_exception(self, self.pending.pop(0), at)
+            elif ins is None:  # no instruction at pc: an undefined fetch
+                self.steps += 1
+                excm.enter_exception(self, excm.USAGE_FAULT, at + 2)
+            else:
+                self.cycles += ins.cycles
+                retired[at] = retired.get(at, 0) + 1
+                self.cur_pc = at
+                self.pc = at + ins.width
+                _EXEC[ins.op](self, ins)
+                self.steps += 1
+                if self.min_sp is not None and self.sp < self.min_sp:
+                    self.min_sp = self.sp
+            if self.pc >= EXC_RETURN_MIN or self.halted:
+                self._end(at)
+            if self.halted or self.steps >= limit:
+                return
+            d = self.pc - at
+            if d != 2 and d != 4:
+                return
 
     def _end(self, at: int) -> None:
         """End the instruction at ``at``: start the exception return a
@@ -394,8 +396,7 @@ class Machine:
         if (cache is None or cache[0] is not self.code
                 or cache[1] is not self.dwt or cache[2] is not self.demcr):
             cache = self._block_cache = (self.code, self.dwt, self.demcr, {})
-        code, _, _, known = cache
-        retired = self.retired
+        known = cache[3]
         hot = blocks.HOT_THRESHOLD
         try:
             while self.steps < limit and not self.halted:
@@ -420,32 +421,8 @@ class Machine:
                         if (blk is None or blk.fn is None
                                 or self.steps + blk.n > limit):
                             break
-                    continue
-                # Step until control leaves the straight line; the pc it
-                # lands on is the next block entry.  This is step() in
-                # line, but for an exception taken or an undefined fetch.
-                while True:
-                    at = self.pc
-                    ins = code.get(at)
-                    if ins is None or (self.pending
-                                       and self.mode == MODE_THREAD):
-                        self.step()
-                    else:
-                        self.cycles += ins.cycles
-                        retired[at] = retired.get(at, 0) + 1
-                        self.cur_pc = at
-                        self.pc = at + ins.width
-                        _EXEC[ins.op](self, ins)
-                        self.steps += 1
-                        if self.min_sp is not None and self.sp < self.min_sp:
-                            self.min_sp = self.sp
-                        if self.pc >= EXC_RETURN_MIN or self.halted:
-                            self._end(at)
-                    if self.halted or self.steps >= limit:
-                        return
-                    d = self.pc - at
-                    if d != 2 and d != 4:
-                        break
+                else:  # step the line; the pc it leaves is the next entry
+                    self._line(limit)
         finally:
             for blk in known.values():
                 if blk.fn is not None:
@@ -496,16 +473,16 @@ class Machine:
 
     def _x_push(self, ins):
         # Lowest-numbered register ends at the lowest address.
-        sp = self.sp - 4 * len(ins.reglist)
+        sp = (self.sp - 4 * len(ins.reglist)) & MASK32
         self.sp = sp
         for i, r in enumerate(ins.reglist):
-            self.store(sp + 4 * i, 4, self.read_reg(r))
+            self.store((sp + 4 * i) & MASK32, 4, self.read_reg(r))
 
     def _x_pop(self, ins):
         sp = self.sp
-        self.sp = sp + 4 * len(ins.reglist)
+        self.sp = (sp + 4 * len(ins.reglist)) & MASK32
         for i, r in enumerate(ins.reglist):
-            self.write_reg(r, self.load(sp + 4 * i, 4))
+            self.write_reg(r, self.load((sp + 4 * i) & MASK32, 4))
 
     def _x_add_sp(self, ins):
         self.sp = (self.sp + ins.imm) & MASK32

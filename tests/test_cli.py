@@ -87,6 +87,15 @@ def test_missing_file_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["asm", "instrument", "run"])
+def test_a_file_that_is_not_utf8_exits_1(command, tmp_path, capsys):
+    bad = tmp_path / "bad.ws"
+    bad.write_bytes(b".func main hal\n    bkpt #0 \xff\n.endfunc\n")
+    assert main([command, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("watchstack: error: %s is not UTF-8 text" % bad)
+
+
 def test_instrument_matches_golden(capsys):
     assert main(["instrument", SCENARIO1]) == 0
     out = capsys.readouterr().out

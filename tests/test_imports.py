@@ -19,6 +19,11 @@ compile time, or the page table lies in one function.
 Every ``functools.cache``/``lru_cache`` decorator names a ``maxsize``
 that is not None, so no module-level cache grows without bound over a
 long session; ``cached_property`` lives and dies with its object.
+
+The reference interpreter in ``tests/reference_isa.py`` imports nothing
+from the package but ``isa``, so it shares no code with what it checks.
+And ``machine`` retires instructions in one function: one function
+indexes ``_EXEC``, and ``Machine.run`` never calls ``step()``.
 """
 
 import ast
@@ -162,3 +167,34 @@ def test_every_function_cache_is_bounded(name):
                 unbounded.append(node.name)
     assert not unbounded, "%s caches %s without bound" % (
         name, ", ".join(unbounded))
+
+
+def test_the_reference_interpreter_imports_only_isa():
+    tree = ast.parse((Path(__file__).resolve().parent / "reference_isa.py")
+                     .read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or ".")
+            if node.module == "watchstack":  # from watchstack import x
+                modules.update("watchstack." + a.name for a in node.names)
+    package = {name for name in modules
+               if name == "." or name.split(".")[0] == "watchstack"}
+    assert package <= {"watchstack.isa"}, "reference_isa imports %s" % (
+        ", ".join(sorted(package - {"watchstack.isa"})))
+
+
+def test_the_machine_has_one_retire_body():
+    tree = ast.parse((SRC / "machine.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+    retiring = [f.name for f in functions for node in ast.walk(f)
+                if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "_EXEC"]
+    assert retiring == ["_line"]
+    run = next(f for f in functions if f.name == "run")
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "step"
+                   for node in ast.walk(run))

@@ -3,7 +3,10 @@
 The machine has an executor for exactly its ops, the compiled blocks
 emit exactly its non-TRAP ops, every op's printed form parses back to
 the same instruction, the registers a row says an op writes are the
-ones ``step()`` writes, and an op outside it is a ``ValueError``.
+ones ``Machine.step()`` writes, and an op outside it is a
+``ValueError``.  The reference semantics of each op is
+``tests/reference_isa.py``, which has one function per row and which
+``tests/test_reference_isa.py`` holds the machine to.
 """
 
 import pytest
@@ -74,8 +77,8 @@ def test_the_printed_form_parses_back_to_the_op(op):
 @pytest.mark.parametrize("op", sorted(op for op, row in OPS.items()
                                       if row.kind != TRAP))
 def test_the_written_registers_are_what_step_writes(op):
-    """``writes_rd``, ``writes_sp`` and ``writes_reglist`` against the
-    reference semantics: every register starts at a value no sample
+    """``writes_rd``, ``writes_sp`` and ``writes_reglist`` against what
+    the machine writes: every register starts at a value no sample
     leaves in it."""
     ins = finalize(SAMPLES[op].copy())
     ins.target = 0x08000100

@@ -1,4 +1,10 @@
-"""Machine.run against the reference: one Machine.step per instruction.
+"""Machine.run against a plain loop of one Machine.step per instruction.
+
+Both step through the machine's one retire body, so what this holds to
+the step loop is what only ``run()`` does: block dispatch, compiled
+blocks and the step budget.  The reference semantics of each
+instruction is ``tests/reference_isa.py``, which
+``tests/test_reference_isa.py`` holds ``step()`` to.
 
 Every run is made twice from the same build, once by ``runner.run_machine``
 (which drives ``Machine.run``) and once by the plain step loop below, and
@@ -52,7 +58,7 @@ HANDLERS = """\
 
 
 def reference_run(m, cfg: RunConfig) -> bool:
-    """The run loop before Machine.run existed: step() per instruction.
+    """The run loop as a plain step() per instruction.
     Returns whether the step budget ran out."""
     raises = sorted(cfg.raises, key=lambda t: t[1])
     ridx = 0
@@ -1083,12 +1089,13 @@ PUSH_POP = _loop("push {r5, r6}", "pop {r1, r2}", "addw r6, r2, #3")
 
 @pytest.mark.parametrize("sp", [
     0x20001008, 0x20001004, 0x20001006, 0x20001005, 0x20001007, 0x20001002,
-    PPB_BASE + 8, PPB_BASE + 4, PPB_BASE + 2, PPB_BASE + 12],
+    PPB_BASE + 8, PPB_BASE + 4, PPB_BASE + 2, PPB_BASE + 12, 4, 0],
     ids=lambda sp: "%#x" % sp)
 def test_push_and_pop_on_page_and_ppb_edges(sp, monkeypatch):
     """The pushed words at sp - 8 and sp - 4: both on one page, the last
     word of a page and the first of the next, or one across two pages;
-    and below, at and across PPB_BASE."""
+    below, at and across PPB_BASE; and across address 0, where sp and
+    the words' addresses wrap to the top of the 32-bit space."""
     for policy in (POLICY_RESET, POLICY_REPORT):
         want = check_watch(parse(PUSH_POP),
                            _cfg(policy, None, 10_000, initial_sp=sp),
@@ -1096,6 +1103,7 @@ def test_push_and_pop_on_page_and_ppb_edges(sp, monkeypatch):
         assert want["halt"] == (True, HaltReason.NORMAL, False)
         assert want["regs"][1:3] == [1, 3 * (PASSES - 1)]
         assert want["regs"][6] == 3 * PASSES and want["regs"][13] == sp
+        assert all(0 <= base < 1 << 20 for base in want["mem"])
 
 
 def test_a_pop_and_push_on_watchpoint_registers(monkeypatch):
