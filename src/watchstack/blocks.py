@@ -1,7 +1,8 @@
-"""Hot straight-line blocks compiled to Python functions for Machine.run.
+"""Hot traces compiled to Python functions for Machine.run.
 
-A block is the run of instructions from an entry pc up to and including
-the first branch or pc write, ending early before a TRAP op (``svc``,
+A block is the trace entered at a pc: it runs on past each ``b`` and
+``bl``, into the branch's target, and ends at any other branch or pc
+write, before an address already in it, before a TRAP op (``svc``,
 ``bkpt``, ``udf``) or a missing instruction, and at most MAX_BLOCK_LEN
 long.  What an op is (a branch, a data access, a trap) and which
 registers it writes are read from its row in ``isa.OPS``; only the
@@ -12,12 +13,14 @@ generated function, ``block(m, limit)``, that does what ``step()``
 would do for each of its instructions, with the per-step bookkeeping
 lifted out.  ``Machine.run`` calls compiled blocks back to back,
 looking up the next one at the pc each leaves, for as long as it is
-compiled and fits the step budget ``limit``.  A block whose last
-instruction is a ``b`` or ``bcond`` to its own entry is a loop: its
-function runs the block again while the branch is taken and another
-pass fits in ``limit``, and else returns at the entry, so a hot loop
-does not go back to the dispatcher each pass.  In the generated
-function:
+compiled and fits the step budget ``limit``.  A block whose exit
+reaches its own entry is a loop: its function runs the block again
+while the exit does and another pass fits in ``limit``, and else
+returns at the entry, so a hot loop does not go back to the dispatcher
+each pass.  For an exit to a label or the fall-through (a ``b``, ``bl``
+or ``bcond`` whose target or fall-through is the entry) that is decided
+at compile time; for a pc from a register or memory (``bx``, ``blx``,
+``pop {..., pc}``) the pass tests it.  In the generated function:
 
 * steps and cycles are kept in locals; ``m.steps``, ``m.cycles``,
   ``m.cur_pc`` and ``m.pc`` are written only before something can read
@@ -29,9 +32,10 @@ function:
   exception return ends through ``Machine._end``, the one
   end-of-instruction rule, which does that return and logs the halt;
 * ``m.retired`` and ``m.taken`` are not touched per instruction: the
-  block counts how many of its instructions each pass retired and
-  how often its final conditional branch was taken, and ``Block.fold``
-  adds those counts to the machine's before ``Machine.run`` returns;
+  block counts how many of its instructions each pass retired and how
+  often its final conditional branch was taken (a trace follows no
+  conditional branch), and ``Block.fold`` adds those counts to the
+  machine's before ``Machine.run`` returns;
 * ``min_sp`` is checked once on entry when no instruction of the block
   writes sp, and else after the first instruction and after every
   instruction that writes sp, which gives the same minimum as a check
@@ -161,29 +165,50 @@ def _written(ins) -> set:
         regs.add(ins.rd)
     if row.writes_sp:
         regs.add(SP)
+    if row.writes_lr:
+        regs.add(LR)
     return regs
 
 
-def _ends_block(ins) -> bool:
+def _jumps(ins) -> bool:
     """A branch, or any other write of pc."""
     return OPS[ins.op].kind == BRANCH or PC in _written(ins)
 
 
 def _block_at(code, pc: int) -> list:
-    """(address, Instr) pairs of the block entered at pc; may be empty.
-    Code at or above EXC_RETURN_MIN is never run in line: reaching it is
-    an exception return."""
+    """(address, Instr) pairs of the trace entered at pc; may be empty.
+    It follows a ``b`` or ``bl`` to its target and ends at any other
+    jump, or before an address already in it, a TRAP op, a missing
+    instruction or EXC_RETURN_MIN (code there is never run in line:
+    reaching it is an exception return)."""
     instrs = []
+    seen = set()
     addr = pc
-    while len(instrs) < MAX_BLOCK_LEN and addr < mach.EXC_RETURN_MIN:
+    while (len(instrs) < MAX_BLOCK_LEN and addr < mach.EXC_RETURN_MIN
+           and addr not in seen):
         ins = code.get(addr)
         if ins is None or OPS[ins.op].kind == TRAP:
             break
         instrs.append((addr, ins))
-        if _ends_block(ins):
+        seen.add(addr)
+        if ins.op in ("b", "bl"):
+            addr = ins.target
+        elif _jumps(ins):
             break
-        addr += ins.width
+        else:
+            addr += ins.width
     return instrs
+
+
+def _exits(at: int, ins) -> tuple | None:
+    """The pcs that the block's last instruction, at ``at``, can leave
+    for, or None for a pc taken from a register or memory."""
+    nxt = at + ins.width
+    if ins.op == "bcond":
+        return ins.target, nxt
+    if "{label}" in OPS[ins.op].form:
+        return (ins.target,)
+    return None if _jumps(ins) else (nxt,)
 
 
 def _fold(ins, known: dict) -> None:
@@ -201,17 +226,11 @@ def _fold(ins, known: dict) -> None:
 def _device_word(ins, known: dict):
     """(address, device attribute) of a word ``ldr``/``str`` whose
     address is known, aligned and on a device; else None."""
-    if ins.op not in ("ldr", "str") or ins.rn not in known or _ends_block(ins):
+    if ins.op not in ("ldr", "str") or ins.rn not in known or _jumps(ins):
         return None
     addr = (known[ins.rn] + ins.imm) & MASK32
     dev = mach.ppb_device(addr)
     return None if addr & 3 or dev is None else (addr, dev)
-
-
-def _loops(instrs) -> bool:
-    """Whether the block ends in a ``b`` or ``bcond`` to its own entry."""
-    ins = instrs[-1][1]
-    return ins.op in ("b", "bcond") and ins.target == instrs[0][0]
 
 
 _MIN_SP = "if m.min_sp is not None and m.sp < m.min_sp: m.min_sp = m.sp"
@@ -220,10 +239,10 @@ _MIN_SP = "if m.min_sp is not None and m.sp < m.min_sp: m.min_sp = m.sp"
 def _source(instrs) -> tuple[str, list]:
     """``make(cnt, d0, f0, ...)`` returning ``block(m, limit)``: the
     block's instructions as Machine.step would run them, in sequence.  A
-    block that branches back to its own entry runs them again for as
-    long as the branch is taken and another pass fits before ``limit``
-    steps.  Also ``(address, device, access kind)`` of each device word
-    k, for its device ``d<k>`` and port read or write ``f<k>``."""
+    block whose exit reaches its own entry runs them again for as long
+    as it does and another pass fits before ``limit`` steps.  Also
+    ``(address, device, access kind)`` of each device word k, for its
+    device ``d<k>`` and port read or write ``f<k>``."""
     words: list = []
     out = ["def make(cnt):",
            " def block(m, limit):",
@@ -231,7 +250,10 @@ def _source(instrs) -> tuple[str, list]:
            "  s = m.steps",
            "  c = m.cycles"]
     n = len(instrs)
-    loops = _loops(instrs)
+    entry, (at, ins) = instrs[0][0], instrs[-1]
+    exits = _exits(at, ins)
+    loops = exits is None or entry in exits
+    split = loops and ins.op in ("b", "bcond")  # _loop_tail runs it
     moves_sp = any(SP in _written(ins) for _, ins in instrs)
     if not moves_sp:
         out.append("  " + _MIN_SP)  # sp holds its entry value throughout
@@ -240,7 +262,7 @@ def _source(instrs) -> tuple[str, list]:
     body = []
     cost = 0
     known: dict = {}
-    for i, (at, ins) in enumerate(instrs[:-1] if loops else instrs):
+    for i, (at, ins) in enumerate(instrs[:-1] if split else instrs):
         cost += ins.cycles
         nxt = at + ins.width
         last = i == n - 1
@@ -264,66 +286,70 @@ def _source(instrs) -> tuple[str, list]:
             body.append(_MIN_SP)
         if OPS[ins.op].kind == MEMORY:
             check = "m.halted"
-            if last and _ends_block(ins):
+            if last and _jumps(ins):
                 check += " or m.pc >= %d" % mach.EXC_RETURN_MIN
             # The state after the instruction, which a store wrote only
             # on the guard's path; pc unless the instruction wrote it.
             body += ["if %s:" % check,
                      " m.steps = s + %d; %s%s; cnt[%d] += 1"
-                     % (i + 1, state, "" if _ends_block(ins) else pc, i + 1),
+                     % (i + 1, state, "" if _jumps(ins) else pc, i + 1),
                      " return m._end(%d)" % at]
     out[0] = "def make(cnt%s):" % "".join(", d%d, f%d" % (k, k)
                                           for k in range(len(words)))
     at, ins = instrs[-1]
     nxt = at + ins.width
     if loops:
-        cost += ins.cycles
+        if split:
+            cost += ins.cycles
         out.append("  while True:")
         out += ["   " + line
-                for line in body + _loop_tail(ins, at, nxt, cost, n)]
-        if ins.op == "b":  # it leaves only through the budget test
+                for line in body + _loop_tail(ins, at, cost, n, entry)]
+        if exits == (entry,):  # it leaves only through the budget test
             out.append(" return block")
             return "\n".join(out) + "\n", words
     else:
         out += ["  " + line for line in body]
     if ins.op != "bcond":  # a conditional branch sets cycles itself
         out.append("  m.cycles = c + %d" % cost)
-    if not _ends_block(ins):
+    if not _jumps(ins):
         out.append("  m.pc = %d" % nxt)
     out.append("  m.steps = s + %d; m.cur_pc = %d; cnt[%d] += 1"
                % (n, at, n))
-    row = OPS[ins.op]
-    if _ends_block(ins) and "{label}" not in row.form:
-        # A pc taken from a register may be EXC_RETURN; a memory op's
-        # exit above tests the pc it loaded.
-        returns = row.kind != MEMORY
-    else:
-        # The next pc is the target or the fall-through.
-        returns = max(ins.target, nxt) >= mach.EXC_RETURN_MIN
-    if returns:
+    # A pc taken from a register may be EXC_RETURN; a memory op's exit
+    # above tests the pc it loaded.
+    if (OPS[ins.op].kind != MEMORY if exits is None
+            else max(exits) >= mach.EXC_RETURN_MIN):
         out.append("  if m.pc >= %d: return m._end(%d)"
                    % (mach.EXC_RETURN_MIN, at))
     out.append(" return block")
     return "\n".join(out) + "\n", words
 
 
-def _loop_tail(ins, at: int, nxt: int, cost: int, n: int) -> list[str]:
-    """A looping block's final branch: a ``bcond`` not taken leaves the
-    loop as ``_bcond`` would; a taken branch counts the pass and starts
+def _loop_tail(ins, at: int, cost: int, n: int, entry: int) -> list[str]:
+    """A looping block's exit test, after its other instructions: a
+    ``bcond`` leaves for whichever of its target and fall-through is not
+    the entry as ``_bcond`` would, a pc from a register or memory leaves
+    when it is not the entry; a pass that stays counts itself and starts
     the next one if it fits before ``limit``, else returns at the entry."""
-    lines = ["# 0x%08x %s" % (at, ins.op)]
+    lines = ["# 0x%08x %s" % (at, ins.op)] if ins.op in ("b", "bcond") else []
     count = "cnt[%d] += 1" % n
-    if ins.op == "bcond":
+    if ins.op == "bcond" and ins.target == entry:
         lines += ["x = m.xpsr",
                   "if not (%s): m.pc = %d; m.cycles = c + %d; break"
-                  % (_COND[ins.cond], nxt, cost)]
+                  % (_COND[ins.cond], at + ins.width, cost)]
         cost += 1
         count = "cnt[0] += 1; " + count
+    elif ins.op == "bcond":
+        lines += ["x = m.xpsr",
+                  "if %s: m.pc = %d; m.cycles = c + %d; cnt[0] += 1; break"
+                  % (_COND[ins.cond], ins.target, cost + 1)]
+    elif _exits(at, ins) is None:
+        lines.append("if m.pc != %d: break" % entry)
     return lines + [
         "s += %d; c += %d; %s" % (n, cost, count),
         "if s + %d > limit:" % n,
         " m.steps = s; m.cycles = c; m.cur_pc = %d; m.pc = %d; return"
-        % (at, ins.target)]
+        % (at, entry)]
 
 
 # -- per-op source, mirroring Machine._x_* ----------------------------------------

@@ -100,8 +100,8 @@ class Op(NamedTuple):
     written, ``{mem}`` a memory operand); a ``width`` of 0 leaves 2 or 4
     bytes to ``_narrow``; ``cycles`` is the base cost; ``writes_rd``
     says ``rd`` is written through ``write_reg``, ``writes_sp`` that sp
-    is, whatever ``rd`` names, and ``writes_reglist`` that every listed
-    register is."""
+    is, whatever ``rd`` names, ``writes_lr`` that lr is (a link), and
+    ``writes_reglist`` that every listed register is."""
 
     form: str
     kind: str
@@ -109,6 +109,7 @@ class Op(NamedTuple):
     cycles: int = 1
     writes_rd: bool = False
     writes_sp: bool = False
+    writes_lr: bool = False
     writes_reglist: bool = False
 
 
@@ -132,9 +133,9 @@ OPS = {
     "cmp_reg": Op("cmp {rn}, {rm}", ALU, 2),
     "b": Op("b {label}", BRANCH, 2, 2),
     "bcond": Op("b{cond} {label}", BRANCH, 2),  # the machine adds 1 if taken
-    "bl": Op("bl {label}", BRANCH, 4, 3),
+    "bl": Op("bl {label}", BRANCH, 4, 3, writes_lr=True),
     "bx": Op("bx {rm}", BRANCH, 2, 2),
-    "blx": Op("blx {rm}", BRANCH, 2, 2),
+    "blx": Op("blx {rm}", BRANCH, 2, 2, writes_lr=True),
     "msr": Op("msr control, {rn}", ALU, 4),
     "mrs": Op("mrs {rd}, control", ALU, 4, writes_rd=True),
     "nop": Op("nop", ALU, 2),

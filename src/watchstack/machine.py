@@ -28,9 +28,10 @@ binds at compile time; the access path handles byte lanes.
 
 ``step()`` executes one instruction and ``run()`` many; both step
 through ``_line``, the one retire body, and ``run()`` also runs hot
-straight-line blocks as compiled functions (``blocks``), with
-identical results.  ``tests/reference_isa.py``, an independent
-interpreter, is the reference semantics the tests hold them to.
+traces, which follow ``b`` and ``bl``, as compiled functions
+(``blocks``), with identical results.  ``tests/reference_isa.py``, an
+independent interpreter, is the reference semantics the tests hold
+them to.
 Neither returns anything.  The machine logs what only it sees in
 ``events``, where it happens:
 ``exception_model`` appends each exception entry and return, and
@@ -139,17 +140,18 @@ class Memory:
         if off <= PAGE_SIZE - 4:
             page = self.pages.get(addr >> PAGE_BITS)
             return 0 if page is None else WORD.unpack_from(page, off)[0]
-        return (self.read_byte(addr) | self.read_byte(addr + 1) << 8
-                | self.read_byte(addr + 2) << 16 | self.read_byte(addr + 3) << 24)
+        # Across two pages byte by byte; a word that straddles 2^32 wraps.
+        return sum(self.read_byte((addr + i) & MASK32) << (8 * i)
+                   for i in range(4))
 
     def write_word(self, addr: int, value: int) -> None:
         off = addr & PAGE_MASK
         if off <= PAGE_SIZE - 4:
             page = self.pages.get(addr >> PAGE_BITS) or self._page(addr)
             WORD.pack_into(page, off, value & MASK32)
-        else:
+        else:  # as in read_word
             for i in range(4):
-                self.write_byte(addr + i, (value >> (8 * i)) & 0xFF)
+                self.write_byte((addr + i) & MASK32, (value >> (8 * i)) & 0xFF)
 
     def read_region(self, lo: int, size: int) -> bytes:
         return bytes(self.read_byte(lo + i) for i in range(size))
@@ -379,18 +381,20 @@ class Machine:
         The machine ends in the state the same number of ``step()``
         calls would leave.  Execution goes block by block (``blocks``): a
         block entry reached fewer than ``blocks.HOT_THRESHOLD`` times is
-        stepped through; then its block is compiled, and the compiled
-        block runs whenever it fits before the limit and no exception
-        is pending.  Each compiled block is passed ``limit``: one that
-        branches back to its own entry runs pass after pass while the
-        branch is taken and the next pass fits, and returns at its
-        entry when it would not.  Compiled blocks run back to back: the
-        loop returns to counting heat and stepping only on a halt, an
-        entry not yet compiled, or a block that does not fit, which it
-        steps up to the limit.  The blocks' own counts are folded into
-        ``retired`` and ``taken`` before ``run()`` returns, so the
-        blocks can be dropped whenever ``code`` is replaced, or ``dwt``
-        or ``demcr``, whose ports a compiled block binds.
+        stepped through; then its block, the trace that runs on past
+        each ``b`` and ``bl`` to the next other jump, is compiled, and
+        the compiled block runs whenever it fits before the limit and no
+        exception is pending.  Each compiled block is passed ``limit``:
+        one whose exit reaches its own entry, by a label or by a pc from
+        a register or memory, runs pass after pass while it does and the
+        next pass fits, and returns at its entry when it would not.
+        Compiled blocks run back to back: the loop returns to counting
+        heat and stepping only on a halt, an entry not yet compiled, or
+        a block that does not fit, which it steps up to the limit.  The
+        blocks' own counts are folded into ``retired`` and ``taken``
+        before ``run()`` returns, so the blocks can be dropped whenever
+        ``code`` is replaced, or ``dwt`` or ``demcr``, whose ports a
+        compiled block binds.
         """
         cache = self._block_cache
         if (cache is None or cache[0] is not self.code

@@ -2,8 +2,8 @@
 
 The machine has an executor for exactly its ops, the compiled blocks
 emit exactly its non-TRAP ops, every op's printed form parses back to
-the same instruction, the registers a row says an op writes are the
-ones ``Machine.step()`` writes, and an op outside it is a
+the same instruction, the registers a row says an op writes are
+exactly the ones ``Machine.step()`` writes, and an op outside it is a
 ``ValueError``.  The reference semantics of each op is
 ``tests/reference_isa.py``, which has one function per row and which
 ``tests/test_reference_isa.py`` holds the machine to.
@@ -77,7 +77,8 @@ def test_the_printed_form_parses_back_to_the_op(op):
 @pytest.mark.parametrize("op", sorted(op for op, row in OPS.items()
                                       if row.kind != TRAP))
 def test_the_written_registers_are_what_step_writes(op):
-    """``writes_rd``, ``writes_sp`` and ``writes_reglist`` against what
+    """``writes_rd``, ``writes_sp``, ``writes_lr`` and ``writes_reglist``,
+    as ``blocks`` reads them, name exactly the registers below pc that
     the machine writes: every register starts at a value no sample
     leaves in it."""
     ins = finalize(SAMPLES[op].copy())
@@ -89,13 +90,7 @@ def test_the_written_registers_are_what_step_writes(op):
     before = [m.read_reg(r) for r in range(PC)]
     m.step()
     written = {r for r in range(PC) if m.read_reg(r) != before[r]}
-    row = OPS[op]
-    if ins.rd is not None:
-        assert (ins.rd in written) == row.writes_rd
-    assert (SP in written) == row.writes_sp
-    if ins.reglist:
-        listed = set(ins.reglist) - {PC}
-        assert (listed <= written) == row.writes_reglist
+    assert written == blocks._written(ins) - {PC}
 
 
 @pytest.mark.parametrize("fn", [encoding_width, cycle_cost, format_instr])

@@ -497,6 +497,23 @@ def test_a_short_sweep_under_report():
     assert len(core.records) == 12
 
 
+def test_words_that_straddle_2_to_the_32_wrap_to_0():
+    """With sp at 2, ``push {r0, r1}`` writes the words at 0xFFFFFFFA and
+    0xFFFFFFFE, whose last two bytes wrap to addresses 0 and 1, and the
+    pop reads them back from there."""
+    text = "\n".join([
+        ".org 0x08000000", ".func main hal",
+        "    movw r0, #0x3344", "    movt r0, #0x1122",
+        "    movw r1, #0x7788", "    movt r1, #0x5566",
+        "    push {r0, r1}", "    pop {r2, r3}", "    bkpt #0",
+        ".endfunc", ""])
+    core = lockstep(parse(text), RunConfig(initial_sp=2, max_steps=100),
+                    "sp at 2")
+    assert core.halt == "normal"
+    assert core.R[2:4] == [0x11223344, 0x55667788]
+    assert [core.mem[a] for a in (0, 1)] == [0x66, 0x55]
+
+
 # An instrumented SysTick handler that counts its runs past the benign
 # programs' result slots.
 HANDLER = """\

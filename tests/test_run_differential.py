@@ -159,13 +159,20 @@ def test_step_budget_cuts_inside_a_block(max_steps, monkeypatch):
 
 
 # Three blocks in a loop, laid out so that no branch lands on the next
-# instruction: main (2 instructions), then per pass a (3), bb (4) and cc
-# (3), 10 steps, 40 passes.
-CHAIN = """\
+# instruction and linked by register exits, which no trace follows: main
+# (8 instructions) puts the entries of a, bb and cc in r8-r10, then per
+# pass a (3), bb (4) and cc (3), 10 steps, 40 passes.
+CHAIN_FORM = """\
 .org 0x08000000
 .func main hal
     mov r5, #40
-    b a
+    movw r8, #{a}
+    movt r8, #0x0800
+    movw r9, #{bb}
+    movt r9, #0x0800
+    movw r10, #{cc}
+    movt r10, #0x0800
+    bx r8
 .label cc
     subw r5, r5, #1
     cmp r5, #0
@@ -175,13 +182,17 @@ CHAIN = """\
     addw r7, r7, #1
     addw r7, r7, #1
     addw r7, r7, #1
-    b cc
+    bx r10
 .label a
     addw r6, r6, #1
     addw r6, r6, #2
-    b bb
+    bx r9
 .endfunc
 """
+CHAIN = CHAIN_FORM.format(**{
+    name: addr & 0xFFFF
+    for addr, ins in parse(CHAIN_FORM.format(a=0, bb=0, cc=0)).code.items()
+    for name in ins.labels})
 
 
 @pytest.mark.parametrize("hot", [1, None], ids=["threshold 1", "default"])
@@ -200,7 +211,7 @@ def test_step_budget_cuts_inside_a_hot_chain(hot, monkeypatch):
     assert [len(blocks._block_at(prog.code, labels[name]))
             for name in ("a", "bb", "cc")] == [3, 4, 3]
     hot = hot or blocks.HOT_THRESHOLD
-    c0 = 2 + 10 * (hot - 1) + 7
+    c0 = 8 + 10 * (hot - 1) + 7
     for budget in range(c0 + 1, c0 + 11):
         want = check(prog, _cfg(POLICY_RESET, None, budget),
                      "chain budget %d" % budget, monkeypatch)
@@ -1308,6 +1319,128 @@ def test_a_compiled_sweep_shows_the_guard_each_hit_once(monkeypatch):
     assert run.halt_reason == HaltReason.NORMAL
     assert run.steps == 5 + 4 * 320 + 1 and len(run.violations) == 256
     assert stores[0] == 0 and shown[0] == 256
+
+
+# -- traces: blocks that follow b and bl ------------------------------------------
+
+@pytest.mark.parametrize("loop", ["descent", "ascent"])
+def test_step_budget_cuts_inside_the_recursions_trace_loops(loop,
+                                                             monkeypatch):
+    """The instrumented recursion 40 deep: main (2 steps), then per call
+    its prologue and test (13) and, but for the deepest, the subw and bl
+    (2) that the descent's trace follows back into the prologue, so a
+    descent pass of 15 steps starts at step 15 k; then 40 epilogues of 9
+    steps from step 600, each of whose bx lr returns to the next, and the
+    bkpt.  Every budget from the first descent pass to the halt.  At a
+    hot threshold of 1 both are compiled loops; by default the ascent
+    is from its 32nd pass."""
+    prog = instrument_program(parse(recursion_program(40)), SHADOW).program
+    entry, size, first, last = {"descent": (0x08000038, 15, 15, 600),
+                                "ascent": (0x08000040, 9, 600, 961)}[loop]
+    assert len(blocks._block_at(prog.code, entry)) == size
+    for budget in range(first, last + 1):
+        want = check(prog, _cfg(POLICY_RESET, None, budget),
+                     "%s budget %d" % (loop, budget), monkeypatch)
+        assert want["steps"] == budget
+
+
+def test_the_recursion_runs_as_two_compiled_loops(monkeypatch):
+    """With every block compiled on first reach, the recursion's run()
+    calls three compiled blocks: main's, which follows the bl into the
+    first call, the descent, and the ascent."""
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    calls = []
+    compile_block = blocks.Block.compile
+
+    def counted(blk, m, pc):
+        compile_block(blk, m, pc)
+        fn = blk.fn
+        if fn is not None:
+            def counting(m, limit):
+                calls.append(pc)
+                return fn(m, limit)
+            blk.fn = counting
+
+    monkeypatch.setattr(blocks.Block, "compile", counted)
+    prog = instrument_program(parse(recursion_program(64)), SHADOW).program
+    run = run_program(prog, RunConfig(protected=True, shadow=SHADOW))
+    assert run.outcome == OUTCOME_SAFE and run.steps == 24 * 64 + 1
+    assert calls == [0x08000000, 0x08000038, 0x08000040]
+
+
+# A loop that puts FUNCTION0's address in lr, then calls f through a bl
+# that the loop's trace follows; f stores r1 through lr, which the bl
+# has made the return address, a RAM word past the bl.
+LINKED_LR = """\
+.org 0x08000000
+.func main hal
+    mov r5, #%d
+    mov r1, #0x55
+.label loop
+    movw lr, #0x%04x
+    movt lr, #0x%04x
+    bl f
+    subw r5, r5, #1
+    cmp r5, #0
+    bne loop
+    bkpt #0
+.endfunc
+.func f
+    str r1, [lr]
+    bx lr
+.endfunc
+""" % (PASSES, DWT_FUNCTION0 & 0xFFFF, DWT_FUNCTION0 >> 16)
+
+
+def test_a_followed_bl_forgets_the_constant_in_lr(monkeypatch):
+    """The trace folds movw/movt into lr, but the bl writes lr, so f's
+    store lands in RAM at the return address, not on FUNCTION0."""
+    prog = parse(LINKED_LR)
+    after = prog.functions["main"].body[5].addr
+    assert after % 4 == 0
+    want = check(prog, RunConfig(max_steps=10_000), "linked lr",
+                 monkeypatch)
+    assert want["halt"] == (True, HaltReason.NORMAL, False)
+    assert want["dwt"][0][0].function == 0
+    page = want["mem"][after >> 12]
+    assert page[after & 0xFFF] == 0x55
+
+
+# A loop whose trace follows a b and a bl into f, which stores at r7 and
+# moves r7 up a word; r7 starts PASSES - 1 words below the shadow stack,
+# so pass PASSES stores into it.  main takes 2 steps and each pass 6:
+# mov, bl, str, addw, bx lr, b.
+FOLLOWED_HIT = """\
+.org 0x08000000
+.func main hal
+    movw r7, #0x%04x
+    movt r7, #0x%04x
+.label loop
+    mov r6, #1
+    bl f
+    b loop
+.endfunc
+.func f
+    str r6, [r7]
+    addw r7, r7, #4
+    bx lr
+.endfunc
+""" % ((SHADOW.ss_start - 4 * (PASSES - 1)) & 0xFFFF,
+       (SHADOW.ss_start - 4 * (PASSES - 1)) >> 16)
+
+
+def test_a_reset_hit_after_a_followed_bl_records_its_step_and_pc(
+        monkeypatch):
+    prog = parse(FOLLOWED_HIT)
+    str_at = prog.functions["f"].entry
+    want = check_watch(prog, _cfg(POLICY_RESET, None, 10_000),
+                       "followed hit", monkeypatch)
+    hit = 2 + 6 * (PASSES - 1) + 2  # steps before pass PASSES's str
+    assert want["halt"] == (True, HaltReason.RESET, False)
+    assert want["steps"] == hit + 1
+    assert [(r.step_index, r.pc, r.data_address)
+            for r in want["violations"]] == [(hit, str_at, SHADOW.ss_start)]
+    assert want["events"][-1].at_pc == str_at
 
 
 # -- the packed violation log against a plain list ---------------------------------
