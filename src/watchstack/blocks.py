@@ -43,10 +43,16 @@ at compile time; for a pc from a register or memory (``bx``, ``blx``,
 
 A data access tests the comparator regions inline against ``m.watch``,
 as ``Machine.load``/``store`` do, once per access and per pushed or
-popped word.  A miss into RAM, below ``machine.PPB_BASE`` and, for a
-word, on one page, reads or writes ``m.mem``'s page in line, with no
-call and no state writes (``_decode``, QEMU's softmmu fast path); a page
-nothing wrote reads 0.  The slow cases keep the generic path: on a hit
+popped word.  An access whose address comes from sp (a pushed or
+popped word, a load or store with base sp) and a bound device word
+test the hull of the regions, ``m.watch[2]``, first: one that
+``_decode`` would take inline and that lies outside the hull is taken
+so at once, and only the rest run the four-region test.  Any other
+access runs the four-region test first, as a byte store that hits on
+most passes should.  A miss into RAM, below ``machine.PPB_BASE`` and,
+for a word, on one page, reads or writes ``m.mem``'s page in line, with
+no call and no state writes (``_decode``, QEMU's softmmu fast path); a
+page nothing wrote reads 0.  The slow cases keep the generic path: on a hit
 the block writes the state and shows the guard the access, then
 commits a store through ``Machine.commit`` unless the guard suppresses
 it, or reads a load through ``m.load``; any other miss, above PPB_BASE
@@ -258,7 +264,7 @@ def _source(instrs) -> tuple[str, list]:
     if not moves_sp:
         out.append("  " + _MIN_SP)  # sp holds its entry value throughout
     if any(OPS[ins.op].kind == MEMORY for _, ins in instrs):
-        out.append("  P = m.mem.pages")  # for _decode
+        out.append("  P = m.mem.pages; H = m.watch[2]")  # for _decode
     body = []
     cost = 0
     known: dict = {}
@@ -276,10 +282,13 @@ def _source(instrs) -> tuple[str, list]:
             load, k, addr = ins.op == "ldr", len(words), "%d" % bound[0]
             words.append(bound + (mach.ACCESS_READ if load
                                   else mach.ACCESS_WRITE,))
-            body += (_load(ins.rd, addr, 4, sync, k) if load
-                     else _store(addr, 4, _reg(ins.rd, nxt), sync, k))
+            body += (_load(ins.rd, addr, 4, sync, k, hull=True) if load
+                     else _store(addr, 4, _reg(ins.rd, nxt), sync, k,
+                                 hull=True))
         elif ins.op == "movt" and ins.rd in known:  # folded, as movw is
             body.append(_set(ins.rd, "%d" % known[ins.rd]))
+        elif ins.op in ("b", "bl") and not last:  # followed: pc is not read
+            body += ["m.lr = %d" % nxt] if ins.op == "bl" else []
         else:
             body += _EMIT[ins.op](ins, nxt, cost, sync)
         if moves_sp and (i == 0 or SP in _written(ins)):
@@ -420,7 +429,8 @@ def _hit(kind: int, a: str, end: str) -> tuple[str, str]:
                         for k in range(4)))
 
 
-def _decode(a: str, size: int, sync: str, dev, rd=None) -> tuple[str, str]:
+def _decode(a: str, size: int, sync: str, dev, rd=None,
+            hull=False) -> tuple[str, str]:
     """The one compiled decode of an access of ``size`` bytes at ``a``
     that missed the comparators: the test for its inline case, and the
     statement that reads it into ``rd`` or, without ``rd``, writes ``v``;
@@ -431,14 +441,22 @@ def _decode(a: str, size: int, sync: str, dev, rd=None) -> tuple[str, str]:
     state.  Else ``a`` must be RAM, below PPB_BASE, and a word must not
     cross a page; a missing page reads 0, and a store also asks for the
     page, which only ``Machine.commit`` creates.  A memory map that grows
-    more banks changes this beside ``Machine.load``/``commit``."""
+    more banks changes this beside ``Machine.load``/``commit``.
+
+    With ``hull`` the test is instead that of an access not yet tested
+    against the comparators: the same case, and outside the hull ``H``
+    (``m.watch[2]``), its half above PPB_BASE for a device word and the
+    one below for RAM, so that no comparator can match it."""
     if dev is not None:
         call = "f%d(d%d, m" % (dev, dev)
         if rd is None:
-            return "", call + ", v)"
-        read = "%s = %s)" % (_dest(rd), call)  # a port reads 32 bits
-        return "", (sync + "; " + read if a == "%d" % mach.DWT_CYCCNT
-                    else read)
+            access = call + ", v)"
+        else:
+            read = "%s = %s)" % (_dest(rd), call)  # a port reads 32 bits
+            access = (sync + "; " + read if a == "%d" % mach.DWT_CYCCNT
+                      else read)
+        return ("%d <= H[2] or %s >= H[3]" % (int(a) + size, a) if hull
+                else ""), access
     test = "%s < %d" % (a, mach.PPB_BASE)
     if size == 4:
         test += " and (o := %s & %d) <= %d" % (a, mach.PAGE_MASK,
@@ -446,6 +464,8 @@ def _decode(a: str, size: int, sync: str, dev, rd=None) -> tuple[str, str]:
         off = "o"
     else:
         off = "%s & %d" % (a, mach.PAGE_MASK)
+    if hull:
+        test += " and (%s >= H[1] or %s + %d <= H[0])" % (a, a, size)
     page = "(p := P.get(%s >> %d))" % (a, mach.PAGE_BITS)
     if rd is None:
         return (test + " and %s is not None" % page,
@@ -454,32 +474,52 @@ def _decode(a: str, size: int, sync: str, dev, rd=None) -> tuple[str, str]:
     return test, "%s = %s if %s is not None else 0" % (_dest(rd), word, page)
 
 
-def _load(rd: int, a: str, size: int, sync: str, dev=None) -> list[str]:
+def _hull_first(decoded: tuple[str, str], exact: list[str]) -> list[str]:
+    """``exact``, an access's comparator test and paths, behind the hull
+    test of ``_decode(..., hull=True)``: an access it takes inline goes
+    so at once, and any other takes ``exact`` unchanged."""
+    test, access = decoded
+    return ["if %s: %s" % (test, access), "else:",
+            *(" " + line for line in exact)]
+
+
+def _load(rd: int, a: str, size: int, sync: str, dev=None,
+          hull=False) -> list[str]:
     """Machine.load of ``size`` bytes at ``a`` into ``rd``: a miss that
     ``_decode`` can read inline is read so, and anything else brings the
-    state up to date, for the guard and CYCCNT, and takes m.load."""
+    state up to date, for the guard and CYCCNT, and takes m.load.  With
+    ``hull`` the hull test comes first (``_hull_first``)."""
     regions, hit = _hit(mach.ACCESS_READ, a, "%s + %d" % (a, size))
     test, read = _decode(a, size, sync, dev, rd)
-    return [regions,
-            "if %snot (%s): %s" % (test and test + " and ", hit, read),
-            "else: %s; %s" % (sync, _set(rd, "m.load(%s, %d)" % (a, size)))]
+    exact = [regions,
+             "if %snot (%s): %s" % (test and test + " and ", hit, read),
+             "else: %s; %s" % (sync, _set(rd, "m.load(%s, %d)" % (a, size)))]
+    if hull:
+        return _hull_first(_decode(a, size, sync, dev, rd, hull=True),
+                           exact)
+    return exact
 
 
-def _store(a: str, size: int, value: str, sync: str, dev=None) -> list[str]:
+def _store(a: str, size: int, value: str, sync: str, dev=None,
+           hull=False) -> list[str]:
     """Machine.store of ``value`` at ``a``: a store in a comparator
     region brings the state up to date for the guard and commits unless
     the guard suppresses it; a miss that ``_decode`` can write inline is
-    written so, and any other goes through m.commit."""
+    written so, and any other goes through m.commit.  With ``hull`` the
+    hull test comes first (``_hull_first``)."""
     regions, hit = _hit(mach.ACCESS_WRITE, a, "%s + %d" % (a, size))
     test, write = _decode(a, size, sync, dev)
-    return ["v = " + value, regions,
-            "if %s:" % hit,
-            " " + sync,
-            " if not m.guard.on_store(m, %s, %d, v): m.commit(%s, %d, v)"
-            % (a, size, a, size),
-            *(["elif %s: %s" % (test, write),
-               "else: m.commit(%s, %d, v)" % (a, size)] if test
-              else ["else: " + write])]
+    exact = [regions,
+             "if %s:" % hit,
+             " " + sync,
+             " if not m.guard.on_store(m, %s, %d, v): m.commit(%s, %d, v)"
+             % (a, size, a, size),
+             *(["elif %s: %s" % (test, write),
+                "else: m.commit(%s, %d, v)" % (a, size)] if test
+               else ["else: " + write])]
+    if hull:
+        exact = _hull_first(_decode(a, size, sync, dev, hull=True), exact)
+    return ["v = " + value, *exact]
 
 
 def _each_word(ins, access) -> list[str]:
@@ -508,23 +548,28 @@ _EMIT = {
         "a = " + _addr(ins, nxt),
         "if a & 3: m.fault()",
         "else:",
-        *(" " + line for line in _load(ins.rd, "a", 4, sync))],
+        *(" " + line
+          for line in _load(ins.rd, "a", 4, sync, hull=ins.rn == SP))],
     "str": lambda ins, nxt, cost, sync: [
         "a = " + _addr(ins, nxt),
         "if a & 3: m.fault()",
         "else:",
-        *(" " + line for line in _store("a", 4, _reg(ins.rd, nxt), sync))],
+        *(" " + line for line in _store("a", 4, _reg(ins.rd, nxt), sync,
+                                        hull=ins.rn == SP))],
     "ldrb": lambda ins, nxt, cost, sync: [
-        "a = " + _addr(ins, nxt), *_load(ins.rd, "a", 1, sync)],
+        "a = " + _addr(ins, nxt),
+        *_load(ins.rd, "a", 1, sync, hull=ins.rn == SP)],
     "strb": lambda ins, nxt, cost, sync: [
         "a = " + _addr(ins, nxt),
-        *_store("a", 1, "%s & 0xFF" % _reg(ins.rd, nxt), sync)],
+        *_store("a", 1, "%s & 0xFF" % _reg(ins.rd, nxt), sync,
+                hull=ins.rn == SP)],
     "push": lambda ins, nxt, cost, sync: [
         "sp = (m.sp - %d) & M" % (4 * len(ins.reglist)), "m.sp = sp",
-        *_each_word(ins, lambda r: _store("a", 4, _reg(r, nxt), sync))],
+        *_each_word(ins, lambda r: _store("a", 4, _reg(r, nxt), sync,
+                                          hull=True))],
     "pop": lambda ins, nxt, cost, sync: [
         "sp = m.sp", "m.sp = (sp + %d) & M" % (4 * len(ins.reglist)),
-        *_each_word(ins, lambda r: _load(r, "a", 4, sync))],
+        *_each_word(ins, lambda r: _load(r, "a", 4, sync, hull=True))],
     "add_sp": lambda ins, nxt, cost, sync: [
         "m.sp = (m.sp + %d) & M" % ins.imm],
     "sub_sp": lambda ins, nxt, cost, sync: [

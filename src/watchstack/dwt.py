@@ -19,11 +19,17 @@ up, and compiled blocks bind it (``DwtUnit.port``).  The writes keep
 up to date in place.  Each group's ``[lo, hi)`` region is cached, and
 only a COMP or MASK write to the group drops it; a FUNCTION write, which
 the instrumented code makes twice per call, only chooses per access
-kind between the cached region and ``_NEVER``.  The machine tests every
-data access against that table inline (``protect`` makes it
+kind between the cached region and ``_NEVER``.  The table's third
+entry is a hull of the cached regions, enabled or not: ``[h0, h1)``
+covers their parts below ``machine.PPB_BASE`` and ``[h2, h3)`` their
+parts above, so it contains every slot that can match.  Only caching a
+region and dropping one rework it, never a FUNCTION write.  The machine
+tests every data access against that table inline (``protect`` makes it
 ``Machine.watch``), as the chip's comparators do in hardware, and calls
-the guard only on a hit; ``match_access`` reads the same table, and is
-the reference matcher the guard uses to name the comparator.
+the guard only on a hit; compiled blocks test a stack or
+watchpoint-register access against the hull first, and skip the slots
+when it misses.  ``match_access`` reads the same table, and is the
+reference matcher the guard uses to name the comparator.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .isa import MASK32
-from .machine import DWT_CYCCNT, DWT_WINDOW_LO, HaltReason
+from .machine import DWT_CYCCNT, DWT_WINDOW_LO, PPB_BASE, HaltReason
 
 # Comparator register addresses; the cycle counter's is machine's.
 DWT_COMP_BASE = DWT_WINDOW_LO + 0x20
@@ -62,10 +68,28 @@ _WRITE_FNS = frozenset((FN_WRITE, FN_READWRITE))
 _ENABLED_FNS = _READ_FNS | _WRITE_FNS
 
 
+def _span(parts: list) -> tuple[int, int]:
+    """The least ``[lo, hi)`` that covers every part, or (0, 0)."""
+    if not parts:
+        return 0, 0
+    return min(lo for lo, _ in parts), max(hi for _, hi in parts)
+
+
+def _rehull(d) -> None:
+    """Bring ``d``'s hull, the third entry of its slot table, over its
+    cached regions: ``[h0, h1)`` spans their parts below PPB_BASE and
+    ``[h2, h3)`` their parts above."""
+    regions = [r for r in d._regions if r is not None]
+    below = [(lo, min(hi, PPB_BASE)) for lo, hi in regions if lo < PPB_BASE]
+    above = [(max(lo, PPB_BASE), hi) for lo, hi in regions if hi > PPB_BASE]
+    d.slots[2][:] = _span(below) + _span(above)
+
+
 def _group_ports(gid: int) -> dict:
     """Group ``gid``'s register ports by address.  A FUNCTION write only
     chooses the group's slots, from the cached region; a COMP or MASK
-    write drops that region and, if the group is enabled, chooses anew."""
+    write drops that region and, if the group is enabled, chooses anew.
+    Caching a region and dropping one are what rework the hull."""
     comp, mask, fn = (3 * gid + k for k in (_COMP, _MASK, _FUNCTION))
 
     def choose(d, m, value):
@@ -77,7 +101,8 @@ def _group_ports(gid: int) -> dict:
             span = 1 << regs[mask]
             base = regs[comp] & ~(span - 1) & MASK32
             region = d._regions[gid] = (base, base + span)
-        reads, writes = d.slots
+            _rehull(d)
+        reads, writes, _ = d.slots
         reads[gid] = region if value in _READ_FNS else _NEVER
         writes[gid] = region if value in _WRITE_FNS else _NEVER
 
@@ -92,10 +117,13 @@ def _group_ports(gid: int) -> dict:
                 lo, hi = d.ssp_guard
                 if not lo <= value <= hi:
                     m.halt(HaltReason.STACK_OVERFLOW)
+            dropped = d._regions[gid] is not None
             d._regions[gid] = None
             # A disabled group (COMP1 as the ssp) keeps its _NEVER slots.
             if regs[fn] in _ENABLED_FNS:
                 choose(d, m, regs[fn])
+            elif dropped:
+                _rehull(d)
         return write
 
     base = DWT_COMP_BASE + gid * DWT_GROUP_STRIDE
@@ -136,9 +164,12 @@ class DwtUnit:
         self.regs = [0] * (3 * NUM_GROUPS)
         # Indexed by access kind (ACCESS_READ, ACCESS_WRITE): one (lo, hi)
         # region per group, _NEVER while the group's FUNCTION excludes
-        # that kind.  Only register writes change it, and always in place,
-        # so whoever holds it (Machine.watch) sees every one.
-        self.slots = ([_NEVER] * NUM_GROUPS, [_NEVER] * NUM_GROUPS)
+        # that kind; then the hull [h0, h1, h2, h3] of the cached regions
+        # (_rehull), empty as (0, 0, 0, 0).  Only register writes change
+        # it, and always in place, so whoever holds it (Machine.watch)
+        # sees every one.
+        self.slots = ([_NEVER] * NUM_GROUPS, [_NEVER] * NUM_GROUPS,
+                      [0, 0, 0, 0])
         # Each group's region from its COMP and MASK, or None until
         # needed again after one of them changed.
         self._regions: list[tuple[int, int] | None] = [None] * NUM_GROUPS

@@ -14,8 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_COMP_OFF, DWT_CYCCNT,
                             DWT_FUNCTION0, DWT_FUNCTION_OFF, DWT_GROUP_STRIDE,
                             DWT_MASK0, DWT_MASK_OFF, FN_DISABLED, FN_READ,
-                            FN_READWRITE, FN_WRITE, NUM_GROUPS, DwtUnit)
-from watchstack.machine import ACCESS_READ, ACCESS_WRITE, HaltReason, Machine
+                            FN_READWRITE, FN_WRITE, NUM_GROUPS, _NEVER,
+                            DwtUnit)
+from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, PPB_BASE,
+                                HaltReason, Machine)
 
 
 def program(d: DwtUnit, gid: int, comp=None, mask=None, fn=None) -> None:
@@ -284,6 +286,19 @@ def _check_at(d, edges):
                     hex(addr), size, access, d)
 
 
+def _check_hull(d):
+    """Every slot that can match lies inside the hull: its part below
+    PPB_BASE in [h0, h1), its part above in [h2, h3)."""
+    h0, h1, h2, h3 = d.slots[2]
+    for lo, hi in d.slots[ACCESS_READ] + d.slots[ACCESS_WRITE]:
+        if (lo, hi) == _NEVER:
+            continue
+        if lo < PPB_BASE:
+            assert h0 <= lo and min(hi, PPB_BASE) <= h1, (d.slots, lo, hi)
+        if hi > PPB_BASE:
+            assert h2 <= max(lo, PPB_BASE) and hi <= h3, (d.slots, lo, hi)
+
+
 def _enabled(d, gid):
     return d.groups[gid].function in (FN_READ, FN_WRITE, FN_READWRITE)
 
@@ -312,19 +327,23 @@ def test_slot_table_matches_reference_after_any_writes(ops, extra, guarded):
     # held before and after it, so a slot left stale by a missed or
     # misdirected update shows at once.  A write to a group that is
     # disabled before and after it, such as COMP1 as the shadow stack
-    # pointer, halted or not by the guard, leaves the table as it was.
+    # pointer, halted or not by the guard, leaves the slots as they were
+    # (the hull may shrink, as the group's cached region is dropped).
+    # After every step the hull covers every slot that can match.
     m, d = _machine_with_unit()
     if guarded:
         d.ssp_guard = _SSP_SPAN
     before = _edges(d)
     _check_at(d, before | set(extra))
+    _check_hull(d)
     for op in ops:
         gid = op[0]
         was_enabled = _enabled(d, gid)
-        slots = [list(s) for s in d.slots]
+        slots = [list(s) for s in d.slots[:2]]
         _apply(m, op)
         if not was_enabled and not _enabled(d, gid):
-            assert [list(s) for s in d.slots] == slots, op
+            assert [list(s) for s in d.slots[:2]] == slots, op
+        _check_hull(d)
         after = _edges(d)
         _check_at(d, before | after | set(extra))
         before = after

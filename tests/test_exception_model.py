@@ -9,13 +9,10 @@ from watchstack.exception_model import (ENTRY_CYCLES, ESF_BYTES, ESF_OFF_LR,
                                         RETURN_CYCLES, SYSTICK, USAGE_FAULT,
                                         Event, enter_exception,
                                         return_from_exception)
-from watchstack.machine import HaltReason, Machine
+from watchstack.machine import WATCH_ALL, HaltReason, Machine
 
 SP0 = 0x20040000
 HANDLER = 0x08001000
-# Per access kind, four regions that cover every address: a guard
-# installed with it is shown every access.
-WATCH_ALL = (((0, 1 << 32),) * 4, ((0, 1 << 32),) * 4)
 
 
 def primed_machine() -> Machine:

@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from watchstack.asm import parse
 from watchstack.harness import recursion_program
-from watchstack.machine import (EV_EXC_ENTERED, EV_HALTED, Event, HaltReason,
-                                Machine, MODE_HANDLER, MODE_THREAD)
+from watchstack.machine import (EV_EXC_ENTERED, EV_HALTED, WATCH_ALL, Event,
+                                HaltReason, Machine, MODE_HANDLER, MODE_THREAD)
 from watchstack.runner import RunConfig, build_machine, run_machine
 
 SP0 = 0x20040000
-# Per access kind, four regions that cover every address: a guard
-# installed with it is shown every access.
-WATCH_ALL = (((0, 1 << 32),) * 4, ((0, 1 << 32),) * 4)
 
 
 def make_machine(src: str, sp: int = SP0):

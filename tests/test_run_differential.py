@@ -26,14 +26,16 @@ from watchstack import blocks
 from watchstack.asm import parse
 from watchstack.cli import EXIT_FAULT, EXIT_VIOLATION, _exit_code
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
-                            DWT_MASK0, FN_READ, FN_READWRITE, DwtUnit)
+                            DWT_GROUP_STRIDE, DWT_MASK0, FN_READ, FN_READWRITE,
+                            FN_WRITE, DwtUnit)
 from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
                                 preinit_exception_program, recursion_program,
                                 sweep_program)
 from watchstack.instrument import ShadowStackConfig, instrument_program
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
                                 DWT_WINDOW_HI, DWT_WINDOW_LO, EXC_RETURN_MIN,
-                                HaltReason, Machine, PAGE_SIZE, PPB_BASE)
+                                WATCH_ALL, HaltReason, Machine, PAGE_SIZE,
+                                PPB_BASE)
 from watchstack.protect import (POLICY_REPORT, POLICY_RESET, DemcrModel,
                                 ViolationRecord, WatchpointGuard)
 from watchstack.runner import (OUTCOME_SAFE, RunConfig, attribute,
@@ -451,10 +453,6 @@ def test_interrupt_before_protection_takes_the_tagged_branch(monkeypatch):
 
 
 # -- the watched access path against a guard that sees every access --------
-
-# Per access kind, four regions that cover every address.
-WATCH_ALL = (((0, 1 << 32),) * 4, ((0, 1 << 32),) * 4)
-
 
 def _see_everything(m):
     """Show the guard every access, so it decides each through
@@ -1264,6 +1262,101 @@ def test_cyccnt_reads_after_inline_accesses(monkeypatch):
     cost = counts[1] - first
     assert counts == [first + cost * i for i in range(PASSES)]
     assert page[0x204] == (first >> 8) & 0xFF
+
+
+# -- the hull that compiled stack and register accesses test first ---------
+
+def _program(m, gid: int, comp: int, mask: int, function: int) -> None:
+    base = DWT_COMP0 + DWT_GROUP_STRIDE * gid
+    for off, value in ((0, comp), (4, mask), (8, function)):
+        m.dwt.mmio_write(m, base + off, value)
+
+
+# sp starts at FRAME_SP; each pass pushes a 12-byte frame, stores and
+# loads inside it through sp, and pops it.  Comparator 0 write-watches
+# the frame's middle word and comparator 2 read-watches its top word, so
+# per pass 2 writes (the pushed r6, the str) and 3 reads (the ldr, the
+# ldrb, the popped r3) hit; the frame's bottom word misses both, outside
+# the hull, and the popped middle word misses inside it.
+FRAME_SP = 0x20001008
+FRAME = _loop("push {r5, r6, r7}", "str r5, [sp, #4]", "ldr r4, [sp, #8]",
+              "ldrb r4, [sp, #9]", "strb r5, [sp]", "pop {r1, r2, r3}",
+              "addw r6, r6, #1")
+
+
+def _watch_the_frame(m):
+    _program(m, 0, FRAME_SP - 8, 2, FN_WRITE)
+    _program(m, 2, FRAME_SP - 4, 2, FN_READ)
+
+
+def test_pushed_and_popped_words_hit_comparators_on_the_stack(monkeypatch):
+    for policy, passes in ((POLICY_REPORT, PASSES), (POLICY_RESET, 1)):
+        want = check_watch(parse(FRAME),
+                           _cfg(policy, None, 10_000, initial_sp=FRAME_SP),
+                           "frame " + policy, monkeypatch,
+                           arm=_watch_the_frame)
+        hits = [(r.data_address, r.comparator_id, r.access)
+                for r in want["violations"]]
+        assert hits == [(FRAME_SP - 8, 0, ACCESS_WRITE),
+                        (FRAME_SP - 8, 0, ACCESS_WRITE),
+                        (FRAME_SP - 4, 2, ACCESS_READ),
+                        (FRAME_SP - 3, 2, ACCESS_READ),
+                        (FRAME_SP - 4, 2, ACCESS_READ)][
+            :1 if policy == POLICY_RESET else 5] * passes
+        assert want["halt"] == (True, HaltReason.NORMAL
+                                if policy == POLICY_REPORT
+                                else HaltReason.RESET, False)
+        # The suppressed words never reach RAM: the pops read 0 there.
+        assert want["regs"][2] == 0
+
+
+# Each pass disarms comparator 0, reads COMP1 and writes it back 4 up,
+# and arms comparator 0 again, through constant addresses that the block
+# binds to the unit's ports.
+BOUND_WORDS = _loop(*_const("r0", DWT_FUNCTION0), *_const("r1", DWT_COMP1),
+                    "mov r3, #0", "str r3, [r0]", "ldr r2, [r1]",
+                    "addw r2, r2, #4", "str r2, [r1]", "mov r3, #6",
+                    "str r3, [r0]")
+
+
+def _watch_groups_0_and_1(function):
+    """Comparator 2 over [COMP0, COMP2), FUNCTION0's and COMP1's words
+    among them, for the accesses ``function`` names."""
+    def arm(m):
+        _program(m, 2, DWT_COMP0, 5, function)
+    return arm
+
+
+@pytest.mark.parametrize("name", ["loop", "recursion"])
+def test_bound_register_words_hit_a_comparator(name, monkeypatch):
+    """The loop's four register accesses a pass hit and are suppressed
+    or recorded; the instrumented recursion's COMP1 reads hit a read
+    comparator, and its register writes, inside the hull, miss."""
+    if name == "loop":
+        prog, function, kinds = parse(BOUND_WORDS), FN_READWRITE, [
+            (DWT_FUNCTION0, ACCESS_WRITE), (DWT_COMP1, ACCESS_READ),
+            (DWT_COMP1, ACCESS_WRITE), (DWT_FUNCTION0, ACCESS_WRITE)]
+    else:
+        prog = instrument_program(parse(recursion_program(40)),
+                                  SHADOW).program
+        function, kinds = FN_READ, [(DWT_COMP1, ACCESS_READ)]
+    for policy in (POLICY_REPORT, POLICY_RESET):
+        want = check_watch(prog, _cfg(policy, None, 10_000),
+                           "%s %s" % (name, policy), monkeypatch,
+                           arm=_watch_groups_0_and_1(function))
+        hits = [(r.data_address, r.access) for r in want["violations"]]
+        assert {r.comparator_id for r in want["violations"]} == {2}
+        if policy == POLICY_RESET:
+            assert hits == kinds[:1]
+            assert want["halt"][:2] == (True, HaltReason.RESET)
+            continue
+        assert want["halt"] == (True, HaltReason.NORMAL, False)
+        assert hits == kinds * (len(hits) // len(kinds))
+        assert len(hits) >= len(kinds) * PASSES
+        if name == "loop":  # every write was suppressed
+            groups = want["dwt"][0]
+            assert (groups[0].function, groups[1].comp) == (
+                FN_WRITE, SHADOW.ss_start)
 
 
 # -- what reaches the generic access path ------------------------------------------
