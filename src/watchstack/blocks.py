@@ -11,20 +11,18 @@ per-op source of ``_EMIT`` and ``_FOLD`` is spelled here.
 entry pc HOT_THRESHOLD times; then the block is compiled to one
 generated function, ``block(m, limit)``, that does what ``step()``
 would do for each of its instructions, with the per-step bookkeeping
-lifted out.  ``Machine.run`` calls compiled blocks back to back,
-looking up the next one at the pc each leaves, for as long as it is
-compiled and fits the step budget ``limit``.  A block whose exit
-reaches its own entry is a loop: its function runs the block again
-while the exit does and another pass fits in ``limit``, and else
-returns at the entry, so a hot loop does not go back to the dispatcher
-each pass.  For an exit to a label or the fall-through (a ``b``, ``bl``
-or ``bcond`` whose target or fall-through is the entry) that is decided
-at compile time; for a pc from a register or memory (``bx``, ``blx``,
-``pop {..., pc}``) the pass tests it.  In the generated function:
+lifted out.  A block whose exit reaches its own entry is a loop: its
+function runs the block again while the exit does and another pass
+fits in the step budget ``limit``, and else returns at the entry, so a
+hot loop does not go back to ``Machine.run`` each pass.  For an exit
+to a label or the fall-through (a ``b``, ``bl`` or ``bcond`` whose
+target or fall-through is the entry) that is decided at compile time;
+for a pc from a register or memory (``bx``, ``blx``, ``pop {..., pc}``)
+the pass tests it.  In the generated function:
 
 * steps and cycles are kept in locals; ``m.steps``, ``m.cycles``,
   ``m.cur_pc`` and ``m.pc`` are written only before something can read
-  them (the guard, and ``m.load``, as CYCCNT reads the cycle count) and
+  them (the guard, ``m.load`` and ``m.store``, and a CYCCNT read) and
   at each exit, with the values ``step()`` would have left there;
 * after each data access the block exits if the machine halted (no
   access pends an exception: only the runner raises them, between
@@ -41,33 +39,36 @@ at compile time; for a pc from a register or memory (``bx``, ``blx``,
   instruction that writes sp, which gives the same minimum as a check
   after every step.
 
-A data access tests the comparator regions inline against ``m.watch``,
-as ``Machine.load``/``store`` do, once per access and per pushed or
-popped word.  An access whose address comes from sp (a pushed or
-popped word, a load or store with base sp) and a bound device word
-test the hull of the regions, ``m.watch[2]``, first: one that
-``_decode`` would take inline and that lies outside the hull is taken
-so at once, and only the rest run the four-region test.  Any other
-access runs the four-region test first, as a byte store that hits on
-most passes should.  A miss into RAM, below ``machine.PPB_BASE`` and,
-for a word, on one page, reads or writes ``m.mem``'s page in line, with
-no call and no state writes (``_decode``, QEMU's softmmu fast path); a
-page nothing wrote reads 0.  The slow cases keep the generic path: on a hit
-the block writes the state and shows the guard the access, then
-commits a store through ``Machine.commit`` unless the guard suppresses
-it, or reads a load through ``m.load``; any other miss, above PPB_BASE
-or across two pages, goes to ``m.load`` after the state writes, or to
-``m.commit``, which also creates a page a store finds missing.  A push
-or pop handles all its words, as ``step()`` does, even when the guard
-halts the machine on an earlier one.
+Each data access, and each pushed or popped word, makes one inline
+test, as QEMU's softmmu path does: its fast case runs in line, and
+every other case writes the state and calls the machine.  A
+hull-first access (a pushed or popped word, a load or store with base
+sp, a bound device word) tests only the hull of the comparator
+regions, ``m.watch[2]``, which no comparator can match outside of:
+there RAM, below ``machine.PPB_BASE`` and, for a word, on one page, is
+read or written on ``m.mem``'s page with no call and no state writes,
+and a device word calls its port; anything else takes ``m.load`` or
+``m.store``, which run the four-region test, the guard and the device
+decode.  Any other access, such as a byte store that hits on most
+passes, tests the four regions of ``m.watch`` inline, as
+``Machine.load``/``store`` do: on a hit the block writes the state and
+shows the guard the access, then commits a store through
+``Machine.commit`` unless the guard suppresses it, or reads a load
+through ``m.load``; a miss into RAM on one page is taken in line, and
+any other goes to ``m.load`` after the state writes, or to
+``m.commit``.  A page nothing wrote reads 0, and a store that misses
+every comparator and finds its page missing goes to ``m.commit``,
+which creates it (``_decode``).  A push or pop handles all its words,
+as ``step()`` does, even when the guard halts the machine on an
+earlier one.
 
 The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``movt`` put in a register until another write of it (read from
 ``isa.OPS``), and emits such an instruction as that constant.  A word
 ``ldr``/``str`` whose address is known, aligned and, by
 ``machine.ppb_device``, on a device (``_device_word``) takes the same
-``_load``/``_store`` with its address as a literal and no alignment
-test; on a miss ``_decode`` calls the word's port, which
+``_load``/``_store``, hull-first, with its address as a literal and no
+alignment test; outside the hull ``_decode`` calls the word's port, which
 ``Block.compile`` binds, with the device, as arguments of ``make``: the
 device's ``port(addr)`` read or write, or ``_RAM``'s on a machine
 without it.  So the source does not depend on the machine, and compiled
@@ -430,33 +431,29 @@ def _hit(kind: int, a: str, end: str) -> tuple[str, str]:
 
 
 def _decode(a: str, size: int, sync: str, dev, rd=None,
-            hull=False) -> tuple[str, str]:
+            hull=False) -> tuple[str, list[str]]:
     """The one compiled decode of an access of ``size`` bytes at ``a``
-    that missed the comparators: the test for its inline case, and the
-    statement that reads it into ``rd`` or, without ``rd``, writes ``v``;
-    else the access takes ``m.load`` or ``m.commit``.  A device word,
-    the ``dev``-th that ``_device_word`` found in the block, has no test:
-    it calls the port ``Block.compile`` bound, after ``sync`` only at
-    ``machine.DWT_CYCCNT``, the one device word whose read reads the
-    state.  Else ``a`` must be RAM, below PPB_BASE, and a word must not
-    cross a page; a missing page reads 0, and a store also asks for the
-    page, which only ``Machine.commit`` creates.  A memory map that grows
-    more banks changes this beside ``Machine.load``/``commit``.
-
-    With ``hull`` the test is instead that of an access not yet tested
-    against the comparators: the same case, and outside the hull ``H``
-    (``m.watch[2]``), its half above PPB_BASE for a device word and the
-    one below for RAM, so that no comparator can match it."""
+    that missed the comparators or, with ``hull``, lies outside their
+    hull ``H`` (``m.watch[2]``): the test for its inline case, and the
+    lines that read it into ``rd`` or, without ``rd``, write ``v``.  A
+    device word, the ``dev``-th that ``_device_word`` found in the
+    block, always takes the hull test, on the hull's half above
+    PPB_BASE, and calls the port ``Block.compile`` bound, after ``sync``
+    only at ``machine.DWT_CYCCNT``, the one device word whose read reads
+    the state.  Else ``a`` must be RAM, below PPB_BASE (and with
+    ``hull`` outside the half below), and a word must not cross a page.
+    A missing page reads 0; a store to one goes to ``Machine.commit``,
+    which alone creates pages.  A memory map that grows more banks
+    changes this beside ``Machine.load``/``commit``."""
     if dev is not None:
         call = "f%d(d%d, m" % (dev, dev)
         if rd is None:
             access = call + ", v)"
         else:
-            read = "%s = %s)" % (_dest(rd), call)  # a port reads 32 bits
-            access = (sync + "; " + read if a == "%d" % mach.DWT_CYCCNT
-                      else read)
-        return ("%d <= H[2] or %s >= H[3]" % (int(a) + size, a) if hull
-                else ""), access
+            access = "%s = %s)" % (_dest(rd), call)  # a port reads 32 bits
+            if a == "%d" % mach.DWT_CYCCNT:
+                access = sync + "; " + access
+        return "%d <= H[2] or %s >= H[3]" % (int(a) + size, a), [access]
     test = "%s < %d" % (a, mach.PPB_BASE)
     if size == 4:
         test += " and (o := %s & %d) <= %d" % (a, mach.PAGE_MASK,
@@ -466,60 +463,55 @@ def _decode(a: str, size: int, sync: str, dev, rd=None,
         off = "%s & %d" % (a, mach.PAGE_MASK)
     if hull:
         test += " and (%s >= H[1] or %s + %d <= H[0])" % (a, a, size)
-    page = "(p := P.get(%s >> %d))" % (a, mach.PAGE_BITS)
+    page = "(p := P.get(%s >> %d)) is not None" % (a, mach.PAGE_BITS)
     if rd is None:
-        return (test + " and %s is not None" % page,
-                ("K(p, %s, v)" if size == 4 else "p[%s] = v") % off)
+        write = ("K(p, %s, v)" if size == 4 else "p[%s] = v") % off
+        if hull:
+            return test, ["if %s: %s" % (page, write),
+                          "else: m.commit(%s, %d, v)" % (a, size)]
+        return test + " and " + page, [write]
     word = ("U(p, %s)[0]" if size == 4 else "p[%s]") % off
-    return test, "%s = %s if %s is not None else 0" % (_dest(rd), word, page)
-
-
-def _hull_first(decoded: tuple[str, str], exact: list[str]) -> list[str]:
-    """``exact``, an access's comparator test and paths, behind the hull
-    test of ``_decode(..., hull=True)``: an access it takes inline goes
-    so at once, and any other takes ``exact`` unchanged."""
-    test, access = decoded
-    return ["if %s: %s" % (test, access), "else:",
-            *(" " + line for line in exact)]
+    return test, ["%s = %s if %s else 0" % (_dest(rd), word, page)]
 
 
 def _load(rd: int, a: str, size: int, sync: str, dev=None,
           hull=False) -> list[str]:
-    """Machine.load of ``size`` bytes at ``a`` into ``rd``: a miss that
-    ``_decode`` can read inline is read so, and anything else brings the
-    state up to date, for the guard and CYCCNT, and takes m.load.  With
-    ``hull`` the hull test comes first (``_hull_first``)."""
-    regions, hit = _hit(mach.ACCESS_READ, a, "%s + %d" % (a, size))
-    test, read = _decode(a, size, sync, dev, rd)
-    exact = [regions,
-             "if %snot (%s): %s" % (test and test + " and ", hit, read),
-             "else: %s; %s" % (sync, _set(rd, "m.load(%s, %d)" % (a, size)))]
-    if hull:
-        return _hull_first(_decode(a, size, sync, dev, rd, hull=True),
-                           exact)
-    return exact
+    """Machine.load of ``size`` bytes at ``a`` into ``rd``: a load that
+    ``_decode`` can read inline is read so if it misses the comparator
+    regions or, with ``hull``, lies outside their hull; anything else
+    brings the state up to date, for the guard and CYCCNT, and takes
+    m.load."""
+    test, (read,) = _decode(a, size, sync, dev, rd, hull)
+    lines = []
+    if not hull:
+        regions, hit = _hit(mach.ACCESS_READ, a, "%s + %d" % (a, size))
+        lines, test = [regions], "%s and not (%s)" % (test, hit)
+    return lines + ["if %s: %s" % (test, read), "else: %s; %s"
+                    % (sync, _set(rd, "m.load(%s, %d)" % (a, size)))]
 
 
 def _store(a: str, size: int, value: str, sync: str, dev=None,
            hull=False) -> list[str]:
-    """Machine.store of ``value`` at ``a``: a store in a comparator
-    region brings the state up to date for the guard and commits unless
-    the guard suppresses it; a miss that ``_decode`` can write inline is
-    written so, and any other goes through m.commit.  With ``hull`` the
-    hull test comes first (``_hull_first``)."""
-    regions, hit = _hit(mach.ACCESS_WRITE, a, "%s + %d" % (a, size))
-    test, write = _decode(a, size, sync, dev)
-    exact = [regions,
-             "if %s:" % hit,
-             " " + sync,
-             " if not m.guard.on_store(m, %s, %d, v): m.commit(%s, %d, v)"
-             % (a, size, a, size),
-             *(["elif %s: %s" % (test, write),
-                "else: m.commit(%s, %d, v)" % (a, size)] if test
-               else ["else: " + write])]
+    """Machine.store of ``value`` at ``a``.  With ``hull``, a store that
+    ``_decode`` can write inline, outside the hull, is written so, and
+    any other brings the state up to date and takes m.store.  Else a
+    store in a comparator region brings the state up to date for the
+    guard and commits unless the guard suppresses it; a miss that
+    ``_decode`` can write inline is written so, and any other goes
+    through m.commit."""
+    test, write = _decode(a, size, sync, dev, hull=hull)
     if hull:
-        exact = _hull_first(_decode(a, size, sync, dev, hull=True), exact)
-    return ["v = " + value, *exact]
+        return ["v = " + value, "if %s:" % test,
+                *(" " + line for line in write),
+                "else: %s; m.store(%s, %d, v)" % (sync, a, size)]
+    regions, hit = _hit(mach.ACCESS_WRITE, a, "%s + %d" % (a, size))
+    commit = "m.commit(%s, %d, v)" % (a, size)
+    return ["v = " + value, regions,
+            "if %s:" % hit,
+            " " + sync,
+            " if not m.guard.on_store(m, %s, %d, v): %s" % (a, size, commit),
+            "elif %s: %s" % (test, *write),
+            "else: " + commit]
 
 
 def _each_word(ins, access) -> list[str]:
@@ -533,9 +525,9 @@ def _each_word(ins, access) -> list[str]:
 
 
 # The state is written only on an access's slow path, before the guard,
-# m.load or ``_decode``'s inline CYCCNT read (CYCCNT reads m.cycles);
-# m.commit needs none, as no write reads it (a byte store into the DWT
-# window reads its word back, but CYCCNT drops writes).
+# m.load, m.store or ``_decode``'s inline CYCCNT read (CYCCNT reads
+# m.cycles); m.commit needs none, as no write reads it (a byte store into
+# the DWT window reads its word back, but CYCCNT drops writes).
 _EMIT = {
     "movw": lambda ins, nxt, cost, sync: [_set(ins.rd, "%d" % ins.imm)],
     "movt": lambda ins, nxt, cost, sync: [

@@ -27,9 +27,10 @@ region and dropping one rework it, never a FUNCTION write.  The machine
 tests every data access against that table inline (``protect`` makes it
 ``Machine.watch``), as the chip's comparators do in hardware, and calls
 the guard only on a hit; compiled blocks test a stack or
-watchpoint-register access against the hull first, and skip the slots
-when it misses.  ``match_access`` reads the same table, and is the
-reference matcher the guard uses to name the comparator.
+watchpoint-register access against the hull alone, and take one inside
+it through ``Machine.load``/``store``.  ``match_access`` reads the same
+table, and is the reference matcher the guard uses to name the
+comparator.
 """
 
 from __future__ import annotations

@@ -2,18 +2,17 @@
 
 The machine executes pre-decoded instructions from an address-indexed
 code map.  Every data access goes through ``load``/``store``, except a
-compiled block's, which runs the same test inline and, on a miss into
-RAM that stays on one page, reads or writes the page itself; its slow
-cases (a hit, an address above PPB_BASE, a word across two pages, a
-store to a missing page) still take ``load`` or ``commit``.  Before an
+compiled block's fast case, which passes one inline test and reads or
+writes a RAM page, or calls a device port, itself; every other case
+takes ``load``, ``store`` or ``commit`` (``blocks``).  Before an
 access commits, they test it against ``watch``, per access kind four
 (lo, hi) regions, and show it to ``guard``, the one access observer,
 only when it falls in one; a store the guard answers True for is
 suppressed (watchpoint semantics) and recorded by the guard, and any
 other store is written by ``commit``.  ``watch``'s third entry, a hull
 ``(h0, h1, h2, h3)`` that contains every region (``[h0, h1)`` below
-PPB_BASE, ``[h2, h3)`` above), is read only by compiled blocks, which
-test a stack or watchpoint-register access against it before the four
+PPB_BASE, ``[h2, h3)`` above), is read only by compiled blocks, whose
+stack and watchpoint-register accesses test it instead of the four
 regions.  The default ``watch`` holds no region and an empty hull;
 ``protect`` sets ``watch`` and ``guard`` together, ``watch`` being the
 watchpoint unit's live slot table, so the guard runs only on
@@ -388,18 +387,16 @@ class Machine:
         """Execute until ``steps == limit`` or a halt.
 
         The machine ends in the state the same number of ``step()``
-        calls would leave.  Execution goes block by block (``blocks``): a
-        block entry reached fewer than ``blocks.HOT_THRESHOLD`` times is
-        stepped through; then its block, the trace that runs on past
-        each ``b`` and ``bl`` to the next other jump, is compiled, and
-        the compiled block runs whenever it fits before the limit and no
-        exception is pending.  Each compiled block is passed ``limit``:
+        calls would leave.  Execution goes block by block (``blocks``),
+        in one loop that looks up the block entered at the pc: an entry
+        reached fewer than ``blocks.HOT_THRESHOLD`` times is stepped
+        through, up to the next jump; then its block, the trace that runs
+        on past each ``b`` and ``bl`` to the next other jump, is compiled,
+        and the compiled block runs whenever it fits before the limit and
+        no exception is pending.  Each compiled block is passed ``limit``:
         one whose exit reaches its own entry, by a label or by a pc from
         a register or memory, runs pass after pass while it does and the
-        next pass fits, and returns at its entry when it would not.
-        Compiled blocks run back to back: the loop returns to counting
-        heat and stepping only on a halt, an entry not yet compiled, or
-        a block that does not fit, which it steps up to the limit.  The
+        next pass fits, and returns at its entry when it would not.  The
         blocks' own counts are folded into ``retired`` and ``taken``
         before ``run()`` returns, so the blocks can be dropped whenever
         ``code`` is replaced, or ``dwt`` or ``demcr``, whose ports a
@@ -423,17 +420,7 @@ class Machine:
                         blk.compile(self, pc)
                 if (blk.fn is not None and self.steps + blk.n <= limit
                         and not self.pending):
-                    # Run compiled blocks back to back while the next
-                    # one is compiled and fits; only the runner raises
-                    # exceptions, between run() calls, so none pends.
-                    while True:
-                        blk.fn(self, limit)
-                        if self.halted:
-                            return
-                        blk = known.get(self.pc)
-                        if (blk is None or blk.fn is None
-                                or self.steps + blk.n > limit):
-                            break
+                    blk.fn(self, limit)
                 else:  # step the line; the pc it leaves is the next entry
                     self._line(limit)
         finally:

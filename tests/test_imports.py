@@ -23,7 +23,8 @@ long session; ``cached_property`` lives and dies with its object.
 The reference interpreter in ``tests/reference_isa.py`` imports nothing
 from the package but ``isa``, so it shares no code with what it checks.
 And ``machine`` retires instructions in one function: one function
-indexes ``_EXEC``, and ``Machine.run`` never calls ``step()``.
+indexes ``_EXEC``, and ``Machine.run`` never calls ``step()`` and
+dispatches in one loop.
 """
 
 import ast
@@ -198,3 +199,4 @@ def test_the_machine_has_one_retire_body():
     run = next(f for f in functions if f.name == "run")
     assert not any(isinstance(node, ast.Attribute) and node.attr == "step"
                    for node in ast.walk(run))
+    assert sum(isinstance(node, ast.While) for node in ast.walk(run)) == 1

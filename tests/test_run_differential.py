@@ -32,6 +32,7 @@ from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
                                 preinit_exception_program, recursion_program,
                                 sweep_program)
 from watchstack.instrument import ShadowStackConfig, instrument_program
+from watchstack.isa import LR
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
                                 DWT_WINDOW_HI, DWT_WINDOW_LO, EXC_RETURN_MIN,
                                 WATCH_ALL, HaltReason, Machine, PAGE_SIZE,
@@ -1264,7 +1265,7 @@ def test_cyccnt_reads_after_inline_accesses(monkeypatch):
     assert page[0x204] == (first >> 8) & 0xFF
 
 
-# -- the hull that compiled stack and register accesses test first ---------
+# -- the hull, the one test of compiled stack and register accesses -------
 
 def _program(m, gid: int, comp: int, mask: int, function: int) -> None:
     base = DWT_COMP0 + DWT_GROUP_STRIDE * gid
@@ -1397,6 +1398,35 @@ def test_the_recursion_makes_no_generic_access_a_call(monkeypatch):
     assert run.outcome == OUTCOME_SAFE and run.steps == 24 * depth + 1
     assert accesses[0] == mmio[0] == 0
     assert commits[0] == len(m.mem.pages) == 2
+
+
+def test_only_the_shadow_stack_reads_the_comparator_regions(monkeypatch):
+    """At the default hot threshold the instrumented recursion compiles
+    three blocks.  Their pushed and popped words and bound register
+    words test the hull alone, so the four comparator regions are read
+    only at the shadow stack's ``str.w lr`` and ``ldr.w lr``: once in
+    each block."""
+    entries = []
+    compile_block = blocks.Block.compile
+
+    def recorded(blk, m, pc):
+        compile_block(blk, m, pc)
+        entries.append(pc)
+
+    monkeypatch.setattr(blocks.Block, "compile", recorded)
+    prog = instrument_program(parse(recursion_program(8192)), SHADOW).program
+    run = run_program(prog, RunConfig(protected=True, shadow=SHADOW))
+    assert run.outcome == OUTCOME_SAFE and len(entries) == 3
+    reads = []
+    for entry in entries:
+        source, _ = blocks._source(blocks._block_at(prog.code, entry))
+        for line in source.splitlines():
+            line = line.strip()
+            if line.startswith("# 0x"):  # the instruction the lines emit
+                ins = prog.code[int(line.split()[1], 16)]
+            elif "= m.watch[0]" in line or "= m.watch[1]" in line:
+                reads.append((ins.op, ins.rd, ins.width))
+    assert sorted(reads) == [("ldr", LR, 4), ("str", LR, 4), ("str", LR, 4)]
 
 
 def test_a_compiled_sweep_shows_the_guard_each_hit_once(monkeypatch):
