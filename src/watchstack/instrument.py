@@ -49,7 +49,8 @@ SSP_REG_OFF = DWT_GROUP_STRIDE                   # offset of COMP1 from COMP0
 FUNCTION0_OFF = DWT_FUNCTION_OFF
 
 # Shadow frame layout for exception handlers, ascending from the entry ssp:
-# xPSR, return address, lr, r12, then EXC_RETURN.
+# a guard slot left untouched, the FUNCTION0 value found on entry, xPSR,
+# return address, lr, r12, then EXC_RETURN.
 HANDLER_ESF_OFFSETS = (ESF_OFF_XPSR, ESF_OFF_RETURN, ESF_OFF_LR, ESF_OFF_R12)
 
 # Scratch selection preference: ip-style caller scratch first, then the
@@ -310,10 +311,10 @@ def _epilogue(scratches, reserved, naive: bool, ret):
 
 def _guard(val: str, phase: str) -> list[str]:
     # Skip the shadow traffic entirely when protection was never
-    # initialized (DEMCR monitor enable still zero).
+    # initialized: DEMCR's byte 2, which holds MON_EN, is still zero.
     tag = ";@%s:aw" % phase
     return _load_addr(val, DEMCR_ADDR, tag) + [
-        "ldr.w %s, [%s] %s" % (val, val, tag),
+        "ldrb.w %s, [%s, #2] %s" % (val, val, tag),
         "cmp %s, #0 %s" % (val, tag),
         "beq %s %s" % (_SKIP, tag),
     ]
@@ -322,8 +323,12 @@ def _guard(val: str, phase: str) -> list[str]:
 def _handler_prologue(scratches, reserved, naive: bool, ret):
     """The handler prologue.
 
-    The guard skips to the pop of the reserved registers, if any, or
-    else to the first instruction of the body.
+    The handler may interrupt a normal prologue or epilogue inside its
+    shadow update, so it keeps the FUNCTION0 value it found and leaves
+    one guard slot above COMP1: that slot may be the one the interrupted
+    code is about to write or read.  The guard skips to the pop of the
+    reserved registers, if any, or else to the first instruction of the
+    body.
     """
     val, work, base = (reg_name(scratches[i]) for i in (0, 1, -1))
     k = 4 * len(reserved)
@@ -332,9 +337,13 @@ def _handler_prologue(scratches, reserved, naive: bool, ret):
     lines = (_spill("push", reserved, ";@pro:other")
              + _guard(val, "pro")
              + _load_addr(base, DWT_COMP_BASE, ";@pro:other")
-             + ["mov.w %s, #0 ;@pro:aw" % val,
+             + ["ldr.w %s, %s ;@pro:aw" % (work, fn0),
+                "mov.w %s, #0 ;@pro:aw" % val,
                 "str.w %s, %s ;@pro:aw" % (val, fn0),
-                "ldr.w %s, %s ;@pro:assp" % (work, ssp)])
+                "ldr.w %s, %s ;@pro:assp" % (val, ssp),
+                "addw %s, %s, #4 ;@pro:assp" % (val, val),
+                "str.w %s, [%s] ;@pro:uss" % (work, val),
+                "addw %s, %s, #4 ;@pro:assp" % (work, val)])
     for esf_off in HANDLER_ESF_OFFSETS:
         lines += ["ldr.w %s, %s ;@pro:uss" % (val, mem_str(SP, k + esf_off)),
                   "str.w %s, [%s] ;@pro:uss" % (val, work),
@@ -350,10 +359,12 @@ def _handler_prologue(scratches, reserved, naive: bool, ret):
 
 
 def _handler_epilogue(scratches, reserved, naive: bool, ret):
-    """Copy the stacked frame back from the shadow stack and return; a
+    """Copy the stacked frame back from the shadow stack, restore COMP1
+    and then the FUNCTION0 value the prologue found, and return; a
     ``pop {..., pc}`` first pops the stacked return address into lr."""
     val, work, base = (reg_name(scratches[i]) for i in (0, 1, -1))
     k = 4 * len(reserved)
+    fn0 = mem_str(scratches[-1], FUNCTION0_OFF)
     ssp = mem_str(scratches[-1], SSP_REG_OFF)
     lines = (_spill("push", reserved, ";@epi:other")
              + _guard(val, "epi")
@@ -366,7 +377,11 @@ def _handler_epilogue(scratches, reserved, naive: bool, ret):
                   "ldr.w %s, [%s] ;@epi:uss" % (val, work),
                   "str.w %s, %s ;@epi:uss" % (val, mem_str(SP, k + esf_off))]
     tail = lines + [
+        "subw %s, %s, #4 ;@epi:assp" % (work, work),
+        "ldr.w %s, [%s] ;@epi:uss" % (val, work),
+        "subw %s, %s, #4 ;@epi:assp" % (work, work),
         "str.w %s, %s ;@epi:assp" % (work, ssp),
+        "str.w %s, %s ;@epi:aw" % (val, fn0),
         ".label " + _SKIP,
     ] + _spill("pop", reserved, ";@epi:other") + ["bx lr ;@epi:uss"]
     return _return_site(ret, "pop {lr} ;@epi:uss", tail), ()

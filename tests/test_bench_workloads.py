@@ -43,13 +43,12 @@ def test_fixed_workload_op_passes_its_check(workloads, name):
 
 
 def test_corpus_items_pass_or_hit_the_known_defect(workloads):
+    """Every item passes: the interrupt-window defect that
+    ``Corpus.known_defect`` names no longer occurs, so no failure is
+    excused by it."""
     w = workloads.Corpus(0)
     for item in w.items[:CORPUS_ITEMS]:
         out = w.run_op(item)
-        # The uninterrupted runs carry no known defect.
-        assert w.check_transparency(out) == [], item.index
         assert out.protected.tagged_total > 0
-        problems = w.check(item, out)
-        assert not problems or w.known_defect(item, out), (item.index,
-                                                            problems)
+        assert w.check(item, out) == [], item.index
     assert len(w.ratios) == CORPUS_ITEMS
