@@ -5,8 +5,12 @@ A block is the trace entered at a pc: it runs on past each ``b`` and
 write, before an address already in it, before a TRAP op (``svc``,
 ``bkpt``, ``udf``) or a missing instruction, and at most MAX_BLOCK_LEN
 long.  What an op is (a branch, a data access, a trap) and which
-registers it writes are read from its row in ``isa.OPS``; only the
-per-op source of ``_EMIT`` and ``_FOLD`` is spelled here.
+registers it writes are read from its row in ``isa.OPS``.  What it does
+is written once, in ``SEMANTICS``, as source over operand slots, and
+instantiated twice: with a block's operands known (``_Compiled``), and
+for any instruction as the executors that ``step()`` runs
+(``executors``, which ``machine`` calls at import), in the manner of
+QEMU's one op description run by its compiler and its interpreter.
 ``Machine.run`` steps through a block until it has reached the block's
 entry pc HOT_THRESHOLD times; then the block is compiled to one
 generated function, ``block(m, limit)``, that does what ``step()``
@@ -291,7 +295,7 @@ def _source(instrs) -> tuple[str, list]:
         elif ins.op in ("b", "bl") and not last:  # followed: pc is not read
             body += ["m.lr = %d" % nxt] if ins.op == "bl" else []
         else:
-            body += _EMIT[ins.op](ins, nxt, cost, sync)
+            body += SEMANTICS[ins.op](_Compiled(ins, nxt, cost, sync))
         if moves_sp and (i == 0 or SP in _written(ins)):
             body.append(_MIN_SP)
         if OPS[ins.op].kind == MEMORY:
@@ -338,9 +342,10 @@ def _source(instrs) -> tuple[str, list]:
 def _loop_tail(ins, at: int, cost: int, n: int, entry: int) -> list[str]:
     """A looping block's exit test, after its other instructions: a
     ``bcond`` leaves for whichever of its target and fall-through is not
-    the entry as ``_bcond`` would, a pc from a register or memory leaves
-    when it is not the entry; a pass that stays counts itself and starts
-    the next one if it fits before ``limit``, else returns at the entry."""
+    the entry as ``_Compiled.branch`` would, a pc from a register or
+    memory leaves when it is not the entry; a pass that stays counts
+    itself and starts the next one if it fits before ``limit``, else
+    returns at the entry."""
     lines = ["# 0x%08x %s" % (at, ins.op)] if ins.op in ("b", "bcond") else []
     count = "cnt[%d] += 1" % n
     if ins.op == "bcond" and ins.target == entry:
@@ -362,7 +367,7 @@ def _loop_tail(ins, at: int, cost: int, n: int, entry: int) -> list[str]:
         % (at, entry)]
 
 
-# -- per-op source, mirroring Machine._x_* ----------------------------------------
+# -- compiled source of register and memory accesses -----------------------------
 
 def _reg(r: int, nxt: int) -> str:
     """read_reg(r); pc reads as the next instruction's address."""
@@ -387,39 +392,6 @@ def _set(r: int, expr: str) -> str:
     if expr.isdigit():
         return "%s = %d" % (_dest(r), int(expr) & MASK32)
     return "%s = (%s) & M" % (_dest(r), expr)
-
-
-def _addr(ins, nxt: int) -> str:
-    return "(%s + %d) & M" % (_reg(ins.rn, nxt), ins.imm)
-
-
-def _cmp(a: str, b: str) -> list[str]:
-    """Machine.set_cmp_flags."""
-    return ["a = %s; b = %s; r = (a - b) & M" % (a, b),
-            "x = m.xpsr & 0x0FFFFFFF",
-            "if r & 0x80000000: x |= 0x80000000",
-            "if r == 0: x |= 0x40000000",
-            "if a >= b: x |= 0x20000000",
-            "if a >> 31 != b >> 31 and a >> 31 != r >> 31: x |= 0x10000000",
-            "m.xpsr = x"]
-
-
-# Machine.cond_true, on x = m.xpsr.
-_COND = {
-    "eq": "x & 0x40000000",
-    "ne": "not x & 0x40000000",
-    "lt": "bool(x & 0x80000000) != bool(x & 0x10000000)",
-    "ge": "bool(x & 0x80000000) == bool(x & 0x10000000)",
-}
-
-
-def _bcond(ins, nxt, cost, sync):
-    return ["x = m.xpsr",
-            "if %s:" % _COND[ins.cond],
-            " m.pc = %d; m.cycles = c + %d; cnt[0] += 1"
-            % (ins.target, cost + 1),
-            "else:",
-            " m.pc = %d; m.cycles = c + %d" % (nxt, cost)]
 
 
 def _hit(kind: int, a: str, end: str) -> tuple[str, str]:
@@ -498,7 +470,9 @@ def _store(a: str, size: int, value: str, sync: str, dev=None,
     store in a comparator region brings the state up to date for the
     guard and commits unless the guard suppresses it; a miss that
     ``_decode`` can write inline is written so, and any other goes
-    through m.commit."""
+    through m.commit, which needs no state writes: no write reads the
+    state (a byte store into the DWT window reads its word back, but
+    CYCCNT drops writes)."""
     test, write = _decode(a, size, sync, dev, hull=hull)
     if hull:
         return ["v = " + value, "if %s:" % test,
@@ -514,79 +488,182 @@ def _store(a: str, size: int, value: str, sync: str, dev=None,
             "else: " + commit]
 
 
-def _each_word(ins, access) -> list[str]:
-    """A push or pop's words, lowest register at the lowest address: per
-    register ``r``, ``a`` set to its word's address from ``sp``, then the
-    lines of ``access(r)``."""
-    lines = []
-    for i, r in enumerate(ins.reglist):
-        lines += ["a = (sp + %d) & M" % (4 * i) if i else "a = sp", *access(r)]
-    return lines
+# -- one semantics per op ------------------------------------------------------
+#
+# SEMANTICS gives each non-TRAP op's effect as lines of Python over a
+# binder ``b``, whose slots spell the operands, each named by an
+# expression on ``ins``: a field's value ``k``, a register's read ``reg``
+# (PC reads the next pc) and write ``set``, the access at ``a``, ``load``
+# or ``store``, ``access()`` per listed register ``r`` at ``a`` from ``sp``
+# (``words``), and a conditional ``branch`` on the flags in ``x``.
+# ``_Compiled`` binds them for one instruction of a block, ``_Stepped``
+# for ``step()``; a TRAP op's executor is ``machine``'s own.
+
+def _cmp(a: str, b: str) -> list[str]:
+    """N, Z, C and V of ``a - b`` into xPSR, as AddWithCarry sets them."""
+    return ["a = %s; b = %s; r = (a - b) & M" % (a, b),
+            "x = m.xpsr & 0x0FFFFFFF",
+            "if r & 0x80000000: x |= 0x80000000",
+            "if r == 0: x |= 0x40000000",
+            "if a >= b: x |= 0x20000000",
+            "if a >> 31 != b >> 31 and a >> 31 != r >> 31: x |= 0x10000000",
+            "m.xpsr = x"]
 
 
-# The state is written only on an access's slow path, before the guard,
-# m.load, m.store or ``_decode``'s inline CYCCNT read (CYCCNT reads
-# m.cycles); m.commit needs none, as no write reads it (a byte store into
-# the DWT window reads its word back, but CYCCNT drops writes).
-_EMIT = {
-    "movw": lambda ins, nxt, cost, sync: [_set(ins.rd, "%d" % ins.imm)],
-    "movt": lambda ins, nxt, cost, sync: [
-        _set(ins.rd, "(%s & 0xFFFF) | %d" % (_reg(ins.rd, nxt),
-                                             ins.imm << 16))],
-    "mov_imm": lambda ins, nxt, cost, sync: [_set(ins.rd, "%d" % ins.imm)],
-    "mov_reg": lambda ins, nxt, cost, sync: [
-        _set(ins.rd, _reg(ins.rm, nxt))],
-    "ldr": lambda ins, nxt, cost, sync: [
-        "a = " + _addr(ins, nxt),
-        "if a & 3: m.fault()",
-        "else:",
-        *(" " + line
-          for line in _load(ins.rd, "a", 4, sync, hull=ins.rn == SP))],
-    "str": lambda ins, nxt, cost, sync: [
-        "a = " + _addr(ins, nxt),
-        "if a & 3: m.fault()",
-        "else:",
-        *(" " + line for line in _store("a", 4, _reg(ins.rd, nxt), sync,
-                                        hull=ins.rn == SP))],
-    "ldrb": lambda ins, nxt, cost, sync: [
-        "a = " + _addr(ins, nxt),
-        *_load(ins.rd, "a", 1, sync, hull=ins.rn == SP)],
-    "strb": lambda ins, nxt, cost, sync: [
-        "a = " + _addr(ins, nxt),
-        *_store("a", 1, "%s & 0xFF" % _reg(ins.rd, nxt), sync,
-                hull=ins.rn == SP)],
-    "push": lambda ins, nxt, cost, sync: [
-        "sp = (m.sp - %d) & M" % (4 * len(ins.reglist)), "m.sp = sp",
-        *_each_word(ins, lambda r: _store("a", 4, _reg(r, nxt), sync,
-                                          hull=True))],
-    "pop": lambda ins, nxt, cost, sync: [
-        "sp = m.sp", "m.sp = (sp + %d) & M" % (4 * len(ins.reglist)),
-        *_each_word(ins, lambda r: _load(r, "a", 4, sync, hull=True))],
-    "add_sp": lambda ins, nxt, cost, sync: [
-        "m.sp = (m.sp + %d) & M" % ins.imm],
-    "sub_sp": lambda ins, nxt, cost, sync: [
-        "m.sp = (m.sp - %d) & M" % ins.imm],
-    "addw": lambda ins, nxt, cost, sync: [
-        _set(ins.rd, "%s + %d" % (_reg(ins.rn, nxt), ins.imm))],
-    "subw": lambda ins, nxt, cost, sync: [
-        _set(ins.rd, "%s - %d" % (_reg(ins.rn, nxt), ins.imm))],
-    "cmp_imm": lambda ins, nxt, cost, sync: _cmp(_reg(ins.rn, nxt),
-                                                 "%d" % ins.imm),
-    "cmp_reg": lambda ins, nxt, cost, sync: _cmp(_reg(ins.rn, nxt),
-                                                 _reg(ins.rm, nxt)),
-    "b": lambda ins, nxt, cost, sync: ["m.pc = %d" % ins.target],
-    "bcond": _bcond,
-    "bl": lambda ins, nxt, cost, sync: [
-        "m.lr = %d; m.pc = %d" % (nxt, ins.target)],
-    "bx": lambda ins, nxt, cost, sync: ["m.pc = %s" % _reg(ins.rm, nxt)],
-    "blx": lambda ins, nxt, cost, sync: [
-        "t = %s; m.lr = %d; m.pc = t" % (_reg(ins.rm, nxt), nxt)],
-    "msr": lambda ins, nxt, cost, sync: [
-        "if m.mode == %r or not m.control & 1: m.control = %s & 1"
-        % (mach.MODE_HANDLER, _reg(ins.rn, nxt))],
-    "mrs": lambda ins, nxt, cost, sync: [_set(ins.rd, "m.control")],
-    "nop": lambda ins, nxt, cost, sync: [],
+# Each condition's test, on x = m.xpsr.
+_COND = {
+    "eq": "x & 0x40000000",
+    "ne": "not x & 0x40000000",
+    "lt": "bool(x & 0x80000000) != bool(x & 0x10000000)",
+    "ge": "bool(x & 0x80000000) == bool(x & 0x10000000)",
 }
+
+
+def _at(b) -> str:
+    return "a = (%s + %s) & M" % (b.reg("ins.rn"), b.k("ins.imm"))
+
+
+def _aligned(lines: list[str]) -> list[str]:
+    """A word access: an unaligned address faults, else ``lines`` run."""
+    return ["if a & 3: m.fault()", "else:", *(" " + line for line in lines)]
+
+
+SEMANTICS = {
+    "movw": lambda b: b.set("ins.rd", b.k("ins.imm")),
+    "movt": lambda b: b.set("ins.rd", "(%s & 0xFFFF) | %s" % (
+        b.reg("ins.rd"), b.k("ins.imm << 16"))),
+    "mov_imm": lambda b: b.set("ins.rd", b.k("ins.imm")),
+    "mov_reg": lambda b: b.set("ins.rd", b.reg("ins.rm")),
+    "ldr": lambda b: [_at(b), *_aligned(b.load("ins.rd", 4))],
+    "str": lambda b: [_at(b), *_aligned(b.store(4, b.reg("ins.rd")))],
+    "ldrb": lambda b: [_at(b), *b.load("ins.rd", 1)],
+    "strb": lambda b: [_at(b), *b.store(1, "%s & 0xFF" % b.reg("ins.rd"))],
+    "push": lambda b: [
+        "sp = (m.sp - %s) & M" % b.k("4 * len(ins.reglist)"), "m.sp = sp",
+        *b.words(lambda: b.store(4, b.reg("r")))],
+    "pop": lambda b: [
+        "sp = m.sp", "m.sp = (sp + %s) & M" % b.k("4 * len(ins.reglist)"),
+        *b.words(lambda: b.load("r", 4))],
+    "add_sp": lambda b: ["m.sp = (m.sp + %s) & M" % b.k("ins.imm")],
+    "sub_sp": lambda b: ["m.sp = (m.sp - %s) & M" % b.k("ins.imm")],
+    "addw": lambda b: b.set("ins.rd", "%s + %s" % (b.reg("ins.rn"),
+                                                    b.k("ins.imm"))),
+    "subw": lambda b: b.set("ins.rd", "%s - %s" % (b.reg("ins.rn"),
+                                                    b.k("ins.imm"))),
+    "cmp_imm": lambda b: _cmp(b.reg("ins.rn"), b.k("ins.imm")),
+    "cmp_reg": lambda b: _cmp(b.reg("ins.rn"), b.reg("ins.rm")),
+    "b": lambda b: ["m.pc = %s" % b.k("ins.target")],
+    "bcond": lambda b: ["x = m.xpsr", *b.branch("ins.target")],
+    "bl": lambda b: ["m.lr = %s; m.pc = %s" % (b.reg(PC), b.k("ins.target"))],
+    "bx": lambda b: ["m.pc = %s" % b.reg("ins.rm")],
+    "blx": lambda b: ["t = %s; m.lr = %s; m.pc = t" % (b.reg("ins.rm"),
+                                                      b.reg(PC))],
+    "msr": lambda b: [
+        "if m.mode == %r or not m.control & 1: m.control = %s & 1"
+        % (mach.MODE_HANDLER, b.reg("ins.rn"))],
+    "mrs": lambda b: b.set("ins.rd", "m.control"),
+    "nop": lambda b: [],
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _operand(expr: str):
+    return compile(expr, "<operand>", "eval")
+
+
+class _Compiled:
+    """The slots of one instruction of a block (``nxt`` its fall-through,
+    ``cost`` the cycles to its end, ``sync`` the state writes, which
+    only an access's slow path makes): operands are literals, registers
+    locals or ``m`` attributes, and memory is ``_load``/``_store``,
+    hull-first for a stack word or a base of sp."""
+
+    def __init__(self, ins, nxt: int, cost: int, sync: str) -> None:
+        self.ins, self.nxt, self.cost, self.sync = ins, nxt, cost, sync
+        self.r, self.hull = None, ins.rn == SP
+
+    def _value(self, expr):
+        if isinstance(expr, int):
+            return expr
+        return eval(_operand(expr), {"ins": self.ins, "r": self.r})
+
+    def k(self, expr: str) -> str:
+        return "%d" % self._value(expr)
+
+    def reg(self, r) -> str:
+        return _reg(self._value(r), self.nxt)
+
+    def set(self, r, value: str) -> list[str]:
+        return [_set(self._value(r), value)]
+
+    def load(self, r, size: int) -> list[str]:
+        return _load(self._value(r), "a", size, self.sync, hull=self.hull)
+
+    def store(self, size: int, value: str) -> list[str]:
+        return _store("a", size, value, self.sync, hull=self.hull)
+
+    def words(self, access) -> list[str]:
+        lines, self.hull = [], True
+        for i, r in enumerate(self.ins.reglist):
+            self.r = r
+            lines += ["a = (sp + %d) & M" % (4 * i) if i else "a = sp",
+                      *access()]
+        return lines
+
+    def branch(self, target: str) -> list[str]:
+        return ["if %s:" % _COND[self.ins.cond],
+                " m.pc = %s; m.cycles = c + %d; cnt[0] += 1"
+                % (self.k(target), self.cost + 1),
+                "else:",
+                " m.pc = %d; m.cycles = c + %d" % (self.nxt, self.cost)]
+
+
+class _Stepped:
+    """The slots of any instruction, as ``step()`` runs it once it has
+    charged the cycles and set pc to the next instruction: operands are
+    read from ``ins``, registers through ``m.read_reg`` and written in
+    line when they are GPRs, and memory is ``m.load``/``m.store``."""
+
+    def k(self, expr: str) -> str:
+        return expr
+
+    def reg(self, r) -> str:
+        return "m.pc" if r == PC else "m.read_reg(%s)" % r
+
+    def set(self, r: str, value: str) -> list[str]:
+        return ["if %s < %d: m.gpr[%s] = (%s) & M" % (r, NUM_GPRS, r, value),
+                "else: m.write_reg(%s, %s)" % (r, value)]
+
+    def load(self, r: str, size: int) -> list[str]:
+        return self.set(r, "m.load(a, %d)" % size)
+
+    def store(self, size: int, value: str) -> list[str]:
+        return ["m.store(a, %d, %s)" % (size, value)]
+
+    def words(self, access) -> list[str]:
+        return ["for i, r in enumerate(ins.reglist):",
+                " a = (sp + 4 * i) & M", *(" " + line for line in access())]
+
+    def branch(self, target: str) -> list[str]:
+        *conds, last = _COND  # the test ins.cond picks; else the last one
+        return ["if %s(%s):" % ("".join("(%s) if ins.cond == %r else "
+                                        % (_COND[c], c) for c in conds),
+                                _COND[last]),
+                " m.cycles += 1; t = m.taken",  # taken: one cycle more
+                " t[m.cur_pc] = t.get(m.cur_pc, 0) + 1; m.pc = %s" % target]
+
+
+def executors() -> dict:
+    """Each non-TRAP op's executor ``(m, ins)``, for ``machine._EXEC``:
+    its SEMANTICS bound by ``_Stepped``, compiled in one ``exec``."""
+    ops = [op for op, row in OPS.items() if row.kind != TRAP]
+    source = []
+    for op in ops:
+        source += ["def _x_%s(m, ins):" % op, *(
+            " " + line for line in SEMANTICS[op](_Stepped()) or ["pass"])]
+    ns = {"M": MASK32}
+    exec(compile("\n".join(source), "<step>", "exec"), ns)
+    return {op: ns["_x_" + op] for op in ops}
 
 
 # The values a block knows it put in a register, by op; ``_fold`` keeps

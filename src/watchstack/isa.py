@@ -8,7 +8,9 @@ Encoding widths (2 or 4 bytes) exist only so the assembler can lay out
 addresses and account for code size; cycle costs are deterministic.
 ``finalize`` fills both in, and ``format_instr`` prints the canonical
 text, from the op's row.  The compiled blocks read the rows' kinds and
-written registers, and the machine has one executor per row.
+written registers, and what each non-TRAP op does is written once, in
+``blocks.SEMANTICS``, for the machine's executors and the compiled
+blocks alike.
 """
 
 from __future__ import annotations

@@ -32,9 +32,10 @@ binds at compile time; the access path handles byte lanes.
 ``step()`` executes one instruction and ``run()`` many; both step
 through ``_line``, the one retire body, and ``run()`` also runs hot
 traces, which follow ``b`` and ``bl``, as compiled functions
-(``blocks``), with identical results.  ``tests/reference_isa.py``, an
-independent interpreter, is the reference semantics the tests hold
-them to.
+(``blocks``), with identical results; each executes an op as written
+once, in ``blocks.SEMANTICS``, but for a TRAP op, which only ``step()``
+runs.  ``tests/reference_isa.py``, an independent interpreter, is the
+reference semantics the tests hold them to.
 Neither returns anything.  The machine logs what only it sees in
 ``events``, where it happens:
 ``exception_model`` appends each exception entry and return, and
@@ -58,7 +59,7 @@ from . import blocks
 from . import exception_model as excm
 from .exception_model import (EV_EXC_ENTERED, EV_EXC_RETURNED, EV_HALTED,
                               MODE_HANDLER, MODE_THREAD, Event)
-from .isa import LR, MASK32, NUM_GPRS, OPS, SP, Instr
+from .isa import LR, MASK32, NUM_GPRS, OPS, SP, TRAP, Instr
 
 PAGE_BITS = 12
 PAGE_SIZE = 1 << PAGE_BITS
@@ -66,12 +67,6 @@ PAGE_MASK = PAGE_SIZE - 1
 
 ACCESS_READ = 0
 ACCESS_WRITE = 1
-
-# xPSR layout: condition flags in the top nibble, exception number low.
-XPSR_N = 1 << 31
-XPSR_Z = 1 << 30
-XPSR_C = 1 << 29
-XPSR_V = 1 << 28
 
 # A RAM word: little-endian, read and written whole when it does not
 # cross a page (``blocks`` inlines that case).
@@ -300,7 +295,7 @@ class Machine:
         else:
             self.mem.write_byte(addr, value)
 
-    # -- faults and flags ---------------------------------------------------
+    # -- faults -----------------------------------------------------------
 
     def fault(self) -> None:
         self.halt(HaltReason.FAULT)
@@ -310,27 +305,6 @@ class Machine:
         if not self.halted:
             self.halted = True
             self.halt_reason = reason
-
-    def set_cmp_flags(self, a: int, b: int) -> None:
-        r = (a - b) & MASK32
-        n = XPSR_N if r & 0x80000000 else 0
-        z = XPSR_Z if r == 0 else 0
-        c = XPSR_C if a >= b else 0
-        sa, sb, sr = a >> 31, b >> 31, r >> 31
-        v = XPSR_V if (sa != sb and sa != sr) else 0
-        self.xpsr = (self.xpsr & 0x0FFFFFFF) | n | z | c | v
-
-    def cond_true(self, cond: str) -> bool:
-        x = self.xpsr
-        if cond == "eq":
-            return bool(x & XPSR_Z)
-        if cond == "ne":
-            return not x & XPSR_Z
-        n = bool(x & XPSR_N)
-        v = bool(x & XPSR_V)
-        if cond == "lt":
-            return n != v
-        return n == v  # ge
 
     # -- execution ---------------------------------------------------------
 
@@ -428,112 +402,7 @@ class Machine:
                 if blk.fn is not None:
                     blk.fold(self)
 
-    # -- executors -----------------------------------------------------------
-
-    def _x_movw(self, ins):  # also mov_imm; a GPR is written directly
-        if ins.rd < NUM_GPRS:
-            self.gpr[ins.rd] = ins.imm
-        else:
-            self.write_reg(ins.rd, ins.imm)
-
-    def _x_movt(self, ins):
-        rd = ins.rd
-        if rd < NUM_GPRS:
-            gpr = self.gpr
-            gpr[rd] = gpr[rd] & 0xFFFF | ins.imm << 16
-        else:
-            self.write_reg(rd, self.read_reg(rd) & 0xFFFF | ins.imm << 16)
-
-    _x_mov_imm = _x_movw
-
-    def _x_mov_reg(self, ins):
-        self.write_reg(ins.rd, self.read_reg(ins.rm))
-
-    def _x_ldr(self, ins):
-        addr = (self.read_reg(ins.rn) + ins.imm) & MASK32
-        if addr & 3:
-            self.fault()
-            return
-        self.write_reg(ins.rd, self.load(addr, 4))
-
-    def _x_str(self, ins):
-        addr = (self.read_reg(ins.rn) + ins.imm) & MASK32
-        if addr & 3:
-            self.fault()
-            return
-        self.store(addr, 4, self.read_reg(ins.rd))
-
-    def _x_ldrb(self, ins):
-        addr = (self.read_reg(ins.rn) + ins.imm) & MASK32
-        self.write_reg(ins.rd, self.load(addr, 1))
-
-    def _x_strb(self, ins):
-        addr = (self.read_reg(ins.rn) + ins.imm) & MASK32
-        self.store(addr, 1, self.read_reg(ins.rd) & 0xFF)
-
-    def _x_push(self, ins):
-        # Lowest-numbered register ends at the lowest address.
-        sp = (self.sp - 4 * len(ins.reglist)) & MASK32
-        self.sp = sp
-        for i, r in enumerate(ins.reglist):
-            self.store((sp + 4 * i) & MASK32, 4, self.read_reg(r))
-
-    def _x_pop(self, ins):
-        sp = self.sp
-        self.sp = (sp + 4 * len(ins.reglist)) & MASK32
-        for i, r in enumerate(ins.reglist):
-            self.write_reg(r, self.load((sp + 4 * i) & MASK32, 4))
-
-    def _x_add_sp(self, ins):
-        self.sp = (self.sp + ins.imm) & MASK32
-
-    def _x_sub_sp(self, ins):
-        self.sp = (self.sp - ins.imm) & MASK32
-
-    def _x_addw(self, ins):
-        self.write_reg(ins.rd, (self.read_reg(ins.rn) + ins.imm) & MASK32)
-
-    def _x_subw(self, ins):
-        self.write_reg(ins.rd, (self.read_reg(ins.rn) - ins.imm) & MASK32)
-
-    def _x_cmp_imm(self, ins):
-        self.set_cmp_flags(self.read_reg(ins.rn), ins.imm)
-
-    def _x_cmp_reg(self, ins):
-        self.set_cmp_flags(self.read_reg(ins.rn), self.read_reg(ins.rm))
-
-    def _x_b(self, ins):
-        self.pc = ins.target
-
-    def _x_bcond(self, ins):
-        if self.cond_true(ins.cond):
-            self.cycles += 1  # taken penalty on top of the base cost
-            taken = self.taken
-            taken[self.cur_pc] = taken.get(self.cur_pc, 0) + 1
-            self.pc = ins.target
-
-    def _x_bl(self, ins):
-        self.lr = self.pc  # already the address after the bl
-        self.pc = ins.target
-
-    def _x_bx(self, ins):
-        self.pc = self.read_reg(ins.rm)
-
-    def _x_blx(self, ins):
-        target = self.read_reg(ins.rm)
-        self.lr = self.pc
-        self.pc = target
-
-    def _x_msr(self, ins):
-        # CONTROL writes are privileged; unprivileged thread writes drop.
-        if self.mode == MODE_HANDLER or not self.control & 1:
-            self.control = self.read_reg(ins.rn) & 1
-
-    def _x_mrs(self, ins):
-        self.write_reg(ins.rd, self.control)
-
-    def _x_nop(self, ins):
-        pass
+    # -- the TRAP ops' executors, which only step() runs ------------------
 
     def _x_svc(self, ins):
         # svc's table cost already covers stacking; do not double-charge.
@@ -546,5 +415,8 @@ class Machine:
         excm.enter_exception(self, excm.USAGE_FAULT, self.pc)
 
 
-# One executor per op of isa.OPS; a missing one fails here, at import.
-_EXEC = {op: getattr(Machine, "_x_" + op) for op in OPS}
+# One executor per op of isa.OPS, a TRAP op's from above and any other's
+# from blocks.SEMANTICS; a missing one fails here, at import.
+_EXEC = {**blocks.executors(),
+         **{op: getattr(Machine, "_x_" + op)
+            for op, row in OPS.items() if row.kind == TRAP}}

@@ -33,7 +33,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "watchstack"
-RE_EXPORTS = {"machine.py": {"EV_EXC_ENTERED", "EV_EXC_RETURNED"},
+RE_EXPORTS = {"machine.py": {"EV_EXC_ENTERED", "EV_EXC_RETURNED",
+                             "MODE_HANDLER"},
               "instrument.py": {"T_ASSP", "T_USS"}}
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 

@@ -1,7 +1,8 @@
 """``isa.OPS`` is the one op vocabulary.
 
-The machine has an executor for exactly its ops, the compiled blocks
-emit exactly its non-TRAP ops, every op's printed form parses back to
+The machine has an executor for exactly its ops, one table,
+``blocks.SEMANTICS``, holds exactly its non-TRAP ops for both the
+machine and the compiled blocks, every op's printed form parses back to
 the same instruction, the registers a row says an op writes are
 exactly the ones ``Machine.step()`` writes, and an op outside it is a
 ``ValueError``.  The reference semantics of each op is
@@ -59,8 +60,11 @@ def test_the_machine_executes_exactly_the_ops():
 
 
 def test_blocks_emit_exactly_the_non_trap_ops():
-    assert set(blocks._EMIT) == {op for op, row in OPS.items()
-                                 if row.kind != TRAP}
+    """One table holds their semantics, for both execution tiers: the
+    machine writes no executor of its own but a TRAP op's."""
+    non_trap = {op for op, row in OPS.items() if row.kind != TRAP}
+    assert set(blocks.SEMANTICS) == non_trap
+    assert not {"_x_" + op for op in non_trap} & set(vars(machine.Machine))
 
 
 @pytest.mark.parametrize("op", sorted(OPS))

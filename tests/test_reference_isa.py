@@ -10,7 +10,10 @@ compared whole at the end of a run.
 
 The machine steps with ``Machine.step()``, which runs the one retire
 body that ``Machine.run()`` runs too (``tests/test_run_differential.py``
-holds ``run()`` and the compiled blocks to ``step()``).  The runs cover
+holds ``run()`` and the compiled blocks to ``step()``).  The compiled
+blocks are also held to the reference directly: a few programs run
+through ``Machine.run()`` with every block compiled, and the state is
+compared at each compiled block's exit.  The runs cover
 a hypothesis test per ``isa.OPS`` row, the shipped programs, the
 harness scenarios and generated programs; the reference is pinned by
 a few vectors computed by hand from the pseudocode.
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_isa as ref
+from watchstack import blocks
 from watchstack.asm import parse
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
                             DWT_MASK0)
@@ -541,3 +545,82 @@ def test_generated_programs(seed):
     for at in range(seed % 5, length, length // 3 + 1):
         lockstep(prog, _cfg(policy=policy, raises=((SYSTICK, at),)),
                  "benign %d raise@%d" % (seed, at))
+
+
+# -- the compiled tier -------------------------------------------------------
+#
+# ``Machine.run()`` with every block compiled on first reach.  Each
+# compiled block's function is wrapped: after it returns, the reference
+# core steps up to the machine's step count and the whole state is
+# compared, so a slip in how ``blocks`` compiles an op fails here even
+# where ``step()`` would make the same slip.
+
+def catch_up(pair: Lockstep, where: str) -> None:
+    """Step the core to the machine's step count, then compare, with
+    every RAM byte the core stored on the way."""
+    core, stored = pair.core, {}
+    while core.steps < pair.m.steps and core.halt is None:
+        ref.step(core)
+        stored.update(core.stored)
+    core.stored = stored
+    pair.check(where)
+
+
+def compiled_lockstep(prog, cfg: RunConfig, label: str,
+                      monkeypatch) -> ref.Core:
+    """As ``lockstep``, but the machine runs through ``Machine.run()``
+    with the hot threshold at 1, checked at each compiled block's exit."""
+    pair = boot(prog, cfg, label)
+    compile_block = blocks.Block.compile
+
+    def compile_checked(blk, m, pc):
+        compile_block(blk, m, pc)
+        if blk.fn is not None:
+            def checked(m, limit, fn=blk.fn):
+                fn(m, limit)
+                catch_up(pair, "the exit of the block at %#x" % pc)
+            blk.fn = checked
+
+    with monkeypatch.context() as mp:
+        mp.setattr(blocks, "HOT_THRESHOLD", 1)
+        mp.setattr(blocks.Block, "compile", compile_checked)
+        for exc_id, at in sorted(cfg.raises, key=lambda t: t[1]):
+            pair.m.run(at)
+            catch_up(pair, "raise@%d" % at)
+            if pair.m.halted:
+                break
+            pair.m.raise_exception(exc_id)
+            pair.core.pending.append(exc_id)
+        pair.m.run(cfg.max_steps)
+    catch_up(pair, "the end")
+    pair.check_memory()
+    return pair.core
+
+
+def test_the_compiled_recursion(monkeypatch):
+    core = compiled_lockstep(_instrumented(recursion_program(64)), _cfg(),
+                             "compiled recursion 64", monkeypatch)
+    assert core.halt == "normal"
+
+
+def test_a_compiled_short_sweep_under_report(monkeypatch):
+    lo = SHADOW.ss_start - 12
+    core = compiled_lockstep(parse(sweep_program(lo, SHADOW.ss_start + 12)),
+                             _cfg(policy=POLICY_REPORT), "compiled sweep",
+                             monkeypatch)
+    assert len(core.records) == 12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compiled_generated_programs(seed, monkeypatch):
+    rng = random.Random(seed)
+    policy = (POLICY_RESET, POLICY_REPORT)[seed % 2]
+    compiled_lockstep(parse(make_demcr_fuzz_program(rng)), _cfg(policy=policy),
+                      "compiled demcr fuzz %d" % seed, monkeypatch)
+    prog = _instrumented(make_benign_program(rng, rng.randint(4, 10))
+                         + HANDLER)
+    length = compiled_lockstep(prog, _cfg(policy=policy),
+                               "compiled benign %d" % seed, monkeypatch).steps
+    at = length // 2
+    compiled_lockstep(prog, _cfg(policy=policy, raises=((SYSTICK, at),)),
+                      "compiled benign %d raise@%d" % (seed, at), monkeypatch)
