@@ -47,14 +47,14 @@ Each data access, and each pushed or popped word, makes one inline
 test, as QEMU's softmmu path does: its fast case runs in line, and
 every other case writes the state and calls the machine.  A
 hull-first access (a pushed or popped word, a load or store with base
-sp, a bound device word) tests only the hull of the comparator
+sp, a known device word) tests only the hull of the comparator
 regions, ``m.watch[2]``, which no comparator can match outside of:
 there RAM, below ``machine.PPB_BASE`` and, for a word, on one page, is
 read or written on ``m.mem``'s page with no call and no state writes,
-and a device word calls its port; anything else takes ``m.load`` or
-``m.store``, which run the four-region test, the guard and the device
-decode.  Any other access, such as a byte store that hits on most
-passes, tests the four regions of ``m.watch`` inline, as
+and a device word runs in line or calls its port; anything else takes
+``m.load`` or ``m.store``, which run the four-region test, the guard
+and the device decode.  Any other access, such as a byte store that
+hits on most passes, tests the four regions of ``m.watch`` inline, as
 ``Machine.load``/``store`` do: on a hit the block writes the state and
 shows the guard the access, then commits a store through
 ``Machine.commit`` unless the guard suppresses it, or reads a load
@@ -72,19 +72,27 @@ The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``ldr``/``str`` whose address is known, aligned and, by
 ``machine.ppb_device``, on a device (``_device_word``) takes the same
 ``_load``/``_store``, hull-first, with its address as a literal and no
-alignment test; outside the hull ``_decode`` calls the word's port, which
-``Block.compile`` binds, with the device, as arguments of ``make``: the
+alignment test.  Outside the hull ``_decode`` emits the in-line form
+that the machine's device gives for the word (``inline``: the
+watchpoint unit's register words, as the same lines its ports run),
+with a stored value the block knows folded and the device's state
+bound once per entry (its ``BIND``).  It calls the word's port where
+that form has none (CYCCNT, an unmapped word) or its ``slow`` test
+holds (a region the unit must cache or drop), and ``Block.compile``
+binds those ports, with the device, as arguments of ``make``: the
 device's ``port(addr)`` read or write, or ``_RAM``'s on a machine
-without it.  So the source does not depend on the machine, and compiled
-code is cached by it: it spells out the entry pc and every operand, so
-machines built from equal code share it and a changed instruction
-compiles anew.  Exception returns go through ``m._end``, which looks up
-``exception_model.return_from_exception`` when called, so anything
-patched onto the class or module still sees each one.  Code at or above
-``EXC_RETURN_MIN`` is not run in line, and a block whose next pc can be
-there ends through ``m._end``.  ``Machine.run`` drops its blocks, whose
-counts it folded in when it last returned, when ``m.code``, ``m.dwt``
-or ``m.demcr`` is replaced.
+without it.  So the source depends on the machine only in which
+devices it has: a watchpoint-register word runs in line with the unit
+and calls ``_RAM``'s port without it.  Compiled code is cached by its
+text: it spells out the entry pc and every operand, so machines built
+from equal code, with the same devices, share it, and a changed
+instruction compiles anew.  Exception returns go through ``m._end``,
+which looks up ``exception_model.return_from_exception`` when called,
+so anything patched onto the class or module still sees each one.
+Code at or above ``EXC_RETURN_MIN`` is not run in line, and a block
+whose next pc can be there ends through ``m._end``.  ``Machine.run``
+drops its blocks, whose counts it folded in when it last returned, when
+``m.code``, ``m.dwt`` or ``m.demcr`` is replaced.
 """
 
 from __future__ import annotations
@@ -117,8 +125,9 @@ class Block:
         self.fn = None
 
     def compile(self, m, pc: int) -> None:
-        """Compile the block of ``m.code`` at pc, binding each device word
-        to ``m``'s port; one of no instructions stays uncompiled."""
+        """Compile the block of ``m.code`` at pc, running each device word
+        in line that ``m``'s device can and binding ``m``'s port for the
+        rest; one of no instructions stays uncompiled."""
         instrs = _block_at(m.code, pc)
         if not instrs:
             return
@@ -127,7 +136,7 @@ class Block:
         self.addrs = tuple(at for at, _ in instrs)
         ns = {"M": MASK32, "U": mach.WORD.unpack_from,
               "K": mach.WORD.pack_into}
-        source, words = _source(instrs)
+        source, words = _source(instrs, m)
         exec(_byte_code(source), ns)
         ports = []
         for addr, name, kind in words:
@@ -247,14 +256,17 @@ def _device_word(ins, known: dict):
 _MIN_SP = "if m.min_sp is not None and m.sp < m.min_sp: m.min_sp = m.sp"
 
 
-def _source(instrs) -> tuple[str, list]:
+def _source(instrs, m=None) -> tuple[str, list]:
     """``make(cnt, d0, f0, ...)`` returning ``block(m, limit)``: the
     block's instructions as Machine.step would run them, in sequence.  A
     block whose exit reaches its own entry runs them again for as long
     as it does and another pass fits before ``limit`` steps.  Also
     ``(address, device, access kind)`` of each device word k, for its
-    device ``d<k>`` and port read or write ``f<k>``."""
+    device ``d<k>`` and port read or write ``f<k>``.  A word of a device
+    that ``m`` has and that gives an ``inline`` form is run in line, over
+    the names its ``BIND`` binds once per entry."""
     words: list = []
+    bind = None  # the in-line device's, once per entry
     out = ["def make(cnt):",
            " def block(m, limit):",
            "  g = m.gpr",
@@ -281,15 +293,21 @@ def _source(instrs) -> tuple[str, list]:
         pc = "; m.pc = %d" % nxt
         sync = "m.steps = s + %d; %s%s" % (i, state, pc)
         bound = _device_word(ins, known)
+        value = known.get(ins.rd)  # a str's value, if the block knows it
         _fold(ins, known)
         body.append("# 0x%08x %s" % (at, ins.op))
         if bound is not None:  # aligned by construction: no alignment test
             load, k, addr = ins.op == "ldr", len(words), "%d" % bound[0]
             words.append(bound + (mach.ACCESS_READ if load
                                   else mach.ACCESS_WRITE,))
-            body += (_load(ins.rd, addr, 4, sync, k, hull=True) if load
-                     else _store(addr, 4, _reg(ins.rd, nxt), sync, k,
-                                 hull=True))
+            unit = getattr(m, bound[1], None)
+            unit = unit if hasattr(unit, "inline") else None
+            if unit:
+                bind = "  D = m.%s; %s" % (bound[1], unit.BIND)
+            dev = (k, unit, None if load else value)
+            body += (_load(ins.rd, addr, 4, sync, dev, hull=True) if load
+                     else _store(addr, 4, _reg(ins.rd, nxt) if value is None
+                                 else "%d" % value, sync, dev, hull=True))
         elif ins.op == "movt" and ins.rd in known:  # folded, as movw is
             body.append(_set(ins.rd, "%d" % known[ins.rd]))
         elif ins.op in ("b", "bl") and not last:  # followed: pc is not read
@@ -308,6 +326,8 @@ def _source(instrs) -> tuple[str, list]:
                      " m.steps = s + %d; %s%s; cnt[%d] += 1"
                      % (i + 1, state, "" if _jumps(ins) else pc, i + 1),
                      " return m._end(%d)" % at]
+    if bind:
+        out.append(bind)
     out[0] = "def make(cnt%s):" % "".join(", d%d, f%d" % (k, k)
                                           for k in range(len(words)))
     at, ins = instrs[-1]
@@ -408,24 +428,36 @@ def _decode(a: str, size: int, sync: str, dev, rd=None,
     that missed the comparators or, with ``hull``, lies outside their
     hull ``H`` (``m.watch[2]``): the test for its inline case, and the
     lines that read it into ``rd`` or, without ``rd``, write ``v``.  A
-    device word, the ``dev``-th that ``_device_word`` found in the
-    block, always takes the hull test, on the hull's half above
-    PPB_BASE, and calls the port ``Block.compile`` bound, after ``sync``
-    only at ``machine.DWT_CYCCNT``, the one device word whose read reads
-    the state.  Else ``a`` must be RAM, below PPB_BASE (and with
-    ``hull`` outside the half below), and a word must not cross a page.
-    A missing page reads 0; a store to one goes to ``Machine.commit``,
-    which alone creates pages.  A memory map that grows more banks
-    changes this beside ``Machine.load``/``commit``."""
+    device word, ``dev`` = (k, unit, value) for the k-th that
+    ``_device_word`` found in the block, always takes the hull test, on
+    the hull's half above PPB_BASE.  Then it runs the in-line form that
+    ``unit``, if not None, gives for it, a store's with ``value`` folded
+    when known, and calls the port ``Block.compile`` bound where that
+    form has none or its ``slow`` test holds; the call comes after
+    ``sync`` only at ``machine.DWT_CYCCNT``, the one device word whose
+    read reads the state.  Else ``a`` must be RAM, below PPB_BASE (and
+    with ``hull`` outside the half below), and a word must not cross a
+    page.  A missing page reads 0; a store to one goes to
+    ``Machine.commit``, which alone creates pages.  A memory map that
+    grows more banks changes this beside ``Machine.load``/``commit``."""
     if dev is not None:
-        call = "f%d(d%d, m" % (dev, dev)
-        if rd is None:
-            access = call + ", v)"
-        else:
-            access = "%s = %s)" % (_dest(rd), call)  # a port reads 32 bits
-            if a == "%d" % mach.DWT_CYCCNT:
-                access = sync + "; " + access
-        return "%d <= H[2] or %s >= H[3]" % (int(a) + size, a), [access]
+        k, unit, value = dev
+        test = "%d <= H[2] or %s >= H[3]" % (int(a) + size, a)
+        form = unit and unit.inline(int(a), mach.ACCESS_READ if rd is not None
+                                    else mach.ACCESS_WRITE, value)
+        call = "f%d(d%d, m" % (k, k)
+        if rd is not None:  # a port, or a register, reads 32 bits
+            if form:
+                return test, ["%s = %s" % (_dest(rd), form)]
+            read = "%s = %s)" % (_dest(rd), call)
+            return test, [sync + "; " + read if a == "%d" % mach.DWT_CYCCNT
+                          else read]
+        call += ", v)"
+        if not form:
+            return test, [call]
+        slow, lines = form
+        return test, lines if slow is None else [
+            "if %s: %s" % (slow, call), "else:", *(" " + ln for ln in lines)]
     test = "%s < %d" % (a, mach.PPB_BASE)
     if size == 4:
         test += " and (o := %s & %d) <= %d" % (a, mach.PAGE_MASK,

@@ -12,25 +12,36 @@ program's address space and lets the unit sanity-check it on update.
 The twelve register words live in one flat list, ``DwtUnit.regs``, and
 register writes are the only way one changes, on the chip and here:
 ``DwtUnit.groups`` returns frozen ``ComparatorGroup`` snapshots built
-from the words.  Each word has one port, its ``(read, write)`` pair for
-its register kind, built at import: ``mmio_read``/``mmio_write`` look it
-up, and compiled blocks bind it (``DwtUnit.port``).  The writes keep
-``DwtUnit.slots``, a table of the regions each access kind can match,
-up to date in place.  Each group's ``[lo, hi)`` region is cached, and
-only a COMP or MASK write to the group drops it; a FUNCTION write, which
-the instrumented code makes twice per call, only chooses per access
-kind between the cached region and ``_NEVER``.  The table's third
-entry is a hull of the cached regions, enabled or not: ``[h0, h1)``
-covers their parts below ``machine.PPB_BASE`` and ``[h2, h3)`` their
-parts above, so it contains every slot that can match.  Only caching a
-region and dropping one rework it, never a FUNCTION write.  The machine
-tests every data access against that table inline (``protect`` makes it
-``Machine.watch``), as the chip's comparators do in hardware, and calls
-the guard only on a hit; compiled blocks test a stack or
-watchpoint-register access against the hull alone, and take one inside
-it through ``Machine.load``/``store``.  ``match_access`` reads the same
-table, and is the reference matcher the guard uses to name the
-comparator.
+from the words.  The writes keep ``DwtUnit.slots``, a table of the
+regions each access kind can match, up to date in place.  An enabled
+group's ``[lo, hi)`` region is cached in ``DwtUnit.regions``, and only a
+COMP or MASK write to the group drops it; a FUNCTION write, which the
+instrumented code makes twice per call, only chooses per access kind
+between the cached region and ``_NEVER``.  The table's third entry is a
+hull of the cached regions, enabled or not: ``[h0, h1)`` covers their
+parts below ``machine.PPB_BASE`` and ``[h2, h3)`` their parts above, so
+it contains every slot that can match.  Caching a region widens it by
+that region; only dropping one recomputes it from them all; a FUNCTION
+write never touches it.  The machine tests every data access against
+that table inline (``protect`` makes it ``Machine.watch``), as the
+chip's comparators do in hardware, and calls the guard only on a hit;
+compiled blocks test a stack or watchpoint-register access against the
+hull alone, and take one inside it through ``Machine.load``/``store``.
+``match_access`` reads the same table, and is the reference matcher the
+guard uses to name the comparator.
+
+Each register word's read and write is written once, as Python lines
+over the unit's register list, slots, region cache and shadow-pointer
+span (``_write_lines``), in the manner of QEMU's softmmu fast path: the
+lines make the write, and a ``slow`` test says when the region cache
+must change too, which ``_regroup`` does.  The lines run twice.  Built
+at import into each word's port, its ``(read, write)`` pair, they are
+what ``mmio_read``/``mmio_write``, and so ``step()``, run.  And a
+compiled block emits them in line for a register word outside the hull
+(``DwtUnit.inline``), with the unit's state bound once per entry
+(``DwtUnit.BIND``) and a value the block knows folded at compile time;
+it calls the port (``DwtUnit.port``) only where ``slow`` holds, and
+for CYCCNT and the unmapped words, which have no in-line form.
 """
 
 from __future__ import annotations
@@ -38,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .isa import MASK32
-from .machine import DWT_CYCCNT, DWT_WINDOW_LO, PPB_BASE, HaltReason
+from .machine import (ACCESS_READ, DWT_CYCCNT, DWT_WINDOW_LO, PPB_BASE,
+                      HaltReason)
 
 # Comparator register addresses; the cycle counter's is machine's.
 DWT_COMP_BASE = DWT_WINDOW_LO + 0x20
@@ -63,85 +75,138 @@ MASK_BITS_MAX = 0x1F
 # A group's registers, in ComparatorGroup's field order: group g's
 # register k is DwtUnit.regs[3 * g + k].
 _COMP, _MASK, _FUNCTION = range(3)
+_COMP1 = 3 + _COMP  # the shadow stack pointer's index in DwtUnit.regs
 _NEVER = (0, 0)  # the slot of a group that cannot match: no addr < 0
-_READ_FNS = frozenset((FN_READ, FN_READWRITE))
-_WRITE_FNS = frozenset((FN_WRITE, FN_READWRITE))
-_ENABLED_FNS = _READ_FNS | _WRITE_FNS
+# The FUNCTION values that enable reads, writes, either: tuples, as the
+# port lines spell them.
+_READ_FNS = (FN_READ, FN_READWRITE)
+_WRITE_FNS = (FN_WRITE, FN_READWRITE)
+_ENABLED_FNS = (FN_READ, FN_WRITE, FN_READWRITE)
+
+# The unit's state as the port lines name it: its register list, read
+# and write slots, region cache and shadow-pointer span.  A port reads
+# each through the unit ``D``; a compiled block binds ``BIND``'s names
+# to them once per entry.
+_STATE = {"R": "D.regs", "S": "D.slots[0]", "W": "D.slots[1]",
+          "G": "D.regions", "Q": "D.ssp_guard"}
 
 
-def _span(parts: list) -> tuple[int, int]:
-    """The least ``[lo, hi)`` that covers every part, or (0, 0)."""
-    if not parts:
-        return 0, 0
-    return min(lo for lo, _ in parts), max(hi for _, hi in parts)
+def _read(i: int, names) -> str:
+    """Register word ``i``'s read, over the state spelled by ``names``."""
+    return "%s[%d]" % (names[0], i)
 
 
-def _rehull(d) -> None:
-    """Bring ``d``'s hull, the third entry of its slot table, over its
-    cached regions: ``[h0, h1)`` spans their parts below PPB_BASE and
-    ``[h2, h3)`` their parts above."""
-    regions = [r for r in d._regions if r is not None]
-    below = [(lo, min(hi, PPB_BASE)) for lo, hi in regions if lo < PPB_BASE]
-    above = [(max(lo, PPB_BASE), hi) for lo, hi in regions if hi > PPB_BASE]
-    d.slots[2][:] = _span(below) + _span(above)
+def _pick(v, fns: tuple, then: str, other):
+    """``then`` if FUNCTION value ``v`` is one of ``fns``, else ``other``:
+    chosen now when ``v`` is known, else by a test in the lines."""
+    if isinstance(v, int):
+        return then if v in fns else other
+    return "%s if %s in %r else %s" % (then, v, fns, other)
 
 
-def _group_ports(gid: int) -> dict:
-    """Group ``gid``'s register ports by address.  A FUNCTION write only
-    chooses the group's slots, from the cached region; a COMP or MASK
-    write drops that region and, if the group is enabled, chooses anew.
-    Caching a region and dropping one are what rework the hull."""
-    comp, mask, fn = (3 * gid + k for k in (_COMP, _MASK, _FUNCTION))
-
-    def choose(d, m, value):
-        value &= MASK32
-        regs = d.regs
-        regs[fn] = value
-        region = d._regions[gid]
-        if region is None:
-            span = 1 << regs[mask]
-            base = regs[comp] & ~(span - 1) & MASK32
-            region = d._regions[gid] = (base, base + span)
-            _rehull(d)
-        reads, writes, _ = d.slots
-        reads[gid] = region if value in _READ_FNS else _NEVER
-        writes[gid] = region if value in _WRITE_FNS else _NEVER
-
-    def place(i, bits):
-        ssp = gid == 1 and i == comp  # COMP1, whose span protect sets
-
-        def write(d, m, value):
-            value &= bits
-            regs = d.regs
-            regs[i] = value
-            if ssp and d.ssp_guard is not None:
-                lo, hi = d.ssp_guard
-                if not lo <= value <= hi:
-                    m.halt(HaltReason.STACK_OVERFLOW)
-            dropped = d._regions[gid] is not None
-            d._regions[gid] = None
-            # A disabled group (COMP1 as the ssp) keeps its _NEVER slots.
-            if regs[fn] in _ENABLED_FNS:
-                choose(d, m, regs[fn])
-            elif dropped:
-                _rehull(d)
-        return write
-
-    base = DWT_COMP_BASE + gid * DWT_GROUP_STRIDE
-    return {base + off: ((lambda d, m, i=i: d.regs[i]), write)
-            for off, i, write in ((DWT_COMP_OFF, comp, place(comp, MASK32)),
-                                  (DWT_MASK_OFF, mask,
-                                   place(mask, MASK_BITS_MAX)),
-                                  (DWT_FUNCTION_OFF, fn, choose))}
+def _write_lines(i: int, v, names) -> tuple[str | None, list[str]]:
+    """Register word ``i``'s write of ``v`` (its value when known, else
+    the name of a 32-bit value), as ``(slow, lines)`` over the unit's
+    state spelled by ``names``: ``lines`` make the write, and ``slow``,
+    which reads nothing they write, holds when the group's region cache
+    must change too (``_regroup``), or is None when it cannot.  A known
+    ``v`` is folded: each test on it is decided here."""
+    R, S, W, G, Q = names
+    gid, kind = divmod(i, 3)
+    fn, region = i - kind + _FUNCTION, "%s[%d]" % (G, gid)
+    lines = []
+    if kind == _MASK:
+        if isinstance(v, int):
+            v &= MASK_BITS_MAX
+        else:
+            lines.append("%s &= %d" % (v, MASK_BITS_MAX))
+    lines.append("%s[%d] = %s" % (R, i, v))
+    if kind != _FUNCTION:  # the region moves: drop it, choose anew
+        if i == _COMP1:  # its span is protect's
+            lines.append("if (q := %s) is not None and not q[0] <= %s <= "
+                         "q[1]: m.halt(D.OVERFLOW)" % (Q, v))
+        return ("%s is not None or %s[%d] in %r"
+                % (region, R, fn, _ENABLED_FNS)), lines
+    # A FUNCTION write chooses the slots from the cached region, which
+    # an enabled group needs cached first.
+    lines += ["%s[%d] = %s" % (slots, gid, _pick(v, fns, region, _NEVER))
+              for slots, fns in ((S, _READ_FNS), (W, _WRITE_FNS))]
+    if isinstance(v, int):
+        return (region + " is None" if v in _ENABLED_FNS else None), lines
+    return "%s in %r and %s is None" % (v, _ENABLED_FNS, region), lines
 
 
-# Address -> port, (read(d, m), write(d, m, value)) of unit d on machine
+def _widen(hull: list, region: tuple[int, int]) -> None:
+    """Widen the hull ``[h0, h1, h2, h3]`` by ``region``'s part below
+    PPB_BASE and its part above; an empty half reads (0, 0)."""
+    lo, hi = region
+    for k, (a, b) in ((0, (lo, min(hi, PPB_BASE))),
+                      (2, (max(lo, PPB_BASE), hi))):
+        if a < b:
+            if hull[k] < hull[k + 1]:
+                a, b = min(a, hull[k]), max(b, hull[k + 1])
+            hull[k:k + 2] = a, b
+
+
+def _rehull(D) -> None:
+    """Recompute ``D``'s hull, the third entry of its slot table, from
+    all its cached regions: needed only when one is dropped."""
+    hull = D.slots[2]
+    hull[:] = 0, 0, 0, 0
+    for region in D.regions:
+        if region is not None:
+            _widen(hull, region)
+
+
+def _regroup(D, m, gid: int, stale: bool) -> None:
+    """Bring group ``gid``'s cached region, and so the hull and its
+    slots, in line with its registers after a write whose ``slow`` test
+    held: drop a ``stale`` region, cache the region of an enabled group
+    (which widens the hull), and choose its slots through its FUNCTION
+    port."""
+    regs, regions = D.regs, D.regions
+    if stale and regions[gid] is not None:
+        regions[gid] = None
+        _rehull(D)
+    comp, mask, fn = regs[3 * gid:3 * gid + 3]
+    if fn in _ENABLED_FNS and regions[gid] is None:
+        span = 1 << mask
+        base = comp & ~(span - 1) & MASK32
+        regions[gid] = (base, base + span)
+        _widen(D.slots[2], regions[gid])
+    _PORTS[_ADDRS[3 * gid + _FUNCTION]][1](D, m, fn)
+
+
+def _register_ports() -> dict:
+    """Each register word's port by address, compiled in one ``exec``
+    from its lines with the state read through the unit: a read returns
+    the word, and a write runs its lines, masked to the bus's 32 bits,
+    then ``_regroup`` when their ``slow`` test holds."""
+    names = tuple(_STATE.values())
+    source = []
+    for i in range(len(_ADDRS)):
+        slow, lines = _write_lines(i, "v", names)
+        source += ["def r%d(D, m): return %s" % (i, _read(i, names)),
+                   "def w%d(D, m, v):" % i, " v &= %d" % MASK32,
+                   *(" " + line for line in lines),
+                   " if %s: _regroup(D, m, %d, %s)"
+                   % (slow, i // 3, i % 3 != _FUNCTION)]
+    ns = {"_regroup": _regroup}
+    exec(compile("\n".join(source), "<dwt>", "exec"), ns)
+    return {addr: (ns["r%d" % i], ns["w%d" % i])
+            for i, addr in enumerate(_ADDRS)}
+
+
+# Each register word's address, in DwtUnit.regs order.
+_ADDRS = [DWT_COMP_BASE + gid * DWT_GROUP_STRIDE + off
+          for gid in range(NUM_GROUPS)
+          for off in (DWT_COMP_OFF, DWT_MASK_OFF, DWT_FUNCTION_OFF)]
+# Address -> port, (read(D, m), write(D, m, value)) of unit D on machine
 # m, built once at import.  CYCCNT is read-only here, and every word
 # outside the register file, CTRL included, reads 0 and drops writes.
-_UNMAPPED = (lambda d, m: 0, lambda d, m, value: None)
-_PORTS = {addr: port for gid in range(NUM_GROUPS)
-          for addr, port in _group_ports(gid).items()}
-_PORTS[DWT_CYCCNT] = (lambda d, m: m.cycles & MASK32, _UNMAPPED[1])
+_UNMAPPED = (lambda D, m: 0, lambda D, m, value: None)
+_PORTS = _register_ports()
+_PORTS[DWT_CYCCNT] = (lambda D, m: m.cycles & MASK32, _UNMAPPED[1])
 
 
 @dataclass(frozen=True)
@@ -156,6 +221,12 @@ class ComparatorGroup:
 class DwtUnit:
     """Comparator registers, match logic, and the word-wide register file."""
 
+    # What a compiled block runs once per entry, with ``D`` the unit, to
+    # bind the names its in-line lines (``inline``) use.
+    BIND = "; ".join("%s = %s" % item for item in _STATE.items())
+    # The halt of a COMP1 write outside ssp_guard, as the lines spell it.
+    OVERFLOW = HaltReason.STACK_OVERFLOW
+
     def __init__(self) -> None:
         # Legal [lo, hi] span for COMP1 writes once protect owns it; a
         # write outside the span halts with a shadow stack overflow.
@@ -166,14 +237,14 @@ class DwtUnit:
         # Indexed by access kind (ACCESS_READ, ACCESS_WRITE): one (lo, hi)
         # region per group, _NEVER while the group's FUNCTION excludes
         # that kind; then the hull [h0, h1, h2, h3] of the cached regions
-        # (_rehull), empty as (0, 0, 0, 0).  Only register writes change
-        # it, and always in place, so whoever holds it (Machine.watch)
-        # sees every one.
+        # (_widen, _rehull), empty as (0, 0, 0, 0).  Only register writes
+        # change it, and always in place, so whoever holds it
+        # (Machine.watch, a compiled block's S and W) sees every one.
         self.slots = ([_NEVER] * NUM_GROUPS, [_NEVER] * NUM_GROUPS,
                       [0, 0, 0, 0])
-        # Each group's region from its COMP and MASK, or None until
-        # needed again after one of them changed.
-        self._regions: list[tuple[int, int] | None] = [None] * NUM_GROUPS
+        # Each group's region from its COMP and MASK, or None until an
+        # enabled group needs it again after one of them changed.
+        self.regions: list[tuple[int, int] | None] = [None] * NUM_GROUPS
 
     @property
     def groups(self) -> tuple[ComparatorGroup, ...]:
@@ -206,8 +277,22 @@ class DwtUnit:
     # -- register file ------------------------------------------------------
 
     def port(self, addr: int):
-        """The word's ``(read(d, m), write(d, m, value))``, ``d`` this unit."""
+        """The word's ``(read(D, m), write(D, m, value))``, ``D`` this unit."""
         return _PORTS.get(addr, _UNMAPPED)
+
+    def inline(self, addr: int, access: int, value=None):
+        """A compiled block's in-line form of an access to the register
+        word at ``addr``, over ``BIND``'s names: a read's value as an
+        expression, or a write of ``value`` (known, or else the 32-bit
+        ``v``) as ``(slow, lines)``, which the block runs when ``slow``
+        is None or false and else calls the word's port for.  None for
+        CYCCNT and the unmapped words, which have no in-line form."""
+        if addr not in _ADDRS:
+            return None
+        i = _ADDRS.index(addr)
+        if access == ACCESS_READ:
+            return _read(i, tuple(_STATE))
+        return _write_lines(i, "v" if value is None else value, tuple(_STATE))
 
     def mmio_read(self, m, addr: int) -> int:
         return _PORTS.get(addr, _UNMAPPED)[0](self, m)

@@ -3,7 +3,8 @@
 The machine executes pre-decoded instructions from an address-indexed
 code map.  Every data access goes through ``load``/``store``, except a
 compiled block's fast case, which passes one inline test and reads or
-writes a RAM page, or calls a device port, itself; every other case
+writes a RAM page, or runs a device word in line or calls its port,
+itself; every other case
 takes ``load``, ``store`` or ``commit`` (``blocks``).  Before an
 access commits, they test it against ``watch``, per access kind four
 (lo, hi) regions, and show it to ``guard``, the one access observer,
@@ -27,7 +28,8 @@ the same function.  The RAM layout, 4 KiB pages of little-endian
 reads it from here for its inline RAM path.  A device is a word device:
 ``mmio_read(m, addr)`` and ``mmio_write(m, addr, value)`` call the port,
 ``port(addr)``'s ``(read(d, m), write(d, m, value))``, that ``blocks``
-binds at compile time; the access path handles byte lanes.
+binds at compile time, and a device may give ``blocks`` a word's
+``inline`` form as well; the access path handles byte lanes.
 
 ``step()`` executes one instruction and ``run()`` many; both step
 through ``_line``, the one retire body, and ``run()`` also runs hot

@@ -11,13 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from watchstack import dwt
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_COMP_OFF, DWT_CYCCNT,
                             DWT_FUNCTION0, DWT_FUNCTION_OFF, DWT_GROUP_STRIDE,
                             DWT_MASK0, DWT_MASK_OFF, FN_DISABLED, FN_READ,
                             FN_READWRITE, FN_WRITE, NUM_GROUPS, _NEVER,
                             DwtUnit)
+from watchstack.instrument import ShadowStackConfig
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, PPB_BASE,
                                 HaltReason, Machine)
+from watchstack.protect import attach_debug_system, init_write_protection
 
 
 def program(d: DwtUnit, gid: int, comp=None, mask=None, fn=None) -> None:
@@ -359,3 +362,26 @@ def test_group_snapshots_read_back_through_the_register_file(ops):
         for name, off in _OFFSETS.items():
             addr = DWT_COMP0 + DWT_GROUP_STRIDE * gid + off
             assert getattr(g, name) == m.load(addr, 4), (gid, name)
+
+
+def test_arming_recomputes_the_hull_at_most_once(monkeypatch):
+    """Caching a region only widens the hull, so arming, which caches
+    the regions of groups 0, 2 and 3 and drops none, recomputes it from
+    all the regions at most once; the widened hull is the one a
+    recomputation gives."""
+    rehulls = []
+    rehull = dwt._rehull
+
+    def counted(d):
+        rehulls.append(d)
+        rehull(d)
+
+    monkeypatch.setattr(dwt, "_rehull", counted)
+    m = Machine()
+    attach_debug_system(m)
+    assert init_write_protection(m, ShadowStackConfig())
+    assert len(rehulls) <= 1
+    hull = list(m.dwt.slots[2])
+    _check_hull(m.dwt)
+    rehull(m.dwt)
+    assert m.dwt.slots[2] == hull

@@ -18,16 +18,17 @@ it at 10**9 none is, so run()'s own stepping loop sees them all.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from watchstack import blocks
+from watchstack import blocks, dwt
 from watchstack.asm import parse
 from watchstack.cli import EXIT_FAULT, EXIT_VIOLATION, _exit_code
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
-                            DWT_GROUP_STRIDE, DWT_MASK0, FN_READ, FN_READWRITE,
-                            FN_WRITE, DwtUnit)
+                            DWT_GROUP_STRIDE, DWT_MASK0, FN_DISABLED, FN_READ,
+                            FN_READWRITE, FN_WRITE, DwtUnit)
 from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
                                 preinit_exception_program, recursion_program,
                                 sweep_program)
@@ -842,9 +843,11 @@ def _register_bits(addr: int) -> int | None:
 def test_every_device_word_through_a_bound_load_and_store(addr,
                                                           monkeypatch):
     """Each pass reads the word into RAM and writes back what it read
-    plus 4: unprotected, where the block calls the word's bound port and
-    no mmio_* call at all, and armed under the report policy, where the
-    lock's words and DEMCR trap and the shadow region moves."""
+    plus 4: unprotected, where the block runs a watchpoint register's
+    read and write in line, the lines its port runs, calls the bound
+    port of CYCCNT, an unmapped word or DEMCR, and makes no mmio_* call
+    at all; and armed under the report policy, where the lock's words
+    and DEMCR trap and the shadow region moves."""
     prog = parse(_main(*_const("r0", addr), "ldr r1, [r0]", "str r1, [r7]",
                        "addw r7, r7, #4", "addw r1, r1, #4",
                        "str r1, [r0]"))
@@ -872,9 +875,10 @@ def test_every_device_word_through_a_bound_load_and_store(addr,
 
 
 def test_the_comp1_overflow_halts_through_the_bound_port(monkeypatch):
-    """Compiled, the overflowing COMP1 store of ``OVERFLOW`` calls the
-    unit's COMP1 port, not mmio_write, which halts the block there as
-    step() halts (``test_a_bound_comp1_store_halts_on_overflow``)."""
+    """Compiled, the overflowing COMP1 store of ``OVERFLOW`` runs the
+    COMP1 port's lines in line, with no mmio_write call, and they halt
+    the block there as step() halts
+    (``test_a_bound_comp1_store_halts_on_overflow``)."""
     monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
     cfg = _cfg(POLICY_RESET, None, 10_000)
     m = build_machine(parse(OVERFLOW), cfg)
@@ -882,6 +886,52 @@ def test_the_comp1_overflow_halts_through_the_bound_port(monkeypatch):
     run_machine(m, cfg)
     assert m.halt_reason == HaltReason.STACK_OVERFLOW and mmio[0] == 0
     assert m.steps == 2 + 8 * (SHADOW.ss_size // 256) + 5
+
+
+# The FUNCTION values a block stores as a constant: the three enables,
+# disabled, and values outside them, which disable the group too.
+FOLDED_FUNCTIONS = (FN_DISABLED, FN_READ, FN_WRITE, FN_READWRITE, 4, 0x106,
+                    0xFFFFFFFF)
+# Where each group's region starts once armed: the shadow region, COMP1's
+# byte, the DEMCR word and the lock's register block.
+ARMED_REGIONS = (SHADOW.ss_start, SHADOW.ss_start, DEMCR_ADDR,
+                 DWT_COMP0 + 2 * DWT_GROUP_STRIDE)
+
+
+def _ram_region(gid: int) -> int:
+    return 0x20002000 + DWT_GROUP_STRIDE * gid
+
+
+def _ram_regions(m):
+    """Unprotected: group g watches the RAM word at _ram_region(g)."""
+    for gid in range(4):
+        m.dwt.mmio_write(m, DWT_COMP0 + DWT_GROUP_STRIDE * gid,
+                         _ram_region(gid))
+        m.dwt.mmio_write(m, DWT_MASK0 + DWT_GROUP_STRIDE * gid, 2)
+
+
+@pytest.mark.parametrize("value", FOLDED_FUNCTIONS, ids=hex)
+@pytest.mark.parametrize("gid", range(4))
+def test_a_folded_function_store_runs_as_step_does(gid, value, monkeypatch):
+    """Each pass stores ``value``, a constant the block knows, to group
+    gid's FUNCTION, then stores to and loads from the group's region.
+    Compiled, the write is folded at compile time, and every observed
+    field must equal step()'s: unprotected, with each group watching a
+    RAM word, and armed under both policies."""
+    def prog(region):
+        return parse(_main(
+            *_const("r0", DWT_FUNCTION0 + DWT_GROUP_STRIDE * gid),
+            *_const("r1", value), "str r1, [r0]", *_const("r2", region),
+            "str r5, [r2]", "ldr r3, [r2]", "str r3, [r7]",
+            "addw r7, r7, #4"))
+
+    want = check(prog(_ram_region(gid)), RunConfig(max_steps=10_000),
+                 "unprotected", monkeypatch, arm=_ram_regions)
+    assert want["halt"] == (True, HaltReason.NORMAL, False)
+    assert want["dwt"][0][gid].function == value
+    for policy in (POLICY_RESET, POLICY_REPORT):
+        check(prog(ARMED_REGIONS[gid]), _cfg(policy, None, 10_000), policy,
+              monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["dwt", "demcr"])
@@ -1427,6 +1477,28 @@ def test_only_the_shadow_stack_reads_the_comparator_regions(monkeypatch):
             elif "= m.watch[0]" in line or "= m.watch[1]" in line:
                 reads.append((ins.op, ins.rd, ins.width))
     assert sorted(reads) == [("ldr", LR, 4), ("str", LR, 4), ("str", LR, 4)]
+
+
+def test_no_compiled_pass_calls_a_watchpoint_port(monkeypatch):
+    """At the default hot threshold, the protected recursion's six
+    watchpoint-register accesses a call reach a port only while run()
+    steps a block that is not hot yet, and while the machine is armed:
+    compiled blocks run them in line, with no port call."""
+    calls = {True: 0, False: 0}  # by whether compiled code made them
+
+    def counted(port):
+        def wrapper(*args):
+            calls[sys._getframe(1).f_code.co_filename == "<block>"] += 1
+            return port(*args)
+        return wrapper
+
+    for addr, (read, write) in list(dwt._PORTS.items()):
+        monkeypatch.setitem(dwt._PORTS, addr, (counted(read), counted(write)))
+    depth = 1024
+    prog = instrument_program(parse(recursion_program(depth)), SHADOW).program
+    run = run_program(prog, RunConfig(protected=True, shadow=SHADOW))
+    assert run.outcome == OUTCOME_SAFE and run.steps == 24 * depth + 1
+    assert calls[False] > 0 and calls[True] == 0
 
 
 def test_a_compiled_sweep_shows_the_guard_each_hit_once(monkeypatch):
