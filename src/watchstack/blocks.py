@@ -26,7 +26,7 @@ the pass tests it.  In the generated function:
 
 * steps and cycles are kept in locals; ``m.steps``, ``m.cycles``,
   ``m.cur_pc`` and ``m.pc`` are written only before something can read
-  them (the guard, ``m.load`` and ``m.store``, and a CYCCNT read) and
+  them (the guard, and ``m.load`` and ``m.store``, which read CYCCNT) and
   at each exit, with the values ``step()`` would have left there;
 * after each data access the block exits if the machine halted (no
   access pends an exception: only the runner raises them, between
@@ -47,11 +47,11 @@ Each data access, and each pushed or popped word, makes one inline
 test, as QEMU's softmmu path does: its fast case runs in line, and
 every other case writes the state and calls the machine.  A
 hull-first access (a pushed or popped word, a load or store with base
-sp, a known device word) tests only the hull of the comparator
+sp, a device word run in line) tests only the hull of the comparator
 regions, ``m.watch[2]``, which no comparator can match outside of:
 there RAM, below ``machine.PPB_BASE`` and, for a word, on one page, is
 read or written on ``m.mem``'s page with no call and no state writes,
-and a device word runs in line or calls its port; anything else takes
+and a device word runs its in-line form; anything else takes
 ``m.load`` or ``m.store``, which run the four-region test, the guard
 and the device decode.  Any other access, such as a byte store that
 hits on most passes, tests the four regions of ``m.watch`` inline, as
@@ -70,29 +70,29 @@ The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``movt`` put in a register until another write of it (read from
 ``isa.OPS``), and emits such an instruction as that constant.  A word
 ``ldr``/``str`` whose address is known, aligned and, by
-``machine.ppb_device``, on a device (``_device_word``) takes the same
-``_load``/``_store``, hull-first, with its address as a literal and no
-alignment test.  Outside the hull ``_decode`` emits the in-line form
-that the machine's device gives for the word (``inline``: the
-watchpoint unit's register words, as the same lines its ports run),
-with a stored value the block knows folded and the device's state
-bound once per entry (its ``BIND``).  It calls the word's port where
-that form has none (CYCCNT, an unmapped word) or its ``slow`` test
-holds (a region the unit must cache or drop), and ``Block.compile``
-binds those ports, with the device, as arguments of ``make``: the
-device's ``port(addr)`` read or write, or ``_RAM``'s on a machine
-without it.  So the source depends on the machine only in which
-devices it has: a watchpoint-register word runs in line with the unit
-and calls ``_RAM``'s port without it.  Compiled code is cached by its
-text: it spells out the entry pc and every operand, so machines built
-from equal code, with the same devices, share it, and a changed
-instruction compiles anew.  Exception returns go through ``m._end``,
-which looks up ``exception_model.return_from_exception`` when called,
-so anything patched onto the class or module still sees each one.
-Code at or above ``EXC_RETURN_MIN`` is not run in line, and a block
-whose next pc can be there ends through ``m._end``.  ``Machine.run``
-drops its blocks, whose counts it folded in when it last returned, when
-``m.code``, ``m.dwt`` or ``m.demcr`` is replaced.
+``machine.ppb_device``, on a device (``_device_word``) has one fast
+case: the in-line form that the machine's device gives the word
+(``inline``: the watchpoint unit's register words, as the same lines
+``step()`` runs), outside the hull, with a stored value the block knows
+folded and the device's state bound once per entry (its ``BIND``).
+Such a word takes ``_load``/``_store``, hull-first, with its address as
+a literal and no alignment test, and a store's ``slow`` test (a region
+the unit must cache or drop) joins the hull test.  A device word with
+no in-line form (CTRL, CYCCNT, an unmapped word, DEMCR, any word on a
+machine without its device) is emitted as any other ``ldr``/``str``.
+So every case a block cannot finish in line goes through
+``m.load``/``m.store``, and the block calls no device itself.  The
+source depends on the machine only in whether it has the watchpoint
+unit.  Compiled code is cached by its text: it spells out the entry pc
+and every operand, so machines built from equal code, with the unit or
+without, share it, and a changed instruction compiles anew.  Exception
+returns go through ``m._end``, which looks up
+``exception_model.return_from_exception`` when called, so anything
+patched onto the class or module still sees each one.  Code at or
+above ``EXC_RETURN_MIN`` is not run in line, and a block whose next pc
+can be there ends through ``m._end``.  ``Machine.run`` drops its
+blocks, whose counts it folded in when it last returned, when
+``m.code`` or ``m.dwt`` is replaced.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class Block:
 
     def compile(self, m, pc: int) -> None:
         """Compile the block of ``m.code`` at pc, running each device word
-        in line that ``m``'s device can and binding ``m``'s port for the
-        rest; one of no instructions stays uncompiled."""
+        in line that ``m``'s device can; one of no instructions stays
+        uncompiled."""
         instrs = _block_at(m.code, pc)
         if not instrs:
             return
@@ -136,14 +136,8 @@ class Block:
         self.addrs = tuple(at for at, _ in instrs)
         ns = {"M": MASK32, "U": mach.WORD.unpack_from,
               "K": mach.WORD.pack_into}
-        source, words = _source(instrs, m)
-        exec(_byte_code(source), ns)
-        ports = []
-        for addr, name, kind in words:
-            dev = getattr(m, name)
-            ports += ((addr, _RAM[kind]) if dev is None
-                      else (dev, dev.port(addr)[kind]))
-        self.fn = ns["make"](self.counts, *ports)
+        exec(_byte_code(_source(instrs, m)), ns)
+        self.fn = ns["make"](self.counts)
 
     def fold(self, m) -> None:
         """Add the counts to ``m.retired`` and ``m.taken``; zero them."""
@@ -160,10 +154,6 @@ class Block:
             m.taken[at] = m.taken.get(at, 0) + counts[0]
         counts[:] = [0] * (self.n + 1)
 
-
-# A device word's port on a machine without the device, bound to the
-# word's address: RAM, through the generic path.
-_RAM = (lambda a, m: m.load(a, 4), lambda a, m, v: m.commit(a, 4, v))
 
 # compile() costs about a millisecond a block, and every machine built
 # from equal code would otherwise pay it again.
@@ -253,19 +243,35 @@ def _device_word(ins, known: dict):
     return None if addr & 3 or dev is None else (addr, dev)
 
 
+def _in_line(ins, known: dict, m):
+    """(address, binding, form) of a device word (``_device_word``)
+    whose device on ``m`` gives it an in-line form: the line that binds
+    the device's state once per entry (its ``BIND``), and the form its
+    ``inline`` gives, a store's with the value folded when the block
+    knows it.  Else None: the word takes ``SEMANTICS``, as any other
+    access does."""
+    word = _device_word(ins, known)
+    dev = None if word is None else getattr(m, word[1], None)
+    if not hasattr(dev, "inline"):
+        return None
+    addr, name = word
+    form = (dev.inline(addr, mach.ACCESS_READ) if ins.op == "ldr"
+            else dev.inline(addr, mach.ACCESS_WRITE, known.get(ins.rd)))
+    bind = "  D = m.%s; %s" % (name, dev.BIND)
+    return None if form is None else (addr, bind, form)
+
+
 _MIN_SP = "if m.min_sp is not None and m.sp < m.min_sp: m.min_sp = m.sp"
 
 
-def _source(instrs, m=None) -> tuple[str, list]:
-    """``make(cnt, d0, f0, ...)`` returning ``block(m, limit)``: the
-    block's instructions as Machine.step would run them, in sequence.  A
-    block whose exit reaches its own entry runs them again for as long
-    as it does and another pass fits before ``limit`` steps.  Also
-    ``(address, device, access kind)`` of each device word k, for its
-    device ``d<k>`` and port read or write ``f<k>``.  A word of a device
-    that ``m`` has and that gives an ``inline`` form is run in line, over
-    the names its ``BIND`` binds once per entry."""
-    words: list = []
+def _source(instrs, m=None) -> str:
+    """``make(cnt)`` returning ``block(m, limit)``: the block's
+    instructions as Machine.step would run them, in sequence.  A block
+    whose exit reaches its own entry runs them again for as long as it
+    does and another pass fits before ``limit`` steps.  A word of a
+    device that ``m`` has and that gives it an in-line form is run in
+    line (``_in_line``), over the names the device's ``BIND`` binds
+    once per entry."""
     bind = None  # the in-line device's, once per entry
     out = ["def make(cnt):",
            " def block(m, limit):",
@@ -292,22 +298,17 @@ def _source(instrs, m=None) -> tuple[str, list]:
         state = "m.cycles = c + %d; m.cur_pc = %d" % (cost, at)
         pc = "; m.pc = %d" % nxt
         sync = "m.steps = s + %d; %s%s" % (i, state, pc)
-        bound = _device_word(ins, known)
+        word = _in_line(ins, known, m)
         value = known.get(ins.rd)  # a str's value, if the block knows it
         _fold(ins, known)
         body.append("# 0x%08x %s" % (at, ins.op))
-        if bound is not None:  # aligned by construction: no alignment test
-            load, k, addr = ins.op == "ldr", len(words), "%d" % bound[0]
-            words.append(bound + (mach.ACCESS_READ if load
-                                  else mach.ACCESS_WRITE,))
-            unit = getattr(m, bound[1], None)
-            unit = unit if hasattr(unit, "inline") else None
-            if unit:
-                bind = "  D = m.%s; %s" % (bound[1], unit.BIND)
-            dev = (k, unit, None if load else value)
-            body += (_load(ins.rd, addr, 4, sync, dev, hull=True) if load
+        if word is not None:  # aligned by construction: no alignment test
+            addr, bind, form = word
+            addr = "%d" % addr
+            body += (_load(ins.rd, addr, 4, sync, form, hull=True)
+                     if ins.op == "ldr"
                      else _store(addr, 4, _reg(ins.rd, nxt) if value is None
-                                 else "%d" % value, sync, dev, hull=True))
+                                 else "%d" % value, sync, form, hull=True))
         elif ins.op == "movt" and ins.rd in known:  # folded, as movw is
             body.append(_set(ins.rd, "%d" % known[ins.rd]))
         elif ins.op in ("b", "bl") and not last:  # followed: pc is not read
@@ -328,8 +329,6 @@ def _source(instrs, m=None) -> tuple[str, list]:
                      " return m._end(%d)" % at]
     if bind:
         out.append(bind)
-    out[0] = "def make(cnt%s):" % "".join(", d%d, f%d" % (k, k)
-                                          for k in range(len(words)))
     at, ins = instrs[-1]
     nxt = at + ins.width
     if loops:
@@ -340,7 +339,7 @@ def _source(instrs, m=None) -> tuple[str, list]:
                 for line in body + _loop_tail(ins, at, cost, n, entry)]
         if exits == (entry,):  # it leaves only through the budget test
             out.append(" return block")
-            return "\n".join(out) + "\n", words
+            return "\n".join(out) + "\n"
     else:
         out += ["  " + line for line in body]
     if ins.op != "bcond":  # a conditional branch sets cycles itself
@@ -356,7 +355,7 @@ def _source(instrs, m=None) -> tuple[str, list]:
         out.append("  if m.pc >= %d: return m._end(%d)"
                    % (mach.EXC_RETURN_MIN, at))
     out.append(" return block")
-    return "\n".join(out) + "\n", words
+    return "\n".join(out) + "\n"
 
 
 def _loop_tail(ins, at: int, cost: int, n: int, entry: int) -> list[str]:
@@ -422,42 +421,28 @@ def _hit(kind: int, a: str, end: str) -> tuple[str, str]:
                         for k in range(4)))
 
 
-def _decode(a: str, size: int, sync: str, dev, rd=None,
+def _decode(a: str, size: int, form=None, rd=None,
             hull=False) -> tuple[str, list[str]]:
     """The one compiled decode of an access of ``size`` bytes at ``a``
     that missed the comparators or, with ``hull``, lies outside their
     hull ``H`` (``m.watch[2]``): the test for its inline case, and the
     lines that read it into ``rd`` or, without ``rd``, write ``v``.  A
-    device word, ``dev`` = (k, unit, value) for the k-th that
-    ``_device_word`` found in the block, always takes the hull test, on
-    the hull's half above PPB_BASE.  Then it runs the in-line form that
-    ``unit``, if not None, gives for it, a store's with ``value`` folded
-    when known, and calls the port ``Block.compile`` bound where that
-    form has none or its ``slow`` test holds; the call comes after
-    ``sync`` only at ``machine.DWT_CYCCNT``, the one device word whose
-    read reads the state.  Else ``a`` must be RAM, below PPB_BASE (and
-    with ``hull`` outside the half below), and a word must not cross a
-    page.  A missing page reads 0; a store to one goes to
-    ``Machine.commit``, which alone creates pages.  A memory map that
-    grows more banks changes this beside ``Machine.load``/``commit``."""
-    if dev is not None:
-        k, unit, value = dev
+    device word's in-line ``form`` (``_in_line``) takes the hull
+    test alone, on the hull's half above PPB_BASE, and a store's its
+    ``slow`` test too: a read is its expression, a write its lines.
+    Else ``a`` must be RAM, below PPB_BASE (and with ``hull`` outside
+    the half below), and a word must not cross a page.  A missing page
+    reads 0; a store to one goes to ``Machine.commit``, which alone
+    creates pages.  A memory map that grows more banks changes this
+    beside ``Machine.load``/``commit``."""
+    if form is not None:
         test = "%d <= H[2] or %s >= H[3]" % (int(a) + size, a)
-        form = unit and unit.inline(int(a), mach.ACCESS_READ if rd is not None
-                                    else mach.ACCESS_WRITE, value)
-        call = "f%d(d%d, m" % (k, k)
-        if rd is not None:  # a port, or a register, reads 32 bits
-            if form:
-                return test, ["%s = %s" % (_dest(rd), form)]
-            read = "%s = %s)" % (_dest(rd), call)
-            return test, [sync + "; " + read if a == "%d" % mach.DWT_CYCCNT
-                          else read]
-        call += ", v)"
-        if not form:
-            return test, [call]
+        if rd is not None:  # a register reads 32 bits
+            return test, ["%s = %s" % (_dest(rd), form)]
         slow, lines = form
-        return test, lines if slow is None else [
-            "if %s: %s" % (slow, call), "else:", *(" " + ln for ln in lines)]
+        if slow is not None:
+            test = "(%s) and not (%s)" % (test, slow)
+        return test, lines
     test = "%s < %d" % (a, mach.PPB_BASE)
     if size == 4:
         test += " and (o := %s & %d) <= %d" % (a, mach.PAGE_MASK,
@@ -478,14 +463,14 @@ def _decode(a: str, size: int, sync: str, dev, rd=None,
     return test, ["%s = %s if %s else 0" % (_dest(rd), word, page)]
 
 
-def _load(rd: int, a: str, size: int, sync: str, dev=None,
+def _load(rd: int, a: str, size: int, sync: str, form=None,
           hull=False) -> list[str]:
     """Machine.load of ``size`` bytes at ``a`` into ``rd``: a load that
     ``_decode`` can read inline is read so if it misses the comparator
     regions or, with ``hull``, lies outside their hull; anything else
     brings the state up to date, for the guard and CYCCNT, and takes
     m.load."""
-    test, (read,) = _decode(a, size, sync, dev, rd, hull)
+    test, (read,) = _decode(a, size, form, rd, hull)
     lines = []
     if not hull:
         regions, hit = _hit(mach.ACCESS_READ, a, "%s + %d" % (a, size))
@@ -494,7 +479,7 @@ def _load(rd: int, a: str, size: int, sync: str, dev=None,
                     % (sync, _set(rd, "m.load(%s, %d)" % (a, size)))]
 
 
-def _store(a: str, size: int, value: str, sync: str, dev=None,
+def _store(a: str, size: int, value: str, sync: str, form=None,
            hull=False) -> list[str]:
     """Machine.store of ``value`` at ``a``.  With ``hull``, a store that
     ``_decode`` can write inline, outside the hull, is written so, and
@@ -505,7 +490,7 @@ def _store(a: str, size: int, value: str, sync: str, dev=None,
     through m.commit, which needs no state writes: no write reads the
     state (a byte store into the DWT window reads its word back, but
     CYCCNT drops writes)."""
-    test, write = _decode(a, size, sync, dev, hull=hull)
+    test, write = _decode(a, size, form, hull=hull)
     if hull:
         return ["v = " + value, "if %s:" % test,
                 *(" " + line for line in write),

@@ -36,12 +36,14 @@ span (``_write_lines``), in the manner of QEMU's softmmu fast path: the
 lines make the write, and a ``slow`` test says when the region cache
 must change too, which ``_regroup`` does.  The lines run twice.  Built
 at import into each word's port, its ``(read, write)`` pair, they are
-what ``mmio_read``/``mmio_write``, and so ``step()``, run.  And a
-compiled block emits them in line for a register word outside the hull
-(``DwtUnit.inline``), with the unit's state bound once per entry
-(``DwtUnit.BIND``) and a value the block knows folded at compile time;
-it calls the port (``DwtUnit.port``) only where ``slow`` holds, and
-for CYCCNT and the unmapped words, which have no in-line form.
+what ``mmio_read``/``mmio_write``, and so ``Machine.load``/``store``,
+run.  And a compiled block emits them in line for a register word
+outside the hull (``DwtUnit.inline``), with the unit's state bound once
+per entry (``DwtUnit.BIND``) and a value the block knows folded at
+compile time; where ``slow`` holds it takes ``Machine.store``, as it
+does for CYCCNT and the unmapped words, which have no in-line form.
+So from outside this module only ``mmio_read``/``mmio_write`` reach a
+port.
 """
 
 from __future__ import annotations
@@ -276,16 +278,12 @@ class DwtUnit:
 
     # -- register file ------------------------------------------------------
 
-    def port(self, addr: int):
-        """The word's ``(read(D, m), write(D, m, value))``, ``D`` this unit."""
-        return _PORTS.get(addr, _UNMAPPED)
-
     def inline(self, addr: int, access: int, value=None):
         """A compiled block's in-line form of an access to the register
         word at ``addr``, over ``BIND``'s names: a read's value as an
         expression, or a write of ``value`` (known, or else the 32-bit
         ``v``) as ``(slow, lines)``, which the block runs when ``slow``
-        is None or false and else calls the word's port for.  None for
+        is None or false and else hands to ``Machine.store``.  None for
         CYCCNT and the unmapped words, which have no in-line form."""
         if addr not in _ADDRS:
             return None

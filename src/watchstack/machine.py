@@ -3,12 +3,11 @@
 The machine executes pre-decoded instructions from an address-indexed
 code map.  Every data access goes through ``load``/``store``, except a
 compiled block's fast case, which passes one inline test and reads or
-writes a RAM page, or runs a device word in line or calls its port,
-itself; every other case
-takes ``load``, ``store`` or ``commit`` (``blocks``).  Before an
-access commits, they test it against ``watch``, per access kind four
-(lo, hi) regions, and show it to ``guard``, the one access observer,
-only when it falls in one; a store the guard answers True for is
+writes a RAM page, or runs a device word's in-line form, itself; every
+other case takes ``load``, ``store`` or ``commit`` (``blocks``).
+Before an access commits, they test it against ``watch``, per access
+kind four (lo, hi) regions, and show it to ``guard``, the one access
+observer, only when it falls in one; a store the guard answers True for is
 suppressed (watchpoint semantics) and recorded by the guard, and any
 other store is written by ``commit``.  ``watch``'s third entry, a hull
 ``(h0, h1, h2, h3)`` that contains every region (``[h0, h1)`` below
@@ -26,10 +25,10 @@ word there is a bad access and faults); all else is RAM.
 the same function.  The RAM layout, 4 KiB pages of little-endian
 ``WORD``s in ``Memory.pages``, is declared here too, and ``blocks``
 reads it from here for its inline RAM path.  A device is a word device:
-``mmio_read(m, addr)`` and ``mmio_write(m, addr, value)`` call the port,
-``port(addr)``'s ``(read(d, m), write(d, m, value))``, that ``blocks``
-binds at compile time, and a device may give ``blocks`` a word's
-``inline`` form as well; the access path handles byte lanes.
+``mmio_read(m, addr)`` and ``mmio_write(m, addr, value)``, which
+``load`` and ``commit`` call, are how a program's access reaches it,
+and it may give ``blocks`` a word's ``inline`` form as well; the
+access path handles byte lanes.
 
 ``step()`` executes one instruction and ``run()`` many; both step
 through ``_line``, the one retire body, and ``run()`` also runs hot
@@ -79,7 +78,8 @@ PPB_BASE = 0xE0000000
 DWT_WINDOW_LO = 0xE0001000
 DWT_WINDOW_HI = 0xE0001060
 # The cycle counter: the one device word whose read depends on machine
-# state (m.cycles), which ``blocks`` must write before it.
+# state (m.cycles); a compiled block writes the state before every
+# access it hands to ``load``.
 DWT_CYCCNT = DWT_WINDOW_LO + 0x4
 DEMCR_ADDR = 0xE000EDFC
 
@@ -211,7 +211,7 @@ class Machine:
         self.taken: dict[int, int] = {}
         # Optional bookkeeping, enabled by the runner.
         self.min_sp: int | None = None
-        # run()'s (code, dwt, demcr, blocks by entry pc) in one attribute:
+        # run()'s (code, dwt, blocks by entry pc) in one attribute:
         # past CPython's shared-key dict size (29 keys on 3.11; 25 here,
         # see tests/test_machine.py) every attribute access slows down.
         self._block_cache = None
@@ -375,14 +375,14 @@ class Machine:
         next pass fits, and returns at its entry when it would not.  The
         blocks' own counts are folded into ``retired`` and ``taken``
         before ``run()`` returns, so the blocks can be dropped whenever
-        ``code`` is replaced, or ``dwt`` or ``demcr``, whose ports a
-        compiled block binds.
+        ``code`` is replaced, or ``dwt``, whose in-line forms a compiled
+        block runs.
         """
         cache = self._block_cache
         if (cache is None or cache[0] is not self.code
-                or cache[1] is not self.dwt or cache[2] is not self.demcr):
-            cache = self._block_cache = (self.code, self.dwt, self.demcr, {})
-        known = cache[3]
+                or cache[1] is not self.dwt):
+            cache = self._block_cache = (self.code, self.dwt, {})
+        known = cache[2]
         hot = blocks.HOT_THRESHOLD
         try:
             while self.steps < limit and not self.halted:

@@ -13,8 +13,10 @@ through a module it imported: what two modules share is public.  And
 every ``_``-prefixed name a module binds at its top level is read in it.
 
 Compiled code decodes an address in one place: every string in
-``blocks`` that spells a device call, the call of a port bound at
-compile time, or the page table lies in one function.
+``blocks`` that spells the page table lies in one function.  And it
+reaches a device only through the device's in-line form or
+``Machine.load``/``store``: ``blocks`` names no port and no
+``mmio_read``/``mmio_write``, in its code or in the code it generates.
 
 Every ``functools.cache``/``lru_cache`` decorator names a ``maxsize``
 that is not None, so no module-level cache grows without bound over a
@@ -28,6 +30,7 @@ dispatches in one loop.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -123,8 +126,8 @@ def test_every_private_top_level_name_is_read(name):
         name, ", ".join(sorted(unread)))
 
 
-# A device call, a bound port's call (``f<k>(d<k>, m``), the page table.
-DECODED = ("mmio_read", "mmio_write", "(d%d, m", "P.get")
+# The page table, as compiled code reads it.
+DECODED = ("P.get",)
 
 
 def _docstrings(tree: ast.Module) -> set[int]:
@@ -145,6 +148,28 @@ def test_blocks_decodes_an_address_in_one_function():
                     and any(name in node.value for name in DECODED)):
                 owners.add(owner)
     assert len(owners) == 1, "blocks decodes in %s" % ", ".join(sorted(owners))
+
+
+# What calls a device's port directly, as a name or inside generated text.
+DEVICE_CALLS = ("port", "mmio_read", "mmio_write")
+
+
+def test_blocks_names_no_device_port():
+    tree = ast.parse((SRC / "blocks.py").read_text(encoding="utf-8"))
+    docs = _docstrings(tree)
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docs:
+                named.update(n for n in DEVICE_CALLS
+                             if re.search(r"\b%s\b" % n, node.value))
+        else:
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "arg", None)
+                    or getattr(node, "name", None))
+            if name in DEVICE_CALLS:
+                named.add(name)
+    assert not named, "blocks names %s" % ", ".join(sorted(named))
 
 
 CACHES = ("cache", "lru_cache")

@@ -285,8 +285,8 @@ class Spy:
 def test_the_compile_time_decode_agrees_with_the_access_path(addr, size,
                                                               device):
     """``ppb_device`` names the device ``Machine.load``/``store`` reach,
-    where a misaligned word faults instead, and a block binds a word
-    access there exactly when it is aligned."""
+    where a misaligned word faults instead, and a block's compile-time
+    decode finds a word access there exactly when it is aligned."""
     log = []
     m = Machine()
     m.dwt, m.demcr = Spy("dwt", log), Spy("demcr", log)

@@ -90,7 +90,8 @@ def observe(m, budget) -> dict:
         "min_sp": m.min_sp,
         "violations": list(m.guard.records) if m.guard else None,
         "events": m.events,
-        "dwt": (m.dwt.groups, m.demcr.value) if m.dwt else None,
+        "dwt": (m.dwt.groups, m.demcr.value, tuple(map(tuple, m.dwt.slots)),
+                tuple(m.dwt.regions)) if m.dwt else None,
     }
 
 
@@ -842,12 +843,14 @@ def _register_bits(addr: int) -> int | None:
 @pytest.mark.parametrize("addr", _window_words(), ids=hex)
 def test_every_device_word_through_a_bound_load_and_store(addr,
                                                           monkeypatch):
-    """Each pass reads the word into RAM and writes back what it read
-    plus 4: unprotected, where the block runs a watchpoint register's
-    read and write in line, the lines its port runs, calls the bound
-    port of CYCCNT, an unmapped word or DEMCR, and makes no mmio_* call
-    at all; and armed under the report policy, where the lock's words
-    and DEMCR trap and the shadow region moves."""
+    """Each pass reads the word, bound (its address known to the block),
+    into RAM and writes back what it read plus 4: unprotected, where the
+    block runs a watchpoint register's read and write in line, the lines
+    its port runs, with no mmio_* call, and reaches CTRL, CYCCNT, an
+    unmapped word or DEMCR through Machine.load/store, with as many
+    mmio_* calls as step() makes; and armed under the report policy,
+    where the lock's words and DEMCR trap and the shadow region
+    moves."""
     prog = parse(_main(*_const("r0", addr), "ldr r1, [r0]", "str r1, [r7]",
                        "addw r7, r7, #4", "addw r1, r1, #4",
                        "str r1, [r0]"))
@@ -864,17 +867,24 @@ def test_every_device_word_through_a_bound_load_and_store(addr,
         assert reads == [0] * PASSES
     else:  # each pass reads what the one before wrote
         assert all(b == (a + 4) & bits for a, b in zip(reads, reads[1:]))
-    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
-    mmio = _counted(monkeypatch, DwtUnit, "mmio_read", "mmio_write")
-    demcr = _counted(monkeypatch, DemcrModel, "mmio_read", "mmio_write")
-    assert fast(prog, RunConfig(max_steps=10_000)) == want
-    assert mmio[0] == demcr[0] == 0
+    with monkeypatch.context() as mp:
+        mmio = _counted(mp, DwtUnit, "mmio_read", "mmio_write")
+        demcr = _counted(mp, DemcrModel, "mmio_read", "mmio_write")
+        reference(prog, RunConfig(max_steps=10_000))
+        stepped = mmio[0] + demcr[0]
+        mp.setattr(blocks, "HOT_THRESHOLD", 1)
+        mmio[0] = demcr[0] = 0
+        assert fast(prog, RunConfig(max_steps=10_000)) == want
+        compiled = mmio[0] + demcr[0]
+    assert stepped == 2 * PASSES
+    register = addr != DEMCR_ADDR and bits is not None
+    assert compiled == (0 if register else stepped)
     want = check_watch(prog, _cfg(POLICY_REPORT, None, 10_000),
                        "%#x armed" % addr, monkeypatch)
     assert want["halt"] == (True, HaltReason.NORMAL, False)
 
 
-def test_the_comp1_overflow_halts_through_the_bound_port(monkeypatch):
+def test_the_comp1_overflow_halts_in_line(monkeypatch):
     """Compiled, the overflowing COMP1 store of ``OVERFLOW`` runs the
     COMP1 port's lines in line, with no mmio_write call, and they halt
     the block there as step() halts
@@ -935,10 +945,12 @@ def test_a_folded_function_store_runs_as_step_does(gid, value, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["dwt", "demcr"])
-def test_a_device_replaced_between_runs_is_bound_anew(name, monkeypatch):
-    """A block binds its device words' ports when compiled, so run()
-    must drop its blocks when a device is replaced, as when the code is:
-    the passes after the swap read and write the new device."""
+def test_a_device_replaced_between_runs_is_the_one_read(name, monkeypatch):
+    """A device replaced between runs is the one that the passes after
+    the swap read and write: run() drops its blocks when the watchpoint
+    unit is replaced, as when the code is, since whether the unit is
+    there shapes a block's source, and every other device word goes
+    through Machine.load/store, which find the device at run time."""
     addr = DWT_COMP1 if name == "dwt" else DEMCR_ADDR
     # Each pass reads the word into RAM and writes its pass count there.
     prog = parse(_main(*_const("r0", addr), "ldr r1, [r0]", "str r1, [r7]",
@@ -983,7 +995,7 @@ def test_a_movt_after_an_overwrite_is_not_folded(op, monkeypatch):
     folded = "g[0] = %d" % 0x20010200
     for p, fold in ((prog, False), (plain, True)):
         loop = p.functions["main"].body[4].addr  # the loop's entry
-        source, _ = blocks._source(blocks._block_at(p.code, loop))
+        source = blocks._source(blocks._block_at(p.code, loop))
         assert (folded in source) is fold
 
 
@@ -994,7 +1006,9 @@ def _no_devices(m):
 @pytest.mark.parametrize("text", [LOCK, CYCCNT, OVERFLOW],
                          ids=["lock", "cyccnt", "overflow"])
 def test_bound_accesses_on_a_machine_without_devices(text, monkeypatch):
-    """Without its devices the machine has RAM at their addresses."""
+    """Without its devices the machine has RAM at their addresses: a
+    block that knows a device word's address runs no in-line form there
+    and reaches the RAM through Machine.load/store."""
     want = check(parse(text), RunConfig(max_steps=2_000), "no devices",
                  monkeypatch, arm=_no_devices)
     assert want["dwt"] is None and want["steps"] > 2 * blocks.HOT_THRESHOLD
@@ -1465,11 +1479,13 @@ def test_only_the_shadow_stack_reads_the_comparator_regions(monkeypatch):
 
     monkeypatch.setattr(blocks.Block, "compile", recorded)
     prog = instrument_program(parse(recursion_program(8192)), SHADOW).program
-    run = run_program(prog, RunConfig(protected=True, shadow=SHADOW))
+    cfg = RunConfig(protected=True, shadow=SHADOW)
+    run = run_program(prog, cfg)
     assert run.outcome == OUTCOME_SAFE and len(entries) == 3
+    m = build_machine(prog, cfg)
     reads = []
     for entry in entries:
-        source, _ = blocks._source(blocks._block_at(prog.code, entry))
+        source = blocks._source(blocks._block_at(prog.code, entry), m)
         for line in source.splitlines():
             line = line.strip()
             if line.startswith("# 0x"):  # the instruction the lines emit
@@ -1483,12 +1499,19 @@ def test_no_compiled_pass_calls_a_watchpoint_port(monkeypatch):
     """At the default hot threshold, the protected recursion's six
     watchpoint-register accesses a call reach a port only while run()
     steps a block that is not hot yet, and while the machine is armed:
-    compiled blocks run them in line, with no port call."""
+    compiled blocks run them in line, with no port call, direct or
+    through Machine.load/store."""
     calls = {True: 0, False: 0}  # by whether compiled code made them
+
+    def compiled() -> bool:
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code.co_filename != "<block>":
+            frame = frame.f_back
+        return frame is not None
 
     def counted(port):
         def wrapper(*args):
-            calls[sys._getframe(1).f_code.co_filename == "<block>"] += 1
+            calls[compiled()] += 1
             return port(*args)
         return wrapper
 
