@@ -26,8 +26,9 @@ the pass tests it.  In the generated function:
 
 * steps and cycles are kept in locals; ``m.steps``, ``m.cycles``,
   ``m.cur_pc`` and ``m.pc`` are written only before something can read
-  them (the guard, and ``m.load`` and ``m.store``, which read CYCCNT) and
-  at each exit, with the values ``step()`` would have left there;
+  them (a guard called, and ``m.load`` and ``m.store``, which read
+  CYCCNT) and at each exit, with the values ``step()`` would have left
+  there;
 * after each data access the block exits if the machine halted (no
   access pends an exception: only the runner raises them, between
   ``run()`` calls), and an exit where ``step()`` could halt or start an
@@ -55,16 +56,25 @@ and a device word runs its in-line form; anything else takes
 ``m.load`` or ``m.store``, which run the four-region test, the guard
 and the device decode.  Any other access, such as a byte store that
 hits on most passes, tests the four regions of ``m.watch`` inline, as
-``Machine.load``/``store`` do: on a hit the block writes the state and
-shows the guard the access, then commits a store through
-``Machine.commit`` unless the guard suppresses it, or reads a load
-through ``m.load``; a miss into RAM on one page is taken in line, and
-any other goes to ``m.load`` after the state writes, or to
-``m.commit``.  A page nothing wrote reads 0, and a store that misses
-every comparator and finds its page missing goes to ``m.commit``,
-which creates it (``_decode``).  A push or pop handles all its words,
-as ``step()`` does, even when the guard halts the machine on an
-earlier one.
+``Machine.load``/``store`` do, as an ``if``/``elif`` chain in the
+lowest-comparator order, whose arm k is the in-line form of the
+guard's own handling of a hit on comparator k (its ``inline``), with k,
+the step index ``s + i`` and the pc as literals: it appends the hit's
+record to the guard's log with no Python call and no state writes,
+and under the reset policy halts, so the block leaves through its halt
+exit.  A store that hits is suppressed; a load that hits, if RAM on
+one page, is then read in line, and else takes ``m.load``, whose guard
+records it.  Where the guard gives no in-line form (a hook, a guard whose
+handlers were replaced, a ``m.watch`` that is not its unit's slots),
+a hit writes the state and shows the guard the access instead, then
+commits a store through ``Machine.commit`` unless the guard
+suppresses it, or reads a load through ``m.load``.  A miss into RAM on
+one page is taken in line, and any other goes to ``m.load`` after the
+state writes, or to ``m.commit``.  A page nothing wrote reads 0, and a
+store that misses every comparator and finds its page missing goes to
+``m.commit``, which creates it (``_decode``).  A push or pop handles
+all its words, as ``step()`` does, even when the guard halts the
+machine on an earlier one.
 
 The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``movt`` put in a register until another write of it (read from
@@ -92,7 +102,9 @@ patched onto the class or module still sees each one.  Code at or
 above ``EXC_RETURN_MIN`` is not run in line, and a block whose next pc
 can be there ends through ``m._end``.  ``Machine.run`` drops its
 blocks, whose counts it folded in when it last returned, when
-``m.code`` or ``m.dwt`` is replaced.
+``m.code``, ``m.dwt``, ``m.guard`` or ``m.watch`` is replaced: the
+guard's state is bound once, when a block is made (its ``BIND``), and
+its policy folded.
 """
 
 from __future__ import annotations
@@ -137,7 +149,7 @@ class Block:
         ns = {"M": MASK32, "U": mach.WORD.unpack_from,
               "K": mach.WORD.pack_into}
         exec(_byte_code(_source(instrs, m)), ns)
-        self.fn = ns["make"](self.counts)
+        self.fn = ns["make"](self.counts, m.guard)
 
     def fold(self, m) -> None:
         """Add the counts to ``m.retired`` and ``m.taken``; zero them."""
@@ -265,15 +277,20 @@ _MIN_SP = "if m.min_sp is not None and m.sp < m.min_sp: m.min_sp = m.sp"
 
 
 def _source(instrs, m=None) -> str:
-    """``make(cnt)`` returning ``block(m, limit)``: the block's
+    """``make(cnt, J)`` returning ``block(m, limit)``: the block's
     instructions as Machine.step would run them, in sequence.  A block
     whose exit reaches its own entry runs them again for as long as it
     does and another pass fits before ``limit`` steps.  A word of a
     device that ``m`` has and that gives it an in-line form is run in
     line (``_in_line``), over the names the device's ``BIND`` binds
-    once per entry."""
+    once per entry.  A load or store that tests the four regions runs
+    the in-line form of ``m``'s guard ``J`` (its ``inline``), when it
+    gives one, over the names the guard's ``BIND`` binds in ``make``."""
     bind = None  # the in-line device's, once per entry
-    out = ["def make(cnt):",
+    guard = getattr(m, "guard", None)
+    inline = getattr(guard, "inline", None)
+    out = ["def make(cnt, J):",
+           *([" " + guard.BIND] if inline else []),
            " def block(m, limit):",
            "  g = m.gpr",
            "  s = m.steps",
@@ -314,7 +331,9 @@ def _source(instrs, m=None) -> str:
         elif ins.op in ("b", "bl") and not last:  # followed: pc is not read
             body += ["m.lr = %d" % nxt] if ins.op == "bl" else []
         else:
-            body += SEMANTICS[ins.op](_Compiled(ins, nxt, cost, sync))
+            here = inline and functools.partial(
+                inline, m, step="s + %d" % i, pc=at, addr="a")
+            body += SEMANTICS[ins.op](_Compiled(ins, nxt, cost, sync, here))
         if moves_sp and (i == 0 or SP in _written(ins)):
             body.append(_MIN_SP)
         if OPS[ins.op].kind == MEMORY:
@@ -464,27 +483,34 @@ def _decode(a: str, size: int, form=None, rd=None,
 
 
 def _load(rd: int, a: str, size: int, sync: str, form=None,
-          hull=False) -> list[str]:
+          hull=False, hits=None) -> list[str]:
     """Machine.load of ``size`` bytes at ``a`` into ``rd``: a load that
     ``_decode`` can read inline is read so if it misses the comparator
     regions or, with ``hull``, lies outside their hull; anything else
     brings the state up to date, for the guard and CYCCNT, and takes
-    m.load."""
+    m.load.  With ``hits``, the guard's in-line chain for the access
+    (``_Compiled.hits``), a load that ``_decode`` can read inline runs
+    the chain, which records a hit with no Python call, and is read
+    so."""
     test, (read,) = _decode(a, size, form, rd, hull)
-    lines = []
-    if not hull:
-        regions, hit = _hit(mach.ACCESS_READ, a, "%s + %d" % (a, size))
-        lines, test = [regions], "%s and not (%s)" % (test, hit)
-    return lines + ["if %s: %s" % (test, read), "else: %s; %s"
-                    % (sync, _set(rd, "m.load(%s, %d)" % (a, size)))]
+    slow = "else: %s; %s" % (sync, _set(rd, "m.load(%s, %d)" % (a, size)))
+    if hull:
+        return ["if %s: %s" % (test, read), slow]
+    regions, hit = _hit(mach.ACCESS_READ, a, "%s + %d" % (a, size))
+    if hits is not None:
+        return [regions, "if %s:" % test,
+                *(" " + line for line in (*hits, read)), slow]
+    return [regions, "if %s and not (%s): %s" % (test, hit, read), slow]
 
 
 def _store(a: str, size: int, value: str, sync: str, form=None,
-           hull=False) -> list[str]:
+           hull=False, hits=None) -> list[str]:
     """Machine.store of ``value`` at ``a``.  With ``hull``, a store that
     ``_decode`` can write inline, outside the hull, is written so, and
     any other brings the state up to date and takes m.store.  Else a
-    store in a comparator region brings the state up to date for the
+    store in a comparator region runs ``hits``, the guard's in-line
+    chain for the access (``_Compiled.hits``), which records it with no
+    Python call, or without them brings the state up to date for the
     guard and commits unless the guard suppresses it; a miss that
     ``_decode`` can write inline is written so, and any other goes
     through m.commit, which needs no state writes: no write reads the
@@ -497,10 +523,11 @@ def _store(a: str, size: int, value: str, sync: str, form=None,
                 "else: %s; m.store(%s, %d, v)" % (sync, a, size)]
     regions, hit = _hit(mach.ACCESS_WRITE, a, "%s + %d" % (a, size))
     commit = "m.commit(%s, %d, v)" % (a, size)
-    return ["v = " + value, regions,
-            "if %s:" % hit,
-            " " + sync,
-            " if not m.guard.on_store(m, %s, %d, v): %s" % (a, size, commit),
+    if hits is None:
+        hits = ["if %s:" % hit, " " + sync,
+                " if not m.guard.on_store(m, %s, %d, v): %s"
+                % (a, size, commit)]
+    return ["v = " + value, regions, *hits,
             "elif %s: %s" % (test, *write),
             "else: " + commit]
 
@@ -591,13 +618,15 @@ def _operand(expr: str):
 class _Compiled:
     """The slots of one instruction of a block (``nxt`` its fall-through,
     ``cost`` the cycles to its end, ``sync`` the state writes, which
-    only an access's slow path makes): operands are literals, registers
+    only an access's slow path makes, ``guard`` the guard's in-line
+    form at its step and pc, or None): operands are literals, registers
     locals or ``m`` attributes, and memory is ``_load``/``_store``,
     hull-first for a stack word or a base of sp."""
 
-    def __init__(self, ins, nxt: int, cost: int, sync: str) -> None:
+    def __init__(self, ins, nxt: int, cost: int, sync: str,
+                 guard=None) -> None:
         self.ins, self.nxt, self.cost, self.sync = ins, nxt, cost, sync
-        self.r, self.hull = None, ins.rn == SP
+        self.r, self.hull, self.guard = None, ins.rn == SP, guard
 
     def _value(self, expr):
         if isinstance(expr, int):
@@ -613,11 +642,20 @@ class _Compiled:
     def set(self, r, value: str) -> list[str]:
         return [_set(self._value(r), value)]
 
+    def hits(self, access: int, size: int, value: str = "0"):
+        """The guard's in-line chain for the access at ``a``, or None:
+        there is none for a hull-first access, or from no guard."""
+        if self.hull or self.guard is None:
+            return None
+        return self.guard(access, size=size, value=value)
+
     def load(self, r, size: int) -> list[str]:
-        return _load(self._value(r), "a", size, self.sync, hull=self.hull)
+        return _load(self._value(r), "a", size, self.sync, hull=self.hull,
+                     hits=self.hits(mach.ACCESS_READ, size))
 
     def store(self, size: int, value: str) -> list[str]:
-        return _store("a", size, value, self.sync, hull=self.hull)
+        return _store("a", size, value, self.sync, hull=self.hull,
+                      hits=self.hits(mach.ACCESS_WRITE, size, "v"))
 
     def words(self, access) -> list[str]:
         lines, self.hull = [], True

@@ -28,7 +28,12 @@ chip's comparators do in hardware, and calls the guard only on a hit;
 compiled blocks test a stack or watchpoint-register access against the
 hull alone, and take one inside it through ``Machine.load``/``store``.
 ``match_access`` reads the same table, and is the reference matcher the
-guard uses to name the comparator.
+guard uses to name the comparator.  The rule it applies, the lowest
+comparator whose region holds a byte of the access, is written once,
+as lines (``lowest_match``): ``match_access`` is compiled from them at
+import, and the guard's in-line form in compiled blocks
+(``protect.WatchpointGuard.inline``) is the same chain with its hit
+handling in each arm.
 
 Each register word's read and write is written once, as Python lines
 over the unit's register list, slots, region cache and shadow-pointer
@@ -136,6 +141,39 @@ def _write_lines(i: int, v, names) -> tuple[str | None, list[str]]:
     if isinstance(v, int):
         return (region + " is None" if v in _ENABLED_FNS else None), lines
     return "%s in %r and %s is None" % (v, _ENABLED_FNS, region), lines
+
+
+def lowest_match(a: str, end: str, arm) -> list[str]:
+    """The lowest-comparator rule, as lines over the regions ``s0``..``s3``
+    of one access kind: an ``if``/``elif`` chain whose arm ``k``, the
+    lines ``arm(k)``, runs when the access covering ``[a, end)`` (text)
+    has a byte in region k and none in a lower one.  Unrolled: a loop
+    costs twice as much."""
+    lines = []
+    for k in range(NUM_GROUPS):
+        lines += ["%s %s < s%d[1] and %s > s%d[0]:"
+                  % ("elif" if k else "if", a, k, end, k),
+                  *(" " + line for line in arm(k))]
+    return lines
+
+
+def _matcher():
+    """``DwtUnit.match_access``, compiled from ``lowest_match``."""
+    source = ["def match_access(self, addr, size, access):",
+              " s0, s1, s2, s3 = self.slots[access]",
+              " end = addr + size",
+              *(" " + line for line in lowest_match(
+                  "addr", "end", lambda k: ["return %d" % k])),
+              " return None"]
+    ns = {}
+    exec(compile("\n".join(source), "<dwt>", "exec"), ns)
+    match_access = ns["match_access"]
+    match_access.__doc__ = (
+        "Lowest matching enabled comparator id for this access, else None."
+        "\n\nAn access matches when any byte it covers falls inside a"
+        " comparator's region.  Matching uses current register state; a"
+        " store that reprograms a comparator only affects later accesses.")
+    return match_access
 
 
 def _widen(hull: list, region: tuple[int, int]) -> None:
@@ -255,26 +293,7 @@ class DwtUnit:
         return tuple(ComparatorGroup(*r[i:i + 3])
                      for i in range(0, 3 * NUM_GROUPS, 3))
 
-    def match_access(self, addr: int, size: int, access: int) -> int | None:
-        """Lowest matching enabled comparator id for this access, else None.
-
-        An access matches when any byte it covers falls inside a
-        comparator's region.  Matching uses current register state; a
-        store that reprograms a comparator only affects later accesses.
-        """
-        # Unrolled over the NUM_GROUPS slots: a loop costs twice as much.
-        # Machine.load/store run the same test inline.
-        s0, s1, s2, s3 = self.slots[access]
-        end = addr + size
-        if addr < s0[1] and end > s0[0]:
-            return 0
-        if addr < s1[1] and end > s1[0]:
-            return 1
-        if addr < s2[1] and end > s2[0]:
-            return 2
-        if addr < s3[1] and end > s3[0]:
-            return 3
-        return None
+    match_access = _matcher()
 
     # -- register file ------------------------------------------------------
 

@@ -9,17 +9,20 @@ Before an access commits, they test it against ``watch``, per access
 kind four (lo, hi) regions, and show it to ``guard``, the one access
 observer, only when it falls in one; a store the guard answers True for is
 suppressed (watchpoint semantics) and recorded by the guard, and any
-other store is written by ``commit``.  ``watch``'s third entry, a hull
-``(h0, h1, h2, h3)`` that contains every region (``[h0, h1)`` below
-PPB_BASE, ``[h2, h3)`` above), is read only by compiled blocks, whose
-stack and watchpoint-register accesses test it instead of the four
-regions.  The default ``watch`` holds no region and an empty hull;
-``protect`` sets ``watch`` and ``guard`` together, ``watch`` being the
-watchpoint unit's live slot table, so the guard runs only on
-comparator hits.  The fixed PPB map is declared here, beside its one
-decode, ``ppb_device``: an access that starts in the DWT window or on
-the DEMCR word reaches ``dwt`` or ``demcr`` when attached (a misaligned
-word there is a bad access and faults); all else is RAM.
+other store is written by ``commit``.  A compiled block tests the
+regions too, and on a hit runs the guard's in-line form, the guard's
+own handling written as lines, when it gives one, and else calls it.
+``watch``'s third entry, a hull ``(h0, h1, h2, h3)`` that contains
+every region (``[h0, h1)`` below PPB_BASE, ``[h2, h3)`` above), is
+read only by compiled blocks, whose stack and watchpoint-register
+accesses test it instead of the four regions.  The default ``watch``
+holds no region and an empty hull; ``protect`` sets ``watch`` and
+``guard`` together, ``watch`` being the watchpoint unit's live slot
+table, so the guard runs only on comparator hits.  The fixed PPB map
+is declared here, beside its one decode, ``ppb_device``: an access
+that starts in the DWT window or on the DEMCR word reaches ``dwt`` or
+``demcr`` when attached (a misaligned word there is a bad access and
+faults); all else is RAM.
 ``load``/``commit`` decode an address above PPB_BASE at run time, and
 ``blocks`` decodes a constant word address at compile time through
 the same function.  The RAM layout, 4 KiB pages of little-endian
@@ -211,9 +214,10 @@ class Machine:
         self.taken: dict[int, int] = {}
         # Optional bookkeeping, enabled by the runner.
         self.min_sp: int | None = None
-        # run()'s (code, dwt, blocks by entry pc) in one attribute:
-        # past CPython's shared-key dict size (29 keys on 3.11; 25 here,
-        # see tests/test_machine.py) every attribute access slows down.
+        # run()'s (code, dwt, guard, watch, blocks by entry pc) in one
+        # attribute: past CPython's shared-key dict size (29 keys on
+        # 3.11; 25 here, see tests/test_machine.py) every attribute
+        # access slows down.
         self._block_cache = None
 
     # -- register helpers -------------------------------------------------
@@ -375,14 +379,16 @@ class Machine:
         next pass fits, and returns at its entry when it would not.  The
         blocks' own counts are folded into ``retired`` and ``taken``
         before ``run()`` returns, so the blocks can be dropped whenever
-        ``code`` is replaced, or ``dwt``, whose in-line forms a compiled
-        block runs.
+        ``code`` is replaced, or ``dwt``, ``guard`` or ``watch``, whose
+        in-line forms a compiled block runs.
         """
         cache = self._block_cache
         if (cache is None or cache[0] is not self.code
-                or cache[1] is not self.dwt):
-            cache = self._block_cache = (self.code, self.dwt, {})
-        known = cache[2]
+                or cache[1] is not self.dwt or cache[2] is not self.guard
+                or cache[3] is not self.watch):
+            cache = self._block_cache = (self.code, self.dwt, self.guard,
+                                         self.watch, {})
+        known = cache[4]
         hot = blocks.HOT_THRESHOLD
         try:
             while self.steps < limit and not self.halted:

@@ -10,7 +10,13 @@ comparator regions itself and calls the guard only on a hit.  The
 guard, the machine's one access observer, plays the role of the debug
 monitor exception: it suppresses the offending write, records it, and
 then either halts the machine (reset policy) or lets execution continue
-(report policy).
+(report policy).  That handling is written once, as Python lines over
+the guard's state (``_hit_lines``), in the manner of the unit's
+register ports: compiled at import into the guard's ``on_load`` and
+``on_store``, which ``step()`` runs, and handed to compiled blocks
+(``WatchpointGuard.inline``) as the arms of the unit's
+lowest-comparator chain, so a compiled hit under the report policy
+makes no state write and no Python call.
 
 The records live in one ``ViolationLog``, which packs each hit into a
 fixed-width row of integers and builds a ``ViolationRecord`` only when
@@ -27,7 +33,8 @@ from dataclasses import dataclass
 from itertools import starmap
 
 from .dwt import (DWT_COMP_BASE, DWT_COMP_OFF, DWT_FUNCTION_OFF,
-                  DWT_GROUP_STRIDE, DWT_MASK_OFF, FN_WRITE, DwtUnit)
+                  DWT_GROUP_STRIDE, DWT_MASK_OFF, FN_WRITE, DwtUnit,
+                  lowest_match)
 from .instrument import ShadowStackConfig
 from .machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR, HaltReason,
                       Machine)
@@ -87,7 +94,8 @@ _ROW = struct.Struct("<QIIBIBB")
 
 class ViolationLog(Sequence):
     """The guard's violation records, packed: a read-only sequence of
-    ``ViolationRecord`` that ``append`` alone extends.
+    ``ViolationRecord`` that only ``append`` and the guard's hit lines
+    (``_hit_lines``) extend.
 
     Each hit is one fixed-width row in one ``bytearray``: 64 bits for
     the step index, 32 each for the pc, data address and suppressed
@@ -138,6 +146,55 @@ class ViolationLog(Sequence):
         return "ViolationLog(%r)" % list(self)
 
 
+# The guard's state as its hit lines name it: the append of its log's
+# rows and the row packer.  A handler reads each through the guard
+# ``J``; a compiled block binds ``BIND``'s names to them once, when it
+# is made.
+_STATE = {"L": "J.records._rows.extend", "Y": "J.PACK"}
+
+
+def _hit_lines(names, step: str, pc, addr: str, cid, value: str, size,
+               access: int, reset) -> list[str]:
+    """The guard's handling of a hit on comparator ``cid`` by the access
+    of ``size`` bytes at ``addr`` made at step ``step`` by the
+    instruction at ``pc``, as lines over the state spelled by ``names``:
+    its record, one packed row appended to the log, then under the reset
+    policy the halt.  ``reset`` is the policy when known, a bool folded
+    here, else a test in the lines."""
+    L, Y = names
+    lines = ["%s(%s(%s, %s, %s, %s, %s, %s, %d))"
+             % (L, Y, step, pc, addr, cid, value, size, access)]
+    halt = "m.halt(J.RESET)"
+    if isinstance(reset, str):
+        return lines + ["if %s: %s" % (reset, halt)]
+    return lines + [halt] if reset else lines
+
+
+def _handlers() -> tuple:
+    """``on_load`` and ``on_store``, compiled in one ``exec`` from the hit
+    lines with the state read through the guard ``J``: each names the
+    comparator through ``DwtUnit.match_access`` and, on a hit, runs the
+    lines; a store's answer is whether it hit, and so is suppressed."""
+    names = tuple(_STATE.values())
+    load, store = (_hit_lines(names, "m.steps", "m.cur_pc", "addr", "cid",
+                              value, "size", access, "J.reset")
+                   for access, value in ((ACCESS_READ, "0"),
+                                         (ACCESS_WRITE, "value")))
+    source = ["def on_load(J, m, addr, size):",
+              " cid = J.dwt.match_access(addr, size, %d)" % ACCESS_READ,
+              " if cid is not None:", *("  " + line for line in load),
+              "def on_store(J, m, addr, size, value):",
+              " cid = J.dwt.match_access(addr, size, %d)" % ACCESS_WRITE,
+              " if cid is None: return False", *(" " + line for line in store),
+              " return True"]
+    ns = {}
+    exec(compile("\n".join(source), "<protect>", "exec"), ns)
+    return ns["on_load"], ns["on_store"]
+
+
+_ON_LOAD, _ON_STORE = _handlers()
+
+
 class WatchpointGuard:
     """Access observer: the debug monitor handler of a comparator hit.
 
@@ -148,35 +205,48 @@ class WatchpointGuard:
     access that hits nothing, it does nothing, so it gives the same
     records when shown every access.  Reads cannot be suppressed; a
     read match is recorded and the policy applied, but data flows.
+
+    Its handling of a hit is written once, as lines (``_hit_lines``):
+    compiled at import into ``on_load``/``on_store``, which ``step()``
+    runs, and handed to compiled blocks as the arms of the unit's
+    lowest-comparator chain (``inline``), over ``BIND``'s names.
     """
+
+    # What a compiled block runs once, when it is made, with ``J`` the
+    # guard, to bind the names its in-line lines use; and the halt of
+    # the reset policy, as the lines spell it.
+    BIND = "; ".join("%s = %s" % item for item in _STATE.items())
+    PACK = _ROW.pack
+    RESET = HaltReason.RESET
 
     def __init__(self, dwt: DwtUnit, reset: bool) -> None:
         self.dwt = dwt
-        self.reset = reset  # halt on a hit (reset policy), else report
+        # Halt on a hit (reset policy), else report; compiled blocks fold
+        # it, so it is fixed once the guard is made.
+        self.reset = reset
         self.records = ViolationLog()
 
-    # Both handlers record the hit, then apply the policy; each does it
-    # inline, as a sweep under the report policy makes one hit per store.
+    on_load = _ON_LOAD
+    on_store = _ON_STORE  # True when the store hits: it is suppressed
 
-    def on_load(self, m: Machine, addr: int, size: int) -> None:
-        cid = self.dwt.match_access(addr, size, ACCESS_READ)
-        if cid is None:
-            return
-        self.records.append(m.steps, m.cur_pc, addr, cid, 0, size,
-                            ACCESS_READ)
-        if self.reset:
-            m.halt(HaltReason.RESET)
-
-    def on_store(self, m: Machine, addr: int, size: int, value: int) -> bool:
-        """True when the store hits a comparator: the write is suppressed."""
-        cid = self.dwt.match_access(addr, size, ACCESS_WRITE)
-        if cid is None:
-            return False
-        self.records.append(m.steps, m.cur_pc, addr, cid, value, size,
-                            ACCESS_WRITE)
-        if self.reset:
-            m.halt(HaltReason.RESET)
-        return True
+    def inline(self, m: Machine, access: int, step: str, pc: int, addr: str,
+               size: int, value: str = "0") -> list[str] | None:
+        """A compiled block's in-line form of its access of ``size`` bytes
+        at ``addr`` (text, as ``step``, the step index, and ``value`` are)
+        by the instruction at ``pc``: the unit's lowest-comparator chain
+        (``dwt.lowest_match``) over the regions ``s0``..``s3`` that the
+        block reads from ``m.watch``, whose arm k is this guard's hit on
+        comparator k with the policy folded.  None unless ``m.watch`` is
+        the unit's slot table and the guard's handlers are the ones the
+        same lines make (not a subclass's or a wrapper's): the block then
+        shows the guard each hit."""
+        handlers = type(self).on_load, type(self).on_store
+        if m.watch is not self.dwt.slots or handlers != (_ON_LOAD, _ON_STORE):
+            return None
+        names = tuple(_STATE)
+        return lowest_match(addr, "%s + %d" % (addr, size), lambda k: (
+            _hit_lines(names, step, pc, addr, k, value, size, access,
+                       self.reset)))
 
 
 def attach_debug_system(m: Machine) -> None:

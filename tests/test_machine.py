@@ -5,8 +5,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from watchstack import blocks
 from watchstack.asm import parse
-from watchstack.harness import recursion_program
+from watchstack.harness import recursion_program, sweep_program
 from watchstack.machine import (EV_EXC_ENTERED, EV_HALTED, WATCH_ALL, Event,
                                 HaltReason, Machine, MODE_HANDLER, MODE_THREAD)
 from watchstack.runner import RunConfig, build_machine, run_machine
@@ -345,6 +346,34 @@ def test_a_guard_installed_without_watch_sees_no_access():
     assert m.halt_reason == HaltReason.NORMAL
     assert hook.stores == [] and hook.loads == 0
     assert m.gpr[3] == 1  # the store the hook would suppress committed
+
+
+def test_a_hook_without_an_in_line_form_sees_each_compiled_hit_once(
+        monkeypatch):
+    """A guard that gives compiled blocks no in-line form, here one shown
+    every access, is shown each compiled byte store once, none through
+    Machine.store, and its answer is obeyed: a store it suppresses
+    leaves its byte at 0, and any other commits."""
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    stores = []
+    store = Machine.store
+
+    def counted(m, *args):
+        stores.append(args)
+        store(m, *args)
+
+    monkeypatch.setattr(Machine, "store", counted)
+    lo = 0x20010000
+    suppress = range(lo + 8, lo + 24)
+    m, _ = make_machine(sweep_program(lo, lo + 64))
+    hook = _CountingHook(suppress)
+    m.guard, m.watch = hook, WATCH_ALL
+    m.run(10_000)
+    assert m.halt_reason == HaltReason.NORMAL and m.steps == 5 + 4 * 64 + 1
+    assert hook.stores == [(addr, 1, 0x5A) for addr in range(lo, lo + 64)]
+    assert stores == []
+    assert m.mem.read_region(lo, 64) == bytes(
+        0 if addr in suppress else 0x5A for addr in range(lo, lo + 64))
 
 
 def test_pending_exception_waits_for_thread_mode():

@@ -88,7 +88,7 @@ def observe(m, budget) -> dict:
         "taken": dict(m.taken),
         "attribution": attribute(m),
         "min_sp": m.min_sp,
-        "violations": list(m.guard.records) if m.guard else None,
+        "violations": m.guard.records if m.guard else None,
         "events": m.events,
         "dwt": (m.dwt.groups, m.demcr.value, tuple(map(tuple, m.dwt.slots)),
                 tuple(m.dwt.regions)) if m.dwt else None,
@@ -982,6 +982,44 @@ def test_a_device_replaced_between_runs_is_the_one_read(name, monkeypatch):
             assert_same(want, swapped(Machine.run), "%s hot %d" % (name, hot))
 
 
+@pytest.mark.parametrize("swap", ["guard", "watch"])
+def test_a_guard_replaced_between_runs_is_the_one_shown(swap, monkeypatch):
+    """Four stores before a report-policy sweep leaves the shadow
+    region, past its loop's compile, the guard is replaced by a fresh
+    one, or the machine is made to show it every access.  The passes
+    after the swap record into the new guard's log, or show the guard
+    each store, which names only the four hits, as step() does: run()
+    drops its blocks, whose hits run the guard's lines bound to its log
+    over the regions of its unit."""
+    prog = parse(sweep_program(SHADOW.ss_limit - 40, SHADOW.ss_limit + 40))
+    cfg = RunConfig(protected=True, policy=POLICY_REPORT, shadow=SHADOW)
+    cut = 5 + 4 * 36  # the strb of pass 37, four bytes below the limit
+
+    def swapped(run) -> dict:
+        m = build_machine(prog, cfg)
+        first = m.guard
+        run(m, cut)
+        if swap == "guard":
+            m.guard = WatchpointGuard(m.dwt, first.reset)
+        else:
+            _see_everything(m)
+        run(m, 10_000)
+        return {**observe(m, False), "first": first.records}
+
+    def stepped(m, limit):
+        while m.steps < limit and not m.halted:
+            m.step()
+
+    want = swapped(stepped)
+    assert want["halt"][:2] == (True, HaltReason.NORMAL)
+    split = (36, 4) if swap == "guard" else (40, 40)
+    assert (len(want["first"]), len(want["violations"])) == split
+    for hot in (1, blocks.HOT_THRESHOLD):
+        with monkeypatch.context() as mp:
+            mp.setattr(blocks, "HOT_THRESHOLD", hot)
+            assert_same(want, swapped(Machine.run), "%s hot %d" % (swap, hot))
+
+
 @pytest.mark.parametrize("op", sorted(OVERWRITES))
 def test_a_movt_after_an_overwrite_is_not_folded(op, monkeypatch):
     """movw, an overwrite of its register, then movt: the movt keeps the
@@ -1524,19 +1562,103 @@ def test_no_compiled_pass_calls_a_watchpoint_port(monkeypatch):
     assert calls[False] > 0 and calls[True] == 0
 
 
+def _guard_calls(run) -> dict:
+    """Calls of the guard's handlers made while ``run()`` runs, by
+    whether compiled code made them, directly or through the machine."""
+    handlers = {WatchpointGuard.on_load.__code__,
+                WatchpointGuard.on_store.__code__}
+    calls = {True: 0, False: 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in handlers:
+            while frame is not None and frame.f_code.co_filename != "<block>":
+                frame = frame.f_back
+            calls[frame is not None] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def test_a_compiled_sweep_shows_the_guard_each_hit_once(monkeypatch):
     """Compiled, a report-policy sweep's byte stores test the comparators
-    inline: none goes through Machine.store, and each hit reaches the
-    guard once."""
-    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    in line, and each hit runs the guard's own lines there: 256 records,
+    no store through Machine.store and no guard call from compiled code.
+    Stepped, the guard's handler is called once a hit."""
     stores = _counted(monkeypatch, Machine, "store")
-    shown = _counted(monkeypatch, WatchpointGuard, "on_store")
     prog = parse(sweep_program(SHADOW.ss_start - 64, SHADOW.ss_start + 256))
-    run = run_program(prog, RunConfig(protected=True, policy=POLICY_REPORT,
-                                      shadow=SHADOW))
-    assert run.halt_reason == HaltReason.NORMAL
-    assert run.steps == 5 + 4 * 320 + 1 and len(run.violations) == 256
-    assert stores[0] == 0 and shown[0] == 256
+    cfg = RunConfig(protected=True, policy=POLICY_REPORT, shadow=SHADOW)
+    for hot, calls in ((1, {True: 0, False: 0}), (10**9, {False: 256})):
+        stores[0] = 0
+        runs = []
+        with monkeypatch.context() as mp:
+            mp.setattr(blocks, "HOT_THRESHOLD", hot)
+            got = _guard_calls(lambda: runs.append(run_program(prog, cfg)))
+        run, = runs
+        assert run.halt_reason == HaltReason.NORMAL
+        assert run.steps == 5 + 4 * 320 + 1 and len(run.violations) == 256
+        assert got == {True: 0, False: 0, **calls}
+        assert stores[0] == (0 if hot == 1 else 320)
+
+
+# -- comparator hits recorded in line ---------------------------------------------
+
+def _watch_words(nested: bool):
+    """Group g watches reads and writes of the word at ss_start + 16 g;
+    ``nested``, group 3 watches all four words, so that the lowest group
+    covering an access must name it."""
+    def arm(m):
+        for gid in range(4):
+            _program(m, gid, SHADOW.ss_start + 16 * gid,
+                     6 if nested and gid == 3 else 2, FN_READWRITE)
+    return arm
+
+
+# Each op's access to the watched word in r0, as a loop body.
+HIT_OPS = {"str": "str r5, [r0]", "strb": "strb r5, [r0, #1]",
+           "ldr": "ldr r1, [r0]", "ldrb": "ldrb r1, [r0, #3]"}
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["apart", "nested"])
+@pytest.mark.parametrize("gid", range(4))
+@pytest.mark.parametrize("op", sorted(HIT_OPS))
+def test_each_comparator_hit_is_recorded_as_step_does(op, gid, nested,
+                                                      monkeypatch):
+    """Every pass's access hits comparator gid, alone or under group 3's
+    wider region: its record, equal to step()'s byte for byte, names the
+    lowest, and the policy is applied in the compiled loop."""
+    prog = parse(_loop("addw r1, r1, #7", HIT_OPS[op], "str r1, [r7]",
+                       head=(*_const("r0", SHADOW.ss_start + 16 * gid),
+                             *_const("r7", 0x20000100))))
+    for policy, hits in ((POLICY_REPORT, PASSES), (POLICY_RESET, 1)):
+        want = check(prog, _cfg(policy, None, 10_000),
+                     "%s %d %s" % (op, gid, policy), monkeypatch,
+                     arm=_watch_words(nested))
+        assert want["halt"][:2] == (True, HaltReason.NORMAL
+                                    if policy == POLICY_REPORT
+                                    else HaltReason.RESET)
+        assert len(want["violations"]) == hits
+        assert {r.comparator_id for r in want["violations"]} == {gid}
+
+
+@pytest.mark.parametrize("policy", [POLICY_RESET, POLICY_REPORT])
+def test_a_hit_on_a_loops_last_pass_at_the_budget(policy, monkeypatch):
+    """The sweep's first store into the shadow region is pass 51's, in
+    its compiled loop at any threshold; budgets up to, at and past the
+    end of that pass cut the loop before it, on it, or after it."""
+    prog = parse(sweep_program(SHADOW.ss_start - 50, SHADOW.ss_start + 8))
+    first = 5 + 4 * 50  # the step index of the first hit
+    for budget in range(first - 3, first + 10):
+        want = check(prog, _cfg(policy, None, budget),
+                     "budget %d %s" % (budget, policy), monkeypatch)
+        hits = max(0, budget - first + 3) // 4
+        assert len(want["violations"]) == (
+            min(hits, 1) if policy == POLICY_RESET else hits)
+        assert [r.step_index for r in want["violations"]] == [
+            first + 4 * k for k in range(len(want["violations"]))]
 
 
 # -- traces: blocks that follow b and bl ------------------------------------------
