@@ -24,21 +24,23 @@ target or fall-through is the entry) that is decided at compile time;
 for a pc from a register or memory (``bx``, ``blx``, ``pop {..., pc}``)
 the pass tests it.  In the generated function:
 
-* steps and cycles are kept in locals; ``m.steps``, ``m.cycles``,
-  ``m.cur_pc`` and ``m.pc`` are written only before something can read
-  them (a guard called, and ``m.load`` and ``m.store``, which read
-  CYCCNT) and at each exit, with the values ``step()`` would have left
-  there;
+* steps, cycles and the flags are kept in locals: a compare keeps its
+  operands, ``fa`` and ``fb``, for the branch after it.  ``m.steps``,
+  ``m.cycles``, ``m.cur_pc``, ``m.pc`` and ``m.xpsr`` are written only
+  before something can read them (a guard called, and ``m.load`` and
+  ``m.store``, which read CYCCNT) and at each exit, as ``step()`` would
+  have left them (the flags by ``_cmp``'s rule, ``F``);
 * after each data access the block exits if the machine halted (no
   access pends an exception: only the runner raises them, between
   ``run()`` calls), and an exit where ``step()`` could halt or start an
   exception return ends through ``Machine._end``, the one
   end-of-instruction rule, which does that return and logs the halt;
-* ``m.retired`` and ``m.taken`` are not touched per instruction: the
-  block counts how many of its instructions each pass retired and how
-  often its final conditional branch was taken (a trace follows no
-  conditional branch), and ``Block.fold`` adds those counts to the
-  machine's before ``Machine.run`` returns;
+* ``m.retired`` and ``m.taken`` are not touched per instruction, nor
+  counts per pass: each exit counts the pass it leaves, a loop's passes
+  before it in the call, ``(s - e) // n``, and how often the final
+  conditional branch was taken (a trace follows no conditional
+  branch); ``Block.fold`` adds the counts to the machine's before
+  ``Machine.run`` returns;
 * ``min_sp`` is checked once on entry when no instruction of the block
   writes sp, and else after the first instruction and after every
   instruction that writes sp, which gives the same minimum as a check
@@ -123,10 +125,10 @@ class Block:
     reached it, and once hot its compiled function.
 
     ``counts[j]`` (j >= 1) is how many passes of the compiled function
-    through the block retired exactly the first j instructions (a loop
-    makes several passes a call); ``counts[0]`` is how often a
-    conditional branch at the end was taken.  ``fold`` adds them to the
-    machine's counts.
+    through the block retired exactly the first j instructions, and
+    ``counts[0]`` how often a conditional branch at the end was taken;
+    a loop makes several passes a call and counts them at the call's
+    exit.  ``fold`` adds them to the machine's counts.
     """
 
     __slots__ = ("n", "heat", "fn", "counts", "addrs")
@@ -147,7 +149,7 @@ class Block:
         self.counts = [0] * (self.n + 1)
         self.addrs = tuple(at for at, _ in instrs)
         ns = {"M": MASK32, "U": mach.WORD.unpack_from,
-              "K": mach.WORD.pack_into}
+              "K": mach.WORD.pack_into, "F": _FLAGS["F"]}
         exec(_byte_code(_source(instrs, m)), ns)
         self.fn = ns["make"](self.counts, m.guard)
 
@@ -289,17 +291,24 @@ def _source(instrs, m=None) -> str:
     bind = None  # the in-line device's, once per entry
     guard = getattr(m, "guard", None)
     inline = getattr(guard, "inline", None)
-    out = ["def make(cnt, J):",
-           *([" " + guard.BIND] if inline else []),
-           " def block(m, limit):",
-           "  g = m.gpr",
-           "  s = m.steps",
-           "  c = m.cycles"]
     n = len(instrs)
     entry, (at, ins) = instrs[0][0], instrs[-1]
     exits = _exits(at, ins)
     loops = exits is None or entry in exits
     split = loops and ins.op in ("b", "bcond")  # _loop_tail runs it
+    out = ["def make(cnt, J):",
+           *([" " + guard.BIND] if inline else []),
+           " def block(m, limit):",
+           "  g = m.gpr",
+           "  s = e = m.steps" if loops else "  s = m.steps",
+           "  c = m.cycles"]
+    # What each exit adds: a loop's passes before it, (s - e) // n, and
+    # the flags of the pass's compare or, before one, the last pass's.
+    fold = ("; cnt[%d] += (s - e) // %d" % (n, n) if loops else "") + (
+        "; cnt[0] += (s - e) // %d" % n
+        if loops and ins.op == "bcond" and ins.target == entry else "")
+    flags = ("; s == e or " + _XPSR if loops and any(
+        OPS[ins.op].sets_flags for _, ins in instrs) else "")
     moves_sp = any(SP in _written(ins) for _, ins in instrs)
     if not moves_sp:
         out.append("  " + _MIN_SP)  # sp holds its entry value throughout
@@ -314,7 +323,7 @@ def _source(instrs, m=None) -> str:
         last = i == n - 1
         state = "m.cycles = c + %d; m.cur_pc = %d" % (cost, at)
         pc = "; m.pc = %d" % nxt
-        sync = "m.steps = s + %d; %s%s" % (i, state, pc)
+        sync = "m.steps = s + %d; %s%s%s" % (i, state, pc, flags)
         word = _in_line(ins, known, m)
         value = known.get(ins.rd)  # a str's value, if the block knows it
         _fold(ins, known)
@@ -343,9 +352,12 @@ def _source(instrs, m=None) -> str:
             # The state after the instruction, which a store wrote only
             # on the guard's path; pc unless the instruction wrote it.
             body += ["if %s:" % check,
-                     " m.steps = s + %d; %s%s; cnt[%d] += 1"
-                     % (i + 1, state, "" if _jumps(ins) else pc, i + 1),
+                     " m.steps = s + %d; %s%s; cnt[%d] += 1%s%s"
+                     % (i + 1, state, "" if _jumps(ins) else pc, i + 1,
+                        fold, flags),
                      " return m._end(%d)" % at]
+        if OPS[ins.op].sets_flags:
+            flags = "; " + _XPSR
     if bind:
         out.append(bind)
     at, ins = instrs[-1]
@@ -354,8 +366,8 @@ def _source(instrs, m=None) -> str:
         if split:
             cost += ins.cycles
         out.append("  while True:")
-        out += ["   " + line
-                for line in body + _loop_tail(ins, at, cost, n, entry)]
+        out += ["   " + line for line in body + _loop_tail(
+            ins, at, cost, n, entry, fold + flags)]
         if exits == (entry,):  # it leaves only through the budget test
             out.append(" return block")
             return "\n".join(out) + "\n"
@@ -365,8 +377,8 @@ def _source(instrs, m=None) -> str:
         out.append("  m.cycles = c + %d" % cost)
     if not _jumps(ins):
         out.append("  m.pc = %d" % nxt)
-    out.append("  m.steps = s + %d; m.cur_pc = %d; cnt[%d] += 1"
-               % (n, at, n))
+    out.append("  m.steps = s + %d; m.cur_pc = %d; cnt[%d] += 1%s%s"
+               % (n, at, n, fold, flags))
     # A pc taken from a register may be EXC_RETURN; a memory op's exit
     # above tests the pc it loaded.
     if (OPS[ins.op].kind != MEMORY if exits is None
@@ -377,32 +389,32 @@ def _source(instrs, m=None) -> str:
     return "\n".join(out) + "\n"
 
 
-def _loop_tail(ins, at: int, cost: int, n: int, entry: int) -> list[str]:
+def _loop_tail(ins, at: int, cost: int, n: int, entry: int,
+               end: str) -> list[str]:
     """A looping block's exit test, after its other instructions: a
     ``bcond`` leaves for whichever of its target and fall-through is not
     the entry as ``_Compiled.branch`` would, a pc from a register or
-    memory leaves when it is not the entry; a pass that stays counts
-    itself and starts the next one if it fits before ``limit``, else
-    returns at the entry."""
+    memory leaves when it is not the entry; a pass that stays starts the
+    next one if it fits before ``limit``, else returns at the entry
+    after ``end``, the counts and flags that every exit writes."""
     lines = ["# 0x%08x %s" % (at, ins.op)] if ins.op in ("b", "bcond") else []
-    count = "cnt[%d] += 1" % n
+    if ins.op == "bcond":
+        read, test = _test(ins.cond, end)
+        lines += read
     if ins.op == "bcond" and ins.target == entry:
-        lines += ["x = m.xpsr",
-                  "if not (%s): m.pc = %d; m.cycles = c + %d; break"
-                  % (_COND[ins.cond], at + ins.width, cost)]
+        lines.append("if not (%s): m.pc = %d; m.cycles = c + %d; break"
+                     % (test, at + ins.width, cost))
         cost += 1
-        count = "cnt[0] += 1; " + count
     elif ins.op == "bcond":
-        lines += ["x = m.xpsr",
-                  "if %s: m.pc = %d; m.cycles = c + %d; cnt[0] += 1; break"
-                  % (_COND[ins.cond], ins.target, cost + 1)]
+        lines.append("if %s: m.pc = %d; m.cycles = c + %d; cnt[0] += 1; break"
+                     % (test, ins.target, cost + 1))
     elif _exits(at, ins) is None:
         lines.append("if m.pc != %d: break" % entry)
     return lines + [
-        "s += %d; c += %d; %s" % (n, cost, count),
+        "s += %d; c += %d" % (n, cost),
         "if s + %d > limit:" % n,
-        " m.steps = s; m.cycles = c; m.cur_pc = %d; m.pc = %d; return"
-        % (at, entry)]
+        " m.steps = s; m.cycles = c; m.cur_pc = %d; m.pc = %d%s; return"
+        % (at, entry, end)]
 
 
 # -- compiled source of register and memory accesses -----------------------------
@@ -539,7 +551,8 @@ def _store(a: str, size: int, value: str, sync: str, form=None,
 # expression on ``ins``: a field's value ``k``, a register's read ``reg``
 # (PC reads the next pc) and write ``set``, the access at ``a``, ``load``
 # or ``store``, ``access()`` per listed register ``r`` at ``a`` from ``sp``
-# (``words``), and a conditional ``branch`` on the flags in ``x``.
+# (``words``), a compare's ``flags`` of ``a - b``, and a conditional
+# ``branch`` on the flags.
 # ``_Compiled`` binds them for one instruction of a block, ``_Stepped``
 # for ``step()``; a TRAP op's executor is ``machine``'s own.
 
@@ -554,13 +567,28 @@ def _cmp(a: str, b: str) -> list[str]:
             "m.xpsr = x"]
 
 
-# Each condition's test, on x = m.xpsr.
+# Each condition's test on x = m.xpsr, and on a compare that a block
+# left pending in fa, fb: Z is fa == fb, and N != V a signed fa < fb.
+# _XPSR is the one call that writes pending flags, by _cmp's rule.
 _COND = {
-    "eq": "x & 0x40000000",
-    "ne": "not x & 0x40000000",
-    "lt": "bool(x & 0x80000000) != bool(x & 0x10000000)",
-    "ge": "bool(x & 0x80000000) == bool(x & 0x10000000)",
+    "eq": ("x & 0x40000000", "fa == fb"),
+    "ne": ("not x & 0x40000000", "fa != fb"),
+    "lt": ("bool(x & 0x80000000) != bool(x & 0x10000000)",
+           "(fa ^ 0x80000000) < (fb ^ 0x80000000)"),
+    "ge": ("bool(x & 0x80000000) == bool(x & 0x10000000)",
+           "(fa ^ 0x80000000) >= (fb ^ 0x80000000)"),
 }
+_XPSR = "F(m, fa, fb)"
+_FLAGS = {"M": MASK32}
+exec(compile("def F(m, fa, fb):\n " + "\n ".join(_cmp("fa", "fb")),
+             "<flags>", "exec"), _FLAGS)
+
+
+def _test(cond: str, end: str) -> tuple[list[str], str]:
+    """The lines that read the flags and ``cond``'s test: on fa, fb if
+    ``end``, the state writes there, writes their flags, else on xPSR."""
+    pending = end.endswith("; " + _XPSR)
+    return [] if pending else ["x = m.xpsr"], _COND[cond][pending]
 
 
 def _at(b) -> str:
@@ -594,10 +622,10 @@ SEMANTICS = {
                                                     b.k("ins.imm"))),
     "subw": lambda b: b.set("ins.rd", "%s - %s" % (b.reg("ins.rn"),
                                                     b.k("ins.imm"))),
-    "cmp_imm": lambda b: _cmp(b.reg("ins.rn"), b.k("ins.imm")),
-    "cmp_reg": lambda b: _cmp(b.reg("ins.rn"), b.reg("ins.rm")),
+    "cmp_imm": lambda b: b.flags(b.reg("ins.rn"), b.k("ins.imm")),
+    "cmp_reg": lambda b: b.flags(b.reg("ins.rn"), b.reg("ins.rm")),
     "b": lambda b: ["m.pc = %s" % b.k("ins.target")],
-    "bcond": lambda b: ["x = m.xpsr", *b.branch("ins.target")],
+    "bcond": lambda b: b.branch("ins.target"),
     "bl": lambda b: ["m.lr = %s; m.pc = %s" % (b.reg(PC), b.k("ins.target"))],
     "bx": lambda b: ["m.pc = %s" % b.reg("ins.rm")],
     "blx": lambda b: ["t = %s; m.lr = %s; m.pc = t" % (b.reg("ins.rm"),
@@ -620,8 +648,9 @@ class _Compiled:
     ``cost`` the cycles to its end, ``sync`` the state writes, which
     only an access's slow path makes, ``guard`` the guard's in-line
     form at its step and pc, or None): operands are literals, registers
-    locals or ``m`` attributes, and memory is ``_load``/``_store``,
-    hull-first for a stack word or a base of sp."""
+    locals or ``m`` attributes, memory is ``_load``/``_store``,
+    hull-first for a stack word or a base of sp, and a compare's flags
+    stay in ``fa``, ``fb`` until an exit or ``sync`` writes them."""
 
     def __init__(self, ins, nxt: int, cost: int, sync: str,
                  guard=None) -> None:
@@ -665,8 +694,12 @@ class _Compiled:
                       *access()]
         return lines
 
+    def flags(self, a: str, b: str) -> list[str]:
+        return ["fa = %s; fb = %s" % (a, b)]
+
     def branch(self, target: str) -> list[str]:
-        return ["if %s:" % _COND[self.ins.cond],
+        read, test = _test(self.ins.cond, self.sync)
+        return [*read, "if %s:" % test,
                 " m.pc = %s; m.cycles = c + %d; cnt[0] += 1"
                 % (self.k(target), self.cost + 1),
                 "else:",
@@ -699,11 +732,15 @@ class _Stepped:
         return ["for i, r in enumerate(ins.reglist):",
                 " a = (sp + 4 * i) & M", *(" " + line for line in access())]
 
+    def flags(self, a: str, b: str) -> list[str]:
+        return _cmp(a, b)
+
     def branch(self, target: str) -> list[str]:
         *conds, last = _COND  # the test ins.cond picks; else the last one
-        return ["if %s(%s):" % ("".join("(%s) if ins.cond == %r else "
-                                        % (_COND[c], c) for c in conds),
-                                _COND[last]),
+        return ["x = m.xpsr",
+                "if %s(%s):" % ("".join("(%s) if ins.cond == %r else "
+                                        % (_COND[c][0], c) for c in conds),
+                                _COND[last][0]),
                 " m.cycles += 1; t = m.taken",  # taken: one cycle more
                 " t[m.cur_pc] = t.get(m.cur_pc, 0) + 1; m.pc = %s" % target]
 

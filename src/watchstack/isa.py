@@ -3,12 +3,13 @@
 Instructions are kept symbolic: register indices, immediates, and label
 names instead of binary encodings.  ``OPS`` is the one table of what
 each op is: its printed form, its kind (ALU, MEMORY, BRANCH or TRAP),
-its encoding width, its base cycle cost, and the registers it writes.
-Encoding widths (2 or 4 bytes) exist only so the assembler can lay out
-addresses and account for code size; cycle costs are deterministic.
-``finalize`` fills both in, and ``format_instr`` prints the canonical
-text, from the op's row.  The compiled blocks read the rows' kinds and
-written registers, and what each non-TRAP op does is written once, in
+its encoding width, its base cycle cost, the registers it writes and
+whether it sets the flags.  Encoding widths (2 or 4 bytes) exist only
+so the assembler can lay out addresses and account for code size;
+cycle costs are deterministic.  ``finalize`` fills both in, and
+``format_instr`` prints the canonical text, from the op's row.  The
+compiled blocks read the rows' kinds, written registers and flags, and
+what each non-TRAP op does is written once, in
 ``blocks.SEMANTICS``, for the machine's executors and the compiled
 blocks alike.
 """
@@ -102,8 +103,9 @@ class Op(NamedTuple):
     written, ``{mem}`` a memory operand); a ``width`` of 0 leaves 2 or 4
     bytes to ``_narrow``; ``cycles`` is the base cost; ``writes_rd``
     says ``rd`` is written through ``write_reg``, ``writes_sp`` that sp
-    is, whatever ``rd`` names, ``writes_lr`` that lr is (a link), and
-    ``writes_reglist`` that every listed register is."""
+    is, whatever ``rd`` names, ``writes_lr`` that lr is (a link),
+    ``writes_reglist`` that every listed register is, and ``sets_flags``
+    that xPSR's N, Z, C and V are."""
 
     form: str
     kind: str
@@ -113,6 +115,7 @@ class Op(NamedTuple):
     writes_sp: bool = False
     writes_lr: bool = False
     writes_reglist: bool = False
+    sets_flags: bool = False
 
 
 OPS = {
@@ -131,8 +134,8 @@ OPS = {
     "sub_sp": Op("sub sp, {imm}", ALU, 2, writes_sp=True),
     "addw": Op("addw {rd}, {rn}, {imm}", ALU, 4, writes_rd=True),
     "subw": Op("subw {rd}, {rn}, {imm}", ALU, 4, writes_rd=True),
-    "cmp_imm": Op("cmp {rn}, {imm}", ALU, 0),
-    "cmp_reg": Op("cmp {rn}, {rm}", ALU, 2),
+    "cmp_imm": Op("cmp {rn}, {imm}", ALU, 0, sets_flags=True),
+    "cmp_reg": Op("cmp {rn}, {rm}", ALU, 2, sets_flags=True),
     "b": Op("b {label}", BRANCH, 2, 2),
     "bcond": Op("b{cond} {label}", BRANCH, 2),  # the machine adds 1 if taken
     "bl": Op("bl {label}", BRANCH, 4, 3, writes_lr=True),

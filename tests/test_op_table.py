@@ -4,11 +4,15 @@ The machine has an executor for exactly its ops, one table,
 ``blocks.SEMANTICS``, holds exactly its non-TRAP ops for both the
 machine and the compiled blocks, every op's printed form parses back to
 the same instruction, the registers a row says an op writes are
-exactly the ones ``Machine.step()`` writes, and an op outside it is a
+exactly the ones ``Machine.step()`` writes, so are the flags, the
+executors ``step()`` runs are the source in
+``tests/golden/step_executors.txt``, and an op outside it is a
 ``ValueError``.  The reference semantics of each op is
 ``tests/reference_isa.py``, which has one function per row and which
 ``tests/test_reference_isa.py`` holds the machine to.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,8 @@ from watchstack.asm import parse
 from watchstack.isa import (ALU, BRANCH, LR, MEMORY, NUM_GPRS, OPS, PC, SP,
                             TRAP, Instr, cycle_cost, encoding_width, finalize,
                             format_instr)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # One instruction of each op, with the fields the parser gives it.
 SAMPLES = {
@@ -95,6 +101,41 @@ def test_the_written_registers_are_what_step_writes(op):
     m.step()
     written = {r for r in range(PC) if m.read_reg(r) != before[r]}
     assert written == blocks._written(ins) - {PC}
+
+
+@pytest.mark.parametrize("op", sorted(op for op, row in OPS.items()
+                                      if row.kind != TRAP))
+def test_sets_flags_is_what_step_writes(op):
+    """``sets_flags``, as ``blocks`` reads it, is set for exactly the ops
+    whose step changes xPSR from 0 or from all four flags set."""
+    changed = False
+    for flags in (0, 0xF0000000):
+        ins = finalize(SAMPLES[op].copy())
+        ins.target = 0x08000100
+        m = machine.Machine()
+        m.gpr = [0xA5A50000 + r for r in range(NUM_GPRS)]
+        m.sp, m.lr, m.pc, m.xpsr = 0x20001000, 0xA5A5000E, 0x08000000, flags
+        m.code[m.pc] = ins
+        m.step()
+        changed |= m.xpsr != flags
+    assert changed == OPS[op].sets_flags
+
+
+def test_the_step_executors_are_the_golden_source(monkeypatch):
+    """The source ``executors()`` compiles for ``step()`` is byte for byte
+    the golden's: the compiled tier binds SEMANTICS anew (a compare's
+    flags kept in locals, say) without moving what ``step()`` runs."""
+    sources = []
+
+    def recording(source, name, *args):
+        if name == "<step>":
+            sources.append(source)
+        return compile(source, name, *args)
+
+    monkeypatch.setattr(blocks, "compile", recording, raising=False)
+    blocks.executors()
+    golden = (GOLDEN / "step_executors.txt").read_text()
+    assert sources == [golden.removesuffix("\n")]
 
 
 @pytest.mark.parametrize("fn", [encoding_width, cycle_cost, format_instr])

@@ -13,10 +13,11 @@ body that ``Machine.run()`` runs too (``tests/test_run_differential.py``
 holds ``run()`` and the compiled blocks to ``step()``).  The compiled
 blocks are also held to the reference directly: a few programs run
 through ``Machine.run()`` with every block compiled, and the state is
-compared at each compiled block's exit.  The runs cover
-a hypothesis test per ``isa.OPS`` row, the shipped programs, the
-harness scenarios and generated programs; the reference is pinned by
-a few vectors computed by hand from the pseudocode.
+compared at each compiled block's exit.  The runs cover a hypothesis
+test per ``isa.OPS`` row, the shipped programs, the harness scenarios,
+generated programs and, compiled, the flag pairs program of
+``tests/test_run_differential.py``; the reference is pinned by a few
+vectors computed by hand from the pseudocode.
 """
 
 import random
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_isa as ref
+from test_run_differential import FLAG_PAIRS_PROGRAM
 from watchstack import blocks
 from watchstack.asm import parse
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
@@ -609,6 +611,31 @@ def test_a_compiled_short_sweep_under_report(monkeypatch):
                              _cfg(policy=POLICY_REPORT), "compiled sweep",
                              monkeypatch)
     assert len(core.records) == 12
+
+
+@pytest.mark.parametrize("policy", [POLICY_REPORT, POLICY_RESET])
+def test_a_compiled_sweep_interrupted_in_its_loop(policy, monkeypatch):
+    """The sweep from 40 bytes below the shadow stack to 40 into it,
+    with a SysTick raised at points in its compiled loop: each raise
+    cuts the loop at a budget, whose exit writes the flags the pass kept
+    in locals, and the exception entry then stacks them."""
+    prog = parse(sweep_program(SHADOW.ss_start - 40, SHADOW.ss_start + 40)
+                 + HANDLER)
+    for at in (6, 7, 31, 102, 167, 250):
+        compiled_lockstep(prog, _cfg(policy=policy, raises=((SYSTICK, at),)),
+                          "compiled sweep %s raise@%d" % (policy, at),
+                          monkeypatch)
+
+
+@pytest.mark.parametrize("max_steps", [60, 61, 62, 63, 20_000])
+def test_the_compiled_flag_pairs(max_steps, monkeypatch):
+    """``FLAG_PAIRS``' program compiled: every compare and conditional
+    branch of it, each block's exit, and a budget that cuts its loop."""
+    core = compiled_lockstep(parse(FLAG_PAIRS_PROGRAM),
+                             _cfg(max_steps=max_steps),
+                             "compiled flag pairs %d" % max_steps,
+                             monkeypatch)
+    assert (core.halt == "normal") == (max_steps == 20_000)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -17,6 +17,7 @@ compiled path sees every instruction and every interrupt position; with
 it at 10**9 none is, so run()'s own stepping loop sees them all.
 """
 
+import ast
 import random
 import sys
 
@@ -383,9 +384,9 @@ FLAG_PAIRS = [(0, 0), (1, 2), (2, 1), (5, 5), (0x80000000, 1),
               (0x7FFFFFFF, 0x80000000), (0xFFFFFFFF, 0), (0, 0xFFFFFFFF)]
 
 
-def test_condition_codes_on_every_flag_combination(monkeypatch):
-    """Each pair through cmp and all four conditional branches; the
-    taken set and the final flags land in memory and registers."""
+def _flag_pairs_program() -> str:
+    """Each pair through cmp and all four conditional branches, a bit
+    of r2 set for each one taken, and r2 stored beside the pair."""
     table = "\n".join(".word 0x%08x\n.word 0x%08x\n.word 0" % p
                       for p in FLAG_PAIRS)
     branches = []
@@ -394,7 +395,7 @@ def test_condition_codes_on_every_flag_combination(monkeypatch):
         branches += ["    cmp r0, r1", "    b%s t%d" % (cond, i),
                      "    b n%d" % i, ".label t%d" % i,
                      "    addw r2, r2, #%d" % bit, ".label n%d" % i]
-    text = "\n".join([
+    return "\n".join([
         ".org 0x08000000", ".func main hal",
         "    movw r5, #0x0000", "    movt r5, #0x2000",
         "    mov r6, #%d" % len(FLAG_PAIRS),
@@ -404,8 +405,16 @@ def test_condition_codes_on_every_flag_combination(monkeypatch):
         "    str r2, [r5, #8]", "    addw r5, r5, #12",
         "    subw r6, r6, #1", "    cmp r6, #0", "    bne loop",
         "    bkpt #0", ".endfunc", ".org 0x20000000", table, ""])
-    want = check(parse(text), _cfg(POLICY_RESET, None, 10_000), "flags",
-                 monkeypatch)
+
+
+FLAG_PAIRS_PROGRAM = _flag_pairs_program()
+
+
+def test_condition_codes_on_every_flag_combination(monkeypatch):
+    """Each pair through cmp and all four conditional branches; the
+    taken set and the final flags land in memory and registers."""
+    want = check(parse(FLAG_PAIRS_PROGRAM), _cfg(POLICY_RESET, None, 10_000),
+                 "flags", monkeypatch)
     def signed(v):
         return v - (1 << 32) if v >> 31 else v
 
@@ -1852,3 +1861,240 @@ def test_the_log_equals_a_plain_list_of_the_same_hits(name, policy,
         n = len(guard.plain)
         assert [guard.records[i - n] for i in range(n)] == guard.plain
         assert guard.plain == guards[0].plain
+
+
+# -- flags and counts a compiled loop keeps in locals -------------------------------
+
+FLAGS_TABLE = 0x20000800
+FLAGS_SCRATCH = FLAGS_TABLE - 4
+
+
+def _flags_loop(r7: int) -> str:
+    """main (6 steps), then PASSES passes of 8 steps: a byte store at r7,
+    which then moves up one, the pass's pair loaded from a table and
+    compared, a word store after the compare, and ``bne`` back while the
+    pair differs.  The pairs are FLAG_PAIRS' unequal ones in turn, so a
+    pass leaves other flags than the pass before it; the last pass's
+    pair is equal.  Pass p (from 1) starts at step 6 + 8 (p - 1) with
+    its byte store."""
+    unequal = [p for p in FLAG_PAIRS if p[0] != p[1]]
+    pairs = [unequal[p % len(unequal)] for p in range(PASSES - 1)] + [(5, 5)]
+    head = (*_const("r5", FLAGS_TABLE), *_const("r7", r7),
+            *_const("r4", FLAGS_SCRATCH))
+    return "\n".join([
+        ".org 0x08000000", ".func main hal",
+        *("    " + line for line in head),
+        ".label loop",
+        "    strb r6, [r7]", "    addw r7, r7, #1",
+        "    ldr r0, [r5]", "    ldr r1, [r5, #4]", "    cmp r0, r1",
+        "    str r0, [r4]", "    addw r5, r5, #8", "    bne loop",
+        "    bkpt #0", ".endfunc", ".org 0x%08x" % FLAGS_TABLE,
+        *(".word 0x%08x\n.word 0x%08x" % p for p in pairs), ""])
+
+
+def _pass_start(p: int) -> int:
+    return 6 + 8 * (p - 1)
+
+
+def _nzcv(a: int, b: int) -> int:
+    """xPSR's top four bits after ``cmp`` of a and b, from the signed and
+    unsigned orders alone."""
+    def signed(v):
+        return v - (1 << 32) if v >> 31 else v
+
+    r = (a - b) & 0xFFFFFFFF
+    v = signed(a) - signed(b) != signed(r)
+    return (r >> 31) << 3 | (r == 0) << 2 | (a >= b) << 1 | v
+
+
+def test_deferred_flags_at_every_budget(monkeypatch):
+    """Budgets that cut the loop at every step of its passes 1-3, and of
+    the three passes from the default hot threshold on.  A compiled pass
+    keeps its compare's flags in locals: the budget return must write
+    the flags of the pass it ends, which the pass before it did not
+    leave, and step() then reads them."""
+    prog = parse(_flags_loop(0x20000400))
+    for p in (1, blocks.HOT_THRESHOLD):
+        for budget in range(_pass_start(p), _pass_start(p + 3) + 1):
+            want = check(prog, _cfg(POLICY_RESET, None, budget),
+                         "flags budget %d" % budget, monkeypatch)
+            assert want["steps"] == budget and want["halt"][2]
+
+
+@pytest.mark.parametrize("hit", [1, 2, 3, blocks.HOT_THRESHOLD + 2])
+def test_deferred_flags_at_a_reset_hit_before_the_compare(hit, monkeypatch):
+    """r7 starts hit - 1 bytes below the shadow stack, so the byte store
+    of pass ``hit``, before that pass's compare, hits comparator 0 and
+    halts: the machine is left with the flags of pass hit - 1's compare,
+    which an exit of a compiled pass past its first must write."""
+    unequal = [p for p in FLAG_PAIRS if p[0] != p[1]]
+    prog = parse(_flags_loop(SHADOW.ss_start - (hit - 1)))
+    want = check(prog, _cfg(POLICY_RESET, None, 10_000),
+                 "flags hit in pass %d" % hit, monkeypatch)
+    assert want["halt"] == (True, HaltReason.RESET, False)
+    assert want["steps"] == _pass_start(hit) + 1
+    assert [r.step_index for r in want["violations"]] == [_pass_start(hit)]
+    if hit > 1:
+        last = unequal[(hit - 2) % len(unequal)]  # pass hit - 1's pair
+        assert want["regs"][16] >> 28 == _nzcv(*last)
+
+
+class _FlagsHook:
+    """Sees every access and lets each through, keeping the step, pc and
+    xPSR that the machine shows it at each."""
+
+    def __init__(self) -> None:
+        self.records = []
+
+    def on_load(self, m, addr, size):
+        self.records.append((m.steps, m.cur_pc, m.xpsr))
+
+    def on_store(self, m, addr, size, value):
+        self.records.append((m.steps, m.cur_pc, m.xpsr))
+        return False
+
+
+def _show_flags(m) -> None:
+    m.guard = _FlagsHook()
+    m.watch = WATCH_ALL
+
+
+def test_deferred_flags_before_a_guard_call(monkeypatch):
+    """A hook shown every access reads xPSR at each: the three before a
+    pass's compare see the pass before's flags, the store after it the
+    pass's own, so a compiled block must write pending flags with the
+    state before it shows the hook an access."""
+    prog = parse(_flags_loop(0x20000400))
+    # budget -> accesses shown: 4 a pass, and 1 or 3 of pass 3's
+    for budget, shown in ((10_000, 4 * PASSES), (_pass_start(3) + 2, 9),
+                          (_pass_start(3) + 5, 11)):
+        want = check(prog, _cfg(POLICY_RESET, None, budget),
+                     "flags hook budget %d" % budget, monkeypatch,
+                     arm=_show_flags)
+        seen = want["violations"]
+        assert len(seen) == shown and len({x for _, _, x in seen}) > 2
+
+
+# Loops by the way their block reaches its entry: the program text
+# (None: the instrumented recursion, 40 deep), the entry's label or
+# address, and the budgets run besides 10**5.
+FALL_THROUGH_LOOP = """\
+.org 0x08000000
+.func main hal
+    mov r5, #%d
+    b loop
+.label check
+    cmp r5, #0
+    beq done
+.label loop
+    addw r6, r6, #1
+    subw r5, r5, #1
+    b check
+.label done
+    bkpt #0
+.endfunc
+""" % PASSES
+
+# An endless loop whose trace follows its b back to a compare, which
+# ends the block before the entry it falls through to; r5 counts down
+# through 20, so the flags change over the first passes.
+COMPARE_LAST_LOOP = """\
+.org 0x08000000
+.func main hal
+    mov r5, #24
+    b loop
+.label back
+    subw r5, r5, #1
+    cmp r5, #20
+.label loop
+    addw r6, r6, #1
+    b back
+.endfunc
+"""
+
+LOOP_SHAPES = {
+    "bcond taken": (_loop("addw r6, r6, #1"), "loop", range(1, 4 * PASSES)),
+    "bcond falling through": (FALL_THROUGH_LOOP, "loop",
+                              range(1, 5 * PASSES)),
+    "bx lr": (None, 0x08000040, range(600, 962, 5)),
+    "b, cut by the budget": (B_LOOP, "loop", range(1, 4 * PASSES)),
+    "cmp, cut by the budget": (COMPARE_LAST_LOOP, "loop",
+                               range(1, 4 * PASSES)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LOOP_SHAPES))
+def test_counts_are_folded_at_each_loop_exit(shape, monkeypatch):
+    """A pass that goes on counts nothing; each exit adds the passes its
+    call made, by the steps they took, to the last instruction's count,
+    and to its taken count when a taken bcond reached the entry.  After
+    each shape of loop, left at the end and at each budget, retired and
+    taken are step()'s."""
+    text, entry, budgets = LOOP_SHAPES[shape]
+    if text is None:
+        prog = instrument_program(parse(recursion_program(40)),
+                                  SHADOW).program
+    else:
+        prog = parse(text)
+        entry = prog.labels[entry]
+    at, ins = blocks._block_at(prog.code, entry)[-1]
+    exits = blocks._exits(at, ins)
+    assert exits is None or entry in exits
+    assert {"bcond taken": ins.op == "bcond" and ins.target == entry,
+            "bcond falling through": ins.op == "bcond"
+            and ins.target != entry,
+            "bx lr": ins.op == "bx",
+            "b, cut by the budget": exits == (entry,),
+            "cmp, cut by the budget": ins.op == "cmp_imm"
+            and exits == (entry,)}[shape]
+    for budget in (10**5, *budgets):
+        want = check(prog, _cfg(POLICY_RESET, None, budget),
+                     "%s budget %d" % (shape, budget), monkeypatch)
+        if budget == 10**5:  # each loop makes 40 passes or more
+            assert want["retired"][at] >= 40
+
+
+def _fast_pass(source: str) -> list:
+    """The statements and tests a compiled loop's pass runs when it goes
+    on and takes no slow path: its while body, less each branch that
+    leaves (a break or a return) or writes m.steps (as a block writes
+    the state only at an exit or before a slow path)."""
+    def fast(stmts):
+        if any(isinstance(st, (ast.Break, ast.Return))
+               or isinstance(st, ast.Assign)
+               and ast.unparse(st.targets[0]) == "m.steps" for st in stmts):
+            return []
+        out = []
+        for st in stmts:
+            if isinstance(st, ast.If):
+                out += [st.test, *fast(st.body), *fast(st.orelse)]
+            else:
+                out.append(st)
+        return out
+
+    loop, = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.While)]
+    return fast(loop.body)
+
+
+def test_a_continuing_pass_writes_neither_flags_nor_counts():
+    """The sweep's loop and the recursion's descent, as generated for the
+    benchmark's machines: a pass that goes on branches on its pending
+    compare, reads and writes no xPSR, and touches no count."""
+    sweep = parse(sweep_program(SHADOW.ss_start - 1024,
+                                SHADOW.ss_limit + 1024))
+    recursion = instrument_program(parse(recursion_program(SHADOW.capacity)),
+                                   SHADOW).program
+    cases = ((sweep, POLICY_REPORT, sweep.labels["sweep"], "ne"),
+             (recursion, POLICY_RESET, 0x08000038, "lt"))
+    for prog, policy, entry, cond in cases:
+        m = build_machine(prog, _cfg(policy, None, 10_000))
+        source = blocks._source(blocks._block_at(prog.code, entry), m)
+        nodes = [node for st in _fast_pass(source) for node in ast.walk(st)]
+        text = {ast.unparse(node) for node in nodes}
+        assert ast.unparse(ast.parse(blocks._COND[cond][1])) in text
+        assert blocks._XPSR not in text
+        assert not [node for node in nodes if isinstance(node, ast.Attribute)
+                    and node.attr == "xpsr"]
+        assert not [node for node in nodes if isinstance(node, ast.Subscript)
+                    and ast.unparse(node.value) == "cnt"]
