@@ -4,18 +4,12 @@ A block is the trace entered at a pc: it runs on past each ``b`` and
 ``bl``, into the branch's target, and ends at any other branch or pc
 write, before an address already in it, before a TRAP op (``svc``,
 ``bkpt``, ``udf``) or a missing instruction, and at most MAX_BLOCK_LEN
-long.  What an op is (a branch, a data access, a trap) and which
-registers it writes are read from its row in ``isa.OPS``.  What it does
-is written once, in ``SEMANTICS``, as source over operand slots, and
-instantiated twice: with a block's operands known (``_Compiled``), and
-for any instruction as the executors that ``step()`` runs
-(``executors``, which ``machine`` calls at import), in the manner of
-QEMU's one op description run by its compiler and its interpreter.
-``Machine.run`` steps through a block until it has reached the block's
-entry pc HOT_THRESHOLD times; then the block is compiled to one
-generated function, ``block(m, limit)``, that does what ``step()``
-would do for each of its instructions, with the per-step bookkeeping
-lifted out.  A block whose exit reaches its own entry is a loop: its
+long.  Each op is emitted from ``semantics.SEMANTICS``, bound with
+the block's operands known (``_Compiled``).  ``Machine.run`` steps
+through a block until it has reached the block's entry pc
+HOT_THRESHOLD times; then it is compiled to one generated function,
+``block(m, limit)``, that does what ``step()`` would do for each of
+its instructions, with the per-step bookkeeping lifted out.  A block whose exit reaches its own entry is a loop: its
 function runs the block again while the exit does and another pass
 fits in the step budget ``limit``, and else returns at the entry, so a
 hot loop does not go back to ``Machine.run`` each pass.  For an exit
@@ -29,7 +23,7 @@ the pass tests it.  In the generated function:
   ``m.cycles``, ``m.cur_pc``, ``m.pc`` and ``m.xpsr`` are written only
   before something can read them (a guard called, and ``m.load`` and
   ``m.store``, which read CYCCNT) and at each exit, as ``step()`` would
-  have left them (the flags by ``_cmp``'s rule, ``F``);
+  have left them (the flags by ``semantics.write_flags``, ``F``);
 * after each data access the block exits if the machine halted (no
   access pends an exception: only the runner raises them, between
   ``run()`` calls), and an exit where ``step()`` could halt or start an
@@ -66,55 +60,50 @@ record to the guard's log with no Python call and no state writes,
 and under the reset policy halts, so the block leaves through its halt
 exit.  A store that hits is suppressed; a load that hits, if RAM on
 one page, is then read in line, and else takes ``m.load``, whose guard
-records it.  Where the guard gives no in-line form (a hook, a guard whose
-handlers were replaced, a ``m.watch`` that is not its unit's slots),
-a hit writes the state and shows the guard the access instead, then
-commits a store through ``Machine.commit`` unless the guard
-suppresses it, or reads a load through ``m.load``.  A miss into RAM on
-one page is taken in line, and any other goes to ``m.load`` after the
-state writes, or to ``m.commit``.  A page nothing wrote reads 0, and a
-store that misses every comparator and finds its page missing goes to
-``m.commit``, which creates it (``_decode``).  A push or pop handles
-all its words, as ``step()`` does, even when the guard halts the
-machine on an earlier one.
+records it.  Where the guard gives no in-line form (``_shape``), a hit
+writes the state and shows the guard the access instead, then commits
+a store through ``Machine.commit`` unless the guard suppresses it, or
+reads a load through ``m.load``.  A miss into RAM on one page is taken
+in line, and any other goes to ``m.load`` after the state writes, or
+to ``m.commit``, which alone creates a page (``_decode``).  A push or
+pop handles all its words, as ``step()`` does, even when the guard
+halts the machine on an earlier one.
 
 The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``movt`` put in a register until another write of it (read from
 ``isa.OPS``), and emits such an instruction as that constant.  A word
 ``ldr``/``str`` whose address is known, aligned and, by
 ``machine.ppb_device``, on a device (``_device_word``) has one fast
-case: the in-line form that the machine's device gives the word
-(``inline``: the watchpoint unit's register words, as the same lines
-``step()`` runs), outside the hull, with a stored value the block knows
-folded and the device's state bound once per entry (its ``BIND``).
-Such a word takes ``_load``/``_store``, hull-first, with its address as
-a literal and no alignment test, and a store's ``slow`` test (a region
-the unit must cache or drop) joins the hull test.  A device word with
+case outside the hull: the in-line form its device gives it (the
+unit's register words, as the lines ``step()`` runs), with a stored
+value the block knows folded and the device's state bound once per
+entry (its ``BIND``), hull-first, with no alignment test; a store's
+``slow`` test (a region the unit must cache or drop) joins the hull
+test.  A device word with
 no in-line form (CTRL, CYCCNT, an unmapped word, DEMCR, any word on a
 machine without its device) is emitted as any other ``ldr``/``str``.
-So every case a block cannot finish in line goes through
-``m.load``/``m.store``, and the block calls no device itself.  The
-source depends on the machine only in whether it has the watchpoint
-unit.  Compiled code is cached by its text: it spells out the entry pc
-and every operand, so machines built from equal code, with the unit or
-without, share it, and a changed instruction compiles anew.  Exception
-returns go through ``m._end``, which looks up
-``exception_model.return_from_exception`` when called, so anything
-patched onto the class or module still sees each one.  Code at or
-above ``EXC_RETURN_MIN`` is not run in line, and a block whose next pc
-can be there ends through ``m._end``.  ``Machine.run`` drops its
-blocks, whose counts it folded in when it last returned, when
-``m.code``, ``m.dwt``, ``m.guard`` or ``m.watch`` is replaced: the
-guard's state is bound once, when a block is made (its ``BIND``), and
-its policy folded.
+
+The source reads the trace as values (``_block_at``) and the machine
+only through its shape (``_shape``), and ``_make`` caches the compiled
+block on the two: machines built from equal code share it, and a
+changed instruction compiles anew.  Exception returns go through
+``m._end``, which looks ``exception_model.return_from_exception`` up
+when called, so a patch of it sees each one.  Code at or above
+``EXC_RETURN_MIN`` is not run in line, and a block whose next pc can be
+there ends through ``m._end``.  ``Machine.run`` drops its blocks when
+``m.code``, ``m.dwt``, ``m.guard`` or ``m.watch`` is replaced: a block
+binds the guard's state once, when made (its ``BIND``).
 """
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
+from operator import attrgetter
 
 from . import machine as mach
 from .isa import BRANCH, LR, MASK32, MEMORY, NUM_GPRS, OPS, PC, SP, TRAP
+from .semantics import COND, SEMANTICS, define, write_flags
 
 HOT_THRESHOLD = 32
 MAX_BLOCK_LEN = 64
@@ -139,19 +128,14 @@ class Block:
         self.fn = None
 
     def compile(self, m, pc: int) -> None:
-        """Compile the block of ``m.code`` at pc, running each device word
-        in line that ``m``'s device can; one of no instructions stays
-        uncompiled."""
-        instrs = _block_at(m.code, pc)
-        if not instrs:
+        """Compile ``m``'s block at pc, unless it is empty."""
+        trace = _block_at(m.code, pc)
+        if not trace:
             return
-        self.n = len(instrs)
+        self.n = len(trace)
         self.counts = [0] * (self.n + 1)
-        self.addrs = tuple(at for at, _ in instrs)
-        ns = {"M": MASK32, "U": mach.WORD.unpack_from,
-              "K": mach.WORD.pack_into, "F": _FLAGS["F"]}
-        exec(_byte_code(_source(instrs, m)), ns)
-        self.fn = ns["make"](self.counts, m.guard)
+        self.addrs = tuple(ins.addr for ins in trace)
+        self.fn = _make(trace, _shape(m))(self.counts, m.guard)
 
     def fold(self, m) -> None:
         """Add the counts to ``m.retired`` and ``m.taken``; zero them."""
@@ -169,14 +153,29 @@ class Block:
         counts[:] = [0] * (self.n + 1)
 
 
-# compile() costs about a millisecond a block, and every machine built
-# from equal code would otherwise pay it again.
+# Generating and compiling a block's source costs a millisecond or two,
+# which every machine built from equal code would otherwise pay again.
 CODE_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=CODE_CACHE_SIZE)
-def _byte_code(source: str):
-    return compile(source, "<block>", "exec")
+def _make(trace: tuple, shape: tuple):
+    """The ``make(cnt, J)`` of ``trace`` on a machine of ``shape``: its
+    source compiled and run once, keyed on all that the source reads."""
+    return define(_source(trace, shape), "<block>", {
+        "M": MASK32, "U": mach.WORD.unpack_from, "K": mach.WORD.pack_into,
+        "F": write_flags})["make"]
+
+
+def _shape(m) -> tuple:
+    """What a block's source reads of ``m``, as one hashable value: the
+    devices that give in-line forms, by attribute and class (``inline``
+    reads no instance state), and the guard's class and the policy its
+    in-line form folds, or None where it gives none (``folded``)."""
+    devices = tuple((name, type(dev)) for name, dev in (
+        ("dwt", m.dwt), ("demcr", m.demcr)) if hasattr(dev, "inline"))
+    policy = m.guard.folded(m) if hasattr(m.guard, "folded") else None
+    return devices, None if policy is None else (type(m.guard), policy)
 
 
 # -- code generation ---------------------------------------------------------------
@@ -199,35 +198,40 @@ def _jumps(ins) -> bool:
     return OPS[ins.op].kind == BRANCH or PC in _written(ins)
 
 
-def _block_at(code, pc: int) -> list:
-    """(address, Instr) pairs of the trace entered at pc; may be empty.
+# The fields of an Instr that a block's source reads, by Instr's names,
+# with ``addr`` the pc it sits at: values, so equal code traces equal.
+_Traced = namedtuple("_Traced", "addr op rd rn rm imm reglist cond target "
+                                "width cycles")
+_FIELDS = attrgetter(*_Traced._fields[1:])
+
+
+def _block_at(code, pc: int) -> tuple:
+    """The trace entered at pc, as ``_Traced`` values; may be empty.
     It follows a ``b`` or ``bl`` to its target and ends at any other
     jump, or before an address already in it, a TRAP op, a missing
     instruction or EXC_RETURN_MIN (code there is never run in line:
     reaching it is an exception return)."""
-    instrs = []
-    seen = set()
+    trace = {}  # by address, in order
     addr = pc
-    while (len(instrs) < MAX_BLOCK_LEN and addr < mach.EXC_RETURN_MIN
-           and addr not in seen):
+    while (len(trace) < MAX_BLOCK_LEN and addr < mach.EXC_RETURN_MIN
+           and addr not in trace):
         ins = code.get(addr)
         if ins is None or OPS[ins.op].kind == TRAP:
             break
-        instrs.append((addr, ins))
-        seen.add(addr)
+        trace[addr] = _Traced(addr, *_FIELDS(ins))
         if ins.op in ("b", "bl"):
             addr = ins.target
         elif _jumps(ins):
             break
         else:
             addr += ins.width
-    return instrs
+    return tuple(trace.values())
 
 
-def _exits(at: int, ins) -> tuple | None:
-    """The pcs that the block's last instruction, at ``at``, can leave
-    for, or None for a pc taken from a register or memory."""
-    nxt = at + ins.width
+def _exits(ins) -> tuple | None:
+    """The pcs that a block's last instruction ``ins`` can leave for, or
+    None for a pc taken from a register or memory."""
+    nxt = ins.addr + ins.width
     if ins.op == "bcond":
         return ins.target, nxt
     if "{label}" in OPS[ins.op].form:
@@ -237,10 +241,12 @@ def _exits(at: int, ins) -> tuple | None:
 
 def _fold(ins, known: dict) -> None:
     """Bring ``known``, register -> the value this block put there, past
-    ``ins``: ``_FOLD`` gives a value its op sets, and any other write
-    forgets the register."""
-    fold = _FOLD.get(ins.op)
-    value = None if fold is None else fold(ins, known)
+    ``ins``: a ``movw`` or ``mov_imm`` sets its immediate, a ``movt`` the
+    high half of a known value, and any other write forgets the
+    register."""
+    value = ins.imm if ins.op in ("movw", "mov_imm") else (
+        (known[ins.rd] & 0xFFFF) | ins.imm << 16
+        if ins.op == "movt" and ins.rd in known else None)
     for r in _written(ins):
         known.pop(r, None)
     if value is not None:
@@ -257,16 +263,14 @@ def _device_word(ins, known: dict):
     return None if addr & 3 or dev is None else (addr, dev)
 
 
-def _in_line(ins, known: dict, m):
-    """(address, binding, form) of a device word (``_device_word``)
-    whose device on ``m`` gives it an in-line form: the line that binds
-    the device's state once per entry (its ``BIND``), and the form its
-    ``inline`` gives, a store's with the value folded when the block
-    knows it.  Else None: the word takes ``SEMANTICS``, as any other
-    access does."""
+def _in_line(ins, known: dict, devices: tuple):
+    """(address, binding, form) of a device word (``_device_word``) whose
+    class in ``devices`` gives it an in-line form: the line binding its
+    state once per entry (``BIND``), and its ``inline`` form, a store's
+    with a value the block knows folded.  Else None."""
     word = _device_word(ins, known)
-    dev = None if word is None else getattr(m, word[1], None)
-    if not hasattr(dev, "inline"):
+    dev = None if word is None else dict(devices).get(word[1])
+    if dev is None:
         return None
     addr, name = word
     form = (dev.inline(addr, mach.ACCESS_READ) if ins.op == "ldr"
@@ -278,26 +282,23 @@ def _in_line(ins, known: dict, m):
 _MIN_SP = "if m.min_sp is not None and m.sp < m.min_sp: m.min_sp = m.sp"
 
 
-def _source(instrs, m=None) -> str:
-    """``make(cnt, J)`` returning ``block(m, limit)``: the block's
-    instructions as Machine.step would run them, in sequence.  A block
-    whose exit reaches its own entry runs them again for as long as it
-    does and another pass fits before ``limit`` steps.  A word of a
-    device that ``m`` has and that gives it an in-line form is run in
-    line (``_in_line``), over the names the device's ``BIND`` binds
-    once per entry.  A load or store that tests the four regions runs
-    the in-line form of ``m``'s guard ``J`` (its ``inline``), when it
-    gives one, over the names the guard's ``BIND`` binds in ``make``."""
+def _source(trace: tuple, shape: tuple) -> str:
+    """``make(cnt, J)`` returning ``block(m, limit)``: the instructions
+    of ``trace`` as Machine.step would run them, in sequence, and again
+    while the exit reaches the entry and another pass fits before
+    ``limit`` steps; a device word and a four-region test run the
+    in-line forms of ``shape``'s devices (``_in_line``) and guard ``J``,
+    over the names their ``BIND`` binds."""
     bind = None  # the in-line device's, once per entry
-    guard = getattr(m, "guard", None)
-    inline = getattr(guard, "inline", None)
-    n = len(instrs)
-    entry, (at, ins) = instrs[0][0], instrs[-1]
-    exits = _exits(at, ins)
+    devices, guard = shape
+    inline = guard and functools.partial(guard[0].inline, guard[1])
+    n = len(trace)
+    entry, ins = trace[0].addr, trace[-1]
+    exits = _exits(ins)
     loops = exits is None or entry in exits
     split = loops and ins.op in ("b", "bcond")  # _loop_tail runs it
     out = ["def make(cnt, J):",
-           *([" " + guard.BIND] if inline else []),
+           *([" " + guard[0].BIND] if guard else []),
            " def block(m, limit):",
            "  g = m.gpr",
            "  s = e = m.steps" if loops else "  s = m.steps",
@@ -308,23 +309,24 @@ def _source(instrs, m=None) -> str:
         "; cnt[0] += (s - e) // %d" % n
         if loops and ins.op == "bcond" and ins.target == entry else "")
     flags = ("; s == e or " + _XPSR if loops and any(
-        OPS[ins.op].sets_flags for _, ins in instrs) else "")
-    moves_sp = any(SP in _written(ins) for _, ins in instrs)
+        OPS[ins.op].sets_flags for ins in trace) else "")
+    moves_sp = any(SP in _written(ins) for ins in trace)
     if not moves_sp:
         out.append("  " + _MIN_SP)  # sp holds its entry value throughout
-    if any(OPS[ins.op].kind == MEMORY for _, ins in instrs):
+    if any(OPS[ins.op].kind == MEMORY for ins in trace):
         out.append("  P = m.mem.pages; H = m.watch[2]")  # for _decode
     body = []
     cost = 0
     known: dict = {}
-    for i, (at, ins) in enumerate(instrs[:-1] if split else instrs):
+    for i, ins in enumerate(trace[:-1] if split else trace):
+        at = ins.addr
         cost += ins.cycles
         nxt = at + ins.width
         last = i == n - 1
         state = "m.cycles = c + %d; m.cur_pc = %d" % (cost, at)
         pc = "; m.pc = %d" % nxt
         sync = "m.steps = s + %d; %s%s%s" % (i, state, pc, flags)
-        word = _in_line(ins, known, m)
+        word = _in_line(ins, known, devices)
         value = known.get(ins.rd)  # a str's value, if the block knows it
         _fold(ins, known)
         body.append("# 0x%08x %s" % (at, ins.op))
@@ -341,7 +343,7 @@ def _source(instrs, m=None) -> str:
             body += ["m.lr = %d" % nxt] if ins.op == "bl" else []
         else:
             here = inline and functools.partial(
-                inline, m, step="s + %d" % i, pc=at, addr="a")
+                inline, step="s + %d" % i, pc=at, addr="a")
             body += SEMANTICS[ins.op](_Compiled(ins, nxt, cost, sync, here))
         if moves_sp and (i == 0 or SP in _written(ins)):
             body.append(_MIN_SP)
@@ -360,14 +362,14 @@ def _source(instrs, m=None) -> str:
             flags = "; " + _XPSR
     if bind:
         out.append(bind)
-    at, ins = instrs[-1]
-    nxt = at + ins.width
+    ins = trace[-1]
+    at, nxt = ins.addr, ins.addr + ins.width
     if loops:
         if split:
             cost += ins.cycles
         out.append("  while True:")
         out += ["   " + line for line in body + _loop_tail(
-            ins, at, cost, n, entry, fold + flags)]
+            ins, cost, n, entry, fold + flags)]
         if exits == (entry,):  # it leaves only through the budget test
             out.append(" return block")
             return "\n".join(out) + "\n"
@@ -389,14 +391,14 @@ def _source(instrs, m=None) -> str:
     return "\n".join(out) + "\n"
 
 
-def _loop_tail(ins, at: int, cost: int, n: int, entry: int,
-               end: str) -> list[str]:
+def _loop_tail(ins, cost: int, n: int, entry: int, end: str) -> list[str]:
     """A looping block's exit test, after its other instructions: a
     ``bcond`` leaves for whichever of its target and fall-through is not
     the entry as ``_Compiled.branch`` would, a pc from a register or
     memory leaves when it is not the entry; a pass that stays starts the
     next one if it fits before ``limit``, else returns at the entry
     after ``end``, the counts and flags that every exit writes."""
+    at = ins.addr
     lines = ["# 0x%08x %s" % (at, ins.op)] if ins.op in ("b", "bcond") else []
     if ins.op == "bcond":
         read, test = _test(ins.cond, end)
@@ -408,7 +410,7 @@ def _loop_tail(ins, at: int, cost: int, n: int, entry: int,
     elif ins.op == "bcond":
         lines.append("if %s: m.pc = %d; m.cycles = c + %d; cnt[0] += 1; break"
                      % (test, ins.target, cost + 1))
-    elif _exits(at, ins) is None:
+    elif _exits(ins) is None:
         lines.append("if m.pc != %d: break" % entry)
     return lines + [
         "s += %d; c += %d" % (n, cost),
@@ -458,14 +460,12 @@ def _decode(a: str, size: int, form=None, rd=None,
     that missed the comparators or, with ``hull``, lies outside their
     hull ``H`` (``m.watch[2]``): the test for its inline case, and the
     lines that read it into ``rd`` or, without ``rd``, write ``v``.  A
-    device word's in-line ``form`` (``_in_line``) takes the hull
-    test alone, on the hull's half above PPB_BASE, and a store's its
-    ``slow`` test too: a read is its expression, a write its lines.
-    Else ``a`` must be RAM, below PPB_BASE (and with ``hull`` outside
-    the half below), and a word must not cross a page.  A missing page
-    reads 0; a store to one goes to ``Machine.commit``, which alone
-    creates pages.  A memory map that grows more banks changes this
-    beside ``Machine.load``/``commit``."""
+    device word's in-line ``form`` (``_in_line``) takes the test of the
+    hull's half above PPB_BASE, and a store's its ``slow`` test too.
+    Else ``a`` must be RAM, below PPB_BASE (with ``hull``, outside the
+    half below), and a word on one page; a missing page reads 0, and a
+    store to one goes to ``Machine.commit``, which alone creates pages.
+    A memory map with more banks changes this beside ``Machine.load``."""
     if form is not None:
         test = "%d <= H[2] or %s >= H[3]" % (int(a) + size, a)
         if rd is not None:  # a register reads 32 bits
@@ -498,12 +498,10 @@ def _load(rd: int, a: str, size: int, sync: str, form=None,
           hull=False, hits=None) -> list[str]:
     """Machine.load of ``size`` bytes at ``a`` into ``rd``: a load that
     ``_decode`` can read inline is read so if it misses the comparator
-    regions or, with ``hull``, lies outside their hull; anything else
-    brings the state up to date, for the guard and CYCCNT, and takes
-    m.load.  With ``hits``, the guard's in-line chain for the access
-    (``_Compiled.hits``), a load that ``_decode`` can read inline runs
-    the chain, which records a hit with no Python call, and is read
-    so."""
+    regions, or with ``hull`` lies outside their hull, or with ``hits``,
+    the guard's in-line chain (``_Compiled.hits``), once the chain has
+    recorded a hit; anything else brings the state up to date, for the
+    guard and CYCCNT, and takes m.load."""
     test, (read,) = _decode(a, size, form, rd, hull)
     slow = "else: %s; %s" % (sync, _set(rd, "m.load(%s, %d)" % (a, size)))
     if hull:
@@ -521,13 +519,10 @@ def _store(a: str, size: int, value: str, sync: str, form=None,
     ``_decode`` can write inline, outside the hull, is written so, and
     any other brings the state up to date and takes m.store.  Else a
     store in a comparator region runs ``hits``, the guard's in-line
-    chain for the access (``_Compiled.hits``), which records it with no
-    Python call, or without them brings the state up to date for the
-    guard and commits unless the guard suppresses it; a miss that
-    ``_decode`` can write inline is written so, and any other goes
-    through m.commit, which needs no state writes: no write reads the
-    state (a byte store into the DWT window reads its word back, but
-    CYCCNT drops writes)."""
+    chain (``_Compiled.hits``), or without it brings the state up to
+    date for the guard and commits unless the guard suppresses it; a
+    miss that ``_decode`` can write inline is written so, and any other
+    goes through m.commit, which reads no state (CYCCNT drops writes)."""
     test, write = _decode(a, size, form, hull=hull)
     if hull:
         return ["v = " + value, "if %s:" % test,
@@ -544,103 +539,15 @@ def _store(a: str, size: int, value: str, sync: str, form=None,
             "else: " + commit]
 
 
-# -- one semantics per op ------------------------------------------------------
-#
-# SEMANTICS gives each non-TRAP op's effect as lines of Python over a
-# binder ``b``, whose slots spell the operands, each named by an
-# expression on ``ins``: a field's value ``k``, a register's read ``reg``
-# (PC reads the next pc) and write ``set``, the access at ``a``, ``load``
-# or ``store``, ``access()`` per listed register ``r`` at ``a`` from ``sp``
-# (``words``), a compare's ``flags`` of ``a - b``, and a conditional
-# ``branch`` on the flags.
-# ``_Compiled`` binds them for one instruction of a block, ``_Stepped``
-# for ``step()``; a TRAP op's executor is ``machine``'s own.
-
-def _cmp(a: str, b: str) -> list[str]:
-    """N, Z, C and V of ``a - b`` into xPSR, as AddWithCarry sets them."""
-    return ["a = %s; b = %s; r = (a - b) & M" % (a, b),
-            "x = m.xpsr & 0x0FFFFFFF",
-            "if r & 0x80000000: x |= 0x80000000",
-            "if r == 0: x |= 0x40000000",
-            "if a >= b: x |= 0x20000000",
-            "if a >> 31 != b >> 31 and a >> 31 != r >> 31: x |= 0x10000000",
-            "m.xpsr = x"]
-
-
-# Each condition's test on x = m.xpsr, and on a compare that a block
-# left pending in fa, fb: Z is fa == fb, and N != V a signed fa < fb.
-# _XPSR is the one call that writes pending flags, by _cmp's rule.
-_COND = {
-    "eq": ("x & 0x40000000", "fa == fb"),
-    "ne": ("not x & 0x40000000", "fa != fb"),
-    "lt": ("bool(x & 0x80000000) != bool(x & 0x10000000)",
-           "(fa ^ 0x80000000) < (fb ^ 0x80000000)"),
-    "ge": ("bool(x & 0x80000000) == bool(x & 0x10000000)",
-           "(fa ^ 0x80000000) >= (fb ^ 0x80000000)"),
-}
+# The one call that writes a pending compare's flags (write_flags).
 _XPSR = "F(m, fa, fb)"
-_FLAGS = {"M": MASK32}
-exec(compile("def F(m, fa, fb):\n " + "\n ".join(_cmp("fa", "fb")),
-             "<flags>", "exec"), _FLAGS)
 
 
 def _test(cond: str, end: str) -> tuple[list[str], str]:
     """The lines that read the flags and ``cond``'s test: on fa, fb if
     ``end``, the state writes there, writes their flags, else on xPSR."""
     pending = end.endswith("; " + _XPSR)
-    return [] if pending else ["x = m.xpsr"], _COND[cond][pending]
-
-
-def _at(b) -> str:
-    return "a = (%s + %s) & M" % (b.reg("ins.rn"), b.k("ins.imm"))
-
-
-def _aligned(lines: list[str]) -> list[str]:
-    """A word access: an unaligned address faults, else ``lines`` run."""
-    return ["if a & 3: m.fault()", "else:", *(" " + line for line in lines)]
-
-
-SEMANTICS = {
-    "movw": lambda b: b.set("ins.rd", b.k("ins.imm")),
-    "movt": lambda b: b.set("ins.rd", "(%s & 0xFFFF) | %s" % (
-        b.reg("ins.rd"), b.k("ins.imm << 16"))),
-    "mov_imm": lambda b: b.set("ins.rd", b.k("ins.imm")),
-    "mov_reg": lambda b: b.set("ins.rd", b.reg("ins.rm")),
-    "ldr": lambda b: [_at(b), *_aligned(b.load("ins.rd", 4))],
-    "str": lambda b: [_at(b), *_aligned(b.store(4, b.reg("ins.rd")))],
-    "ldrb": lambda b: [_at(b), *b.load("ins.rd", 1)],
-    "strb": lambda b: [_at(b), *b.store(1, "%s & 0xFF" % b.reg("ins.rd"))],
-    "push": lambda b: [
-        "sp = (m.sp - %s) & M" % b.k("4 * len(ins.reglist)"), "m.sp = sp",
-        *b.words(lambda: b.store(4, b.reg("r")))],
-    "pop": lambda b: [
-        "sp = m.sp", "m.sp = (sp + %s) & M" % b.k("4 * len(ins.reglist)"),
-        *b.words(lambda: b.load("r", 4))],
-    "add_sp": lambda b: ["m.sp = (m.sp + %s) & M" % b.k("ins.imm")],
-    "sub_sp": lambda b: ["m.sp = (m.sp - %s) & M" % b.k("ins.imm")],
-    "addw": lambda b: b.set("ins.rd", "%s + %s" % (b.reg("ins.rn"),
-                                                    b.k("ins.imm"))),
-    "subw": lambda b: b.set("ins.rd", "%s - %s" % (b.reg("ins.rn"),
-                                                    b.k("ins.imm"))),
-    "cmp_imm": lambda b: b.flags(b.reg("ins.rn"), b.k("ins.imm")),
-    "cmp_reg": lambda b: b.flags(b.reg("ins.rn"), b.reg("ins.rm")),
-    "b": lambda b: ["m.pc = %s" % b.k("ins.target")],
-    "bcond": lambda b: b.branch("ins.target"),
-    "bl": lambda b: ["m.lr = %s; m.pc = %s" % (b.reg(PC), b.k("ins.target"))],
-    "bx": lambda b: ["m.pc = %s" % b.reg("ins.rm")],
-    "blx": lambda b: ["t = %s; m.lr = %s; m.pc = t" % (b.reg("ins.rm"),
-                                                      b.reg(PC))],
-    "msr": lambda b: [
-        "if m.mode == %r or not m.control & 1: m.control = %s & 1"
-        % (mach.MODE_HANDLER, b.reg("ins.rn"))],
-    "mrs": lambda b: b.set("ins.rd", "m.control"),
-    "nop": lambda b: [],
-}
-
-
-@functools.lru_cache(maxsize=64)
-def _operand(expr: str):
-    return compile(expr, "<operand>", "eval")
+    return [] if pending else ["x = m.xpsr"], COND[cond][pending]
 
 
 class _Compiled:
@@ -660,7 +567,7 @@ class _Compiled:
     def _value(self, expr):
         if isinstance(expr, int):
             return expr
-        return eval(_operand(expr), {"ins": self.ins, "r": self.r})
+        return eval(expr, {"ins": self.ins, "r": self.r})
 
     def k(self, expr: str) -> str:
         return "%d" % self._value(expr)
@@ -705,65 +612,3 @@ class _Compiled:
                 "else:",
                 " m.pc = %d; m.cycles = c + %d" % (self.nxt, self.cost)]
 
-
-class _Stepped:
-    """The slots of any instruction, as ``step()`` runs it once it has
-    charged the cycles and set pc to the next instruction: operands are
-    read from ``ins``, registers through ``m.read_reg`` and written in
-    line when they are GPRs, and memory is ``m.load``/``m.store``."""
-
-    def k(self, expr: str) -> str:
-        return expr
-
-    def reg(self, r) -> str:
-        return "m.pc" if r == PC else "m.read_reg(%s)" % r
-
-    def set(self, r: str, value: str) -> list[str]:
-        return ["if %s < %d: m.gpr[%s] = (%s) & M" % (r, NUM_GPRS, r, value),
-                "else: m.write_reg(%s, %s)" % (r, value)]
-
-    def load(self, r: str, size: int) -> list[str]:
-        return self.set(r, "m.load(a, %d)" % size)
-
-    def store(self, size: int, value: str) -> list[str]:
-        return ["m.store(a, %d, %s)" % (size, value)]
-
-    def words(self, access) -> list[str]:
-        return ["for i, r in enumerate(ins.reglist):",
-                " a = (sp + 4 * i) & M", *(" " + line for line in access())]
-
-    def flags(self, a: str, b: str) -> list[str]:
-        return _cmp(a, b)
-
-    def branch(self, target: str) -> list[str]:
-        *conds, last = _COND  # the test ins.cond picks; else the last one
-        return ["x = m.xpsr",
-                "if %s(%s):" % ("".join("(%s) if ins.cond == %r else "
-                                        % (_COND[c][0], c) for c in conds),
-                                _COND[last][0]),
-                " m.cycles += 1; t = m.taken",  # taken: one cycle more
-                " t[m.cur_pc] = t.get(m.cur_pc, 0) + 1; m.pc = %s" % target]
-
-
-def executors() -> dict:
-    """Each non-TRAP op's executor ``(m, ins)``, for ``machine._EXEC``:
-    its SEMANTICS bound by ``_Stepped``, compiled in one ``exec``."""
-    ops = [op for op, row in OPS.items() if row.kind != TRAP]
-    source = []
-    for op in ops:
-        source += ["def _x_%s(m, ins):" % op, *(
-            " " + line for line in SEMANTICS[op](_Stepped()) or ["pass"])]
-    ns = {"M": MASK32}
-    exec(compile("\n".join(source), "<step>", "exec"), ns)
-    return {op: ns["_x_" + op] for op in ops}
-
-
-# The values a block knows it put in a register, by op; ``_fold`` keeps
-# them in step with the block's other register writes.
-_FOLD = {
-    "movw": lambda ins, known: ins.imm,
-    "mov_imm": lambda ins, known: ins.imm,
-    "movt": lambda ins, known: (
-        None if ins.rd not in known
-        else (known[ins.rd] & 0xFFFF) | ins.imm << 16),
-}

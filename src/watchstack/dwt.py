@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from .isa import MASK32
 from .machine import (ACCESS_READ, DWT_CYCCNT, DWT_WINDOW_LO, PPB_BASE,
                       HaltReason)
+from .semantics import define
 
 # Comparator register addresses; the cycle counter's is machine's.
 DWT_COMP_BASE = DWT_WINDOW_LO + 0x20
@@ -165,9 +166,7 @@ def _matcher():
               *(" " + line for line in lowest_match(
                   "addr", "end", lambda k: ["return %d" % k])),
               " return None"]
-    ns = {}
-    exec(compile("\n".join(source), "<dwt>", "exec"), ns)
-    match_access = ns["match_access"]
+    match_access = define("\n".join(source), "<dwt>", {})["match_access"]
     match_access.__doc__ = (
         "Lowest matching enabled comparator id for this access, else None."
         "\n\nAn access matches when any byte it covers falls inside a"
@@ -231,8 +230,7 @@ def _register_ports() -> dict:
                    *(" " + line for line in lines),
                    " if %s: _regroup(D, m, %d, %s)"
                    % (slow, i // 3, i % 3 != _FUNCTION)]
-    ns = {"_regroup": _regroup}
-    exec(compile("\n".join(source), "<dwt>", "exec"), ns)
+    ns = define("\n".join(source), "<dwt>", {"_regroup": _regroup})
     return {addr: (ns["r%d" % i], ns["w%d" % i])
             for i, addr in enumerate(_ADDRS)}
 
@@ -297,7 +295,8 @@ class DwtUnit:
 
     # -- register file ------------------------------------------------------
 
-    def inline(self, addr: int, access: int, value=None):
+    @staticmethod
+    def inline(addr: int, access: int, value=None):
         """A compiled block's in-line form of an access to the register
         word at ``addr``, over ``BIND``'s names: a read's value as an
         expression, or a write of ``value`` (known, or else the 32-bit

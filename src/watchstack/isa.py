@@ -10,7 +10,7 @@ cycle costs are deterministic.  ``finalize`` fills both in, and
 ``format_instr`` prints the canonical text, from the op's row.  The
 compiled blocks read the rows' kinds, written registers and flags, and
 what each non-TRAP op does is written once, in
-``blocks.SEMANTICS``, for the machine's executors and the compiled
+``semantics.SEMANTICS``, for the machine's executors and the compiled
 blocks alike.
 """
 

@@ -37,7 +37,7 @@ access path handles byte lanes.
 through ``_line``, the one retire body, and ``run()`` also runs hot
 traces, which follow ``b`` and ``bl``, as compiled functions
 (``blocks``), with identical results; each executes an op as written
-once, in ``blocks.SEMANTICS``, but for a TRAP op, which only ``step()``
+once, in ``semantics.SEMANTICS``, but for a TRAP op, which only ``step()``
 runs.  ``tests/reference_isa.py``, an independent interpreter, is the
 reference semantics the tests hold them to.
 Neither returns anything.  The machine logs what only it sees in
@@ -59,11 +59,11 @@ from __future__ import annotations
 import struct
 from enum import Enum
 
-from . import blocks
 from . import exception_model as excm
 from .exception_model import (EV_EXC_ENTERED, EV_EXC_RETURNED, EV_HALTED,
                               MODE_HANDLER, MODE_THREAD, Event)
 from .isa import LR, MASK32, NUM_GPRS, OPS, SP, TRAP, Instr
+from .semantics import executors
 
 PAGE_BITS = 12
 PAGE_SIZE = 1 << PAGE_BITS
@@ -370,18 +370,16 @@ class Machine:
         calls would leave.  Execution goes block by block (``blocks``),
         in one loop that looks up the block entered at the pc: an entry
         reached fewer than ``blocks.HOT_THRESHOLD`` times is stepped
-        through, up to the next jump; then its block, the trace that runs
-        on past each ``b`` and ``bl`` to the next other jump, is compiled,
-        and the compiled block runs whenever it fits before the limit and
-        no exception is pending.  Each compiled block is passed ``limit``:
-        one whose exit reaches its own entry, by a label or by a pc from
-        a register or memory, runs pass after pass while it does and the
-        next pass fits, and returns at its entry when it would not.  The
+        through, up to the next jump; then its block is compiled, and
+        runs whenever it fits before the limit and no exception is
+        pending, a loop pass after pass while the next pass fits.  The
         blocks' own counts are folded into ``retired`` and ``taken``
         before ``run()`` returns, so the blocks can be dropped whenever
         ``code`` is replaced, or ``dwt``, ``guard`` or ``watch``, whose
         in-line forms a compiled block runs.
         """
+        # Here, not at import: blocks imports machine.
+        from .blocks import HOT_THRESHOLD as hot, Block
         cache = self._block_cache
         if (cache is None or cache[0] is not self.code
                 or cache[1] is not self.dwt or cache[2] is not self.guard
@@ -389,13 +387,12 @@ class Machine:
             cache = self._block_cache = (self.code, self.dwt, self.guard,
                                          self.watch, {})
         known = cache[4]
-        hot = blocks.HOT_THRESHOLD
         try:
             while self.steps < limit and not self.halted:
                 pc = self.pc
                 blk = known.get(pc)
                 if blk is None:
-                    blk = known[pc] = blocks.Block()
+                    blk = known[pc] = Block()
                 if blk.fn is None:
                     blk.heat += 1
                     if blk.heat == hot:
@@ -424,7 +421,7 @@ class Machine:
 
 
 # One executor per op of isa.OPS, a TRAP op's from above and any other's
-# from blocks.SEMANTICS; a missing one fails here, at import.
-_EXEC = {**blocks.executors(),
+# from semantics.SEMANTICS; a missing one fails here, at import.
+_EXEC = {**executors(),
          **{op: getattr(Machine, "_x_" + op)
             for op, row in OPS.items() if row.kind == TRAP}}

@@ -38,6 +38,7 @@ from .dwt import (DWT_COMP_BASE, DWT_COMP_OFF, DWT_FUNCTION_OFF,
 from .instrument import ShadowStackConfig
 from .machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR, HaltReason,
                       Machine)
+from .semantics import define
 
 log = logging.getLogger(__name__)
 
@@ -187,8 +188,7 @@ def _handlers() -> tuple:
               " cid = J.dwt.match_access(addr, size, %d)" % ACCESS_WRITE,
               " if cid is None: return False", *(" " + line for line in store),
               " return True"]
-    ns = {}
-    exec(compile("\n".join(source), "<protect>", "exec"), ns)
+    ns = define("\n".join(source), "<protect>", {})
     return ns["on_load"], ns["on_store"]
 
 
@@ -229,24 +229,27 @@ class WatchpointGuard:
     on_load = _ON_LOAD
     on_store = _ON_STORE  # True when the store hits: it is suppressed
 
-    def inline(self, m: Machine, access: int, step: str, pc: int, addr: str,
-               size: int, value: str = "0") -> list[str] | None:
-        """A compiled block's in-line form of its access of ``size`` bytes
-        at ``addr`` (text, as ``step``, the step index, and ``value`` are)
-        by the instruction at ``pc``: the unit's lowest-comparator chain
-        (``dwt.lowest_match``) over the regions ``s0``..``s3`` that the
-        block reads from ``m.watch``, whose arm k is this guard's hit on
-        comparator k with the policy folded.  None unless ``m.watch`` is
-        the unit's slot table and the guard's handlers are the ones the
-        same lines make (not a subclass's or a wrapper's): the block then
-        shows the guard each hit."""
+    def folded(self, m: Machine) -> bool | None:
+        """The policy compiled blocks on ``m`` fold into the in-line form
+        (``inline``); None, so that they show the guard each hit, unless
+        ``m.watch`` is the unit's slot table and the handlers are the
+        ones the same lines make (not a subclass's or a wrapper's)."""
         handlers = type(self).on_load, type(self).on_store
         if m.watch is not self.dwt.slots or handlers != (_ON_LOAD, _ON_STORE):
             return None
-        names = tuple(_STATE)
+        return self.reset
+
+    @staticmethod
+    def inline(reset: bool, access: int, step: str, pc: int, addr: str,
+               size: int, value: str = "0") -> list[str]:
+        """A compiled block's in-line form of its access of ``size`` bytes
+        at ``addr`` (text, as ``step``, the step index, and ``value`` are)
+        by the instruction at ``pc``: the unit's lowest-comparator chain
+        (``dwt.lowest_match``) over the regions ``s0``..``s3`` read from
+        ``m.watch``, whose arm k is a hit on k under the policy ``reset``."""
         return lowest_match(addr, "%s + %d" % (addr, size), lambda k: (
-            _hit_lines(names, step, pc, addr, k, value, size, access,
-                       self.reset)))
+            _hit_lines(tuple(_STATE), step, pc, addr, k, value, size,
+                       access, reset)))
 
 
 def attach_debug_system(m: Machine) -> None:

@@ -22,6 +22,12 @@ Every ``functools.cache``/``lru_cache`` decorator names a ``maxsize``
 that is not None, so no module-level cache grows without bound over a
 long session; ``cached_property`` lives and dies with its object.
 
+The package's imports form no cycle.  ``semantics``, what each op
+does, imports nothing from the package but ``isa`` and constants of
+``exception_model``.  No module imports ``blocks`` at its top level:
+``Machine.run`` imports it inside the function, so importing the
+machine does not compile the compiled tier's code generator.
+
 The reference interpreter in ``tests/reference_isa.py`` imports nothing
 from the package but ``isa``, so it shares no code with what it checks.
 And ``machine`` retires instructions in one function: one function
@@ -30,7 +36,10 @@ dispatches in one loop.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -226,3 +235,74 @@ def test_the_machine_has_one_retire_body():
     assert not any(isinstance(node, ast.Attribute) and node.attr == "step"
                    for node in ast.walk(run))
     assert sum(isinstance(node, ast.While) for node in ast.walk(run)) == 1
+
+
+def _run_at_import(body):
+    """The statements of ``body`` that importing the module runs: none
+    under a ``def`` or an ``if TYPE_CHECKING:``."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == \
+                "TYPE_CHECKING":
+            yield from _run_at_import(node.orelse)
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _run_at_import(getattr(node, field, []))
+
+
+def _package_modules(nodes) -> set[str]:
+    """The package modules that the imports among ``nodes`` name;
+    ``from . import name`` of a name that is no module is ``__init__``."""
+    modules = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            modules.update([node.module] if node.module else (
+                a.name if (SRC / (a.name + ".py")).exists() else "__init__"
+                for a in node.names))
+    return modules
+
+
+def _import_graph() -> dict[str, set[str]]:
+    """Each package module -> the package modules it imports at import."""
+    return {path.stem: _package_modules(_run_at_import(
+        ast.parse(path.read_text(encoding="utf-8")).body))
+            for path in SRC.glob("*.py")}
+
+
+def test_the_package_imports_form_no_cycle():
+    graph = _import_graph()
+    while graph:
+        leaves = {n for n, deps in graph.items() if not deps & graph.keys()}
+        assert leaves, "import cycle among %s" % ", ".join(sorted(graph))
+        for name in leaves:
+            del graph[name]
+
+
+def test_semantics_imports_only_isa_and_exception_model_constants():
+    tree = ast.parse((SRC / "semantics.py").read_text(encoding="utf-8"))
+    assert _package_modules(ast.walk(tree)) <= {"isa", "exception_model"}
+    names = [a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "exception_model" for a in node.names]
+    assert all(name.isupper() for name in names), names
+
+
+def test_no_module_imports_blocks_at_its_top_level():
+    importers = sorted(name for name, deps in _import_graph().items()
+                       if "blocks" in deps)
+    assert not importers, "%s import blocks" % ", ".join(importers)
+    tree = ast.parse((SRC / "machine.py").read_text(encoding="utf-8"))
+    run = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    assert "blocks" in _package_modules(ast.walk(run))
+
+
+def test_importing_the_machine_leaves_blocks_unimported():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, watchstack.machine; "
+         "print('watchstack.blocks' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

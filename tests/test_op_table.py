@@ -1,7 +1,7 @@
 """``isa.OPS`` is the one op vocabulary.
 
 The machine has an executor for exactly its ops, one table,
-``blocks.SEMANTICS``, holds exactly its non-TRAP ops for both the
+``semantics.SEMANTICS``, holds exactly its non-TRAP ops for both the
 machine and the compiled blocks, every op's printed form parses back to
 the same instruction, the registers a row says an op writes are
 exactly the ones ``Machine.step()`` writes, so are the flags, the
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from watchstack import blocks, machine
+from watchstack import blocks, machine, semantics
 from watchstack.asm import parse
 from watchstack.isa import (ALU, BRANCH, LR, MEMORY, NUM_GPRS, OPS, PC, SP,
                             TRAP, Instr, cycle_cost, encoding_width, finalize,
@@ -69,7 +69,7 @@ def test_blocks_emit_exactly_the_non_trap_ops():
     """One table holds their semantics, for both execution tiers: the
     machine writes no executor of its own but a TRAP op's."""
     non_trap = {op for op, row in OPS.items() if row.kind != TRAP}
-    assert set(blocks.SEMANTICS) == non_trap
+    assert set(semantics.SEMANTICS) == non_trap
     assert not {"_x_" + op for op in non_trap} & set(vars(machine.Machine))
 
 
@@ -132,8 +132,8 @@ def test_the_step_executors_are_the_golden_source(monkeypatch):
             sources.append(source)
         return compile(source, name, *args)
 
-    monkeypatch.setattr(blocks, "compile", recording, raising=False)
-    blocks.executors()
+    monkeypatch.setattr(semantics, "compile", recording, raising=False)
+    semantics.executors()
     golden = (GOLDEN / "step_executors.txt").read_text()
     assert sources == [golden.removesuffix("\n")]
 

@@ -20,11 +20,12 @@ it at 10**9 none is, so run()'s own stepping loop sees them all.
 import ast
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from watchstack import blocks, dwt
+from watchstack import blocks, dwt, semantics
 from watchstack.asm import parse
 from watchstack.cli import EXIT_FAULT, EXIT_VIOLATION, _exit_code
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
@@ -46,6 +47,7 @@ from watchstack.runner import (OUTCOME_SAFE, RunConfig, attribute,
 
 SHADOW = ShadowStackConfig()
 SYSTICK = 15
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # The handler counts its runs in a word at 0x20011000, past the benign
 # programs' result slots.
@@ -307,14 +309,28 @@ LOOP = """\
 
 
 def _count_compiles(monkeypatch) -> list:
-    """The generated sources ``blocks`` compiles from now on."""
+    """The block sources compiled from now on."""
     sources = []
 
-    def counting(source, *args):
-        sources.append(source)
-        return compile(source, *args)
+    def counting(source, name, *args):
+        if name == "<block>":
+            sources.append(source)
+        return compile(source, name, *args)
 
-    monkeypatch.setattr(blocks, "compile", counting, raising=False)
+    monkeypatch.setattr(semantics, "compile", counting, raising=False)
+    return sources
+
+
+def _count_sources(monkeypatch) -> list:
+    """The block sources generated from now on."""
+    sources = []
+    source = blocks._source
+
+    def counting(trace, shape):
+        sources.append(source(trace, shape))
+        return sources[-1]
+
+    monkeypatch.setattr(blocks, "_source", counting)
     return sources
 
 
@@ -327,13 +343,35 @@ def _run_loop(prog, step: int) -> None:
 
 def test_equal_code_compiles_its_hot_block_once(monkeypatch):
     """Two parses of one text share no Instr, yet the second machine
-    reuses the loop block the first one compiled."""
+    reuses the loop block the first one compiled, and generates no
+    source for it either."""
     sources = _count_compiles(monkeypatch)
+    generated = _count_sources(monkeypatch)
     text = LOOP % 0x7A1
     _run_loop(parse(text), 0x7A1)
-    assert len(sources) == 1
+    assert len(sources) == len(generated) == 1
     _run_loop(parse(text), 0x7A1)
-    assert len(sources) == 1
+    assert len(sources) == len(generated) == 1
+
+
+def test_the_block_sources_are_the_golden_source(monkeypatch):
+    """Every distinct source that blocks generate at a hot threshold of 1
+    is byte for byte the golden's, in sorted order: for the instrumented
+    recursion 16 deep, unprotected and under both policies, and for the
+    sweep 64 bytes either side of the shadow region under report."""
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    blocks._make.cache_clear()  # so each source is generated here
+    sources = _count_sources(monkeypatch)
+    rec = instrument_program(parse(recursion_program(16)), SHADOW).program
+    run_program(rec, RunConfig())
+    for policy in (POLICY_RESET, POLICY_REPORT):
+        run_program(rec, RunConfig(protected=True, policy=policy,
+                                   shadow=SHADOW))
+    sweep = parse(sweep_program(SHADOW.ss_start - 64, SHADOW.ss_limit + 64))
+    run_program(sweep, RunConfig(protected=True, policy=POLICY_REPORT,
+                                 shadow=SHADOW))
+    golden = (GOLDEN / "block_sources.txt").read_text()
+    assert "\n".join(sorted(set(sources))) == golden
 
 
 def test_a_changed_instruction_compiles_anew(monkeypatch):
@@ -1042,7 +1080,8 @@ def test_a_movt_after_an_overwrite_is_not_folded(op, monkeypatch):
     folded = "g[0] = %d" % 0x20010200
     for p, fold in ((prog, False), (plain, True)):
         loop = p.functions["main"].body[4].addr  # the loop's entry
-        source = blocks._source(blocks._block_at(p.code, loop))
+        source = blocks._source(blocks._block_at(p.code, loop),
+                                blocks._shape(Machine()))
         assert (folded in source) is fold
 
 
@@ -1532,7 +1571,8 @@ def test_only_the_shadow_stack_reads_the_comparator_regions(monkeypatch):
     m = build_machine(prog, cfg)
     reads = []
     for entry in entries:
-        source = blocks._source(blocks._block_at(prog.code, entry), m)
+        source = blocks._source(blocks._block_at(prog.code, entry),
+                                blocks._shape(m))
         for line in source.splitlines():
             line = line.strip()
             if line.startswith("# 0x"):  # the instruction the lines emit
@@ -2037,8 +2077,8 @@ def test_counts_are_folded_at_each_loop_exit(shape, monkeypatch):
     else:
         prog = parse(text)
         entry = prog.labels[entry]
-    at, ins = blocks._block_at(prog.code, entry)[-1]
-    exits = blocks._exits(at, ins)
+    ins = blocks._block_at(prog.code, entry)[-1]
+    at, exits = ins.addr, blocks._exits(ins)
     assert exits is None or entry in exits
     assert {"bcond taken": ins.op == "bcond" and ins.target == entry,
             "bcond falling through": ins.op == "bcond"
@@ -2089,10 +2129,11 @@ def test_a_continuing_pass_writes_neither_flags_nor_counts():
              (recursion, POLICY_RESET, 0x08000038, "lt"))
     for prog, policy, entry, cond in cases:
         m = build_machine(prog, _cfg(policy, None, 10_000))
-        source = blocks._source(blocks._block_at(prog.code, entry), m)
+        source = blocks._source(blocks._block_at(prog.code, entry),
+                                blocks._shape(m))
         nodes = [node for st in _fast_pass(source) for node in ast.walk(st)]
         text = {ast.unparse(node) for node in nodes}
-        assert ast.unparse(ast.parse(blocks._COND[cond][1])) in text
+        assert ast.unparse(ast.parse(semantics.COND[cond][1])) in text
         assert blocks._XPSR not in text
         assert not [node for node in nodes if isinstance(node, ast.Attribute)
                     and node.attr == "xpsr"]
