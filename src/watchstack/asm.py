@@ -21,16 +21,21 @@ An instruction is read by its op's printed form in ``isa.OPS``, the one
 register field admits and each immediate's limit.
 
 Each instruction shape is assembled once per process: a bounded cache
-(``LINE_CACHE_SIZE`` entries, least recently used out) maps a line to a
-finalised template, and each parse takes a copy of it, so no two parsed
-programs, and no program and the cache, share an ``Instr``.  ``parse``
-looks up a line's shape, its plain decimal or ``0x`` immediate written
-``#0``, and gives the copy the line's value and width if the op's rules
-admit it; any other line it looks up, or parses, as it stands.
-``assemble`` looks up one exact line with its tag comment, for the
-instrumentation pass.  Errors are never cached: a bad line is assembled
-again each time, and its error carries the line number of the parse
-that met it.
+(``LINE_CACHE_SIZE`` entries, least recently used out) maps a line, with
+its tag comment, to a finalised ``Instr``, an immutable value that every
+program meeting the line shares.  ``parse`` looks up a line's shape, its plain
+decimal or ``0x`` immediate written ``#0``, and builds a value of its
+own only for a line whose immediate is not 0, with the line's value
+and width, if the op's rules admit it; any other line it looks up, or
+parses, as it stands.  ``assemble`` looks up one exact line with its
+tag comment, for the instrumentation pass.  Errors are never cached: a
+bad line is assembled again each time, and its error carries the line
+number of the parse that met it.
+
+Where an instruction sits is its program's: ``layout`` places each
+function's body from its ``entry`` and keys the code map on addresses,
+and a function keeps each instruction's source line and the labels
+bound to it beside its body (``AsmFunction.lines`` and ``labels_at``).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import re
 from dataclasses import dataclass, field
 
 from .isa import (CONDITIONS, LR, MASK32, NUM_GPRS, OPS, PC, REG_PARSE, SP,
-                  Instr, encoding_width, finalize, format_instr)
+                  Instr, finalize, format_instr, with_imm)
 
 DEFAULT_ORIGIN = 0x08000000
 
@@ -98,13 +103,23 @@ class AsmFunction:
     labels: tuple[str, ...] = ()  # extra labels bound to the entry
     entry: int = 0
     line: int = 0
+    # Each body instruction's source line (0 for inserted code), and the
+    # labels bound to body[i], by i.
+    lines: list[int] = field(default_factory=list)
+    labels_at: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
     def size_bytes(self) -> int:
         return sum(i.width for i in self.body)
 
+    def address(self, i: int) -> int:
+        """Where ``body[i]`` sits once laid out."""
+        return self.entry + sum(ins.width for ins in self.body[:i])
+
     def structural_key(self):
+        bound = self.labels_at
         return ("func", self.name, self.kind, self.labels,
-                tuple(i.structural_key() for i in self.body))
+                tuple((ins.structural_key(), bound.get(i, ()))
+                      for i, ins in enumerate(self.body)))
 
 
 @dataclass
@@ -252,30 +267,27 @@ class _Parser:
                 key, value = head + "#0" + mo[2], int(mo[1], 0)
             else:
                 key, value = line, 0
+            if tag is not None:
+                key += " ;@%s:%s" % (tag[0], TAG_PRINT[tag[1]])
             try:
-                ins = _line_template(key).copy()
+                ins = _line_template(key)
             except AsmError:
                 ins = None
             if value and ins is not None:
-                if _imm_fault(ins.op, value):
-                    ins = None
-                else:
-                    ins.imm = value
-                    if not OPS[ins.op].width:
-                        ins.width = encoding_width(ins)
+                fault = _imm_fault(ins.op, value)
+                ins = None if fault else with_imm(ins, value)
             if ins is None:  # the exact line's parse meets its fault
                 self.lineno = lineno
-                ins = finalize(self._instruction(line))
+                ins = finalize(self._instruction(line, tag))
             if line[-1] == ",":
                 # Checked once the operands parsed, so that a more specific
                 # fault of the line is the one reported.
                 raise AsmError(lineno, "trailing comma in %r" % line)
-            ins.tag = tag
-            ins.line = lineno
             if pending_labels:
-                ins.labels = tuple(pending_labels)
+                current.labels_at[len(current.body)] = tuple(pending_labels)
                 pending_labels.clear()
             current.body.append(ins)
+            current.lines.append(lineno)
 
         if current is not None:
             raise AsmError(current.line, "missing .endfunc for %r" % current.name)
@@ -422,7 +434,7 @@ class _Parser:
 
     # -- instructions ------------------------------------------------------
 
-    def _instruction(self, line: str) -> Instr:
+    def _instruction(self, line: str, tag=None) -> Instr:
         mnemonic, *rest = line.split(None, 1)
         mnemonic = mnemonic.lower()
         wide = mnemonic.endswith(".w")
@@ -448,45 +460,39 @@ class _Parser:
                 raise self.err("%s supports only the sp form" % mnemonic)
             if operand == "control" and text.lower() != "control":
                 raise self.err("%s supports only control" % mnemonic)
-        ins = Instr(op, cond=cond, wide=wide)
+        fields = {}
         for operand, text in zip(operands, texts):
             allow = _HIGH_REGS.get((op, operand[1:-1]), ())
             if operand == "{imm}":
-                ins.imm = self._imm(text, op, mnemonic)
+                fields["imm"] = self._imm(text, op, mnemonic)
             elif operand == "{mem}":
-                ins.rn, ins.imm = self._memref(text, op, allow)
+                fields["rn"], fields["imm"] = self._memref(text, op, allow)
             elif operand == "{reglist}":
-                ins.reglist = self._reglist(text, allow)
+                fields["reglist"] = self._reglist(text, allow)
             elif operand == "{label}":
                 if not _LABEL_RE.match(text):
                     raise self.err("bad branch target %r" % text)
-                ins.label = text
+                fields["label"] = text
             elif operand[0] == "{":  # rd, rn or rm
-                setattr(ins, operand[1:-1], self._reg(text, allow))
-        return ins
+                fields[operand[1:-1]] = self._reg(text, allow)
+        return Instr(op, cond=cond, wide=wide, tag=tag, **fields)
 
 
 @functools.lru_cache(maxsize=LINE_CACHE_SIZE)
 def _line_template(line: str) -> Instr:
     """The finalised instruction of one stripped line, tagged by its tag
-    comment if it has one (``parse`` passes shapes and other lines
-    without comments).
-
-    Every caller that meets the line gets this same object, so callers take
-    a copy.  A bad line raises its ``AsmError`` with line 0, and nothing is
-    cached for it.
+    comment if it has one: one value for every caller that meets the
+    line.  A bad line raises its ``AsmError`` with line 0, and nothing
+    is cached for it.
     """
     parser = _Parser("")
-    text, tag = parser._strip_comment(line)
-    ins = finalize(parser._instruction(text))
-    ins.tag = tag
-    return ins
+    return finalize(parser._instruction(*parser._strip_comment(line)))
 
 
 def assemble(line: str) -> Instr:
-    """A fresh instruction from one line and its optional tag comment, as
+    """The instruction of one line and its optional tag comment, as
     ``parse`` builds it; a bad line raises its ``AsmError`` with line 0."""
-    return _line_template(line).copy()
+    return _line_template(line)
 
 
 def parse(text: str) -> AsmProgram:
@@ -517,18 +523,18 @@ def layout(prog: AsmProgram) -> None:
             cursor = item.address
         elif isinstance(item, AsmFunction):
             item.entry = place()
-            _addressable(item.entry, item)
+            _addressable(item.entry, item.line)
             _bind(labels, item.name, item.entry, item.line)
             for extra in item.labels:
                 _bind(labels, extra, item.entry, item.line)
-            for ins in item.body:
-                ins.addr = cursor
+            bound = item.labels_at
+            for i, ins in enumerate(item.body):
                 cursor += ins.width
                 if cursor - 1 > MASK32:
-                    _addressable(cursor - 1, ins)
-                if ins.labels:
-                    for lab in ins.labels:
-                        _bind(labels, lab, ins.addr, ins.line)
+                    _addressable(cursor - 1, item.lines[i])
+                if i in bound:
+                    for lab in bound[i]:
+                        _bind(labels, lab, cursor - ins.width, item.lines[i])
             size += cursor - item.entry
         else:  # WordNode
             place()
@@ -537,7 +543,7 @@ def layout(prog: AsmProgram) -> None:
                 cursor += pad
                 size += pad
             item.addr = cursor
-            _addressable(cursor + 3, item)
+            _addressable(cursor + 3, item.line)
             for lab in item.labels:
                 _bind(labels, lab, cursor, item.line)
             cursor += 4
@@ -546,17 +552,22 @@ def layout(prog: AsmProgram) -> None:
     prog.labels = labels
     prog.code_size = size
 
+    # The code map: each body's values as they are, but a label branch's,
+    # which is built anew with its resolved target.
     code: dict[int, Instr] = {}
     for item in prog.items:
         if not isinstance(item, AsmFunction):
             continue
-        for ins in item.body:
-            code[ins.addr] = ins
+        addr = item.entry
+        for i, ins in enumerate(item.body):
             if ins.label is not None:
                 target = labels.get(ins.label)
                 if target is None:
-                    raise AsmError(ins.line, "unresolved label %r" % ins.label)
-                ins.target = target
+                    raise AsmError(item.lines[i],
+                                   "unresolved label %r" % ins.label)
+                ins = ins.replace(target=target)
+            code[addr] = ins
+            addr += ins.width
     prog.code = code
 
     data = []
@@ -572,9 +583,9 @@ def layout(prog: AsmProgram) -> None:
     prog.data = data
 
 
-def _addressable(last: int, item) -> None:
+def _addressable(last: int, line: int) -> None:
     if last > MASK32:
-        raise AsmError(item.line, "address 0x%x is past 32 bits" % last)
+        raise AsmError(line, "address 0x%x is past 32 bits" % last)
 
 
 def _bind(labels: dict[str, int], name: str, addr: int, line: int) -> None:
@@ -612,8 +623,9 @@ def print_program(prog: AsmProgram) -> str:
             if item.kind != FUNC_NORMAL:
                 head += " %s" % item.kind
             out.append(head)
-            for ins in item.body:
-                for lab in ins.labels:
+            bound = item.labels_at
+            for i, ins in enumerate(item.body):
+                for lab in bound.get(i, ()):
                     out.append("    .label %s" % lab)
                 out.append("    " + format_tagged(ins))
             out.append(".endfunc")
@@ -628,12 +640,13 @@ def listing(prog: AsmProgram) -> str:
             out.append("%08x <%s>%s:" % (
                 item.entry, item.name,
                 "" if item.kind == FUNC_NORMAL else " [%s]" % item.kind))
-            for ins in item.body:
-                for lab in ins.labels:
-                    out.append("%08x %s:" % (ins.addr, lab))
+            addr, bound = item.entry, item.labels_at
+            for i, ins in enumerate(item.body):
+                for lab in bound.get(i, ()):
+                    out.append("%08x %s:" % (addr, lab))
                 out.append("%08x  %db %2dc  %s" % (
-                    ins.addr, ins.width, ins.cycles,
-                    format_tagged(ins)))
+                    addr, ins.width, ins.cycles, format_tagged(ins)))
+                addr += ins.width
         elif isinstance(item, WordNode):
             for lab in item.labels:
                 out.append("%08x %s:" % (item.addr, lab))

@@ -83,7 +83,8 @@ test.  A device word with
 no in-line form (CTRL, CYCCNT, an unmapped word, DEMCR, any word on a
 machine without its device) is emitted as any other ``ldr``/``str``.
 
-The source reads the trace as values (``_block_at``) and the machine
+The source reads the trace, the code map's (address, instruction)
+pairs, whose instructions are values (``_block_at``), and the machine
 only through its shape (``_shape``), and ``_make`` caches the compiled
 block on the two: machines built from equal code share it, and a
 changed instruction compiles anew.  Exception returns go through
@@ -98,8 +99,6 @@ binds the guard's state once, when made (its ``BIND``).
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
-from operator import attrgetter
 
 from . import machine as mach
 from .isa import BRANCH, LR, MASK32, MEMORY, NUM_GPRS, OPS, PC, SP, TRAP
@@ -134,7 +133,7 @@ class Block:
             return
         self.n = len(trace)
         self.counts = [0] * (self.n + 1)
-        self.addrs = tuple(ins.addr for ins in trace)
+        self.addrs = tuple(at for at, _ in trace)
         self.fn = _make(trace, _shape(m))(self.counts, m.guard)
 
     def fold(self, m) -> None:
@@ -198,19 +197,13 @@ def _jumps(ins) -> bool:
     return OPS[ins.op].kind == BRANCH or PC in _written(ins)
 
 
-# The fields of an Instr that a block's source reads, by Instr's names,
-# with ``addr`` the pc it sits at: values, so equal code traces equal.
-_Traced = namedtuple("_Traced", "addr op rd rn rm imm reglist cond target "
-                                "width cycles")
-_FIELDS = attrgetter(*_Traced._fields[1:])
-
-
 def _block_at(code, pc: int) -> tuple:
-    """The trace entered at pc, as ``_Traced`` values; may be empty.
-    It follows a ``b`` or ``bl`` to its target and ends at any other
-    jump, or before an address already in it, a TRAP op, a missing
-    instruction or EXC_RETURN_MIN (code there is never run in line:
-    reaching it is an exception return)."""
+    """The trace entered at pc, as the code map's (address, instruction)
+    pairs, so equal code traces equal; may be empty.  It follows
+    a ``b`` or ``bl`` to its target and ends at any other jump, or before
+    an address already in it, a TRAP op, a missing instruction or
+    EXC_RETURN_MIN (code there is never run in line: reaching it is an
+    exception return)."""
     trace = {}  # by address, in order
     addr = pc
     while (len(trace) < MAX_BLOCK_LEN and addr < mach.EXC_RETURN_MIN
@@ -218,20 +211,20 @@ def _block_at(code, pc: int) -> tuple:
         ins = code.get(addr)
         if ins is None or OPS[ins.op].kind == TRAP:
             break
-        trace[addr] = _Traced(addr, *_FIELDS(ins))
+        trace[addr] = ins
         if ins.op in ("b", "bl"):
             addr = ins.target
         elif _jumps(ins):
             break
         else:
             addr += ins.width
-    return tuple(trace.values())
+    return tuple(trace.items())
 
 
-def _exits(ins) -> tuple | None:
-    """The pcs that a block's last instruction ``ins`` can leave for, or
-    None for a pc taken from a register or memory."""
-    nxt = ins.addr + ins.width
+def _exits(at: int, ins) -> tuple | None:
+    """The pcs that a block's last instruction ``ins``, at ``at``, can
+    leave for, or None for a pc taken from a register or memory."""
+    nxt = at + ins.width
     if ins.op == "bcond":
         return ins.target, nxt
     if "{label}" in OPS[ins.op].form:
@@ -293,8 +286,8 @@ def _source(trace: tuple, shape: tuple) -> str:
     devices, guard = shape
     inline = guard and functools.partial(guard[0].inline, guard[1])
     n = len(trace)
-    entry, ins = trace[0].addr, trace[-1]
-    exits = _exits(ins)
+    entry, (at, ins) = trace[0][0], trace[-1]
+    exits = _exits(at, ins)
     loops = exits is None or entry in exits
     split = loops and ins.op in ("b", "bcond")  # _loop_tail runs it
     out = ["def make(cnt, J):",
@@ -309,17 +302,16 @@ def _source(trace: tuple, shape: tuple) -> str:
         "; cnt[0] += (s - e) // %d" % n
         if loops and ins.op == "bcond" and ins.target == entry else "")
     flags = ("; s == e or " + _XPSR if loops and any(
-        OPS[ins.op].sets_flags for ins in trace) else "")
-    moves_sp = any(SP in _written(ins) for ins in trace)
+        OPS[ins.op].sets_flags for _, ins in trace) else "")
+    moves_sp = any(SP in _written(ins) for _, ins in trace)
     if not moves_sp:
         out.append("  " + _MIN_SP)  # sp holds its entry value throughout
-    if any(OPS[ins.op].kind == MEMORY for ins in trace):
+    if any(OPS[ins.op].kind == MEMORY for _, ins in trace):
         out.append("  P = m.mem.pages; H = m.watch[2]")  # for _decode
     body = []
     cost = 0
     known: dict = {}
-    for i, ins in enumerate(trace[:-1] if split else trace):
-        at = ins.addr
+    for i, (at, ins) in enumerate(trace[:-1] if split else trace):
         cost += ins.cycles
         nxt = at + ins.width
         last = i == n - 1
@@ -362,14 +354,14 @@ def _source(trace: tuple, shape: tuple) -> str:
             flags = "; " + _XPSR
     if bind:
         out.append(bind)
-    ins = trace[-1]
-    at, nxt = ins.addr, ins.addr + ins.width
+    at, ins = trace[-1]
+    nxt = at + ins.width
     if loops:
         if split:
             cost += ins.cycles
         out.append("  while True:")
         out += ["   " + line for line in body + _loop_tail(
-            ins, cost, n, entry, fold + flags)]
+            at, ins, cost, n, entry, fold + flags)]
         if exits == (entry,):  # it leaves only through the budget test
             out.append(" return block")
             return "\n".join(out) + "\n"
@@ -391,14 +383,15 @@ def _source(trace: tuple, shape: tuple) -> str:
     return "\n".join(out) + "\n"
 
 
-def _loop_tail(ins, cost: int, n: int, entry: int, end: str) -> list[str]:
-    """A looping block's exit test, after its other instructions: a
-    ``bcond`` leaves for whichever of its target and fall-through is not
-    the entry as ``_Compiled.branch`` would, a pc from a register or
-    memory leaves when it is not the entry; a pass that stays starts the
-    next one if it fits before ``limit``, else returns at the entry
-    after ``end``, the counts and flags that every exit writes."""
-    at = ins.addr
+def _loop_tail(at: int, ins, cost: int, n: int, entry: int,
+               end: str) -> list[str]:
+    """A looping block's exit test, after its other instructions (``ins``,
+    at ``at``, last): a ``bcond`` leaves for whichever of its target and
+    fall-through is not the entry as ``_Compiled.branch`` would, a pc
+    from a register or memory leaves when it is not the entry; a pass
+    that stays starts the next one if it fits before ``limit``, else
+    returns at the entry after ``end``, the counts and flags that every
+    exit writes."""
     lines = ["# 0x%08x %s" % (at, ins.op)] if ins.op in ("b", "bcond") else []
     if ins.op == "bcond":
         read, test = _test(ins.cond, end)
@@ -410,7 +403,7 @@ def _loop_tail(ins, cost: int, n: int, entry: int, end: str) -> list[str]:
     elif ins.op == "bcond":
         lines.append("if %s: m.pc = %d; m.cycles = c + %d; cnt[0] += 1; break"
                      % (test, ins.target, cost + 1))
-    elif _exits(ins) is None:
+    elif _exits(at, ins) is None:
         lines.append("if m.pc != %d: break" % entry)
     return lines + [
         "s += %d; c += %d" % (n, cost),

@@ -19,9 +19,11 @@ instruction in the bare access pattern (7 instructions, 3 GPRs versus
 
 Every inserted block is written as tagged assembly lines by one of four
 makers.  One bounded cache assembles each block once per choice of
-registers, sequence and replaced return, and every function gets copies;
-a plan's text is the same lines without their tags.  No code here
-decides an op name, an encoding width or a cycle cost.
+registers, sequence and replaced return, and its instructions, which
+are immutable values, go into every function that uses it as they are;
+a handler block's guard gets a new value naming the function's own skip
+label.  A plan's text is the same lines without their tags.  No code
+here decides an op name, an encoding width or a cycle cost.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ def _select_scratches(free: set[int], count: int, handler: bool
 # instruction.  ``ret`` is None for a prologue; for an epilogue it is the
 # return replaced: the registers a ``pop {..., pc}`` pops below pc (None
 # for ``bx lr``) and the return's cycles.  A handler block's guard skips
-# to ``_SKIP``, which each copy renames.
+# to ``_SKIP``, which each use of the block renames.
 
 # Assembled blocks kept; 1,000 corpus programs use 80 (optimal) or 287.
 TEMPLATE_CACHE_SIZE = 1024
@@ -206,8 +208,9 @@ def _return_site(ret, drop: str, tail: list[str]) -> list[str]:
 
 
 class _Template(NamedTuple):
-    instrs: tuple        # never reaches a program: ``_block`` copies it
-    skip_after: bool     # the skip label binds past the block's end
+    instrs: tuple        # the values every function using it shares
+    skip_at: int | None  # where the skip label binds: an index of instrs,
+                         # or len(instrs) past the block's end
     size: int            # bytes
     text: tuple          # the plan text
     access: tuple        # the access block's plan text
@@ -220,37 +223,43 @@ def _template(make, scratches, reserved, naive: bool, ret) -> _Template:
     ``conv_extra`` on that pop, the drop of a bare ``pop {pc}`` or the
     closing ``bx lr``."""
     lines, access = make(scratches, reserved, naive, ret)
-    instrs, labels = [], ()
+    instrs, skip_at = [], None
     for line in lines:
-        if line.startswith(".label "):
-            labels += (line[len(".label "):],)
+        if line.startswith(".label "):  # a maker's one label: _SKIP
+            skip_at = len(instrs)
         else:
-            ins = assemble(line)
-            ins.labels, labels = labels, ()
-            instrs.append(ins)
+            instrs.append(assemble(line))
     if ret is not None:
         rest, cycles = ret
-        stand = instrs[-1] if rest is None else instrs[0]
-        stand.conv_extra = cycles - (stand.cycles if rest else 0)
-    return _Template(tuple(instrs), bool(labels),
+        at = -1 if rest is None else 0
+        instrs[at] = instrs[at].replace(
+            conv_extra=cycles - (instrs[at].cycles if rest else 0))
+    return _Template(tuple(instrs), skip_at,
                      sum(ins.width for ins in instrs), _untagged(lines),
                      _untagged(access))
 
 
-def _block(template: _Template, skip: str | None):
-    """A copy of ``template`` whose guard, if any, skips to ``skip``: its
-    instructions, the labels it leaves for the instruction after it, and
-    its plan text."""
-    body = [t.copy() for t in template.instrs]
+def _place(func: AsmFunction, template: _Template, skip: str | None,
+           labels: tuple) -> tuple[tuple, tuple]:
+    """Append ``template``'s block to ``func`` with ``labels`` bound to its
+    first instruction; a guard, if any, becomes a new value that skips to
+    ``skip``.  Returns the block's plan text and the labels it leaves for
+    the instruction after it."""
+    body, start = func.body, len(func.body)
+    func.lines += [0] * len(template.instrs)
+    if labels:
+        func.labels_at[start] = labels
     if skip is None:
-        return body, (), template.text
-    for ins in body:
-        if ins.label == _SKIP:
-            ins.label = skip
-        if ins.labels:
-            ins.labels = (skip,)
-    return (body, (skip,) if template.skip_after else (),
-            tuple(line.replace(_SKIP, skip) for line in template.text))
+        body += template.instrs
+        return template.text, ()
+    body += (ins.replace(label=skip) if ins.label == _SKIP else ins
+             for ins in template.instrs)
+    text = tuple(line.replace(_SKIP, skip) for line in template.text)
+    at = start + template.skip_at
+    if at == len(body):
+        return text, (skip,)
+    func.labels_at[at] = func.labels_at.get(at, ()) + (skip,)
+    return text, ()
 
 
 # -- normal function blocks ---------------------------------------------------
@@ -410,14 +419,16 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
                         label_seq: _LabelSeq) -> tuple[AsmFunction, InstrumentationPlan]:
     """Rewrite one function.  Raises InstrumentError on unsupported shapes.
 
-    The result shares no Instr with ``func``; a hal function comes back
-    as a plain copy.
+    The result is a new function, which shares ``func``'s instruction
+    values but none of its lists or placement; a hal function comes back
+    with the same body.
     """
     plan = InstrumentationPlan(func.name, func.kind, config.sequence)
     if func.kind == FUNC_HAL:
         plan.skipped = True
         return dataclasses.replace(
-            func, body=[ins.copy() for ins in func.body]), plan
+            func, body=list(func.body), lines=list(func.lines),
+            labels_at=dict(func.labels_at)), plan
 
     if not func.body:
         # Its prologue would run on into the next function and push a
@@ -445,15 +456,18 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
 
     pro_make, epi_make = ((_handler_prologue, _handler_epilogue) if handler
                           else (_prologue, _epilogue))
+    out = AsmFunction(func.name, func.kind, labels=func.labels,
+                      line=func.line)
     pro = _template(pro_make, scratches, reserved, naive, None)
-    body, pending, plan.inserted_prologue = _block(
-        pro, label_seq.make("pro_skip", func.name) if handler else None)
+    plan.inserted_prologue, pending = _place(
+        out, pro, label_seq.make("pro_skip", func.name) if handler else None,
+        ())
     plan.access_block = pro.access
     delta = pro.size
 
     sites = 0
-    for ins in func.body:
-        labels = pending + ins.labels
+    for i, ins in enumerate(func.body):
+        labels = pending + func.labels_at.get(i, ())
         pending = ()
         # A return site (pop {..., pc}, or bx lr: any other bx was refused
         # above) becomes a return through the shadow copy of lr.
@@ -462,33 +476,33 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
         elif ins.op == "bx":
             ret = (None, ins.cycles)
         else:
-            copy = ins.copy()
-            copy.labels = labels
-            body.append(copy)
+            if labels:
+                out.labels_at[len(out.body)] = labels
+            out.body.append(ins)
+            out.lines.append(func.lines[i])
             continue
         sites += 1
         epi = _template(epi_make, scratches, reserved, naive, ret)
-        block, pending, text = _block(epi, label_seq.make(
-            "epi%d_skip" % sites, func.name) if handler else None)
-        block[0].labels = labels + block[0].labels
-        body += block
+        text, pending = _place(out, epi, label_seq.make(
+            "epi%d_skip" % sites, func.name) if handler else None, labels)
         delta += epi.size - ins.width
         if sites == 1:
             plan.inserted_epilogue = text
 
     plan.epilogue_sites = sites
     plan.size_delta_bytes = delta
-    return AsmFunction(func.name, func.kind, body, labels=func.labels,
-                       line=func.line), plan
+    return out, plan
 
 
 def instrument_program(prog: AsmProgram,
                        config: ShadowStackConfig) -> InstrumentResult:
     """Rewrite every instrumentable function; atomic on failure.
 
-    The input program is not modified and shares no Instr with the
-    result.  The result carries a freshly laid-out program and one plan
-    per function; its canonical source text is rendered on first access.
+    The input program is not modified: the result shares its
+    instruction values, which are immutable, and none of its functions,
+    lists or placement.  The result carries a freshly laid-out program
+    and one plan per function; its canonical source text is rendered on
+    first access.
     """
     label_seq = _LabelSeq(prog.labels)
     plans: list[InstrumentationPlan] = []

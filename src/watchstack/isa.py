@@ -6,8 +6,9 @@ each op is: its printed form, its kind (ALU, MEMORY, BRANCH or TRAP),
 its encoding width, its base cycle cost, the registers it writes and
 whether it sets the flags.  Encoding widths (2 or 4 bytes) exist only
 so the assembler can lay out addresses and account for code size;
-cycle costs are deterministic.  ``finalize`` fills both in, and
-``format_instr`` prints the canonical text, from the op's row.  The
+cycle costs are deterministic.  ``finalize`` gives an ``Instr``, an
+immutable value, both, and ``format_instr`` prints the canonical text,
+from the op's row.  The
 compiled blocks read the rows' kinds, written registers and flags, and
 what each non-TRAP op does is written once, in
 ``semantics.SEMANTICS``, for the machine's executors and the compiled
@@ -16,7 +17,7 @@ blocks alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import NamedTuple
 
 MASK32 = 0xFFFFFFFF
@@ -41,56 +42,79 @@ REG_PARSE["r15"] = PC
 CONDITIONS = ("eq", "ne", "lt", "ge")
 
 
-@dataclass
-class Instr:
-    """One instruction plus layout and attribution metadata."""
+# What an instruction is: ``Instr``'s fields, in its constructor's order.
+FIELDS = ("op", "rd", "rn", "rm", "imm", "reglist", "label", "cond", "wide",
+          "target", "width", "cycles", "tag", "conv_extra")
+_KEY = attrgetter(*FIELDS)
 
-    op: str
-    rd: int | None = None
-    rn: int | None = None
-    rm: int | None = None
-    imm: int | None = None
-    reglist: tuple[int, ...] = ()
-    label: str | None = None
-    cond: str | None = None
-    wide: bool = False  # explicit .w suffix was written
 
-    # Filled in by layout / the instrumentation pass.
-    addr: int = 0
-    target: int = 0  # resolved branch target address
-    width: int = 0
-    cycles: int = 0
-    line: int = 0
-    labels: tuple[str, ...] = ()  # labels bound to this instruction's address
-    tag: tuple[str, str] | None = None  # (phase, category) cycle attribution
-    conv_extra: int = 0  # cycles the original return cost above this replacement
+class _Slots:
+    """An ``Instr``'s storage: written while one is built, which then
+    takes the class ``Instr``, whose fields no assignment reaches."""
+
+    __slots__ = FIELDS
+
+
+class Instr(_Slots):
+    """What one instruction is: op, operands, ``.w``, width, cycles,
+    tag, what the return it replaces cost above it (``conv_extra``)
+    and, in a code map, its label's resolved address (``target``).
+
+    An immutable, hashable value, so caches, programs and block traces
+    share one object; where it sits (address, source line, the labels
+    bound to it) is its program's (``asm.AsmFunction``).  Slots, filled
+    on a ``_Slots`` that then takes this class, read as fast as plain
+    attributes and build in a few hundred nanoseconds.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, op, rd=None, rn=None, rm=None, imm=None, reglist=(),
+                label=None, cond=None, wide=False, target=0, width=0,
+                cycles=0, tag=None, conv_extra=0):
+        ins = _new(_Slots)
+        (ins.op, ins.rd, ins.rn, ins.rm, ins.imm, ins.reglist, ins.label,
+         ins.cond, ins.wide, ins.target, ins.width, ins.cycles, ins.tag,
+         ins.conv_extra) = (op, rd, rn, rm, imm, reglist, label, cond, wide,
+                            target, width, cycles, tag, conv_extra)
+        ins.__class__ = Instr
+        return ins
+
+    def replace(self, **changes) -> Instr:
+        """This instruction with ``changes`` made to its fields."""
+        ins = _new(_Slots)
+        (ins.op, ins.rd, ins.rn, ins.rm, ins.imm, ins.reglist, ins.label,
+         ins.cond, ins.wide, ins.target, ins.width, ins.cycles, ins.tag,
+         ins.conv_extra) = _KEY(self)
+        for name, value in changes.items():
+            setattr(ins, name, value)
+        ins.__class__ = Instr
+        return ins
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError("an Instr is immutable: %r stays" % name)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Instr and _KEY(self) == _KEY(other)
+
+    def __hash__(self) -> int:
+        return hash(_KEY(self))
+
+    def __repr__(self) -> str:
+        return "Instr(%s)" % ", ".join(
+            "%s=%r" % pair for pair in zip(FIELDS, _KEY(self)))
 
     def structural_key(self):
         """Identity for round-trip comparison; layout results excluded."""
         return (
             self.op, self.rd, self.rn, self.rm, self.imm, self.reglist,
-            self.label, self.cond, self.wide, self.labels, self.tag,
+            self.label, self.cond, self.wide, self.tag,
         )
 
 
-def _make_plain_copy(cls):
-    """``Instr.copy()``: every field assigned on a bare instance.
-
-    About ten times cheaper than ``dataclasses.replace``, which builds
-    keyword arguments and runs ``__init__``.  Assigning field by field
-    rather than through ``__dict__`` keeps CPython's inline attribute
-    values on both objects, so a copied instruction's fields read as
-    fast as a parsed one's.
-    """
-    lines = ["def plain_copy(self):", "    new = _new(_cls)"]
-    lines += ["    new.%s = self.%s" % (f.name, f.name) for f in fields(cls)]
-    lines.append("    return new")
-    namespace = {"_new": object.__new__, "_cls": cls}
-    exec("\n".join(lines), namespace)
-    return namespace["plain_copy"]
-
-
-Instr.copy = _make_plain_copy(Instr)
+_new = object.__new__
 
 
 # Op kinds.  A TRAP op (exception entry or halt) is only ever stepped;
@@ -157,10 +181,11 @@ def _row(ins: Instr) -> Op:
     return row
 
 
-def _narrow(ins: Instr) -> bool:
-    """Whether a width-0 op fits its 16-bit encoding: low registers (a
-    push may also list lr, a pop pc), a short immediate, and no ``.w``."""
-    op, imm = ins.op, ins.imm
+def _narrow(ins: Instr, imm: int | None) -> bool:
+    """Whether a width-0 op fits its 16-bit encoding with immediate
+    ``imm``: low registers (a push may also list lr, a pop pc), a short
+    immediate, and no ``.w``."""
+    op = ins.op
     if op == "push" or op == "pop":
         link = LR if op == "push" else PC
         return all(r < 8 or r == link for r in ins.reglist)
@@ -181,7 +206,7 @@ def _narrow(ins: Instr) -> bool:
 
 def encoding_width(ins: Instr) -> int:
     """Byte width under the narrow/wide rules of the 16/32-bit encodings."""
-    return _row(ins).width or (2 if _narrow(ins) else 4)
+    return _row(ins).width or (2 if _narrow(ins, ins.imm) else 4)
 
 
 def cycle_cost(ins: Instr) -> int:
@@ -194,10 +219,17 @@ def cycle_cost(ins: Instr) -> int:
 
 
 def finalize(ins: Instr) -> Instr:
-    """Fill width and cycle fields in place (after parsing)."""
-    ins.width = encoding_width(ins)
-    ins.cycles = cycle_cost(ins)
-    return ins
+    """``ins`` with its width and cycles filled in (after parsing)."""
+    return ins.replace(width=encoding_width(ins), cycles=cycle_cost(ins))
+
+
+def with_imm(ins: Instr, imm: int) -> Instr:
+    """Finalised ``ins`` with immediate ``imm``, which may change its
+    width but not its cycles."""
+    return Instr(ins.op, ins.rd, ins.rn, ins.rm, imm, ins.reglist, ins.label,
+                 ins.cond, ins.wide, ins.target,
+                 OPS[ins.op].width or (2 if _narrow(ins, imm) else 4),
+                 ins.cycles, ins.tag, ins.conv_extra)
 
 
 def reg_name(r: int) -> str:

@@ -206,14 +206,14 @@ ADMISSION_CASES = [
 @pytest.mark.parametrize("op,field_name,name,wide", ADMISSION_CASES)
 def test_each_register_field_admits_its_high_registers(op, field_name, name,
                                                          wide):
-    ins = Instr(op, rd=1, rn=2, rm=3, imm=0, reglist=(4,), label="main",
-                cond="eq", wide=wide)
     reg = REG_PARSE[name]
+    fields = dict(rd=1, rn=2, rm=3, imm=0, reglist=(4,), label="main",
+                  cond="eq", wide=wide)
     if field_name == "reglist":
-        ins.reglist = (reg,)
+        fields["reglist"] = (reg,)
     else:
-        setattr(ins, "rn" if field_name == "mem" else field_name, reg)
-    line = format_instr(ins)
+        fields["rn" if field_name == "mem" else field_name] = reg
+    line = format_instr(Instr(op, **fields))
     src = wrap("    " + line)
     if name in HIGH_REGISTERS[op, field_name].split():
         assert format_instr(parse(src).functions["main"].body[0]) == line
@@ -235,26 +235,27 @@ def test_every_op_round_trips_through_its_printed_form(op, data):
     """An op drawn with admitted registers and its immediate at 0 or at
     its limit prints and parses back; one past the limit is refused."""
     form = OPS[op].form
-    ins = Instr(op, label="main" if "{label}" in form else None)
+    fields = dict(label="main" if "{label}" in form else None)
     for f in _register_fields(op):
         regs = st.sampled_from(_admitted(op, f))
         if f == "reglist":
-            ins.reglist = tuple(sorted(data.draw(
+            fields["reglist"] = tuple(sorted(data.draw(
                 st.lists(regs, min_size=1, max_size=4, unique=True))))
         else:
-            setattr(ins, "rn" if f == "mem" else f, data.draw(regs))
+            fields["rn" if f == "mem" else f] = data.draw(regs)
     if "{cond}" in form:
-        ins.cond = data.draw(st.sampled_from(CONDITIONS))
+        fields["cond"] = data.draw(st.sampled_from(CONDITIONS))
     if "{w}" in form:
-        ins.wide = data.draw(st.booleans())
+        fields["wide"] = data.draw(st.booleans())
     limit = _IMM_LIMIT.get(op)
     if limit is not None:
         top = limit & ~3 if op in ("add_sp", "sub_sp") else limit
-        ins.imm = data.draw(st.sampled_from([0, top]))
+        fields["imm"] = data.draw(st.sampled_from([0, top]))
+    ins = Instr(op, **fields)
     again = parse(wrap("    " + format_instr(ins))).functions["main"].body[0]
     assert again.structural_key() == ins.structural_key()
     if limit is not None:
-        ins.imm = limit + 1
+        ins = ins.replace(imm=limit + 1)
         with pytest.raises(AsmError, match="out of range"):
             parse(wrap("    " + format_instr(ins)))
 
@@ -274,8 +275,9 @@ def test_layout_assigns_consecutive_addresses():
     widths = [2, 4, 4, 2, 4, 2, 2]
     assert [i.width for i in body] == widths
     addr = 0x08000000
-    for ins, w in zip(body, widths):
-        assert ins.addr == addr
+    for i, w in enumerate(widths):
+        assert prog.functions["main"].address(i) == addr
+        assert prog.code[addr] is body[i]
         addr += w
     assert prog.functions["main"].size_bytes() == sum(widths)
 
@@ -348,7 +350,7 @@ def test_nothing_is_placed_or_stored_past_32_bits(src, message):
 
 def test_layout_fills_the_address_space_to_its_last_byte_and_no_further():
     top = ".org 0xfffffffc\n.func main hal\n    nop\n    bkpt #0\n.endfunc\n"
-    assert parse(top).functions["main"].body[1].addr == 0xfffffffe
+    assert parse(top).functions["main"].address(1) == 0xfffffffe
     assert parse(".org 0xfffffffc\n.word 0xffffffff\n").data == [
         (0xfffffffc, 0xffffffff)]
     with pytest.raises(AsmError, match="line 5: address 0x100000001 is past"):
@@ -380,7 +382,7 @@ def test_branch_targets_resolve_across_layout():
 .label fwd
     bkpt #0""")
     prog = parse(src)
-    b = prog.functions["main"].body[0]
+    b = prog.code[prog.functions["main"].entry]
     assert b.target == prog.labels["fwd"] == 0x08000004
 
 
@@ -510,8 +512,9 @@ def _outcome(parse_text, text):
     except AsmError as err:
         return ("error", err.line, err.message)
     return ("ok", prog.structural_key(), prog.code_size, [
-        (ins.addr, ins.width, ins.cycles, ins.line, ins.tag, ins.labels,
-         ins.target) for ins in prog.code.values()])
+        (fn.address(i), ins.width, ins.cycles, fn.lines[i], ins.tag,
+         fn.labels_at.get(i, ()), prog.code[fn.address(i)].target)
+        for fn in prog.functions.values() for i, ins in enumerate(fn.body)])
 
 
 @functools.cache

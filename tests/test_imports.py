@@ -22,6 +22,13 @@ Every ``functools.cache``/``lru_cache`` decorator names a ``maxsize``
 that is not None, so no module-level cache grows without bound over a
 long session; ``cached_property`` lives and dies with its object.
 
+All generated code goes through ``semantics.define``, which names its
+file (``<step>``, ``<block>``, ...): no other module calls the builtin
+``exec`` or ``compile``.  ``blocks._Compiled._value``'s ``eval`` of a
+slot expression such as ``ins.imm`` falls outside the rule: it reads
+one operand while a block's source is written, and defines nothing
+that runs later.
+
 The package's imports form no cycle.  ``semantics``, what each op
 does, imports nothing from the package but ``isa`` and constants of
 ``exception_model``.  No module imports ``blocks`` at its top level:
@@ -179,6 +186,21 @@ def test_blocks_names_no_device_port():
             if name in DEVICE_CALLS:
                 named.add(name)
     assert not named, "blocks names %s" % ", ".join(sorted(named))
+
+
+def _calls(tree: ast.Module, names) -> set[str]:
+    """The builtins among ``names`` that ``tree`` calls by name."""
+    return {node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in names}
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "semantics.py"])
+def test_only_semantics_runs_generated_code(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    called = _calls(tree, ("exec", "compile"))
+    assert not called, "%s calls %s; generated code goes through " \
+        "semantics.define" % (name, ", ".join(sorted(called)))
 
 
 CACHES = ("cache", "lru_cache")

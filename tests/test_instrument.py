@@ -14,7 +14,7 @@ from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, InstrumentError,
                                    instrument_program)
 from watchstack.isa import PC
 
-from test_instrument_corpus import SEEDS, corpus_source
+from test_instrument_corpus import SEEDS, corpus_source, placement
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -168,8 +168,7 @@ def test_an_empty_hal_function_is_copied():
 
 def _span(func) -> int:
     """The bytes a laid-out function spans, first to last instruction."""
-    last = func.body[-1]
-    return last.addr + last.width - func.body[0].addr
+    return func.address(len(func.body)) - func.address(0)
 
 
 def _return_shape(ins) -> str | None:
@@ -372,26 +371,33 @@ def test_a_user_label_keeps_the_name_the_pass_would_take():
 
 def _output(res) -> tuple:
     return (res.text, [p.to_dict() for p in res.plans],
-            [(ins.structural_key(), ins.label, ins.conv_extra, ins.addr,
+            placement(res.program),
+            [(at, ins.structural_key(), ins.label, ins.conv_extra,
               ins.target, ins.width, ins.cycles)
-             for ins in res.program.code.values()])
+             for at, ins in res.program.code.items()])
 
 
 def test_handler_blocks_are_copies_with_their_own_skip_labels():
-    """Blocks are copies of shared templates: two handlers with one choice
-    of scratch registers, and normal functions with ``pop {r4, r7, pc}``
-    and ``bx lr`` sites.  No two programs share an Instr, changing one
-    result's instructions leaves a later result as it was, and each guard
-    skips to its own label, in the code and in the plan text."""
+    """Blocks share their template's instructions: two handlers with one
+    choice of scratch registers, normal functions with ``pop {r4, r7,
+    pc}`` and ``bx lr`` sites, and a hal function after them.  Each
+    guard is a value of its own that skips to its own label, in the code
+    and in the plan text.  Instrumenting one input twice leaves its
+    text, labels, entries and code-map keys as parsed, and gives equal
+    outputs."""
     src = (HANDLER_SRC + HANDLER_SRC.split(".endfunc\n")[1].replace(
         "usagefault", "systick") + ".endfunc\n"
         + ".func f\n    push {r4, r7, lr}\n    cmp r0, #0\n    beq f_out\n"
         "    pop {r4, r7, pc}\n    .label f_out\n    pop {r4, r7, pc}\n"
-        ".endfunc\n.func g\n    mov r0, #1\n    bx lr\n.endfunc\n")
-    first, second = instrument(src), instrument(src)
-    objs = [id(ins) for res in (first, second)
-            for ins in res.program.code.values()]
-    assert len(set(objs)) == len(objs)
+        ".endfunc\n.func g\n    mov r0, #1\n    bx lr\n.endfunc\n"
+        ".func h hal\n    bx lr\n.endfunc\n")
+    parsed = parse(src)
+    want = placement(parsed)
+    config = ShadowStackConfig()
+    first = instrument_program(parsed, config)
+    second = instrument_program(parsed, config)
+    assert placement(parsed) == want
+    assert _output(first) == _output(second)
     prog = first.program
     for name in ("usagefault_handler", "systick_handler"):
         plan = first.plan_for(name)
@@ -402,12 +408,6 @@ def test_handler_blocks_are_copies_with_their_own_skip_labels():
             assert "beq " + label in text
             beqs = [ins for ins in prog.code.values() if ins.label == label]
             assert [ins.target for ins in beqs] == [prog.labels[label]]
-    want = _output(second)
-    for ins in first.program.code.values():
-        ins.conv_extra += 7
-        ins.labels += ("changed",)
-        ins.label = "changed"
-    assert _output(instrument(src)) == want
 
 
 def test_handler_scratches_stay_in_caller_saved_set():

@@ -1,4 +1,4 @@
-"""Frozen instrumentation output of a seeded corpus, and object aliasing.
+"""Frozen instrumentation output of a seeded corpus, and what programs share.
 
 Each program is an acceptance-09 benign call tree plus an instrumented
 SysTick handler (four shapes: ``pop {.., pc}`` with and without a
@@ -19,11 +19,14 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from watchstack.asm import AsmFunction, parse, print_program
 from watchstack.harness import make_benign_program
 from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL,
                                    InstrumentationPlan, ShadowStackConfig,
                                    instrument_program)
+from watchstack.isa import FIELDS
 
 GOLDEN = (Path(__file__).resolve().parent / "golden"
           / "instrument_corpus.json")
@@ -184,45 +187,77 @@ def test_instrumented_corpus_matches_golden():
         assert got[key] == want[key], key
 
 
-def _instr_ids(prog) -> set[int]:
-    return {id(ins) for item in prog.items if isinstance(item, AsmFunction)
-            for ins in item.body}
+def _functions(prog) -> list:
+    return [item for item in prog.items if isinstance(item, AsmFunction)]
 
 
-def _instr_state(prog) -> list:
-    return [(ins.structural_key(), ins.addr, ins.target, ins.width,
-             ins.cycles) for ins in prog.code.values()]
+def placement(prog) -> tuple:
+    """A laid-out program's text and what layout placed: its labels, each
+    function's entry, lines and bound labels, and the code map's keys."""
+    return (print_program(prog), dict(prog.labels),
+            [(fn.name, fn.entry, list(fn.lines), dict(fn.labels_at))
+             for fn in _functions(prog)], list(prog.code))
 
 
-def test_no_instr_object_is_shared_between_programs():
-    """Input, output and a second output of the same or another input
-    never hold the same Instr object, so mutating one program's
-    instructions (layout does) cannot reach another."""
+# A hal function after instrumented ones: it moves when they grow.
+TAIL = ".func tail hal\n    bx lr\n.endfunc\n"
+
+
+def test_programs_share_instructions_but_no_placement():
+    """Input, output and a second output of the same input share
+    instruction values but no function, list or placement: re-parsing
+    the text and instrumenting the input twice leave the input's text,
+    labels, entries and code-map keys as parsed, and the two outputs
+    are equal."""
     for seq in SEQUENCES:
         config = ShadowStackConfig(sequence=seq)
-        seen: set[int] = set()
-        keep = []  # every program stays alive, so no id() is reused
+        for seed in (0, 1, 2, 3):
+            prog = parse(corpus_source(seed) + TAIL)
+            want = placement(prog)
+            reparsed = parse(corpus_source(seed) + TAIL)
+            first = instrument_program(prog, config)
+            second = instrument_program(prog, config)
+            assert placement(prog) == want, (seed, seq)
+            assert placement(reparsed) == want, (seed, seq)
+            assert placement(first.program) == placement(second.program)
+            assert first.program.code == second.program.code
+            assert first.plans == second.plans
+
+
+def test_instructions_are_shared_immutable_values():
+    """Assigning any field of a parsed, an inserted or a code-map
+    instruction raises.  Two parses of one text hold the same objects
+    wherever the line cache supplies them (a line whose immediate is
+    none or 0), and equal ones elsewhere; two outputs of one input hold
+    the same objects, the input's and the templates', but for each
+    handler guard naming its function's skip label."""
+    for seq in SEQUENCES:
+        config = ShadowStackConfig(sequence=seq)
         for seed in (0, 1, 2, 3):
             prog = parse(corpus_source(seed))
             reparsed = parse(corpus_source(seed))
             first = instrument_program(prog, config)
             second = instrument_program(prog, config)
-            for p in (prog, reparsed, first.program, second.program):
-                ids = _instr_ids(p)
-                assert not ids & seen, (seed, seq)
-                seen |= ids
-                keep.append(p)
-            assert print_program(first.program) == print_program(second.program)
-            # Two parses of one text share no state: changing every
-            # instruction of one leaves the other, and a third, as parsed.
-            want = _instr_state(reparsed)
-            for item in prog.items:
-                if isinstance(item, AsmFunction):
-                    for ins in item.body:
-                        ins.imm, ins.label, ins.tag = 4095, "x", None
-                        ins.addr = ins.target = ins.width = ins.cycles = 0
-            assert _instr_state(reparsed) == want
-            assert _instr_state(parse(corpus_source(seed))) == want
+            for fn, again in zip(_functions(prog), _functions(reparsed)):
+                for a, b in zip(fn.body, again.body, strict=True):
+                    assert a == b
+                    assert (a is b) == (not a.imm), (seed, a)
+            for fn, again in zip(_functions(first.program),
+                                 _functions(second.program)):
+                for a, b in zip(fn.body, again.body, strict=True):
+                    assert a == b
+                    skip = (a.label or "").startswith("__ws_")
+                    assert (a is b) != skip, (seed, seq, a)
+            inserted = next(ins for ins in first.program.code.values()
+                            if ins.tag is not None)
+            branch = next(ins for ins in prog.code.values()
+                          if ins.label is not None)
+            for ins in (prog.functions["main"].body[0], inserted, branch):
+                for name in FIELDS:
+                    with pytest.raises(AttributeError):
+                        setattr(ins, name, getattr(ins, name))
+                    with pytest.raises(AttributeError):
+                        delattr(ins, name)
 
 
 if __name__ == "__main__":

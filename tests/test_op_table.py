@@ -91,8 +91,7 @@ def test_the_written_registers_are_what_step_writes(op):
     as ``blocks`` reads them, name exactly the registers below pc that
     the machine writes: every register starts at a value no sample
     leaves in it."""
-    ins = finalize(SAMPLES[op].copy())
-    ins.target = 0x08000100
+    ins = finalize(SAMPLES[op]).replace(target=0x08000100)
     m = machine.Machine()
     m.gpr = [0xA5A50000 + r for r in range(NUM_GPRS)]
     m.sp, m.lr, m.pc = 0x20001000, 0xA5A5000E, 0x08000000
@@ -110,8 +109,7 @@ def test_sets_flags_is_what_step_writes(op):
     whose step changes xPSR from 0 or from all four flags set."""
     changed = False
     for flags in (0, 0xF0000000):
-        ins = finalize(SAMPLES[op].copy())
-        ins.target = 0x08000100
+        ins = finalize(SAMPLES[op]).replace(target=0x08000100)
         m = machine.Machine()
         m.gpr = [0xA5A50000 + r for r in range(NUM_GPRS)]
         m.sp, m.lr, m.pc, m.xpsr = 0x20001000, 0xA5A5000E, 0x08000000, flags

@@ -185,7 +185,7 @@ def _instrumented(text: str, shadow=SHADOW):
 
 def _one(ins: Instr, **regs) -> ref.Core:
     """A reference core that has run ``ins`` at 0x08000000 once."""
-    ins.width, ins.cycles, ins.target = ins.width or 2, 1, 0x08000100
+    ins = ins.replace(width=ins.width or 2, cycles=1, target=0x08000100)
     core = ref.Core({0x08000000: ins}, {})
     core.R[PC] = 0x08000000
     for name, value in regs.items():
@@ -342,9 +342,8 @@ CASES = {**{op: (op, OPERANDS[op]) for op in OPS},
 
 def _instructions(op: str, fields: dict):
     def make(wide, target=0, **operands):
-        ins = finalize(Instr(op, wide=wide, **operands))
-        ins.target = target
-        return ins
+        return finalize(Instr(op, wide=wide, **operands)).replace(
+            target=target)
     return st.builds(make, st.booleans(), **fields)
 
 

@@ -199,8 +199,7 @@ CHAIN_FORM = """\
 """
 CHAIN = CHAIN_FORM.format(**{
     name: addr & 0xFFFF
-    for addr, ins in parse(CHAIN_FORM.format(a=0, bb=0, cc=0)).code.items()
-    for name in ins.labels})
+    for name, addr in parse(CHAIN_FORM.format(a=0, bb=0, cc=0)).labels.items()})
 
 
 @pytest.mark.parametrize("hot", [1, None], ids=["threshold 1", "default"])
@@ -214,8 +213,7 @@ def test_step_budget_cuts_inside_a_hot_chain(hot, monkeypatch):
     back.  That chain's 2nd block (a) runs steps [c0 + 3, c0 + 6) and
     its 3rd (bb) [c0 + 6, c0 + 10)."""
     prog = parse(CHAIN)
-    labels = {name: addr for addr, ins in prog.code.items()
-              for name in ins.labels}
+    labels = prog.labels
     assert [len(blocks._block_at(prog.code, labels[name]))
             for name in ("a", "bb", "cc")] == [3, 4, 3]
     hot = hot or blocks.HOT_THRESHOLD
@@ -342,9 +340,9 @@ def _run_loop(prog, step: int) -> None:
 
 
 def test_equal_code_compiles_its_hot_block_once(monkeypatch):
-    """Two parses of one text share no Instr, yet the second machine
-    reuses the loop block the first one compiled, and generates no
-    source for it either."""
+    """Two parses of one text give equal code maps, whose values are
+    shared or equal: the second machine reuses the loop block the first
+    one compiled, and generates no source for it either."""
     sources = _count_compiles(monkeypatch)
     generated = _count_sources(monkeypatch)
     text = LOOP % 0x7A1
@@ -376,13 +374,14 @@ def test_the_block_sources_are_the_golden_source(monkeypatch):
 
 def test_a_changed_instruction_compiles_anew(monkeypatch):
     """The loop's addw at the same address, changed by a new parse and
-    then in place, gives new block code each time."""
+    then replaced in the code map, gives new block code each time."""
     sources = _count_compiles(monkeypatch)
     _run_loop(parse(LOOP % 0x7A2), 0x7A2)
     prog = parse(LOOP % 0x7A3)
     _run_loop(prog, 0x7A3)
-    addw = next(ins for ins in prog.code.values() if ins.op == "addw")
-    addw.imm = 0x7A4
+    at, addw = next((at, ins) for at, ins in prog.code.items()
+                    if ins.op == "addw")
+    prog.code[at] = addw.replace(imm=0x7A4)
     _run_loop(prog, 0x7A4)
     assert len(sources) == 3
 
@@ -640,7 +639,7 @@ def test_blx_links_branches_and_returns(monkeypatch):
     """The target runs with lr on the instruction after the blx, and its
     bx lr returns there."""
     prog = parse(BLX)
-    after = prog.functions["main"].body[3].addr
+    after = prog.functions["main"].address(3)
     want = check(prog, RunConfig(), "blx", monkeypatch)
     assert want["halt"] == (True, HaltReason.NORMAL, False)
     regs = want["regs"]
@@ -788,7 +787,7 @@ LOCK = _main(*_const("r0", DWT_COMP0 + 0x20), *_const("r2", DEMCR_ADDR),
 
 def test_bound_stores_onto_the_lock_are_recorded(monkeypatch):
     prog = parse(LOCK)
-    stores = [ins.addr for ins in prog.functions["main"].body[8:11]]
+    stores = [prog.functions["main"].address(i) for i in range(8, 11)]
     want = check_watch(prog, _cfg(POLICY_REPORT, None, 10_000), "lock",
                        monkeypatch)
     assert want["halt"] == (True, HaltReason.NORMAL, False)
@@ -827,7 +826,7 @@ def test_a_bound_comp1_store_halts_on_overflow(monkeypatch):
     assert want["steps"] == 2 + 8 * (passes - 1) + 5
     assert want["regs"][6] == passes - 1
     assert want["events"][-1].at_pc == parse(OVERFLOW).functions[
-        "main"].body[6].addr
+        "main"].address(6)
 
 
 CYCCNT = _main(*_const("r0", DWT_CYCCNT), "ldr r1, [r0]", "str r1, [r7]",
@@ -861,8 +860,8 @@ def test_a_bound_load_that_hits_records_its_step_and_pc(monkeypatch):
     pc that step() would have left, though a bound load that misses
     writes neither."""
     prog = parse(COMP1_READ)
-    ldr = prog.functions["main"].body[6]
-    assert ldr.op == "ldr"
+    ldr = prog.functions["main"].address(6)
+    assert prog.code[ldr].op == "ldr"
     for policy, records in ((POLICY_REPORT, PASSES), (POLICY_RESET, 1)):
         want = check_watch(prog, _cfg(policy, None, 10_000),
                            "comp1 read " + policy, monkeypatch,
@@ -870,7 +869,7 @@ def test_a_bound_load_that_hits_records_its_step_and_pc(monkeypatch):
         # 4 steps before the loop, 7 a pass, the ldr 3rd in each.
         assert [(r.step_index, r.pc, r.data_address, r.comparator_id,
                  r.access) for r in want["violations"]] == [
-            (6 + 7 * i, ldr.addr, DWT_COMP1, 0, ACCESS_READ)
+            (6 + 7 * i, ldr, DWT_COMP1, 0, ACCESS_READ)
             for i in range(records)]
 
 
@@ -1079,7 +1078,7 @@ def test_a_movt_after_an_overwrite_is_not_folded(op, monkeypatch):
     plain = parse(_main("movw r0, #0x0200", *tail))
     folded = "g[0] = %d" % 0x20010200
     for p, fold in ((prog, False), (plain, True)):
-        loop = p.functions["main"].body[4].addr  # the loop's entry
+        loop = p.functions["main"].address(4)  # the loop's entry
         source = blocks._source(blocks._block_at(p.code, loop),
                                 blocks._shape(Machine()))
         assert (folded in source) is fold
@@ -1126,7 +1125,7 @@ def test_a_reset_sweep_halts_at_its_first_hit_inside_the_loop(monkeypatch):
     """The sweep's first store into the region comes in pass 41, after
     its loop block is compiled; it halts the run inside the loop."""
     prog = parse(sweep_program(SHADOW.ss_start - 40, SHADOW.ss_start + 8))
-    strb = prog.functions["main"].body[5].addr
+    strb = prog.functions["main"].address(5)
     want = check_watch(prog, _cfg(POLICY_RESET, None, 1_000), "reset sweep",
                        monkeypatch)
     assert want["halt"] == (True, HaltReason.RESET, False)
@@ -1785,7 +1784,7 @@ def test_a_followed_bl_forgets_the_constant_in_lr(monkeypatch):
     """The trace folds movw/movt into lr, but the bl writes lr, so f's
     store lands in RAM at the return address, not on FUNCTION0."""
     prog = parse(LINKED_LR)
-    after = prog.functions["main"].body[5].addr
+    after = prog.functions["main"].address(5)
     assert after % 4 == 0
     want = check(prog, RunConfig(max_steps=10_000), "linked lr",
                  monkeypatch)
@@ -2077,8 +2076,8 @@ def test_counts_are_folded_at_each_loop_exit(shape, monkeypatch):
     else:
         prog = parse(text)
         entry = prog.labels[entry]
-    ins = blocks._block_at(prog.code, entry)[-1]
-    at, exits = ins.addr, blocks._exits(ins)
+    at, ins = blocks._block_at(prog.code, entry)[-1]
+    exits = blocks._exits(at, ins)
     assert exits is None or entry in exits
     assert {"bcond taken": ins.op == "bcond" and ins.target == entry,
             "bcond falling through": ins.op == "bcond"

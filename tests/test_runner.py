@@ -220,8 +220,8 @@ def test_a_misspelt_policy_is_refused_not_run_as_report():
 
 
 def _counter_addresses(prog):
-    body = prog.functions["main"].body
-    return body[1].addr, body[3].addr  # the loop entry and its bne
+    main = prog.functions["main"]
+    return main.address(1), main.address(3)  # the loop entry and its bne
 
 
 @pytest.mark.parametrize("hot", [1, blocks.HOT_THRESHOLD])
