@@ -505,8 +505,15 @@ def parse(text: str) -> AsmProgram:
 # -- layout -------------------------------------------------------------------
 
 def layout(prog: AsmProgram) -> None:
-    """Assign addresses, build the code map, and resolve label references."""
+    """Assign addresses, build the code map, and resolve label references.
+
+    One walk places each body, binds its labels and keys the code map;
+    then each label branch is resolved in place, so the map keeps the
+    walk's order, and each word's label reference is resolved."""
     labels: dict[str, int] = {}
+    code: dict[int, Instr] = {}
+    branches = []  # (address, instruction, line) of each label branch
+    words = []
     cursor: int | None = None
     size = 0
 
@@ -529,12 +536,16 @@ def layout(prog: AsmProgram) -> None:
                 _bind(labels, extra, item.entry, item.line)
             bound = item.labels_at
             for i, ins in enumerate(item.body):
+                at = cursor
                 cursor += ins.width
                 if cursor - 1 > MASK32:
                     _addressable(cursor - 1, item.lines[i])
                 if i in bound:
                     for lab in bound[i]:
-                        _bind(labels, lab, cursor - ins.width, item.lines[i])
+                        _bind(labels, lab, at, item.lines[i])
+                code[at] = ins
+                if ins.label is not None:
+                    branches.append((at, ins, item.lines[i]))
             size += cursor - item.entry
         else:  # WordNode
             place()
@@ -548,39 +559,24 @@ def layout(prog: AsmProgram) -> None:
                 _bind(labels, lab, cursor, item.line)
             cursor += 4
             size += 4
+            words.append(item)
 
     prog.labels = labels
     prog.code_size = size
-
-    # The code map: each body's values as they are, but a label branch's,
-    # which is built anew with its resolved target.
-    code: dict[int, Instr] = {}
-    for item in prog.items:
-        if not isinstance(item, AsmFunction):
-            continue
-        addr = item.entry
-        for i, ins in enumerate(item.body):
-            if ins.label is not None:
-                target = labels.get(ins.label)
-                if target is None:
-                    raise AsmError(item.lines[i],
-                                   "unresolved label %r" % ins.label)
-                ins = ins.replace(target=target)
-            code[addr] = ins
-            addr += ins.width
+    # A label branch's value is built anew with its resolved target.
+    for at, ins, line in branches:
+        code[at] = ins.replace(target=_resolve(labels, ins.label, line))
     prog.code = code
+    for item in words:
+        if item.label_ref is not None:
+            item.value = _resolve(labels, item.label_ref, item.line)
+    prog.data = [(item.addr, item.value) for item in words]
 
-    data = []
-    for item in prog.items:
-        if isinstance(item, WordNode):
-            if item.label_ref is not None:
-                value = labels.get(item.label_ref)
-                if value is None:
-                    raise AsmError(item.line,
-                                   "unresolved label %r" % item.label_ref)
-                item.value = value
-            data.append((item.addr, item.value))
-    prog.data = data
+
+def _resolve(labels: dict[str, int], name: str, line: int) -> int:
+    if name not in labels:
+        raise AsmError(line, "unresolved label %r" % name)
+    return labels[name]
 
 
 def _addressable(last: int, line: int) -> None:

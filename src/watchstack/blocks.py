@@ -24,10 +24,15 @@ the pass tests it.  In the generated function:
   before something can read them (a guard called, and ``m.load`` and
   ``m.store``, which read CYCCNT) and at each exit, as ``step()`` would
   have left them (the flags by ``semantics.write_flags``, ``F``);
-* after each data access the block exits if the machine halted (no
-  access pends an exception: only the runner raises them, between
-  ``run()`` calls), and an exit where ``step()`` could halt or start an
-  exception return ends through ``Machine._end``, the one
+* only a path that can halt is followed by the block's halt exit: a
+  slow path (``m.load``, ``m.store``, ``m.commit`` or a guard call) by
+  ``if m.halted:`` and the exit, and a statement that halts for
+  certain, a misaligned word's fault, a reset hit's arm (a load's read
+  comes before its chain) or a COMP1 overflow, by the exit on its own
+  line (``_HALTS``).  An in-line RAM or port fast path cannot halt and
+  tests nothing (no access pends an exception: only the runner raises
+  them, between ``run()`` calls).  An exit where ``step()`` could halt
+  or start an exception return ends through ``Machine._end``, the one
   end-of-instruction rule, which does that return and logs the halt;
 * ``m.retired`` and ``m.taken`` are not touched per instruction, nor
   counts per pass: each exit counts the pass it leaves, a loop's passes
@@ -35,39 +40,43 @@ the pass tests it.  In the generated function:
   conditional branch was taken (a trace follows no conditional
   branch); ``Block.fold`` adds the counts to the machine's before
   ``Machine.run`` returns;
-* ``min_sp`` is checked once on entry when no instruction of the block
-  writes sp, and else after the first instruction and after every
-  instruction that writes sp, which gives the same minimum as a check
-  after every step.
+* ``min_sp`` is checked only on a machine that tracks it (``_shape``):
+  once on entry when no instruction of the block writes sp, and else
+  after the first instruction and after every instruction that writes
+  sp, which gives the same minimum as a check after every step.
 
-Each data access, and each pushed or popped word, makes one inline
-test, as QEMU's softmmu path does: its fast case runs in line, and
-every other case writes the state and calls the machine.  A
-hull-first access (a pushed or popped word, a load or store with base
-sp, a device word run in line) tests only the hull of the comparator
-regions, ``m.watch[2]``, which no comparator can match outside of:
-there RAM, below ``machine.PPB_BASE`` and, for a word, on one page, is
-read or written on ``m.mem``'s page with no call and no state writes,
-and a device word runs its in-line form; anything else takes
-``m.load`` or ``m.store``, which run the four-region test, the guard
-and the device decode.  Any other access, such as a byte store that
-hits on most passes, tests the four regions of ``m.watch`` inline, as
-``Machine.load``/``store`` do, as an ``if``/``elif`` chain in the
-lowest-comparator order, whose arm k is the in-line form of the
-guard's own handling of a hit on comparator k (its ``inline``), with k,
-the step index ``s + i`` and the pc as literals: it appends the hit's
-record to the guard's log with no Python call and no state writes,
-and under the reset policy halts, so the block leaves through its halt
-exit.  A store that hits is suppressed; a load that hits, if RAM on
-one page, is then read in line, and else takes ``m.load``, whose guard
-records it.  Where the guard gives no in-line form (``_shape``), a hit
-writes the state and shows the guard the access instead, then commits
-a store through ``Machine.commit`` unless the guard suppresses it, or
-reads a load through ``m.load``.  A miss into RAM on one page is taken
-in line, and any other goes to ``m.load`` after the state writes, or
-to ``m.commit``, which alone creates a page (``_decode``).  A push or
-pop handles all its words, as ``step()`` does, even when the guard
-halts the machine on an earlier one.
+Each data access makes one inline test, as QEMU's softmmu path does:
+its fast case runs in line, and every other case writes the state and
+calls the machine.  A push or pop of n words makes one test too: its
+words all in RAM, on one present page and outside the hull, it moves
+them with one ``struct`` call of n words, and else goes word by word.
+A hull-first access (a push's or pop's words, a load or store with
+base sp, a device word run in line) tests only the hull of the
+comparator regions, ``m.watch[2]``, which no comparator can match
+outside of: there RAM, below ``machine.PPB_BASE`` and, for a word, on
+one page, is read or written on ``m.mem``'s page with no call and no
+state writes, and a device word runs its in-line form; anything else
+takes ``m.load`` or ``m.store``, which run the four-region test, the
+guard and the device decode.  Any other access, such as a byte store
+that hits on most passes, tests the four regions of ``m.watch``
+inline, as ``Machine.load``/``store`` do, as an ``if``/``elif`` chain
+in the lowest-comparator order, whose arm k is the in-line form of the
+guard's own handling of a hit on comparator k (its ``inline``), with
+k, the step index ``s + i`` and the pc as literals: it appends the
+hit's record to the guard's log with no Python call and no state
+writes, and under the reset policy halts, so the block leaves through
+its halt exit.  A store that hits is suppressed; a load, if RAM on one
+page, is read in line before the chain (a read that hits still flows),
+and else takes ``m.load``, whose guard records a hit.  Where the guard
+gives no in-line form (``_shape``), a hit writes the state and shows
+the guard the access instead, then commits a store through
+``Machine.commit`` unless the guard suppresses it, or reads a load
+through ``m.load``.  A miss into RAM on one page is taken in line, and
+any other goes to ``m.load`` after the state writes, or to
+``m.commit``, which alone creates a page (``_decode``).  A push or pop
+that goes word by word handles all its words, as ``step()`` does, even
+when the guard halts the machine on an earlier one, and tests for the
+halt after the last.
 
 The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``movt`` put in a register until another write of it (read from
@@ -92,13 +101,16 @@ changed instruction compiles anew.  Exception returns go through
 when called, so a patch of it sees each one.  Code at or above
 ``EXC_RETURN_MIN`` is not run in line, and a block whose next pc can be
 there ends through ``m._end``.  ``Machine.run`` drops its blocks when
-``m.code``, ``m.dwt``, ``m.guard`` or ``m.watch`` is replaced: a block
-binds the guard's state once, when made (its ``BIND``).
+``m.code``, ``m.dwt``, ``m.guard`` or ``m.watch`` is replaced (a block
+binds the guard's state once, when made: its ``BIND``), or ``min_sp``
+is switched on or off.
 """
 
 from __future__ import annotations
 
 import functools
+import re
+import struct
 
 from . import machine as mach
 from .isa import BRANCH, LR, MASK32, MEMORY, NUM_GPRS, OPS, PC, SP, TRAP
@@ -122,8 +134,7 @@ class Block:
     __slots__ = ("n", "heat", "fn", "counts", "addrs")
 
     def __init__(self) -> None:
-        self.n = 0  # known once compiled
-        self.heat = 0
+        self.n = self.heat = 0  # n is known once compiled
         self.fn = None
 
     def compile(self, m, pc: int) -> None:
@@ -141,7 +152,7 @@ class Block:
         counts = self.counts
         retired = m.retired
         runs = 0  # passes that retired instruction i
-        for i in range(self.n - 1, -1, -1):
+        for i in reversed(range(self.n)):
             runs += counts[i + 1]
             if runs:
                 at = self.addrs[i]
@@ -163,18 +174,21 @@ def _make(trace: tuple, shape: tuple):
     source compiled and run once, keyed on all that the source reads."""
     return define(_source(trace, shape), "<block>", {
         "M": MASK32, "U": mach.WORD.unpack_from, "K": mach.WORD.pack_into,
+        "UN": struct.unpack_from, "KN": struct.pack_into,
         "F": write_flags})["make"]
 
 
 def _shape(m) -> tuple:
     """What a block's source reads of ``m``, as one hashable value: the
     devices that give in-line forms, by attribute and class (``inline``
-    reads no instance state), and the guard's class and the policy its
-    in-line form folds, or None where it gives none (``folded``)."""
+    reads no instance state), the guard's class and the policy its
+    in-line form folds, or None where it gives none (``folded``), and
+    whether ``m`` tracks ``min_sp``."""
     devices = tuple((name, type(dev)) for name, dev in (
         ("dwt", m.dwt), ("demcr", m.demcr)) if hasattr(dev, "inline"))
     policy = m.guard.folded(m) if hasattr(m.guard, "folded") else None
-    return devices, None if policy is None else (type(m.guard), policy)
+    return (devices, None if policy is None else (type(m.guard), policy),
+            m.min_sp is not None)
 
 
 # -- code generation ---------------------------------------------------------------
@@ -205,19 +219,18 @@ def _block_at(code, pc: int) -> tuple:
     EXC_RETURN_MIN (code there is never run in line: reaching it is an
     exception return)."""
     trace = {}  # by address, in order
-    addr = pc
-    while (len(trace) < MAX_BLOCK_LEN and addr < mach.EXC_RETURN_MIN
-           and addr not in trace):
-        ins = code.get(addr)
+    while (len(trace) < MAX_BLOCK_LEN and pc < mach.EXC_RETURN_MIN
+           and pc not in trace):
+        ins = code.get(pc)
         if ins is None or OPS[ins.op].kind == TRAP:
             break
-        trace[addr] = ins
+        trace[pc] = ins
         if ins.op in ("b", "bl"):
-            addr = ins.target
+            pc = ins.target
         elif _jumps(ins):
             break
         else:
-            addr += ins.width
+            pc += ins.width
     return tuple(trace.items())
 
 
@@ -268,11 +281,17 @@ def _in_line(ins, known: dict, devices: tuple):
     addr, name = word
     form = (dev.inline(addr, mach.ACCESS_READ) if ins.op == "ldr"
             else dev.inline(addr, mach.ACCESS_WRITE, known.get(ins.rd)))
-    bind = "  D = m.%s; %s" % (name, dev.BIND)
-    return None if form is None else (addr, bind, form)
+    return None if form is None else (
+        addr, "  D = m.%s; %s" % (name, dev.BIND), form)
 
 
-_MIN_SP = "if m.min_sp is not None and m.sp < m.min_sp: m.min_sp = m.sp"
+# The min_sp check, on a machine that tracks it; one statement, so that
+# a halt exit can run it too.
+_MIN_SP = "m.min_sp = min(m.min_sp, m.sp)"
+# A line whose last statement halts whatever the state, and is last in
+# its arm: a misaligned word's fault, a reset hit or a COMP1 overflow
+# (the guard's and the unit's in-line forms spell a halt ``m.halt(...)``).
+_HALTS = re.compile(r"\bm\.(fault\(\)|halt\([\w.]+\))$")
 
 
 def _source(trace: tuple, shape: tuple) -> str:
@@ -283,7 +302,7 @@ def _source(trace: tuple, shape: tuple) -> str:
     in-line forms of ``shape``'s devices (``_in_line``) and guard ``J``,
     over the names their ``BIND`` binds."""
     bind = None  # the in-line device's, once per entry
-    devices, guard = shape
+    devices, guard, tracks = shape
     inline = guard and functools.partial(guard[0].inline, guard[1])
     n = len(trace)
     entry, (at, ins) = trace[0][0], trace[-1]
@@ -304,7 +323,7 @@ def _source(trace: tuple, shape: tuple) -> str:
     flags = ("; s == e or " + _XPSR if loops and any(
         OPS[ins.op].sets_flags for _, ins in trace) else "")
     moves_sp = any(SP in _written(ins) for _, ins in trace)
-    if not moves_sp:
+    if tracks and not moves_sp:
         out.append("  " + _MIN_SP)  # sp holds its entry value throughout
     if any(OPS[ins.op].kind == MEMORY for _, ins in trace):
         out.append("  P = m.mem.pages; H = m.watch[2]")  # for _decode
@@ -318,6 +337,16 @@ def _source(trace: tuple, shape: tuple) -> str:
         state = "m.cycles = c + %d; m.cur_pc = %d" % (cost, at)
         pc = "; m.pc = %d" % nxt
         sync = "m.steps = s + %d; %s%s%s" % (i, state, pc, flags)
+        # The halt exit: the state after the instruction, which a store
+        # wrote only on the guard's path, pc unless the instruction wrote
+        # it, and min_sp where it is tracked (checked once more if the
+        # instruction left sp as it was: the same minimum).
+        end = ("%sm.steps = s + %d; %s%s; cnt[%d] += 1%s%s; return "
+               "m._end(%d)" % (_MIN_SP + "; " if tracks else "", i + 1, state,
+                               "" if _jumps(ins) else pc, i + 1, fold, flags,
+                               at))
+        b = _Compiled(ins, nxt, cost, sync, end, inline and functools.partial(
+            inline, step="s + %d" % i, pc=at, addr="a"))
         word = _in_line(ins, known, devices)
         value = known.get(ins.rd)  # a str's value, if the block knows it
         _fold(ins, known)
@@ -325,31 +354,20 @@ def _source(trace: tuple, shape: tuple) -> str:
         if word is not None:  # aligned by construction: no alignment test
             addr, bind, form = word
             addr = "%d" % addr
-            body += (_load(ins.rd, addr, 4, sync, form, hull=True)
+            lines = (_load(b, ins.rd, addr, 4, form, hull=True)
                      if ins.op == "ldr"
-                     else _store(addr, 4, _reg(ins.rd, nxt) if value is None
-                                 else "%d" % value, sync, form, hull=True))
+                     else _store(b, addr, 4, _reg(ins.rd, nxt) if value is None
+                                 else "%d" % value, form, hull=True))
         elif ins.op == "movt" and ins.rd in known:  # folded, as movw is
-            body.append(_set(ins.rd, "%d" % known[ins.rd]))
+            lines = [_set(ins.rd, "%d" % known[ins.rd])]
         elif ins.op in ("b", "bl") and not last:  # followed: pc is not read
-            body += ["m.lr = %d" % nxt] if ins.op == "bl" else []
+            lines = ["m.lr = %d" % nxt] if ins.op == "bl" else []
         else:
-            here = inline and functools.partial(
-                inline, step="s + %d" % i, pc=at, addr="a")
-            body += SEMANTICS[ins.op](_Compiled(ins, nxt, cost, sync, here))
-        if moves_sp and (i == 0 or SP in _written(ins)):
+            lines = SEMANTICS[ins.op](b)
+        body += [line + "; " + end if _HALTS.search(line) else line
+                 for line in lines]
+        if tracks and moves_sp and (i == 0 or SP in _written(ins)):
             body.append(_MIN_SP)
-        if OPS[ins.op].kind == MEMORY:
-            check = "m.halted"
-            if last and _jumps(ins):
-                check += " or m.pc >= %d" % mach.EXC_RETURN_MIN
-            # The state after the instruction, which a store wrote only
-            # on the guard's path; pc unless the instruction wrote it.
-            body += ["if %s:" % check,
-                     " m.steps = s + %d; %s%s; cnt[%d] += 1%s%s"
-                     % (i + 1, state, "" if _jumps(ins) else pc, i + 1,
-                        fold, flags),
-                     " return m._end(%d)" % at]
         if OPS[ins.op].sets_flags:
             flags = "; " + _XPSR
     if bind:
@@ -373,10 +391,8 @@ def _source(trace: tuple, shape: tuple) -> str:
         out.append("  m.pc = %d" % nxt)
     out.append("  m.steps = s + %d; m.cur_pc = %d; cnt[%d] += 1%s%s"
                % (n, at, n, fold, flags))
-    # A pc taken from a register may be EXC_RETURN; a memory op's exit
-    # above tests the pc it loaded.
-    if (OPS[ins.op].kind != MEMORY if exits is None
-            else max(exits) >= mach.EXC_RETURN_MIN):
+    # A pc taken from a register or memory may be EXC_RETURN.
+    if exits is None or max(exits) >= mach.EXC_RETURN_MIN:
         out.append("  if m.pc >= %d: return m._end(%d)"
                    % (mach.EXC_RETURN_MIN, at))
     out.append(" return block")
@@ -414,29 +430,18 @@ def _loop_tail(at: int, ins, cost: int, n: int, entry: int,
 
 # -- compiled source of register and memory accesses -----------------------------
 
-def _reg(r: int, nxt: int) -> str:
-    """read_reg(r); pc reads as the next instruction's address."""
-    if r < NUM_GPRS:
-        return "g[%d]" % r
-    if r == SP:
-        return "m.sp"
-    if r == LR:
-        return "m.lr"
-    return "%d" % nxt
-
-
-def _dest(r: int) -> str:
-    """Where write_reg(r, ...) stores."""
-    if r < NUM_GPRS:
-        return "g[%d]" % r
-    return "m.%s" % {SP: "sp", LR: "lr"}.get(r, "pc")
+def _reg(r: int, pc="m.pc") -> str:
+    """read_reg(r), with pc read as ``pc``, the next instruction's
+    address; by default, where write_reg(r, ...) stores."""
+    return "g[%d]" % r if r < NUM_GPRS else {SP: "m.sp", LR: "m.lr"}.get(
+        r, "%s" % pc)
 
 
 def _set(r: int, expr: str) -> str:
     """write_reg(r, expr): the value is masked to 32 bits."""
     if expr.isdigit():
-        return "%s = %d" % (_dest(r), int(expr) & MASK32)
-    return "%s = (%s) & M" % (_dest(r), expr)
+        return "%s = %d" % (_reg(r), int(expr) & MASK32)
+    return "%s = (%s) & M" % (_reg(r), expr)
 
 
 def _hit(kind: int, a: str, end: str) -> tuple[str, str]:
@@ -447,8 +452,8 @@ def _hit(kind: int, a: str, end: str) -> tuple[str, str]:
                         for k in range(4)))
 
 
-def _decode(a: str, size: int, form=None, rd=None,
-            hull=False) -> tuple[str, list[str]]:
+def _decode(a: str, size: int, form=None, rd=None, hull=False,
+            words=None) -> tuple[str, list[str]]:
     """The one compiled decode of an access of ``size`` bytes at ``a``
     that missed the comparators or, with ``hull``, lies outside their
     hull ``H`` (``m.watch[2]``): the test for its inline case, and the
@@ -458,78 +463,97 @@ def _decode(a: str, size: int, form=None, rd=None,
     Else ``a`` must be RAM, below PPB_BASE (with ``hull``, outside the
     half below), and a word on one page; a missing page reads 0, and a
     store to one goes to ``Machine.commit``, which alone creates pages.
+    With ``words``, the registers a pop reads into (``rd`` true) or the
+    values a push writes, as a tuple's text, the access is the
+    ``size // 4`` words of a push or pop: their test asks for a present
+    page too, and one struct call moves them all.
     A memory map with more banks changes this beside ``Machine.load``."""
     if form is not None:
         test = "%d <= H[2] or %s >= H[3]" % (int(a) + size, a)
         if rd is not None:  # a register reads 32 bits
-            return test, ["%s = %s" % (_dest(rd), form)]
+            return test, ["%s = %s" % (_reg(rd), form)]
         slow, lines = form
         if slow is not None:
             test = "(%s) and not (%s)" % (test, slow)
         return test, lines
     test = "%s < %d" % (a, mach.PPB_BASE)
-    if size == 4:
+    if size >= 4:
         test += " and (o := %s & %d) <= %d" % (a, mach.PAGE_MASK,
-                                               mach.PAGE_SIZE - 4)
+                                               mach.PAGE_SIZE - size)
         off = "o"
     else:
         off = "%s & %d" % (a, mach.PAGE_MASK)
     if hull:
         test += " and (%s >= H[1] or %s + %d <= H[0])" % (a, a, size)
     page = "(p := P.get(%s >> %d)) is not None" % (a, mach.PAGE_BITS)
+    if words:
+        return test + " and " + page, [
+            "%s, = UN('<%dI', p, o)" % (words, size // 4) if rd
+            else "KN('<%dI', p, o, %s)" % (size // 4, words)]
     if rd is None:
         write = ("K(p, %s, v)" if size == 4 else "p[%s] = v") % off
-        if hull:
+        if hull:  # RAM: the commit cannot halt
             return test, ["if %s: %s" % (page, write),
                           "else: m.commit(%s, %d, v)" % (a, size)]
         return test + " and " + page, [write]
     word = ("U(p, %s)[0]" if size == 4 else "p[%s]") % off
-    return test, ["%s = %s if %s else 0" % (_dest(rd), word, page)]
+    return test, ["%s = %s if %s else 0" % (_reg(rd), word, page)]
 
 
-def _load(rd: int, a: str, size: int, sync: str, form=None,
-          hull=False, hits=None) -> list[str]:
-    """Machine.load of ``size`` bytes at ``a`` into ``rd``: a load that
+def _slow(lines: list[str], end: str | None) -> list[str]:
+    """An access's ``else`` arm: ``lines``, which may halt, then the halt
+    exit ``end`` if they did, unless None (``_Compiled.words``)."""
+    return ["else:", *(" " + line for line in lines),
+            *[" if m.halted: %s" % end] * bool(end)]
+
+
+def _load(b, rd: int, a: str, size: int, form=None, hull=False,
+          hits=None) -> list[str]:
+    """Machine.load of ``size`` bytes at ``a`` into ``rd``, for the
+    instruction whose binder is ``b`` (``_Compiled``): a load that
     ``_decode`` can read inline is read so if it misses the comparator
     regions, or with ``hull`` lies outside their hull, or with ``hits``,
-    the guard's in-line chain (``_Compiled.hits``), once the chain has
-    recorded a hit; anything else brings the state up to date, for the
-    guard and CYCCNT, and takes m.load."""
+    the guard's in-line chain (``_Compiled.hits``), before the chain
+    records a hit (a read that hits still flows); anything else brings
+    the state up to date, for the guard and CYCCNT, and takes m.load
+    (``_slow``)."""
     test, (read,) = _decode(a, size, form, rd, hull)
-    slow = "else: %s; %s" % (sync, _set(rd, "m.load(%s, %d)" % (a, size)))
+    slow = _slow(["%s; %s" % (b.sync, _set(rd, "m.load(%s, %d)" % (a, size)))],
+                 b.end)
     if hull:
-        return ["if %s: %s" % (test, read), slow]
+        return ["if %s: %s" % (test, read), *slow]
     regions, hit = _hit(mach.ACCESS_READ, a, "%s + %d" % (a, size))
     if hits is not None:
         return [regions, "if %s:" % test,
-                *(" " + line for line in (*hits, read)), slow]
-    return [regions, "if %s and not (%s): %s" % (test, hit, read), slow]
+                *(" " + line for line in (read, *hits)), *slow]
+    return [regions, "if %s and not (%s): %s" % (test, hit, read), *slow]
 
 
-def _store(a: str, size: int, value: str, sync: str, form=None,
-           hull=False, hits=None) -> list[str]:
-    """Machine.store of ``value`` at ``a``.  With ``hull``, a store that
-    ``_decode`` can write inline, outside the hull, is written so, and
-    any other brings the state up to date and takes m.store.  Else a
-    store in a comparator region runs ``hits``, the guard's in-line
-    chain (``_Compiled.hits``), or without it brings the state up to
-    date for the guard and commits unless the guard suppresses it; a
-    miss that ``_decode`` can write inline is written so, and any other
-    goes through m.commit, which reads no state (CYCCNT drops writes)."""
+def _store(b, a: str, size: int, value: str, form=None, hull=False,
+           hits=None) -> list[str]:
+    """Machine.store of ``value`` at ``a``, for the binder ``b`` as in
+    ``_load``.  With ``hull``, a store that ``_decode`` can write inline,
+    outside the hull, is written so, and any other brings the state up
+    to date and takes m.store.  Else a store in a comparator region runs
+    ``hits``, the guard's in-line chain (``_Compiled.hits``), or without
+    it brings the state up to date for the guard and commits unless the
+    guard suppresses it; a miss that ``_decode`` can write inline is
+    written so, and any other goes through m.commit, which reads no
+    state (CYCCNT drops writes).  Each call into the machine is followed
+    by the halt exit ``b.end``."""
     test, write = _decode(a, size, form, hull=hull)
     if hull:
         return ["v = " + value, "if %s:" % test,
                 *(" " + line for line in write),
-                "else: %s; m.store(%s, %d, v)" % (sync, a, size)]
+                *_slow(["%s; m.store(%s, %d, v)" % (b.sync, a, size)], b.end)]
     regions, hit = _hit(mach.ACCESS_WRITE, a, "%s + %d" % (a, size))
     commit = "m.commit(%s, %d, v)" % (a, size)
     if hits is None:
-        hits = ["if %s:" % hit, " " + sync,
+        hits = ["if %s:" % hit, " " + b.sync,
                 " if not m.guard.on_store(m, %s, %d, v): %s"
-                % (a, size, commit)]
+                % (a, size, commit), " if m.halted: " + b.end]
     return ["v = " + value, regions, *hits,
-            "elif %s: %s" % (test, *write),
-            "else: " + commit]
+            "elif %s: %s" % (test, *write), *_slow([commit], b.end)]
 
 
 # The one call that writes a pending compare's flags (write_flags).
@@ -546,21 +570,22 @@ def _test(cond: str, end: str) -> tuple[list[str], str]:
 class _Compiled:
     """The slots of one instruction of a block (``nxt`` its fall-through,
     ``cost`` the cycles to its end, ``sync`` the state writes, which
-    only an access's slow path makes, ``guard`` the guard's in-line
-    form at its step and pc, or None): operands are literals, registers
-    locals or ``m`` attributes, memory is ``_load``/``_store``,
-    hull-first for a stack word or a base of sp, and a compare's flags
-    stay in ``fa``, ``fb`` until an exit or ``sync`` writes them."""
+    only an access's slow path makes, ``end`` the halt exit, ``guard``
+    the guard's in-line form at its step and pc, or None): operands are
+    literals, registers locals or ``m`` attributes, memory is
+    ``_load``/``_store``, hull-first for a stack word or a base of sp,
+    and a compare's flags stay in ``fa``, ``fb`` until an exit or
+    ``sync`` writes them."""
 
-    def __init__(self, ins, nxt: int, cost: int, sync: str,
-                 guard=None) -> None:
-        self.ins, self.nxt, self.cost, self.sync = ins, nxt, cost, sync
+    def __init__(self, ins, nxt: int, cost: int, sync: str, end: str,
+                 guard) -> None:
+        self.ins, self.nxt, self.cost, self.sync, self.end = (
+            ins, nxt, cost, sync, end)
         self.r, self.hull, self.guard = None, ins.rn == SP, guard
 
     def _value(self, expr):
-        if isinstance(expr, int):
-            return expr
-        return eval(expr, {"ins": self.ins, "r": self.r})
+        return expr if isinstance(expr, int) else eval(
+            expr, {"ins": self.ins, "r": self.r})
 
     def k(self, expr: str) -> str:
         return "%d" % self._value(expr)
@@ -574,25 +599,31 @@ class _Compiled:
     def hits(self, access: int, size: int, value: str = "0"):
         """The guard's in-line chain for the access at ``a``, or None:
         there is none for a hull-first access, or from no guard."""
-        if self.hull or self.guard is None:
-            return None
-        return self.guard(access, size=size, value=value)
+        return None if self.hull or self.guard is None else self.guard(
+            access, size=size, value=value)
 
     def load(self, r, size: int) -> list[str]:
-        return _load(self._value(r), "a", size, self.sync, hull=self.hull,
+        return _load(self, self._value(r), "a", size, hull=self.hull,
                      hits=self.hits(mach.ACCESS_READ, size))
 
     def store(self, size: int, value: str) -> list[str]:
-        return _store("a", size, value, self.sync, hull=self.hull,
+        return _store(self, "a", size, value, hull=self.hull,
                       hits=self.hits(mach.ACCESS_WRITE, size, "v"))
 
     def words(self, access) -> list[str]:
-        lines, self.hull = [], True
-        for i, r in enumerate(self.ins.reglist):
+        """A push's or pop's words from ``sp``: one test and one struct
+        call (``_decode``), and else word by word, as ``step()`` goes,
+        each word even when an earlier one halted, then the halt exit."""
+        regs, end, self.end, self.hull = self.ins.reglist, self.end, None, True
+        lines = []
+        for i, r in enumerate(regs):
             self.r = r
-            lines += ["a = (sp + %d) & M" % (4 * i) if i else "a = sp",
-                      *access()]
-        return lines
+            lines += ["a = (sp + %d) & M" % (4 * i), *access()]
+        pop = self.ins.op == "pop"
+        test, fast = _decode("sp", 4 * len(regs), rd=pop, hull=True,
+                             words=", ".join(_reg(r, "m.pc" if pop else
+                                                  self.nxt) for r in regs))
+        return ["if %s: %s" % (test, *fast), *_slow(lines, end)]
 
     def flags(self, a: str, b: str) -> list[str]:
         return ["fa = %s; fb = %s" % (a, b)]
@@ -604,4 +635,3 @@ class _Compiled:
                 % (self.k(target), self.cost + 1),
                 "else:",
                 " m.pc = %d; m.cycles = c + %d" % (self.nxt, self.cost)]
-
