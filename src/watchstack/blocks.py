@@ -21,12 +21,13 @@ the pass tests it.  In the generated function:
 * steps, cycles and the flags are kept in locals: a compare keeps its
   operands, ``fa`` and ``fb``, for the branch after it.  ``m.steps``,
   ``m.cycles``, ``m.cur_pc``, ``m.pc`` and ``m.xpsr`` are written only
-  before something can read them (a guard called, and ``m.load`` and
-  ``m.store``, which read CYCCNT) and at each exit, as ``step()`` would
-  have left them (the flags by ``semantics.write_flags``, ``F``);
+  before something can read them (``m.load`` and ``m.store``, which
+  show the guard the access and read CYCCNT) and at each exit, as
+  ``step()`` would have left them (the flags by
+  ``semantics.write_flags``, ``F``);
 * only a path that can halt is followed by the block's halt exit: a
-  slow path (``m.load``, ``m.store``, ``m.commit`` or a guard call) by
-  ``if m.halted:`` and the exit, and a statement that halts for
+  slow path (``m.load`` or ``m.store``) by ``if m.halted:`` and the
+  exit, and a statement that halts for
   certain, a misaligned word's fault, a reset hit's arm (a load's read
   comes before its chain) or a COMP1 overflow, by the exit on its own
   line (``_HALTS``).  An in-line RAM or port fast path cannot halt and
@@ -47,36 +48,34 @@ the pass tests it.  In the generated function:
 
 Each data access makes one inline test, as QEMU's softmmu path does:
 its fast case runs in line, and every other case writes the state and
-calls the machine.  A push or pop of n words makes one test too: its
-words all in RAM, on one present page and outside the hull, it moves
-them with one ``struct`` call of n words, and else goes word by word.
-A hull-first access (a push's or pop's words, a load or store with
-base sp, a device word run in line) tests only the hull of the
-comparator regions, ``m.watch[2]``, which no comparator can match
-outside of: there RAM, below ``machine.PPB_BASE`` and, for a word, on
-one page, is read or written on ``m.mem``'s page with no call and no
-state writes, and a device word runs its in-line form; anything else
-takes ``m.load`` or ``m.store``, which run the four-region test, the
-guard and the device decode.  Any other access, such as a byte store
-that hits on most passes, tests the four regions of ``m.watch``
-inline, as ``Machine.load``/``store`` do, as an ``if``/``elif`` chain
-in the lowest-comparator order, whose arm k is the in-line form of the
-guard's own handling of a hit on comparator k (its ``inline``), with
-k, the step index ``s + i`` and the pc as literals: it appends the
-hit's record to the guard's log with no Python call and no state
-writes, and under the reset policy halts, so the block leaves through
-its halt exit.  A store that hits is suppressed; a load, if RAM on one
-page, is read in line before the chain (a read that hits still flows),
-and else takes ``m.load``, whose guard records a hit.  Where the guard
-gives no in-line form (``_shape``), a hit writes the state and shows
-the guard the access instead, then commits a store through
-``Machine.commit`` unless the guard suppresses it, or reads a load
-through ``m.load``.  A miss into RAM on one page is taken in line, and
-any other goes to ``m.load`` after the state writes, or to
-``m.commit``, which alone creates a page (``_decode``).  A push or pop
-that goes word by word handles all its words, as ``step()`` does, even
-when the guard halts the machine on an earlier one, and tests for the
-halt after the last.
+calls ``m.load`` or ``m.store``, the one slow path, which runs the
+four-region test, the guard and the device decode; a block reaches the
+machine through nothing else.  A push or pop of n words makes one test
+too: its words all in RAM, on one present page and outside the hull, it
+moves them with one ``struct`` call of n words, and else goes word by
+word.  A hull-first access tests only the hull of the comparator
+regions, ``m.watch[2]``, which no comparator can match outside of:
+there RAM, below ``machine.PPB_BASE`` and, for a word, on one page, is
+read, or written on a present page, on ``m.mem``'s page with no call
+and no state writes, and a device word runs its in-line form.  An
+access is hull-first when it is a push's or pop's word, has base sp or
+is a device word run in line; where the guard gives no in-line form
+(``_shape``: no guard, a subclass's or wrapped handlers, or
+``WATCH_ALL``), every access is.  Any other access, such as a
+byte store that hits on most passes, tests the four regions of
+``m.watch`` inline, as ``Machine.load``/``store`` do, as an
+``if``/``elif`` chain in the lowest-comparator order, whose arm k is
+the in-line form of the guard's own handling of a hit on comparator k
+(its ``inline``), with k, the step index ``s + i`` and the pc as
+literals: it appends the hit's record to the guard's log with no
+Python call and no state writes, and under the reset policy halts, so
+the block leaves through its halt exit.  A store that hits is
+suppressed; a load, if RAM on one page, is read in line before the
+chain (a read that hits still flows), and else takes ``m.load``, whose
+guard records a hit.  A miss into RAM on one page (for a store, a
+present page) is taken in line.  A push or pop that goes word by word
+handles all its words, as ``step()`` does, even when the guard halts
+the machine on an earlier one, and tests for the halt after the last.
 
 The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``movt`` put in a register until another write of it (read from
@@ -186,7 +185,8 @@ def _shape(m) -> tuple:
     whether ``m`` tracks ``min_sp``."""
     devices = tuple((name, type(dev)) for name, dev in (
         ("dwt", m.dwt), ("demcr", m.demcr)) if hasattr(dev, "inline"))
-    policy = m.guard.folded(m) if hasattr(m.guard, "folded") else None
+    folded = getattr(m.guard, "folded", None)
+    policy = folded and folded(m)
     return (devices, None if policy is None else (type(m.guard), policy),
             m.min_sp is not None)
 
@@ -337,10 +337,10 @@ def _source(trace: tuple, shape: tuple) -> str:
         state = "m.cycles = c + %d; m.cur_pc = %d" % (cost, at)
         pc = "; m.pc = %d" % nxt
         sync = "m.steps = s + %d; %s%s%s" % (i, state, pc, flags)
-        # The halt exit: the state after the instruction, which a store
-        # wrote only on the guard's path, pc unless the instruction wrote
-        # it, and min_sp where it is tracked (checked once more if the
-        # instruction left sp as it was: the same minimum).
+        # The halt exit: the state after the instruction, pc unless the
+        # instruction wrote it, and min_sp where it is tracked (checked
+        # once more if the instruction left sp as it was: the same
+        # minimum).
         end = ("%sm.steps = s + %d; %s%s; cnt[%d] += 1%s%s; return "
                "m._end(%d)" % (_MIN_SP + "; " if tracks else "", i + 1, state,
                                "" if _jumps(ins) else pc, i + 1, fold, flags,
@@ -354,10 +354,9 @@ def _source(trace: tuple, shape: tuple) -> str:
         if word is not None:  # aligned by construction: no alignment test
             addr, bind, form = word
             addr = "%d" % addr
-            lines = (_load(b, ins.rd, addr, 4, form, hull=True)
-                     if ins.op == "ldr"
+            lines = (_load(b, ins.rd, addr, 4, form) if ins.op == "ldr"
                      else _store(b, addr, 4, _reg(ins.rd, nxt) if value is None
-                                 else "%d" % value, form, hull=True))
+                                 else "%d" % value, form))
         elif ins.op == "movt" and ins.rd in known:  # folded, as movw is
             lines = [_set(ins.rd, "%d" % known[ins.rd])]
         elif ins.op in ("b", "bl") and not last:  # followed: pc is not read
@@ -444,14 +443,6 @@ def _set(r: int, expr: str) -> str:
     return "%s = (%s) & M" % (_reg(r), expr)
 
 
-def _hit(kind: int, a: str, end: str) -> tuple[str, str]:
-    """Machine.load/store's comparator-region test of the access that
-    covers [a, end): the line that reads the regions, and the test."""
-    return ("s0, s1, s2, s3 = m.watch[%d]" % kind,
-            " or ".join("%s < s%d[1] and %s > s%d[0]" % (a, k, end, k)
-                        for k in range(4)))
-
-
 def _decode(a: str, size: int, form=None, rd=None, hull=False,
             words=None) -> tuple[str, list[str]]:
     """The one compiled decode of an access of ``size`` bytes at ``a``
@@ -462,7 +453,7 @@ def _decode(a: str, size: int, form=None, rd=None, hull=False,
     hull's half above PPB_BASE, and a store's its ``slow`` test too.
     Else ``a`` must be RAM, below PPB_BASE (with ``hull``, outside the
     half below), and a word on one page; a missing page reads 0, and a
-    store to one goes to ``Machine.commit``, which alone creates pages.
+    store needs a present page (``Machine.store`` alone creates them).
     With ``words``, the registers a pop reads into (``rd`` true) or the
     values a push writes, as a tuple's text, the access is the
     ``size // 4`` words of a push or pop: their test asks for a present
@@ -492,68 +483,49 @@ def _decode(a: str, size: int, form=None, rd=None, hull=False,
             else "KN('<%dI', p, o, %s)" % (size // 4, words)]
     if rd is None:
         write = ("K(p, %s, v)" if size == 4 else "p[%s] = v") % off
-        if hull:  # RAM: the commit cannot halt
-            return test, ["if %s: %s" % (page, write),
-                          "else: m.commit(%s, %d, v)" % (a, size)]
         return test + " and " + page, [write]
     word = ("U(p, %s)[0]" if size == 4 else "p[%s]") % off
     return test, ["%s = %s if %s else 0" % (_reg(rd), word, page)]
 
 
-def _slow(lines: list[str], end: str | None) -> list[str]:
-    """An access's ``else`` arm: ``lines``, which may halt, then the halt
-    exit ``end`` if they did, unless None (``_Compiled.words``)."""
-    return ["else:", *(" " + line for line in lines),
-            *[" if m.halted: %s" % end] * bool(end)]
+def _slow(b, call: str) -> list[str]:
+    """An access's ``else`` arm, the one slow path: the state writes of
+    the binder ``b`` (``_Compiled``), for the guard and CYCCNT, then
+    ``call``, of ``m.load`` or ``m.store``, which may halt, then the
+    halt exit ``b.end`` if it did, unless None (``_Compiled.words``)."""
+    return ["else:", " %s; %s" % (b.sync, call),
+            *[" if m.halted: %s" % b.end] * bool(b.end)]
 
 
-def _load(b, rd: int, a: str, size: int, form=None, hull=False,
-          hits=None) -> list[str]:
+def _load(b, rd: int, a: str, size: int, form=None, hits=None) -> list[str]:
     """Machine.load of ``size`` bytes at ``a`` into ``rd``, for the
     instruction whose binder is ``b`` (``_Compiled``): a load that
-    ``_decode`` can read inline is read so if it misses the comparator
-    regions, or with ``hull`` lies outside their hull, or with ``hits``,
-    the guard's in-line chain (``_Compiled.hits``), before the chain
-    records a hit (a read that hits still flows); anything else brings
-    the state up to date, for the guard and CYCCNT, and takes m.load
-    (``_slow``)."""
-    test, (read,) = _decode(a, size, form, rd, hull)
-    slow = _slow(["%s; %s" % (b.sync, _set(rd, "m.load(%s, %d)" % (a, size)))],
-                 b.end)
-    if hull:
+    ``_decode`` can read inline is read so if, without ``hits``, it lies
+    outside the hull, or else before ``hits``, the guard's in-line chain
+    (``_Compiled.hits``), records a hit (a read that hits still flows);
+    anything else takes the slow path (``_slow``)."""
+    test, (read,) = _decode(a, size, form, rd, hits is None)
+    slow = _slow(b, _set(rd, "m.load(%s, %d)" % (a, size)))
+    if hits is None:
         return ["if %s: %s" % (test, read), *slow]
-    regions, hit = _hit(mach.ACCESS_READ, a, "%s + %d" % (a, size))
-    if hits is not None:
-        return [regions, "if %s:" % test,
-                *(" " + line for line in (read, *hits)), *slow]
-    return [regions, "if %s and not (%s): %s" % (test, hit, read), *slow]
+    return ["s0, s1, s2, s3 = m.watch[%d]" % mach.ACCESS_READ, "if %s:" % test,
+            *(" " + line for line in (read, *hits)), *slow]
 
 
-def _store(b, a: str, size: int, value: str, form=None, hull=False,
+def _store(b, a: str, size: int, value: str, form=None,
            hits=None) -> list[str]:
     """Machine.store of ``value`` at ``a``, for the binder ``b`` as in
-    ``_load``.  With ``hull``, a store that ``_decode`` can write inline,
-    outside the hull, is written so, and any other brings the state up
-    to date and takes m.store.  Else a store in a comparator region runs
-    ``hits``, the guard's in-line chain (``_Compiled.hits``), or without
-    it brings the state up to date for the guard and commits unless the
-    guard suppresses it; a miss that ``_decode`` can write inline is
-    written so, and any other goes through m.commit, which reads no
-    state (CYCCNT drops writes).  Each call into the machine is followed
-    by the halt exit ``b.end``."""
-    test, write = _decode(a, size, form, hull=hull)
-    if hull:
-        return ["v = " + value, "if %s:" % test,
-                *(" " + line for line in write),
-                *_slow(["%s; m.store(%s, %d, v)" % (b.sync, a, size)], b.end)]
-    regions, hit = _hit(mach.ACCESS_WRITE, a, "%s + %d" % (a, size))
-    commit = "m.commit(%s, %d, v)" % (a, size)
+    ``_load``: a store in a comparator region runs ``hits``, if given;
+    a store that ``_decode`` can write inline, and that missed them or,
+    without ``hits``, lies outside the hull, is written so; anything
+    else takes the slow path (``_slow``)."""
+    test, write = _decode(a, size, form, hull=hits is None)
+    slow = _slow(b, "m.store(%s, %d, v)" % (a, size))
     if hits is None:
-        hits = ["if %s:" % hit, " " + b.sync,
-                " if not m.guard.on_store(m, %s, %d, v): %s"
-                % (a, size, commit), " if m.halted: " + b.end]
-    return ["v = " + value, regions, *hits,
-            "elif %s: %s" % (test, *write), *_slow([commit], b.end)]
+        return ["v = " + value, "if %s:" % test,
+                *(" " + line for line in write), *slow]
+    return ["v = " + value, "s0, s1, s2, s3 = m.watch[%d]" % mach.ACCESS_WRITE,
+            *hits, "elif %s: %s" % (test, *write), *slow]
 
 
 # The one call that writes a pending compare's flags (write_flags).
@@ -573,15 +545,15 @@ class _Compiled:
     only an access's slow path makes, ``end`` the halt exit, ``guard``
     the guard's in-line form at its step and pc, or None): operands are
     literals, registers locals or ``m`` attributes, memory is
-    ``_load``/``_store``, hull-first for a stack word or a base of sp,
-    and a compare's flags stay in ``fa``, ``fb`` until an exit or
-    ``sync`` writes them."""
+    ``_load``/``_store``, hull-first for a stack word, a base of sp or
+    where ``guard`` is None, and a compare's flags stay in ``fa``,
+    ``fb`` until an exit or ``sync`` writes them."""
 
     def __init__(self, ins, nxt: int, cost: int, sync: str, end: str,
                  guard) -> None:
         self.ins, self.nxt, self.cost, self.sync, self.end = (
             ins, nxt, cost, sync, end)
-        self.r, self.hull, self.guard = None, ins.rn == SP, guard
+        self.r, self.guard = None, None if ins.rn == SP else guard
 
     def _value(self, expr):
         return expr if isinstance(expr, int) else eval(
@@ -597,24 +569,23 @@ class _Compiled:
         return [_set(self._value(r), value)]
 
     def hits(self, access: int, size: int, value: str = "0"):
-        """The guard's in-line chain for the access at ``a``, or None:
-        there is none for a hull-first access, or from no guard."""
-        return None if self.hull or self.guard is None else self.guard(
-            access, size=size, value=value)
+        """The guard's in-line chain for the access at ``a``, or None
+        for a hull-first one."""
+        return self.guard and self.guard(access, size=size, value=value)
 
     def load(self, r, size: int) -> list[str]:
-        return _load(self, self._value(r), "a", size, hull=self.hull,
+        return _load(self, self._value(r), "a", size,
                      hits=self.hits(mach.ACCESS_READ, size))
 
     def store(self, size: int, value: str) -> list[str]:
-        return _store(self, "a", size, value, hull=self.hull,
+        return _store(self, "a", size, value,
                       hits=self.hits(mach.ACCESS_WRITE, size, "v"))
 
     def words(self, access) -> list[str]:
         """A push's or pop's words from ``sp``: one test and one struct
         call (``_decode``), and else word by word, as ``step()`` goes,
         each word even when an earlier one halted, then the halt exit."""
-        regs, end, self.end, self.hull = self.ins.reglist, self.end, None, True
+        regs, end, self.end, self.guard = self.ins.reglist, self.end, None, None
         lines = []
         for i, r in enumerate(regs):
             self.r = r
@@ -623,7 +594,8 @@ class _Compiled:
         test, fast = _decode("sp", 4 * len(regs), rd=pop, hull=True,
                              words=", ".join(_reg(r, "m.pc" if pop else
                                                   self.nxt) for r in regs))
-        return ["if %s: %s" % (test, *fast), *_slow(lines, end)]
+        return ["if %s: %s" % (test, *fast), "else:",
+                *(" " + line for line in lines), " if m.halted: " + end]
 
     def flags(self, a: str, b: str) -> list[str]:
         return ["fa = %s; fb = %s" % (a, b)]

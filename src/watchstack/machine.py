@@ -3,18 +3,16 @@
 The machine executes pre-decoded instructions from an address-indexed
 code map.  Every data access goes through ``load``/``store``, except a
 compiled block's fast case, which passes one inline test and reads or
-writes a RAM page, or runs a device word's in-line form, itself; every
-other case takes ``load``, ``store`` or ``commit`` (``blocks``).
-Before an access commits, they test it against ``watch``, per access
-kind four (lo, hi) regions, and show it to ``guard``, the one access
-observer, only when it falls in one; a store the guard answers True for is
+writes a RAM page, or runs a device word's or the guard's in-line form,
+itself; every other case writes the state and takes ``load`` or
+``store``, the one slow path of both tiers (``blocks``).  Before an
+access commits, they test it against ``watch``, per access kind four
+(lo, hi) regions, and show it to ``guard``, the one access observer,
+only when it falls in one; a store the guard answers True for is
 suppressed (watchpoint semantics) and recorded by the guard, and any
-other store is written by ``commit``.  A compiled block tests the
-regions too, and on a hit runs the guard's in-line form, the guard's
-own handling written as lines, when it gives one, and else calls it.
-``watch``'s third entry, a hull ``(h0, h1, h2, h3)`` that contains
-every region (``[h0, h1)`` below PPB_BASE, ``[h2, h3)`` above), is
-read only by compiled blocks, whose stack and watchpoint-register
+other store is written.  ``watch``'s third entry, a hull ``(h0, h1,
+h2, h3)`` that contains every region (``[h0, h1)`` below PPB_BASE,
+``[h2, h3)`` above), is read only by compiled blocks, whose hull-first
 accesses test it instead of the four regions.  The default ``watch``
 holds no region and an empty hull; ``protect`` sets ``watch`` and
 ``guard`` together, ``watch`` being the watchpoint unit's live slot
@@ -23,13 +21,13 @@ is declared here, beside its one decode, ``ppb_device``: an access
 that starts in the DWT window or on the DEMCR word reaches ``dwt`` or
 ``demcr`` when attached (a misaligned word there is a bad access and
 faults); all else is RAM.
-``load``/``commit`` decode an address above PPB_BASE at run time, and
+``load``/``store`` decode an address above PPB_BASE at run time, and
 ``blocks`` decodes a constant word address at compile time through
 the same function.  The RAM layout, 4 KiB pages of little-endian
 ``WORD``s in ``Memory.pages``, is declared here too, and ``blocks``
 reads it from here for its inline RAM path.  A device is a word device:
 ``mmio_read(m, addr)`` and ``mmio_write(m, addr, value)``, which
-``load`` and ``commit`` call, are how a program's access reaches it,
+``load`` and ``store`` call, are how a program's access reaches it,
 and it may give ``blocks`` a word's ``inline`` form as well; the
 access path handles byte lanes.
 
@@ -91,7 +89,7 @@ def ppb_device(addr: int) -> str | None:
     """The PPB map's one decode: the ``Machine`` attribute holding the
     device that an access starting at ``addr`` reaches, or None for RAM.
 
-    ``Machine.load``/``commit`` ask it above PPB_BASE; ``blocks`` asks
+    ``Machine.load``/``store`` ask it above PPB_BASE; ``blocks`` asks
     it at compile time for a word access whose address it knows.
     """
     if DWT_WINDOW_LO <= addr < DWT_WINDOW_HI:
@@ -276,11 +274,6 @@ class Machine:
                 or (addr < s3[1] and end > s3[0])):
             if self.guard.on_store(self, addr, size, value):
                 return  # suppressed
-        self.commit(addr, size, value)
-
-    def commit(self, addr: int, size: int, value: int) -> None:
-        """The write of a store that the comparator test let through:
-        to the device the PPB map puts at ``addr``, else to RAM."""
         if addr >= PPB_BASE:
             name = ppb_device(addr)
             dev = None if name is None else getattr(self, name)

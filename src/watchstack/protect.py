@@ -231,9 +231,11 @@ class WatchpointGuard:
 
     def folded(self, m: Machine) -> bool | None:
         """The policy compiled blocks on ``m`` fold into the in-line form
-        (``inline``); None, so that they show the guard each hit, unless
-        ``m.watch`` is the unit's slot table and the handlers are the
-        ones the same lines make (not a subclass's or a wrapper's)."""
+        (``inline``), if ``m.watch`` is the unit's slot table and the
+        handlers are the ones the same lines make (not a subclass's or a
+        wrapper's); else None, and every compiled access tests the hull
+        alone and shows the guard its hits through ``m.load`` and
+        ``m.store``, the one slow path."""
         handlers = type(self).on_load, type(self).on_store
         if m.watch is not self.dwt.slots or handlers != (_ON_LOAD, _ON_STORE):
             return None

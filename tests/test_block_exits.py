@@ -10,7 +10,7 @@ words on a page's last bytes, across a page, on a page nothing wrote,
 across PPB_BASE, and onto the hull's lower edge ``H[0]``, then a word
 into the watched region, first the second word; the halt cases stop a
 compiled block at a reset hit on a store and on a load, at a COMP1
-overflow in line and through ``Machine.commit``, and at a misaligned
+overflow in line and through ``Machine.store``, and at a misaligned
 word.
 """
 
@@ -109,7 +109,7 @@ FRESH_SP = 0x20100008
 def test_push_and_pop_off_the_one_test(text, sp, policy, monkeypatch):
     """Words on a page's last 8 bytes take the one test; words across a
     page or PPB_BASE, or on a page not yet created, go word by word, and
-    a push there creates its page (``Machine.commit``)."""
+    a push there creates its page (``Machine.store``)."""
     want = both(text, _cfg(policy, None, 10_000, initial_sp=sp),
                 "stack %#x %s" % (sp, policy), monkeypatch)
     assert want["halt"] == (True, HaltReason.NORMAL, False)
@@ -165,7 +165,7 @@ def test_an_in_line_hit_on_a_load_or_a_store(function, policy, monkeypatch):
 # The loop moves COMP1 up 256 bytes a pass until it leaves the shadow
 # span: through a constant address, which the block binds to the port's
 # in-line lines, or through an address loaded from RAM, which it cannot
-# bind, so the store takes Machine.commit.
+# bind, so the store takes Machine.store.
 def _overflow(bound: bool) -> str:
     head = [] if bound else [*_const("r0", DWT_COMP1), "str r0, [r7]"]
     comp1 = _const("r0", DWT_COMP1) if bound else ["ldr r0, [r7]"]

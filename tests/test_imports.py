@@ -17,6 +17,9 @@ Compiled code decodes an address in one place: every string in
 reaches a device only through the device's in-line form or
 ``Machine.load``/``store``: ``blocks`` names no port and no
 ``mmio_read``/``mmio_write``, in its code or in the code it generates.
+Those two are its one slow path to memory too: it names no guard
+handler (``on_load``, ``on_store``), no attribute of ``m.guard`` and no
+``commit``.
 
 Every ``functools.cache``/``lru_cache`` decorator names a ``maxsize``
 that is not None, so no module-level cache grows without bound over a
@@ -167,24 +170,42 @@ def test_blocks_decodes_an_address_in_one_function():
 
 
 # What calls a device's port directly, as a name or inside generated text.
-DEVICE_CALLS = ("port", "mmio_read", "mmio_write")
-
-
-def test_blocks_names_no_device_port():
+def _blocks_names(names) -> set[str]:
+    """The ``names`` that ``blocks.py`` spells: as an identifier, as the
+    object of an attribute read (``m.guard.``), or in a string that is
+    not a docstring, as the code it generates is."""
     tree = ast.parse((SRC / "blocks.py").read_text(encoding="utf-8"))
     docs = _docstrings(tree)
     named = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in docs:
-                named.update(n for n in DEVICE_CALLS
-                             if re.search(r"\b%s\b" % n, node.value))
+                named.update(n for n in names if re.search(r"\b%s%s" % (
+                    re.escape(n), r"\b" * n[-1].isidentifier()), node.value))
         else:
-            name = (getattr(node, "id", None) or getattr(node, "attr", None)
-                    or getattr(node, "arg", None)
-                    or getattr(node, "name", None))
-            if name in DEVICE_CALLS:
-                named.add(name)
+            spelled = {getattr(node, field, None)
+                       for field in ("id", "attr", "arg", "name")}
+            if isinstance(node, ast.Attribute):
+                spelled.add(ast.unparse(node.value) + ".")
+            named.update(spelled.intersection(names))
+    return named
+
+
+DEVICE_CALLS = ("port", "mmio_read", "mmio_write")
+
+
+def test_blocks_names_no_device_port():
+    named = _blocks_names(DEVICE_CALLS)
+    assert not named, "blocks names %s" % ", ".join(sorted(named))
+
+
+# What compiled code would call beside Machine.load/store: the guard's
+# handlers, the guard through the machine, or a write past the guard.
+GUARD_CALLS = ("on_load", "on_store", "m.guard.", "commit")
+
+
+def test_blocks_reaches_memory_only_through_load_and_store():
+    named = _blocks_names(GUARD_CALLS)
     assert not named, "blocks names %s" % ", ".join(sorted(named))
 
 

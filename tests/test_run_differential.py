@@ -18,6 +18,7 @@ it at 10**9 none is, so run()'s own stepping loop sees them all.
 """
 
 import ast
+import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -538,8 +539,12 @@ _WATCH_SETTINGS = settings(
        policy=st.sampled_from((POLICY_RESET, POLICY_REPORT)))
 def test_watch_matches_the_guard_on_demcr_fuzz(seed, policy, monkeypatch):
     prog = parse(make_demcr_fuzz_program(random.Random(seed)) + HANDLERS)
-    check_watch(prog, _cfg(policy, seed % 60, 2_000), "fuzz %d" % seed,
-                monkeypatch)
+    cfg = _cfg(policy, seed % 60, 2_000)
+    check_watch(prog, cfg, "fuzz %d" % seed, monkeypatch)
+    # Unprotected, the same salvo of DWT, DEMCR and RAM stores runs in
+    # blocks whose every access tests the empty hull first.
+    check(prog, dataclasses.replace(cfg, protected=False),
+          "fuzz %d unprotected" % seed, monkeypatch)
 
 
 @_WATCH_SETTINGS
@@ -1188,7 +1193,7 @@ def test_a_b_self_loop_runs_to_the_budget(budget, monkeypatch):
 def test_a_loop_commits_what_the_see_everything_guard_lets_through(
         monkeypatch):
     """Shown every store, the guard answers False for each: the loop's
-    compiled stores commit them through Machine.commit."""
+    compiled stores write them through Machine.store."""
     prog = parse(_main("str r5, [r7]", "strb r5, [r7, #4]",
                        "addw r7, r7, #8"))
     want = check(prog, _cfg(POLICY_RESET, None, 10_000), "see-everything",
@@ -1532,11 +1537,11 @@ def test_the_recursion_makes_no_generic_access_a_call(monkeypatch):
     accesses a call reach the unit directly, and its RAM accesses (the
     two pushed words, the pop, and the shadow store and load of lr) miss
     the comparators and touch their pages inline.  The only generic
-    calls are the two commits that create the stack's and the shadow
-    stack's page."""
+    calls are the two Machine.store calls that create the stack's and
+    the shadow stack's page."""
     monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
-    accesses = _counted(monkeypatch, Machine, "load", "store")
-    commits = _counted(monkeypatch, Machine, "commit")
+    loads = _counted(monkeypatch, Machine, "load")
+    stores = _counted(monkeypatch, Machine, "store")
     depth = 64
     prog = instrument_program(parse(recursion_program(depth)),
                               SHADOW).program
@@ -1545,8 +1550,8 @@ def test_the_recursion_makes_no_generic_access_a_call(monkeypatch):
     mmio = _counted(monkeypatch, DwtUnit, "mmio_read", "mmio_write")
     run = run_machine(m, cfg)
     assert run.outcome == OUTCOME_SAFE and run.steps == 24 * depth + 1
-    assert accesses[0] == mmio[0] == 0
-    assert commits[0] == len(m.mem.pages) == 2
+    assert loads[0] == mmio[0] == 0
+    assert stores[0] == len(m.mem.pages) == 2
 
 
 def test_only_the_shadow_stack_reads_the_comparator_regions(monkeypatch):
@@ -1634,8 +1639,9 @@ def _guard_calls(run) -> dict:
 def test_a_compiled_sweep_shows_the_guard_each_hit_once(monkeypatch):
     """Compiled, a report-policy sweep's byte stores test the comparators
     in line, and each hit runs the guard's own lines there: 256 records,
-    no store through Machine.store and no guard call from compiled code.
-    Stepped, the guard's handler is called once a hit."""
+    no guard call from compiled code, and one store through
+    Machine.store, the first, which creates its page.  Stepped, the
+    guard's handler is called once a hit."""
     stores = _counted(monkeypatch, Machine, "store")
     prog = parse(sweep_program(SHADOW.ss_start - 64, SHADOW.ss_start + 256))
     cfg = RunConfig(protected=True, policy=POLICY_REPORT, shadow=SHADOW)
@@ -1649,7 +1655,7 @@ def test_a_compiled_sweep_shows_the_guard_each_hit_once(monkeypatch):
         assert run.halt_reason == HaltReason.NORMAL
         assert run.steps == 5 + 4 * 320 + 1 and len(run.violations) == 256
         assert got == {True: 0, False: 0, **calls}
-        assert stores[0] == (0 if hot == 1 else 320)
+        assert stores[0] == (1 if hot == 1 else 320)
 
 
 # -- comparator hits recorded in line ---------------------------------------------
