@@ -5,18 +5,20 @@ A block is the trace entered at a pc: it runs on past each ``b`` and
 write, before an address already in it, before a TRAP op (``svc``,
 ``bkpt``, ``udf``) or a missing instruction, and at most MAX_BLOCK_LEN
 long.  Each op is emitted from ``semantics.SEMANTICS``, bound with
-the block's operands known (``_Compiled``).  ``Machine.run`` steps
+the block's operands known (``binder.Compiled``).  ``Machine.run`` steps
 through a block until it has reached the block's entry pc
 HOT_THRESHOLD times; then it is compiled to one generated function,
 ``block(m, limit)``, that does what ``step()`` would do for each of
-its instructions, with the per-step bookkeeping lifted out.  A block whose exit reaches its own entry is a loop: its
-function runs the block again while the exit does and another pass
-fits in the step budget ``limit``, and else returns at the entry, so a
-hot loop does not go back to ``Machine.run`` each pass.  For an exit
-to a label or the fall-through (a ``b``, ``bl`` or ``bcond`` whose
-target or fall-through is the entry) that is decided at compile time;
-for a pc from a register or memory (``bx``, ``blx``, ``pop {..., pc}``)
-the pass tests it.  In the generated function:
+its instructions, with the per-step bookkeeping lifted out.  A block
+whose exit reaches its own entry, and whose pass ends in the watch
+state it began in (below), is a loop: its function runs the block
+again while the exit does and another pass fits in the step budget
+``limit``, and else returns at the entry, so a hot loop does not go
+back to ``Machine.run`` each pass.  For an exit to a label or the
+fall-through (a ``b``, ``bl`` or ``bcond`` whose target or fall-through
+is the entry) that is decided at compile time; for a pc from a
+register or memory (``bx``, ``blx``, ``pop {..., pc}``) the pass tests
+it.  In the generated function:
 
 * steps, cycles and the flags are kept in locals: a compare keeps its
   operands, ``fa`` and ``fb``, for the branch after it.  ``m.steps``,
@@ -25,16 +27,17 @@ the pass tests it.  In the generated function:
   show the guard the access and read CYCCNT) and at each exit, as
   ``step()`` would have left them (the flags by
   ``semantics.write_flags``, ``F``);
-* only a path that can halt is followed by the block's halt exit: a
-  slow path (``m.load`` or ``m.store``) by ``if m.halted:`` and the
-  exit, and a statement that halts for
-  certain, a misaligned word's fault, a reset hit's arm (a load's read
-  comes before its chain) or a COMP1 overflow, by the exit on its own
-  line (``_HALTS``).  An in-line RAM or port fast path cannot halt and
-  tests nothing (no access pends an exception: only the runner raises
-  them, between ``run()`` calls).  An exit where ``step()`` could halt
-  or start an exception return ends through ``Machine._end``, the one
-  end-of-instruction rule, which does that return and logs the halt;
+* only a path that can halt or change the watch state is followed by
+  the block's halt exit: a slow path (``m.load`` or ``m.store``) by
+  ``if m.halted or X(m) != Z1:`` and the exit, and a statement that
+  halts for certain, a misaligned word's fault, a reset hit's arm (a
+  load's read comes before its chain) or a COMP1 overflow, by the exit
+  on its own line (``_HALTS``).  An in-line RAM or port fast path
+  cannot halt and tests nothing (no access pends an exception: only the
+  runner raises them, between ``run()`` calls).  An exit where
+  ``step()`` could halt or start an exception return ends through
+  ``Machine._end``, the one end-of-instruction rule, which does that
+  return and logs the halt;
 * ``m.retired`` and ``m.taken`` are not touched per instruction, nor
   counts per pass: each exit counts the pass it leaves, a loop's passes
   before it in the call, ``(s - e) // n``, and how often the final
@@ -46,63 +49,59 @@ the pass tests it.  In the generated function:
   after the first instruction and after every instruction that writes
   sp, which gives the same minimum as a check after every step.
 
-Each data access makes one inline test, as QEMU's softmmu path does:
-its fast case runs in line, and every other case writes the state and
-calls ``m.load`` or ``m.store``, the one slow path, which runs the
-four-region test, the guard and the device decode; a block reaches the
-machine through nothing else.  A push or pop of n words makes one test
-too: its words all in RAM, on one present page and outside the hull, it
-moves them with one ``struct`` call of n words, and else goes word by
-word.  A hull-first access tests only the hull of the comparator
-regions, ``m.watch[2]``, which no comparator can match outside of:
-there RAM, below ``machine.PPB_BASE`` and, for a word, on one page, is
-read, or written on a present page, on ``m.mem``'s page with no call
-and no state writes, and a device word runs its in-line form.  An
-access is hull-first when it is a push's or pop's word, has base sp or
-is a device word run in line; where the guard gives no in-line form
-(``_shape``: no guard, a subclass's or wrapped handlers, or
-``WATCH_ALL``), every access is.  Any other access, such as a
-byte store that hits on most passes, tests the four regions of
-``m.watch`` inline, as ``Machine.load``/``store`` do, as an
-``if``/``elif`` chain in the lowest-comparator order, whose arm k is
-the in-line form of the guard's own handling of a hit on comparator k
-(its ``inline``), with k, the step index ``s + i`` and the pc as
-literals: it appends the hit's record to the guard's log with no
-Python call and no state writes, and under the reset policy halts, so
-the block leaves through its halt exit.  A store that hits is
-suppressed; a load, if RAM on one page, is read in line before the
-chain (a read that hits still flows), and else takes ``m.load``, whose
-guard records a hit.  A miss into RAM on one page (for a store, a
-present page) is taken in line.  A push or pop that goes word by word
-handles all its words, as ``step()`` does, even when the guard halts
-the machine on an earlier one, and tests for the halt after the last.
+A block is compiled for the watch state it is entered in (``_state``):
+the regions of ``m.watch`` per access kind and their hull and, where
+the unit gives in-line forms, its cached regions, FUNCTION words and
+``ssp_guard`` (``DwtUnit.snapshot``), which the instrumented code
+changes only through FUNCTION0.  Every test on that state is a
+constant of the source: the hull test of a hull-first access and of a
+device word, a device word's ``slow`` test and COMP1's span, and each
+arm of the lowest-comparator chain, where an empty region has no arm
+and a region has none above PPB_BASE, where no in-line access lies.
+As the trace passes an in-line port write, the state it leaves is the
+unit's own port run on a snapshot (``DwtUnit.inline``), so the
+instructions after it are compiled for that one.  The block checks
+what it assumes, as a trace JIT's guards do (Gal et al., PLDI 2009),
+in three places: on entry, where a block made for another state
+returns True, and ``Machine.run`` compiles it for the one it finds, or
+takes that from ``_make``'s cache (``Block.compile``); after each slow
+``m.load``/``m.store``, which may change the state, where it leaves
+through its halt exit if the state is not the one the next instruction
+was compiled for; and at the end of a pass, at compile time: a block
+whose pass ends in another state does not loop.  Each state a check
+reads is a constant of ``make``, ``Z0`` the entry's.
+
+Each data access runs in line where it can, and else through
+``m.load`` or ``m.store`` (``binder``, whose ``Compiled`` binds each
+instruction for ``SEMANTICS``).
 
 The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``movt`` put in a register until another write of it (read from
 ``isa.OPS``), and emits such an instruction as that constant.  A word
 ``ldr``/``str`` whose address is known, aligned and, by
-``machine.ppb_device``, on a device (``_device_word``) has one fast
-case outside the hull: the in-line form its device gives it (the
-unit's register words, as the lines ``step()`` runs), with a stored
-value the block knows folded and the device's state bound once per
-entry (its ``BIND``), hull-first, with no alignment test; a store's
-``slow`` test (a region the unit must cache or drop) joins the hull
-test.  A device word with
-no in-line form (CTRL, CYCCNT, an unmapped word, DEMCR, any word on a
-machine without its device) is emitted as any other ``ldr``/``str``.
+``machine.ppb_device``, on a device (``_device_word``) runs, with no
+test at all, the in-line form its device gives it (the unit's register
+words, as the lines ``step()`` runs), with a stored value the block
+knows folded and the device's state bound once per entry (its
+``BIND``), where the watch state puts it outside the hull and its
+device says the write needs no ``slow`` path (``_in_line``).  Any
+other device word (one in the hull, a write whose ``slow`` test holds
+or a FUNCTION write of a value the block does not know, CTRL, CYCCNT,
+an unmapped word, DEMCR, any word on a machine without its device) is
+emitted as any other ``ldr``/``str``.
 
 The source reads the trace, the code map's (address, instruction)
-pairs, whose instructions are values (``_block_at``), and the machine
-only through its shape (``_shape``), and ``_make`` caches the compiled
-block on the two: machines built from equal code share it, and a
-changed instruction compiles anew.  Exception returns go through
-``m._end``, which looks ``exception_model.return_from_exception`` up
-when called, so a patch of it sees each one.  Code at or above
-``EXC_RETURN_MIN`` is not run in line, and a block whose next pc can be
-there ends through ``m._end``.  ``Machine.run`` drops its blocks when
-``m.code``, ``m.dwt``, ``m.guard`` or ``m.watch`` is replaced (a block
-binds the guard's state once, when made: its ``BIND``), or ``min_sp``
-is switched on or off.
+pairs, whose instructions are values (``_block_at``), the machine's
+shape (``_shape``) and the watch state, and ``_make`` caches the
+compiled block on the three: machines built from equal code in equal
+states share it, and a changed instruction compiles anew.  Exception
+returns go through ``m._end``, which looks
+``exception_model.return_from_exception`` up when called, so a patch
+of it sees each one.  Code at or above ``EXC_RETURN_MIN`` is not run in
+line, and a block whose next pc can be there ends through ``m._end``.
+``Machine.run`` drops its blocks when ``m.code``, ``m.dwt``,
+``m.guard`` or ``m.watch`` is replaced (a block binds the guard's state
+once, when made: its ``BIND``), or ``min_sp`` is switched on or off.
 """
 
 from __future__ import annotations
@@ -112,8 +111,9 @@ import re
 import struct
 
 from . import machine as mach
-from .isa import BRANCH, LR, MASK32, MEMORY, NUM_GPRS, OPS, PC, SP, TRAP
-from .semantics import COND, SEMANTICS, define, write_flags
+from .binder import XPSR, Compiled, branch_test, read_reg, write_reg
+from .isa import BRANCH, LR, MASK32, MEMORY, OPS, PC, SP, TRAP
+from .semantics import SEMANTICS, define, write_flags
 
 HOT_THRESHOLD = 32
 MAX_BLOCK_LEN = 64
@@ -130,21 +130,23 @@ class Block:
     exit.  ``fold`` adds them to the machine's counts.
     """
 
-    __slots__ = ("n", "heat", "fn", "counts", "addrs")
+    __slots__ = ("n", "heat", "fn", "counts", "trace")
 
     def __init__(self) -> None:
         self.n = self.heat = 0  # n is known once compiled
         self.fn = None
 
     def compile(self, m, pc: int) -> None:
-        """Compile ``m``'s block at pc, unless it is empty."""
-        trace = _block_at(m.code, pc)
-        if not trace:
-            return
-        self.n = len(trace)
-        self.counts = [0] * (self.n + 1)
-        self.addrs = tuple(at for at, _ in trace)
-        self.fn = _make(trace, _shape(m))(self.counts, m.guard)
+        """Compile ``m``'s block at pc, unless it is empty, for the watch
+        state ``m`` is in (``_state``); and so again, keeping the counts,
+        once compiled, when its function's entry check misses."""
+        if self.fn is None:
+            self.trace = _block_at(m.code, pc)
+            if not self.trace:
+                return
+            self.n = len(self.trace)
+            self.counts = [0] * (self.n + 1)
+        self.fn = _make(self.trace, _shape(m), _state(m))(self.counts, m.guard)
 
     def fold(self, m) -> None:
         """Add the counts to ``m.retired`` and ``m.taken``; zero them."""
@@ -154,10 +156,10 @@ class Block:
         for i in reversed(range(self.n)):
             runs += counts[i + 1]
             if runs:
-                at = self.addrs[i]
+                at = self.trace[i][0]
                 retired[at] = retired.get(at, 0) + runs
         if counts[0]:
-            at = self.addrs[-1]
+            at = self.trace[-1][0]
             m.taken[at] = m.taken.get(at, 0) + counts[0]
         counts[:] = [0] * (self.n + 1)
 
@@ -168,13 +170,14 @@ CODE_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=CODE_CACHE_SIZE)
-def _make(trace: tuple, shape: tuple):
-    """The ``make(cnt, J)`` of ``trace`` on a machine of ``shape``: its
-    source compiled and run once, keyed on all that the source reads."""
-    return define(_source(trace, shape), "<block>", {
+def _make(trace: tuple, shape: tuple, state: tuple):
+    """The ``make(cnt, J)`` of ``trace`` on a machine of ``shape`` in the
+    watch state ``state``: its source compiled and run once, keyed on
+    all that the source reads."""
+    return define(_source(trace, shape, state), "<block>", {
         "M": MASK32, "U": mach.WORD.unpack_from, "K": mach.WORD.pack_into,
         "UN": struct.unpack_from, "KN": struct.pack_into,
-        "F": write_flags})["make"]
+        "F": write_flags, "X": _state})["make"]
 
 
 def _shape(m) -> tuple:
@@ -189,6 +192,15 @@ def _shape(m) -> tuple:
     policy = folded and folded(m)
     return (devices, None if policy is None else (type(m.guard), policy),
             m.min_sp is not None)
+
+
+def _state(m) -> tuple:
+    """The watch state a block on ``m`` is compiled for, and checks: the
+    snapshot (``DwtUnit.snapshot``) of a unit that gives in-line forms,
+    else ``m.watch``'s regions and hull."""
+    dev = m.dwt
+    return (dev.snapshot(m.watch) if hasattr(dev, "inline")
+            else tuple(map(tuple, m.watch)))
 
 
 # -- code generation ---------------------------------------------------------------
@@ -269,20 +281,23 @@ def _device_word(ins, known: dict):
     return None if addr & 3 or dev is None else (addr, dev)
 
 
-def _in_line(ins, known: dict, devices: tuple):
-    """(address, binding, form) of a device word (``_device_word``) whose
-    class in ``devices`` gives it an in-line form: the line binding its
-    state once per entry (``BIND``), and its ``inline`` form, a store's
-    with a value the block knows folded.  Else None."""
+def _in_line(ins, known: dict, devices: tuple, state: tuple):
+    """(binding, lines, after) of a device word (``_device_word``) outside
+    the hull of the watch state ``state``, whose class in ``devices``
+    gives it an in-line form there: the line binding the device's state
+    once per entry (``BIND``), the lines of its ``inline`` form, a
+    store's with a value the block knows folded, and the watch state
+    after them.  Else None: the word is any other ``ldr``/``str``."""
     word = _device_word(ins, known)
     dev = None if word is None else dict(devices).get(word[1])
-    if dev is None:
+    if dev is None or word[0] + 4 > state[2][2] and word[0] < state[2][3]:
         return None
     addr, name = word
-    form = (dev.inline(addr, mach.ACCESS_READ) if ins.op == "ldr"
-            else dev.inline(addr, mach.ACCESS_WRITE, known.get(ins.rd)))
-    return None if form is None else (
-        addr, "  D = m.%s; %s" % (name, dev.BIND), form)
+    form = (dev.inline(addr, mach.ACCESS_READ, state) if ins.op == "ldr"
+            else dev.inline(addr, mach.ACCESS_WRITE, state, known.get(ins.rd)))
+    if ins.op == "ldr" and form:  # a register reads 32 bits
+        form = ["%s = %s" % (read_reg(ins.rd), form)], state
+    return form and ("  D = m.%s; %s" % (name, dev.BIND), *form)
 
 
 # The min_sp check, on a machine that tracks it; one statement, so that
@@ -294,24 +309,36 @@ _MIN_SP = "m.min_sp = min(m.min_sp, m.sp)"
 _HALTS = re.compile(r"\bm\.(fault\(\)|halt\([\w.]+\))$")
 
 
-def _source(trace: tuple, shape: tuple) -> str:
+def _source(trace: tuple, shape: tuple, state: tuple) -> str:
     """``make(cnt, J)`` returning ``block(m, limit)``: the instructions
-    of ``trace`` as Machine.step would run them, in sequence, and again
-    while the exit reaches the entry and another pass fits before
-    ``limit`` steps; a device word and a four-region test run the
-    in-line forms of ``shape``'s devices (``_in_line``) and guard ``J``,
-    over the names their ``BIND`` binds."""
+    of ``trace`` as Machine.step would run them in the watch state
+    ``state``, in sequence, and again while the exit reaches the entry,
+    the pass ends in ``state`` and another pass fits before ``limit``
+    steps; a device word and a four-region test run the in-line forms of
+    ``shape``'s devices (``_in_line``) and guard ``J`` for the watch
+    state each instruction runs under, over the names their ``BIND``
+    binds.  Each watch state a check compares with is a constant of
+    ``make``, ``Z0`` the entry's."""
     bind = None  # the in-line device's, once per entry
     devices, guard, tracks = shape
     inline = guard and functools.partial(guard[0].inline, guard[1])
+    # Each instruction's in-line device form, and the watch state it runs
+    # under, carried past each in-line port write; then the pass's end.
+    known, words, states = {}, [], [state]
+    for at, ins in trace:
+        words.append(_in_line(ins, known, devices, states[-1]))
+        states.append(words[-1][2] if words[-1] else states[-1])
+        _fold(ins, known)
+    names = {state: "Z0"}
     n = len(trace)
     entry, (at, ins) = trace[0][0], trace[-1]
     exits = _exits(at, ins)
-    loops = exits is None or entry in exits
+    loops = (exits is None or entry in exits) and states[-1] == state
     split = loops and ins.op in ("b", "bcond")  # _loop_tail runs it
     out = ["def make(cnt, J):",
            *([" " + guard[0].BIND] if guard else []),
            " def block(m, limit):",
+           "  if X(m) != Z0: return True",  # made for another watch state
            "  g = m.gpr",
            "  s = e = m.steps" if loops else "  s = m.steps",
            "  c = m.cycles"]
@@ -320,13 +347,13 @@ def _source(trace: tuple, shape: tuple) -> str:
     fold = ("; cnt[%d] += (s - e) // %d" % (n, n) if loops else "") + (
         "; cnt[0] += (s - e) // %d" % n
         if loops and ins.op == "bcond" and ins.target == entry else "")
-    flags = ("; s == e or " + _XPSR if loops and any(
+    flags = ("; s == e or " + XPSR if loops and any(
         OPS[ins.op].sets_flags for _, ins in trace) else "")
     moves_sp = any(SP in _written(ins) for _, ins in trace)
     if tracks and not moves_sp:
         out.append("  " + _MIN_SP)  # sp holds its entry value throughout
     if any(OPS[ins.op].kind == MEMORY for _, ins in trace):
-        out.append("  P = m.mem.pages; H = m.watch[2]")  # for _decode
+        out.append("  P = m.mem.pages")  # for binder._decode
     body = []
     cost = 0
     known: dict = {}
@@ -334,31 +361,31 @@ def _source(trace: tuple, shape: tuple) -> str:
         cost += ins.cycles
         nxt = at + ins.width
         last = i == n - 1
-        state = "m.cycles = c + %d; m.cur_pc = %d" % (cost, at)
+        here = "m.cycles = c + %d; m.cur_pc = %d" % (cost, at)
         pc = "; m.pc = %d" % nxt
-        sync = "m.steps = s + %d; %s%s%s" % (i, state, pc, flags)
+        sync = "m.steps = s + %d; %s%s%s" % (i, here, pc, flags)
         # The halt exit: the state after the instruction, pc unless the
         # instruction wrote it, and min_sp where it is tracked (checked
         # once more if the instruction left sp as it was: the same
         # minimum).
         end = ("%sm.steps = s + %d; %s%s; cnt[%d] += 1%s%s; return "
-               "m._end(%d)" % (_MIN_SP + "; " if tracks else "", i + 1, state,
+               "m._end(%d)" % (_MIN_SP + "; " if tracks else "", i + 1, here,
                                "" if _jumps(ins) else pc, i + 1, fold, flags,
                                at))
-        b = _Compiled(ins, nxt, cost, sync, end, inline and functools.partial(
-            inline, step="s + %d" % i, pc=at, addr="a"))
-        word = _in_line(ins, known, devices)
+        b = Compiled(ins, nxt, cost, sync, end, inline and functools.partial(
+            inline, step="s + %d" % i, pc=at, addr="a"), states[i],
+            functools.partial(names.setdefault, states[i + 1],
+                              "Z%d" % len(names)))
+        word = words[i]
         value = known.get(ins.rd)  # a str's value, if the block knows it
         _fold(ins, known)
         body.append("# 0x%08x %s" % (at, ins.op))
-        if word is not None:  # aligned by construction: no alignment test
-            addr, bind, form = word
-            addr = "%d" % addr
-            lines = (_load(b, ins.rd, addr, 4, form) if ins.op == "ldr"
-                     else _store(b, addr, 4, _reg(ins.rd, nxt) if value is None
-                                 else "%d" % value, form))
+        if word is not None:  # known and aligned: no address, no test
+            bind, lines = word[:2]
+            if ins.op == "str" and value is None:
+                lines = ["v = " + read_reg(ins.rd, nxt), *lines]
         elif ins.op == "movt" and ins.rd in known:  # folded, as movw is
-            lines = [_set(ins.rd, "%d" % known[ins.rd])]
+            lines = [write_reg(ins.rd, "%d" % known[ins.rd])]
         elif ins.op in ("b", "bl") and not last:  # followed: pc is not read
             lines = ["m.lr = %d" % nxt] if ins.op == "bl" else []
         else:
@@ -368,7 +395,8 @@ def _source(trace: tuple, shape: tuple) -> str:
         if tracks and moves_sp and (i == 0 or SP in _written(ins)):
             body.append(_MIN_SP)
         if OPS[ins.op].sets_flags:
-            flags = "; " + _XPSR
+            flags = "; " + XPSR
+    out[1:1] = (" %s = %r" % (z, st) for st, z in names.items())
     if bind:
         out.append(bind)
     at, ins = trace[-1]
@@ -402,14 +430,14 @@ def _loop_tail(at: int, ins, cost: int, n: int, entry: int,
                end: str) -> list[str]:
     """A looping block's exit test, after its other instructions (``ins``,
     at ``at``, last): a ``bcond`` leaves for whichever of its target and
-    fall-through is not the entry as ``_Compiled.branch`` would, a pc
+    fall-through is not the entry as ``Compiled.branch`` would, a pc
     from a register or memory leaves when it is not the entry; a pass
     that stays starts the next one if it fits before ``limit``, else
     returns at the entry after ``end``, the counts and flags that every
     exit writes."""
     lines = ["# 0x%08x %s" % (at, ins.op)] if ins.op in ("b", "bcond") else []
     if ins.op == "bcond":
-        read, test = _test(ins.cond, end)
+        read, test = branch_test(ins.cond, end)
         lines += read
     if ins.op == "bcond" and ins.target == entry:
         lines.append("if not (%s): m.pc = %d; m.cycles = c + %d; break"
@@ -425,185 +453,3 @@ def _loop_tail(at: int, ins, cost: int, n: int, entry: int,
         "if s + %d > limit:" % n,
         " m.steps = s; m.cycles = c; m.cur_pc = %d; m.pc = %d%s; return"
         % (at, entry, end)]
-
-
-# -- compiled source of register and memory accesses -----------------------------
-
-def _reg(r: int, pc="m.pc") -> str:
-    """read_reg(r), with pc read as ``pc``, the next instruction's
-    address; by default, where write_reg(r, ...) stores."""
-    return "g[%d]" % r if r < NUM_GPRS else {SP: "m.sp", LR: "m.lr"}.get(
-        r, "%s" % pc)
-
-
-def _set(r: int, expr: str) -> str:
-    """write_reg(r, expr): the value is masked to 32 bits."""
-    if expr.isdigit():
-        return "%s = %d" % (_reg(r), int(expr) & MASK32)
-    return "%s = (%s) & M" % (_reg(r), expr)
-
-
-def _decode(a: str, size: int, form=None, rd=None, hull=False,
-            words=None) -> tuple[str, list[str]]:
-    """The one compiled decode of an access of ``size`` bytes at ``a``
-    that missed the comparators or, with ``hull``, lies outside their
-    hull ``H`` (``m.watch[2]``): the test for its inline case, and the
-    lines that read it into ``rd`` or, without ``rd``, write ``v``.  A
-    device word's in-line ``form`` (``_in_line``) takes the test of the
-    hull's half above PPB_BASE, and a store's its ``slow`` test too.
-    Else ``a`` must be RAM, below PPB_BASE (with ``hull``, outside the
-    half below), and a word on one page; a missing page reads 0, and a
-    store needs a present page (``Machine.store`` alone creates them).
-    With ``words``, the registers a pop reads into (``rd`` true) or the
-    values a push writes, as a tuple's text, the access is the
-    ``size // 4`` words of a push or pop: their test asks for a present
-    page too, and one struct call moves them all.
-    A memory map with more banks changes this beside ``Machine.load``."""
-    if form is not None:
-        test = "%d <= H[2] or %s >= H[3]" % (int(a) + size, a)
-        if rd is not None:  # a register reads 32 bits
-            return test, ["%s = %s" % (_reg(rd), form)]
-        slow, lines = form
-        if slow is not None:
-            test = "(%s) and not (%s)" % (test, slow)
-        return test, lines
-    test = "%s < %d" % (a, mach.PPB_BASE)
-    if size >= 4:
-        test += " and (o := %s & %d) <= %d" % (a, mach.PAGE_MASK,
-                                               mach.PAGE_SIZE - size)
-        off = "o"
-    else:
-        off = "%s & %d" % (a, mach.PAGE_MASK)
-    if hull:
-        test += " and (%s >= H[1] or %s + %d <= H[0])" % (a, a, size)
-    page = "(p := P.get(%s >> %d)) is not None" % (a, mach.PAGE_BITS)
-    if words:
-        return test + " and " + page, [
-            "%s, = UN('<%dI', p, o)" % (words, size // 4) if rd
-            else "KN('<%dI', p, o, %s)" % (size // 4, words)]
-    if rd is None:
-        write = ("K(p, %s, v)" if size == 4 else "p[%s] = v") % off
-        return test + " and " + page, [write]
-    word = ("U(p, %s)[0]" if size == 4 else "p[%s]") % off
-    return test, ["%s = %s if %s else 0" % (_reg(rd), word, page)]
-
-
-def _slow(b, call: str) -> list[str]:
-    """An access's ``else`` arm, the one slow path: the state writes of
-    the binder ``b`` (``_Compiled``), for the guard and CYCCNT, then
-    ``call``, of ``m.load`` or ``m.store``, which may halt, then the
-    halt exit ``b.end`` if it did, unless None (``_Compiled.words``)."""
-    return ["else:", " %s; %s" % (b.sync, call),
-            *[" if m.halted: %s" % b.end] * bool(b.end)]
-
-
-def _load(b, rd: int, a: str, size: int, form=None, hits=None) -> list[str]:
-    """Machine.load of ``size`` bytes at ``a`` into ``rd``, for the
-    instruction whose binder is ``b`` (``_Compiled``): a load that
-    ``_decode`` can read inline is read so if, without ``hits``, it lies
-    outside the hull, or else before ``hits``, the guard's in-line chain
-    (``_Compiled.hits``), records a hit (a read that hits still flows);
-    anything else takes the slow path (``_slow``)."""
-    test, (read,) = _decode(a, size, form, rd, hits is None)
-    slow = _slow(b, _set(rd, "m.load(%s, %d)" % (a, size)))
-    if hits is None:
-        return ["if %s: %s" % (test, read), *slow]
-    return ["s0, s1, s2, s3 = m.watch[%d]" % mach.ACCESS_READ, "if %s:" % test,
-            *(" " + line for line in (read, *hits)), *slow]
-
-
-def _store(b, a: str, size: int, value: str, form=None,
-           hits=None) -> list[str]:
-    """Machine.store of ``value`` at ``a``, for the binder ``b`` as in
-    ``_load``: a store in a comparator region runs ``hits``, if given;
-    a store that ``_decode`` can write inline, and that missed them or,
-    without ``hits``, lies outside the hull, is written so; anything
-    else takes the slow path (``_slow``)."""
-    test, write = _decode(a, size, form, hull=hits is None)
-    slow = _slow(b, "m.store(%s, %d, v)" % (a, size))
-    if hits is None:
-        return ["v = " + value, "if %s:" % test,
-                *(" " + line for line in write), *slow]
-    return ["v = " + value, "s0, s1, s2, s3 = m.watch[%d]" % mach.ACCESS_WRITE,
-            *hits, "elif %s: %s" % (test, *write), *slow]
-
-
-# The one call that writes a pending compare's flags (write_flags).
-_XPSR = "F(m, fa, fb)"
-
-
-def _test(cond: str, end: str) -> tuple[list[str], str]:
-    """The lines that read the flags and ``cond``'s test: on fa, fb if
-    ``end``, the state writes there, writes their flags, else on xPSR."""
-    pending = end.endswith("; " + _XPSR)
-    return [] if pending else ["x = m.xpsr"], COND[cond][pending]
-
-
-class _Compiled:
-    """The slots of one instruction of a block (``nxt`` its fall-through,
-    ``cost`` the cycles to its end, ``sync`` the state writes, which
-    only an access's slow path makes, ``end`` the halt exit, ``guard``
-    the guard's in-line form at its step and pc, or None): operands are
-    literals, registers locals or ``m`` attributes, memory is
-    ``_load``/``_store``, hull-first for a stack word, a base of sp or
-    where ``guard`` is None, and a compare's flags stay in ``fa``,
-    ``fb`` until an exit or ``sync`` writes them."""
-
-    def __init__(self, ins, nxt: int, cost: int, sync: str, end: str,
-                 guard) -> None:
-        self.ins, self.nxt, self.cost, self.sync, self.end = (
-            ins, nxt, cost, sync, end)
-        self.r, self.guard = None, None if ins.rn == SP else guard
-
-    def _value(self, expr):
-        return expr if isinstance(expr, int) else eval(
-            expr, {"ins": self.ins, "r": self.r})
-
-    def k(self, expr: str) -> str:
-        return "%d" % self._value(expr)
-
-    def reg(self, r) -> str:
-        return _reg(self._value(r), self.nxt)
-
-    def set(self, r, value: str) -> list[str]:
-        return [_set(self._value(r), value)]
-
-    def hits(self, access: int, size: int, value: str = "0"):
-        """The guard's in-line chain for the access at ``a``, or None
-        for a hull-first one."""
-        return self.guard and self.guard(access, size=size, value=value)
-
-    def load(self, r, size: int) -> list[str]:
-        return _load(self, self._value(r), "a", size,
-                     hits=self.hits(mach.ACCESS_READ, size))
-
-    def store(self, size: int, value: str) -> list[str]:
-        return _store(self, "a", size, value,
-                      hits=self.hits(mach.ACCESS_WRITE, size, "v"))
-
-    def words(self, access) -> list[str]:
-        """A push's or pop's words from ``sp``: one test and one struct
-        call (``_decode``), and else word by word, as ``step()`` goes,
-        each word even when an earlier one halted, then the halt exit."""
-        regs, end, self.end, self.guard = self.ins.reglist, self.end, None, None
-        lines = []
-        for i, r in enumerate(regs):
-            self.r = r
-            lines += ["a = (sp + %d) & M" % (4 * i), *access()]
-        pop = self.ins.op == "pop"
-        test, fast = _decode("sp", 4 * len(regs), rd=pop, hull=True,
-                             words=", ".join(_reg(r, "m.pc" if pop else
-                                                  self.nxt) for r in regs))
-        return ["if %s: %s" % (test, *fast), "else:",
-                *(" " + line for line in lines), " if m.halted: " + end]
-
-    def flags(self, a: str, b: str) -> list[str]:
-        return ["fa = %s; fb = %s" % (a, b)]
-
-    def branch(self, target: str) -> list[str]:
-        read, test = _test(self.ins.cond, self.sync)
-        return [*read, "if %s:" % test,
-                " m.pc = %s; m.cycles = c + %d; cnt[0] += 1"
-                % (self.k(target), self.cost + 1),
-                "else:",
-                " m.pc = %d; m.cycles = c + %d" % (self.nxt, self.cost)]

@@ -24,9 +24,13 @@ it contains every slot that can match.  Caching a region widens it by
 that region; only dropping one recomputes it from them all; a FUNCTION
 write never touches it.  The machine tests every data access against
 that table inline (``protect`` makes it ``Machine.watch``), as the
-chip's comparators do in hardware, and calls the guard only on a hit;
-compiled blocks test a stack or watchpoint-register access against the
-hull alone, and take one inside it through ``Machine.load``/``store``.
+chip's comparators do in hardware, and calls the guard only on a hit.
+A compiled block reads none of it as it runs: it is compiled for the
+watch state it is entered in (``DwtUnit.snapshot``: the table, the
+cached regions, the FUNCTION words and the shadow pointer's span), with
+every test on that state a constant, such as a stack access's test
+against the hull, and checks the state on entry and after each
+``Machine.load``/``store`` it makes.
 ``match_access`` reads the same table, and is the reference matcher the
 guard uses to name the comparator.  The rule it applies, the lowest
 comparator whose region holds a byte of the access, is written once,
@@ -44,11 +48,15 @@ at import into each word's port, its ``(read, write)`` pair, they are
 what ``mmio_read``/``mmio_write``, and so ``Machine.load``/``store``,
 run.  And a compiled block emits them in line for a register word
 outside the hull (``DwtUnit.inline``), with the unit's state bound once
-per entry (``DwtUnit.BIND``) and a value the block knows folded at
-compile time; where ``slow`` holds it takes ``Machine.store``, as it
-does for CYCCNT and the unmapped words, which have no in-line form.
-So from outside this module only ``mmio_read``/``mmio_write`` reach a
-port.
+per entry (``DwtUnit.BIND``), a value the block knows folded at compile
+time and every test on the watch state the block is compiled for
+decided then, the ``slow`` test and COMP1's span among them; the
+port itself, run then on a unit that holds that state, gives the state
+the write leaves for the instructions after it.  Where ``slow`` holds,
+or a FUNCTION write's value is not known, the block takes
+``Machine.store``, as it does for CYCCNT and the unmapped words, which
+have no in-line form.  So from outside this module only
+``mmio_read``/``mmio_write`` reach a port.
 """
 
 from __future__ import annotations
@@ -131,8 +139,7 @@ def _write_lines(i: int, v, names) -> tuple[str | None, list[str]]:
     lines.append("%s[%d] = %s" % (R, i, v))
     if kind != _FUNCTION:  # the region moves: drop it, choose anew
         if i == _COMP1:  # its span is protect's
-            lines.append("if (q := %s) is not None and not q[0] <= %s <= "
-                         "q[1]: m.halt(D.OVERFLOW)" % (Q, v))
+            lines += _overflow(v, Q)
         return ("%s is not None or %s[%d] in %r"
                 % (region, R, fn, _ENABLED_FNS)), lines
     # A FUNCTION write chooses the slots from the cached region, which
@@ -144,16 +151,33 @@ def _write_lines(i: int, v, names) -> tuple[str | None, list[str]]:
     return "%s in %r and %s is None" % (v, _ENABLED_FNS, region), lines
 
 
-def lowest_match(a: str, end: str, arm) -> list[str]:
+def _overflow(v, q) -> list[str]:
+    """COMP1's write of ``v`` halts outside the span ``q``: the name of
+    ``ssp_guard``, or its value when known (None: no span), folded
+    here, with ``v`` too when known."""
+    if isinstance(q, str):
+        return ["if (q := %s) is not None and not q[0] <= %s <= q[1]: "
+                "m.halt(D.OVERFLOW)" % (q, v)]
+    if q is None or isinstance(v, int) and q[0] <= v <= q[1]:
+        return []
+    return [("" if isinstance(v, int) else "if not %d <= %s <= %d: "
+             % (q[0], v, q[1])) + "m.halt(D.OVERFLOW)"]
+
+
+def lowest_match(a: str, end: str, arm, slots=None) -> list[str]:
     """The lowest-comparator rule, as lines over the regions ``s0``..``s3``
-    of one access kind: an ``if``/``elif`` chain whose arm ``k``, the
-    lines ``arm(k)``, runs when the access covering ``[a, end)`` (text)
-    has a byte in region k and none in a lower one.  Unrolled: a loop
-    costs twice as much."""
+    of one access kind, or over ``slots``, those regions known: an
+    ``if``/``elif`` chain whose arm ``k``, the lines ``arm(k)``, runs
+    when the access covering ``[a, end)`` (text) has a byte in region k
+    and none in a lower one.  A known empty region has no arm, so the
+    chain may have none.  Unrolled: a loop costs twice as much."""
     lines = []
     for k in range(NUM_GROUPS):
-        lines += ["%s %s < s%d[1] and %s > s%d[0]:"
-                  % ("elif" if k else "if", a, k, end, k),
+        lo, hi = slots[k] if slots else ("s%d[0]" % k, "s%d[1]" % k)
+        if slots and lo >= hi:
+            continue
+        lines += ["%s %s < %s and %s > %s:"
+                  % ("elif" if lines else "if", a, hi, end, lo),
                   *(" " + line for line in arm(k))]
     return lines
 
@@ -220,7 +244,8 @@ def _register_ports() -> dict:
     """Each register word's port by address, compiled in one ``exec``
     from its lines with the state read through the unit: a read returns
     the word, and a write runs its lines, masked to the bus's 32 bits,
-    then ``_regroup`` when their ``slow`` test holds."""
+    then, when their ``slow`` test holds, ``_regroup``, and answers
+    True."""
     names = tuple(_STATE.values())
     source = []
     for i in range(len(_ADDRS)):
@@ -228,7 +253,7 @@ def _register_ports() -> dict:
         source += ["def r%d(D, m): return %s" % (i, _read(i, names)),
                    "def w%d(D, m, v):" % i, " v &= %d" % MASK32,
                    *(" " + line for line in lines),
-                   " if %s: _regroup(D, m, %d, %s)"
+                   " if %s: _regroup(D, m, %d, %s); return True"
                    % (slow, i // 3, i % 3 != _FUNCTION)]
     ns = define("\n".join(source), "<dwt>", {"_regroup": _regroup})
     return {addr: (ns["r%d" % i], ns["w%d" % i])
@@ -277,7 +302,10 @@ class DwtUnit:
         # that kind; then the hull [h0, h1, h2, h3] of the cached regions
         # (_widen, _rehull), empty as (0, 0, 0, 0).  Only register writes
         # change it, and always in place, so whoever holds it
-        # (Machine.watch, a compiled block's S and W) sees every one.
+        # (Machine.watch, a compiled block's S and W, which its in-line
+        # FUNCTION writes write) sees every one; a compiled block reads
+        # it only as constants, and its snapshot on entry and after each
+        # slow path.
         self.slots = ([_NEVER] * NUM_GROUPS, [_NEVER] * NUM_GROUPS,
                       [0, 0, 0, 0])
         # Each group's region from its COMP and MASK, or None until an
@@ -295,20 +323,47 @@ class DwtUnit:
 
     # -- register file ------------------------------------------------------
 
+    def snapshot(self, watch) -> tuple:
+        """The watch state that code compiled for this unit and ``watch``
+        (``Machine.watch``) runs under, as one hashable value: the regions
+        of ``watch`` per access kind and their hull, whether ``watch`` is
+        this unit's slot table, and the unit's cached regions, FUNCTION
+        words and ``ssp_guard``.  No COMP or MASK word is in it, nor so
+        the shadow stack pointer: a write of one that is not ``slow``
+        leaves it as it was."""
+        return (*map(tuple, watch), watch is self.slots, tuple(self.regions),
+                tuple(self.regs[_FUNCTION::3]), self.ssp_guard)
+
     @staticmethod
-    def inline(addr: int, access: int, value=None):
+    def inline(addr: int, access: int, state: tuple, value=None):
         """A compiled block's in-line form of an access to the register
-        word at ``addr``, over ``BIND``'s names: a read's value as an
-        expression, or a write of ``value`` (known, or else the 32-bit
-        ``v``) as ``(slow, lines)``, which the block runs when ``slow``
-        is None or false and else hands to ``Machine.store``.  None for
-        CYCCNT and the unmapped words, which have no in-line form."""
+        word at ``addr`` under the watch state ``state`` (``snapshot``),
+        over ``BIND``'s names: a read's value as an expression, or a write
+        of ``value`` (known, or else the 32-bit ``v``) as ``(lines,
+        after)``, the lines with every test on ``state`` decided and the
+        watch state after them.  The effect is the port's own, run on a
+        unit that holds ``state``.  None for CYCCNT and the unmapped
+        words, which have no in-line form, and for a write that must take
+        ``Machine.store``: one whose ``slow`` test holds, or a FUNCTION
+        write of a value the block does not know."""
         if addr not in _ADDRS:
             return None
         i = _ADDRS.index(addr)
         if access == ACCESS_READ:
             return _read(i, tuple(_STATE))
-        return _write_lines(i, "v" if value is None else value, tuple(_STATE))
+        *watch, shared, regions, fns, ssp = state
+        D = DwtUnit()  # state's, with no span: the lines fold it
+        D.slots, D.regions = tuple(map(list, watch)), list(regions)
+        D.regs[_FUNCTION::3] = fns
+        # A COMP or MASK value the block does not know runs as 0: a write
+        # that is not slow changes nothing of the state but that word.
+        if (value is None and i % 3 == _FUNCTION
+                or _PORTS[addr][1](D, None, value or 0)):
+            return None
+        D.ssp_guard = ssp
+        names = (*tuple(_STATE)[:-1], ssp)
+        return (_write_lines(i, "v" if value is None else value, names)[1],
+                D.snapshot(D.slots if shared else watch))
 
     def mmio_read(self, m, addr: int) -> int:
         return _PORTS.get(addr, _UNMAPPED)[0](self, m)

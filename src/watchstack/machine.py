@@ -363,14 +363,18 @@ class Machine:
         calls would leave.  Execution goes block by block (``blocks``),
         in one loop that looks up the block entered at the pc: an entry
         reached fewer than ``blocks.HOT_THRESHOLD`` times is stepped
-        through, up to the next jump; then its block is compiled, and
-        runs whenever it fits before the limit and no exception is
-        pending, a loop pass after pass while the next pass fits.  The
-        blocks' own counts are folded into ``retired`` and ``taken``
-        before ``run()`` returns, so the blocks can be dropped whenever
-        ``code`` is replaced, or ``dwt``, ``guard`` or ``watch``, whose
-        in-line forms a compiled block runs, or ``min_sp`` is switched
-        on or off, which a compiled block checks only if tracked.
+        through, up to the next jump; then its block is compiled for
+        the watch state it finds (the comparator regions and the unit's
+        state, as constants), and runs whenever it fits before the limit
+        and no exception is pending, a loop pass after pass while the
+        next pass fits.  A compiled block that finds another watch state
+        on entry runs nothing and answers True, and is compiled again
+        for the one it found.  The blocks' own counts are folded into
+        ``retired`` and ``taken`` before ``run()`` returns, so the
+        blocks can be dropped whenever ``code`` is replaced, or
+        ``dwt``, ``guard`` or ``watch``, whose in-line forms a compiled
+        block runs, or ``min_sp`` is switched on or off, which a
+        compiled block checks only if tracked.
         """
         # Here, not at import: blocks imports machine.
         from .blocks import HOT_THRESHOLD as hot, Block
@@ -394,7 +398,8 @@ class Machine:
                         blk.compile(self, pc)
                 if (blk.fn is not None and self.steps + blk.n <= limit
                         and not self.pending):
-                    blk.fn(self, limit)
+                    if blk.fn(self, limit):  # made for another watch state
+                        blk.compile(self, pc)
                 else:  # step the line; the pc it leaves is the next entry
                     self._line(limit)
         finally:

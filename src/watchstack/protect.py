@@ -242,16 +242,17 @@ class WatchpointGuard:
         return self.reset
 
     @staticmethod
-    def inline(reset: bool, access: int, step: str, pc: int, addr: str,
-               size: int, value: str = "0") -> list[str]:
+    def inline(reset: bool, access: int, slots, step: str, pc: int,
+               addr: str, size: int, value: str = "0") -> list[str]:
         """A compiled block's in-line form of its access of ``size`` bytes
         at ``addr`` (text, as ``step``, the step index, and ``value`` are)
         by the instruction at ``pc``: the unit's lowest-comparator chain
-        (``dwt.lowest_match``) over the regions ``s0``..``s3`` read from
-        ``m.watch``, whose arm k is a hit on k under the policy ``reset``."""
+        (``dwt.lowest_match``) over the known regions ``slots`` of
+        ``m.watch`` for that access kind, whose arm k is a hit on k under
+        the policy ``reset``; an empty region has no arm."""
         return lowest_match(addr, "%s + %d" % (addr, size), lambda k: (
             _hit_lines(tuple(_STATE), step, pc, addr, k, value, size,
-                       access, reset)))
+                       access, reset)), slots)
 
 
 def attach_debug_system(m: Machine) -> None:

@@ -14,9 +14,12 @@ bytecodes each code object executes.  Rows are by file and by function;
 generated code counts under its own file name (``<block>``, ``<step>``,
 ``<dwt>``, ``<flags>``, ``<protect>``), one row per code object, a
 compiled block's (and its ``make``'s) named by the pc it is entered at.
-Each op also reports its simulated steps and its ``blocks.Block.compile``
-calls.  Code in C (``struct``, ``dict``) counts as the one bytecode that
-calls it.
+Each op also reports its simulated steps; its ``blocks.Block.compile``
+calls; of those, the ones whose block's entry check missed (a block
+compiled for another watch state, compiled again for the one it
+found); and the blocks compiled, ``blocks._make``'s cache misses, each
+a ``blocks._source`` call.  Code in C (``struct``, ``dict``) counts as
+the one bytecode that calls it.
 
 Counts depend on the Python version, which is recorded, and through set
 and dict order on the hash seed, so the script re-executes itself with
@@ -49,11 +52,13 @@ from workloads import WORKLOADS, RecursionProtected  # noqa: E402
 
 def count(fn, *args):
     """``fn(*args)``'s result; the bytecodes each code object executed in
-    it and its calls; and the pc each compiled block's code was entered
-    at."""
+    it and its calls; the pc each compiled block's code was entered at;
+    and the entry-check misses, ``Block.compile`` calls on a block that
+    already has a function."""
     counts: dict = {}
     calls: dict = {}
     entries: dict = {}
+    misses = [0]
 
     def opcode(frame, event, arg):
         if event == "opcode":
@@ -66,6 +71,8 @@ def count(fn, *args):
         calls[code] = calls.get(code, 0) + 1
         if code.co_name == "block" and code.co_filename == "<block>":
             entries.setdefault(code, frame.f_locals["m"].pc)
+        elif code is blocks.Block.compile.__code__:
+            misses[0] += frame.f_locals["self"].fn is not None
         frame.f_trace_opcodes = True
         return opcode
 
@@ -74,7 +81,7 @@ def count(fn, *args):
         out = fn(*args)
     finally:
         sys.settrace(None)
-    return out, counts, calls, entries
+    return out, counts, calls, entries, misses[0]
 
 
 def _file(code) -> str:
@@ -104,7 +111,7 @@ def _function(code, entries: dict) -> str:
 
 def measure(w, op_id: int) -> dict:
     item = w.items[op_id % len(w.items)]
-    out, counts, calls, entries = count(w.run_op, item)
+    out, counts, calls, entries, misses = count(w.run_op, item)
     by_file: dict = {}
     by_function: dict = {}
     for code, n in counts.items():
@@ -115,6 +122,8 @@ def measure(w, op_id: int) -> dict:
     order = lambda d: dict(sorted(d.items(), key=lambda kv: (-kv[1], kv[0])))
     return {"op": op_id, "steps": w.steps(out),
             "compiles": calls.get(blocks.Block.compile.__code__, 0),
+            "misses": misses,
+            "made": calls.get(blocks._source.__code__, 0),
             "bytecodes": sum(counts.values()),
             "by_file": order(by_file), "by_function": order(by_function)}
 
@@ -149,8 +158,9 @@ def main(argv=None) -> int:
         result["workloads"][name] = ops
         for op in ops:
             print("%s op %d: %d bytecodes, %d steps, %d Block.compile calls"
+                  " (%d entry-check misses), %d blocks compiled"
                   % (name, op["op"], op["bytecodes"], op["steps"],
-                     op["compiles"]))
+                     op["compiles"], op["misses"], op["made"]))
             for f, n in op["by_file"].items():
                 print("  %12d  %s" % (n, f))
             for key, n in list(op["by_function"].items())[:args.top]:

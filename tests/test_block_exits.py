@@ -7,7 +7,7 @@ guard shown every access (``check_watch``, so that compiled blocks call
 it), and through ``compiled_lockstep``, the reference interpreter at
 each compiled block's exit.  The stack cases put a push's or pop's
 words on a page's last bytes, across a page, on a page nothing wrote,
-across PPB_BASE, and onto the hull's lower edge ``H[0]``, then a word
+across PPB_BASE, and onto the hull's lower edge ``h0``, then a word
 into the watched region, first the second word; the halt cases stop a
 compiled block at a reset hit on a store and on a load, at a COMP1
 overflow in line and through ``Machine.store``, and at a misaligned
@@ -52,7 +52,7 @@ def _arm(function: int) -> list[str]:
 
 # Each pass pushes r5 and r6, pops them into r1 and r2 and moves sp up 4.
 # From WALK_SP the third-last pass's words end at the shadow region's
-# start, the hull's H[0]; the second-last pass's second word is its
+# start, the hull's h0; the second-last pass's second word is its
 # first word, and the last pass's both are in it, on a present page.
 WALK_SP = SHADOW.ss_start - 4 * PASSES + 12
 

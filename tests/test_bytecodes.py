@@ -1,5 +1,6 @@
 """``tests/bytecodes.py``, the per-op bytecode counter, counts the same
-twice, whatever hash seed it is started with."""
+twice, whatever hash seed it is started with, and reports the blocks an
+op compiles and the entry checks that miss."""
 
 import json
 import os
@@ -28,6 +29,9 @@ def test_two_counts_of_a_small_recursion_agree():
         platform.python_version(), "0")
     op, = first["workloads"]["recursion-protected"]
     assert op["steps"] == 24 * DEPTH + 1 and op["compiles"] > 0
+    # The warm-up op compiled every block for the one watch state each is
+    # entered in: the counted op makes none, and no entry check misses.
+    assert op["made"] == op["misses"] == 0
     assert op["bytecodes"] == sum(op["by_file"].values()) == sum(
         op["by_function"].values())
     assert op["by_file"]["<block>"] > 0 and op["by_file"]["<step>"] > 0

@@ -12,14 +12,18 @@ No module imports another module's ``_``-prefixed name, nor reads one
 through a module it imported: what two modules share is public.  And
 every ``_``-prefixed name a module binds at its top level is read in it.
 
-Compiled code decodes an address in one place: every string in
-``blocks`` that spells the page table lies in one function.  And it
-reaches a device only through the device's in-line form or
-``Machine.load``/``store``: ``blocks`` names no port and no
-``mmio_read``/``mmio_write``, in its code or in the code it generates.
-Those two are its one slow path to memory too: it names no guard
-handler (``on_load``, ``on_store``), no attribute of ``m.guard`` and no
-``commit``.
+Compiled code, written by ``blocks`` and ``binder``, decodes an address
+in one place: every string of the two that spells the page table lies
+in one function.  And it reaches a device only through the device's
+in-line form or ``Machine.load``/``store``: the two name no port and
+no ``mmio_read``/``mmio_write``, in their code or in the code they
+generate.  Those two are its one slow path to memory too: they name no
+guard handler (``on_load``, ``on_store``), no attribute of ``m.guard``
+and no ``commit``.
+
+``blocks.py`` and ``binder.py`` each stay under the 4,096 parser tokens
+past which CPython 3.11's parser allocates its token array anew, twice
+as large.
 
 Every ``functools.cache``/``lru_cache`` decorator names a ``maxsize``
 that is not None, so no module-level cache grows without bound over a
@@ -27,16 +31,17 @@ long session; ``cached_property`` lives and dies with its object.
 
 All generated code goes through ``semantics.define``, which names its
 file (``<step>``, ``<block>``, ...): no other module calls the builtin
-``exec`` or ``compile``.  ``blocks._Compiled._value``'s ``eval`` of a
+``exec`` or ``compile``.  ``binder.Compiled._value``'s ``eval`` of a
 slot expression such as ``ins.imm`` falls outside the rule: it reads
 one operand while a block's source is written, and defines nothing
 that runs later.
 
 The package's imports form no cycle.  ``semantics``, what each op
 does, imports nothing from the package but ``isa`` and constants of
-``exception_model``.  No module imports ``blocks`` at its top level:
-``Machine.run`` imports it inside the function, so importing the
-machine does not compile the compiled tier's code generator.
+``exception_model``.  No module imports ``blocks`` at its top level,
+nor any but ``blocks`` ``binder``: ``Machine.run`` imports ``blocks``
+inside the function, so importing the machine does not compile the
+compiled tier's code generator.
 
 The reference interpreter in ``tests/reference_isa.py`` imports nothing
 from the package but ``isa``, so it shares no code with what it checks.
@@ -50,6 +55,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -155,29 +161,37 @@ def _docstrings(tree: ast.Module) -> set[int]:
             and ast.get_docstring(node, clean=False) is not None}
 
 
+# The modules that write compiled code.
+COMPILER = ("blocks.py", "binder.py")
+
+
 def test_blocks_decodes_an_address_in_one_function():
-    tree = ast.parse((SRC / "blocks.py").read_text(encoding="utf-8"))
-    docs = _docstrings(tree)
     owners = set()
-    for top in tree.body:
-        owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                    and id(node) not in docs
-                    and any(name in node.value for name in DECODED)):
-                owners.add(owner)
+    for name in COMPILER:
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        docs = _docstrings(tree)
+        for top in tree.body:
+            owner = "%s:%s" % (name, top.name if isinstance(
+                top, ast.FunctionDef) else "<module>")
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        and id(node) not in docs
+                        and any(name in node.value for name in DECODED)):
+                    owners.add(owner)
     assert len(owners) == 1, "blocks decodes in %s" % ", ".join(sorted(owners))
 
 
 # What calls a device's port directly, as a name or inside generated text.
 def _blocks_names(names) -> set[str]:
-    """The ``names`` that ``blocks.py`` spells: as an identifier, as the
-    object of an attribute read (``m.guard.``), or in a string that is
-    not a docstring, as the code it generates is."""
-    tree = ast.parse((SRC / "blocks.py").read_text(encoding="utf-8"))
-    docs = _docstrings(tree)
+    """The ``names`` that ``blocks.py`` and ``binder.py`` spell: as an
+    identifier, as the object of an attribute read (``m.guard.``), or in
+    a string that is not a docstring, as the code they generate is."""
+    trees = [ast.parse((SRC / name).read_text(encoding="utf-8"))
+             for name in COMPILER]
+    docs = set().union(*map(_docstrings, trees))
     named = set()
-    for node in ast.walk(tree):
+    for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in docs:
                 named.update(n for n in names if re.search(r"\b%s%s" % (
@@ -207,6 +221,34 @@ GUARD_CALLS = ("on_load", "on_store", "m.guard.", "commit")
 def test_blocks_reaches_memory_only_through_load_and_store():
     named = _blocks_names(GUARD_CALLS)
     assert not named, "blocks names %s" % ", ".join(sorted(named))
+
+
+PARSER_TOKENS = 4096
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the step is CPython 3.11's parser's")
+@pytest.mark.parametrize("name", COMPILER)
+def test_blocks_stays_under_the_parser_token_step(name):
+    """``blocks.py`` and ``binder.py`` are each under 4,096 parser
+    tokens: those ``tokenize`` gives, less comments, NL and the ENCODING
+    marker, which the parser does not see.
+
+    CPython 3.11's parser holds a module's tokens in an array of 4,096
+    records that it reallocates twice as large when full.  ``blocks`` is
+    compiled inside the first ``Machine.run`` that compiles a block, and
+    without cached bytecode that compile sets every benchmark workload's
+    ``peak_rss_mb``: a tree at 4,099-4,468 tokens compiled with a peak
+    about 230 KiB higher (tracemalloc around ``compile()``), and read
+    0.26-0.43 MB more ``peak_rss_mb`` on all three workloads.  Below the
+    step the peak still grows with the module (a ``blocks.py`` at 4,050
+    tokens read 0.1 MB more than at 3,844), which is why ``binder`` is a
+    module of its own, compiled after ``blocks``."""
+    with open(SRC / name, "rb") as f:
+        count = sum(tok.type not in (tokenize.COMMENT, tokenize.NL,
+                                     tokenize.ENCODING)
+                    for tok in tokenize.tokenize(f.readline))
+    assert count < PARSER_TOKENS, "%s has %d parser tokens" % (name, count)
 
 
 def _calls(tree: ast.Module, names) -> set[str]:
@@ -333,9 +375,12 @@ def test_semantics_imports_only_isa_and_exception_model_constants():
 
 
 def test_no_module_imports_blocks_at_its_top_level():
-    importers = sorted(name for name, deps in _import_graph().items()
+    graph = _import_graph()
+    importers = sorted(name for name, deps in graph.items()
                        if "blocks" in deps)
     assert not importers, "%s import blocks" % ", ".join(importers)
+    assert [name for name, deps in graph.items() if "binder" in deps] == [
+        "blocks"]
     tree = ast.parse((SRC / "machine.py").read_text(encoding="utf-8"))
     run = next(node for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == "run")
@@ -345,7 +390,7 @@ def test_no_module_imports_blocks_at_its_top_level():
 def test_importing_the_machine_leaves_blocks_unimported():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, watchstack.machine; "
-         "print('watchstack.blocks' in sys.modules)"],
+        [sys.executable, "-c", "import sys, watchstack.machine; print("
+         "{'watchstack.blocks', 'watchstack.binder'} & set(sys.modules))"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "set()"

@@ -567,10 +567,20 @@ def catch_up(pair: Lockstep, where: str) -> None:
     pair.check(where)
 
 
+def _raise(exc_id: int):
+    def raise_both(pair: Lockstep) -> None:
+        pair.m.raise_exception(exc_id)
+        pair.core.pending.append(exc_id)
+    return raise_both
+
+
 def compiled_lockstep(prog, cfg: RunConfig, label: str,
-                      monkeypatch) -> ref.Core:
+                      monkeypatch, stops=()) -> ref.Core:
     """As ``lockstep``, but the machine runs through ``Machine.run()``
-    with the hot threshold at 1, checked at each compiled block's exit."""
+    with the hot threshold at 1, checked at each compiled block's exit.
+    ``run()`` returns at each raise's step, and at each step of
+    ``stops``, ``(step, change)`` pairs, where ``change(pair)`` changes
+    the machine and the core alike between two ``run()`` calls."""
     pair = boot(prog, cfg, label)
     compile_block = blocks.Block.compile
 
@@ -578,20 +588,22 @@ def compiled_lockstep(prog, cfg: RunConfig, label: str,
         compile_block(blk, m, pc)
         if blk.fn is not None:
             def checked(m, limit, fn=blk.fn):
-                fn(m, limit)
+                missed = fn(m, limit)  # True: its entry check missed
                 catch_up(pair, "the exit of the block at %#x" % pc)
+                return missed
             blk.fn = checked
 
     with monkeypatch.context() as mp:
         mp.setattr(blocks, "HOT_THRESHOLD", 1)
         mp.setattr(blocks.Block, "compile", compile_checked)
-        for exc_id, at in sorted(cfg.raises, key=lambda t: t[1]):
+        for at, change in sorted([*((at, _raise(exc_id))
+                                    for exc_id, at in cfg.raises), *stops],
+                                 key=lambda t: t[0]):
             pair.m.run(at)
-            catch_up(pair, "raise@%d" % at)
+            catch_up(pair, "the stop at step %d" % at)
             if pair.m.halted:
                 break
-            pair.m.raise_exception(exc_id)
-            pair.core.pending.append(exc_id)
+            change(pair)
         pair.m.run(cfg.max_steps)
     catch_up(pair, "the end")
     pair.check_memory()
