@@ -20,10 +20,11 @@ moves them with one ``struct`` call of n words, and else it moves them
 word by word through ``m.store`` or ``m.load``, as ``step()`` does,
 each word even when the guard halts the machine on an earlier one, and
 tests for the halt after the last.  A hull-first access tests only the
-hull of the comparator regions, which no comparator can match outside
-of: there RAM, below ``machine.PPB_BASE`` and, for a word, on one page,
-is read, or written on a present page, on ``m.mem``'s page with no
-call and no state writes.  An access is hull-first when it is a push's
+hull of its access kind's regions (``dwt.hull``, at compile time),
+which no comparator can match outside of: there RAM, below
+``machine.PPB_BASE`` and, for a word, on one page, is read, or written
+on a present page, on ``m.mem``'s page with no call and no state
+writes.  An access is hull-first when it is a push's
 or pop's word or has base sp; where the guard gives no in-line form
 (``blocks._shape``: no guard, a subclass's or wrapped handlers, or
 ``WATCH_ALL``), every access is.  Any other access, such as a byte
@@ -50,6 +51,7 @@ module of their joint size would set every benchmark workload's
 from __future__ import annotations
 
 from . import machine as mach
+from .dwt import hull
 from .isa import LR, MASK32, NUM_GPRS, SP
 from .semantics import COND
 
@@ -68,12 +70,12 @@ def write_reg(r: int, expr: str) -> str:
     return "%s = (%s) & M" % (read_reg(r), expr)
 
 
-def _decode(a: str, size: int, rd=None, hull=None,
+def _decode(a: str, size: int, rd=None, slots=None,
             words=None) -> tuple[str, list[str]]:
     """The one compiled decode of an access of ``size`` bytes at ``a``
-    that missed the comparators or, with ``hull``, the watch state's
-    hull (its ``[h0, h1)``, known), lies outside it: the test for its
-    inline case, and the lines that read it into ``rd`` or, without
+    that missed the comparators or, with ``slots``, its access kind's
+    regions (known), lies outside their hull (``[h0, h1)``): the test for
+    its inline case, and the lines that read it into ``rd`` or, without
     ``rd``, write ``v``.  ``a`` must be RAM, below PPB_BASE, and a word
     on one page; a missing page reads 0, and a store needs a present page
     (``Machine.store`` alone creates them).  With ``words``, the
@@ -89,9 +91,9 @@ def _decode(a: str, size: int, rd=None, hull=None,
         off = "o"
     else:
         off = "%s & %d" % (a, mach.PAGE_MASK)
-    if hull and hull[0] < hull[1]:  # an empty hull holds nothing
-        test += " and (%s >= %d or %s + %d <= %d)" % (a, hull[1], a, size,
-                                                      hull[0])
+    h0, h1 = hull(slots)[:2] if slots else (0, 0)
+    if h0 < h1:  # an empty hull holds nothing
+        test += " and (%s >= %d or %s + %d <= %d)" % (a, h1, a, size, h0)
     page = "(p := P.get(%s >> %d)) is not None" % (a, mach.PAGE_BITS)
     if words:
         return test + " and " + page, [
@@ -122,7 +124,8 @@ def _load(b, rd: int, a: str, size: int, hits=None) -> list[str]:
     outside the hull, or else before ``hits``, the guard's in-line chain
     (``Compiled.hits``), records a hit (a read that hits still flows);
     anything else takes the slow path (``_slow``)."""
-    test, (read,) = _decode(a, size, rd, hits is None and b.state[2])
+    test, (read,) = _decode(a, size, rd,
+                            hits is None and b.state[mach.ACCESS_READ])
     return ["if %s:" % test, *(" " + line for line in (read, *(hits or ()))),
             *_slow(b, write_reg(rd, "m.load(%s, %d)" % (a, size)))]
 
@@ -133,7 +136,8 @@ def _store(b, a: str, size: int, value: str, hits=None) -> list[str]:
     a store that ``_decode`` can write inline, and that missed them or,
     without ``hits``, lies outside the hull, is written so; anything
     else takes the slow path (``_slow``)."""
-    test, (write,) = _decode(a, size, hull=hits is None and b.state[2])
+    test, (write,) = _decode(a, size, slots=hits is None
+                             and b.state[mach.ACCESS_WRITE])
     return ["v = " + value, *(hits or ()),
             "%s %s: %s" % ("elif" if hits else "if", test, write),
             *_slow(b, "m.store(%s, %d, v)" % (a, size))]
@@ -211,7 +215,8 @@ class Compiled:
         for i, self.r in enumerate(regs):
             lines += ["a = (sp + %d) & M" % (4 * i), *access()]
         pop = self.ins.op == "pop"
-        test, fast = _decode("sp", 4 * len(regs), rd=pop, hull=self.state[2],
+        test, fast = _decode("sp", 4 * len(regs), rd=pop, slots=self.state[
+            mach.ACCESS_READ if pop else mach.ACCESS_WRITE],
                              words=", ".join(read_reg(r, "m.pc" if pop else
                                                   self.nxt) for r in regs))
         return ["if %s: %s" % (test, *fast), *_slow(self, "; ".join(lines))]

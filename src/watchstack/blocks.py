@@ -50,14 +50,16 @@ it.  In the generated function:
   sp, which gives the same minimum as a check after every step.
 
 A block is compiled for the watch state it is entered in (``_state``):
-the regions of ``m.watch`` per access kind and their hull and, where
-the unit gives in-line forms, its cached regions, FUNCTION words and
-``ssp_guard`` (``DwtUnit.snapshot``), which the instrumented code
-changes only through FUNCTION0.  Every test on that state is a
-constant of the source: the hull test of a hull-first access and of a
-device word, a device word's ``slow`` test and COMP1's span, and each
-arm of the lowest-comparator chain, where an empty region has no arm
-and a region has none above PPB_BASE, where no in-line access lies.
+the regions of ``m.watch`` per access kind and, where the unit gives
+in-line forms, its slots, cached regions and ``ssp_guard``
+(``DwtUnit.snapshot``), which the instrumented code changes only
+through FUNCTION0.  Every test on that state is a constant of the
+source: the test of a hull-first access and of a device word against
+the hull of its access kind's regions (``dwt.hull``, worked out here
+and kept nowhere), a device word's ``slow`` test and COMP1's span,
+and each arm of the lowest-comparator chain, where an empty region has
+no arm and a region has none above PPB_BASE, where no in-line access
+lies.
 As the trace passes an in-line port write, the state it leaves is the
 unit's own port run on a snapshot (``DwtUnit.inline``), so the
 instructions after it are compiled for that one.  The block checks
@@ -83,12 +85,12 @@ The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 test at all, the in-line form its device gives it (the unit's register
 words, as the lines ``step()`` runs), with a stored value the block
 knows folded and the device's state bound once per entry (its
-``BIND``), where the watch state puts it outside the hull and its
-device says the write needs no ``slow`` path (``_in_line``).  Any
-other device word (one in the hull, a write whose ``slow`` test holds
-or a FUNCTION write of a value the block does not know, CTRL, CYCCNT,
-an unmapped word, DEMCR, any word on a machine without its device) is
-emitted as any other ``ldr``/``str``.
+``BIND``), where the watch state puts it outside its access kind's
+hull and its device says the write needs no ``slow`` path
+(``_in_line``).  Any other device word (one in that hull, a write
+whose ``slow`` test holds or a FUNCTION write of a value the block
+does not know, CTRL, CYCCNT, an unmapped word, DEMCR, any word on a
+machine without its device) is emitted as any other ``ldr``/``str``.
 
 The source reads the trace, the code map's (address, instruction)
 pairs, whose instructions are values (``_block_at``), the machine's
@@ -112,6 +114,7 @@ import struct
 
 from . import machine as mach
 from .binder import XPSR, Compiled, branch_test, read_reg, write_reg
+from .dwt import hull
 from .isa import BRANCH, LR, MASK32, MEMORY, OPS, PC, SP, TRAP
 from .semantics import SEMANTICS, define, write_flags
 
@@ -197,7 +200,7 @@ def _shape(m) -> tuple:
 def _state(m) -> tuple:
     """The watch state a block on ``m`` is compiled for, and checks: the
     snapshot (``DwtUnit.snapshot``) of a unit that gives in-line forms,
-    else ``m.watch``'s regions and hull."""
+    else ``m.watch``'s regions; both begin with the regions ``m`` tests."""
     dev = m.dwt
     return (dev.snapshot(m.watch) if hasattr(dev, "inline")
             else tuple(map(tuple, m.watch)))
@@ -283,18 +286,20 @@ def _device_word(ins, known: dict):
 
 def _in_line(ins, known: dict, devices: tuple, state: tuple):
     """(binding, lines, after) of a device word (``_device_word``) outside
-    the hull of the watch state ``state``, whose class in ``devices``
-    gives it an in-line form there: the line binding the device's state
-    once per entry (``BIND``), the lines of its ``inline`` form, a
-    store's with a value the block knows folded, and the watch state
-    after them.  Else None: the word is any other ``ldr``/``str``."""
+    the hull of its access kind's regions in the watch state ``state``,
+    whose class in ``devices`` gives it an in-line form there: the line
+    binding the device's state once per entry (``BIND``), the lines of
+    its ``inline`` form, a store's with a value the block knows folded,
+    and the watch state after them.  Else None: any other ``ldr``/``str``."""
     word = _device_word(ins, known)
     dev = None if word is None else dict(devices).get(word[1])
-    if dev is None or word[0] + 4 > state[2][2] and word[0] < state[2][3]:
+    access = mach.ACCESS_READ if ins.op == "ldr" else mach.ACCESS_WRITE
+    h = dev and hull(state[access])
+    if dev is None or word[0] + 4 > h[2] and word[0] < h[3]:
         return None
     addr, name = word
-    form = (dev.inline(addr, mach.ACCESS_READ, state) if ins.op == "ldr"
-            else dev.inline(addr, mach.ACCESS_WRITE, state, known.get(ins.rd)))
+    form = (dev.inline(addr, access, state) if ins.op == "ldr"
+            else dev.inline(addr, access, state, known.get(ins.rd)))
     if ins.op == "ldr" and form:  # a register reads 32 bits
         form = ["%s = %s" % (read_reg(ins.rd), form)], state
     return form and ("  D = m.%s; %s" % (name, dev.BIND), *form)

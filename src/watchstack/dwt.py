@@ -17,20 +17,17 @@ regions each access kind can match, up to date in place.  An enabled
 group's ``[lo, hi)`` region is cached in ``DwtUnit.regions``, and only a
 COMP or MASK write to the group drops it; a FUNCTION write, which the
 instrumented code makes twice per call, only chooses per access kind
-between the cached region and ``_NEVER``.  The table's third entry is a
-hull of the cached regions, enabled or not: ``[h0, h1)`` covers their
-parts below ``machine.PPB_BASE`` and ``[h2, h3)`` their parts above, so
-it contains every slot that can match.  Caching a region widens it by
-that region; only dropping one recomputes it from them all; a FUNCTION
-write never touches it.  The machine tests every data access against
-that table inline (``protect`` makes it ``Machine.watch``), as the
-chip's comparators do in hardware, and calls the guard only on a hit.
+between the cached region and ``_NEVER``.  The machine tests every data
+access against that table inline (``protect`` makes it
+``Machine.watch``), as the chip's comparators do in hardware, and calls
+the guard only on a hit.
 A compiled block reads none of it as it runs: it is compiled for the
 watch state it is entered in (``DwtUnit.snapshot``: the table, the
-cached regions, the FUNCTION words and the shadow pointer's span), with
-every test on that state a constant, such as a stack access's test
-against the hull, and checks the state on entry and after each
-``Machine.load``/``store`` it makes.
+cached regions and the shadow pointer's span), with every test on that
+state a constant, and checks the state on entry and after each
+``Machine.load``/``store`` it makes.  A stack access tests only the
+hull of its access kind's regions in that state, which ``hull`` works
+out when the block is compiled; no hull is kept as the unit runs.
 ``match_access`` reads the same table, and is the reference matcher the
 guard uses to name the comparator.  The rule it applies, the lowest
 comparator whose region holds a byte of the access, is written once,
@@ -47,15 +44,15 @@ must change too, which ``_regroup`` does.  The lines run twice.  Built
 at import into each word's port, its ``(read, write)`` pair, they are
 what ``mmio_read``/``mmio_write``, and so ``Machine.load``/``store``,
 run.  And a compiled block emits them in line for a register word
-outside the hull (``DwtUnit.inline``), with the unit's state bound once
-per entry (``DwtUnit.BIND``), a value the block knows folded at compile
-time and every test on the watch state the block is compiled for
-decided then, the ``slow`` test and COMP1's span among them; the
-port itself, run then on a unit that holds that state, gives the state
-the write leaves for the instructions after it.  Where ``slow`` holds,
-or a FUNCTION write's value is not known, the block takes
-``Machine.store``, as it does for CYCCNT and the unmapped words, which
-have no in-line form.  So from outside this module only
+outside its access kind's hull (``DwtUnit.inline``), with the unit's
+state bound once per entry (``DwtUnit.BIND``), a value the block knows
+folded at compile time and every test on the watch state the block is
+compiled for decided then, the ``slow`` test and COMP1's span among
+them; the port itself, run then on a unit that holds that state, gives
+the state the write leaves for the instructions after it.  Where
+``slow`` holds, or a FUNCTION write's value is not known, the block
+takes ``Machine.store``, as it does for CYCCNT and the unmapped words,
+which have no in-line form.  So from outside this module only
 ``mmio_read``/``mmio_write`` reach a port.
 """
 
@@ -100,11 +97,11 @@ _WRITE_FNS = (FN_WRITE, FN_READWRITE)
 _ENABLED_FNS = (FN_READ, FN_WRITE, FN_READWRITE)
 
 # The unit's state as the port lines name it: its register list, read
-# and write slots, region cache and shadow-pointer span.  A port reads
-# each through the unit ``D``; a compiled block binds ``BIND``'s names
-# to them once per entry.
+# and write slots and region cache.  A port reads each through the unit
+# ``D``, and its shadow-pointer span too; a compiled block binds
+# ``BIND``'s names once per entry, and folds the span.
 _STATE = {"R": "D.regs", "S": "D.slots[0]", "W": "D.slots[1]",
-          "G": "D.regions", "Q": "D.ssp_guard"}
+          "G": "D.regions"}
 
 
 def _read(i: int, names) -> str:
@@ -199,44 +196,33 @@ def _matcher():
     return match_access
 
 
-def _widen(hull: list, region: tuple[int, int]) -> None:
-    """Widen the hull ``[h0, h1, h2, h3]`` by ``region``'s part below
-    PPB_BASE and its part above; an empty half reads (0, 0)."""
-    lo, hi = region
-    for k, (a, b) in ((0, (lo, min(hi, PPB_BASE))),
-                      (2, (max(lo, PPB_BASE), hi))):
-        if a < b:
-            if hull[k] < hull[k + 1]:
-                a, b = min(a, hull[k]), max(b, hull[k + 1])
-            hull[k:k + 2] = a, b
-
-
-def _rehull(D) -> None:
-    """Recompute ``D``'s hull, the third entry of its slot table, from
-    all its cached regions: needed only when one is dropped."""
-    hull = D.slots[2]
-    hull[:] = 0, 0, 0, 0
-    for region in D.regions:
-        if region is not None:
-            _widen(hull, region)
+def hull(slots) -> tuple[int, int, int, int]:
+    """The hull ``(h0, h1, h2, h3)`` of the regions ``slots``, one access
+    kind's in one watch state: ``[h0, h1)`` covers their parts below
+    PPB_BASE and ``[h2, h3)`` their parts above, an empty half (0, 0),
+    so no region in ``slots`` can match an access outside it.  Worked
+    out when a block is compiled; the unit keeps none."""
+    out = ()
+    for edge_lo, edge_hi in ((0, PPB_BASE), (PPB_BASE, 1 << 32)):
+        parts = [(max(lo, edge_lo), min(hi, edge_hi)) for lo, hi in slots]
+        parts = [(lo, hi) for lo, hi in parts if lo < hi] or [(0, 0)]
+        out += min(lo for lo, _ in parts), max(hi for _, hi in parts)
+    return out
 
 
 def _regroup(D, m, gid: int, stale: bool) -> None:
-    """Bring group ``gid``'s cached region, and so the hull and its
-    slots, in line with its registers after a write whose ``slow`` test
-    held: drop a ``stale`` region, cache the region of an enabled group
-    (which widens the hull), and choose its slots through its FUNCTION
-    port."""
+    """Bring group ``gid``'s cached region, and so its slots, in line
+    with its registers after a write whose ``slow`` test held: drop a
+    ``stale`` region, cache the region of an enabled group, and choose
+    its slots through its FUNCTION port."""
     regs, regions = D.regs, D.regions
-    if stale and regions[gid] is not None:
+    if stale:
         regions[gid] = None
-        _rehull(D)
     comp, mask, fn = regs[3 * gid:3 * gid + 3]
     if fn in _ENABLED_FNS and regions[gid] is None:
         span = 1 << mask
         base = comp & ~(span - 1) & MASK32
         regions[gid] = (base, base + span)
-        _widen(D.slots[2], regions[gid])
     _PORTS[_ADDRS[3 * gid + _FUNCTION]][1](D, m, fn)
 
 
@@ -246,7 +232,7 @@ def _register_ports() -> dict:
     the word, and a write runs its lines, masked to the bus's 32 bits,
     then, when their ``slow`` test holds, ``_regroup``, and answers
     True."""
-    names = tuple(_STATE.values())
+    names = (*_STATE.values(), "D.ssp_guard")
     source = []
     for i in range(len(_ADDRS)):
         slow, lines = _write_lines(i, "v", names)
@@ -299,15 +285,12 @@ class DwtUnit:
         self.regs = [0] * (3 * NUM_GROUPS)
         # Indexed by access kind (ACCESS_READ, ACCESS_WRITE): one (lo, hi)
         # region per group, _NEVER while the group's FUNCTION excludes
-        # that kind; then the hull [h0, h1, h2, h3] of the cached regions
-        # (_widen, _rehull), empty as (0, 0, 0, 0).  Only register writes
-        # change it, and always in place, so whoever holds it
-        # (Machine.watch, a compiled block's S and W, which its in-line
-        # FUNCTION writes write) sees every one; a compiled block reads
-        # it only as constants, and its snapshot on entry and after each
-        # slow path.
-        self.slots = ([_NEVER] * NUM_GROUPS, [_NEVER] * NUM_GROUPS,
-                      [0, 0, 0, 0])
+        # that kind.  Only register writes change it, and always in
+        # place, so whoever holds it (Machine.watch, a compiled block's S
+        # and W, which its in-line FUNCTION writes write) sees every one;
+        # a compiled block reads it only as constants, and its snapshot
+        # on entry and after each slow path.
+        self.slots = ([_NEVER] * NUM_GROUPS, [_NEVER] * NUM_GROUPS)
         # Each group's region from its COMP and MASK, or None until an
         # enabled group needs it again after one of them changed.
         self.regions: list[tuple[int, int] | None] = [None] * NUM_GROUPS
@@ -326,13 +309,14 @@ class DwtUnit:
     def snapshot(self, watch) -> tuple:
         """The watch state that code compiled for this unit and ``watch``
         (``Machine.watch``) runs under, as one hashable value: the regions
-        of ``watch`` per access kind and their hull, whether ``watch`` is
-        this unit's slot table, and the unit's cached regions, FUNCTION
-        words and ``ssp_guard``.  No COMP or MASK word is in it, nor so
-        the shadow stack pointer: a write of one that is not ``slow``
-        leaves it as it was."""
-        return (*map(tuple, watch), watch is self.slots, tuple(self.regions),
-                tuple(self.regs[_FUNCTION::3]), self.ssp_guard)
+        of ``watch`` per access kind; True if ``watch`` is this unit's
+        slot table, else the unit's slots, which say what each FUNCTION
+        word selects (0 and 4 alike); and the unit's cached regions and
+        ``ssp_guard``.  No COMP or MASK word is in it, nor so the shadow
+        stack pointer: a write of one that is not ``slow`` leaves it."""
+        return (*map(tuple, watch),
+                watch is self.slots or tuple(map(tuple, self.slots)),
+                tuple(self.regions), self.ssp_guard)
 
     @staticmethod
     def inline(addr: int, access: int, state: tuple, value=None):
@@ -342,8 +326,9 @@ class DwtUnit:
         of ``value`` (known, or else the 32-bit ``v``) as ``(lines,
         after)``, the lines with every test on ``state`` decided and the
         watch state after them.  The effect is the port's own, run on a
-        unit that holds ``state``.  None for CYCCNT and the unmapped
-        words, which have no in-line form, and for a write that must take
+        unit that holds ``state`` (a ``slow`` test reads only whether a
+        group is enabled).  None for CYCCNT and the unmapped words, which
+        have no in-line form, and for a write that must take
         ``Machine.store``: one whose ``slow`` test holds, or a FUNCTION
         write of a value the block does not know."""
         if addr not in _ADDRS:
@@ -351,19 +336,22 @@ class DwtUnit:
         i = _ADDRS.index(addr)
         if access == ACCESS_READ:
             return _read(i, tuple(_STATE))
-        *watch, shared, regions, fns, ssp = state
+        read, write, unit, regions, ssp = state
         D = DwtUnit()  # state's, with no span: the lines fold it
-        D.slots, D.regions = tuple(map(list, watch)), list(regions)
-        D.regs[_FUNCTION::3] = fns
+        D.slots = tuple(map(list, (read, write) if unit is True else unit))
+        D.regions = list(regions)
+        # FUNCTION 4 + reads + 2 * writes selects those slots (4: none).
+        D.regs[_FUNCTION::3] = [4 + (r != _NEVER) + 2 * (w != _NEVER)
+                                for r, w in zip(*D.slots)]
         # A COMP or MASK value the block does not know runs as 0: a write
         # that is not slow changes nothing of the state but that word.
         if (value is None and i % 3 == _FUNCTION
                 or _PORTS[addr][1](D, None, value or 0)):
             return None
         D.ssp_guard = ssp
-        names = (*tuple(_STATE)[:-1], ssp)
-        return (_write_lines(i, "v" if value is None else value, names)[1],
-                D.snapshot(D.slots if shared else watch))
+        return (_write_lines(i, "v" if value is None else value,
+                             (*_STATE, ssp))[1],
+                D.snapshot(D.slots if unit is True else (read, write)))
 
     def mmio_read(self, m, addr: int) -> int:
         return _PORTS.get(addr, _UNMAPPED)[0](self, m)

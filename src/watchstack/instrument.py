@@ -437,6 +437,10 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
                               "%s function has an empty body" % func.kind)
 
     handler = func.kind == FUNC_HANDLER
+    # A branch may only reach a label bound inside the body: a tail call
+    # would leave this function's shadow slot behind, and a branch to
+    # its own entry would run the prologue again.
+    inside = set().union(*func.labels_at.values())
     for ins in func.body:
         if ins.op == "bx" and ins.rm != LR:
             raise InstrumentError(
@@ -445,6 +449,17 @@ def instrument_function(func: AsmFunction, config: ShadowStackConfig,
         if ins.tag is not None:  # the pass's own output: refuse it
             raise InstrumentError(func.name, "already instrumented: %s"
                                   % format_tagged(ins))
+        if ins.op in ("b", "bcond") and ins.label not in inside:
+            raise InstrumentError(
+                func.name, "branch out of the function is unsupported: %s"
+                % format_tagged(ins))
+    # Past a last instruction that is no jump, return (``pop`` is the one
+    # other write of pc) or halt runs whatever code follows.
+    last = func.body[-1]
+    if not (last.op in ("b", "bx", "bkpt")
+            or last.op == "pop" and PC in last.reglist):
+        raise InstrumentError(func.name, "falls off its end after %s"
+                              % format_tagged(last))
 
     naive = config.sequence == SEQ_NAIVE
     count = 3 if handler or naive else 2

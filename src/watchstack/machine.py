@@ -10,13 +10,10 @@ access commits, they test it against ``watch``, per access kind four
 (lo, hi) regions, and show it to ``guard``, the one access observer,
 only when it falls in one; a store the guard answers True for is
 suppressed (watchpoint semantics) and recorded by the guard, and any
-other store is written.  ``watch``'s third entry, a hull ``(h0, h1,
-h2, h3)`` that contains every region (``[h0, h1)`` below PPB_BASE,
-``[h2, h3)`` above), is read only by compiled blocks, whose hull-first
-accesses test it instead of the four regions.  The default ``watch``
-holds no region and an empty hull; ``protect`` sets ``watch`` and
-``guard`` together, ``watch`` being the watchpoint unit's live slot
-table, so the guard runs only on comparator hits.  The fixed PPB map
+other store is written.  The default ``watch`` holds no region;
+``protect`` sets ``watch`` and ``guard`` together, ``watch`` being the
+watchpoint unit's live slot table, so the guard runs only on comparator
+hits.  The fixed PPB map
 is declared here, beside its one decode, ``ppb_device``: an access
 that starts in the DWT window or on the DEMCR word reaches ``dwt`` or
 ``demcr`` when attached (a misaligned word there is a bad access and
@@ -99,13 +96,12 @@ def ppb_device(addr: int) -> str | None:
     return None
 
 
-# Machine.watch's default: no region and an empty hull (DwtUnit.slots),
-# so the guard is shown no access.
-_WATCH_NONE = (((0, 0),) * 4, ((0, 0),) * 4, (0, 0, 0, 0))
-# Regions, and a hull, that cover every address: a guard installed with
-# it is shown every access, and decides each by matching it itself.
-WATCH_ALL = (((0, 1 << 32),) * 4, ((0, 1 << 32),) * 4,
-             (0, PPB_BASE, PPB_BASE, 1 << 32))
+# Machine.watch's default: no region (DwtUnit.slots), so the guard is
+# shown no access.
+_WATCH_NONE = (((0, 0),) * 4, ((0, 0),) * 4)
+# Regions that cover every address: a guard installed with it is shown
+# every access, and decides each by matching it itself.
+WATCH_ALL = (((0, 1 << 32),) * 4, ((0, 1 << 32),) * 4)
 
 
 class HaltReason(Enum):

@@ -23,8 +23,8 @@ from test_run_differential import (PASSES, SHADOW, SP_LOOP, _cfg, _const,
 from watchstack import blocks
 from watchstack.asm import parse
 from watchstack.dwt import (DWT_COMP1, DWT_FUNCTION0, FN_READ, FN_READWRITE,
-                            FN_WRITE)
-from watchstack.machine import HaltReason, PPB_BASE
+                            FN_WRITE, hull)
+from watchstack.machine import ACCESS_WRITE, HaltReason, PPB_BASE
 from watchstack.protect import POLICY_REPORT, POLICY_RESET
 from watchstack.runner import RunConfig, build_machine
 
@@ -64,8 +64,8 @@ def _walk(function: int) -> str:
 
 def test_the_walk_starts_below_the_hull():
     cfg = _cfg(POLICY_RESET, None, 10_000, initial_sp=WALK_SP)
-    assert build_machine(parse(_walk(FN_WRITE)), cfg).watch[2][0] == \
-        SHADOW.ss_start
+    watch = build_machine(parse(_walk(FN_WRITE)), cfg).watch
+    assert hull(watch[ACCESS_WRITE])[0] == SHADOW.ss_start
 
 
 @pytest.mark.parametrize("policy", POLICIES)

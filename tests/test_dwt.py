@@ -18,8 +18,8 @@ from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_COMP_OFF, DWT_CYCCNT,
                             FN_READWRITE, FN_WRITE, NUM_GROUPS, _NEVER,
                             DwtUnit)
 from watchstack.instrument import ShadowStackConfig
-from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, PPB_BASE,
-                                HaltReason, Machine)
+from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
+                                PPB_BASE, HaltReason, Machine)
 from watchstack.protect import attach_debug_system, init_write_protection
 
 
@@ -290,16 +290,26 @@ def _check_at(d, edges):
 
 
 def _check_hull(d):
-    """Every slot that can match lies inside the hull: its part below
-    PPB_BASE in [h0, h1), its part above in [h2, h3)."""
-    h0, h1, h2, h3 = d.slots[2]
-    for lo, hi in d.slots[ACCESS_READ] + d.slots[ACCESS_WRITE]:
-        if (lo, hi) == _NEVER:
-            continue
-        if lo < PPB_BASE:
-            assert h0 <= lo and min(hi, PPB_BASE) <= h1, (d.slots, lo, hi)
-        if hi > PPB_BASE:
-            assert h2 <= max(lo, PPB_BASE) and hi <= h3, (d.slots, lo, hi)
+    """Every slot that can match lies inside the hull of its access
+    kind's slots (``dwt.hull``): its part below PPB_BASE in [h0, h1),
+    its part above in [h2, h3).  Each half that is not empty is
+    spanned by those parts, so the hull is the tightest that holds
+    them."""
+    for access in (ACCESS_READ, ACCESS_WRITE):
+        h0, h1, h2, h3 = dwt.hull(d.slots[access])
+        below, above = [], []
+        for lo, hi in d.slots[access]:
+            if (lo, hi) == _NEVER:
+                continue
+            if lo < PPB_BASE:
+                assert h0 <= lo and min(hi, PPB_BASE) <= h1, (d.slots, lo, hi)
+                below.append((lo, min(hi, PPB_BASE)))
+            if hi > PPB_BASE:
+                assert h2 <= max(lo, PPB_BASE) and hi <= h3, (d.slots, lo, hi)
+                above.append((max(lo, PPB_BASE), hi))
+        for (a, b), parts in (((h0, h1), below), ((h2, h3), above)):
+            assert (a, b) == ((min(parts)[0], max(p[1] for p in parts))
+                              if parts else (0, 0)), (d.slots, access)
 
 
 def _enabled(d, gid):
@@ -330,9 +340,9 @@ def test_slot_table_matches_reference_after_any_writes(ops, extra, guarded):
     # held before and after it, so a slot left stale by a missed or
     # misdirected update shows at once.  A write to a group that is
     # disabled before and after it, such as COMP1 as the shadow stack
-    # pointer, halted or not by the guard, leaves the slots as they were
-    # (the hull may shrink, as the group's cached region is dropped).
-    # After every step the hull covers every slot that can match.
+    # pointer, halted or not by the guard, leaves the slots as they were.
+    # After every step each access kind's hull covers every slot of that
+    # kind that can match.
     m, d = _machine_with_unit()
     if guarded:
         d.ssp_guard = _SSP_SPAN
@@ -364,24 +374,19 @@ def test_group_snapshots_read_back_through_the_register_file(ops):
             assert getattr(g, name) == m.load(addr, 4), (gid, name)
 
 
-def test_arming_recomputes_the_hull_at_most_once(monkeypatch):
-    """Caching a region only widens the hull, so arming, which caches
-    the regions of groups 0, 2 and 3 and drops none, recomputes it from
-    all the regions at most once; the widened hull is the one a
-    recomputation gives."""
-    rehulls = []
-    rehull = dwt._rehull
-
-    def counted(d):
-        rehulls.append(d)
-        rehull(d)
-
-    monkeypatch.setattr(dwt, "_rehull", counted)
+def test_arming_leaves_the_hulls_of_the_shadow_region_and_the_lock():
+    """Armed, the unit watches no read, and its write hull is the shadow
+    region below PPB_BASE and, above, the lock's span from its group 2
+    and 3 block to the DEMCR word: FUNCTION0 and COMP1, which the
+    instrumented code writes, lie outside both."""
     m = Machine()
     attach_debug_system(m)
-    assert init_write_protection(m, ShadowStackConfig())
-    assert len(rehulls) <= 1
-    hull = list(m.dwt.slots[2])
+    cfg = ShadowStackConfig()
+    assert init_write_protection(m, cfg)
     _check_hull(m.dwt)
-    rehull(m.dwt)
-    assert m.dwt.slots[2] == hull
+    assert dwt.hull(m.watch[ACCESS_READ]) == (0, 0, 0, 0)
+    assert dwt.hull(m.watch[ACCESS_WRITE]) == (
+        cfg.ss_start, cfg.ss_limit, DWT_COMP0 + 2 * DWT_GROUP_STRIDE,
+        DEMCR_ADDR + 4)
+    h2 = dwt.hull(m.watch[ACCESS_WRITE])[2]
+    assert DWT_FUNCTION0 + 4 <= h2 and DWT_COMP1 + 4 <= h2

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from watchstack.asm import format_instr, format_tagged, parse, print_program
+from watchstack.cli import main
 from watchstack.harness import make_benign_program
 from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, InstrumentError,
                                    ShadowStackConfig, analyze_free_gprs,
                                    instrument_program)
 from watchstack.isa import PC
+from watchstack.runner import (OUTCOME_SAFE, RunConfig, run_program,
+                               run_source)
 
 from test_instrument_corpus import SEEDS, corpus_source, placement
 
@@ -270,6 +273,145 @@ def test_indirect_bx_is_rejected_atomically():
            ".func f\n    bx r3\n.endfunc\n")
     with pytest.raises(InstrumentError):
         instrument(src)
+
+
+# -- ways out of a function ------------------------------------------------------
+
+def _funcs(*funcs: str, main: str = "    bl a") -> str:
+    """``main`` (hal), whose lines are ``main`` and a halt, then
+    ``funcs``, each ``(name, body)`` text: ``.func name`` and its
+    lines."""
+    return HEADER + "".join(".func %s\n%s\n.endfunc\n" % f for f in (
+        ("main hal", main + "\n    bkpt #0"), *funcs))
+
+
+# main -> a -> w -> g, where w's body ends in the tail call ``b g``.  w
+# names r0-r11, so its prologue spills r4, and g names r0, so no
+# prologue here takes a register that holds a live value.  Plain, r0
+# is 6 + 100 = 106.  Instrumented, nothing would pop w's shadow slot,
+# which holds the return into a after ``bl w``: g's epilogue pops its
+# own, and a's then returns through w's into a's own tail, which adds
+# 100 again, so r0 read 206 with no violation and exit 0.
+TAIL_CALL = _funcs(
+    ("a", "    push {r7, lr}\n    mov r0, #6\n    bl w\n"
+          "    addw r0, r0, #100\n    pop {r7, pc}"),
+    ("w", "    push {r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11}\n"
+          "    pop {r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11}\n"
+          "    b g"),
+    ("g", "    mov r0, r0\n    bx lr"))
+
+
+def test_a_tail_call_is_refused(tmp_path, capsys):
+    plain = run_source(TAIL_CALL)
+    assert plain.outcome == OUTCOME_SAFE and plain.machine.gpr[0] == 106
+    with pytest.raises(InstrumentError) as err:
+        instrument(TAIL_CALL)
+    assert err.value.function == "w"
+    assert err.value.message == (
+        "branch out of the function is unsupported: b g")
+    src = tmp_path / "tail.ws"
+    src.write_text(TAIL_CALL)
+    assert main(["instrument", str(src)]) == 1
+    assert main(["run", str(src), "--instrument", "--protected"]) == 1
+    assert capsys.readouterr().err.count("branch out of the function") == 2
+
+
+G = ("g", "    bx lr")
+
+
+@pytest.mark.parametrize("body,branch", [
+    ("    cmp r0, #0\n    beq g\n    bx lr", "beq g"),
+    ("    cmp r0, #0\n    bne a\n    bx lr", "bne a"),
+    ("    b a", "b a"),
+    ("    push {r7, lr}\n.label a_body\n    pop {r7, pc}\n    b a_other",
+     "b a_other")], ids=["bcond to another", "bcond to its entry",
+                         "b to its entry", "b to another's label"])
+def test_a_branch_to_a_label_outside_the_body_is_refused(body, branch):
+    """A branch to the function's own entry would run its prologue again
+    and push a second shadow slot; one to any other function's code
+    would leave without popping its own."""
+    text = _funcs(("a", body), G, ("b2", ".label a_other\n    bx lr"))
+    with pytest.raises(InstrumentError) as err:
+        instrument(text)
+    assert (err.value.function, err.value.message) == (
+        "a", "branch out of the function is unsupported: " + branch)
+
+
+def test_a_branch_to_a_label_inside_the_body_is_kept():
+    """Labels bound to the body, its first instruction's too, lie past
+    the prologue: a loop back to them stays in the function."""
+    res = instrument(_funcs(("a", ".label top\n    subw r0, r0, #1\n"
+                                  "    cmp r0, #0\n    bne top\n"
+                                  "    b done\n.label done\n    bx lr")))
+    assert res.plan_for("a").epilogue_sites == 1
+
+
+@pytest.mark.parametrize("last", ["mov r0, #1", "bl g", "beq g2", "svc #0",
+                                  "udf #0"])
+def test_a_function_that_falls_off_its_end_is_refused(last):
+    """Past its last instruction runs the next function's code, with this
+    function's shadow slot pushed and never popped."""
+    text = _funcs(("a", "    cmp r0, #0\n    beq g2\n.label g2\n    " + last),
+                  G)
+    with pytest.raises(InstrumentError) as err:
+        instrument(text)
+    assert (err.value.function, err.value.message) == (
+        "a", "falls off its end after " + last)
+
+
+@pytest.mark.parametrize("last", ["bkpt #1", "b a_loop", "bx lr",
+                                  "pop {r7, pc}"])
+def test_a_function_may_end_in_a_halt_a_jump_or_a_return(last):
+    text = _funcs(("a", "    push {r7, lr}\n.label a_loop\n    " + last))
+    assert not instrument(text).plan_for("a").skipped
+
+
+# -- registers live across a call ------------------------------------------------
+#
+# The pass takes any register a function's body never names as a free
+# scratch and uses it unsaved: sound only where no value is live across
+# a call, as the generators here guarantee.  Under the calling
+# convention (r4-r11 callee-saved, r0-r3 arguments and r0-r1 results)
+# these two programs are ordinary code, and the instrumented run gives
+# another answer than the plain one, with exit 0.
+
+
+def _plain_and_protected(text: str) -> tuple:
+    plain = run_source(text)
+    prot = run_program(instrument(text).program, RunConfig(protected=True))
+    assert plain.outcome == prot.outcome == OUTCOME_SAFE
+    return plain.machine.gpr, prot.machine.gpr
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the pass uses f's unnamed r4 as its prologue's work register without "
+    "saving it, so main reads r4 = 0x00E00000, the shadow stack pointer, "
+    "not 7"))
+def test_a_callee_saved_register_survives_a_call():
+    """main keeps 7 in r4 across a call of f, which names only r0-r3 and
+    r12."""
+    plain, prot = _plain_and_protected(_funcs(
+        ("f", "    mov r0, #1\n    mov r1, #2\n    mov r2, #3\n"
+              "    mov r3, #4\n    mov r12, r0\n    bx lr"),
+        main="    mov r4, #7\n    bl f"))
+    assert plain[4] == 7
+    assert prot[4] == 7
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the wrapper f names no r0, so the pass takes r0 as its work register: "
+    "its prologue overwrites the argument before bl g and its epilogue "
+    "g's result, and r0 reads 0x00E00000, not 0x2b"))
+def test_an_argument_and_a_result_pass_through_a_wrapper():
+    """f is ``push {lr}; bl g; pop {pc}``, the code for ``int f(int x)
+    { return g(x); }`` without tail calls, and g adds 1 to its
+    argument."""
+    plain, prot = _plain_and_protected(_funcs(
+        ("f", "    push {lr}\n    bl g\n    pop {pc}"),
+        ("g", "    addw r0, r0, #1\n    bx lr"),
+        main="    mov r0, #0x2a\n    bl f"))
+    assert plain[0] == 0x2b
+    assert prot[0] == 0x2b
 
 
 def test_original_body_preserved_in_order():

@@ -1562,10 +1562,11 @@ def test_the_recursion_makes_no_generic_access_a_call(monkeypatch):
 def test_no_recursion_block_tests_a_comparator_region(monkeypatch):
     """At the default hot threshold the instrumented recursion compiles
     three blocks, each for the watch state it runs under.  Their pushed
-    and popped words test the hull, as constants, and no block reads
+    words test the write regions' hull, as constants, their popped words
+    test no hull, as no comparator watches reads, and no block reads
     ``m.watch`` or has a hit arm: the shadow stack's ``str.w lr`` runs
-    with FUNCTION0 disarmed, the lock's regions lie above PPB_BASE, where
-    no access in line does, and no comparator watches reads."""
+    with FUNCTION0 disarmed, and the lock's regions lie above PPB_BASE,
+    where no access in line does."""
     entries = []
     compile_block = blocks.Block.compile
 
@@ -1585,7 +1586,7 @@ def test_no_recursion_block_tests_a_comparator_region(monkeypatch):
                                 blocks._shape(m), blocks._state(m))
         assert "m.watch" not in source and "L(Y(" not in source
         hulls += source.count("(sp >= %d or sp + " % SHADOW.ss_limit)
-    assert hulls == 3  # a push in two blocks, the pop in one
+    assert hulls == 2  # a push in two blocks; the pop in one tests none
 
 
 def test_no_compiled_pass_calls_a_watchpoint_port(monkeypatch):

@@ -1,9 +1,9 @@
 """Compiled blocks while the watch state changes under them.
 
 A compiled block is made for the watch state it runs under
-(``blocks._state``): the comparator regions per access kind, their
-hull, and the unit's cached regions, FUNCTION words and ``ssp_guard``,
-all compiled in as constants.  It checks that state on entry, after
+(``blocks._state``): the comparator regions per access kind, and the
+unit's slots, cached regions and ``ssp_guard``, all compiled in as
+constants.  It checks that state on entry, after
 each slow ``Machine.load``/``store``, and, by how it is made, at the
 end of each pass: a pass that ends in another state does not loop.
 These tests change the state every way a run can:
@@ -20,7 +20,10 @@ These tests change the state every way a run can:
   not know, protection changed between two ``run()`` calls on one
   machine, a pass that ends with comparator 0 disarmed, and the shapes
   with no in-line guard form (``WATCH_ALL``, no guard, a subclass's
-  handlers).
+  handlers);
+* what the state holds: FUNCTION values that select the same slots are
+  one state, and a state that watches no read lets a pop and a read of
+  a watched register skip the hull of the write regions.
 """
 
 import random
@@ -406,3 +409,100 @@ def test_shapes_without_an_in_line_guard(shape, policy, monkeypatch):
             pair.core.policy = None
     want = _both(prog, cfg, shape, monkeypatch, arm=arm, stops=((0, change),))
     assert want["halt"][0]
+
+
+# -- what the state holds ------------------------------------------------------
+
+def _sources(monkeypatch) -> list:
+    """The (entry pc, watch state) of each block source generated from
+    now on, with ``_make``'s cache cleared."""
+    made = []
+    source = blocks._source
+
+    def recorded(trace, shape, state):
+        made.append((trace[0][0], state))
+        return source(trace, shape, state)
+
+    monkeypatch.setattr(blocks, "_source", recorded)
+    blocks._make.cache_clear()
+    return made
+
+
+def test_function_values_that_select_alike_are_one_state(monkeypatch):
+    """FUNCTION1 at 0 and at 4 selects no slot either way: the two
+    machines are in one watch state, and the second compiles no block
+    the first did not."""
+    prog = PROGRAMS["recursion"]
+    cfg = RunConfig(protected=True, shadow=SHADOW, max_steps=3_000)
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    made = _sources(monkeypatch)
+    states = []
+    for value in (FN_DISABLED, 4):
+        m = build_machine(prog, cfg)
+        m.dwt.mmio_write(m, DWT_FUNCTION0 + 16, value)
+        states.append(blocks._state(m))
+        m.run(cfg.max_steps)
+        made.append(None)
+    assert states[0] == states[1]
+    first = made.index(None)
+    assert first and made[first + 1:] == [None]
+
+
+def test_an_unknown_write_that_alternates_0_and_4_keeps_the_state(
+        monkeypatch):
+    """A loop that hands FUNCTION0 0, 4, 0, ... through an address it does
+    not know: main's block, which runs the first pass, leaves after the
+    write that disarms comparator 0; the loop's block is then made once,
+    for the disarmed state, and its entry check never misses, though
+    the word changes every pass."""
+    prog = parse(_rewrite(DWT_FUNCTION0, (FN_DISABLED, 4)))
+    cfg = RunConfig(protected=True, shadow=SHADOW, max_steps=5_000)
+    want = _both(prog, cfg, "0 and 4", monkeypatch)
+    assert want["halt"][0]
+    loop = prog.labels["loop"]
+    with monkeypatch.context() as mp:
+        mp.setattr(blocks, "HOT_THRESHOLD", 1)
+        made, misses = _sources(mp), _misses(mp)
+        assert_same(want, fast(prog, cfg), "0 and 4 at threshold 1")
+    assert [pc for pc, _ in made].count(loop) == 1 and not misses
+
+
+# A loop that reads COMP2, a word of the lock's group 2 and 3 block, at an
+# address it knows, and pushes and pops two words on the stack.
+LOCK_READ = "\n".join([
+    ".org 0x08000000", ".func main hal",
+    "mov r5, #%d" % PASSES,
+    ".label loop", *_const("r0", DWT_COMP0 + 32), "ldr r2, [r0]",
+    "push {r2, r5}", "pop {r3, r6}",
+    "subw r5, r5, #1", "cmp r5, #0", "bne loop", "bkpt #0", ".endfunc", ""])
+
+
+def _watch_reads(m):
+    """Comparators 0, over the shadow region, and 3, over the lock's
+    block, watch reads too."""
+    for register in (DWT_FUNCTION0, DWT_FUNCTION0 + 48):
+        m.dwt.mmio_write(m, register, FN_READWRITE)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_state_that_watches_no_read_skips_the_read_hull(policy,
+                                                          monkeypatch):
+    """Armed, no comparator watches reads: the loop's pop tests no hull,
+    and its read of COMP2, inside the lock's write region, runs in line.
+    With comparators 0 and 3 watching reads too, the pop, on the stack
+    just above the shadow region, tests that region, and the read of
+    COMP2, a hit now, takes ``m.load``."""
+    prog = parse(LOCK_READ)
+    cfg = RunConfig(protected=True, policy=policy, shadow=SHADOW,
+                    initial_sp=SHADOW.ss_limit + 8, max_steps=5_000)
+    hull = "(sp >= %d or sp + 8 <= %d)" % (SHADOW.ss_limit, SHADOW.ss_start)
+    for arm in (None, _watch_reads):
+        want = _both(prog, cfg, policy, monkeypatch, arm=arm)
+        assert bool(want["violations"]) == bool(arm)  # the reads of COMP2
+        m = build_machine(prog, cfg)
+        if arm:
+            arm(m)
+        source = blocks._source(blocks._block_at(m.code, prog.labels["loop"]),
+                                blocks._shape(m), blocks._state(m))
+        pop = next(line for line in source.splitlines() if "UN('<2I'" in line)
+        assert ("g[2] = R[6]" in source) == (hull not in pop) == (not arm)
