@@ -27,7 +27,7 @@ on a present page, on ``m.mem``'s page with no call and no state
 writes.  An access is hull-first when it is a push's
 or pop's word or has base sp; where the guard gives no in-line form
 (``blocks._shape``: no guard, a subclass's or wrapped handlers, or
-``WATCH_ALL``), every access is.  Any other access, such as a byte
+``m.watch`` not DWT slots), every access is.  Any other access, such as a byte
 store that hits on most passes, tests the regions of its access kind
 in line, as ``Machine.load``/``store`` do, as an ``if``/``elif`` chain
 in the lowest-comparator order, whose arm k is the in-line form of the

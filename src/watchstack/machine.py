@@ -99,9 +99,6 @@ def ppb_device(addr: int) -> str | None:
 # Machine.watch's default: no region (DwtUnit.slots), so the guard is
 # shown no access.
 _WATCH_NONE = (((0, 0),) * 4, ((0, 0),) * 4)
-# Regions that cover every address: a guard installed with it is shown
-# every access, and decides each by matching it itself.
-WATCH_ALL = (((0, 1 << 32),) * 4, ((0, 1 << 32),) * 4)
 
 
 class HaltReason(Enum):

@@ -11,15 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
+from programs import (SAFE_FLAG, make_demcr_fuzz_program, run_exception_test,
+                      run_microbenchmark, run_recursion, run_scenario_1,
+                      run_write_sweep)
 from watchstack.asm import parse
 from watchstack.cli import main as cli_main
 from watchstack.dwt import (DWT_COMP0, DWT_FUNCTION0, DWT_MASK0, FN_READ,
                             FN_READWRITE, FN_WRITE, DwtUnit)
-from watchstack.harness import (SAFE_FLAG, make_benign_program,
-                                make_demcr_fuzz_program,
-                                microbenchmark_program, run_exception_test,
-                                run_microbenchmark, run_recursion,
-                                run_scenario_1, run_write_sweep)
+from watchstack.harness import make_benign_program, microbenchmark_program
 from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, ShadowStackConfig,
                                    analyze_free_gprs, instrument_program)
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,

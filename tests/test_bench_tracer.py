@@ -8,8 +8,9 @@ runs; here it fails the test suite.
 import types
 from pathlib import Path
 
+from programs import run_recursion
 from watchstack.asm import parse
-from watchstack.harness import run_recursion, sweep_program
+from watchstack.harness import sweep_program
 from watchstack.instrument import ShadowStackConfig
 from watchstack.machine import EV_EXC_ENTERED, EV_EXC_RETURNED
 from watchstack.protect import POLICY_REPORT

@@ -10,8 +10,8 @@ behaviour and fails here.  To print the table of the current tree:
 import json
 from pathlib import Path
 
-from watchstack.harness import (run_exception_test, run_microbenchmark,
-                                run_recursion, run_scenario_1)
+from programs import (run_exception_test, run_microbenchmark,
+                      run_recursion, run_scenario_1)
 from watchstack.instrument import SEQ_NAIVE, SEQ_OPTIMAL
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cycle_table.json"

@@ -1,5 +1,6 @@
 """Frame stacking layout, EXC_RETURN validation, round-trip identity."""
 
+from programs import WATCH_ALL
 from watchstack.exception_model import (ENTRY_CYCLES, ESF_BYTES, ESF_OFF_LR,
                                         ESF_OFF_R0, ESF_OFF_R1, ESF_OFF_R2,
                                         ESF_OFF_R3, ESF_OFF_R12, ESF_OFF_RETURN,
@@ -9,7 +10,7 @@ from watchstack.exception_model import (ENTRY_CYCLES, ESF_BYTES, ESF_OFF_LR,
                                         RETURN_CYCLES, SYSTICK, USAGE_FAULT,
                                         Event, enter_exception,
                                         return_from_exception)
-from watchstack.machine import WATCH_ALL, HaltReason, Machine
+from watchstack.machine import HaltReason, Machine
 
 SP0 = 0x20040000
 HANDLER = 0x08001000

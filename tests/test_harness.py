@@ -5,15 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from programs import (BENIGN_INPUT_WORD, EXC_FLAGS, HIJACK_FILLER_WORDS,
+                      SAFE_FLAG, VIOLATION_FLAG, attack_program,
+                      make_demcr_fuzz_program, run_exception_test,
+                      run_microbenchmark, run_preinit_exception,
+                      run_recursion, run_scenario_1, run_scenario_2,
+                      run_write_sweep)
 from watchstack.asm import parse
-from watchstack.harness import (BENIGN_INPUT_WORD, EXC_FLAGS,
-                                HIJACK_FILLER_WORDS, SAFE_FLAG,
-                                VIOLATION_FLAG, attack_program,
-                                make_benign_program, make_demcr_fuzz_program,
-                                microbenchmark_program, run_exception_test,
-                                run_microbenchmark, run_preinit_exception,
-                                run_recursion, run_scenario_1, run_scenario_2,
-                                run_write_sweep)
+from watchstack.harness import make_benign_program, microbenchmark_program
 from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, ShadowStackConfig,
                                    instrument_program)
 from watchstack.machine import EV_HALTED, HaltReason

@@ -1,9 +1,16 @@
 """Rules on the package's source, checked on each module's syntax tree.
 
-Every name imported into a package module is read in that module.
-``__init__.py`` is exempt: its ``__all__`` is the export list.  So are
-the re-exports that other modules import from ``machine``, and the tag
-categories that ``bench/workloads.py`` reads from ``instrument``.
+Every name imported into a package module is read in that module,
+but for the re-exports that other modules import from ``machine`` and
+the tag categories that ``bench/workloads.py`` reads from
+``instrument``.  ``__init__.py`` binds ``__version__``, which the
+command-line tool reads, and nothing else: it imports no module and
+re-exports no name.
+
+The package holds what the command-line tool and the benchmark run:
+every public name ``harness`` defines at its top level is named in
+``cli.py``, in a ``bench/*.py`` file or in README.  Programs and
+drivers that only tests run live in ``tests/programs.py``.
 
 The fixed PPB addresses are spelled in ``machine`` alone, as numbers or
 inside text; every other module imports them from there.
@@ -60,7 +67,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "watchstack"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "watchstack"
 RE_EXPORTS = {"machine.py": {"EV_EXC_ENTERED", "EV_EXC_RETURNED",
                              "MODE_HANDLER"},
               "instrument.py": {"T_ASSP", "T_USS"}}
@@ -149,6 +157,27 @@ def test_every_private_top_level_name_is_read(name):
     unread = {n for n in _bound_at_top(tree) if _private(n)} - _read(tree)
     assert not unread, "%s binds %s and never reads them" % (
         name, ", ".join(sorted(unread)))
+
+
+def test_the_package_binds_only_its_version():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    bound = _bound_at_top(tree) | _imported(tree)
+    assert bound == {"__version__"}, "__init__.py binds %s" % (
+        ", ".join(sorted(bound - {"__version__"})))
+
+
+# What names the package's generators outside the tests.
+CALLERS = [SRC / "cli.py", *sorted((ROOT / "bench").glob("*.py")),
+           ROOT / "README.md"]
+
+
+def test_every_harness_name_is_named_outside_the_tests():
+    tree = ast.parse((SRC / "harness.py").read_text(encoding="utf-8"))
+    text = "\n".join(p.read_text(encoding="utf-8") for p in CALLERS)
+    unnamed = sorted(n for n in _bound_at_top(tree) if not _private(n)
+                     and not re.search(r"\b%s\b" % re.escape(n), text))
+    assert not unnamed, "harness defines %s, which only tests use; " \
+        "they belong in tests/programs.py" % ", ".join(unnamed)
 
 
 # The page table, as compiled code reads it.

@@ -5,11 +5,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from programs import WATCH_ALL
 from watchstack import blocks
 from watchstack.asm import parse
 from watchstack.harness import recursion_program, sweep_program
-from watchstack.machine import (EV_EXC_ENTERED, EV_HALTED, WATCH_ALL, Event,
-                                HaltReason, Machine, MODE_HANDLER, MODE_THREAD)
+from watchstack.machine import (EV_EXC_ENTERED, EV_HALTED, Event, HaltReason,
+                                Machine, MODE_HANDLER, MODE_THREAD)
 from watchstack.runner import RunConfig, build_machine, run_machine
 
 SP0 = 0x20040000

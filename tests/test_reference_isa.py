@@ -14,10 +14,10 @@ holds ``run()`` and the compiled blocks to ``step()``).  The compiled
 blocks are also held to the reference directly: a few programs run
 through ``Machine.run()`` with every block compiled, and the state is
 compared at each compiled block's exit.  The runs cover a hypothesis
-test per ``isa.OPS`` row, the shipped programs, the harness scenarios,
-generated programs and, compiled, the flag pairs program of
-``tests/test_run_differential.py``; the reference is pinned by a few
-vectors computed by hand from the pseudocode.
+test per ``isa.OPS`` row, the shipped programs, the scenarios of
+``tests/programs.py``, generated programs and, compiled, the flag pairs
+program of ``tests/test_run_differential.py``; the reference is pinned
+by a few vectors computed by hand from the pseudocode.
 """
 
 import random
@@ -27,16 +27,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_isa as ref
+from programs import (attack_program, exception_program,
+                      make_demcr_fuzz_program, preinit_exception_program)
 from test_run_differential import FLAG_PAIRS_PROGRAM
 from watchstack import blocks
 from watchstack.asm import parse
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
                             DWT_MASK0)
-from watchstack.harness import (attack_program, exception_program,
-                                make_benign_program, make_demcr_fuzz_program,
-                                microbenchmark_program,
-                                preinit_exception_program, recursion_program,
-                                sweep_program)
+from watchstack.harness import (make_benign_program, microbenchmark_program,
+                                recursion_program, sweep_program)
 from watchstack.instrument import (SEQ_NAIVE, SEQ_OPTIMAL, ShadowStackConfig,
                                    instrument_program)
 from watchstack.isa import CONDITIONS, LR, MASK32, OPS, PC, SP, Instr, finalize
@@ -440,7 +439,7 @@ def test_the_systick_window_is_closed(at):
     assert core.dwt[3] == SHADOW.ss_start
 
 
-# Each harness scenario's (source, instrumented, protected, policy).
+# Each scenario's (source, instrumented, protected, policy).
 SCENARIOS = {
     "scenario 1 hijack, plain": (
         attack_program(filler_words=4, benign=False), False, False, None),

@@ -26,21 +26,21 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from programs import (WATCH_ALL, make_demcr_fuzz_program,
+                      preinit_exception_program)
 from watchstack import binder, blocks, dwt, semantics
 from watchstack.asm import parse
 from watchstack.cli import EXIT_FAULT, EXIT_VIOLATION, _exit_code
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
                             DWT_GROUP_STRIDE, DWT_MASK0, FN_DISABLED, FN_READ,
                             FN_READWRITE, FN_WRITE, DwtUnit)
-from watchstack.harness import (make_benign_program, make_demcr_fuzz_program,
-                                preinit_exception_program, recursion_program,
+from watchstack.harness import (make_benign_program, recursion_program,
                                 sweep_program)
 from watchstack.instrument import ShadowStackConfig, instrument_program
 from watchstack.isa import LR
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
                                 DWT_WINDOW_HI, DWT_WINDOW_LO, EXC_RETURN_MIN,
-                                WATCH_ALL, HaltReason, Machine, PAGE_SIZE,
-                                PPB_BASE)
+                                HaltReason, Machine, PAGE_SIZE, PPB_BASE)
 from watchstack.protect import (POLICY_REPORT, POLICY_RESET, DemcrModel,
                                 ViolationRecord, WatchpointGuard)
 from watchstack.runner import (OUTCOME_SAFE, RunConfig, attribute,

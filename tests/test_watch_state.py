@@ -32,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_isa as ref
+from programs import WATCH_ALL
 from test_reference_isa import compiled_lockstep
 from test_run_differential import (FLAG_PAIRS_PROGRAM, SHADOW, _const,
                                    assert_same, check, observe, reference,
@@ -43,7 +44,7 @@ from watchstack.dwt import (DWT_COMP0, DWT_COMP_BASE, DWT_FUNCTION0,
                             FN_WRITE)
 from watchstack.harness import recursion_program, sweep_program
 from watchstack.instrument import instrument_program
-from watchstack.machine import DEMCR_ADDR, WATCH_ALL, Machine
+from watchstack.machine import DEMCR_ADDR, Machine
 from watchstack.protect import (POLICY_REPORT, POLICY_RESET,
                                 WatchpointGuard, init_write_protection)
 from watchstack.runner import DEFAULT_SP, RunConfig, build_machine
