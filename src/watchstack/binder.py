@@ -8,8 +8,9 @@ compare as its two operands kept in ``fa`` and ``fb``, and memory as
 below, all for the watch state the instruction runs under (``state``,
 ``blocks._state``), whose every test is a constant here.
 
-Each data access makes one inline test, as QEMU's softmmu path does:
-its fast case runs in line, and every other case writes the state and
+Each data access makes one inline test, as QEMU's softmmu path does,
+after, in a loop, one compare with its site's page (below): its fast
+case runs in line, and every other case writes the state and
 calls ``m.load`` or ``m.store``, the one slow path, which runs the
 four-region test, the guard and the device decode, then leaves through
 the instruction's halt exit if the machine halted or the watch state is
@@ -42,6 +43,15 @@ chain (a read that hits still flows), and else takes ``m.load``, whose
 guard records a hit.  A miss into RAM on one page (for a store, a
 present page) is taken in line.
 
+In a looping block each in-line RAM access site also keeps, as
+softmmu's TLB keeps a translation, the last page its fast case found,
+for one call of the block (``_decode``): an access on that page makes
+one compare, ahead of the fast case, and moves its bytes on the page
+with none of the tests above and no page lookup.  A hull-first site
+keeps only a page wholly outside its hull; a site with the guard's
+chain runs the chain on either arm, as before the write or after the
+read.
+
 It is its own module so that ``blocks`` and it compile one at a time,
 when ``Machine.run`` first imports ``blocks``: the compile of one
 module of their joint size would set every benchmark workload's
@@ -70,19 +80,29 @@ def write_reg(r: int, expr: str) -> str:
     return "%s = (%s) & M" % (read_reg(r), expr)
 
 
-def _decode(a: str, size: int, rd=None, slots=None,
-            words=None) -> tuple[str, list[str]]:
+def _decode(a: str, size: int, rd=None, slots=None, words=None,
+            site=None) -> list[tuple[str, list[str]]]:
     """The one compiled decode of an access of ``size`` bytes at ``a``
     that missed the comparators or, with ``slots``, its access kind's
-    regions (known), lies outside their hull (``[h0, h1)``): the test for
-    its inline case, and the lines that read it into ``rd`` or, without
-    ``rd``, write ``v``.  ``a`` must be RAM, below PPB_BASE, and a word
-    on one page; a missing page reads 0, and a store needs a present page
-    (``Machine.store`` alone creates them).  With ``words``, the
-    registers a pop reads into (``rd`` true) or the values a push
-    writes, as a tuple's text, the access is the ``size // 4`` words of
-    a push or pop: their test asks for a present page too, and one
-    struct call moves them all.
+    regions (known), lies outside their hull (``[h0, h1)``), as the arms
+    of an ``if``/``elif`` chain, each a test and the lines that read the
+    access into ``rd`` or, without ``rd``, write ``v``: its inline case,
+    and with ``site``, before it, its site's page.  ``a`` must be RAM,
+    below PPB_BASE, and a word on one page; a missing page reads 0, and
+    a store needs a present page (``Machine.store`` alone creates them).
+    With ``words``, the registers a pop reads into (``rd`` true) or the
+    values a push writes, as a tuple's text, the access is the
+    ``size // 4`` words of a push or pop: their test asks for a present
+    page too, and one struct call moves them all.
+
+    A site of a looping block keeps the last page its inline case found
+    present, for the block's call: its base in ``t<site>`` (at first one
+    no address is at) and the page in ``q<site>``, so an access on it
+    makes one compare and moves its bytes with no lookup.  Pages are
+    never replaced, and a site runs under one watch state, so nothing
+    invalidates it.  With ``slots`` it keeps only a page wholly outside
+    the hull, and a page is wholly below PPB_BASE, as its base is
+    aligned.
     A memory map with more banks changes this beside ``Machine.load``."""
     test = "%s < %d" % (a, mach.PPB_BASE)
     if size >= 4:
@@ -96,14 +116,43 @@ def _decode(a: str, size: int, rd=None, slots=None,
         test += " and (%s >= %d or %s + %d <= %d)" % (a, h1, a, size, h0)
     page = "(p := P.get(%s >> %d)) is not None" % (a, mach.PAGE_BITS)
     if words:
-        return test + " and " + page, [
-            "%s, = UN('<%dI', p, o)" % (words, size // 4) if rd
-            else "KN('<%dI', p, o, %s)" % (size // 4, words)]
-    if rd is None:
-        write = ("K(p, %s, v)" if size == 4 else "p[%s] = v") % off
-        return test + " and " + page, [write]
-    word = ("U(p, %s)[0]" if size == 4 else "p[%s]") % off
-    return test, ["%s = %s if %s else 0" % (read_reg(rd), word, page)]
+        move = ("%s, = UN('<%dI', {p}, {o})" % (words, size // 4) if rd
+                else "KN('<%dI', {p}, {o}, %s)" % (size // 4, words))
+    elif rd is None:
+        move = "K({p}, {o}, v)" if size == 4 else "{p}[{o}] = v"
+    else:
+        move = "%s = %s" % (read_reg(rd), "U({p}, {o})[0]" if size == 4
+                            else "{p}[{o}]")
+    fast = move.format(p="p", o=off)
+    if rd is None or words:
+        test += " and " + page
+        keep = []
+    else:
+        fast += " if %s else 0" % page
+        keep = ["p is not None"]  # a missing page is not kept
+    if site is None:
+        return [(test, [fast])]
+    t, q = "t%s" % site, "q%s" % site
+    if h0 < h1:
+        keep.append("not %d < %s & %d < %d" % (
+            h0 - mach.PAGE_SIZE, a, -mach.PAGE_SIZE, h1))
+    fill = "%s = %s & %d; %s = p" % (t, a, -mach.PAGE_SIZE, q)
+    return [("0 <= (o := %s - %s) <= %d" % (a, t, mach.PAGE_SIZE - size),
+             [move.format(p=q, o="o")]),
+            (test, [fast, "if %s: %s" % (" and ".join(keep), fill)
+                    if keep else fill])]
+
+
+def _arms(arms, first="if", block=False) -> list[str]:
+    """``_decode``'s arms as an ``if``/``elif`` chain that begins with
+    ``first``: an arm of one line on its test's line, unless ``block``."""
+    lines = []
+    for i, (test, body) in enumerate(arms):
+        kw = "elif" if i else first
+        lines += (["%s %s: %s" % (kw, test, *body)]
+                  if len(body) == 1 and not block else
+                  ["%s %s:" % (kw, test), *(" " + line for line in body)])
+    return lines
 
 
 def _slow(b, call: str) -> list[str]:
@@ -122,11 +171,12 @@ def _load(b, rd: int, a: str, size: int, hits=None) -> list[str]:
     instruction whose binder is ``b`` (``Compiled``): a load that
     ``_decode`` can read inline is read so if, without ``hits``, it lies
     outside the hull, or else before ``hits``, the guard's in-line chain
-    (``Compiled.hits``), records a hit (a read that hits still flows);
-    anything else takes the slow path (``_slow``)."""
-    test, (read,) = _decode(a, size, rd,
-                            hits is None and b.state[mach.ACCESS_READ])
-    return ["if %s:" % test, *(" " + line for line in (read, *(hits or ()))),
+    (``Compiled.hits``), records a hit (a read that hits still flows),
+    in each of its arms; anything else takes the slow path (``_slow``)."""
+    arms = _decode(a, size, rd, hits is None and b.state[mach.ACCESS_READ],
+                   site=b.site)
+    return [*_arms([(test, [*body, *(hits or ())]) for test, body in arms],
+                   block=True),
             *_slow(b, write_reg(rd, "m.load(%s, %d)" % (a, size)))]
 
 
@@ -136,10 +186,10 @@ def _store(b, a: str, size: int, value: str, hits=None) -> list[str]:
     a store that ``_decode`` can write inline, and that missed them or,
     without ``hits``, lies outside the hull, is written so; anything
     else takes the slow path (``_slow``)."""
-    test, (write,) = _decode(a, size, slots=hits is None
-                             and b.state[mach.ACCESS_WRITE])
+    arms = _decode(a, size, slots=hits is None and b.state[mach.ACCESS_WRITE],
+                   site=b.site)
     return ["v = " + value, *(hits or ()),
-            "%s %s: %s" % ("elif" if hits else "if", test, write),
+            *_arms(arms, "elif" if hits else "if"),
             *_slow(b, "m.store(%s, %d, v)" % (a, size))]
 
 
@@ -159,18 +209,19 @@ class Compiled:
     ``cost`` the cycles to its end, ``sync`` the state writes, which
     only an access's slow path makes, ``end`` the halt exit, ``guard``
     the guard's in-line form at its step and pc, or None, ``state`` the
-    watch state it runs under and ``after()`` the name of the one after
-    it): operands are literals, registers locals or ``m`` attributes,
-    memory is ``_load``/``_store``, hull-first for a stack word, a base
-    of sp or where ``guard`` is None, and a compare's flags stay in
-    ``fa``, ``fb`` until an exit or ``sync`` writes them."""
+    watch state it runs under, ``after()`` the name of the one after
+    it and ``site``, in a looping block, its index in the trace, which
+    names its access's page, else None): operands are literals, registers locals or ``m``
+    attributes, memory is ``_load``/``_store``, hull-first for a stack
+    word, a base of sp or where ``guard`` is None, and a compare's flags
+    stay in ``fa``, ``fb`` until an exit or ``sync`` writes them."""
 
     def __init__(self, ins, nxt: int, cost: int, sync: str, end: str,
-                 guard, state: tuple, after) -> None:
+                 guard, state: tuple, after, site=None) -> None:
         self.ins, self.nxt, self.cost, self.sync, self.end = (
             ins, nxt, cost, sync, end)
         self.r, self.guard = None, None if ins.rn == SP else guard
-        self.state, self.after = state, after
+        self.state, self.after, self.site = state, after, site
 
     def _value(self, expr):
         return expr if isinstance(expr, int) else eval(
@@ -215,11 +266,12 @@ class Compiled:
         for i, self.r in enumerate(regs):
             lines += ["a = (sp + %d) & M" % (4 * i), *access()]
         pop = self.ins.op == "pop"
-        test, fast = _decode("sp", 4 * len(regs), rd=pop, slots=self.state[
-            mach.ACCESS_READ if pop else mach.ACCESS_WRITE],
-                             words=", ".join(read_reg(r, "m.pc" if pop else
-                                                  self.nxt) for r in regs))
-        return ["if %s: %s" % (test, *fast), *_slow(self, "; ".join(lines))]
+        return [*_arms(_decode(
+            "sp", 4 * len(regs), rd=pop, slots=self.state[
+                mach.ACCESS_READ if pop else mach.ACCESS_WRITE],
+            words=", ".join(read_reg(r, "m.pc" if pop else self.nxt)
+                            for r in regs), site=self.site)),
+                *_slow(self, "; ".join(lines))]
 
     def flags(self, a: str, b: str) -> list[str]:
         return ["fa = %s; fb = %s" % (a, b)]

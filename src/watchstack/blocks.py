@@ -75,7 +75,15 @@ reads is a constant of ``make``, ``Z0`` the entry's.
 
 Each data access runs in line where it can, and else through
 ``m.load`` or ``m.store`` (``binder``, whose ``Compiled`` binds each
-instruction for ``SEMANTICS``).
+instruction for ``SEMANTICS``).  In a loop, each in-line RAM access
+site ``i`` (the instruction's index in the trace) keeps a page of its
+own, ``t<i>`` its base and ``q<i>`` its bytes, set once per call before
+the loop to a base no address is at: an access on it makes one compare
+and no lookup.  It lives for the call.  A miss fills it from the page
+the fast case found present, for a hull-first access only a page
+wholly outside its access kind's hull; pages are never replaced and
+each site runs under one watch state, so no entry goes stale, and a
+restore between ``run()`` calls meets none.
 
 The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``movt`` put in a register until another write of it (read from
@@ -362,6 +370,7 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
     body = []
     cost = 0
     known: dict = {}
+    sites = []  # a loop's in-line RAM access sites' page bases (binder)
     for i, (at, ins) in enumerate(trace[:-1] if split else trace):
         cost += ins.cycles
         nxt = at + ins.width
@@ -377,11 +386,14 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
                "m._end(%d)" % (_MIN_SP + "; " if tracks else "", i + 1, here,
                                "" if _jumps(ins) else pc, i + 1, fold, flags,
                                at))
+        word = words[i]
+        site = loops and word is None and OPS[ins.op].kind == MEMORY
+        if site:
+            sites.append("t%d" % i)
         b = Compiled(ins, nxt, cost, sync, end, inline and functools.partial(
             inline, step="s + %d" % i, pc=at, addr="a"), states[i],
             functools.partial(names.setdefault, states[i + 1],
-                              "Z%d" % len(names)))
-        word = words[i]
+                              "Z%d" % len(names)), i if site else None)
         value = known.get(ins.rd)  # a str's value, if the block knows it
         _fold(ins, known)
         body.append("# 0x%08x %s" % (at, ins.op))
@@ -409,6 +421,8 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
     if loops:
         if split:
             cost += ins.cycles
+        if sites:  # a base no address is at
+            out.append("  %s = %d" % (" = ".join(sites), -2 * mach.PAGE_SIZE))
         out.append("  while True:")
         out += ["   " + line for line in body + _loop_tail(
             at, ins, cost, n, entry, fold + flags)]

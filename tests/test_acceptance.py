@@ -201,9 +201,6 @@ def test_08_comparator_matching_oracle():
             % (1000 * probes_per_cfg, disagreements))
 
 
-_EXCLUDE_DEMCR = set(range(DEMCR_ADDR, DEMCR_ADDR + 4))
-
-
 def _transparent(seed: int) -> list[str]:
     rng = random.Random(seed)
     text = make_benign_program(rng, n_funcs=rng.randint(4, 12))

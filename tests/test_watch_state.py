@@ -23,7 +23,10 @@ These tests change the state every way a run can:
   handlers);
 * what the state holds: FUNCTION values that select the same slots are
   one state, and a state that watches no read lets a pop and a read of
-  a watched register skip the hull of the write regions.
+  a watched register skip the hull of the write regions;
+* each in-line access site's page in a compiled loop: pushes and pops
+  that walk through a region that starts mid-page, across a page
+  boundary, never keep the page that holds it.
 """
 
 import random
@@ -489,14 +492,18 @@ def _watch_reads(m):
 def test_a_state_that_watches_no_read_skips_the_read_hull(policy,
                                                           monkeypatch):
     """Armed, no comparator watches reads: the loop's pop tests no hull,
+    on the arm its page misses on, nor keeps the page only outside one,
     and its read of COMP2, inside the lock's write region, runs in line.
     With comparators 0 and 3 watching reads too, the pop, on the stack
-    just above the shadow region, tests that region, and the read of
-    COMP2, a hit now, takes ``m.load``."""
+    just above the shadow region, tests that region, keeps a page only
+    wholly outside it, and the read of COMP2, a hit now, takes
+    ``m.load``."""
     prog = parse(LOCK_READ)
     cfg = RunConfig(protected=True, policy=policy, shadow=SHADOW,
                     initial_sp=SHADOW.ss_limit + 8, max_steps=5_000)
     hull = "(sp >= %d or sp + 8 <= %d)" % (SHADOW.ss_limit, SHADOW.ss_start)
+    page = "not %d < sp & -4096 < %d" % (SHADOW.ss_start - 4096,
+                                         SHADOW.ss_limit)
     for arm in (None, _watch_reads):
         want = _both(prog, cfg, policy, monkeypatch, arm=arm)
         assert bool(want["violations"]) == bool(arm)  # the reads of COMP2
@@ -505,5 +512,48 @@ def test_a_state_that_watches_no_read_skips_the_read_hull(policy,
             arm(m)
         source = blocks._source(blocks._block_at(m.code, prog.labels["loop"]),
                                 blocks._shape(m), blocks._state(m))
-        pop = next(line for line in source.splitlines() if "UN('<2I'" in line)
-        assert ("g[2] = R[6]" in source) == (hull not in pop) == (not arm)
+        lines = source.splitlines()
+        at = next(i for i, line in enumerate(lines) if "UN('<2I', p," in line)
+        miss, fill = lines[at - 1], lines[at + 1]  # the pop's miss arm
+        assert ("g[2] = R[6]" in source) == (hull not in miss) == (
+            page not in fill) == (not arm)
+
+
+# -- each access site's page ---------------------------------------------------
+
+# Comparator 0 over 256 bytes that start mid-page, watching reads and
+# writes; the stack starts 512 bytes above that page, so the loops'
+# blocks, compiled at any threshold, meet the page boundary too.
+MID_PAGE = 0x2003FA00
+WALK_SP = (MID_PAGE | 0xFFF) + 1 + 0x200
+WALK = (WALK_SP - MID_PAGE + 0x100) // 8  # passes, to 256 bytes below it
+WALKING = "\n".join([
+    ".org 0x08000000", ".func main hal",
+    "movw r5, #%d" % WALK,
+    ".label down", "push {r4, r5}", "subw r5, r5, #1", "cmp r5, #0",
+    "bne down",
+    "movw r5, #%d" % WALK,
+    ".label up", "pop {r4, r6}", "subw r5, r5, #1", "cmp r5, #0", "bne up",
+    "bkpt #0", ".endfunc", ""])
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_cached_page_never_reaches_past_the_hull(policy, monkeypatch):
+    """The pushes walk down across a page boundary and through the
+    region, and the pops walk back up: the page that holds the region
+    is never a site's page, so every access in the region reaches the
+    guard; under the reset policy the first push into it, both its
+    words, halts the run, and under report each of the 32 pushes there
+    is suppressed and each of the 32 pops there recorded, a word
+    each."""
+    prog = parse(WALKING)
+    cfg = RunConfig(protected=True, policy=policy, shadow=SHADOW,
+                    initial_sp=WALK_SP, max_steps=5 * 4 * WALK)
+    arm = _writes([(DWT_COMP0, MID_PAGE), (DWT_MASK0, 8),
+                   (DWT_FUNCTION0, FN_READWRITE)])
+    want = check(prog, cfg, "walk " + policy, monkeypatch, arm=arm)
+    hits = want["violations"]
+    if policy == POLICY_RESET:
+        assert want["halt"][1].value == "reset" and len(hits) == 2
+    else:
+        assert want["halt"][1].value == "normal" and len(hits) == 4 * 32
