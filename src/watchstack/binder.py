@@ -3,10 +3,13 @@
 the in-line access path its loads and stores take.
 
 ``Compiled`` binds an instruction with its operands known: fields as
-literals, registers as the block's locals or ``m`` attributes, a
-compare as its two operands kept in ``fa`` and ``fb``, and memory as
-below, all for the watch state the instruction runs under (``state``,
-``blocks._state``), whose every test is a constant here.
+literals, registers as a looping block's locals ``r<k>`` and else as
+``g[k]``, ``m.sp`` and ``m.lr`` (``read_reg``), a compare as its two
+operands kept in ``fa`` and ``fb``, and memory as below, all for the
+watch state the instruction runs under (``state``,
+``blocks._state``), whose every test is a constant here.  An access
+with a zero offset takes its base register as its address
+(``semantics._at``): a register holds 32 bits.
 
 Each data access makes one inline test, as QEMU's softmmu path does,
 after, in a loop, one compare with its site's page (below): its fast
@@ -62,22 +65,29 @@ from __future__ import annotations
 
 from . import machine as mach
 from .dwt import hull
-from .isa import LR, MASK32, NUM_GPRS, SP
+from .isa import LR, MASK32, NUM_GPRS, PC, SP
 from .semantics import COND
 
 
-def read_reg(r: int, pc="m.pc") -> str:
+def read_reg(r: int, pc="m.pc", local=False) -> str:
     """read_reg(r), with pc read as ``pc``, the next instruction's
-    address; by default, where write_reg(r, ...) stores."""
-    return "g[%d]" % r if r < NUM_GPRS else {SP: "m.sp", LR: "m.lr"}.get(
-        r, "%s" % pc)
+    address; by default, where write_reg(r, ...) stores.  With
+    ``local``, in a looping block, r0-r12, sp and lr are the block's
+    locals ``r<k>`` (``blocks`` loads and writes them back), and else
+    ``g[k]``, ``m.sp`` and ``m.lr``."""
+    if r == PC:
+        return pc
+    if local:
+        return "r%d" % r
+    return "g[%d]" % r if r < NUM_GPRS else {SP: "m.sp", LR: "m.lr"}[r]
 
 
-def write_reg(r: int, expr: str) -> str:
-    """write_reg(r, expr): the value is masked to 32 bits."""
+def write_reg(r: int, expr: str, local=False) -> str:
+    """write_reg(r, expr), to the register read_reg(r, local=local)
+    names: the value is masked to 32 bits."""
     if expr.isdigit():
-        return "%s = %d" % (read_reg(r), int(expr) & MASK32)
-    return "%s = (%s) & M" % (read_reg(r), expr)
+        return "%s = %d" % (read_reg(r, local=local), int(expr) & MASK32)
+    return "%s = (%s) & M" % (read_reg(r, local=local), expr)
 
 
 def _decode(a: str, size: int, rd=None, slots=None, words=None,
@@ -86,12 +96,13 @@ def _decode(a: str, size: int, rd=None, slots=None, words=None,
     that missed the comparators or, with ``slots``, its access kind's
     regions (known), lies outside their hull (``[h0, h1)``), as the arms
     of an ``if``/``elif`` chain, each a test and the lines that read the
-    access into ``rd`` or, without ``rd``, write ``v``: its inline case,
+    access into the register named ``rd`` or, without ``rd``, write
+    ``v``: its inline case,
     and with ``site``, before it, its site's page.  ``a`` must be RAM,
     below PPB_BASE, and a word on one page; a missing page reads 0, and
     a store needs a present page (``Machine.store`` alone creates them).
     With ``words``, the registers a pop reads into (``rd`` true) or the
-    values a push writes, as a tuple's text, the access is the
+    values a push writes, as a tuple's text, by name, the access is the
     ``size // 4`` words of a push or pop: their test asks for a present
     page too, and one struct call moves them all.
 
@@ -121,7 +132,7 @@ def _decode(a: str, size: int, rd=None, slots=None, words=None,
     elif rd is None:
         move = "K({p}, {o}, v)" if size == 4 else "{p}[{o}] = v"
     else:
-        move = "%s = %s" % (read_reg(rd), "U({p}, {o})[0]" if size == 4
+        move = "%s = %s" % (rd, "U({p}, {o})[0]" if size == 4
                             else "{p}[{o}]")
     fast = move.format(p="p", o=off)
     if rd is None or words:
@@ -173,11 +184,11 @@ def _load(b, rd: int, a: str, size: int, hits=None) -> list[str]:
     outside the hull, or else before ``hits``, the guard's in-line chain
     (``Compiled.hits``), records a hit (a read that hits still flows),
     in each of its arms; anything else takes the slow path (``_slow``)."""
-    arms = _decode(a, size, rd, hits is None and b.state[mach.ACCESS_READ],
-                   site=b.site)
+    arms = _decode(a, size, b.name(rd),
+                   hits is None and b.state[mach.ACCESS_READ], site=b.site)
     return [*_arms([(test, [*body, *(hits or ())]) for test, body in arms],
                    block=True),
-            *_slow(b, write_reg(rd, "m.load(%s, %d)" % (a, size)))]
+            *_slow(b, *b.set(rd, "m.load(%s, %d)" % (a, size)))]
 
 
 def _store(b, a: str, size: int, value: str, hits=None) -> list[str]:
@@ -210,18 +221,21 @@ class Compiled:
     only an access's slow path makes, ``end`` the halt exit, ``guard``
     the guard's in-line form at its step and pc, or None, ``state`` the
     watch state it runs under, ``after()`` the name of the one after
-    it and ``site``, in a looping block, its index in the trace, which
-    names its access's page, else None): operands are literals, registers locals or ``m``
-    attributes, memory is ``_load``/``_store``, hull-first for a stack
-    word, a base of sp or where ``guard`` is None, and a compare's flags
-    stay in ``fa``, ``fb`` until an exit or ``sync`` writes them."""
+    it, ``site``, in a looping block, its index in the trace, which
+    names its access's page, else None, and ``local``, whether the
+    block loops): operands are literals, registers the block's locals
+    in a loop (``read_reg``) and else ``g[k]`` or ``m`` attributes,
+    memory is ``_load``/``_store``, hull-first for a stack word, a base
+    of sp or where ``guard`` is None, and a compare's flags stay in
+    ``fa``, ``fb`` until an exit or ``sync`` writes them."""
 
     def __init__(self, ins, nxt: int, cost: int, sync: str, end: str,
-                 guard, state: tuple, after, site=None) -> None:
+                 guard, state: tuple, after, site=None, local=False) -> None:
         self.ins, self.nxt, self.cost, self.sync, self.end = (
             ins, nxt, cost, sync, end)
         self.r, self.guard = None, None if ins.rn == SP else guard
         self.state, self.after, self.site = state, after, site
+        self.local = local
 
     def _value(self, expr):
         return expr if isinstance(expr, int) else eval(
@@ -231,10 +245,13 @@ class Compiled:
         return "%d" % self._value(expr)
 
     def reg(self, r) -> str:
-        return read_reg(self._value(r), self.nxt)
+        return read_reg(self._value(r), self.nxt, self.local)
+
+    def name(self, r) -> str:
+        return read_reg(self._value(r), local=self.local)
 
     def set(self, r, value: str) -> list[str]:
-        return [write_reg(self._value(r), value)]
+        return [write_reg(self._value(r), value, self.local)]
 
     def hits(self, access: int, size: int, value: str = "0"):
         """The guard's in-line chain for the access at ``a``, or None for
@@ -247,7 +264,10 @@ class Compiled:
 
     def load(self, r, size: int) -> list[str]:
         if self.r is not None:  # a word of a push or pop (words)
-            return [write_reg(self._value(r), "m.load(a, 4)")]
+            line = write_reg(self._value(r), "m.load(a, 4)")
+            # and into m's register, which the next word's guard call sees
+            return ["%s = %s" % (self.name(r), line)
+                    if self.local and self.r != PC else line]
         return _load(self, self._value(r), "a", size,
                      self.hits(mach.ACCESS_READ, size))
 
@@ -269,7 +289,7 @@ class Compiled:
         return [*_arms(_decode(
             "sp", 4 * len(regs), rd=pop, slots=self.state[
                 mach.ACCESS_READ if pop else mach.ACCESS_WRITE],
-            words=", ".join(read_reg(r, "m.pc" if pop else self.nxt)
+            words=", ".join(self.name(r) if pop else self.reg(r)
                             for r in regs), site=self.site)),
                 *_slow(self, "; ".join(lines))]
 

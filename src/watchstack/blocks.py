@@ -21,12 +21,23 @@ register or memory (``bx``, ``blx``, ``pop {..., pc}``) the pass tests
 it.  In the generated function:
 
 * steps, cycles and the flags are kept in locals: a compare keeps its
-  operands, ``fa`` and ``fb``, for the branch after it.  ``m.steps``,
-  ``m.cycles``, ``m.cur_pc``, ``m.pc`` and ``m.xpsr`` are written only
-  before something can read them (``m.load`` and ``m.store``, which
-  show the guard the access and read CYCCNT) and at each exit, as
-  ``step()`` would have left them (the flags by
-  ``semantics.write_flags``, ``F``);
+  operands, ``fa`` and ``fb``, for the branch after it.  A loop keeps
+  each register it reads or writes, r0-r12, sp and lr, in a local too
+  (``r<k>``, ``binder.read_reg``), loaded once after the entry check,
+  as QEMU's TCG keeps guest registers in host ones within a block
+  (Bellard, USENIX ATC 2005); pc stays ``m.pc``.  ``m.steps``,
+  ``m.cycles``, ``m.cur_pc``, ``m.pc``, ``m.xpsr`` and each register
+  the loop writes are written only before something can read them
+  (``m.load`` and ``m.store``, which show the guard the access and
+  read CYCCNT) and at each exit, the budget return and the lines after
+  the loop among them, as ``step()`` would have left them (the flags
+  by ``semantics.write_flags``, ``F``), so a halt exit writes them
+  before ``Machine._end``, which may start an exception return.  No
+  register is reloaded after a slow path: ``Machine.load``/``store``,
+  the guard and the devices' ports write none (only an exception entry
+  or return does).  A pop's words moved one at a time through
+  ``m.load`` go to the machine's register as well as the local, as the
+  next word's guard call may read it;
 * only a path that can halt or change the watch state is followed by
   the block's halt exit: a slow path (``m.load`` or ``m.store``) by
   ``if m.halted or X(m) != Z1:`` and the exit, and a statement that
@@ -121,7 +132,7 @@ import re
 import struct
 
 from . import machine as mach
-from .binder import XPSR, Compiled, branch_test, read_reg, write_reg
+from .binder import XPSR, Compiled, branch_test, read_reg
 from .dwt import hull
 from .isa import BRANCH, LR, MASK32, MEMORY, OPS, PC, SP, TRAP
 from .semantics import SEMANTICS, define, write_flags
@@ -229,6 +240,12 @@ def _written(ins) -> set:
     return regs
 
 
+def _named(ins) -> set:
+    """The registers ``ins`` reads or writes, but pc."""
+    return {ins.rd, ins.rn, ins.rm, *ins.reglist, *_written(ins)} - {
+        None, PC}
+
+
 def _jumps(ins) -> bool:
     """A branch, or any other write of pc."""
     return OPS[ins.op].kind == BRANCH or PC in _written(ins)
@@ -297,8 +314,9 @@ def _in_line(ins, known: dict, devices: tuple, state: tuple):
     the hull of its access kind's regions in the watch state ``state``,
     whose class in ``devices`` gives it an in-line form there: the line
     binding the device's state once per entry (``BIND``), the lines of
-    its ``inline`` form, a store's with a value the block knows folded,
-    and the watch state after them.  Else None: any other ``ldr``/``str``."""
+    its ``inline`` form, a load's the value it reads, a store's lines,
+    with a value the block knows folded, and the watch state after them.
+    Else None: any other ``ldr``/``str``."""
     word = _device_word(ins, known)
     dev = None if word is None else dict(devices).get(word[1])
     access = mach.ACCESS_READ if ins.op == "ldr" else mach.ACCESS_WRITE
@@ -308,14 +326,14 @@ def _in_line(ins, known: dict, devices: tuple, state: tuple):
     addr, name = word
     form = (dev.inline(addr, access, state) if ins.op == "ldr"
             else dev.inline(addr, access, state, known.get(ins.rd)))
-    if ins.op == "ldr" and form:  # a register reads 32 bits
-        form = ["%s = %s" % (read_reg(ins.rd), form)], state
+    if ins.op == "ldr" and form:
+        form = form, state
     return form and ("  D = m.%s; %s" % (name, dev.BIND), *form)
 
 
-# The min_sp check, on a machine that tracks it; one statement, so that
-# a halt exit can run it too.
-_MIN_SP = "m.min_sp = min(m.min_sp, m.sp)"
+# The min_sp check of sp, as named, on a machine that tracks it; one
+# statement, so that a halt exit can run it too.
+_MIN_SP = "m.min_sp = min(m.min_sp, %s)"
 # A line whose last statement halts whatever the state, and is last in
 # its arm: a misaligned word's fault, a reset hit or a COMP1 overflow
 # (the guard's and the unit's in-line forms spell a halt ``m.halt(...)``).
@@ -355,6 +373,17 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
            "  g = m.gpr",
            "  s = e = m.steps" if loops else "  s = m.steps",
            "  c = m.cycles"]
+    # A loop's registers, in locals: loaded here, and those it writes
+    # written back (``back``) before each slow path and at each exit.
+    writes = set().union(*(_written(ins) for _, ins in trace))
+    regs = sorted(set().union(*(_named(ins) for _, ins in trace))
+                  if loops else ())
+    if regs:
+        out.append("  " + "; ".join("%s = %s" % (
+            read_reg(r, local=True), read_reg(r)) for r in regs))
+    back = "".join("; %s = %s" % (read_reg(r), read_reg(r, local=True))
+                   for r in regs if r in writes)
+    min_sp = _MIN_SP % read_reg(SP, local=SP in regs)
     # What each exit adds: a loop's passes before it, (s - e) // n, and
     # the flags of the pass's compare or, before one, the last pass's.
     fold = ("; cnt[%d] += (s - e) // %d" % (n, n) if loops else "") + (
@@ -362,9 +391,9 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
         if loops and ins.op == "bcond" and ins.target == entry else "")
     flags = ("; s == e or " + XPSR if loops and any(
         OPS[ins.op].sets_flags for _, ins in trace) else "")
-    moves_sp = any(SP in _written(ins) for _, ins in trace)
+    moves_sp = SP in writes
     if tracks and not moves_sp:
-        out.append("  " + _MIN_SP)  # sp holds its entry value throughout
+        out.append("  " + min_sp)  # sp holds its entry value throughout
     if any(OPS[ins.op].kind == MEMORY for _, ins in trace):
         out.append("  P = m.mem.pages")  # for binder._decode
     body = []
@@ -377,15 +406,15 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
         last = i == n - 1
         here = "m.cycles = c + %d; m.cur_pc = %d" % (cost, at)
         pc = "; m.pc = %d" % nxt
-        sync = "m.steps = s + %d; %s%s%s" % (i, here, pc, flags)
+        sync = "m.steps = s + %d; %s%s%s%s" % (i, here, pc, back, flags)
         # The halt exit: the state after the instruction, pc unless the
         # instruction wrote it, and min_sp where it is tracked (checked
         # once more if the instruction left sp as it was: the same
         # minimum).
-        end = ("%sm.steps = s + %d; %s%s; cnt[%d] += 1%s%s; return "
-               "m._end(%d)" % (_MIN_SP + "; " if tracks else "", i + 1, here,
-                               "" if _jumps(ins) else pc, i + 1, fold, flags,
-                               at))
+        end = ("%sm.steps = s + %d; %s%s; cnt[%d] += 1%s%s%s; return "
+               "m._end(%d)" % (min_sp + "; " if tracks else "", i + 1, here,
+                               "" if _jumps(ins) else pc, i + 1, fold, back,
+                               flags, at))
         word = words[i]
         site = loops and word is None and OPS[ins.op].kind == MEMORY
         if site:
@@ -393,24 +422,26 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
         b = Compiled(ins, nxt, cost, sync, end, inline and functools.partial(
             inline, step="s + %d" % i, pc=at, addr="a"), states[i],
             functools.partial(names.setdefault, states[i + 1],
-                              "Z%d" % len(names)), i if site else None)
+                              "Z%d" % len(names)), i if site else None, loops)
         value = known.get(ins.rd)  # a str's value, if the block knows it
         _fold(ins, known)
         body.append("# 0x%08x %s" % (at, ins.op))
         if word is not None:  # known and aligned: no address, no test
             bind, lines = word[:2]
-            if ins.op == "str" and value is None:
-                lines = ["v = " + read_reg(ins.rd, nxt), *lines]
+            if ins.op == "ldr":  # a register reads 32 bits
+                lines = ["%s = %s" % (b.name(ins.rd), lines)]
+            elif value is None:
+                lines = ["v = " + b.reg(ins.rd), *lines]
         elif ins.op == "movt" and ins.rd in known:  # folded, as movw is
-            lines = [write_reg(ins.rd, "%d" % known[ins.rd])]
+            lines = b.set(ins.rd, "%d" % known[ins.rd])
         elif ins.op in ("b", "bl") and not last:  # followed: pc is not read
-            lines = ["m.lr = %d" % nxt] if ins.op == "bl" else []
+            lines = b.set(LR, "%d" % nxt) if ins.op == "bl" else []
         else:
             lines = SEMANTICS[ins.op](b)
         body += [line + "; " + end if _HALTS.search(line) else line
                  for line in lines]
         if tracks and moves_sp and (i == 0 or SP in _written(ins)):
-            body.append(_MIN_SP)
+            body.append(min_sp)
         if OPS[ins.op].sets_flags:
             flags = "; " + XPSR
     out[1:1] = (" %s = %r" % (z, st) for st, z in names.items())
@@ -425,7 +456,7 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
             out.append("  %s = %d" % (" = ".join(sites), -2 * mach.PAGE_SIZE))
         out.append("  while True:")
         out += ["   " + line for line in body + _loop_tail(
-            at, ins, cost, n, entry, fold + flags)]
+            at, ins, cost, n, entry, fold + back + flags)]
         if exits == (entry,):  # it leaves only through the budget test
             out.append(" return block")
             return "\n".join(out) + "\n"
@@ -435,8 +466,8 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
         out.append("  m.cycles = c + %d" % cost)
     if not _jumps(ins):
         out.append("  m.pc = %d" % nxt)
-    out.append("  m.steps = s + %d; m.cur_pc = %d; cnt[%d] += 1%s%s"
-               % (n, at, n, fold, flags))
+    out.append("  m.steps = s + %d; m.cur_pc = %d; cnt[%d] += 1%s%s%s"
+               % (n, at, n, fold, back, flags))
     # A pc taken from a register or memory may be EXC_RETURN.
     if exits is None or max(exits) >= mach.EXC_RETURN_MIN:
         out.append("  if m.pc >= %d: return m._end(%d)"

@@ -154,8 +154,8 @@ OPS = {
     "push": Op("push {reglist}", MEMORY, 0, writes_sp=True),
     "pop": Op("pop {reglist}", MEMORY, 0, writes_sp=True,
               writes_reglist=True),
-    "add_sp": Op("add sp, {imm}", ALU, 2, writes_sp=True),
-    "sub_sp": Op("sub sp, {imm}", ALU, 2, writes_sp=True),
+    "add_sp": Op("add sp, {imm}", ALU, 0, writes_sp=True),
+    "sub_sp": Op("sub sp, {imm}", ALU, 0, writes_sp=True),
     "addw": Op("addw {rd}, {rn}, {imm}", ALU, 4, writes_rd=True),
     "subw": Op("subw {rd}, {rn}, {imm}", ALU, 4, writes_rd=True),
     "cmp_imm": Op("cmp {rn}, {imm}", ALU, 0, sets_flags=True),
@@ -189,6 +189,8 @@ def _narrow(ins: Instr, imm: int | None) -> bool:
     if op == "push" or op == "pop":
         link = LR if op == "push" else PC
         return all(r < 8 or r == link for r in ins.reglist)
+    if op == "add_sp" or op == "sub_sp":
+        return imm <= 508
     if op == "cmp_imm":
         return ins.rn < 8 and imm <= 255
     if ins.wide:

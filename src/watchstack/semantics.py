@@ -16,7 +16,7 @@ and per-file counts show.
 from __future__ import annotations
 
 from .exception_model import MODE_HANDLER
-from .isa import MASK32, NUM_GPRS, OPS, PC, TRAP
+from .isa import LR, MASK32, NUM_GPRS, OPS, PC, SP, TRAP
 
 
 def define(source: str, name: str, ns: dict) -> dict:
@@ -28,7 +28,8 @@ def define(source: str, name: str, ns: dict) -> dict:
 # SEMANTICS gives each op's effect as lines of Python over a binder
 # ``b``, whose slots spell the operands, each named by an expression on
 # ``ins``: a field's value ``k``, a register's read ``reg`` (PC reads
-# the next pc) and write ``set``, the access at ``a``, ``load`` or
+# the next pc) and write ``set``, sp's and lr's own ``name``, read and
+# written in place, the access at ``a``, ``load`` or
 # ``store``, ``access()`` per listed register ``r`` at ``a`` from ``sp``
 # (``words``), a compare's ``flags`` of ``a - b``, and a ``branch``.
 
@@ -59,7 +60,11 @@ write_flags = define("def F(m, fa, fb):\n " + "\n ".join(_cmp("fa", "fb")),
 
 
 def _at(b) -> str:
-    return "a = (%s + %s) & M" % (b.reg("ins.rn"), b.k("ins.imm"))
+    """The address ``a``: a zero offset's is the base register itself,
+    as every register holds 32 bits."""
+    imm = b.k("ins.imm")
+    return "a = " + (b.reg("ins.rn") if imm == "0" else "(%s + %s) & M" % (
+        b.reg("ins.rn"), imm))
 
 
 def _aligned(lines: list[str]) -> list[str]:
@@ -78,13 +83,16 @@ SEMANTICS = {
     "ldrb": lambda b: [_at(b), *b.load("ins.rd", 1)],
     "strb": lambda b: [_at(b), *b.store(1, "%s & 0xFF" % b.reg("ins.rd"))],
     "push": lambda b: [
-        "sp = (m.sp - %s) & M" % b.k("4 * len(ins.reglist)"), "m.sp = sp",
-        *b.words(lambda: b.store(4, b.reg("r")))],
+        "sp = (%s - %s) & M" % (b.name(SP), b.k("4 * len(ins.reglist)")),
+        "%s = sp" % b.name(SP), *b.words(lambda: b.store(4, b.reg("r")))],
     "pop": lambda b: [
-        "sp = m.sp", "m.sp = (sp + %s) & M" % b.k("4 * len(ins.reglist)"),
+        "sp = %s" % b.name(SP),
+        "%s = (sp + %s) & M" % (b.name(SP), b.k("4 * len(ins.reglist)")),
         *b.words(lambda: b.load("r", 4))],
-    "add_sp": lambda b: ["m.sp = (m.sp + %s) & M" % b.k("ins.imm")],
-    "sub_sp": lambda b: ["m.sp = (m.sp - %s) & M" % b.k("ins.imm")],
+    "add_sp": lambda b: ["{0} = ({0} + {1}) & M".format(b.name(SP),
+                                                         b.k("ins.imm"))],
+    "sub_sp": lambda b: ["{0} = ({0} - {1}) & M".format(b.name(SP),
+                                                         b.k("ins.imm"))],
     "addw": lambda b: b.set("ins.rd", "%s + %s" % (b.reg("ins.rn"),
                                                     b.k("ins.imm"))),
     "subw": lambda b: b.set("ins.rd", "%s - %s" % (b.reg("ins.rn"),
@@ -93,10 +101,11 @@ SEMANTICS = {
     "cmp_reg": lambda b: b.flags(b.reg("ins.rn"), b.reg("ins.rm")),
     "b": lambda b: ["m.pc = %s" % b.k("ins.target")],
     "bcond": lambda b: b.branch("ins.target"),
-    "bl": lambda b: ["m.lr = %s; m.pc = %s" % (b.reg(PC), b.k("ins.target"))],
+    "bl": lambda b: ["%s = %s; m.pc = %s" % (b.name(LR), b.reg(PC),
+                                             b.k("ins.target"))],
     "bx": lambda b: ["m.pc = %s" % b.reg("ins.rm")],
-    "blx": lambda b: ["t = %s; m.lr = %s; m.pc = t" % (b.reg("ins.rm"),
-                                                      b.reg(PC))],
+    "blx": lambda b: ["t = %s; %s = %s; m.pc = t" % (
+        b.reg("ins.rm"), b.name(LR), b.reg(PC))],
     "msr": lambda b: [
         "if m.mode == %r or not m.control & 1: m.control = %s & 1"
         % (MODE_HANDLER, b.reg("ins.rn"))],
@@ -116,6 +125,9 @@ class _Stepped:
 
     def reg(self, r) -> str:
         return "m.pc" if r == PC else "m.read_reg(%s)" % r
+
+    def name(self, r: int) -> str:
+        return {SP: "m.sp", LR: "m.lr"}[r]
 
     def set(self, r: str, value: str) -> list[str]:
         return ["if %s < %d: m.gpr[%s] = (%s) & M" % (r, NUM_GPRS, r, value),

@@ -626,7 +626,7 @@ def test_lines_that_differ_only_in_immediates_share_their_entries():
                       "    add sp, #4092\n    bkpt #1"))
     assert _line_template.cache_info().misses == misses
     assert [(ins.imm, ins.width) for ins in prog.code.values()] == [
-        (0x1234, 4), (128, 4), (4092, 2), (1, 2)]
+        (0x1234, 4), (128, 4), (4092, 4), (1, 2)]
 
 
 def test_line_cache_stays_within_its_bound():

@@ -72,10 +72,6 @@ PINNED = {
                      "str r0, [sp, #8]", "str r0, [sp, #1020]"), (
         "ldr/str rt, [sp, #imm] has a 16-bit encoding for a low rt and a "
         "word-aligned imm up to 1,020; _narrow makes an sp base wide")),
-    **dict.fromkeys(("add sp, #512", "add sp, #4092", "sub sp, #512",
-                     "sub sp, #4092"), (
-        "add/sub sp, #imm has a 16-bit encoding up to 508; the op's width "
-        "is 2 whatever the immediate, and llvm-mc encodes add.w/addw")),
     **dict.fromkeys(("cmp r1, #0x115", "cmp r0, #4095"), (
         "cmp rn, #imm past 255 is cmp.w, which takes a modified immediate "
         "(Arm DDI 0403); asm accepts any value up to 4,095, and llvm-mc "

@@ -47,6 +47,8 @@ WIDTH_CASES = [
     ("pop {r8, pc}", 4),
     ("add sp, #8", 2),
     ("sub sp, #8", 2),
+    ("add sp, #508", 2),
+    ("add sp, #512", 4),
     ("addw r0, r1, #4095", 4),
     ("subw r12, r12, #4", 4),
     ("cmp r0, #255", 2),

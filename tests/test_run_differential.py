@@ -1084,7 +1084,7 @@ def test_a_movt_after_an_overwrite_is_not_folded(op, monkeypatch):
     want = check(prog, RunConfig(max_steps=10_000), op, monkeypatch)
     assert want["regs"][0] == 0x20010000 | (0 if op == "mrs" else 0x100)
     plain = parse(_main("movw r0, #0x0200", *tail))
-    folded = "g[0] = %d" % 0x20010200
+    folded = "r0 = %d" % 0x20010200  # the loop keeps r0 in a local
     for p, fold in ((prog, False), (plain, True)):
         loop = p.functions["main"].address(4)  # the loop's entry
         source = blocks._source(blocks._block_at(p.code, loop),
@@ -2007,6 +2007,51 @@ def _show_flags(m) -> None:
     m.watch = WATCH_ALL
 
 
+class _RegsHook(_FlagsHook):
+    """As _FlagsHook, keeping the step and the registers the machine
+    shows it at each access."""
+
+    def on_load(self, m, addr, size):
+        self.records.append((m.steps, tuple(m.gpr), m.sp, m.lr))
+
+    def on_store(self, m, addr, size, value):
+        self.on_load(m, addr, size)
+        return False
+
+
+def _show_regs(m) -> None:
+    m.guard = _RegsHook()
+    m.watch = WATCH_ALL
+
+
+# A loop of 9 steps a pass, after 4 of main, whose six accesses all take
+# the slow path under WATCH_ALL: it writes r6, pushes r6 and lr, pops
+# them into r2 and r3 (the second word's guard call sees r2 written),
+# reads and writes a word at r7 and calls the pass's tail with bl.
+REGS_LOOP = _main("addw r6, r6, #1", "push {r6, lr}", "pop {r2, r3}",
+                  "ldr r1, [r7]", "str r6, [r7]", "bl tail", ".label tail")
+
+
+def test_a_guard_call_sees_the_registers_step_leaves(monkeypatch):
+    """A hook shown every access reads the GPRs, sp and lr at each: a
+    compiled loop that keeps them in locals must write them back before
+    it shows the hook an access, at each budget that cuts a pass, and
+    at its exits."""
+    prog = parse(REGS_LOOP)
+    first = 4 + 9 * (blocks.HOT_THRESHOLD - 1)  # pass HOT_THRESHOLD's start
+    for budget in (10_000, *range(first, first + 2 * 9 + 1)):
+        want = check(prog, _cfg(POLICY_RESET, None, budget),
+                     "regs hook budget %d" % budget, monkeypatch,
+                     arm=_show_regs)
+        seen = want["violations"]
+        if budget == 10_000:
+            assert want["halt"][:2] == (True, HaltReason.NORMAL)
+            assert len(seen) == 1 + 6 * PASSES  # main's str, then 6 a pass
+            # four register states a pass: the push's, each pop word's
+            # (the second sees r2 written) and the ldr's and str's
+            assert len({regs[1:] for regs in seen}) > 4 * PASSES
+
+
 def test_deferred_flags_before_a_guard_call(monkeypatch):
     """A hook shown every access reads xPSR at each: the three before a
     pass's compare see the pass before's flags, the store after it the
@@ -2125,21 +2170,39 @@ def _fast_pass(source: str) -> list:
     return fast(loop.body)
 
 
-def test_a_continuing_pass_writes_neither_flags_nor_counts():
-    """The sweep's loop and the recursion's descent, as generated for the
-    benchmark's machines: a pass that goes on branches on its pending
-    compare, reads and writes no xPSR, and touches no count."""
+def _benchmark_loops() -> dict:
+    """The benchmark's loops, by entry, each with the condition its last
+    branch tests (or None for ``bx``), as generated for the benchmark's
+    machines: the sweep's under report, and the recursion's descent
+    (0x08000038) and ascent (0x08000040) under reset."""
     sweep = parse(sweep_program(SHADOW.ss_start - 1024,
                                 SHADOW.ss_limit + 1024))
     recursion = instrument_program(parse(recursion_program(SHADOW.capacity)),
                                    SHADOW).program
     cases = ((sweep, POLICY_REPORT, sweep.labels["sweep"], "ne"),
-             (recursion, POLICY_RESET, 0x08000038, "lt"))
+             (recursion, POLICY_RESET, 0x08000038, "lt"),
+             (recursion, POLICY_RESET, 0x08000040, None))
+    loops = {}
     for prog, policy, entry, cond in cases:
         m = build_machine(prog, _cfg(policy, None, 10_000))
-        source = blocks._source(blocks._block_at(prog.code, entry),
-                                blocks._shape(m), blocks._state(m))
-        nodes = [node for st in _fast_pass(source) for node in ast.walk(st)]
+        loops[entry] = cond, blocks._source(
+            blocks._block_at(prog.code, entry), blocks._shape(m),
+            blocks._state(m))
+    return loops
+
+
+def _fast_nodes(source: str) -> list:
+    return [node for st in _fast_pass(source) for node in ast.walk(st)]
+
+
+def test_a_continuing_pass_writes_neither_flags_nor_counts():
+    """The sweep's loop and the recursion's descent, as generated for the
+    benchmark's machines: a pass that goes on branches on its pending
+    compare, reads and writes no xPSR, and touches no count."""
+    for cond, source in _benchmark_loops().values():
+        if cond is None:
+            continue
+        nodes = _fast_nodes(source)
         text = {ast.unparse(node) for node in nodes}
         assert ast.unparse(ast.parse(semantics.COND[cond][1])) in text
         assert binder.XPSR not in text
@@ -2147,3 +2210,18 @@ def test_a_continuing_pass_writes_neither_flags_nor_counts():
                     and node.attr == "xpsr"]
         assert not [node for node in nodes if isinstance(node, ast.Subscript)
                     and ast.unparse(node.value) == "cnt"]
+
+
+def test_a_continuing_pass_touches_no_register_through_m():
+    """The sweep's loop and both of the recursion's, as generated for
+    the benchmark's machines: a pass that goes on keeps every register
+    it reads or writes in a local, with no ``g[...]`` subscript and no
+    ``m.gpr``, ``m.sp`` or ``m.lr``."""
+    for entry, (_, source) in _benchmark_loops().items():
+        nodes = _fast_nodes(source)
+        assert nodes, hex(entry)
+        assert not [node for node in nodes if isinstance(node, ast.Subscript)
+                    and ast.unparse(node.value) == "g"], hex(entry)
+        assert not [node for node in nodes if isinstance(node, ast.Attribute)
+                    and ast.unparse(node) in ("m.gpr", "m.sp", "m.lr")], (
+                        hex(entry))

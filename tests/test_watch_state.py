@@ -515,7 +515,7 @@ def test_a_state_that_watches_no_read_skips_the_read_hull(policy,
         lines = source.splitlines()
         at = next(i for i, line in enumerate(lines) if "UN('<2I', p," in line)
         miss, fill = lines[at - 1], lines[at + 1]  # the pop's miss arm
-        assert ("g[2] = R[6]" in source) == (hull not in miss) == (
+        assert ("r2 = R[6]" in source) == (hull not in miss) == (
             page not in fill) == (not arm)
 
 
