@@ -3,10 +3,10 @@
 the in-line access path its loads and stores take.
 
 ``Compiled`` binds an instruction with its operands known: fields as
-literals, registers as a looping block's locals ``r<k>`` and else as
-``g[k]``, ``m.sp`` and ``m.lr`` (``read_reg``), a compare as its two
-operands kept in ``fa`` and ``fb``, and memory as below, all for the
-watch state the instruction runs under (``state``,
+literals, registers as the block's locals ``r<k>`` (``read_reg``), which
+``blocks`` loads from and writes back to their ``home``, a compare as
+its two operands kept in ``fa`` and ``fb``, and memory as below, all
+for the watch state the instruction runs under (``state``,
 ``blocks._state``), whose every test is a constant here.  An access
 with a zero offset takes its base register as its address
 (``semantics._at``): a register holds 32 bits.
@@ -66,28 +66,28 @@ from __future__ import annotations
 from . import machine as mach
 from .dwt import hull
 from .isa import LR, MASK32, NUM_GPRS, PC, SP
-from .semantics import COND
 
 
-def read_reg(r: int, pc="m.pc", local=False) -> str:
-    """read_reg(r), with pc read as ``pc``, the next instruction's
-    address; by default, where write_reg(r, ...) stores.  With
-    ``local``, in a looping block, r0-r12, sp and lr are the block's
-    locals ``r<k>`` (``blocks`` loads and writes them back), and else
-    ``g[k]``, ``m.sp`` and ``m.lr``."""
-    if r == PC:
-        return pc
-    if local:
-        return "r%d" % r
+def home(r: int) -> str:
+    """Where the machine keeps r0-r12, sp and lr: ``g[k]`` (``g`` is
+    ``m.gpr``), ``m.sp`` and ``m.lr``."""
     return "g[%d]" % r if r < NUM_GPRS else {SP: "m.sp", LR: "m.lr"}[r]
 
 
-def write_reg(r: int, expr: str, local=False) -> str:
-    """write_reg(r, expr), to the register read_reg(r, local=local)
-    names: the value is masked to 32 bits."""
+def read_reg(r: int, pc="m.pc") -> str:
+    """read_reg(r) in a compiled block, with pc read as ``pc``, the next
+    instruction's address; by default, where write_reg(r, ...) stores:
+    r0-r12, sp and lr are the block's locals ``r<k>``, which ``blocks``
+    loads from their ``home`` and writes back."""
+    return pc if r == PC else "r%d" % r
+
+
+def write_reg(r: int, expr: str) -> str:
+    """write_reg(r, expr), to the register read_reg(r) names: the value
+    is masked to 32 bits."""
     if expr.isdigit():
-        return "%s = %d" % (read_reg(r, local=local), int(expr) & MASK32)
-    return "%s = (%s) & M" % (read_reg(r, local=local), expr)
+        return "%s = %d" % (read_reg(r), int(expr) & MASK32)
+    return "%s = (%s) & M" % (read_reg(r), expr)
 
 
 def _decode(a: str, size: int, rd=None, slots=None, words=None,
@@ -204,38 +204,26 @@ def _store(b, a: str, size: int, value: str, hits=None) -> list[str]:
             *_slow(b, "m.store(%s, %d, v)" % (a, size))]
 
 
-# The one call that writes a pending compare's flags (write_flags).
-XPSR = "F(m, fa, fb)"
-
-
-def branch_test(cond: str, end: str) -> tuple[list[str], str]:
-    """The lines that read the flags and ``cond``'s test: on fa, fb if
-    ``end``, the state writes there, writes their flags, else on xPSR."""
-    pending = end.endswith("; " + XPSR)
-    return [] if pending else ["x = m.xpsr"], COND[cond][pending]
-
-
 class Compiled:
     """The slots of one instruction of a block (``nxt`` its fall-through,
     ``cost`` the cycles to its end, ``sync`` the state writes, which
     only an access's slow path makes, ``end`` the halt exit, ``guard``
     the guard's in-line form at its step and pc, or None, ``state`` the
     watch state it runs under, ``after()`` the name of the one after
-    it, ``site``, in a looping block, its index in the trace, which
-    names its access's page, else None, and ``local``, whether the
-    block loops): operands are literals, registers the block's locals
-    in a loop (``read_reg``) and else ``g[k]`` or ``m`` attributes,
-    memory is ``_load``/``_store``, hull-first for a stack word, a base
-    of sp or where ``guard`` is None, and a compare's flags stay in
-    ``fa``, ``fb`` until an exit or ``sync`` writes them."""
+    it, and ``site``, in a looping block, its index in the trace, which
+    names its access's page, else None): operands are literals,
+    registers the block's locals (``read_reg``), memory is
+    ``_load``/``_store``, hull-first for a stack word, a base of sp or
+    where ``guard`` is None, and a compare's flags stay in ``fa``,
+    ``fb`` until an exit or ``sync`` writes them.  A block's last
+    ``b`` or ``bcond`` is ``blocks``' own."""
 
     def __init__(self, ins, nxt: int, cost: int, sync: str, end: str,
-                 guard, state: tuple, after, site=None, local=False) -> None:
+                 guard, state: tuple, after, site=None) -> None:
         self.ins, self.nxt, self.cost, self.sync, self.end = (
             ins, nxt, cost, sync, end)
         self.r, self.guard = None, None if ins.rn == SP else guard
         self.state, self.after, self.site = state, after, site
-        self.local = local
 
     def _value(self, expr):
         return expr if isinstance(expr, int) else eval(
@@ -245,13 +233,13 @@ class Compiled:
         return "%d" % self._value(expr)
 
     def reg(self, r) -> str:
-        return read_reg(self._value(r), self.nxt, self.local)
+        return read_reg(self._value(r), self.nxt)
 
     def name(self, r) -> str:
-        return read_reg(self._value(r), local=self.local)
+        return read_reg(self._value(r))
 
     def set(self, r, value: str) -> list[str]:
-        return [write_reg(self._value(r), value, self.local)]
+        return [write_reg(self._value(r), value)]
 
     def hits(self, access: int, size: int, value: str = "0"):
         """The guard's in-line chain for the access at ``a``, or None for
@@ -264,10 +252,10 @@ class Compiled:
 
     def load(self, r, size: int) -> list[str]:
         if self.r is not None:  # a word of a push or pop (words)
-            line = write_reg(self._value(r), "m.load(a, 4)")
-            # and into m's register, which the next word's guard call sees
-            return ["%s = %s" % (self.name(r), line)
-                    if self.local and self.r != PC else line]
+            r = self._value(r)
+            # into m's register too, which the next word's guard call sees
+            to = read_reg(r) if r == PC else "%s = %s" % (read_reg(r), home(r))
+            return ["%s = (m.load(a, 4)) & M" % to]
         return _load(self, self._value(r), "a", size,
                      self.hits(mach.ACCESS_READ, size))
 
@@ -295,11 +283,3 @@ class Compiled:
 
     def flags(self, a: str, b: str) -> list[str]:
         return ["fa = %s; fb = %s" % (a, b)]
-
-    def branch(self, target: str) -> list[str]:
-        read, test = branch_test(self.ins.cond, self.sync)
-        return [*read, "if %s:" % test,
-                " m.pc = %s; m.cycles = c + %d; cnt[0] += 1"
-                % (self.k(target), self.cost + 1),
-                "else:",
-                " m.pc = %d; m.cycles = c + %d" % (self.nxt, self.cost)]

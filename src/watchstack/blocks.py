@@ -5,8 +5,9 @@ A block is the trace entered at a pc: it runs on past each ``b`` and
 write, before an address already in it, before a TRAP op (``svc``,
 ``bkpt``, ``udf``) or a missing instruction, and at most MAX_BLOCK_LEN
 long.  Each op is emitted from ``semantics.SEMANTICS``, bound with
-the block's operands known (``binder.Compiled``).  ``Machine.run`` steps
-through a block until it has reached the block's entry pc
+the block's operands known (``binder.Compiled``), but a last ``b`` or
+``bcond``, which ``_tail`` emits for every block.  ``Machine.run``
+steps through a block until it has reached the block's entry pc
 HOT_THRESHOLD times; then it is compiled to one generated function,
 ``block(m, limit)``, that does what ``step()`` would do for each of
 its instructions, with the per-step bookkeeping lifted out.  A block
@@ -21,23 +22,24 @@ register or memory (``bx``, ``blx``, ``pop {..., pc}``) the pass tests
 it.  In the generated function:
 
 * steps, cycles and the flags are kept in locals: a compare keeps its
-  operands, ``fa`` and ``fb``, for the branch after it.  A loop keeps
-  each register it reads or writes, r0-r12, sp and lr, in a local too
-  (``r<k>``, ``binder.read_reg``), loaded once after the entry check,
-  as QEMU's TCG keeps guest registers in host ones within a block
-  (Bellard, USENIX ATC 2005); pc stays ``m.pc``.  ``m.steps``,
-  ``m.cycles``, ``m.cur_pc``, ``m.pc``, ``m.xpsr`` and each register
-  the loop writes are written only before something can read them
-  (``m.load`` and ``m.store``, which show the guard the access and
-  read CYCCNT) and at each exit, the budget return and the lines after
-  the loop among them, as ``step()`` would have left them (the flags
-  by ``semantics.write_flags``, ``F``), so a halt exit writes them
-  before ``Machine._end``, which may start an exception return.  No
-  register is reloaded after a slow path: ``Machine.load``/``store``,
-  the guard and the devices' ports write none (only an exception entry
-  or return does).  A pop's words moved one at a time through
-  ``m.load`` go to the machine's register as well as the local, as the
-  next word's guard call may read it;
+  operands, ``fa`` and ``fb``, for the branch after it.  Every block
+  keeps each register it reads or writes, r0-r12, sp and lr, in a
+  local too (``r<k>``, ``binder.read_reg``), loaded once after the
+  entry check, as QEMU's TCG keeps guest registers in host ones
+  within a block (Bellard, USENIX ATC 2005); pc stays ``m.pc``.
+  ``m.steps``, ``m.cycles``, ``m.cur_pc``, ``m.pc``, ``m.xpsr`` and
+  each register the block writes are written only before something
+  can read them (``m.load`` and ``m.store``, which show the guard the
+  access and read CYCCNT) and at each exit, a loop's budget return and
+  the lines after the loop among them, as ``step()`` would have left
+  them (the flags by ``semantics.write_flags``, ``F``), all spelled by
+  one helper, so a halt exit writes them before ``Machine._end``,
+  which may start an exception return.  No register is reloaded after
+  a slow path: ``Machine.load``/``store``, the guard and the devices'
+  ports write none (only an exception entry or return does).  A pop's
+  words moved one at a time through ``m.load`` go to the machine's
+  register as well as the local, as the next word's guard call may
+  read it;
 * only a path that can halt or change the watch state is followed by
   the block's halt exit: a slow path (``m.load`` or ``m.store``) by
   ``if m.halted or X(m) != Z1:`` and the exit, and a statement that
@@ -54,7 +56,8 @@ it.  In the generated function:
   before it in the call, ``(s - e) // n``, and how often the final
   conditional branch was taken (a trace follows no conditional
   branch); ``Block.fold`` adds the counts to the machine's before
-  ``Machine.run`` returns;
+  ``Machine.run`` returns.  That fold, the ``s == e`` guard on the
+  last pass's flags and ``while True:`` are a loop's alone;
 * ``min_sp`` is checked only on a machine that tracks it (``_shape``):
   once on entry when no instruction of the block writes sp, and else
   after the first instruction and after every instruction that writes
@@ -94,7 +97,9 @@ and no lookup.  It lives for the call.  A miss fills it from the page
 the fast case found present, for a hull-first access only a page
 wholly outside its access kind's hull; pages are never replaced and
 each site runs under one watch state, so no entry goes stale, and a
-restore between ``run()`` calls meets none.
+restore between ``run()`` calls meets none.  A block that does not loop
+keeps no page: it runs each site once a call, so a page it kept could
+never be hit.
 
 The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
 ``movt`` put in a register until another write of it (read from
@@ -120,9 +125,11 @@ returns go through ``m._end``, which looks
 ``exception_model.return_from_exception`` up when called, so a patch
 of it sees each one.  Code at or above ``EXC_RETURN_MIN`` is not run in
 line, and a block whose next pc can be there ends through ``m._end``.
-``Machine.run`` drops its blocks when ``m.code``, ``m.dwt``,
-``m.guard`` or ``m.watch`` is replaced (a block binds the guard's state
-once, when made: its ``BIND``), or ``min_sp`` is switched on or off.
+``Machine.run`` drops its blocks when ``m.code`` or ``m.guard`` is
+replaced (a block binds the guard's state once, when made: its
+``BIND``), or ``min_sp`` is switched on or off.  A block binds ``m.dwt``
+on every entry, and its entry check sees a replaced ``m.dwt`` or
+``m.watch`` that changes the watch state.
 """
 
 from __future__ import annotations
@@ -132,10 +139,10 @@ import re
 import struct
 
 from . import machine as mach
-from .binder import XPSR, Compiled, branch_test, read_reg
+from .binder import Compiled, home, read_reg
 from .dwt import hull
 from .isa import BRANCH, LR, MASK32, MEMORY, OPS, PC, SP, TRAP
-from .semantics import SEMANTICS, define, write_flags
+from .semantics import COND, SEMANTICS, define, write_flags
 
 HOT_THRESHOLD = 32
 MAX_BLOCK_LEN = 64
@@ -204,15 +211,14 @@ def _make(trace: tuple, shape: tuple, state: tuple):
 
 def _shape(m) -> tuple:
     """What a block's source reads of ``m``, as one hashable value: the
-    devices that give in-line forms, by attribute and class (``inline``
-    reads no instance state), the guard's class and the policy its
-    in-line form folds, or None where it gives none (``folded``), and
+    watchpoint unit's class if it gives in-line forms (``inline`` reads
+    no instance state), else None; the guard's class and the policy its
+    in-line form folds, or None where it gives none (``folded``); and
     whether ``m`` tracks ``min_sp``."""
-    devices = tuple((name, type(dev)) for name, dev in (
-        ("dwt", m.dwt), ("demcr", m.demcr)) if hasattr(dev, "inline"))
     folded = getattr(m.guard, "folded", None)
     policy = folded and folded(m)
-    return (devices, None if policy is None else (type(m.guard), policy),
+    return (type(m.dwt) if hasattr(m.dwt, "inline") else None,
+            None if policy is None else (type(m.guard), policy),
             m.min_sp is not None)
 
 
@@ -300,37 +306,37 @@ def _fold(ins, known: dict) -> None:
 
 
 def _device_word(ins, known: dict):
-    """(address, device attribute) of a word ``ldr``/``str`` whose
-    address is known, aligned and on a device; else None."""
+    """The address of a word ``ldr``/``str`` that is known, aligned and
+    on a device; else None."""
     if ins.op not in ("ldr", "str") or ins.rn not in known or _jumps(ins):
         return None
     addr = (known[ins.rn] + ins.imm) & MASK32
-    dev = mach.ppb_device(addr)
-    return None if addr & 3 or dev is None else (addr, dev)
+    return None if addr & 3 or mach.ppb_device(addr) is None else addr
 
 
-def _in_line(ins, known: dict, devices: tuple, state: tuple):
+def _in_line(ins, known: dict, unit, state: tuple):
     """(binding, lines, after) of a device word (``_device_word``) outside
     the hull of its access kind's regions in the watch state ``state``,
-    whose class in ``devices`` gives it an in-line form there: the line
-    binding the device's state once per entry (``BIND``), the lines of
-    its ``inline`` form, a load's the value it reads, a store's lines,
-    with a value the block knows folded, and the watch state after them.
-    Else None: any other ``ldr``/``str``."""
-    word = _device_word(ins, known)
-    dev = None if word is None else dict(devices).get(word[1])
+    where the watchpoint unit's class ``unit`` gives it an in-line form:
+    the line binding the unit's state once per entry (``BIND``), the
+    lines of its ``inline`` form, a load's the value it reads, a store's
+    lines, with a value the block knows folded, and the watch state
+    after them.  Else None: any other ``ldr``/``str``, DEMCR's word
+    among them, as the unit has no form for a word outside its window."""
+    addr = _device_word(ins, known)
     access = mach.ACCESS_READ if ins.op == "ldr" else mach.ACCESS_WRITE
-    h = dev and hull(state[access])
-    if dev is None or word[0] + 4 > h[2] and word[0] < h[3]:
+    h = unit and addr is not None and hull(state[access])
+    if not h or addr + 4 > h[2] and addr < h[3]:
         return None
-    addr, name = word
-    form = (dev.inline(addr, access, state) if ins.op == "ldr"
-            else dev.inline(addr, access, state, known.get(ins.rd)))
+    form = (unit.inline(addr, access, state) if ins.op == "ldr"
+            else unit.inline(addr, access, state, known.get(ins.rd)))
     if ins.op == "ldr" and form:
         form = form, state
-    return form and ("  D = m.%s; %s" % (name, dev.BIND), *form)
+    return form and ("  D = m.dwt; " + unit.BIND, *form)
 
 
+# The one call that writes a pending compare's flags (write_flags).
+XPSR = "F(m, fa, fb)"
 # The min_sp check of sp, as named, on a machine that tracks it; one
 # statement, so that a halt exit can run it too.
 _MIN_SP = "m.min_sp = min(m.min_sp, %s)"
@@ -346,18 +352,18 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
     ``state``, in sequence, and again while the exit reaches the entry,
     the pass ends in ``state`` and another pass fits before ``limit``
     steps; a device word and a four-region test run the in-line forms of
-    ``shape``'s devices (``_in_line``) and guard ``J`` for the watch
-    state each instruction runs under, over the names their ``BIND``
-    binds.  Each watch state a check compares with is a constant of
-    ``make``, ``Z0`` the entry's."""
-    bind = None  # the in-line device's, once per entry
-    devices, guard, tracks = shape
+    ``shape``'s unit (``_in_line``) and guard ``J`` for the watch state
+    each instruction runs under, over the names their ``BIND`` binds.
+    Each watch state a check compares with is a constant of ``make``,
+    ``Z0`` the entry's."""
+    bind = None  # the in-line unit's, once per entry
+    unit, guard, tracks = shape
     inline = guard and functools.partial(guard[0].inline, guard[1])
     # Each instruction's in-line device form, and the watch state it runs
     # under, carried past each in-line port write; then the pass's end.
     known, words, states = {}, [], [state]
     for at, ins in trace:
-        words.append(_in_line(ins, known, devices, states[-1]))
+        words.append(_in_line(ins, known, unit, states[-1]))
         states.append(words[-1][2] if words[-1] else states[-1])
         _fold(ins, known)
     names = {state: "Z0"}
@@ -365,7 +371,7 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
     entry, (at, ins) = trace[0][0], trace[-1]
     exits = _exits(at, ins)
     loops = (exits is None or entry in exits) and states[-1] == state
-    split = loops and ins.op in ("b", "bcond")  # _loop_tail runs it
+    branch = ins.op in ("b", "bcond")  # _tail runs it
     out = ["def make(cnt, J):",
            *([" " + guard[0].BIND] if guard else []),
            " def block(m, limit):",
@@ -373,17 +379,16 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
            "  g = m.gpr",
            "  s = e = m.steps" if loops else "  s = m.steps",
            "  c = m.cycles"]
-    # A loop's registers, in locals: loaded here, and those it writes
+    # The registers, in locals: loaded here, and those the block writes
     # written back (``back``) before each slow path and at each exit.
     writes = set().union(*(_written(ins) for _, ins in trace))
-    regs = sorted(set().union(*(_named(ins) for _, ins in trace))
-                  if loops else ())
+    regs = sorted(set().union(*(_named(ins) for _, ins in trace)))
     if regs:
-        out.append("  " + "; ".join("%s = %s" % (
-            read_reg(r, local=True), read_reg(r)) for r in regs))
-    back = "".join("; %s = %s" % (read_reg(r), read_reg(r, local=True))
+        out.append("  " + "; ".join("%s = %s" % (read_reg(r), home(r))
+                                    for r in regs))
+    back = "".join("; %s = %s" % (home(r), read_reg(r))
                    for r in regs if r in writes)
-    min_sp = _MIN_SP % read_reg(SP, local=SP in regs)
+    min_sp = _MIN_SP % (read_reg(SP) if SP in regs else "m.sp")
     # What each exit adds: a loop's passes before it, (s - e) // n, and
     # the flags of the pass's compare or, before one, the last pass's.
     fold = ("; cnt[%d] += (s - e) // %d" % (n, n) if loops else "") + (
@@ -391,6 +396,19 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
         if loops and ins.op == "bcond" and ins.target == entry else "")
     flags = ("; s == e or " + XPSR if loops and any(
         OPS[ins.op].sets_flags for _, ins in trace) else "")
+
+    def sync(steps, cycles, at, pc, count=None):
+        """The state writes before a slow path or at an exit, where
+        ``count`` is how many instructions the pass retired: cycles and
+        pc unless None, the counts, the registers and the flags."""
+        line = "m.steps = " + steps + (cycles and "; m.cycles = " + cycles
+                                       or "") + "; m.cur_pc = %d" % at
+        if pc is not None:
+            line += "; m.pc = %d" % pc
+        if count:
+            line += "; cnt[%d] += 1" % count
+        return line + (fold if count is not None else "") + back + flags
+
     moves_sp = SP in writes
     if tracks and not moves_sp:
         out.append("  " + min_sp)  # sp holds its entry value throughout
@@ -400,32 +418,32 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
     cost = 0
     known: dict = {}
     sites = []  # a loop's in-line RAM access sites' page bases (binder)
-    for i, (at, ins) in enumerate(trace[:-1] if split else trace):
+    for i, (at, ins) in enumerate(trace):
         cost += ins.cycles
         nxt = at + ins.width
-        last = i == n - 1
-        here = "m.cycles = c + %d; m.cur_pc = %d" % (cost, at)
-        pc = "; m.pc = %d" % nxt
-        sync = "m.steps = s + %d; %s%s%s%s" % (i, here, pc, back, flags)
-        # The halt exit: the state after the instruction, pc unless the
-        # instruction wrote it, and min_sp where it is tracked (checked
-        # once more if the instruction left sp as it was: the same
-        # minimum).
-        end = ("%sm.steps = s + %d; %s%s; cnt[%d] += 1%s%s%s; return "
-               "m._end(%d)" % (min_sp + "; " if tracks else "", i + 1, here,
-                               "" if _jumps(ins) else pc, i + 1, fold, back,
-                               flags, at))
+        # The halt exit: the state after the instruction, pc unless it
+        # wrote pc, and min_sp where tracked (once more if sp is as it
+        # was: the same minimum).
+        end = "%s%s; return m._end(%d)" % (
+            min_sp + "; " if tracks else "", sync(
+                "s + %d" % (i + 1), "c + %d" % cost, at,
+                None if _jumps(ins) else nxt, i + 1), at)
         word = words[i]
         site = loops and word is None and OPS[ins.op].kind == MEMORY
         if site:
             sites.append("t%d" % i)
-        b = Compiled(ins, nxt, cost, sync, end, inline and functools.partial(
-            inline, step="s + %d" % i, pc=at, addr="a"), states[i],
-            functools.partial(names.setdefault, states[i + 1],
-                              "Z%d" % len(names)), i if site else None, loops)
+        b = Compiled(ins, nxt, cost, sync("s + %d" % i, "c + %d" % cost,
+                                          at, nxt), end,
+                     inline and functools.partial(
+                         inline, step="s + %d" % i, pc=at, addr="a"),
+                     states[i], functools.partial(
+                         names.setdefault, states[i + 1], "Z%d" % len(names)),
+                     i if site else None)
         value = known.get(ins.rd)  # a str's value, if the block knows it
         _fold(ins, known)
         body.append("# 0x%08x %s" % (at, ins.op))
+        if branch and i == n - 1:
+            break  # _tail emits it
         if word is not None:  # known and aligned: no address, no test
             bind, lines = word[:2]
             if ins.op == "ldr":  # a register reads 32 bits
@@ -434,7 +452,7 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
                 lines = ["v = " + b.reg(ins.rd), *lines]
         elif ins.op == "movt" and ins.rd in known:  # folded, as movw is
             lines = b.set(ins.rd, "%d" % known[ins.rd])
-        elif ins.op in ("b", "bl") and not last:  # followed: pc is not read
+        elif ins.op == "b" or ins.op == "bl" and i < n - 1:  # followed
             lines = b.set(LR, "%d" % nxt) if ins.op == "bl" else []
         else:
             lines = SEMANTICS[ins.op](b)
@@ -447,27 +465,19 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
     out[1:1] = (" %s = %r" % (z, st) for st, z in names.items())
     if bind:
         out.append(bind)
-    at, ins = trace[-1]
-    nxt = at + ins.width
+    if sites:  # a loop's; a base no address is at
+        out.append("  %s = %d" % (" = ".join(sites), -2 * mach.PAGE_SIZE))
     if loops:
-        if split:
-            cost += ins.cycles
-        if sites:  # a base no address is at
-            out.append("  %s = %d" % (" = ".join(sites), -2 * mach.PAGE_SIZE))
         out.append("  while True:")
-        out += ["   " + line for line in body + _loop_tail(
-            at, ins, cost, n, entry, fold + back + flags)]
-        if exits == (entry,):  # it leaves only through the budget test
-            out.append(" return block")
-            return "\n".join(out) + "\n"
-    else:
-        out += ["  " + line for line in body]
-    if ins.op != "bcond":  # a conditional branch sets cycles itself
-        out.append("  m.cycles = c + %d" % cost)
-    if not _jumps(ins):
-        out.append("  m.pc = %d" % nxt)
-    out.append("  m.steps = s + %d; m.cur_pc = %d; cnt[%d] += 1%s%s%s"
-               % (n, at, n, fold, back, flags))
+    out += [" " * (2 + loops) + line for line in body + _tail(
+        at, ins, cost, n, entry, flags == "; " + XPSR,
+        sync("s", "c", at, entry, 0) + "; return" if loops else "")]
+    if loops and exits == (entry,):  # it leaves only through the budget
+        return "\n".join(out) + "\n return block\n"
+    # A conditional branch sets cycles and pc itself, a jump pc.
+    out.append("  " + sync("s + %d" % n, None if ins.op == "bcond" else
+                           "c + %d" % cost, at,
+                           None if _jumps(ins) else at + ins.width, n))
     # A pc taken from a register or memory may be EXC_RETURN.
     if exits is None or max(exits) >= mach.EXC_RETURN_MIN:
         out.append("  if m.pc >= %d: return m._end(%d)"
@@ -476,30 +486,32 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
     return "\n".join(out) + "\n"
 
 
-def _loop_tail(at: int, ins, cost: int, n: int, entry: int,
-               end: str) -> list[str]:
-    """A looping block's exit test, after its other instructions (``ins``,
-    at ``at``, last): a ``bcond`` leaves for whichever of its target and
-    fall-through is not the entry as ``Compiled.branch`` would, a pc
-    from a register or memory leaves when it is not the entry; a pass
-    that stays starts the next one if it fits before ``limit``, else
-    returns at the entry after ``end``, the counts and flags that every
-    exit writes."""
-    lines = ["# 0x%08x %s" % (at, ins.op)] if ins.op in ("b", "bcond") else []
-    if ins.op == "bcond":
-        read, test = branch_test(ins.cond, end)
-        lines += read
-    if ins.op == "bcond" and ins.target == entry:
-        lines.append("if not (%s): m.pc = %d; m.cycles = c + %d; break"
-                     % (test, at + ins.width, cost))
-        cost += 1
+def _tail(at: int, ins, cost: int, n: int, entry: int, pending: bool,
+          budget: str) -> list[str]:
+    """The end of a block whose last instruction, at ``at``, is ``ins``,
+    ``cost`` the cycles to it: a last ``b`` sets pc and a ``bcond``, on
+    the pending compare if ``pending``, pc and the cycles.  With a
+    ``budget``, the writes of a return at the entry, the block loops: a
+    way out that is not the entry breaks, and a pass that stays starts
+    the next one if it fits before ``limit``, else returns."""
+    lines = []
+    if ins.op == "b" and not budget:
+        lines.append("m.pc = %d" % ins.target)
     elif ins.op == "bcond":
-        lines.append("if %s: m.pc = %d; m.cycles = c + %d; cnt[0] += 1; break"
-                     % (test, ins.target, cost + 1))
-    elif _exits(at, ins) is None:
+        test = COND[ins.cond][pending]
+        taken = "m.pc = %d; m.cycles = c + %d; cnt[0] += 1" % (
+            ins.target, cost + 1)
+        fall = "m.pc = %d; m.cycles = c + %d" % (at + ins.width, cost)
+        lines += [] if pending else ["x = m.xpsr"]
+        if not budget:
+            lines += ["if %s: %s" % (test, taken), "else: " + fall]
+        elif ins.target == entry:
+            lines.append("if not (%s): %s; break" % (test, fall))
+            cost += 1
+        else:
+            lines.append("if %s: %s; break" % (test, taken))
+    elif budget and _exits(at, ins) is None:
         lines.append("if m.pc != %d: break" % entry)
-    return lines + [
-        "s += %d; c += %d" % (n, cost),
-        "if s + %d > limit:" % n,
-        " m.steps = s; m.cycles = c; m.cur_pc = %d; m.pc = %d%s; return"
-        % (at, entry, end)]
+    return lines if not budget else [
+        *lines, "s += %d; c += %d" % (n, cost), "if s + %d > limit:" % n,
+        " " + budget]

@@ -205,10 +205,10 @@ class Machine:
         self.taken: dict[int, int] = {}
         # Optional bookkeeping, enabled by the runner.
         self.min_sp: int | None = None
-        # run()'s (code, dwt, guard, watch, whether min_sp is None,
-        # blocks by entry pc) in one attribute: past CPython's shared-key
-        # dict size (29 keys on 3.11; 25 here, see tests/test_machine.py)
-        # every attribute access slows down.
+        # run()'s (code, guard, whether min_sp is None, blocks by entry
+        # pc), what a block is made from and binds once, in one attribute:
+        # past CPython's shared-key dict size (29 keys on 3.11; 25 here,
+        # see tests/test_machine.py) every attribute access slows down.
         self._block_cache = None
 
     # -- register helpers -------------------------------------------------
@@ -364,21 +364,22 @@ class Machine:
         on entry runs nothing and answers True, and is compiled again
         for the one it found.  The blocks' own counts are folded into
         ``retired`` and ``taken`` before ``run()`` returns, so the
-        blocks can be dropped whenever ``code`` is replaced, or
-        ``dwt``, ``guard`` or ``watch``, whose in-line forms a compiled
-        block runs, or ``min_sp`` is switched on or off, which a
-        compiled block checks only if tracked.
+        blocks can be dropped whenever what a block binds when it is
+        made changes: ``code`` is replaced, or ``guard``, whose state a
+        block binds once (its ``BIND``), or ``min_sp`` is switched on or
+        off, which a compiled block checks only if tracked.  A block
+        binds ``dwt`` on every entry, and its entry check sees any
+        change of watch state that a replaced ``dwt`` or ``watch`` makes.
         """
         # Here, not at import: blocks imports machine.
         from .blocks import HOT_THRESHOLD as hot, Block
         cache = self._block_cache
         if (cache is None or cache[0] is not self.code
-                or cache[1] is not self.dwt or cache[2] is not self.guard
-                or cache[3] is not self.watch
-                or cache[4] is not (self.min_sp is None)):
-            cache = self._block_cache = (self.code, self.dwt, self.guard,
-                                         self.watch, self.min_sp is None, {})
-        known = cache[5]
+                or cache[1] is not self.guard
+                or cache[2] is not (self.min_sp is None)):
+            cache = self._block_cache = (self.code, self.guard,
+                                         self.min_sp is None, {})
+        known = cache[3]
         try:
             while self.steps < limit and not self.halted:
                 pc = self.pc

@@ -31,7 +31,8 @@ def define(source: str, name: str, ns: dict) -> dict:
 # the next pc) and write ``set``, sp's and lr's own ``name``, read and
 # written in place, the access at ``a``, ``load`` or
 # ``store``, ``access()`` per listed register ``r`` at ``a`` from ``sp``
-# (``words``), a compare's ``flags`` of ``a - b``, and a ``branch``.
+# (``words``), a compare's ``flags`` of ``a - b``, and a ``branch``,
+# ``_Stepped``'s alone (``blocks._tail`` emits a block's last branch).
 
 def _cmp(a: str, b: str) -> list[str]:
     """N, Z, C and V of ``a - b`` into xPSR, as AddWithCarry sets them."""

@@ -4,6 +4,7 @@
     python3 tests/bytecodes.py                    # each workload, one op
     python3 tests/bytecodes.py --workload corpus --ops 20
     python3 tests/bytecodes.py --workload recursion-protected --depth 64
+    python3 tests/bytecodes.py --workload corpus --hot 1
 
 A deterministic cost count to stand beside a wall-time claim.  It builds
 the benchmark's workloads (``bench/workloads.py``, imported, not
@@ -19,7 +20,10 @@ calls; of those, the ones whose block's entry check missed (a block
 compiled for another watch state, compiled again for the one it
 found); and the blocks compiled, ``blocks._make``'s cache misses, each
 a ``blocks._source`` call.  Code in C (``struct``, ``dict``) counts as
-the one bytecode that calls it.
+the one bytecode that calls it.  ``--hot`` sets ``blocks.HOT_THRESHOLD``
+for the warm-up and the counted ops, so that ``--hot 1`` counts code
+that the default threshold leaves to the stepped tier, such as the
+blocks of ``corpus``, each compiled on first reach.
 
 Counts depend on the Python version, which is recorded, and through set
 and dict order on the hash seed, so the script re-executes itself with
@@ -138,6 +142,9 @@ def main(argv=None) -> int:
     ap.add_argument("--depth", type=int, default=None,
                     help="recursion-protected's depth (default: the "
                          "benchmark's, the shadow stack's capacity)")
+    ap.add_argument("--hot", type=int, default=blocks.HOT_THRESHOLD,
+                    help="blocks.HOT_THRESHOLD for the run (default: "
+                         "%(default)s)")
     ap.add_argument("--top", type=int, default=25,
                     help="function rows shown per op in the table")
     args = ap.parse_args(argv)
@@ -150,7 +157,8 @@ def main(argv=None) -> int:
     result = {"python": platform.python_version(),
               "implementation": platform.python_implementation(),
               "hash_seed": HASH_SEED, "seed": args.seed,
-              "depth": args.depth, "workloads": {}}
+              "depth": args.depth, "hot": args.hot, "workloads": {}}
+    blocks.HOT_THRESHOLD = args.hot
     for name in names:
         w = classes[name](args.seed)
         w.run_op(w.items[0])  # warm-up, as the benchmark's setup

@@ -298,7 +298,7 @@ def test_the_compile_time_decode_agrees_with_the_access_path(addr, size,
     assert m.halted is (device is None)
     ins = Instr("str", rd=1, rn=0, imm=0)
     bound = blocks._device_word(ins, {0: addr})
-    assert bound == ((addr, name) if device and not addr & 3 else None)
+    assert bound == (addr if device and not addr & 3 else None)
 
 
 def test_byte_store_to_the_shadow_pointer_keeps_its_other_lanes():

@@ -20,6 +20,7 @@ it at 10**9 none is, so run()'s own stepping loop sees them all.
 import ast
 import dataclasses
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from programs import (WATCH_ALL, make_demcr_fuzz_program,
                       preinit_exception_program)
-from watchstack import binder, blocks, dwt, semantics
+from watchstack import blocks, dwt, semantics
 from watchstack.asm import parse
 from watchstack.cli import EXIT_FAULT, EXIT_VIOLATION, _exit_code
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
@@ -353,11 +354,11 @@ def test_equal_code_compiles_its_hot_block_once(monkeypatch):
     assert len(sources) == len(generated) == 1
 
 
-def test_the_block_sources_are_the_golden_source(monkeypatch):
-    """Every distinct source that blocks generate at a hot threshold of 1
-    is byte for byte the golden's, in sorted order: for the instrumented
-    recursion 16 deep, unprotected and under both policies, and for the
-    sweep 64 bytes either side of the shadow region under report."""
+def _golden_sources(monkeypatch) -> list:
+    """Every distinct source that blocks generate at a hot threshold of 1,
+    in sorted order: for the instrumented recursion 16 deep, unprotected
+    and under both policies, and for the sweep 64 bytes either side of
+    the shadow region under report."""
     monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
     blocks._make.cache_clear()  # so each source is generated here
     sources = _count_sources(monkeypatch)
@@ -369,8 +370,13 @@ def test_the_block_sources_are_the_golden_source(monkeypatch):
     sweep = parse(sweep_program(SHADOW.ss_start - 64, SHADOW.ss_limit + 64))
     run_program(sweep, RunConfig(protected=True, policy=POLICY_REPORT,
                                  shadow=SHADOW))
+    return sorted(set(sources))
+
+
+def test_the_block_sources_are_the_golden_source(monkeypatch):
+    """The sources of ``_golden_sources`` are byte for byte the golden's."""
     golden = (GOLDEN / "block_sources.txt").read_text()
-    assert "\n".join(sorted(set(sources))) == golden
+    assert "\n".join(_golden_sources(monkeypatch)) == golden
 
 
 def test_a_changed_instruction_compiles_anew(monkeypatch):
@@ -1001,10 +1007,10 @@ def test_a_folded_function_store_runs_as_step_does(gid, value, monkeypatch):
 @pytest.mark.parametrize("name", ["dwt", "demcr"])
 def test_a_device_replaced_between_runs_is_the_one_read(name, monkeypatch):
     """A device replaced between runs is the one that the passes after
-    the swap read and write: run() drops its blocks when the watchpoint
-    unit is replaced, as when the code is, since whether the unit is
-    there shapes a block's source, and every other device word goes
-    through Machine.load/store, which find the device at run time."""
+    the swap read and write: a compiled block binds the watchpoint unit
+    on every entry, and checks on entry the watch state its in-line
+    forms were made for, and every other device word goes through
+    Machine.load/store, which find the device at run time."""
     addr = DWT_COMP1 if name == "dwt" else DEMCR_ADDR
     # Each pass reads the word into RAM and writes its pass count there.
     prog = parse(_main(*_const("r0", addr), "ldr r1, [r0]", "str r1, [r7]",
@@ -1043,8 +1049,9 @@ def test_a_guard_replaced_between_runs_is_the_one_shown(swap, monkeypatch):
     one, or the machine is made to show it every access.  The passes
     after the swap record into the new guard's log, or show the guard
     each store, which names only the four hits, as step() does: run()
-    drops its blocks, whose hits run the guard's lines bound to its log
-    over the regions of its unit."""
+    drops its blocks on a new guard, whose hits run the guard's lines
+    bound to its log, and a block made for the unit's regions finds
+    another watch state on entry once the guard is shown every access."""
     prog = parse(sweep_program(SHADOW.ss_limit - 40, SHADOW.ss_limit + 40))
     cfg = RunConfig(protected=True, policy=POLICY_REPORT, shadow=SHADOW)
     cut = 5 + 4 * 36  # the strb of pass 37, four bytes below the limit
@@ -2205,11 +2212,72 @@ def test_a_continuing_pass_writes_neither_flags_nor_counts():
         nodes = _fast_nodes(source)
         text = {ast.unparse(node) for node in nodes}
         assert ast.unparse(ast.parse(semantics.COND[cond][1])) in text
-        assert binder.XPSR not in text
+        assert blocks.XPSR not in text
         assert not [node for node in nodes if isinstance(node, ast.Attribute)
                     and node.attr == "xpsr"]
         assert not [node for node in nodes if isinstance(node, ast.Subscript)
                     and ast.unparse(node.value) == "cnt"]
+
+
+def _home(r: int) -> str:
+    return {13: "m.sp", 14: "m.lr"}.get(r, "g[%d]" % r)
+
+
+def _names_a_home(node) -> bool:
+    """Whether ``node`` spells a register where the machine keeps it."""
+    return (isinstance(node, ast.Subscript) and ast.unparse(node.value) == "g"
+            or isinstance(node, ast.Attribute)
+            and ast.unparse(node) in ("m.gpr", "m.sp", "m.lr"))
+
+
+def _register_move(st) -> str | None:
+    """What kind of register move the statement ``st`` is: a local
+    loaded from its home, ``load``; a home written from its local,
+    ``back``; a pop's word read into both, ``word``; else None."""
+    if not isinstance(st, ast.Assign):
+        return None
+    targets = [ast.unparse(t) for t in st.targets]
+    value = ast.unparse(st.value)
+    local = re.fullmatch(r"r(\d+)", targets[0])
+    if local is None:
+        back = re.fullmatch(r"r(\d+)", value)
+        return "back" if back and targets == [_home(int(back[1]))] else None
+    home = _home(int(local[1]))
+    if targets == [local[0]] and value == home:
+        return "load"
+    return ("word" if targets == [local[0], home]
+            and value == "m.load(a, 4) & M" else None)
+
+
+def test_every_block_spells_each_register_one_way(monkeypatch):
+    """Every block that the block-source golden holds, looping or not,
+    keeps the registers it names in locals: it loads them on entry, in
+    the block's own body, and writes them back, and no other statement
+    names ``g[...]``, ``m.gpr``, ``m.sp`` or ``m.lr``, but ``g = m.gpr``,
+    a pop's word moved through ``m.load``, which writes the machine's
+    register as well, and the min_sp check of a block that names no
+    sp."""
+    for source in _golden_sources(monkeypatch):
+        block, = [node for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "block"]
+        allowed = {"g = m.gpr", *["m.min_sp = min(m.min_sp, m.sp)"] * (
+            "r13" not in source)}
+        stray, moves = [], set()
+        for st in ast.walk(block):
+            kind = _register_move(st)
+            moves.add(kind)
+            if kind == "load":
+                assert st in block.body, ast.unparse(st)
+            elif (kind is None and isinstance(st, ast.stmt)
+                  and not isinstance(st, ast.FunctionDef)
+                  and ast.unparse(st) not in allowed):
+                inner = (st.test if isinstance(st, (ast.If, ast.While))
+                         else st)
+                stray += [ast.unparse(node) for node in ast.walk(inner)
+                          if _names_a_home(node)]
+        assert not stray, source
+        assert "load" in moves, source
 
 
 def test_a_continuing_pass_touches_no_register_through_m():

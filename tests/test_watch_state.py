@@ -17,8 +17,8 @@ These tests change the state every way a run can:
 * named cases, each at the hot thresholds 1, 32 and 10**9 against the
   step loop and through ``compiled_lockstep``: a compiled loop that
   rewrites FUNCTION0, COMP0 or MASK0 through an address the block does
-  not know, protection changed between two ``run()`` calls on one
-  machine, a pass that ends with comparator 0 disarmed, and the shapes
+  not know, protection, ``m.watch`` or ``m.dwt`` changed between two
+  ``run()`` calls on one machine, a pass that ends with comparator 0 disarmed, and the shapes
   with no in-line guard form (``WATCH_ALL``, no guard, a subclass's
   handlers);
 * what the state holds: FUNCTION values that select the same slots are
@@ -29,6 +29,7 @@ These tests change the state every way a run can:
   boundary, never keep the page that holds it.
 """
 
+import copy
 import random
 
 import pytest
@@ -283,12 +284,29 @@ def _arm_protection(m, core=None):
         core.arm(SHADOW.ss_start, SHADOW.ss_size_log2, POLICY_RESET)
 
 
+def _watch_all(m, core=None):
+    """``m.watch`` replaced: the guard is shown every access."""
+    m.watch = WATCH_ALL
+
+
+def _new_unit(m, core=None):
+    """``m.dwt`` replaced by an equal copy, with the watch and the guard's
+    unit, which protection sets with it: the watch state is the one the
+    cached blocks were made for, and their in-line port writes must
+    reach the copy."""
+    m.dwt = copy.deepcopy(m.dwt)
+    m.watch = m.dwt.slots
+    m.guard.dwt = m.dwt
+
+
 CHANGES = {
     "disarm 0": _writes([(DWT_FUNCTION0, FN_DISABLED)]),
     "watch reads": _writes([(DWT_FUNCTION0, FN_READWRITE)]),
     "move 0": _writes([(DWT_COMP0, SHADOW.ss_start + 0x80), (DWT_MASK0, 4)]),
     "span off": _writes([], None),
     "arm": _arm_protection,
+    "watch all": _watch_all,
+    "new unit": _new_unit,
 }
 AT = 300  # at the descent's entry, between two passes of its loop
 
@@ -298,7 +316,8 @@ def test_protection_changed_between_two_runs(name, monkeypatch):
     """The recursion, 64 deep, run to step AT, changed, and run on: the
     blocks made before the change find another watch state on entry
     and run the ones made for it (or, armed, the machine's new guard
-    drops them)."""
+    drops them); a new unit in an equal state runs them as made, each
+    entry binding the unit it finds."""
     prog = instrument_program(parse(recursion_program(64)), SHADOW).program
     cfg = RunConfig(protected=name != "arm", shadow=SHADOW, max_steps=5_000)
     change = CHANGES[name]
