@@ -44,16 +44,10 @@ above PPB_BASE, where no in-line access lies.  A store that hits is
 suppressed; a load, if RAM on one page, is read in line before the
 chain (a read that hits still flows), and else takes ``m.load``, whose
 guard records a hit.  A miss into RAM on one page (for a store, a
-present page) is taken in line.
-
-In a looping block each in-line RAM access site also keeps, as
-softmmu's TLB keeps a translation, the last page its fast case found,
-for one call of the block (``_decode``): an access on that page makes
-one compare, ahead of the fast case, and moves its bytes on the page
-with none of the tests above and no page lookup.  A hull-first site
-keeps only a page wholly outside its hull; a site with the guard's
-chain runs the chain on either arm, as before the write or after the
-read.
+present page) is taken in line.  In a looping block each in-line RAM
+access site also keeps the last page its fast case found, as softmmu's
+TLB keeps a translation (``_decode``); a site with the guard's chain
+runs the chain on either arm, as before the write or after the read.
 
 It is its own module so that ``blocks`` and it compile one at a time,
 when ``Machine.run`` first imports ``blocks``: the compile of one
@@ -109,11 +103,11 @@ def _decode(a: str, size: int, rd=None, slots=None, words=None,
     A site of a looping block keeps the last page its inline case found
     present, for the block's call: its base in ``t<site>`` (at first one
     no address is at) and the page in ``q<site>``, so an access on it
-    makes one compare and moves its bytes with no lookup.  Pages are
-    never replaced, and a site runs under one watch state, so nothing
-    invalidates it.  With ``slots`` it keeps only a page wholly outside
-    the hull, and a page is wholly below PPB_BASE, as its base is
-    aligned.
+    makes one compare and moves its bytes with none of the tests above
+    and no lookup.  Pages are never replaced, and a site runs under one
+    watch state, so nothing invalidates it (nor meets a restore between
+    ``run()`` calls).  With ``slots`` it keeps only a page wholly outside
+    the hull, and a page is wholly below PPB_BASE, as its base is aligned.
     A memory map with more banks changes this beside ``Machine.load``."""
     test = "%s < %d" % (a, mach.PPB_BASE)
     if size >= 4:
@@ -216,7 +210,7 @@ class Compiled:
     ``_load``/``_store``, hull-first for a stack word, a base of sp or
     where ``guard`` is None, and a compare's flags stay in ``fa``,
     ``fb`` until an exit or ``sync`` writes them.  A block's last
-    ``b`` or ``bcond`` is ``blocks``' own."""
+    ``b`` or ``bcond``, and a loop's last ``bx``, are ``blocks``' own."""
 
     def __init__(self, ins, nxt: int, cost: int, sync: str, end: str,
                  guard, state: tuple, after, site=None) -> None:

@@ -6,7 +6,7 @@ write, before an address already in it, before a TRAP op (``svc``,
 ``bkpt``, ``udf``) or a missing instruction, and at most MAX_BLOCK_LEN
 long.  Each op is emitted from ``semantics.SEMANTICS``, bound with
 the block's operands known (``binder.Compiled``), but a last ``b`` or
-``bcond``, which ``_tail`` emits for every block.  ``Machine.run``
+``bcond`` and a loop's last ``bx``, which ``_tail`` emits.  ``Machine.run``
 steps through a block until it has reached the block's entry pc
 HOT_THRESHOLD times; then it is compiled to one generated function,
 ``block(m, limit)``, that does what ``step()`` would do for each of
@@ -23,23 +23,23 @@ it.  In the generated function:
 
 * steps, cycles and the flags are kept in locals: a compare keeps its
   operands, ``fa`` and ``fb``, for the branch after it.  Every block
-  keeps each register it reads or writes, r0-r12, sp and lr, in a
-  local too (``r<k>``, ``binder.read_reg``), loaded once after the
-  entry check, as QEMU's TCG keeps guest registers in host ones
-  within a block (Bellard, USENIX ATC 2005); pc stays ``m.pc``.
-  ``m.steps``, ``m.cycles``, ``m.cur_pc``, ``m.pc``, ``m.xpsr`` and
-  each register the block writes are written only before something
-  can read them (``m.load`` and ``m.store``, which show the guard the
-  access and read CYCCNT) and at each exit, a loop's budget return and
-  the lines after the loop among them, as ``step()`` would have left
-  them (the flags by ``semantics.write_flags``, ``F``), all spelled by
-  one helper, so a halt exit writes them before ``Machine._end``,
-  which may start an exception return.  No register is reloaded after
-  a slow path: ``Machine.load``/``store``, the guard and the devices'
-  ports write none (only an exception entry or return does).  A pop's
-  words moved one at a time through ``m.load`` go to the machine's
-  register as well as the local, as the next word's guard call may
-  read it;
+  keeps each register it names, r0-r12, sp and lr, in a local too
+  (``r<k>``, ``binder.read_reg``), loaded once after the entry check,
+  as QEMU's TCG keeps guest registers in host ones within a block
+  (Bellard, USENIX ATC 2005); pc stays ``m.pc``, which a loop's last
+  ``bx`` writes only to leave.  ``m.steps``, ``m.cycles``,
+  ``m.cur_pc``, ``m.pc``, ``m.xpsr`` and each register the block writes
+  are written only before something can read them (``m.load`` and
+  ``m.store``, which show the guard the access and read CYCCNT) and at
+  each exit, a loop's budget return and the lines after the loop among
+  them, as ``step()`` would have left them (the flags by
+  ``semantics.write_flags``, ``F``), all spelled by one helper, so a
+  halt exit writes them before ``Machine._end``, which may start an
+  exception return.  No register is reloaded after a slow path:
+  ``Machine.load``/``store``, the guard and the devices' ports write
+  none (only an exception entry or return does).  A pop's words moved
+  one at a time through ``m.load`` go to the machine's register as well
+  as the local, as the next word's guard call may read it;
 * only a path that can halt or change the watch state is followed by
   the block's halt exit: a slow path (``m.load`` or ``m.store``) by
   ``if m.halted or X(m) != Z1:`` and the exit, and a statement that
@@ -89,32 +89,27 @@ reads is a constant of ``make``, ``Z0`` the entry's.
 
 Each data access runs in line where it can, and else through
 ``m.load`` or ``m.store`` (``binder``, whose ``Compiled`` binds each
-instruction for ``SEMANTICS``).  In a loop, each in-line RAM access
-site ``i`` (the instruction's index in the trace) keeps a page of its
-own, ``t<i>`` its base and ``q<i>`` its bytes, set once per call before
-the loop to a base no address is at: an access on it makes one compare
-and no lookup.  It lives for the call.  A miss fills it from the page
-the fast case found present, for a hull-first access only a page
-wholly outside its access kind's hull; pages are never replaced and
-each site runs under one watch state, so no entry goes stale, and a
-restore between ``run()`` calls meets none.  A block that does not loop
-keeps no page: it runs each site once a call, so a page it kept could
-never be hit.
+instruction for ``SEMANTICS``); in a loop, each in-line RAM access site
+keeps the last page it found, for the call (``binder._decode``), which
+a block that does not loop, running each site once a call, never hits.
 
-The block folds constants: it knows the value a ``movw``, ``mov_imm`` or
-``movt`` put in a register until another write of it (read from
-``isa.OPS``), and emits such an instruction as that constant.  A word
-``ldr``/``str`` whose address is known, aligned and, by
-``machine.ppb_device``, on a device (``_device_word``) runs, with no
-test at all, the in-line form its device gives it (the unit's register
-words, as the lines ``step()`` runs), with a stored value the block
-knows folded and the device's state bound once per entry (its
-``BIND``), where the watch state puts it outside its access kind's
-hull and its device says the write needs no ``slow`` path
-(``_in_line``).  Any other device word (one in that hull, a write
-whose ``slow`` test holds or a FUNCTION write of a value the block
-does not know, CTRL, CYCCNT, an unmapped word, DEMCR, any word on a
-machine without its device) is emitted as any other ``ldr``/``str``.
+What a block knows of its trace it learns before it emits, in one walk
+each way, as TCG runs a constant folder and a liveness pass over each
+block (``tcg/optimize.c``, ``liveness_pass_1``; Kildall, POPL 1973).
+The forward walk carries the watch state, and the value a ``movw``,
+``mov_imm`` or ``movt`` put in a register until its next write
+(``isa.regs``), and finds what each instruction's code reads.  One that
+leaves a known value is emitted as that constant and reads nothing.  A
+word ``ldr``/``str`` at a known address runs, with no test, the lines
+the watchpoint unit's port runs for the word (``DwtUnit.inline``, over
+its state bound once per entry, ``BIND``), where the watch state puts
+it outside its access kind's hull and the write needs no ``slow`` path
+(``_in_line``); it reads no address, nor a stored value the block
+knows.  Any other word is any other ``ldr``/``str``.  The backward walk
+drops an ALU op whose register is written again before an emitted
+read, a slow path, a line that halts or an exit: each writes back
+every register the block writes, which a slow path's guard may read,
+so the walk counts it a read of every local (``LOCALS``).
 
 The source reads the trace, the code map's (address, instruction)
 pairs, whose instructions are values (``_block_at``), the machine's
@@ -141,7 +136,8 @@ import struct
 from . import machine as mach
 from .binder import Compiled, home, read_reg
 from .dwt import hull
-from .isa import BRANCH, LR, MASK32, MEMORY, OPS, PC, SP, TRAP
+from .isa import (ALU, BRANCH, FLAGS, LR, MASK32, MEMORY, OPS, PC, SP,
+                  TRAP, regs)
 from .semantics import COND, SEMANTICS, define, write_flags
 
 HOT_THRESHOLD = 32
@@ -233,28 +229,12 @@ def _state(m) -> tuple:
 
 # -- code generation ---------------------------------------------------------------
 
-def _written(ins) -> set:
-    """The registers ``ins`` writes, from its row in ``isa.OPS``."""
-    row = OPS[ins.op]
-    regs = set(ins.reglist) if row.writes_reglist else set()
-    if row.writes_rd:
-        regs.add(ins.rd)
-    if row.writes_sp:
-        regs.add(SP)
-    if row.writes_lr:
-        regs.add(LR)
-    return regs
-
-
-def _named(ins) -> set:
-    """The registers ``ins`` reads or writes, but pc."""
-    return {ins.rd, ins.rn, ins.rm, *ins.reglist, *_written(ins)} - {
-        None, PC}
+LOCALS = frozenset(range(PC))  # r0-r12, sp and lr: a block's locals
 
 
 def _jumps(ins) -> bool:
     """A branch, or any other write of pc."""
-    return OPS[ins.op].kind == BRANCH or PC in _written(ins)
+    return OPS[ins.op].kind == BRANCH or PC in regs(ins, "writes")
 
 
 def _block_at(code, pc: int) -> tuple:
@@ -291,48 +271,27 @@ def _exits(at: int, ins) -> tuple | None:
     return None if _jumps(ins) else (nxt,)
 
 
-def _fold(ins, known: dict) -> None:
-    """Bring ``known``, register -> the value this block put there, past
-    ``ins``: a ``movw`` or ``mov_imm`` sets its immediate, a ``movt`` the
-    high half of a known value, and any other write forgets the
-    register."""
-    value = ins.imm if ins.op in ("movw", "mov_imm") else (
-        (known[ins.rd] & 0xFFFF) | ins.imm << 16
-        if ins.op == "movt" and ins.rd in known else None)
-    for r in _written(ins):
-        known.pop(r, None)
-    if value is not None:
-        known[ins.rd] = value & MASK32
-
-
-def _device_word(ins, known: dict):
-    """The address of a word ``ldr``/``str`` that is known, aligned and
-    on a device; else None."""
-    if ins.op not in ("ldr", "str") or ins.rn not in known or _jumps(ins):
-        return None
-    addr = (known[ins.rn] + ins.imm) & MASK32
-    return None if addr & 3 or mach.ppb_device(addr) is None else addr
-
-
 def _in_line(ins, known: dict, unit, state: tuple):
-    """(binding, lines, after) of a device word (``_device_word``) outside
+    """(lines, after) of a word ``ldr``/``str`` whose address the block
+    knows (``known``: register -> the value the block put there) outside
     the hull of its access kind's regions in the watch state ``state``,
     where the watchpoint unit's class ``unit`` gives it an in-line form:
-    the line binding the unit's state once per entry (``BIND``), the
-    lines of its ``inline`` form, a load's the value it reads, a store's
-    lines, with a value the block knows folded, and the watch state
-    after them.  Else None: any other ``ldr``/``str``, DEMCR's word
-    among them, as the unit has no form for a word outside its window."""
-    addr = _device_word(ins, known)
-    access = mach.ACCESS_READ if ins.op == "ldr" else mach.ACCESS_WRITE
-    h = unit and addr is not None and hull(state[access])
-    if not h or addr + 4 > h[2] and addr < h[3]:
+    its ``inline`` lines, a stored value the block knows folded, over
+    ``BIND``'s names, and the watch state after them.  Else None, as for
+    a word the unit has no form for (DEMCR's, CYCCNT, an unmapped one)."""
+    if not unit or ins.op not in ("ldr", "str") or ins.rn not in known:
         return None
-    form = (unit.inline(addr, access, state) if ins.op == "ldr"
-            else unit.inline(addr, access, state, known.get(ins.rd)))
-    if ins.op == "ldr" and form:
-        form = form, state
-    return form and ("  D = m.dwt; " + unit.BIND, *form)
+    addr = (known[ins.rn] + ins.imm) & MASK32
+    access = mach.ACCESS_READ if ins.op == "ldr" else mach.ACCESS_WRITE
+    h = hull(state[access])
+    if addr + 4 > h[2] and addr < h[3]:
+        return None
+    if ins.op == "ldr":  # a register reads 32 bits
+        form = unit.inline(addr, access, state)
+        return form and (["%s = %s" % (read_reg(ins.rd), form)], state)
+    form = unit.inline(addr, access, state, known.get(ins.rd))
+    return form and (form[0] if ins.rd in known else [
+        "v = " + read_reg(ins.rd), *form[0]], form[1])
 
 
 # The one call that writes a pending compare's flags (write_flags).
@@ -353,25 +312,53 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
     the pass ends in ``state`` and another pass fits before ``limit``
     steps; a device word and a four-region test run the in-line forms of
     ``shape``'s unit (``_in_line``) and guard ``J`` for the watch state
-    each instruction runs under, over the names their ``BIND`` binds.
-    Each watch state a check compares with is a constant of ``make``,
-    ``Z0`` the entry's."""
-    bind = None  # the in-line unit's, once per entry
+    each instruction runs under, over the names their ``BIND`` binds."""
     unit, guard, tracks = shape
     inline = guard and functools.partial(guard[0].inline, guard[1])
-    # Each instruction's in-line device form, and the watch state it runs
-    # under, carried past each in-line port write; then the pass's end.
-    known, words, states = {}, [], [state]
+    # The forward walk: each instruction's facts and the watch state
+    # after it; what the trace names and writes.
+    known, facts, states, named, written = {}, [], [state], set(), set()
+    bind = pages = None
     for at, ins in trace:
-        words.append(_in_line(ins, known, unit, states[-1]))
-        states.append(words[-1][2] if words[-1] else states[-1])
-        _fold(ins, known)
-    names = {state: "Z0"}
+        reads, writes = regs(ins, "reads"), regs(ins, "writes")
+        named |= reads | writes
+        written |= writes
+        word = _in_line(ins, known, unit, states[-1])
+        value = ins.imm if ins.op in ("movw", "mov_imm") else (
+            (known[ins.rd] & 0xFFFF) | ins.imm << 16
+            if ins.op == "movt" and ins.rd in known else None)
+        if word:  # no address, and a store's value only if not known
+            bind = "  D = m.dwt; " + unit.BIND
+            reads = LOCALS if any(map(_HALTS.search, word[0])) else (
+                set() if ins.op == "ldr" or ins.rd in known else {ins.rd})
+        elif value is not None:  # a movt's low half is known too
+            reads = set()
+        elif OPS[ins.op].kind == MEMORY:  # a slow path writes all back
+            pages, reads = "  P = m.mem.pages", LOCALS  # binder._decode's
+        facts.append((reads, writes, word, value))
+        states.append(word[1] if word else states[-1])
+        known = {r: v for r, v in known.items() if r not in writes}
+        if value is not None:
+            known[ins.rd] = value & MASK32
     n = len(trace)
     entry, (at, ins) = trace[0][0], trace[-1]
     exits = _exits(at, ins)
     loops = (exits is None or entry in exits) and states[-1] == state
-    branch = ins.op in ("b", "bcond")  # _tail runs it
+    tail = ins.op in ("b", "bcond") or loops and ins.op == "bx"  # _tail's
+    moves_sp = SP in written
+    # The backward walk: an ALU op whose register is written again before
+    # it is read is dead; the exits, at the end and a halt, read LOCALS.
+    live, dead = set(LOCALS), set()
+    for i in reversed(range(n)):
+        reads, writes = facts[i][:2]
+        if tracks and moves_sp and (i == 0 or SP in writes):
+            live.add(SP)  # the min_sp check after it
+        if (OPS[trace[i][1].op].kind == ALU and writes and writes <= LOCALS
+                and live.isdisjoint(writes)):
+            dead.add(i)
+        else:
+            live = live - writes | reads
+    names = {state: "Z0"}
     out = ["def make(cnt, J):",
            *([" " + guard[0].BIND] if guard else []),
            " def block(m, limit):",
@@ -381,21 +368,19 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
            "  c = m.cycles"]
     # The registers, in locals: loaded here, and those the block writes
     # written back (``back``) before each slow path and at each exit.
-    writes = set().union(*(_written(ins) for _, ins in trace))
-    regs = sorted(set().union(*(_named(ins) for _, ins in trace)))
-    if regs:
+    loaded = sorted(named & LOCALS)
+    if loaded:
         out.append("  " + "; ".join("%s = %s" % (read_reg(r), home(r))
-                                    for r in regs))
+                                    for r in loaded))
     back = "".join("; %s = %s" % (home(r), read_reg(r))
-                   for r in regs if r in writes)
-    min_sp = _MIN_SP % (read_reg(SP) if SP in regs else "m.sp")
+                   for r in loaded if r in written)
+    min_sp = _MIN_SP % (read_reg(SP) if SP in named else "m.sp")
     # What each exit adds: a loop's passes before it, (s - e) // n, and
     # the flags of the pass's compare or, before one, the last pass's.
     fold = ("; cnt[%d] += (s - e) // %d" % (n, n) if loops else "") + (
         "; cnt[0] += (s - e) // %d" % n
         if loops and ins.op == "bcond" and ins.target == entry else "")
-    flags = ("; s == e or " + XPSR if loops and any(
-        OPS[ins.op].sets_flags for _, ins in trace) else "")
+    flags = "; s == e or " + XPSR if loops and FLAGS in written else ""
 
     def sync(steps, cycles, at, pc, count=None):
         """The state writes before a slow path or at an exit, where
@@ -409,16 +394,14 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
             line += "; cnt[%d] += 1" % count
         return line + (fold if count is not None else "") + back + flags
 
-    moves_sp = SP in writes
     if tracks and not moves_sp:
         out.append("  " + min_sp)  # sp holds its entry value throughout
-    if any(OPS[ins.op].kind == MEMORY for _, ins in trace):
-        out.append("  P = m.mem.pages")  # for binder._decode
+    out += [line for line in (pages, bind) if line]
     body = []
     cost = 0
-    known: dict = {}
     sites = []  # a loop's in-line RAM access sites' page bases (binder)
     for i, (at, ins) in enumerate(trace):
+        _, writes, word, value = facts[i]
         cost += ins.cycles
         nxt = at + ins.width
         # The halt exit: the state after the instruction, pc unless it
@@ -428,8 +411,7 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
             min_sp + "; " if tracks else "", sync(
                 "s + %d" % (i + 1), "c + %d" % cost, at,
                 None if _jumps(ins) else nxt, i + 1), at)
-        word = words[i]
-        site = loops and word is None and OPS[ins.op].kind == MEMORY
+        site = loops and not word and OPS[ins.op].kind == MEMORY
         if site:
             sites.append("t%d" % i)
         b = Compiled(ins, nxt, cost, sync("s + %d" % i, "c + %d" % cost,
@@ -439,32 +421,26 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
                      states[i], functools.partial(
                          names.setdefault, states[i + 1], "Z%d" % len(names)),
                      i if site else None)
-        value = known.get(ins.rd)  # a str's value, if the block knows it
-        _fold(ins, known)
         body.append("# 0x%08x %s" % (at, ins.op))
-        if branch and i == n - 1:
+        if tail and i == n - 1:
             break  # _tail emits it
-        if word is not None:  # known and aligned: no address, no test
-            bind, lines = word[:2]
-            if ins.op == "ldr":  # a register reads 32 bits
-                lines = ["%s = %s" % (b.name(ins.rd), lines)]
-            elif value is None:
-                lines = ["v = " + b.reg(ins.rd), *lines]
-        elif ins.op == "movt" and ins.rd in known:  # folded, as movw is
-            lines = b.set(ins.rd, "%d" % known[ins.rd])
+        if i in dead:
+            lines = []
+        elif word:  # known and aligned: no address, no test
+            lines = word[0]
+        elif value is not None:  # folded: the constant it leaves
+            lines = b.set(ins.rd, "%d" % value)
         elif ins.op == "b" or ins.op == "bl" and i < n - 1:  # followed
             lines = b.set(LR, "%d" % nxt) if ins.op == "bl" else []
         else:
             lines = SEMANTICS[ins.op](b)
         body += [line + "; " + end if _HALTS.search(line) else line
                  for line in lines]
-        if tracks and moves_sp and (i == 0 or SP in _written(ins)):
+        if tracks and moves_sp and (i == 0 or SP in writes):
             body.append(min_sp)
-        if OPS[ins.op].sets_flags:
+        if FLAGS in writes:
             flags = "; " + XPSR
     out[1:1] = (" %s = %r" % (z, st) for st, z in names.items())
-    if bind:
-        out.append(bind)
     if sites:  # a loop's; a base no address is at
         out.append("  %s = %d" % (" = ".join(sites), -2 * mach.PAGE_SIZE))
     if loops:
@@ -492,8 +468,9 @@ def _tail(at: int, ins, cost: int, n: int, entry: int, pending: bool,
     ``cost`` the cycles to it: a last ``b`` sets pc and a ``bcond``, on
     the pending compare if ``pending``, pc and the cycles.  With a
     ``budget``, the writes of a return at the entry, the block loops: a
-    way out that is not the entry breaks, and a pass that stays starts
-    the next one if it fits before ``limit``, else returns."""
+    way out that is not the entry breaks, a ``bx`` writing pc from its
+    register only then, and a pass that stays starts the next one if it
+    fits before ``limit``, else returns."""
     lines = []
     if ins.op == "b" and not budget:
         lines.append("m.pc = %d" % ins.target)
@@ -510,6 +487,9 @@ def _tail(at: int, ins, cost: int, n: int, entry: int, pending: bool,
             cost += 1
         else:
             lines.append("if %s: %s; break" % (test, taken))
+    elif budget and ins.op == "bx":
+        lines.append("if {0} != {1}: m.pc = {0}; break".format(
+            read_reg(ins.rm, at + ins.width), entry))
     elif budget and _exits(at, ins) is None:
         lines.append("if m.pc != %d: break" % entry)
     return lines if not budget else [

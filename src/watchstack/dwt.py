@@ -117,13 +117,14 @@ def _pick(v, fns: tuple, then: str, other):
     return "%s if %s in %r else %s" % (then, v, fns, other)
 
 
-def _write_lines(i: int, v, names) -> tuple[str | None, list[str]]:
+def _write_lines(i: int, v, names, held=()) -> tuple[str | None, list[str]]:
     """Register word ``i``'s write of ``v`` (its value when known, else
     the name of a 32-bit value), as ``(slow, lines)`` over the unit's
-    state spelled by ``names``: ``lines`` make the write, and ``slow``,
-    which reads nothing they write, holds when the group's region cache
-    must change too (``_regroup``), or is None when it cannot.  A known
-    ``v`` is folded: each test on it is decided here."""
+    state spelled by ``names``: ``lines`` make the write, bar the slot
+    line of each access kind in ``held``, and ``slow``, which reads
+    nothing they write, holds when the group's region cache must change
+    too (``_regroup``), or is None when it cannot.  A known ``v`` is
+    folded: each test on it is decided here."""
     R, S, W, G, Q = names
     gid, kind = divmod(i, 3)
     fn, region = i - kind + _FUNCTION, "%s[%d]" % (G, gid)
@@ -142,7 +143,8 @@ def _write_lines(i: int, v, names) -> tuple[str | None, list[str]]:
     # A FUNCTION write chooses the slots from the cached region, which
     # an enabled group needs cached first.
     lines += ["%s[%d] = %s" % (slots, gid, _pick(v, fns, region, _NEVER))
-              for slots, fns in ((S, _READ_FNS), (W, _WRITE_FNS))]
+              for k, (slots, fns) in enumerate(
+                  ((S, _READ_FNS), (W, _WRITE_FNS))) if k not in held]
     if isinstance(v, int):
         return (region + " is None" if v in _ENABLED_FNS else None), lines
     return "%s in %r and %s is None" % (v, _ENABLED_FNS, region), lines
@@ -324,7 +326,8 @@ class DwtUnit:
         word at ``addr`` under the watch state ``state`` (``snapshot``),
         over ``BIND``'s names: a read's value as an expression, or a write
         of ``value`` (known, or else the 32-bit ``v``) as ``(lines,
-        after)``, the lines with every test on ``state`` decided and the
+        after)``, the lines with every test on ``state`` decided, and no
+        slot line where ``state`` holds the slot the write leaves, and the
         watch state after them.  The effect is the port's own, run on a
         unit that holds ``state`` (a ``slow`` test reads only whether a
         group is enabled).  None for CYCCNT and the unmapped words, which
@@ -338,7 +341,8 @@ class DwtUnit:
             return _read(i, tuple(_STATE))
         read, write, unit, regions, ssp = state
         D = DwtUnit()  # state's, with no span: the lines fold it
-        D.slots = tuple(map(list, (read, write) if unit is True else unit))
+        slots = (read, write) if unit is True else unit
+        D.slots = tuple(map(list, slots))
         D.regions = list(regions)
         # FUNCTION 4 + reads + 2 * writes selects those slots (4: none).
         D.regs[_FUNCTION::3] = [4 + (r != _NEVER) + 2 * (w != _NEVER)
@@ -349,8 +353,9 @@ class DwtUnit:
                 or _PORTS[addr][1](D, None, value or 0)):
             return None
         D.ssp_guard = ssp
+        held = [k for k, now in enumerate(D.slots) if tuple(now) == slots[k]]
         return (_write_lines(i, "v" if value is None else value,
-                             (*_STATE, ssp))[1],
+                             (*_STATE, ssp), held)[1],
                 D.snapshot(D.slots if unit is True else (read, write)))
 
     def mmio_read(self, m, addr: int) -> int:

@@ -31,6 +31,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
+from itertools import repeat
+from operator import ior
 from typing import NamedTuple
 
 from .asm import (FUNC_HAL, FUNC_HANDLER, T_ASSP, T_USS, AsmFunction,
@@ -41,7 +43,7 @@ from .dwt import (DWT_COMP1, DWT_COMP_BASE, DWT_FUNCTION_OFF,
 from .exception_model import (ESF_OFF_LR, ESF_OFF_R12, ESF_OFF_RETURN,
                               ESF_OFF_XPSR)
 from .isa import (LR, MASK32, NUM_GPRS, PC, SP, imm_str, mem_str,
-                  reg_name, reglist_str)
+                  reg_name, reglist_str, regs)
 from .machine import DEMCR_ADDR
 
 SEQ_OPTIMAL = "optimal"
@@ -142,12 +144,10 @@ class InstrumentResult:
 # -- analysis -------------------------------------------------------------
 
 def analyze_free_gprs(func: AsmFunction) -> set[int]:
-    """GPRs that appear in no instruction of the function body."""
-    mentioned: set = set()
-    for ins in func.body:
-        mentioned.update((ins.rd, ins.rn, ins.rm))
-        mentioned.update(ins.reglist)
-    return set(range(NUM_GPRS)) - mentioned
+    """GPRs that no instruction of the function body reads or writes."""
+    # in place, one instruction's registers at a time
+    return set(range(NUM_GPRS)) - functools.reduce(ior, map(
+        regs, func.body, repeat("reads"), repeat("writes")), set())
 
 
 def _select_scratches(free: set[int], count: int, handler: bool

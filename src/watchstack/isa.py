@@ -3,16 +3,15 @@
 Instructions are kept symbolic: register indices, immediates, and label
 names instead of binary encodings.  ``OPS`` is the one table of what
 each op is: its printed form, its kind (ALU, MEMORY, BRANCH or TRAP),
-its encoding width, its base cycle cost, the registers it writes and
-whether it sets the flags.  Encoding widths (2 or 4 bytes) exist only
+its encoding width, its base cycle cost, and the registers it reads and
+writes, the flags among them.  Encoding widths (2 or 4 bytes) exist only
 so the assembler can lay out addresses and account for code size;
 cycle costs are deterministic.  ``finalize`` gives an ``Instr``, an
 immutable value, both, and ``format_instr`` prints the canonical text,
-from the op's row.  The
-compiled blocks read the rows' kinds, written registers and flags, and
-what each non-TRAP op does is written once, in
-``semantics.SEMANTICS``, for the machine's executors and the compiled
-blocks alike.
+from the op's row.  ``regs`` is the one reader of a row's registers:
+the compiled blocks and the instrumentation pass both ask it, and what
+each non-TRAP op does is written once, in ``semantics.SEMANTICS``, for
+the machine's executors and the compiled blocks alike.
 """
 
 from __future__ import annotations
@@ -27,6 +26,8 @@ NUM_GPRS = 13
 SP = 13
 LR = 14
 PC = 15
+
+FLAGS = 16  # xPSR's N, Z, C and V, as ``regs`` names them
 
 REG_NAMES = {i: "r%d" % i for i in range(NUM_GPRS)}
 REG_NAMES[SP] = "sp"
@@ -124,54 +125,77 @@ ALU, MEMORY, BRANCH, TRAP = "alu", "memory", "branch", "trap"
 
 class Op(NamedTuple):
     """One op's fixed facts: ``form`` prints it (``{w}`` is the ``.w``
-    written, ``{mem}`` a memory operand); a ``width`` of 0 leaves 2 or 4
-    bytes to ``_narrow``; ``cycles`` is the base cost; ``writes_rd``
-    says ``rd`` is written through ``write_reg``, ``writes_sp`` that sp
-    is, whatever ``rd`` names, ``writes_lr`` that lr is (a link),
-    ``writes_reglist`` that every listed register is, and ``sets_flags``
-    that xPSR's N, Z, C and V are."""
+    written, ``{mem}`` a memory operand, ``rn`` and ``imm``); a ``width``
+    of 0 leaves 2 or 4 bytes to ``_narrow``; ``cycles`` is the base cost;
+    ``reads`` and ``writes`` name the registers it reads and writes
+    (``regs``): its own ``rd``, ``rn``, ``rm`` or ``reglist``, and ``sp``,
+    ``lr`` and ``flags`` where its fields do not name them.  A write is
+    the whole register's (a ``movt`` reads the half it keeps)."""
 
     form: str
     kind: str
     width: int
     cycles: int = 1
-    writes_rd: bool = False
-    writes_sp: bool = False
-    writes_lr: bool = False
-    writes_reglist: bool = False
-    sets_flags: bool = False
+    reads: tuple = ()
+    writes: tuple = ()
 
 
 OPS = {
-    "movw": Op("movw {rd}, {imm}", ALU, 4, writes_rd=True),
-    "movt": Op("movt {rd}, {imm}", ALU, 4, writes_rd=True),
-    "mov_imm": Op("mov{w} {rd}, {imm}", ALU, 0, writes_rd=True),
-    "mov_reg": Op("mov{w} {rd}, {rm}", ALU, 0, writes_rd=True),
-    "ldr": Op("ldr{w} {rd}, {mem}", MEMORY, 0, 2, writes_rd=True),
-    "str": Op("str{w} {rd}, {mem}", MEMORY, 0, 2),
-    "ldrb": Op("ldrb{w} {rd}, {mem}", MEMORY, 0, 2, writes_rd=True),
-    "strb": Op("strb{w} {rd}, {mem}", MEMORY, 0, 2),
-    "push": Op("push {reglist}", MEMORY, 0, writes_sp=True),
-    "pop": Op("pop {reglist}", MEMORY, 0, writes_sp=True,
-              writes_reglist=True),
-    "add_sp": Op("add sp, {imm}", ALU, 0, writes_sp=True),
-    "sub_sp": Op("sub sp, {imm}", ALU, 0, writes_sp=True),
-    "addw": Op("addw {rd}, {rn}, {imm}", ALU, 4, writes_rd=True),
-    "subw": Op("subw {rd}, {rn}, {imm}", ALU, 4, writes_rd=True),
-    "cmp_imm": Op("cmp {rn}, {imm}", ALU, 0, sets_flags=True),
-    "cmp_reg": Op("cmp {rn}, {rm}", ALU, 2, sets_flags=True),
+    "movw": Op("movw {rd}, {imm}", ALU, 4, writes=("rd",)),
+    "movt": Op("movt {rd}, {imm}", ALU, 4, 1, ("rd",), ("rd",)),
+    "mov_imm": Op("mov{w} {rd}, {imm}", ALU, 0, writes=("rd",)),
+    "mov_reg": Op("mov{w} {rd}, {rm}", ALU, 0, 1, ("rm",), ("rd",)),
+    "ldr": Op("ldr{w} {rd}, {mem}", MEMORY, 0, 2, ("rn",), ("rd",)),
+    "str": Op("str{w} {rd}, {mem}", MEMORY, 0, 2, ("rd", "rn")),
+    "ldrb": Op("ldrb{w} {rd}, {mem}", MEMORY, 0, 2, ("rn",), ("rd",)),
+    "strb": Op("strb{w} {rd}, {mem}", MEMORY, 0, 2, ("rd", "rn")),
+    "push": Op("push {reglist}", MEMORY, 0, 1, ("sp", "reglist"), ("sp",)),
+    "pop": Op("pop {reglist}", MEMORY, 0, 1, ("sp",), ("sp", "reglist")),
+    "add_sp": Op("add sp, {imm}", ALU, 0, 1, ("sp",), ("sp",)),
+    "sub_sp": Op("sub sp, {imm}", ALU, 0, 1, ("sp",), ("sp",)),
+    "addw": Op("addw {rd}, {rn}, {imm}", ALU, 4, 1, ("rn",), ("rd",)),
+    "subw": Op("subw {rd}, {rn}, {imm}", ALU, 4, 1, ("rn",), ("rd",)),
+    "cmp_imm": Op("cmp {rn}, {imm}", ALU, 0, 1, ("rn",), ("flags",)),
+    "cmp_reg": Op("cmp {rn}, {rm}", ALU, 2, 1, ("rn", "rm"), ("flags",)),
     "b": Op("b {label}", BRANCH, 2, 2),
-    "bcond": Op("b{cond} {label}", BRANCH, 2),  # the machine adds 1 if taken
-    "bl": Op("bl {label}", BRANCH, 4, 3, writes_lr=True),
-    "bx": Op("bx {rm}", BRANCH, 2, 2),
-    "blx": Op("blx {rm}", BRANCH, 2, 2, writes_lr=True),
-    "msr": Op("msr control, {rn}", ALU, 4),
-    "mrs": Op("mrs {rd}, control", ALU, 4, writes_rd=True),
+    "bcond": Op("b{cond} {label}", BRANCH, 2, reads=("flags",)),  # +1 taken
+    "bl": Op("bl {label}", BRANCH, 4, 3, writes=("lr",)),
+    "bx": Op("bx {rm}", BRANCH, 2, 2, ("rm",)),
+    "blx": Op("blx {rm}", BRANCH, 2, 2, ("rm",), ("lr",)),
+    "msr": Op("msr control, {rn}", ALU, 4, reads=("rn",)),
+    "mrs": Op("mrs {rd}, control", ALU, 4, writes=("rd",)),
     "nop": Op("nop", ALU, 2),
     "svc": Op("svc {imm}", TRAP, 2, 12),  # includes hardware stacking
     "bkpt": Op("bkpt {imm}", TRAP, 2),
     "udf": Op("udf {imm}", TRAP, 2),
 }
+
+_IMPLICIT = {"sp": SP, "lr": LR, "flags": FLAGS}  # named whatever the fields
+
+
+def _reader(names: tuple) -> tuple:
+    """``(fixed, get)`` of a row's register ``names``: the implicit
+    registers, and a getter of the instruction's own as one iterable (a
+    list is a tuple; the first field asked for twice makes one field a
+    tuple too), or ``[]`` where it names none."""
+    own = [name for name in names if name not in _IMPLICIT]
+    return frozenset(map(_IMPLICIT.get, set(names) - set(own))), own and (
+        attrgetter("reglist") if own == ["reglist"]
+        else attrgetter(*own, own[0]))
+
+
+# Each op's ``_reader`` by the fields ``regs`` is asked for.
+_REGS = {fields: {op: _reader(sum((getattr(row, f) for f in fields), ()))
+                  for op, row in OPS.items()}
+         for fields in (("reads",), ("writes",), ("reads", "writes"))}
+
+
+def regs(ins: Instr, *fields: str) -> frozenset:
+    """The registers ``ins`` reads or writes by its row in ``OPS``, as
+    ``fields`` asks: ``"reads"``, ``"writes"`` or the two in that order;
+    r0-r12, sp, lr, pc and, for the flags, FLAGS."""
+    fixed, get = _REGS[fields][ins.op]
+    return fixed.union(get(ins)) if get else fixed
 
 
 def _row(ins: Instr) -> Op:

@@ -18,15 +18,15 @@ is declared here, beside its one decode, ``ppb_device``: an access
 that starts in the DWT window or on the DEMCR word reaches ``dwt`` or
 ``demcr`` when attached (a misaligned word there is a bad access and
 faults); all else is RAM.
-``load``/``store`` decode an address above PPB_BASE at run time, and
-``blocks`` decodes a constant word address at compile time through
-the same function.  The RAM layout, 4 KiB pages of little-endian
-``WORD``s in ``Memory.pages``, is declared here too, and ``blocks``
-reads it from here for its inline RAM path.  A device is a word device:
-``mmio_read(m, addr)`` and ``mmio_write(m, addr, value)``, which
-``load`` and ``store`` call, are how a program's access reaches it,
-and it may give ``blocks`` a word's ``inline`` form as well; the
-access path handles byte lanes.
+``load``/``store`` decode an address above PPB_BASE at run time; a
+compiled block runs a word at a known address in line only where the
+watchpoint unit gives it a form (``DwtUnit.inline``).  The RAM
+layout, 4 KiB pages of little-endian ``WORD``s in ``Memory.pages``, is
+declared here too, and ``blocks`` reads it from here for its inline RAM
+path.  A device is a word device: ``mmio_read(m, addr)`` and
+``mmio_write(m, addr, value)``, which ``load`` and ``store`` call, are
+how a program's access reaches it, and it may give ``blocks`` a word's
+``inline`` form as well; the access path handles byte lanes.
 
 ``step()`` executes one instruction and ``run()`` many; both step
 through ``_line``, the one retire body, and ``run()`` also runs hot
@@ -85,10 +85,7 @@ DEMCR_ADDR = 0xE000EDFC
 def ppb_device(addr: int) -> str | None:
     """The PPB map's one decode: the ``Machine`` attribute holding the
     device that an access starting at ``addr`` reaches, or None for RAM.
-
-    ``Machine.load``/``store`` ask it above PPB_BASE; ``blocks`` asks
-    it at compile time for a word access whose address it knows.
-    """
+    ``Machine.load``/``store`` ask it above PPB_BASE."""
     if DWT_WINDOW_LO <= addr < DWT_WINDOW_HI:
         return "dwt"
     if DEMCR_ADDR <= addr < DEMCR_ADDR + 4:

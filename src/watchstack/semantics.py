@@ -5,8 +5,8 @@ slots, instantiated twice, as QEMU runs one op description by its
 compiler and its interpreter: by ``_Stepped`` as the executors that
 ``step()`` runs (``executors``, which ``machine`` calls at import), and
 by ``blocks``' binder with a block's operands known.  What an op is and
-which registers it writes are its row in ``isa.OPS``; a TRAP op's
-executor is ``machine``'s own.
+which registers it reads and writes are its row in ``isa.OPS``; a TRAP
+op's executor is ``machine``'s own.
 
 Generated code is compiled and run in one function, ``define``, under
 a file name per kind (``<step>``, ``<block>``, ...), which tracebacks

@@ -21,6 +21,7 @@ from watchstack.instrument import ShadowStackConfig
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
                                 PPB_BASE, HaltReason, Machine)
 from watchstack.protect import attach_debug_system, init_write_protection
+from watchstack.semantics import define
 
 
 def program(d: DwtUnit, gid: int, comp=None, mask=None, fn=None) -> None:
@@ -390,3 +391,39 @@ def test_arming_leaves_the_hulls_of_the_shadow_region_and_the_lock():
         DEMCR_ADDR + 4)
     h2 = dwt.hull(m.watch[ACCESS_WRITE])[2]
     assert DWT_FUNCTION0 + 4 <= h2 and DWT_COMP1 + 4 <= h2
+
+
+@pytest.mark.parametrize("value", [FN_DISABLED, FN_READ, FN_WRITE,
+                                   FN_READWRITE])
+@pytest.mark.parametrize("before", [FN_DISABLED, FN_READ, FN_WRITE,
+                                    FN_READWRITE])
+def test_an_in_line_function_write_leaves_what_its_port_leaves(before,
+                                                               value):
+    """The lines ``DwtUnit.inline`` gives a FUNCTION write of a known
+    value, run on a unit in the watch state they were made for, leave the
+    unit as its port's write leaves it, in the state they name, and write
+    a slot of an access kind only where the write changes it.  Every
+    group's region is cached; the group written selects ``before``, and
+    the others both kinds or neither, so that before the write one
+    kind's slots may equal those the other kind's hold after it."""
+    for gid in range(NUM_GROUPS):
+        for others in (FN_DISABLED, FN_READWRITE):
+            d = unit(groups={g: (0x20000000 + 0x100 * g, 4, FN_READWRITE)
+                             for g in range(NUM_GROUPS)})
+            for g in range(NUM_GROUPS):
+                program(d, g, fn=before if g == gid else others)
+            port = DwtUnit()
+            port.regs, port.regions = d.regs[:], d.regions[:]
+            port.slots = tuple(s[:] for s in d.slots)
+            addr = DWT_FUNCTION0 + DWT_GROUP_STRIDE * gid
+            port.mmio_write(None, addr, value)
+            slots = tuple(map(tuple, d.slots))
+            lines, after = DwtUnit.inline(addr, ACCESS_WRITE,
+                                          d.snapshot(d.slots), value)
+            define("\n".join([DwtUnit.BIND, *lines]), "<test>", {"D": d})
+            assert (d.regs, d.slots, d.regions) == (
+                port.regs, port.slots, port.regions)
+            assert after == port.snapshot(port.slots)
+            written = sum(line[0] in "SW" for line in lines)
+            assert written == sum(tuple(now) != was
+                                  for now, was in zip(port.slots, slots))

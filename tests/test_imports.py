@@ -13,7 +13,9 @@ every public name ``harness`` defines at its top level is named in
 drivers that only tests run live in ``tests/programs.py``.
 
 The fixed PPB addresses are spelled in ``machine`` alone, as numbers or
-inside text; every other module imports them from there.
+inside text; every other module imports them from there.  And the
+registers an op reads and writes, ``Op.reads`` and ``Op.writes``, are
+read in ``isa`` alone: every other module asks ``isa.regs``.
 
 No module imports another module's ``_``-prefixed name, nor reads one
 through a module it imported: what two modules share is public.  And
@@ -114,6 +116,15 @@ def test_only_machine_spells_a_ppb_address(name):
                                if "%x" % a in node.value.lower())
     assert not spelled, "%s spells %s" % (
         name, ", ".join("%#x" % a for a in sorted(spelled)))
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "isa.py"])
+def test_only_isa_reads_the_register_columns(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    read = sorted({node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in ("reads", "writes")})
+    assert not read, "%s reads %s: ask isa.regs" % (name, ", ".join(read))
 
 
 def _private(name: str) -> bool:

@@ -9,8 +9,8 @@ import pytest
 
 from watchstack import blocks
 from watchstack.asm import parse
-from watchstack.dwt import (DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0, FN_READ,
-                            FN_WRITE)
+from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_CYCCNT, DWT_FUNCTION0,
+                            FN_READ, FN_WRITE, DwtUnit)
 from watchstack.instrument import ShadowStackConfig
 from watchstack.isa import Instr
 from watchstack.machine import (ACCESS_READ, ACCESS_WRITE, DEMCR_ADDR,
@@ -285,8 +285,10 @@ class Spy:
 def test_the_compile_time_decode_agrees_with_the_access_path(addr, size,
                                                               device):
     """``ppb_device`` names the device ``Machine.load``/``store`` reach,
-    where a misaligned word faults instead, and a block's compile-time
-    decode finds a word access there exactly when it is aligned."""
+    where a misaligned word faults instead, and a block runs no word
+    there in line, whose address it knows: the unit gives an in-line form
+    to its comparators' register words alone, and no row is one
+    (``test_a_known_word_runs_in_line_at_the_register_words``)."""
     log = []
     m = Machine()
     m.dwt, m.demcr = Spy("dwt", log), Spy("demcr", log)
@@ -297,8 +299,23 @@ def test_the_compile_time_decode_agrees_with_the_access_path(addr, size,
     assert set(log) == ({name} if device else set())
     assert m.halted is (device is None)
     ins = Instr("str", rd=1, rn=0, imm=0)
-    bound = blocks._device_word(ins, {0: addr})
-    assert bound == (addr if device and not addr & 3 else None)
+    state = blocks._state(machine(init=False))
+    assert blocks._in_line(ins, {0: addr}, DwtUnit, state) is None
+
+
+def test_a_known_word_runs_in_line_at_the_register_words():
+    """A block's compile-time decode is the unit's: a word ``ldr`` or
+    ``str`` (of a known value) whose address the block knows runs in line
+    at each of the twelve COMP, MASK and FUNCTION words, and at no other
+    address of the DWT window, DEMCR's word or the bytes either side."""
+    state = blocks._state(machine(init=False))
+    words = {DWT_COMP0 + 16 * gid + off for gid in range(4)
+             for off in (0, 4, 8)}
+    for addr in (*range(DWT_WINDOW_LO - 4, DWT_WINDOW_HI + 4), DEMCR_ADDR):
+        for op in ("ldr", "str"):
+            form = blocks._in_line(Instr(op, rd=1, rn=0, imm=0),
+                                   {0: addr, 1: 0}, DwtUnit, state)
+            assert (form is not None) is (addr in words), (op, hex(addr))
 
 
 def test_byte_store_to_the_shadow_pointer_keeps_its_other_lanes():

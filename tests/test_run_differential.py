@@ -2059,6 +2059,25 @@ def test_a_guard_call_sees_the_registers_step_leaves(monkeypatch):
             assert len({regs[1:] for regs in seen}) > 4 * PASSES
 
 
+# A loop that writes r2 before each of two loads and again after it: a
+# RAM word at r7, and COMP1, whose address the block knows but which
+# WATCH_ALL puts inside the read hull, so both take the slow path.
+DEAD_LOOP = _main(*_const("r0", DWT_COMP1), "mov r2, #5", "ldr r1, [r7]",
+                  "mov r2, #6", "ldr r3, [r0]", "mov r2, #7")
+
+
+def test_a_write_that_only_a_slow_path_reads_is_kept(monkeypatch):
+    """A register that the block writes again before it reads it is read
+    by each slow path between, which shows a hook the access: a compiled
+    block must keep the write before it, for a RAM word and for a device
+    word at a known address inside its access kind's hull."""
+    prog = parse(DEAD_LOOP)
+    want = check(prog, _cfg(POLICY_RESET, None, 10_000), "dead writes",
+                 monkeypatch, arm=_show_regs)
+    assert want["halt"][:2] == (True, HaltReason.NORMAL)
+    assert [regs[1][2] for regs in want["violations"]] == [0] + [5, 6] * PASSES
+
+
 def test_deferred_flags_before_a_guard_call(monkeypatch):
     """A hook shown every access reads xPSR at each: the three before a
     pass's compare see the pass before's flags, the store after it the
