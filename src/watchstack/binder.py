@@ -13,41 +13,38 @@ with a zero offset takes its base register as its address
 
 Each data access makes one inline test, as QEMU's softmmu path does,
 after, in a loop, one compare with its site's page (below): its fast
-case runs in line, and every other case writes the state and
-calls ``m.load`` or ``m.store``, the one slow path, which runs the
-four-region test, the guard and the device decode, then leaves through
-the instruction's halt exit if the machine halted or the watch state is
-not the one the next instruction was compiled for; a block reaches the
-machine through nothing else.  A push or pop of n words makes one test
-too: its words all in RAM, on one present page and outside the hull, it
-moves them with one ``struct`` call of n words, and else it moves them
-word by word through ``m.store`` or ``m.load``, as ``step()`` does,
-each word even when the guard halts the machine on an earlier one, and
-tests for the halt after the last.  A hull-first access tests only the
-hull of its access kind's regions (``dwt.hull``, at compile time),
-which no comparator can match outside of: there RAM, below
-``machine.PPB_BASE`` and, for a word, on one page, is read, or written
-on a present page, on ``m.mem``'s page with no call and no state
-writes.  An access is hull-first when it is a push's
-or pop's word or has base sp; where the guard gives no in-line form
-(``blocks._shape``: no guard, a subclass's or wrapped handlers, or
-``m.watch`` not DWT slots), every access is.  Any other access, such as a byte
-store that hits on most passes, tests the regions of its access kind
-in line, as ``Machine.load``/``store`` do, as an ``if``/``elif`` chain
-in the lowest-comparator order, whose arm k is the in-line form of the
-guard's own handling of a hit on comparator k (its ``inline``), with
-k's region, the step index ``s + i`` and the pc as literals: it
-appends the hit's record to the guard's log with no Python call and no
-state writes, and under the reset policy halts, so the block leaves
-through its halt exit.  An empty region has no arm, nor has a region
-above PPB_BASE, where no in-line access lies.  A store that hits is
-suppressed; a load, if RAM on one page, is read in line before the
-chain (a read that hits still flows), and else takes ``m.load``, whose
-guard records a hit.  A miss into RAM on one page (for a store, a
-present page) is taken in line.  In a looping block each in-line RAM
-access site also keeps the last page its fast case found, as softmmu's
-TLB keeps a translation (``_decode``); a site with the guard's chain
-runs the chain on either arm, as before the write or after the read.
+case runs in line, on ``m.mem``'s page with no call and no state
+writes, and every other case writes the state and calls ``m.load`` or
+``m.store``, the one slow path, which runs the four-region test, the
+guard and the device decode, then leaves through the instruction's halt
+exit if the machine halted or the watch state is not the one the next
+instruction was compiled for; a block reaches the machine through
+nothing else.  The regions an access tests are its access kind's in the
+watch state, clipped below ``machine.PPB_BASE``, where every in-line
+access lies (``Compiled.below``); an empty one has no test.  A push or
+pop of n words makes one test: its words all in RAM, on one present
+page and clear of each region, it moves them with one ``struct`` call
+of n words, and else it moves them word by word through ``m.store`` or
+``m.load``, as ``step()`` does, each word even when the guard halts the
+machine on an earlier one, and tests for the halt after the last.  Any
+other access, such as a byte store that hits on most passes, runs the
+guard's in-line form (``Compiled.hits``): an ``if``/``elif`` chain in
+the lowest-comparator order, whose arm k is the guard's own handling
+of a hit on comparator k (its ``inline``), with k's region, the step
+index ``s + i`` and the pc as literals, which appends the hit's record
+to the guard's log with no Python call and no state writes and, under
+the reset policy, halts, so the block leaves through its halt exit.  A
+store that hits is suppressed; a load, if RAM on one page, is read in
+line before the chain (a read that hits still flows), and else takes
+``m.load``, whose guard records a hit.  A miss into RAM on one page
+(for a store, a present page) is taken in line.  Where the guard gives
+no in-line form (``blocks._shape``: no guard, a subclass's or wrapped
+handlers, or ``m.watch`` not DWT slots), each access's fast case tests
+the regions as a push's does, and a hit takes the slow path.  In a
+looping block each in-line RAM access site also keeps the last page its
+fast case found, as softmmu's TLB keeps a translation (``_decode``); a
+site with the guard's chain runs the chain on either arm, as before the
+write or after the read.
 
 It is its own module so that ``blocks`` and it compile one at a time,
 when ``Machine.run`` first imports ``blocks``: the compile of one
@@ -58,7 +55,6 @@ module of their joint size would set every benchmark workload's
 from __future__ import annotations
 
 from . import machine as mach
-from .dwt import hull
 from .isa import LR, MASK32, NUM_GPRS, PC, SP
 
 
@@ -84,21 +80,21 @@ def write_reg(r: int, expr: str) -> str:
     return "%s = (%s) & M" % (read_reg(r), expr)
 
 
-def _decode(a: str, size: int, rd=None, slots=None, words=None,
+def _decode(a: str, size: int, rd=None, regions=(), words=None,
             site=None) -> list[tuple[str, list[str]]]:
     """The one compiled decode of an access of ``size`` bytes at ``a``
-    that missed the comparators or, with ``slots``, its access kind's
-    regions (known), lies outside their hull (``[h0, h1)``), as the arms
-    of an ``if``/``elif`` chain, each a test and the lines that read the
+    that missed the comparators or, with ``regions``, its access kind's
+    (``Compiled.below``), lies clear of each one, as the arms of an
+    ``if``/``elif`` chain, each a test and the lines that read the
     access into the register named ``rd`` or, without ``rd``, write
-    ``v``: its inline case,
-    and with ``site``, before it, its site's page.  ``a`` must be RAM,
-    below PPB_BASE, and a word on one page; a missing page reads 0, and
-    a store needs a present page (``Machine.store`` alone creates them).
-    With ``words``, the registers a pop reads into (``rd`` true) or the
-    values a push writes, as a tuple's text, by name, the access is the
-    ``size // 4`` words of a push or pop: their test asks for a present
-    page too, and one struct call moves them all.
+    ``v``: its inline case, and with ``site``, before it, its site's
+    page.  ``a`` must be RAM, below PPB_BASE, and a word on one page; a
+    missing page reads 0, and a store needs a present page
+    (``Machine.store`` alone creates them).  With ``words``, the
+    registers a pop reads into (``rd`` true) or the values a push
+    writes, as a tuple's text, by name, the access is the ``size // 4``
+    words of a push or pop: their test asks for a present page too, and
+    one struct call moves them all.
 
     A site of a looping block keeps the last page its inline case found
     present, for the block's call: its base in ``t<site>`` (at first one
@@ -106,9 +102,10 @@ def _decode(a: str, size: int, rd=None, slots=None, words=None,
     makes one compare and moves its bytes with none of the tests above
     and no lookup.  Pages are never replaced, and a site runs under one
     watch state, so nothing invalidates it (nor meets a restore between
-    ``run()`` calls).  With ``slots`` it keeps only a page wholly outside
-    the hull, and a page is wholly below PPB_BASE, as its base is aligned.
-    A memory map with more banks changes this beside ``Machine.load``."""
+    ``run()`` calls).  With ``regions`` it keeps only a page that holds
+    no byte of one, and a page is wholly below PPB_BASE, as its base is
+    aligned.  A memory map with more banks changes this beside
+    ``Machine.load``."""
     test = "%s < %d" % (a, mach.PPB_BASE)
     if size >= 4:
         test += " and (o := %s & %d) <= %d" % (a, mach.PAGE_MASK,
@@ -116,9 +113,9 @@ def _decode(a: str, size: int, rd=None, slots=None, words=None,
         off = "o"
     else:
         off = "%s & %d" % (a, mach.PAGE_MASK)
-    h0, h1 = hull(slots)[:2] if slots else (0, 0)
-    if h0 < h1:  # an empty hull holds nothing
-        test += " and (%s >= %d or %s + %d <= %d)" % (a, h1, a, size, h0)
+    regions = [(lo, hi) for lo, hi in regions if lo < hi]  # not empty
+    for lo, hi in regions:
+        test += " and (%s >= %d or %s + %d <= %d)" % (a, hi, a, size, lo)
     page = "(p := P.get(%s >> %d)) is not None" % (a, mach.PAGE_BITS)
     if words:
         move = ("%s, = UN('<%dI', {p}, {o})" % (words, size // 4) if rd
@@ -138,9 +135,9 @@ def _decode(a: str, size: int, rd=None, slots=None, words=None,
     if site is None:
         return [(test, [fast])]
     t, q = "t%s" % site, "q%s" % site
-    if h0 < h1:
-        keep.append("not %d < %s & %d < %d" % (
-            h0 - mach.PAGE_SIZE, a, -mach.PAGE_SIZE, h1))
+    keep += ["not %d < %s & %d < %d" % (lo - mach.PAGE_SIZE, a,
+                                        -mach.PAGE_SIZE, hi)
+             for lo, hi in regions]
     fill = "%s = %s & %d; %s = p" % (t, a, -mach.PAGE_SIZE, q)
     return [("0 <= (o := %s - %s) <= %d" % (a, t, mach.PAGE_SIZE - size),
              [move.format(p=q, o="o")]),
@@ -174,12 +171,14 @@ def _slow(b, call: str) -> list[str]:
 def _load(b, rd: int, a: str, size: int, hits=None) -> list[str]:
     """Machine.load of ``size`` bytes at ``a`` into ``rd``, for the
     instruction whose binder is ``b`` (``Compiled``): a load that
-    ``_decode`` can read inline is read so if, without ``hits``, it lies
-    outside the hull, or else before ``hits``, the guard's in-line chain
-    (``Compiled.hits``), records a hit (a read that hits still flows),
-    in each of its arms; anything else takes the slow path (``_slow``)."""
+    ``_decode`` can read inline is read so if, without ``hits``, it
+    misses each region (``Compiled.below``), or else before ``hits``,
+    the guard's in-line chain (``Compiled.hits``), records a hit (a read
+    that hits still flows), in each of its arms; anything else takes the
+    slow path (``_slow``)."""
     arms = _decode(a, size, b.name(rd),
-                   hits is None and b.state[mach.ACCESS_READ], site=b.site)
+                   b.below[mach.ACCESS_READ] if hits is None else (),
+                   site=b.site)
     return [*_arms([(test, [*body, *(hits or ())]) for test, body in arms],
                    block=True),
             *_slow(b, *b.set(rd, "m.load(%s, %d)" % (a, size)))]
@@ -189,10 +188,10 @@ def _store(b, a: str, size: int, value: str, hits=None) -> list[str]:
     """Machine.store of ``value`` at ``a``, for the binder ``b`` as in
     ``_load``: a store in a comparator region runs ``hits``, if given;
     a store that ``_decode`` can write inline, and that missed them or,
-    without ``hits``, lies outside the hull, is written so; anything
-    else takes the slow path (``_slow``)."""
-    arms = _decode(a, size, slots=hits is None and b.state[mach.ACCESS_WRITE],
-                   site=b.site)
+    without ``hits``, each region, is written so; anything else takes
+    the slow path (``_slow``)."""
+    arms = _decode(a, size, regions=b.below[mach.ACCESS_WRITE]
+                   if hits is None else (), site=b.site)
     return ["v = " + value, *(hits or ()),
             *_arms(arms, "elif" if hits else "if"),
             *_slow(b, "m.store(%s, %d, v)" % (a, size))]
@@ -204,20 +203,23 @@ class Compiled:
     only an access's slow path makes, ``end`` the halt exit, ``guard``
     the guard's in-line form at its step and pc, or None, ``state`` the
     watch state it runs under, ``after()`` the name of the one after
-    it, and ``site``, in a looping block, its index in the trace, which
-    names its access's page, else None): operands are literals,
-    registers the block's locals (``read_reg``), memory is
-    ``_load``/``_store``, hull-first for a stack word, a base of sp or
-    where ``guard`` is None, and a compare's flags stay in ``fa``,
-    ``fb`` until an exit or ``sync`` writes them.  A block's last
+    it, ``site``, in a looping block, its index in the trace, which
+    names its access's page, else None, and ``below``, each access
+    kind's regions in ``state`` clipped below PPB_BASE, empty ones kept
+    so that k is comparator k): operands are literals, registers the
+    block's locals (``read_reg``), memory is ``_load``/``_store``, which
+    test ``below`` for a push's or pop's words or where ``guard`` is
+    None, and else run the guard's chain, and a compare's flags stay in
+    ``fa``, ``fb`` until an exit or ``sync`` writes them.  A block's last
     ``b`` or ``bcond``, and a loop's last ``bx``, are ``blocks``' own."""
 
     def __init__(self, ins, nxt: int, cost: int, sync: str, end: str,
                  guard, state: tuple, after, site=None) -> None:
         self.ins, self.nxt, self.cost, self.sync, self.end = (
             ins, nxt, cost, sync, end)
-        self.r, self.guard = None, None if ins.rn == SP else guard
-        self.state, self.after, self.site = state, after, site
+        self.r, self.guard, self.after, self.site = None, guard, after, site
+        self.below = [[(lo, min(hi, mach.PPB_BASE)) for lo, hi in regions]
+                      for regions in state[:2]]
 
     def _value(self, expr):
         return expr if isinstance(expr, int) else eval(
@@ -236,13 +238,12 @@ class Compiled:
         return [write_reg(self._value(r), value)]
 
     def hits(self, access: int, size: int, value: str = "0"):
-        """The guard's in-line chain for the access at ``a``, or None for
-        a hull-first one: its arms are the regions of ``state`` clipped
-        below PPB_BASE, as no access in line lies above (a chain's access
-        is a byte or an aligned word, so it does not cross PPB_BASE)."""
-        return self.guard and self.guard(access, [
-            (lo, min(hi, mach.PPB_BASE)) for lo, hi in self.state[access]],
-            size=size, value=value)
+        """The guard's in-line chain for the access at ``a``, or None
+        where the guard gives none: its arms are ``below``'s regions, as
+        no access in line lies above PPB_BASE (a chain's access is a byte
+        or an aligned word, so it does not cross PPB_BASE)."""
+        return self.guard and self.guard(access, self.below[access],
+                                         size=size, value=value)
 
     def load(self, r, size: int) -> list[str]:
         if self.r is not None:  # a word of a push or pop (words)
@@ -269,7 +270,7 @@ class Compiled:
             lines += ["a = (sp + %d) & M" % (4 * i), *access()]
         pop = self.ins.op == "pop"
         return [*_arms(_decode(
-            "sp", 4 * len(regs), rd=pop, slots=self.state[
+            "sp", 4 * len(regs), rd=pop, regions=self.below[
                 mach.ACCESS_READ if pop else mach.ACCESS_WRITE],
             words=", ".join(self.name(r) if pop else self.reg(r)
                             for r in regs), site=self.site)),

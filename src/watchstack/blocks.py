@@ -68,13 +68,10 @@ the regions of ``m.watch`` per access kind and, where the unit gives
 in-line forms, its slots, cached regions and ``ssp_guard``
 (``DwtUnit.snapshot``), which the instrumented code changes only
 through FUNCTION0.  Every test on that state is a constant of the
-source: the test of a hull-first access and of a device word against
-the hull of its access kind's regions (``dwt.hull``, worked out here
-and kept nowhere), a device word's ``slow`` test and COMP1's span,
-and each arm of the lowest-comparator chain, where an empty region has
-no arm and a region has none above PPB_BASE, where no in-line access
-lies.
-As the trace passes an in-line port write, the state it leaves is the
+source: an access's test of its access kind's regions (``binder``), a
+device word's ``slow`` test and COMP1's span, and each arm of the
+lowest-comparator chain, where an empty region has no arm.  As the
+trace passes an in-line port write, the state it leaves is the
 unit's own port run on a snapshot (``DwtUnit.inline``), so the
 instructions after it are compiled for that one.  The block checks
 what it assumes, as a trace JIT's guards do (Gal et al., PLDI 2009),
@@ -102,14 +99,14 @@ The forward walk carries the watch state, and the value a ``movw``,
 leaves a known value is emitted as that constant and reads nothing.  A
 word ``ldr``/``str`` at a known address runs, with no test, the lines
 the watchpoint unit's port runs for the word (``DwtUnit.inline``, over
-its state bound once per entry, ``BIND``), where the watch state puts
-it outside its access kind's hull and the write needs no ``slow`` path
-(``_in_line``); it reads no address, nor a stored value the block
-knows.  Any other word is any other ``ldr``/``str``.  The backward walk
-drops an ALU op whose register is written again before an emitted
-read, a slow path, a line that halts or an exit: each writes back
-every register the block writes, which a slow path's guard may read,
-so the walk counts it a read of every local (``LOCALS``).
+its state bound once per entry, ``BIND``), where no region of its
+access kind in the watch state holds a byte of it and the write needs
+no ``slow`` path (``_in_line``); it reads no address, nor a stored
+value the block knows.  Any other word is any other ``ldr``/``str``.
+The backward walk drops an ALU op whose register is written again
+before an emitted read, a slow path, a line that halts or an exit: each
+writes back every register the block writes, which a slow path's guard
+may read, so the walk counts it a read of every local (``LOCALS``).
 
 The source reads the trace, the code map's (address, instruction)
 pairs, whose instructions are values (``_block_at``), the machine's
@@ -135,7 +132,6 @@ import struct
 
 from . import machine as mach
 from .binder import Compiled, home, read_reg
-from .dwt import hull
 from .isa import (ALU, BRANCH, FLAGS, LR, MASK32, MEMORY, OPS, PC, SP,
                   TRAP, regs)
 from .semantics import COND, SEMANTICS, define, write_flags
@@ -273,9 +269,9 @@ def _exits(at: int, ins) -> tuple | None:
 
 def _in_line(ins, known: dict, unit, state: tuple):
     """(lines, after) of a word ``ldr``/``str`` whose address the block
-    knows (``known``: register -> the value the block put there) outside
-    the hull of its access kind's regions in the watch state ``state``,
-    where the watchpoint unit's class ``unit`` gives it an in-line form:
+    knows (``known``: register -> the value the block put there), where
+    no region of its access kind in the watch state ``state`` holds a
+    byte of it and the watchpoint unit's class ``unit`` gives it a form:
     its ``inline`` lines, a stored value the block knows folded, over
     ``BIND``'s names, and the watch state after them.  Else None, as for
     a word the unit has no form for (DEMCR's, CYCCNT, an unmapped one)."""
@@ -283,8 +279,7 @@ def _in_line(ins, known: dict, unit, state: tuple):
         return None
     addr = (known[ins.rn] + ins.imm) & MASK32
     access = mach.ACCESS_READ if ins.op == "ldr" else mach.ACCESS_WRITE
-    h = hull(state[access])
-    if addr + 4 > h[2] and addr < h[3]:
+    if any(addr + 4 > lo and addr < hi for lo, hi in state[access]):
         return None
     if ins.op == "ldr":  # a register reads 32 bits
         form = unit.inline(addr, access, state)

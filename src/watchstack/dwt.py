@@ -25,14 +25,12 @@ A compiled block reads none of it as it runs: it is compiled for the
 watch state it is entered in (``DwtUnit.snapshot``: the table, the
 cached regions and the shadow pointer's span), with every test on that
 state a constant, and checks the state on entry and after each
-``Machine.load``/``store`` it makes.  A stack access tests only the
-hull of its access kind's regions in that state, which ``hull`` works
-out when the block is compiled; no hull is kept as the unit runs.
-``match_access`` reads the same table, and is the reference matcher the
-guard uses to name the comparator.  The rule it applies, the lowest
-comparator whose region holds a byte of the access, is written once,
-as lines (``lowest_match``): ``match_access`` is compiled from them at
-import, and the guard's in-line form in compiled blocks
+``Machine.load``/``store`` it makes.  ``match_access`` reads the same
+table, and is the reference matcher the guard uses to name the
+comparator.  The rule it applies, the lowest comparator whose region
+holds a byte of the access, is written once, as lines
+(``lowest_match``): ``match_access`` is compiled from them at import,
+and the guard's in-line form in compiled blocks
 (``protect.WatchpointGuard.inline``) is the same chain with its hit
 handling in each arm.
 
@@ -44,12 +42,12 @@ must change too, which ``_regroup`` does.  The lines run twice.  Built
 at import into each word's port, its ``(read, write)`` pair, they are
 what ``mmio_read``/``mmio_write``, and so ``Machine.load``/``store``,
 run.  And a compiled block emits them in line for a register word
-outside its access kind's hull (``DwtUnit.inline``), with the unit's
-state bound once per entry (``DwtUnit.BIND``), a value the block knows
-folded at compile time and every test on the watch state the block is
-compiled for decided then, the ``slow`` test and COMP1's span among
-them; the port itself, run then on a unit that holds that state, gives
-the state the write leaves for the instructions after it.  Where
+that no region of its access kind holds (``DwtUnit.inline``), with the
+unit's state bound once per entry (``DwtUnit.BIND``), a value the block
+knows folded at compile time and every test on the watch state the
+block is compiled for decided then, the ``slow`` test and COMP1's span
+among them; the port itself, run then on a unit that holds that state,
+gives the state the write leaves for the instructions after it.  Where
 ``slow`` holds, or a FUNCTION write's value is not known, the block
 takes ``Machine.store``, as it does for CYCCNT and the unmapped words,
 which have no in-line form.  So from outside this module only
@@ -61,8 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .isa import MASK32
-from .machine import (ACCESS_READ, DWT_CYCCNT, DWT_WINDOW_LO, PPB_BASE,
-                      HaltReason)
+from .machine import ACCESS_READ, DWT_CYCCNT, DWT_WINDOW_LO, HaltReason
 from .semantics import define
 
 # Comparator register addresses; the cycle counter's is machine's.
@@ -196,20 +193,6 @@ def _matcher():
         " comparator's region.  Matching uses current register state; a"
         " store that reprograms a comparator only affects later accesses.")
     return match_access
-
-
-def hull(slots) -> tuple[int, int, int, int]:
-    """The hull ``(h0, h1, h2, h3)`` of the regions ``slots``, one access
-    kind's in one watch state: ``[h0, h1)`` covers their parts below
-    PPB_BASE and ``[h2, h3)`` their parts above, an empty half (0, 0),
-    so no region in ``slots`` can match an access outside it.  Worked
-    out when a block is compiled; the unit keeps none."""
-    out = ()
-    for edge_lo, edge_hi in ((0, PPB_BASE), (PPB_BASE, 1 << 32)):
-        parts = [(max(lo, edge_lo), min(hi, edge_hi)) for lo, hi in slots]
-        parts = [(lo, hi) for lo, hi in parts if lo < hi] or [(0, 0)]
-        out += min(lo for lo, _ in parts), max(hi for _, hi in parts)
-    return out
 
 
 def _regroup(D, m, gid: int, stale: bool) -> None:

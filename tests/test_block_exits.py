@@ -7,7 +7,7 @@ guard shown every access (``check_watch``, so that compiled blocks call
 it), and through ``compiled_lockstep``, the reference interpreter at
 each compiled block's exit.  The stack cases put a push's or pop's
 words on a page's last bytes, across a page, on a page nothing wrote,
-across PPB_BASE, and onto the hull's lower edge ``h0``, then a word
+across PPB_BASE, and onto the watched region's lower edge, then a word
 into the watched region, first the second word; the halt cases stop a
 compiled block at a reset hit on a store and on a load, at a COMP1
 overflow in line and through ``Machine.store``, and at a misaligned
@@ -23,7 +23,7 @@ from test_run_differential import (PASSES, SHADOW, SP_LOOP, _cfg, _const,
 from watchstack import blocks
 from watchstack.asm import parse
 from watchstack.dwt import (DWT_COMP1, DWT_FUNCTION0, FN_READ, FN_READWRITE,
-                            FN_WRITE, hull)
+                            FN_WRITE)
 from watchstack.machine import ACCESS_WRITE, HaltReason, PPB_BASE
 from watchstack.protect import POLICY_REPORT, POLICY_RESET
 from watchstack.runner import RunConfig, build_machine
@@ -52,8 +52,9 @@ def _arm(function: int) -> list[str]:
 
 # Each pass pushes r5 and r6, pops them into r1 and r2 and moves sp up 4.
 # From WALK_SP the third-last pass's words end at the shadow region's
-# start, the hull's h0; the second-last pass's second word is its
-# first word, and the last pass's both are in it, on a present page.
+# start, the one write region below PPB_BASE; the second-last pass's
+# second word is its first word, and the last pass's both are in it, on
+# a present page.
 WALK_SP = SHADOW.ss_start - 4 * PASSES + 12
 
 
@@ -62,10 +63,12 @@ def _walk(function: int) -> str:
                  head=_arm(function))
 
 
-def test_the_walk_starts_below_the_hull():
+def test_the_walk_starts_below_the_shadow_region():
     cfg = _cfg(POLICY_RESET, None, 10_000, initial_sp=WALK_SP)
     watch = build_machine(parse(_walk(FN_WRITE)), cfg).watch
-    assert hull(watch[ACCESS_WRITE])[0] == SHADOW.ss_start
+    assert [(lo, hi) for lo, hi in watch[ACCESS_WRITE]
+            if lo < min(hi, PPB_BASE)] == [(SHADOW.ss_start, SHADOW.ss_limit)]
+    assert WALK_SP + 4 * (PASSES - 3) == SHADOW.ss_start
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from watchstack import dwt
 from watchstack.dwt import (DWT_COMP0, DWT_COMP1, DWT_COMP_OFF, DWT_CYCCNT,
                             DWT_FUNCTION0, DWT_FUNCTION_OFF, DWT_GROUP_STRIDE,
                             DWT_MASK0, DWT_MASK_OFF, FN_DISABLED, FN_READ,
@@ -227,17 +226,22 @@ def test_a_field_changes_only_through_the_register_file():
 # -- slot table against the per-group reference --------------------------------
 
 
-def reference_match(d: DwtUnit, addr, size, access):
-    """The per-access matcher the slot table replaced, reading the fields."""
+def _region(g, access):
+    """Group ``g``'s region ``(lo, hi)``, read from its fields, if its
+    FUNCTION enables ``access``, else None."""
     allows = {FN_READ: ACCESS_READ, FN_WRITE: ACCESS_WRITE}
-
-    def enabled(g):
-        return g.function == FN_READWRITE or allows.get(g.function) == access
-
-    for cid, g in enumerate(d.groups):
+    if g.function == FN_READWRITE or allows.get(g.function) == access:
         span = 1 << g.mask
         lo = g.comp & ~(span - 1) & 0xFFFFFFFF
-        if enabled(g) and addr < lo + span and addr + size > lo:
+        return lo, lo + span
+    return None
+
+
+def reference_match(d: DwtUnit, addr, size, access):
+    """The per-access matcher the slot table replaced, reading the fields."""
+    for cid, g in enumerate(d.groups):
+        region = _region(g, access)
+        if region and addr < region[1] and addr + size > region[0]:
             return cid
     return None
 
@@ -290,27 +294,15 @@ def _check_at(d, edges):
                     hex(addr), size, access, d)
 
 
-def _check_hull(d):
-    """Every slot that can match lies inside the hull of its access
-    kind's slots (``dwt.hull``): its part below PPB_BASE in [h0, h1),
-    its part above in [h2, h3).  Each half that is not empty is
-    spanned by those parts, so the hull is the tightest that holds
-    them."""
+def _check_regions(d):
+    """Each access kind's slots are the regions that compiled code tests
+    (``binder.Compiled``): slot k is group k's region, from its COMP and
+    MASK as ``reference_match`` reads them, while its FUNCTION enables
+    that kind, and else ``_NEVER``, which holds no address.  So no
+    region that can match lies outside the slots of its kind."""
     for access in (ACCESS_READ, ACCESS_WRITE):
-        h0, h1, h2, h3 = dwt.hull(d.slots[access])
-        below, above = [], []
-        for lo, hi in d.slots[access]:
-            if (lo, hi) == _NEVER:
-                continue
-            if lo < PPB_BASE:
-                assert h0 <= lo and min(hi, PPB_BASE) <= h1, (d.slots, lo, hi)
-                below.append((lo, min(hi, PPB_BASE)))
-            if hi > PPB_BASE:
-                assert h2 <= max(lo, PPB_BASE) and hi <= h3, (d.slots, lo, hi)
-                above.append((max(lo, PPB_BASE), hi))
-        for (a, b), parts in (((h0, h1), below), ((h2, h3), above)):
-            assert (a, b) == ((min(parts)[0], max(p[1] for p in parts))
-                              if parts else (0, 0)), (d.slots, access)
+        assert list(d.slots[access]) == [
+            _region(g, access) or _NEVER for g in d.groups], (d.slots, access)
 
 
 def _enabled(d, gid):
@@ -342,14 +334,13 @@ def test_slot_table_matches_reference_after_any_writes(ops, extra, guarded):
     # misdirected update shows at once.  A write to a group that is
     # disabled before and after it, such as COMP1 as the shadow stack
     # pointer, halted or not by the guard, leaves the slots as they were.
-    # After every step each access kind's hull covers every slot of that
-    # kind that can match.
+    # After every step each access kind's slots are its groups' regions.
     m, d = _machine_with_unit()
     if guarded:
         d.ssp_guard = _SSP_SPAN
     before = _edges(d)
     _check_at(d, before | set(extra))
-    _check_hull(d)
+    _check_regions(d)
     for op in ops:
         gid = op[0]
         was_enabled = _enabled(d, gid)
@@ -357,7 +348,7 @@ def test_slot_table_matches_reference_after_any_writes(ops, extra, guarded):
         _apply(m, op)
         if not was_enabled and not _enabled(d, gid):
             assert [list(s) for s in d.slots[:2]] == slots, op
-        _check_hull(d)
+        _check_regions(d)
         after = _edges(d)
         _check_at(d, before | after | set(extra))
         before = after
@@ -375,22 +366,24 @@ def test_group_snapshots_read_back_through_the_register_file(ops):
             assert getattr(g, name) == m.load(addr, 4), (gid, name)
 
 
-def test_arming_leaves_the_hulls_of_the_shadow_region_and_the_lock():
-    """Armed, the unit watches no read, and its write hull is the shadow
-    region below PPB_BASE and, above, the lock's span from its group 2
-    and 3 block to the DEMCR word: FUNCTION0 and COMP1, which the
-    instrumented code writes, lie outside both."""
+def test_arming_watches_the_shadow_region_and_the_lock():
+    """Armed, the unit watches no read, and its write regions are the
+    shadow region, below PPB_BASE, and, above, the DEMCR word and the
+    lock's group 2 and 3 block: FUNCTION0 and COMP1, which the
+    instrumented code writes, lie outside every one."""
     m = Machine()
     attach_debug_system(m)
     cfg = ShadowStackConfig()
     assert init_write_protection(m, cfg)
-    _check_hull(m.dwt)
-    assert dwt.hull(m.watch[ACCESS_READ]) == (0, 0, 0, 0)
-    assert dwt.hull(m.watch[ACCESS_WRITE]) == (
-        cfg.ss_start, cfg.ss_limit, DWT_COMP0 + 2 * DWT_GROUP_STRIDE,
-        DEMCR_ADDR + 4)
-    h2 = dwt.hull(m.watch[ACCESS_WRITE])[2]
-    assert DWT_FUNCTION0 + 4 <= h2 and DWT_COMP1 + 4 <= h2
+    _check_regions(m.dwt)
+    assert m.watch[ACCESS_READ] == [_NEVER] * NUM_GROUPS
+    lock = DWT_COMP0 + 2 * DWT_GROUP_STRIDE
+    assert m.watch[ACCESS_WRITE] == [
+        (cfg.ss_start, cfg.ss_limit), _NEVER, (DEMCR_ADDR, DEMCR_ADDR + 4),
+        (lock, lock + 32)]
+    assert cfg.ss_limit <= PPB_BASE <= DEMCR_ADDR and PPB_BASE <= lock
+    for word in (DWT_FUNCTION0, DWT_COMP1):
+        assert m.dwt.match_access(word, 4, ACCESS_WRITE) is None
 
 
 @pytest.mark.parametrize("value", [FN_DISABLED, FN_READ, FN_WRITE,

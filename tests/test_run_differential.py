@@ -548,7 +548,7 @@ def test_watch_matches_the_guard_on_demcr_fuzz(seed, policy, monkeypatch):
     cfg = _cfg(policy, seed % 60, 2_000)
     check_watch(prog, cfg, "fuzz %d" % seed, monkeypatch)
     # Unprotected, the same salvo of DWT, DEMCR and RAM stores runs in
-    # blocks whose every access tests the empty hull first.
+    # blocks whose accesses test no region, as none is armed.
     check(prog, dataclasses.replace(cfg, protected=False),
           "fuzz %d unprotected" % seed, monkeypatch)
 
@@ -1430,7 +1430,7 @@ def test_cyccnt_reads_after_inline_accesses(monkeypatch):
     assert page[0x204] == (first >> 8) & 0xFF
 
 
-# -- the hull, the one test of compiled stack and register accesses -------
+# -- comparator regions on the stack and over the register words ---------
 
 def _program(m, gid: int, comp: int, mask: int, function: int) -> None:
     base = DWT_COMP0 + DWT_GROUP_STRIDE * gid
@@ -1442,8 +1442,8 @@ def _program(m, gid: int, comp: int, mask: int, function: int) -> None:
 # loads inside it through sp, and pops it.  Comparator 0 write-watches
 # the frame's middle word and comparator 2 read-watches its top word, so
 # per pass 2 writes (the pushed r6, the str) and 3 reads (the ldr, the
-# ldrb, the popped r3) hit; the frame's bottom word misses both, outside
-# the hull, and the popped middle word misses inside it.
+# ldrb, the popped r3) hit; the frame's bottom word misses both, and the
+# popped middle word misses the read region just above it.
 FRAME_SP = 0x20001008
 FRAME = _loop("push {r5, r6, r7}", "str r5, [sp, #4]", "ldr r4, [sp, #8]",
               "ldrb r4, [sp, #9]", "strb r5, [sp]", "pop {r1, r2, r3}",
@@ -1497,7 +1497,8 @@ def _watch_groups_0_and_1(function):
 def test_bound_register_words_hit_a_comparator(name, monkeypatch):
     """The loop's four register accesses a pass hit and are suppressed
     or recorded; the instrumented recursion's COMP1 reads hit a read
-    comparator, and its register writes, inside the hull, miss."""
+    comparator, and its register writes, which no write region holds,
+    miss."""
     if name == "loop":
         prog, function, kinds = parse(BOUND_WORDS), FN_READWRITE, [
             (DWT_FUNCTION0, ACCESS_WRITE), (DWT_COMP1, ACCESS_READ),
@@ -1569,8 +1570,8 @@ def test_the_recursion_makes_no_generic_access_a_call(monkeypatch):
 def test_no_recursion_block_tests_a_comparator_region(monkeypatch):
     """At the default hot threshold the instrumented recursion compiles
     three blocks, each for the watch state it runs under.  Their pushed
-    words test the write regions' hull, as constants, their popped words
-    test no hull, as no comparator watches reads, and no block reads
+    words test the shadow region, as constants, their popped words test
+    no region, as no comparator watches reads, and no block reads
     ``m.watch`` or has a hit arm: the shadow stack's ``str.w lr`` runs
     with FUNCTION0 disarmed, and the lock's regions lie above PPB_BASE,
     where no access in line does."""
@@ -1587,13 +1588,13 @@ def test_no_recursion_block_tests_a_comparator_region(monkeypatch):
     run = run_program(prog, cfg)
     assert run.outcome == OUTCOME_SAFE and len(entries) == 3
     m = build_machine(prog, cfg)
-    hulls = 0
+    tests = 0
     for entry in entries:
         source = blocks._source(blocks._block_at(prog.code, entry),
                                 blocks._shape(m), blocks._state(m))
         assert "m.watch" not in source and "L(Y(" not in source
-        hulls += source.count("(sp >= %d or sp + " % SHADOW.ss_limit)
-    assert hulls == 2  # a push in two blocks; the pop in one tests none
+        tests += source.count("(sp >= %d or sp + " % SHADOW.ss_limit)
+    assert tests == 2  # a push in two blocks; the pop in one tests none
 
 
 def test_no_compiled_pass_calls_a_watchpoint_port(monkeypatch):
@@ -1666,6 +1667,27 @@ def test_a_compiled_sweep_shows_the_guard_each_hit_once(monkeypatch):
         assert run.steps == 5 + 4 * 320 + 1 and len(run.violations) == 256
         assert got == {True: 0, False: 0, **calls}
         assert stores[0] == (1 if hot == 1 else 320)
+
+
+def test_a_compiled_store_through_sp_runs_the_guards_chain(monkeypatch):
+    """Under report, each pass's ``str`` through sp into the shadow region
+    hits comparator 0 and is suppressed, so the ``ldr`` after it reads 0:
+    compiled, it runs the guard's in-line chain, as a store through any
+    other base does, with no guard call from compiled code, and its
+    records are step()'s."""
+    prog = parse(_loop("str r5, [sp, #4]", "ldr r1, [sp, #4]"))
+    cfg = _cfg(POLICY_REPORT, None, 10_000, initial_sp=SHADOW.ss_start + 0x100)
+    want = check(prog, cfg, "sp store", monkeypatch)
+    assert [(r.data_address, r.comparator_id, r.access)
+            for r in want["violations"]] == [
+        (SHADOW.ss_start + 0x104, 0, ACCESS_WRITE)] * PASSES
+    assert want["regs"][1] == 0
+    runs = []
+    with monkeypatch.context() as mp:
+        mp.setattr(blocks, "HOT_THRESHOLD", 1)
+        calls = _guard_calls(lambda: runs.append(fast(prog, cfg)))
+    assert_same(want, runs[0], "sp store compiled")
+    assert calls == {True: 0, False: 0}
 
 
 # -- comparator hits recorded in line ---------------------------------------------
@@ -2061,7 +2083,7 @@ def test_a_guard_call_sees_the_registers_step_leaves(monkeypatch):
 
 # A loop that writes r2 before each of two loads and again after it: a
 # RAM word at r7, and COMP1, whose address the block knows but which
-# WATCH_ALL puts inside the read hull, so both take the slow path.
+# WATCH_ALL puts inside a read region, so both take the slow path.
 DEAD_LOOP = _main(*_const("r0", DWT_COMP1), "mov r2, #5", "ldr r1, [r7]",
                   "mov r2, #6", "ldr r3, [r0]", "mov r2, #7")
 
@@ -2070,7 +2092,7 @@ def test_a_write_that_only_a_slow_path_reads_is_kept(monkeypatch):
     """A register that the block writes again before it reads it is read
     by each slow path between, which shows a hook the access: a compiled
     block must keep the write before it, for a RAM word and for a device
-    word at a known address inside its access kind's hull."""
+    word at a known address inside a region of its access kind."""
     prog = parse(DEAD_LOOP)
     want = check(prog, _cfg(POLICY_RESET, None, 10_000), "dead writes",
                  monkeypatch, arm=_show_regs)

@@ -23,7 +23,7 @@ These tests change the state every way a run can:
   handlers);
 * what the state holds: FUNCTION values that select the same slots are
   one state, and a state that watches no read lets a pop and a read of
-  a watched register skip the hull of the write regions;
+  a watched register skip the write regions;
 * each in-line access site's page in a compiled loop: pushes and pops
   that walk through a region that starts mid-page, across a page
   boundary, never keep the page that holds it.
@@ -31,6 +31,7 @@ These tests change the state every way a run can:
 
 import copy
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -39,8 +40,8 @@ import reference_isa as ref
 from programs import WATCH_ALL
 from test_reference_isa import compiled_lockstep
 from test_run_differential import (FLAG_PAIRS_PROGRAM, SHADOW, _const,
-                                   assert_same, check, observe, reference,
-                                   fast)
+                                   _loop, assert_same, check, observe,
+                                   reference, fast)
 from watchstack import blocks
 from watchstack.asm import parse
 from watchstack.dwt import (DWT_COMP0, DWT_COMP_BASE, DWT_FUNCTION0,
@@ -418,8 +419,8 @@ SHAPES = {"watch all": _see_all, "no guard": _no_guard,
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_shapes_without_an_in_line_guard(shape, policy, monkeypatch):
     """The FUNCTION0 rewrites of a compiled loop, where the guard gives
-    no in-line form: every access tests the hull, known, or takes the
-    slow path; without a guard the unit's writes still change its state
+    no in-line form: every access tests the regions, known, or takes
+    the slow path; without a guard the unit's writes still change its state
     and the lines a block runs for it."""
     prog = parse(_rewrite(*REWRITES["function0"]))
     cfg = RunConfig(protected=True, policy=policy, shadow=SHADOW,
@@ -508,11 +509,12 @@ def _watch_reads(m):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_a_state_that_watches_no_read_skips_the_read_hull(policy,
-                                                          monkeypatch):
-    """Armed, no comparator watches reads: the loop's pop tests no hull,
-    on the arm its page misses on, nor keeps the page only outside one,
-    and its read of COMP2, inside the lock's write region, runs in line.
+def test_a_state_that_watches_no_read_skips_the_read_regions(policy,
+                                                             monkeypatch):
+    """Armed, no comparator watches reads: the loop's pop tests no
+    region, on the arm its page misses on, nor keeps the page only
+    outside one, and its read of COMP2, inside the lock's write region,
+    runs in line.
     With comparators 0 and 3 watching reads too, the pop, on the stack
     just above the shadow region, tests that region, keeps a page only
     wholly outside it, and the read of COMP2, a hit now, takes
@@ -520,7 +522,8 @@ def test_a_state_that_watches_no_read_skips_the_read_hull(policy,
     prog = parse(LOCK_READ)
     cfg = RunConfig(protected=True, policy=policy, shadow=SHADOW,
                     initial_sp=SHADOW.ss_limit + 8, max_steps=5_000)
-    hull = "(sp >= %d or sp + 8 <= %d)" % (SHADOW.ss_limit, SHADOW.ss_start)
+    region = "(sp >= %d or sp + 8 <= %d)" % (SHADOW.ss_limit,
+                                            SHADOW.ss_start)
     page = "not %d < sp & -4096 < %d" % (SHADOW.ss_start - 4096,
                                          SHADOW.ss_limit)
     for arm in (None, _watch_reads):
@@ -534,7 +537,7 @@ def test_a_state_that_watches_no_read_skips_the_read_hull(policy,
         lines = source.splitlines()
         at = next(i for i, line in enumerate(lines) if "UN('<2I', p," in line)
         miss, fill = lines[at - 1], lines[at + 1]  # the pop's miss arm
-        assert ("r2 = R[6]" in source) == (hull not in miss) == (
+        assert ("r2 = R[6]" in source) == (region not in miss) == (
             page not in fill) == (not arm)
 
 
@@ -557,7 +560,7 @@ WALKING = "\n".join([
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_a_cached_page_never_reaches_past_the_hull(policy, monkeypatch):
+def test_a_cached_page_never_holds_a_region(policy, monkeypatch):
     """The pushes walk down across a page boundary and through the
     region, and the pops walk back up: the page that holds the region
     is never a site's page, so every access in the region reaches the
@@ -576,3 +579,54 @@ def test_a_cached_page_never_reaches_past_the_hull(policy, monkeypatch):
         assert want["halt"][1].value == "reset" and len(hits) == 2
     else:
         assert want["halt"][1].value == "normal" and len(hits) == 4 * 32
+
+
+# Comparators 2 and 3, moved into RAM, watch a word each, just below and
+# just above the words that a push and pop loop walks up through from
+# GAP_SP: each pass pushes two words below sp, pops them and moves sp up
+# 4, on one page.
+GAP_SP = 0x20002028
+GAP = (GAP_SP - 12, GAP_SP + 4 * PASSES - 4)
+
+
+def _compiled_calls(monkeypatch) -> list:
+    """One counter, in a list, of the Machine.load and Machine.store
+    calls made from compiled code from now on."""
+    calls = [0]
+
+    def counting(method):
+        def wrapper(*args):
+            calls[0] += sys._getframe(1).f_code.co_filename == "<block>"
+            return method(*args)
+        return wrapper
+
+    for name in ("load", "store"):
+        monkeypatch.setattr(Machine, name, counting(getattr(Machine, name)))
+    return calls
+
+
+def test_a_walk_between_two_regions_moves_its_words_in_line(monkeypatch):
+    """Two regions below PPB_BASE that watch reads and writes, with the
+    walk in the gap between them: a compiled push or pop tests each
+    region on its own, so every word moves in line, with no
+    Machine.load or Machine.store call from compiled code, and none
+    hits."""
+    prog = parse(_loop("push {r5, r6}", "pop {r1, r2}", "add sp, #4"))
+    cfg = RunConfig(protected=True, shadow=SHADOW, initial_sp=GAP_SP,
+                    max_steps=5_000)
+    writes = _writes([(register + 16 * gid, value)
+                      for gid, lo in zip((2, 3), GAP)
+                      for register, value in ((DWT_COMP0, lo), (DWT_MASK0, 2),
+                                              (DWT_FUNCTION0, FN_READWRITE))])
+
+    def arm(m):
+        m.store(GAP_SP, 4, 0)  # the walk's page, present
+        writes(m)
+    want = check(prog, cfg, "gap", monkeypatch, arm=arm)
+    assert want["halt"][1].value == "normal" and not want["violations"]
+    assert want["dwt"][2][1][2:] == tuple((lo, lo + 4) for lo in GAP)
+    calls = _compiled_calls(monkeypatch)
+    with monkeypatch.context() as mp:
+        mp.setattr(blocks, "HOT_THRESHOLD", 1)
+        assert_same(want, fast(prog, cfg, arm), "gap at threshold 1")
+    assert calls[0] == 0
