@@ -115,7 +115,7 @@ def _decode(a: str, size: int, rd=None, regions=(), words=None,
         off = "%s & %d" % (a, mach.PAGE_MASK)
     regions = [(lo, hi) for lo, hi in regions if lo < hi]  # not empty
     for lo, hi in regions:
-        test += " and (%s >= %d or %s + %d <= %d)" % (a, hi, a, size, lo)
+        test += " and (%s >= %d or %s <= %d)" % (a, hi, a, lo - size)
     page = "(p := P.get(%s >> %d)) is not None" % (a, mach.PAGE_BITS)
     if words:
         move = ("%s, = UN('<%dI', {p}, {o})" % (words, size // 4) if rd
@@ -199,24 +199,23 @@ def _store(b, a: str, size: int, value: str, hits=None) -> list[str]:
 
 class Compiled:
     """The slots of one instruction of a block (``nxt`` its fall-through,
-    ``cost`` the cycles to its end, ``sync`` the state writes, which
-    only an access's slow path makes, ``end`` the halt exit, ``guard``
-    the guard's in-line form at its step and pc, or None, ``state`` the
-    watch state it runs under, ``after()`` the name of the one after
-    it, ``site``, in a looping block, its index in the trace, which
-    names its access's page, else None, and ``below``, each access
-    kind's regions in ``state`` clipped below PPB_BASE, empty ones kept
-    so that k is comparator k): operands are literals, registers the
-    block's locals (``read_reg``), memory is ``_load``/``_store``, which
-    test ``below`` for a push's or pop's words or where ``guard`` is
-    None, and else run the guard's chain, and a compare's flags stay in
-    ``fa``, ``fb`` until an exit or ``sync`` writes them.  A block's last
-    ``b`` or ``bcond``, and a loop's last ``bx``, are ``blocks``' own."""
+    ``sync`` the state writes, which only an access's slow path makes,
+    ``end`` the halt exit, ``guard`` the guard's in-line form at its
+    step and pc, or None, ``state`` the watch state it runs under,
+    ``after()`` the name of the one after it, ``site``, in a looping
+    block, its index in the trace, which names its access's page, else
+    None, and ``below``, each access kind's regions in ``state`` clipped
+    below PPB_BASE, empty ones kept so that k is comparator k): operands
+    are literals, registers the block's locals (``read_reg``), memory is
+    ``_load``/``_store``, which test ``below`` for a push's or pop's
+    words or where ``guard`` is None, and else run the guard's chain,
+    and a compare's flags stay in ``fa``, ``fb`` until an exit or
+    ``sync`` writes them.  A block's last ``b`` or ``bcond``, and a
+    loop's last ``bx``, are ``blocks``' own."""
 
-    def __init__(self, ins, nxt: int, cost: int, sync: str, end: str,
-                 guard, state: tuple, after, site=None) -> None:
-        self.ins, self.nxt, self.cost, self.sync, self.end = (
-            ins, nxt, cost, sync, end)
+    def __init__(self, ins, nxt: int, sync: str, end: str, guard,
+                 state: tuple, after, site=None) -> None:
+        self.ins, self.nxt, self.sync, self.end = ins, nxt, sync, end
         self.r, self.guard, self.after, self.site = None, guard, after, site
         self.below = [[(lo, min(hi, mach.PPB_BASE)) for lo, hi in regions]
                       for regions in state[:2]]

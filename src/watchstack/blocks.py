@@ -12,29 +12,32 @@ HOT_THRESHOLD times; then it is compiled to one generated function,
 ``block(m, limit)``, that does what ``step()`` would do for each of
 its instructions, with the per-step bookkeeping lifted out.  A block
 whose exit reaches its own entry, and whose pass ends in the watch
-state it began in (below), is a loop: its function runs the block
-again while the exit does and another pass fits in the step budget
-``limit``, and else returns at the entry, so a hot loop does not go
-back to ``Machine.run`` each pass.  For an exit to a label or the
-fall-through (a ``b``, ``bl`` or ``bcond`` whose target or fall-through
-is the entry) that is decided at compile time; for a pc from a
-register or memory (``bx``, ``blx``, ``pop {..., pc}``) the pass tests
-it.  In the generated function:
+state it began in (below), is a loop: its function runs each pass that
+fits in the step budget, ``for s in range(e, limit - n + 1, n):``,
+leaves where the exit does, and else returns at the entry, so a hot
+loop does not go back to ``Machine.run`` each pass.  For an exit to a
+label or the fall-through (a ``b``, ``bl`` or ``bcond`` whose target or
+fall-through is the entry) that is decided at compile time; for a pc
+from a register or memory (``bx``, ``blx``, ``pop {..., pc}``) the pass
+tests it.  In the generated function:
 
 * steps, cycles and the flags are kept in locals: a compare keeps its
-  operands, ``fa`` and ``fb``, for the branch after it.  Every block
-  keeps each register it names, r0-r12, sp and lr, in a local too
-  (``r<k>``, ``binder.read_reg``), loaded once after the entry check,
-  as QEMU's TCG keeps guest registers in host ones within a block
-  (Bellard, USENIX ATC 2005); pc stays ``m.pc``, which a loop's last
-  ``bx`` writes only to leave.  ``m.steps``, ``m.cycles``,
-  ``m.cur_pc``, ``m.pc``, ``m.xpsr`` and each register the block writes
-  are written only before something can read them (``m.load`` and
-  ``m.store``, which show the guard the access and read CYCCNT) and at
-  each exit, a loop's budget return and the lines after the loop among
-  them, as ``step()`` would have left them (the flags by
-  ``semantics.write_flags``, ``F``), all spelled by one helper, so a
-  halt exit writes them before ``Machine._end``, which may start an
+  operands, ``fa`` and ``fb``, for the branch after it; a loop's pass
+  counts neither, but is the ``for``'s ``s``, and its cycles, where
+  written, are ``c + (s - e) // n * k``.  Every block keeps each
+  register it names, r0-r12, sp and lr, in a local too (``r<k>``,
+  ``binder.read_reg``), loaded once after the entry check, as QEMU's
+  TCG keeps guest registers in host ones within a block (Bellard,
+  USENIX ATC 2005); pc stays ``m.pc``, which a loop's last ``bx``
+  writes only to leave.  ``m.steps``, ``m.cycles``, ``m.cur_pc``,
+  ``m.pc``, ``m.xpsr`` and each register the block writes are written
+  only before something can read them (``m.load`` and ``m.store``,
+  which show the guard the access and read CYCCNT) and at each exit, a
+  loop's budget return and the lines after the loop among them, as
+  ``step()`` would have left them (the flags by
+  ``semantics.write_flags``, ``F``, always at the budget return: a call
+  of one pass ran its compare), all spelled by one helper, so a halt
+  exit writes them before ``Machine._end``, which may start an
   exception return.  No register is reloaded after a slow path:
   ``Machine.load``/``store``, the guard and the devices' ports write
   none (only an exception entry or return does).  A pop's words moved
@@ -53,11 +56,11 @@ it.  In the generated function:
   return and logs the halt;
 * ``m.retired`` and ``m.taken`` are not touched per instruction, nor
   counts per pass: each exit counts the pass it leaves, a loop's passes
-  before it in the call, ``(s - e) // n``, and how often the final
-  conditional branch was taken (a trace follows no conditional
-  branch); ``Block.fold`` adds the counts to the machine's before
-  ``Machine.run`` returns.  That fold, the ``s == e`` guard on the
-  last pass's flags and ``while True:`` are a loop's alone;
+  before it in the call, ``(s - e) // n`` (``+ 1`` at the budget), and
+  how often the final conditional branch was taken (a trace follows no
+  conditional branch); ``Block.fold`` adds the counts to the machine's
+  before ``Machine.run`` returns.  That fold, the ``s == e`` guard on
+  the last pass's flags and the ``for`` are a loop's alone;
 * ``min_sp`` is checked only on a machine that tracks it (``_shape``):
   once on entry when no instruction of the block writes sp, and else
   after the first instruction and after every instruction that writes
@@ -359,7 +362,7 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
            " def block(m, limit):",
            "  if X(m) != Z0: return True",  # made for another watch state
            "  g = m.gpr",
-           "  s = e = m.steps" if loops else "  s = m.steps",
+           "  e = m.steps" if loops else "  s = m.steps",
            "  c = m.cycles"]
     # The registers, in locals: loaded here, and those the block writes
     # written back (``back``) before each slow path and at each exit.
@@ -370,24 +373,31 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
     back = "".join("; %s = %s" % (home(r), read_reg(r))
                    for r in loaded if r in written)
     min_sp = _MIN_SP % (read_reg(SP) if SP in named else "m.sp")
+    # The cycles ``cost`` into the pass at step s, in a loop after the k of
+    # each pass before it (a taken bcond's extra one, if the way back).
+    taken = loops and ins.op == "bcond" and ins.target == entry
+    k = sum(op.cycles for _, op in trace) + taken
+    cycles = "c + (s - e) // %d * %d + %%d" % (n, k) if loops else "c + %d"
     # What each exit adds: a loop's passes before it, (s - e) // n, and
     # the flags of the pass's compare or, before one, the last pass's.
-    fold = ("; cnt[%d] += (s - e) // %d" % (n, n) if loops else "") + (
-        "; cnt[0] += (s - e) // %d" % n
-        if loops and ins.op == "bcond" and ins.target == entry else "")
+    fold = ("; cnt[%d] += {0}" % n + "; cnt[0] += {0}" * taken
+            if loops else "")
+    passes = "(s - e) // %d" % n
     flags = "; s == e or " + XPSR if loops and FLAGS in written else ""
 
-    def sync(steps, cycles, at, pc, count=None):
-        """The state writes before a slow path or at an exit, where
-        ``count`` is how many instructions the pass retired: cycles and
-        pc unless None, the counts, the registers and the flags."""
-        line = "m.steps = " + steps + (cycles and "; m.cycles = " + cycles
-                                       or "") + "; m.cur_pc = %d" % at
+    def sync(i, cost, at, pc, count=None):
+        """The state writes ``i`` steps and ``cost`` cycles into the pass,
+        where ``count`` is how many instructions it retired: cycles and pc
+        unless None, the counts, the registers and the flags."""
+        line = "m.steps = " + ("s + %d" % i if i else "s") + (
+            "" if cost is None else "; m.cycles = " + cycles % cost)
+        line += "; m.cur_pc = %d" % at
         if pc is not None:
             line += "; m.pc = %d" % pc
         if count:
             line += "; cnt[%d] += 1" % count
-        return line + (fold if count is not None else "") + back + flags
+        return line + (fold.format(passes) if count is not None
+                       else "") + back + flags
 
     if tracks and not moves_sp:
         out.append("  " + min_sp)  # sp holds its entry value throughout
@@ -404,15 +414,14 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
         # was: the same minimum).
         end = "%s%s; return m._end(%d)" % (
             min_sp + "; " if tracks else "", sync(
-                "s + %d" % (i + 1), "c + %d" % cost, at,
-                None if _jumps(ins) else nxt, i + 1), at)
+                i + 1, cost, at, None if _jumps(ins) else nxt, i + 1), at)
         site = loops and not word and OPS[ins.op].kind == MEMORY
         if site:
             sites.append("t%d" % i)
-        b = Compiled(ins, nxt, cost, sync("s + %d" % i, "c + %d" % cost,
-                                          at, nxt), end,
+        b = Compiled(ins, nxt, sync(i, cost, at, nxt), end,
                      inline and functools.partial(
-                         inline, step="s + %d" % i, pc=at, addr="a"),
+                         inline, step="s + %d" % i if i else "s", pc=at,
+                         addr="a"),
                      states[i], functools.partial(
                          names.setdefault, states[i + 1], "Z%d" % len(names)),
                      i if site else None)
@@ -438,16 +447,18 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
     out[1:1] = (" %s = %r" % (z, st) for st, z in names.items())
     if sites:  # a loop's; a base no address is at
         out.append("  %s = %d" % (" = ".join(sites), -2 * mach.PAGE_SIZE))
-    if loops:
-        out.append("  while True:")
-    out += [" " * (2 + loops) + line for line in body + _tail(
-        at, ins, cost, n, entry, flags == "; " + XPSR,
-        sync("s", "c", at, entry, 0) + "; return" if loops else "")]
+    if loops:  # each pass that fits before limit
+        out.append("  for s in range(e, limit - %d, %d):" % (n - 1, n))
+    body += _tail(at, ins, cost, cycles, entry, flags == "; " + XPSR, loops)
+    out += [" " * (2 + loops) + line for line in body + ["pass"] * all(
+        line[0] == "#" for line in body)]  # a loop of one b
+    if loops:  # the budget return, after the last pass that fits
+        out += ["  else:", "   %s%s; return" % (
+            sync(n, k, at, entry), fold.format(passes + " + 1"))]
     if loops and exits == (entry,):  # it leaves only through the budget
         return "\n".join(out) + "\n return block\n"
     # A conditional branch sets cycles and pc itself, a jump pc.
-    out.append("  " + sync("s + %d" % n, None if ins.op == "bcond" else
-                           "c + %d" % cost, at,
+    out.append("  " + sync(n, None if ins.op == "bcond" else cost, at,
                            None if _jumps(ins) else at + ins.width, n))
     # A pc taken from a register or memory may be EXC_RETURN.
     if exits is None or max(exits) >= mach.EXC_RETURN_MIN:
@@ -457,36 +468,33 @@ def _source(trace: tuple, shape: tuple, state: tuple) -> str:
     return "\n".join(out) + "\n"
 
 
-def _tail(at: int, ins, cost: int, n: int, entry: int, pending: bool,
-          budget: str) -> list[str]:
+def _tail(at: int, ins, cost: int, cycles: str, entry: int, pending: bool,
+          loops: bool) -> list[str]:
     """The end of a block whose last instruction, at ``at``, is ``ins``,
-    ``cost`` the cycles to it: a last ``b`` sets pc and a ``bcond``, on
-    the pending compare if ``pending``, pc and the cycles.  With a
-    ``budget``, the writes of a return at the entry, the block loops: a
-    way out that is not the entry breaks, a ``bx`` writing pc from its
-    register only then, and a pass that stays starts the next one if it
-    fits before ``limit``, else returns."""
+    ``cost`` the cycles to it in the pass, as text ``cycles % cost``: a
+    last ``b`` sets pc and a ``bcond``, on the pending compare if
+    ``pending``, pc and the cycles.  In a loop, whose ``for`` runs each
+    pass that fits before ``limit`` and else returns at the entry, a way
+    out that is not the entry breaks, a ``bx`` writing pc from its
+    register only then, and a pass that stays writes nothing."""
     lines = []
-    if ins.op == "b" and not budget:
+    if ins.op == "b" and not loops:
         lines.append("m.pc = %d" % ins.target)
     elif ins.op == "bcond":
         test = COND[ins.cond][pending]
-        taken = "m.pc = %d; m.cycles = c + %d; cnt[0] += 1" % (
-            ins.target, cost + 1)
-        fall = "m.pc = %d; m.cycles = c + %d" % (at + ins.width, cost)
+        taken = "m.pc = %d; m.cycles = %s; cnt[0] += 1" % (
+            ins.target, cycles % (cost + 1))
+        fall = "m.pc = %d; m.cycles = %s" % (at + ins.width, cycles % cost)
         lines += [] if pending else ["x = m.xpsr"]
-        if not budget:
+        if not loops:
             lines += ["if %s: %s" % (test, taken), "else: " + fall]
         elif ins.target == entry:
             lines.append("if not (%s): %s; break" % (test, fall))
-            cost += 1
         else:
             lines.append("if %s: %s; break" % (test, taken))
-    elif budget and ins.op == "bx":
+    elif loops and ins.op == "bx":
         lines.append("if {0} != {1}: m.pc = {0}; break".format(
             read_reg(ins.rm, at + ins.width), entry))
-    elif budget and _exits(at, ins) is None:
+    elif loops and _exits(at, ins) is None:
         lines.append("if m.pc != %d: break" % entry)
-    return lines if not budget else [
-        *lines, "s += %d; c += %d" % (n, cost), "if s + %d > limit:" % n,
-        " " + budget]
+    return lines

@@ -160,20 +160,25 @@ def _overflow(v, q) -> list[str]:
              % (q[0], v, q[1])) + "m.halt(D.OVERFLOW)"]
 
 
-def lowest_match(a: str, end: str, arm, slots=None) -> list[str]:
+def lowest_match(a: str, end, arm, slots=None) -> list[str]:
     """The lowest-comparator rule, as lines over the regions ``s0``..``s3``
     of one access kind, or over ``slots``, those regions known: an
     ``if``/``elif`` chain whose arm ``k``, the lines ``arm(k)``, runs
     when the access covering ``[a, end)`` (text) has a byte in region k
-    and none in a lower one.  A known empty region has no arm, so the
-    chain may have none.  Unrolled: a loop costs twice as much."""
+    and none in a lower one.  With ``slots``, ``end`` is the access's
+    size, folded into each region's low bound (``a > lo - size``), and a
+    known empty region has no arm, so the chain may have none.
+    Unrolled: a loop costs twice as much."""
     lines = []
     for k in range(NUM_GROUPS):
-        lo, hi = slots[k] if slots else ("s%d[0]" % k, "s%d[1]" % k)
-        if slots and lo >= hi:
+        if not slots:
+            test = "%s < s%d[1] and %s > s%d[0]" % (a, k, end, k)
+        elif slots[k][0] < slots[k][1]:
+            test = "%s < %d and %s > %d" % (a, slots[k][1], a,
+                                            slots[k][0] - end)
+        else:
             continue
-        lines += ["%s %s < %s and %s > %s:"
-                  % ("elif" if lines else "if", a, hi, end, lo),
+        lines += ["%s %s:" % ("elif" if lines else "if", test),
                   *(" " + line for line in arm(k))]
     return lines
 

@@ -250,7 +250,7 @@ class WatchpointGuard:
         (``dwt.lowest_match``) over the known regions ``slots`` of
         ``m.watch`` for that access kind, whose arm k is a hit on k under
         the policy ``reset``; an empty region has no arm."""
-        return lowest_match(addr, "%s + %d" % (addr, size), lambda k: (
+        return lowest_match(addr, size, lambda k: (
             _hit_lines(tuple(_STATE), step, pc, addr, k, value, size,
                        access, reset)), slots)
 

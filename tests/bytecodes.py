@@ -5,6 +5,7 @@
     python3 tests/bytecodes.py --workload corpus --ops 20
     python3 tests/bytecodes.py --workload recursion-protected --depth 64
     python3 tests/bytecodes.py --workload corpus --hot 1
+    python3 tests/bytecodes.py --workload sweep-report --top 0
 
 A deterministic cost count to stand beside a wall-time claim.  It builds
 the benchmark's workloads (``bench/workloads.py``, imported, not
@@ -19,8 +20,12 @@ Each op also reports its simulated steps; its ``blocks.Block.compile``
 calls; of those, the ones whose block's entry check missed (a block
 compiled for another watch state, compiled again for the one it
 found); and the blocks compiled, ``blocks._make``'s cache misses, each
-a ``blocks._source`` call.  Code in C (``struct``, ``dict``) counts as
-the one bytecode that calls it.  ``--hot`` sets ``blocks.HOT_THRESHOLD``
+a ``blocks._source`` call.  For each compiled looping block (its code
+keeps its entry's step in ``e``) it reports bytecodes per pass: the
+bytecodes its code executed over the passes that ``Block.fold`` added
+to the machine's counts, every pass its calls made, exits included.
+Code in C (``struct``, ``dict``) counts as the one bytecode that calls
+it.  ``--hot`` sets ``blocks.HOT_THRESHOLD``
 for the warm-up and the counted ops, so that ``--hot 1`` counts code
 that the default threshold leaves to the stepped tier, such as the
 blocks of ``corpus``, each compiled on first reach.
@@ -57,11 +62,13 @@ from workloads import WORKLOADS, RecursionProtected  # noqa: E402
 def count(fn, *args):
     """``fn(*args)``'s result; the bytecodes each code object executed in
     it and its calls; the pc each compiled block's code was entered at;
-    and the entry-check misses, ``Block.compile`` calls on a block that
-    already has a function."""
+    the passes ``Block.fold`` folded, by entry pc; and the entry-check
+    misses, ``Block.compile`` calls on a block that already has a
+    function."""
     counts: dict = {}
     calls: dict = {}
     entries: dict = {}
+    passes: dict = {}
     misses = [0]
 
     def opcode(frame, event, arg):
@@ -77,6 +84,10 @@ def count(fn, *args):
             entries.setdefault(code, frame.f_locals["m"].pc)
         elif code is blocks.Block.compile.__code__:
             misses[0] += frame.f_locals["self"].fn is not None
+        elif code is blocks.Block.fold.__code__:  # before it zeroes them
+            blk = frame.f_locals["self"]
+            pc = blk.trace[0][0]
+            passes[pc] = passes.get(pc, 0) + sum(blk.counts[1:])
         frame.f_trace_opcodes = True
         return opcode
 
@@ -85,7 +96,7 @@ def count(fn, *args):
         out = fn(*args)
     finally:
         sys.settrace(None)
-    return out, counts, calls, entries, misses[0]
+    return out, counts, calls, entries, passes, misses[0]
 
 
 def _file(code) -> str:
@@ -115,20 +126,27 @@ def _function(code, entries: dict) -> str:
 
 def measure(w, op_id: int) -> dict:
     item = w.items[op_id % len(w.items)]
-    out, counts, calls, entries, misses = count(w.run_op, item)
+    out, counts, calls, entries, passes, misses = count(w.run_op, item)
     by_file: dict = {}
     by_function: dict = {}
+    loops: dict = {}  # a looping block's bytecodes, by entry pc
     for code, n in counts.items():
         f = _file(code)
         by_file[f] = by_file.get(f, 0) + n
         key = "%s:%s" % (f, _function(code, entries))
         by_function[key] = by_function.get(key, 0) + n
+        if code in entries and "e" in code.co_varnames:
+            loops[entries[code]] = loops.get(entries[code], 0) + n
     order = lambda d: dict(sorted(d.items(), key=lambda kv: (-kv[1], kv[0])))
     return {"op": op_id, "steps": w.steps(out),
             "compiles": calls.get(blocks.Block.compile.__code__, 0),
             "misses": misses,
             "made": calls.get(blocks._source.__code__, 0),
             "bytecodes": sum(counts.values()),
+            "per_pass": {"0x%08x" % pc: {
+                "bytecodes": n, "passes": passes[pc],
+                "per_pass": round(n / passes[pc], 2)}
+                for pc, n in sorted(loops.items())},
             "by_file": order(by_file), "by_function": order(by_function)}
 
 
@@ -169,6 +187,10 @@ def main(argv=None) -> int:
                   " (%d entry-check misses), %d blocks compiled"
                   % (name, op["op"], op["bytecodes"], op["steps"],
                      op["compiles"], op["misses"], op["made"]))
+            for pc, row in op["per_pass"].items():
+                print("  loop at %s: %d bytecodes over %d passes, %.2f a"
+                      " pass" % (pc, row["bytecodes"], row["passes"],
+                                 row["per_pass"]))
             for f, n in op["by_file"].items():
                 print("  %12d  %s" % (n, f))
             for key, n in list(op["by_function"].items())[:args.top]:

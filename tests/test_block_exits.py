@@ -8,7 +8,9 @@ it), and through ``compiled_lockstep``, the reference interpreter at
 each compiled block's exit.  The stack cases put a push's or pop's
 words on a page's last bytes, across a page, on a page nothing wrote,
 across PPB_BASE, and onto the watched region's lower edge, then a word
-into the watched region, first the second word; the halt cases stop a
+into the watched region, first the second word; the budget cases cut a
+push and pop loop at each step of a pass, and a loop whose carry flips
+in its first compiled pass at every budget; the halt cases stop a
 compiled block at a reset hit on a store and on a load, at a COMP1
 overflow in line and through ``Machine.store``, and at a misaligned
 word.
@@ -18,7 +20,7 @@ import pytest
 
 from test_reference_isa import compiled_lockstep
 from test_run_differential import (PASSES, SHADOW, SP_LOOP, _cfg, _const,
-                                   _loop, assert_same, check_watch,
+                                   _loop, assert_same, check, check_watch,
                                    observe)
 from watchstack import blocks
 from watchstack.asm import parse
@@ -133,6 +135,41 @@ def test_a_budget_cut_in_a_push_and_pop_loop(budget, monkeypatch):
                                initial_sp=0x20001000),
                 "budget %d" % budget, monkeypatch)
     assert want["steps"] == budget and want["halt"] == (False, None, True)
+
+
+def _crossing(hot: int) -> str:
+    """A loop that counts r5 up from -1 - hot and compares it with 3: the
+    carry stays set while r5 is negative and clears in pass hot + 1,
+    where r5 reaches 0.  main falls into the loop, so its trace holds the
+    first pass, and the loop's entry is first reached by pass 2: pass
+    hot + 1 is the first that a hot threshold of ``hot`` runs compiled."""
+    return "\n".join([
+        ".org 0x08000000", ".func main hal",
+        *("    " + line for line in _const("r5", -1 - hot & 0xFFFFFFFF)),
+        ".label loop", "    addw r5, r5, #1", "    cmp r5, #3",
+        "    bne loop", "    bkpt #0", ".endfunc", ""])
+
+
+CARRY = 1 << 29
+
+
+@pytest.mark.parametrize("hot", [1, blocks.HOT_THRESHOLD])
+def test_a_budget_cut_after_one_pass_writes_its_flags(hot, monkeypatch):
+    """Cut at every budget to the end.  Where the budget leaves room for
+    only the loop's first compiled pass, the block's first call runs it
+    alone and returns at the budget, which must write that pass's flags,
+    as its carry is not the pass before's.  Every other cut checks a
+    pass's cycles, counts and steps; ``check`` runs the default
+    threshold, 1 and none."""
+    prog = parse(_crossing(hot))
+    main, n = 2, 3  # steps: main's, then each pass's
+    first = main + n * hot  # where pass hot + 1 starts
+    for budget in range(1, main + n * (hot + 4) + 2):  # r5 reaches 3; bkpt
+        want = check(prog, _cfg(POLICY_RESET, None, budget),
+                     "threshold %d, budget %d" % (hot, budget), monkeypatch)
+        if budget in (first, first + n):
+            assert bool(want["regs"][-2] & CARRY) == (budget == first)
+    assert want["halt"] == (True, HaltReason.NORMAL, False)
 
 
 # -- halts -------------------------------------------------------------------

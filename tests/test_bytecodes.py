@@ -1,7 +1,7 @@
 """``tests/bytecodes.py``, the per-op bytecode counter, counts the same
 twice, whatever hash seed it is started with and at a hot threshold of
-1 too, and reports the blocks an op compiles and the entry checks that
-miss."""
+1 too, and reports the blocks an op compiles, the entry checks that
+miss, and each looping block's bytecodes per pass."""
 
 import json
 import os
@@ -37,6 +37,15 @@ def test_two_counts_of_a_small_recursion_agree():
         op["by_function"].values())
     assert op["by_file"]["<block>"] > 0 and op["by_file"]["<step>"] > 0
     assert "<block>:make.<locals>.block@0x08000038" in op["by_function"]
+    # The descent's and the ascent's loops, not the straight block at
+    # 0x0800000a.
+    assert sorted(op["per_pass"]) == ["0x08000038", "0x08000040"]
+    for pc, row in op["per_pass"].items():
+        key = "<block>:make.<locals>.block@" + pc
+        assert row["bytecodes"] == op["by_function"][key]
+        assert row["passes"] > 0
+        assert row["per_pass"] == round(row["bytecodes"] / row["passes"], 2)
+    assert op["per_pass"]["0x08000040"]["passes"] > DEPTH // 2
 
 
 def test_two_counts_of_corpus_at_a_hot_threshold_of_1_agree():
@@ -48,3 +57,5 @@ def test_two_counts_of_corpus_at_a_hot_threshold_of_1_agree():
     op, = first["workloads"]["corpus"]
     assert first["hot"] == 1 and op["compiles"] > 0
     assert op["by_file"]["<block>"] > 0
+    assert op["per_pass"] and all(row["passes"] > 0
+                                  for row in op["per_pass"].values())

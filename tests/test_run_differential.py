@@ -1593,7 +1593,7 @@ def test_no_recursion_block_tests_a_comparator_region(monkeypatch):
         source = blocks._source(blocks._block_at(prog.code, entry),
                                 blocks._shape(m), blocks._state(m))
         assert "m.watch" not in source and "L(Y(" not in source
-        tests += source.count("(sp >= %d or sp + " % SHADOW.ss_limit)
+        tests += source.count("(sp >= %d or sp <= " % SHADOW.ss_limit)
     assert tests == 2  # a push in two blocks; the pop in one tests none
 
 
@@ -2197,9 +2197,10 @@ def test_counts_are_folded_at_each_loop_exit(shape, monkeypatch):
 
 def _fast_pass(source: str) -> list:
     """The statements and tests a compiled loop's pass runs when it goes
-    on and takes no slow path: its while body, less each branch that
+    on and takes no slow path: its for body, less each branch that
     leaves (a break or a return) or writes m.steps (as a block writes
-    the state only at an exit or before a slow path)."""
+    the state only at an exit or before a slow path).  The budget return
+    is the loop's else, which no pass that goes on runs."""
     def fast(stmts):
         if any(isinstance(st, (ast.Break, ast.Return))
                or isinstance(st, ast.Assign)
@@ -2214,7 +2215,7 @@ def _fast_pass(source: str) -> list:
         return out
 
     loop, = [node for node in ast.walk(ast.parse(source))
-             if isinstance(node, ast.While)]
+             if isinstance(node, ast.For)]
     return fast(loop.body)
 
 
@@ -2246,11 +2247,22 @@ def _fast_nodes(source: str) -> list:
 def test_a_continuing_pass_writes_neither_flags_nor_counts():
     """The sweep's loop and the recursion's descent, as generated for the
     benchmark's machines: a pass that goes on branches on its pending
-    compare, reads and writes no xPSR, and touches no count."""
+    compare, reads and writes no xPSR, and touches no count.  Each of the
+    benchmark's loops, the recursion's ascent too, keeps no step or
+    cycle count as it goes: the for statement steps ``s`` through the
+    passes that fit before ``limit``, and a pass assigns neither ``s``
+    nor ``c`` and never names ``limit``."""
     for cond, source in _benchmark_loops().values():
+        nodes = _fast_nodes(source)
+        assert not [node for node in nodes if isinstance(node, ast.Name)
+                    and (node.id == "limit" or node.id in ("s", "c")
+                         and isinstance(node.ctx, ast.Store))]
+        loop, = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.For)]
+        assert ast.unparse(loop.target) == "s"
+        assert "limit" in ast.unparse(loop.iter)
         if cond is None:
             continue
-        nodes = _fast_nodes(source)
         text = {ast.unparse(node) for node in nodes}
         assert ast.unparse(ast.parse(semantics.COND[cond][1])) in text
         assert blocks.XPSR not in text
@@ -2313,8 +2325,8 @@ def test_every_block_spells_each_register_one_way(monkeypatch):
             elif (kind is None and isinstance(st, ast.stmt)
                   and not isinstance(st, ast.FunctionDef)
                   and ast.unparse(st) not in allowed):
-                inner = (st.test if isinstance(st, (ast.If, ast.While))
-                         else st)
+                inner = (st.test if isinstance(st, ast.If) else st.iter
+                         if isinstance(st, ast.For) else st)
                 stray += [ast.unparse(node) for node in ast.walk(inner)
                           if _names_a_home(node)]
         assert not stray, source

@@ -380,7 +380,7 @@ def test_a_pass_that_ends_with_slot_0_disarmed(policy, monkeypatch):
     def recorded(trace, shape, state):
         text = source(trace, shape, state)
         if trace[0][1].op == "str":  # the loop's block, not main's
-            loops.append("while True:" in text)
+            loops.append("  for s in range(" in text)
         return text
 
     with monkeypatch.context() as mp:
@@ -522,8 +522,8 @@ def test_a_state_that_watches_no_read_skips_the_read_regions(policy,
     prog = parse(LOCK_READ)
     cfg = RunConfig(protected=True, policy=policy, shadow=SHADOW,
                     initial_sp=SHADOW.ss_limit + 8, max_steps=5_000)
-    region = "(sp >= %d or sp + 8 <= %d)" % (SHADOW.ss_limit,
-                                            SHADOW.ss_start)
+    region = "(sp >= %d or sp <= %d)" % (SHADOW.ss_limit,
+                                        SHADOW.ss_start - 8)
     page = "not %d < sp & -4096 < %d" % (SHADOW.ss_start - 4096,
                                          SHADOW.ss_limit)
     for arm in (None, _watch_reads):
